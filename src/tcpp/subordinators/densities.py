@@ -8,8 +8,13 @@ plain nonnegative floats/arrays.  Laplace-transform conventions:
     tempered(beta, mu):          E e^{-s D_mu(t)} = exp(-t ((s+mu)^beta - mu^beta))
 
 Inverse (hitting-time) processes are handled through first-passage duality
-P(E(t) <= x) = P(D(x) >= t) and, for the inverse stable law, the scaling
-formula m(x,t) = (t/beta) f(t x^(-1/beta), 1) x^(-1-1/beta).
+P(E(t) <= x) = P(D(x) >= t).  The IG hitting time has a closed density,
+obtained by differentiating the closed IG CDF in its process-time argument;
+the inverse stable law uses the scaling formula
+m(x,t) = (t/beta) f(t x^(-1/beta), 1) x^(-1-1/beta).  Tempered(1/2, mu) is
+exactly IG(1/sqrt(2), sqrt(2 mu)) (the Laplace exponents coincide), so its
+hitting time takes the closed IG route; other indices integrate the stable
+density against the tempered Levy tail.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc, log_ndtr, ndtr
+from scipy.special import erfcx, gammaincc, log_ndtr, ndtr
 
 from ..errors import DomainError
 from ..quadrules import gauss_panels, linear_panel_edges, log_panel_edges
@@ -209,17 +214,34 @@ def tempered_levy_tail(z, beta: float, mu: float):
     return out
 
 
-def inverse_tempered_density(x, t: float, beta: float, mu: float, n_panels: int = 96):
+def inverse_tempered_density(x, t, beta: float, mu: float, n_panels: int = 96):
     """Density m_mu(x,t) of the hitting time of the tempered subordinator.
 
-    m_mu(x,t) = int_0^t pi(t-y, inf) f_mu(y, x) dy.  The integral is split at
-    y = t/2: the upper piece absorbs the integrable (t-y)^(-beta) endpoint by
-    the substitution w = (t-y)^(1-beta), while the lower piece is rescaled to
-    the stable law's own scale (y = x^(1/beta) u) so the concentration of
-    f(., x) for small x stays resolved.
+    At beta = 1/2 the clock is IG(1/sqrt(2), sqrt(2 mu)) and m_mu is the closed
+    hitting_time_density_ig, broadcast over x and t.  Other indices take the
+    quadrature route below, at a scalar t.
+    """
+    _positive("inverse_tempered_density", x, t)
+    if beta == 0.5:
+        return hitting_time_density_ig(x, t, *tempered_half_as_ig(mu))
+    return _inverse_tempered_quadrature(x, t, beta, mu, n_panels)
+
+
+def tempered_half_as_ig(mu: float):
+    """(delta, gamma) of the IG law equal to tempered(1/2, mu):
+    (1/sqrt 2)(sqrt(2 mu + 2 s) - sqrt(2 mu)) = sqrt(s + mu) - sqrt(mu)."""
+    return 1.0 / math.sqrt(2.0), math.sqrt(2.0 * mu)
+
+
+def _inverse_tempered_quadrature(x, t: float, beta: float, mu: float, n_panels: int = 96):
+    """m_mu(x,t) = int_0^t pi(t-y, inf) f_mu(y, x) dy, for any index.
+
+    The integral is split at y = t/2: the upper piece absorbs the integrable
+    (t-y)^(-beta) endpoint by the substitution w = (t-y)^(1-beta), while the
+    lower piece is rescaled to the stable law's own scale (y = x^(1/beta) u)
+    so the concentration of f(., x) for small x stays resolved.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _positive("inverse_tempered_density", x, t)
     su = stable_unit(beta)
     b1 = 1.0 - beta
     xs = x ** (-1.0 / beta)         # D(x) scale^-1
@@ -238,7 +260,7 @@ def inverse_tempered_density(x, t: float, beta: float, mu: float, n_panels: int 
     q, qw = gauss_panels(linear_panel_edges(0.0, 1.0, max(24, n_panels // 2)), 8)
     u_hi = 0.5 * t * xs
     lower = np.zeros_like(x)
-    act = u_hi > 10.0 * u_lo
+    act = u_hi > u_lo
     if np.any(act):
         span = np.log(u_hi[act] / u_lo)
         u = u_lo * np.exp(span[:, None] * q[None, :])
@@ -264,39 +286,46 @@ def inverse_tempered_cdf(x, t: float, beta: float, mu: float, n_panels: int = 48
 # -- IG hitting time -----------------------------------------------------------
 
 
-def hitting_time_density_ig(x, t: float, delta: float, gamma: float, step: float = None):
-    """Density h(x,t) of H(t) = inf{s : G(s) > t}, by CDF differentiation.
+def _hitting_ig_parts(name, x, t, delta: float, gamma: float):
+    """z1, phi(z1), sqrt(t) and e^{2 delta gamma x} Phi(z2), for x >= 0.
 
-    h(x,t) = -d/dx P(G(x) <= t), realized as a central finite difference in
-    the process-time parameter x with step max(1e-4, 1e-3 x) (clamped so the
-    stencil stays positive).
+    P(G(x) <= t) = Phi(z1) + e^{2 delta gamma x} Phi(z2), with
+    z1 = (gamma t - delta x)/sqrt(t) and z2 = -(gamma t + delta x)/sqrt(t).
+    As e^{2 delta gamma x} phi(z2) = phi(z1), the second term is phi(z1) R(-z2)
+    with the Mills ratio R(a) = Phi(-a)/phi(a) = sqrt(pi/2) erfcx(a/sqrt 2),
+    so no large exponential is ever formed.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _positive("hitting_time_density_ig", x, t, delta)
-    if gamma < 0:
-        raise DomainError("hitting_time_density_ig requires gamma >= 0")
-    if step is None:
-        hx = np.maximum(1e-4, 1e-3 * x)
-    else:
-        hx = np.full_like(x, float(step))
-    hx = np.minimum(hx, 0.5 * x)
-    up = np.array([ig_cdf(np.array([t]), xi + hi, delta, gamma)[0] for xi, hi in zip(x, hx)])
-    dn = np.array([ig_cdf(np.array([t]), xi - hi, delta, gamma)[0] for xi, hi in zip(x, hx)])
-    return np.maximum(-(up - dn) / (2.0 * hx), 0.0)
+    t = np.asarray(t, dtype=float)
+    _positive(name, t, delta)
+    if np.any(x < 0) or gamma < 0:
+        raise DomainError(f"{name} requires x >= 0 and gamma >= 0")
+    st = np.sqrt(t)
+    z1 = (gamma * t - delta * x) / st
+    phi = np.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)
+    a = (gamma * t + delta * x) / st
+    tail = phi * math.sqrt(0.5 * math.pi) * erfcx(a / math.sqrt(2.0))
+    return z1, phi, st, tail
 
 
-def hitting_time_boundary_ig(t: float, delta: float, gamma: float, eps: float = 1e-4):
-    """h(0+, t) by Richardson extrapolation of the density toward x = 0."""
-    h1 = hitting_time_density_ig(np.array([eps]), t, delta, gamma)[0]
-    h2 = hitting_time_density_ig(np.array([2 * eps]), t, delta, gamma)[0]
-    return float(2.0 * h1 - h2)
+def hitting_time_density_ig(x, t, delta: float, gamma: float):
+    """Density h(x,t) of H(t) = inf{s : G(s) > t}, in closed form.
+
+    h(x,t) = -d/dx P(G(x) <= t)
+           = (2 delta/sqrt(t)) phi(z1) - 2 delta gamma e^{2 delta gamma x} Phi(z2),
+    the second term taken through the Mills ratio (see _hitting_ig_parts).
+    Broadcasts over x and t; at x = 0 it returns the boundary value h(0+, t),
+    and d/dx h(0,t) = 2 delta gamma h(0,t).  The hitting time of the tempered
+    1/2-stable clock is the case delta = 1/sqrt(2), gamma = sqrt(2 mu).
+    """
+    _, phi, st, tail = _hitting_ig_parts("hitting_time_density_ig", x, t, delta, gamma)
+    return np.maximum(2.0 * delta * (phi / st - gamma * tail), 0.0)
 
 
-def hitting_time_cdf_ig(x, t: float, delta: float, gamma: float):
-    """P(H(t) <= x) = P(G(x) >= t), exact through the IG distribution."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _positive("hitting_time_cdf_ig", x, t, delta)
-    return np.array([1.0 - ig_cdf(np.array([t]), xi, delta, gamma)[0] for xi in x])
+def hitting_time_cdf_ig(x, t, delta: float, gamma: float):
+    """P(H(t) <= x) = P(G(x) >= t) = Phi(-z1) - e^{2 delta gamma x} Phi(z2)."""
+    z1, _, _, tail = _hitting_ig_parts("hitting_time_cdf_ig", x, t, delta, gamma)
+    return np.clip(ndtr(-z1) - tail, 0.0, 1.0)
 
 
 # -- fractional moments ---------------------------------------------------------

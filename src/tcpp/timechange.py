@@ -25,6 +25,7 @@ from .subordinators.densities import (
     ig_cdf,
     ig_density,
     inverse_tempered_density,
+    tempered_half_as_ig,
 )
 from .subordinators.sampling import rng_stream, sample
 from .subordinators.spec import (
@@ -305,10 +306,12 @@ def _construct_rule(spec, lam, t_lo, t_hi, kmax, n_panels):
             phi = (1.0 / eff) * su.pdf(v ** (-1.0 / eff)) * v ** (-1.0 - 1.0 / eff)
             return MixtureRule(spec, lam, "inv-stable", t_lo, t_hi, kmax, v, w, dens=phi,
                                params={"beta": eff, "x_hi": v_hi * t_hi ** eff})
+        if isinstance(base, TemperedStable) and base.beta == 0.5:
+            base = InverseGaussian(*tempered_half_as_ig(base.mu))
         if isinstance(base, InverseGaussian):
             d, g = base.delta, base.gamma
             x_hi = (g * t_hi + 14.0 * math.sqrt(t_hi) + 2.0) / d
-            x, w = gauss_panels(linear_panel_edges(1e-10, x_hi, n_panels), 12)
+            x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
             return MixtureRule(spec, lam, "hitting-ig", t_lo, t_hi, kmax, x, w,
                                params={"delta": d, "gamma": g, "x_hi": x_hi})
         if isinstance(base, TemperedStable):
@@ -345,9 +348,9 @@ def _inv_tempered_support_end(beta: float, mu: float, t_hi: float) -> float:
     raise ConvergenceError("could not bound the inverse-tempered support")
 
 
-# evaluators with their own inner quadrature/differencing noise cannot settle
-# below these floors, however many outer panels are added
-_KIND_TOL_FLOOR = {"inv-tempered": 1e-9, "hitting-ig": 1e-9}
+# the general-index inverse-tempered density carries its own inner quadrature
+# noise and cannot settle below this floor, however many outer panels are added
+_KIND_TOL_FLOOR = {"inv-tempered": 1e-9}
 
 
 @lru_cache(maxsize=64)
@@ -596,7 +599,7 @@ def waiting_time_survival(x: float, lam: float, delta: float, gamma: float,
     if x <= 0:
         raise DomainError("waiting_time_survival requires x > 0")
     u_hi = (gamma * x + 14.0 * math.sqrt(x) + 2.0) / delta
-    u, w = gauss_panels(linear_panel_edges(1e-10, u_hi, n_panels), 12)
+    u, w = gauss_panels(linear_panel_edges(0.0, u_hi, n_panels), 12)
     h = hitting_time_density_ig(u, x, delta, gamma)
     return float(np.sum(w * np.exp(-lam * u) * h))
 

@@ -22,12 +22,13 @@ from scipy.special import comb
 from ..errors import DomainError, UnknownEquationError
 from ..specfun import caputo_derivative, TimeSeries, gamma_fn
 from ..subordinators.densities import (
-    hitting_time_boundary_ig,
+    hitting_time_density_ig,
     ig_density,
     inverse_stable_density,
     inverse_tempered_density,
     stable_density,
     stable_moment,
+    tempered_half_as_ig,
     tempered_stable_density,
 )
 from ..subordinators.spec import InverseGaussian, InverseOf, Stable, TemperedStable
@@ -123,7 +124,7 @@ def _eq_prop22(params, grid, ks):
     lam, d, g = params["lam"], params["delta"], params["gamma"]
     t_fine = grid.level_times(grid.refinement_levels - 1)
     P = _pmf_tables(InverseOf(InverseGaussian(d, g)), lam, t_fine, ks)
-    h0 = np.array([hitting_time_boundary_ig(float(t), d, g) for t in t_fine])
+    h0 = hitting_time_density_ig(0.0, t_fine, d, g)
     dpk0 = np.where(ks == 0, -lam, np.where(ks == 1, lam, 0.0))
 
     def residual(tl, sub, h, finest):
@@ -444,13 +445,13 @@ def _eq_inv_tempered_pde(params, grid, xs):
     beta = 0.5
     xs = np.asarray(xs, dtype=float)
     t_fine = grid.level_times(grid.refinement_levels - 1)
-    M = np.empty((len(xs), t_fine.size))
-    Mx = np.empty_like(M)
-    Mxx = np.empty_like(M)
-    for j, t in enumerate(t_fine):
-        M[:, j] = inverse_tempered_density(xs, float(t), beta, mu)
-        Mx[:, j] = _dx_ref(lambda xv: inverse_tempered_density(xv, float(t), beta, mu), xs, 1)
-        Mxx[:, j] = _dx_ref(lambda xv: inverse_tempered_density(xv, float(t), beta, mu), xs, 2)
+
+    def dens(xv):
+        return inverse_tempered_density(xv, t_fine[None, :], beta, mu)
+
+    M = dens(xs[:, None])
+    Mx = _dx_ref(dens, xs[:, None], 1)
+    Mxx = _dx_ref(dens, xs[:, None], 2)
 
     def residual(tl, sub, h, finest):
         m_tab, mx, mxx = sub
@@ -469,13 +470,10 @@ def _eq_prop42(params, grid, ks):
     beta = 0.5
     t_fine = grid.level_times(grid.refinement_levels - 1)
     R = _pmf_tables(InverseOf(TemperedStable(beta, mu)), lam, t_fine, ks)
-    m0 = np.empty(t_fine.size)
-    mx0 = np.empty(t_fine.size)
-    eps = 2e-4
-    for j, t in enumerate(t_fine):
-        v = inverse_tempered_density(np.array([eps, 2 * eps, 3 * eps]), float(t), beta, mu)
-        m0[j] = 3.0 * v[0] - 3.0 * v[1] + v[2]
-        mx0[j] = (-2.5 * v[0] + 4.0 * v[1] - 1.5 * v[2]) / eps
+    # exact boundary terms: m(0,t) = h(0,t) of the equal IG law, and
+    # d/dx m(0,t) = 2 delta gamma m(0,t) = 2 sqrt(mu) m(0,t)
+    m0 = hitting_time_density_ig(0.0, t_fine, *tempered_half_as_ig(mu))
+    mx0 = 2.0 * math.sqrt(mu) * m0
     pk0 = np.where(np.asarray(ks) == 0, 1.0, 0.0)
     dpk0 = np.where(np.asarray(ks) == 0, -lam, np.where(np.asarray(ks) == 1, lam, 0.0))
 

@@ -11,7 +11,7 @@ from scipy.stats import norm
 from tcpp.errors import DivergenceError, DomainError
 from tcpp.specfun import laplace_numeric
 from tcpp.subordinators.densities import (
-    hitting_time_boundary_ig,
+    _inverse_tempered_quadrature,
     hitting_time_cdf_ig,
     hitting_time_density_ig,
     ig_cdf,
@@ -23,6 +23,7 @@ from tcpp.subordinators.densities import (
     stable_cdf,
     stable_density,
     stable_moment,
+    tempered_half_as_ig,
     tempered_levy_tail,
     tempered_stable_cdf,
     tempered_stable_density,
@@ -231,6 +232,17 @@ class TestInverseTempered:
         rhs = 1.0 - tempered_stable_cdf(1.0, 1.0, 0.5, 1.0)
         assert abs(lhs - rhs) <= 1e-6
 
+    @pytest.mark.parametrize("mu", [0.25, 1.0, 3.0])
+    def test_quadrature_route_matches_closed_form_at_half(self, mu):
+        # the general-index quadrature, run at beta = 1/2, against the closed
+        # IG hitting density of the equal law IG(1/sqrt 2, sqrt(2 mu))
+        x = np.array([1e-6, 0.01, 0.1, 0.4, 1.0, 2.0, 4.0, 8.0, 15.0])
+        for t in (0.1, 0.3, 1.0, 2.5, 6.0):
+            quad_route = _inverse_tempered_quadrature(x, t, 0.5, mu)
+            closed = hitting_time_density_ig(x, t, *tempered_half_as_ig(mu))
+            assert np.max(np.abs(quad_route - closed)) <= 1e-12
+            assert np.array_equal(inverse_tempered_density(x, t, 0.5, mu), closed)
+
 
 class TestTemperedLevyTail:
     def test_mu_zero(self):
@@ -282,12 +294,47 @@ class TestHittingTimeIG:
         assert np.max(np.abs(got - want)) < 1e-6
 
     def test_boundary_identity(self):
-        # h_x(0,t) = 2 delta gamma h(0,t), within discretization error
-        eps = 1e-5
-        h0 = hitting_time_boundary_ig(1.0, 1.0, 1.0)
-        h2 = float(hitting_time_density_ig(np.array([2 * eps]), 1.0, 1.0, 1.0)[0])
-        hx0 = (h2 - h0) / (2 * eps)
-        assert hx0 == pytest.approx(2.0 * h0, rel=1e-3)
+        # h_x(0,t) = 2 delta gamma h(0,t); h(0,t) comes from the closed form at
+        # x = 0 and h_x(0,t) from a second-order one-sided difference
+        eps = 1e-4
+        h0, h1, h2 = hitting_time_density_ig(np.array([0.0, eps, 2 * eps]), 1.0, 1.0, 1.0)
+        hx0 = (-3.0 * h0 + 4.0 * h1 - h2) / (2 * eps)
+        assert hx0 == pytest.approx(2.0 * h0, rel=1e-6)
+        # and h(0,t) = (2 delta/sqrt t) phi(gamma sqrt t) - 2 delta gamma Phi(-gamma sqrt t)
+        assert h0 == pytest.approx(2.0 * norm.pdf(1.0) - 2.0 * norm.cdf(-1.0), rel=1e-14)
+
+    def test_broadcasts_over_x_and_t(self):
+        x = np.array([0.0, 0.3, 1.0, 2.5])
+        t = np.array([0.5, 1.0, 2.0])
+        grid = hitting_time_density_ig(x[:, None], t[None, :], 0.7, 0.4)
+        assert grid.shape == (4, 3)
+        for j, tj in enumerate(t):
+            assert np.array_equal(grid[:, j], hitting_time_density_ig(x, tj, 0.7, 0.4))
+
+    @pytest.mark.parametrize(
+        "delta,gamma",
+        [(1.0, 1.0), (1 / math.sqrt(2), math.sqrt(2)), (0.7, 0.4), (1.0, 5.0), (1.0, 0.0)],
+    )
+    def test_against_mpmath_oracle(self, delta, gamma):
+        from mpmath import mp, workdps
+
+        def oracle(x, t):
+            x, t, d, g = (mp.mpf(v) for v in (x, t, delta, gamma))
+            st = mp.sqrt(t)
+            return (2 * d / st) * mp.npdf((g * t - d * x) / st) - 2 * d * g * mp.exp(
+                2 * d * g * x
+            ) * mp.ncdf(-(g * t + d * x) / st)
+
+        ts = np.geomspace(0.05, 20.0, 9)
+        xs = np.concatenate([[1e-12, 1e-6, 1e-3], np.geomspace(0.01, 30.0, 14)])
+        got = hitting_time_density_ig(xs[:, None], ts[None, :], delta, gamma)
+        with workdps(50):
+            for i, x in enumerate(xs):
+                for j, t in enumerate(ts):
+                    want = oracle(x, t)
+                    assert abs(got[i, j] - float(want)) <= 1e-13
+                    if want > mp.mpf("1e-280"):
+                        assert float(abs(mp.mpf(got[i, j]) - want) / want) <= 1e-9
 
     def test_cdf_duality(self):
         # P(H(t) <= x) = P(G(x) >= t)

@@ -18,7 +18,9 @@ from tcpp.subordinators.spec import (
 from tcpp.timechange import (
     PmfTable,
     PoissonParams,
+    _construct_rule,
     fractional_poisson_pmf,
+    mixture_rule,
     moments_ig,
     pmf_bessel_ig,
     pmf_monte_carlo,
@@ -130,6 +132,23 @@ class TestQuadraturePmf:
         mean = 2.0  # lam delta t / gamma
         past = table.values[int(mean) + 2 :]
         assert np.all(np.diff(past) < 0)
+
+    @pytest.mark.parametrize("mu,t", [(1.0, 1.0), (0.3, 2.5)])
+    def test_inverse_tempered_half_is_ig_hitting(self, mu, t):
+        # tempered(1/2, mu) is IG(1/sqrt 2, sqrt(2 mu)), so their hitting clocks agree
+        a = pmf_table(t, 1.0, InverseOf(TemperedStable(0.5, mu)))
+        b = pmf_table(t, 1.0, InverseOf(InverseGaussian(1 / math.sqrt(2), math.sqrt(2 * mu))))
+        assert a.kmax == b.kmax
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12
+        assert abs(a.tail_bound - b.tail_bound) <= 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-11, 1e-12])
+    def test_hitting_rule_settles_below_1e_10(self, tol):
+        rule = mixture_rule(InverseOf(InverseGaussian(1.0, 1.0)), 1.0, 0.5, 2.0, 5, tol)
+        assert rule.kind == "hitting-ig"
+        fine = _construct_rule(rule.spec, 1.0, 0.5, 2.0, 5, 4 * rule.nodes.size // 12)
+        ts, ks = np.linspace(0.5, 2.0, 7), np.arange(6)
+        assert np.max(np.abs(rule.pmf_matrix(ts, ks) - fine.pmf_matrix(ts, ks))) <= tol
 
 
 class TestMonteCarloPmf:
