@@ -40,12 +40,11 @@ from .subordinators.densities import (
     tempered_stable_cdf,
     tempered_stable_density,
 )
-from .subordinators.sampling import rng_stream, sample, sample_path
+from .subordinators.sampling import SampleBatch, rng_stream, sample, sample_path
 from .subordinators.spec import (
     Composition,
     InverseGaussian,
     InverseOf,
-    SampleBatch,
     Stable,
     SubordinatorSpec,
     TemperedStable,

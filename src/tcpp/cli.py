@@ -14,7 +14,6 @@ variable provides a seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
@@ -31,14 +30,12 @@ from .errors import (
     RejectionBudgetError,
     UnknownEquationError,
 )
-from .subordinators.densities import density_for_spec
 from .subordinators.sampling import rng_stream, sample_path
-from .subordinators.spec import InverseGaussian, SubordinatorSpec, spec_from_json
+from .subordinators.spec import SubordinatorSpec, spec_from_json
 from .timechange import (
     PmfTable,
     _auto_kmax,
     ig_moment_table,
-    mixture_rule,
     moments_ig,
     pmf_bessel_ig,
     pmf_monte_carlo,
@@ -51,19 +48,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPABILITY = 3
 EXIT_VERIFY = 4
-
-
-from dataclasses import dataclass, field
-
-
-@dataclass
-class CampaignConfig:
-    """A parsed verification campaign: requests plus run-wide settings."""
-
-    requests: list
-    out_dir: str
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
 
 
 def _fmt(v: float) -> str:
@@ -95,6 +79,22 @@ def _write_table(table: PmfTable, out: str):
                 writer.writerow(row)
 
 
+def _bessel_table(spec, lam: float, t: float, kmax: int | None) -> PmfTable:
+    """Closed-form IG table; kmax by default from the clock's closed moments,
+    checked against the Bessel tail 1 - sum_{j <= k} p_j."""
+    delta, gamma = spec.bessel_params()
+
+    def pmf(k):
+        return pmf_bessel_ig(k, t, lam, delta, gamma)
+
+    if kmax is None:
+        kmax = _auto_kmax(spec.mixing_moments(t), lam,
+                          lambda k: 1.0 - sum(pmf(j) for j in range(k + 1)))
+    values = np.array([pmf(k) for k in range(kmax + 1)])
+    return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=values,
+                    tail_bound=max(0.0, 1.0 - float(values.sum())), method="bessel")
+
+
 def cmd_pmf(args) -> int:
     try:
         spec = _load_spec(args.spec)
@@ -106,28 +106,20 @@ def cmd_pmf(args) -> int:
         print("error: need --lambda > 0 and --t > 0", file=sys.stderr)
         return EXIT_INPUT
     method = args.method
-    is_bessel_capable = isinstance(spec, InverseGaussian) and spec.gamma > 0
-    has_density = density_for_spec(spec) is not None
+    bessel = spec.bessel_params()
+    has_density = spec.mixing_law() is not None
     if method == "auto":
-        method = "bessel" if is_bessel_capable else ("quadrature" if has_density else "mc")
+        method = "bessel" if bessel else ("quadrature" if has_density else "mc")
     try:
         if method == "bessel":
-            if not is_bessel_capable:
+            if not bessel:
                 print(
                     "error: Bessel closed form needs an IG spec with gamma > 0; "
                     "use --method quadrature",
                     file=sys.stderr,
                 )
                 return EXIT_CAPABILITY
-            kmax = args.kmax
-            rule = mixture_rule(spec, lam, t, t, kmax if kmax is not None else 64)
-            if kmax is None:
-                kmax = _auto_kmax(rule, t)
-            values = np.array([pmf_bessel_ig(k, t, lam, spec.delta, spec.gamma)
-                               for k in range(kmax + 1)])
-            table = PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=values,
-                             tail_bound=max(0.0, 1.0 - float(values.sum())),
-                             method="bessel")
+            table = _bessel_table(spec, lam, t, args.kmax)
         elif method == "quadrature":
             if not has_density:
                 print(f"error: {spec.label()} has no density evaluator; use --method mc",
@@ -191,7 +183,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_campaign(path: str | None, out_dir: str) -> CampaignConfig:
+def _load_campaign(path: str | None) -> list:
+    """The campaign's request list, each request checked before any runs."""
     if path is None:
         text = resources.files("tcpp.data").joinpath("default_campaign.json").read_text()
     else:
@@ -206,10 +199,7 @@ def _load_campaign(path: str | None, out_dir: str) -> CampaignConfig:
             raise UnknownEquationError(f"unknown equation_id '{eq}' in campaign")
         if "grid" in req:
             GridSpec(**req["grid"])  # validate early: no partial runs on bad input
-    seed = cfg.get("seed", 0) if isinstance(cfg, dict) else 0
-    tolerances = cfg.get("tolerances", {}) if isinstance(cfg, dict) else {}
-    return CampaignConfig(requests=requests, out_dir=out_dir, seed=seed,
-                          tolerances=tolerances)
+    return requests
 
 
 def _run_request(req: dict):
@@ -224,18 +214,13 @@ def _run_request(req: dict):
 
 def cmd_verify(args) -> int:
     try:
-        campaign = _load_campaign(args.config, args.out_dir)
+        requests = _load_campaign(args.config)
     except (DomainError, UnknownEquationError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: invalid campaign config: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    requests = campaign.requests
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = [None] * len(requests)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = {pool.submit(_run_request, req): i for i, req in enumerate(requests)}
-        for fut in concurrent.futures.as_completed(futures):
-            reports[futures[fut]] = fut.result()
+    reports = [_run_request(req) for req in requests]
     for report in reports:
         fname = re.sub(r"[^A-Za-z0-9._-]", "_", report.equation_id) + ".json"
         (out_dir / fname).write_text(report.to_json() + "\n")
@@ -315,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="campaign JSON (default: the packaged standard campaign)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: the checks run one after another "
+                        "(threads were slower, as the checks hold the GIL)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("moments", help="closed-form IG time-change moments")

@@ -26,15 +26,6 @@ from scipy.special import erfcx, gammaincc, log_ndtr, ndtr
 
 from ..errors import DomainError
 from ..quadrules import gauss_panels, linear_panel_edges, log_panel_edges
-from .spec import (
-    Composition,
-    InverseGaussian,
-    InverseOf,
-    Stable,
-    SubordinatorSpec,
-    TemperedStable,
-    flatten_stable_composition,
-)
 from .stable import stable_unit
 
 __all__ = [
@@ -335,31 +326,3 @@ def stable_moment(beta: float, p: float) -> float:
     """E[D(1)^p] for 0 < p < beta; quadrature of x^p f(x,1) with the power
     tail integrated analytically.  Diverges (raises) at p >= beta."""
     return stable_unit(beta).moment(p)
-
-
-# -- generic dispatch ------------------------------------------------------------
-
-
-def density_for_spec(spec: SubordinatorSpec):
-    """(callable(x, t) -> density, label) for specs with a quadrature density.
-
-    Returns None when the spec has no density evaluator (caller should fall
-    back to Monte Carlo).
-    """
-    if isinstance(spec, InverseGaussian):
-        return lambda x, t: ig_density(x, t, spec.delta, spec.gamma)
-    eff = flatten_stable_composition(spec)
-    if eff is not None:
-        return lambda x, t: stable_density(x, t, eff)
-    if isinstance(spec, TemperedStable):
-        return lambda x, t: tempered_stable_density(x, t, spec.beta, spec.mu)
-    if isinstance(spec, InverseOf):
-        base = spec.base
-        eff = flatten_stable_composition(base)
-        if eff is not None:
-            return lambda x, t: inverse_stable_density(x, t, eff)
-        if isinstance(base, TemperedStable):
-            return lambda x, t: inverse_tempered_density(x, t, base.beta, base.mu)
-        if isinstance(base, InverseGaussian):
-            return lambda x, t: hitting_time_density_ig(x, t, base.delta, base.gamma)
-    return None

@@ -5,7 +5,7 @@ keyed by (seed, stream).  Batches are reproducible for a given
 (spec, t, seed, stream, count) regardless of what else ran before, and
 parallel consumers get disjoint streams.
 
-Sampler routes:
+Sampler routes (each process class in tcpp.subordinators.spec picks its own):
 
 * IG(delta, gamma):  two-root transformation method (gamma > 0); the
   gamma = 0 degenerate case is the Levy law (delta t)^2 / Z^2.
@@ -18,30 +18,39 @@ Sampler routes:
 * inverse:           first-passage time of the base.  Stable bases (and
   compositions of stables) use the exact scaling identity
   E(t) =d (t/D(1))^beta; IG bases use the running-maximum identity
-  H(t) = M(t)/delta for a drifted Brownian motion; anything else walks the
+  H(t) = M(t)/delta for a drifted Brownian motion, and so does the tempered
+  1/2-stable base, which is IG(1/sqrt 2, sqrt(2 mu)); anything else walks the
   base path on a geometrically growing committed grid until it crosses t,
-  bracketing the crossing to a relative tolerance.
+  bracketing the crossing to a relative tolerance.  Paths of every inverse
+  process come from that walk.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DomainError, GridBudgetError, RejectionBudgetError
-from .spec import (
-    Composition,
-    InverseGaussian,
-    InverseOf,
-    SampleBatch,
-    Stable,
-    SubordinatorSpec,
-    TemperedStable,
-    flatten_stable_composition,
-)
 
-__all__ = ["rng_stream", "sample", "sample_path"]
+__all__ = ["SampleBatch", "rng_stream", "sample", "sample_path"]
+
+
+@dataclass(frozen=True)
+class SampleBatch:
+    """Monte Carlo draws of a subordinator value at a fixed time."""
+
+    spec: object
+    t: float
+    seed: int
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if np.any(values < 0):
+            raise DomainError("subordinator samples must be nonnegative")
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -129,23 +138,7 @@ def _sample_ig_hitting(rng, t, delta, gamma, n=None):
     return m / delta
 
 
-# -- increment sampling for path walks ----------------------------------------
-
-
-def _increment(rng, spec: SubordinatorSpec, dt):
-    """One increment of the Levy subordinator `spec` over per-element steps dt."""
-    if isinstance(spec, InverseGaussian):
-        return _sample_ig(rng, dt, spec.delta, spec.gamma)
-    if isinstance(spec, Stable):
-        return _sample_stable(rng, dt, spec.beta)
-    if isinstance(spec, TemperedStable):
-        return _sample_tempered(rng, dt, spec.beta, spec.mu)
-    if isinstance(spec, Composition):
-        v = np.asarray(dt, dtype=float)
-        for part in reversed(spec.parts):
-            v = _increment(rng, part, v)
-        return v
-    raise DomainError(f"cannot sample increments of {spec!r}")
+# -- first-passage walk ------------------------------------------------------
 
 
 def _first_passage_walk(rng, base, levels, n, rtol, max_iters=None):
@@ -162,7 +155,7 @@ def _first_passage_walk(rng, base, levels, n, rtol, max_iters=None):
         max_iters = int(60.0 / rtol) + 1000
     # crude lower scale for the first grid point; crossing below s0 is a
     # ~1e-6 tail event handled by restarting the whole path on a finer grid
-    s0_scale = _passage_scale(base, t_max)
+    s0_scale = base.passage_scale(t_max)
     out = np.full((n, levels.size), np.nan)
 
     def run(idx, s0, depth):
@@ -172,7 +165,7 @@ def _first_passage_walk(rng, base, levels, n, rtol, max_iters=None):
             raise GridBudgetError("first-passage restart recursion exhausted")
         m = idx.size
         s = np.full(m, s0)
-        d = _increment(rng, base, np.full(m, s0))
+        d = base.increment(rng, np.full(m, s0))
         next_level = np.zeros(m, dtype=int)
         # levels crossed by the very first committed step: restart those paths
         early = d > levels[0]
@@ -182,7 +175,7 @@ def _first_passage_walk(rng, base, levels, n, rtol, max_iters=None):
                 break
             ai = np.nonzero(alive)[0]
             h = rtol * s[ai]
-            inc = _increment(rng, base, h)
+            inc = base.increment(rng, h)
             s[ai] += h
             d[ai] += inc
             crossed = np.searchsorted(levels, d[ai], side="left")
@@ -202,52 +195,11 @@ def _first_passage_walk(rng, base, levels, n, rtol, max_iters=None):
     return out
 
 
-def _passage_scale(base, t):
-    """Order of magnitude of the first-passage time over level t."""
-    if isinstance(base, InverseGaussian):
-        return t / base.delta * max(base.gamma, 1.0 / math.sqrt(t))
-    if isinstance(base, Stable):
-        return t ** base.beta
-    if isinstance(base, TemperedStable):
-        drift_scale = t / (base.beta * base.mu ** (base.beta - 1.0))
-        return min(t ** base.beta, drift_scale)
-    if isinstance(base, Composition):
-        s = t
-        for part in base.parts:
-            s = _passage_scale(part, s)
-        return s
-    return t
-
-
 # -- public sampling surface ----------------------------------------------------
 
 
-def _sample_value(rng, spec: SubordinatorSpec, t: float, n: int, rtol: float):
-    if isinstance(spec, InverseGaussian):
-        return _sample_ig(rng, np.full(n, t), spec.delta, spec.gamma)
-    if isinstance(spec, Stable):
-        return _sample_stable(rng, np.full(n, t), spec.beta)
-    if isinstance(spec, TemperedStable):
-        return _sample_tempered(rng, np.full(n, t), spec.beta, spec.mu)
-    if isinstance(spec, Composition):
-        v = np.full(n, float(t))
-        for part in reversed(spec.parts):
-            v = _increment(rng, part, v)
-        return v
-    if isinstance(spec, InverseOf):
-        base = spec.base
-        eff = flatten_stable_composition(base)
-        if eff is not None:
-            # exact: E(t) =d (t / D(1))^beta by self-similar first passage
-            return (t / _sample_stable_unit(rng, eff, (n,))) ** eff
-        if isinstance(base, InverseGaussian):
-            return _sample_ig_hitting(rng, np.full(n, t), base.delta, base.gamma)
-        return _first_passage_walk(rng, base, np.array([t]), n, rtol)[:, 0]
-    raise DomainError(f"cannot sample {spec!r}")
-
-
 def sample(
-    spec: SubordinatorSpec,
+    spec,
     t: float,
     count: int,
     seed: int,
@@ -260,12 +212,12 @@ def sample(
     if count < 1:
         raise DomainError("sample requires count >= 1")
     rng = rng_stream(seed, stream)
-    values = _sample_value(rng, spec, float(t), int(count), rtol)
+    values = spec.draw(rng, float(t), int(count), rtol)
     return SampleBatch(spec=spec, t=float(t), seed=int(seed), values=values)
 
 
 def sample_path(
-    spec: SubordinatorSpec,
+    spec,
     t_grid,
     paths: int,
     seed: int,
@@ -283,13 +235,4 @@ def sample_path(
         raise DomainError("t_grid must be strictly increasing and positive")
     if paths < 1:
         raise DomainError("paths must be >= 1")
-    rng = rng_stream(seed, stream)
-    if isinstance(spec, InverseOf):
-        return _first_passage_walk(rng, spec.base, t_grid, paths, rtol)
-    dts = np.diff(np.concatenate([[0.0], t_grid]))
-    out = np.empty((paths, t_grid.size))
-    acc = np.zeros(paths)
-    for j, dt in enumerate(dts):
-        acc = acc + _increment(rng, spec, np.full(paths, dt))
-        out[:, j] = acc
-    return out
+    return spec.path(rng_stream(seed, stream), t_grid, paths, rtol)

@@ -1,4 +1,13 @@
-"""Algebraic description of time-change processes and its JSON wire format.
+"""The time-change processes: one object per clock, and its JSON wire format.
+
+Each process class owns everything tcpp does with its clock: its density,
+the pieces of a frozen quadrature rule for the Poisson mixture (nodes and
+weights, the per-t (x, weight * density), the survivor mass beyond the node
+window, the mixing moments and a tolerance floor), its increment sampler
+and its first-passage scale.  `Composition` and `InverseOf` are combinators:
+a composition of stable laws answers as one stable law with the product of
+the indices, any other composition chains its parts' increments, and an
+inverse asks its base for a hitting route (`hitting()`).
 
 The JSON schema is the CLI's process-description contract:
 
@@ -12,17 +21,71 @@ The JSON schema is the CLI's process-description contract:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import ConvergenceError, DomainError
+from ..quadrules import gauss_panels, linear_panel_edges, log_panel_edges
+from .densities import (
+    hitting_time_density_ig,
+    ig_cdf,
+    ig_density,
+    inverse_stable_density,
+    inverse_tempered_density,
+    stable_density,
+    tempered_half_as_ig,
+    tempered_stable_density,
+)
+from .sampling import (
+    _first_passage_walk,
+    _sample_ig,
+    _sample_ig_hitting,
+    _sample_stable,
+    _sample_stable_unit,
+    _sample_tempered,
+)
+from .stable import stable_unit
 
 MAX_NESTING = 8
 
 
+class Clock:
+    """Defaults shared by the process classes and the hitting routes.
+
+    A frozen rule (tcpp.timechange.MixtureRule) keeps the nodes, weights,
+    optional t-free density factor `dens` and window end `x_hi` that
+    `rule_nodes(t_lo, t_hi, cut, n_panels)` returned, and asks the clock that
+    built it for `weighted(rule, t)`, `survivor(rule, t)` and
+    `mixing_moments(t, rule)`.
+    """
+
+    # a rule settles once its probe pmfs move by less than max(tol, tol_floor)
+    tol_floor = 0.0
+
+    def mixing_law(self):
+        """The object owning this clock's density and frozen rule, or None."""
+        return self
+
+    def survivor(self, rule, t: float) -> float:
+        """Mixing mass beyond the node window; the window is chosen so it is ~1e-16."""
+        return 0.0
+
+    def mixing_moments(self, t: float, rule=None):
+        """(mean, variance) of the mixing law, here from the frozen nodes."""
+        x, wd = self.weighted(rule, t)
+        m1 = float(np.sum(x * wd))
+        m2 = float(np.sum(x * x * wd))
+        return m1, m2 - m1 * m1
+
+    def draw(self, rng, t: float, n: int, rtol: float):
+        """n values at time t."""
+        return self.increment(rng, np.full(n, t))
+
+
 @dataclass(frozen=True)
-class SubordinatorSpec:
+class SubordinatorSpec(Clock):
     """Base class; use the concrete variants below."""
 
     def to_dict(self) -> dict:
@@ -36,6 +99,20 @@ class SubordinatorSpec:
 
     def label(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
+
+    def bessel_params(self):
+        """(delta, gamma) when the count law has the closed Bessel form, else None."""
+        return None
+
+    def path(self, rng, t_grid, paths: int, rtol: float):
+        """`paths` trajectories on t_grid from independent increments."""
+        dts = np.diff(np.concatenate([[0.0], t_grid]))
+        out = np.empty((paths, t_grid.size))
+        acc = np.zeros(paths)
+        for j, dt in enumerate(dts):
+            acc = acc + self.increment(rng, np.full(paths, dt))
+            out[:, j] = acc
+        return out
 
 
 @dataclass(frozen=True)
@@ -52,6 +129,42 @@ class InverseGaussian(SubordinatorSpec):
     def to_dict(self):
         return {"type": "ig", "delta": self.delta, "gamma": self.gamma}
 
+    def bessel_params(self):
+        return (self.delta, self.gamma) if self.gamma > 0 else None
+
+    def density(self, x, t):
+        return ig_density(x, t, self.delta, self.gamma)
+
+    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        d, g = self.delta, self.gamma
+        x_lo = d * d * t_lo * t_lo / 95.0
+        x_hi = cut if g == 0.0 else max(cut, 2.0 * (d * g * t_hi + 45.0) / (g * g))
+        x, w = gauss_panels(log_panel_edges(x_lo, x_hi, n_panels), 12)
+        return x, w, None, x_hi
+
+    def weighted(self, rule, t):
+        return rule.nodes, rule.weights * self.density(rule.nodes, t)
+
+    def survivor(self, rule, t):
+        return float(1.0 - ig_cdf(np.array([rule.x_hi]), t, self.delta, self.gamma)[0])
+
+    def mixing_moments(self, t, rule=None):
+        if self.gamma == 0.0:
+            return None
+        m = self.delta * t / self.gamma
+        return m, self.delta * t / self.gamma ** 3
+
+    def increment(self, rng, dt):
+        """One increment of the Levy subordinator over per-element steps dt."""
+        return _sample_ig(rng, dt, self.delta, self.gamma)
+
+    def passage_scale(self, t):
+        """Order of magnitude of the first-passage time over level t."""
+        return t / self.delta * max(self.gamma, 1.0 / math.sqrt(t))
+
+    def hitting(self):
+        return _HittingIG(self)
+
 
 @dataclass(frozen=True)
 class Stable(SubordinatorSpec):
@@ -63,6 +176,36 @@ class Stable(SubordinatorSpec):
 
     def to_dict(self):
         return {"type": "stable", "beta": self.beta}
+
+    def density(self, x, t):
+        return stable_density(x, t, self.beta)
+
+    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        # nodes in y = x t^(-1/b): the window and the density factor are t-free
+        y_hi = max(cut / t_lo ** (1.0 / self.beta), 10.0)
+        y, w, f1 = stable_unit(self.beta).mixture_nodes(y_hi, n_panels=n_panels,
+                                                        nodes_per_panel=12)
+        return y, w, f1, y_hi
+
+    def weighted(self, rule, t):
+        # x = t^(1/b) y with f(x,t) dx = f1(y) dy
+        return t ** (1.0 / self.beta) * rule.nodes, rule.weights * rule.dens
+
+    def survivor(self, rule, t):
+        # the node window scales with t, so the residual mass is t-free
+        return float(stable_unit(self.beta).sf(np.array([rule.x_hi]))[0])
+
+    def mixing_moments(self, t, rule=None):
+        return None  # infinite mean
+
+    def increment(self, rng, dt):
+        return _sample_stable(rng, dt, self.beta)
+
+    def passage_scale(self, t):
+        return t ** self.beta
+
+    def hitting(self):
+        return _InverseStable(self)
 
 
 @dataclass(frozen=True)
@@ -78,6 +221,38 @@ class TemperedStable(SubordinatorSpec):
 
     def to_dict(self):
         return {"type": "tempered", "beta": self.beta, "mu": self.mu}
+
+    def density(self, x, t):
+        return tempered_stable_density(x, t, self.beta, self.mu)
+
+    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        b, mu = self.beta, self.mu
+        x_need = max(cut, (mu ** b * t_hi + 42.0) / mu)
+        y_hi = max(x_need / t_lo ** (1.0 / b), 10.0)
+        y, w, f1 = stable_unit(b).mixture_nodes(y_hi, n_panels=n_panels, nodes_per_panel=12)
+        return y, w, f1, x_need
+
+    def weighted(self, rule, t):
+        b, mu = self.beta, self.mu
+        x = t ** (1.0 / b) * rule.nodes
+        damp = np.exp(mu ** b * t - mu * x)
+        return x, rule.weights * rule.dens * damp
+
+    def mixing_moments(self, t, rule=None):
+        b, mu = self.beta, self.mu
+        return t * b * mu ** (b - 1.0), t * b * (1.0 - b) * mu ** (b - 2.0)
+
+    def increment(self, rng, dt):
+        return _sample_tempered(rng, dt, self.beta, self.mu)
+
+    def passage_scale(self, t):
+        drift_scale = t / (self.beta * self.mu ** (self.beta - 1.0))
+        return min(t ** self.beta, drift_scale)
+
+    def hitting(self):
+        if self.beta == 0.5:
+            return InverseGaussian(*tempered_half_as_ig(self.mu)).hitting()
+        return _InverseTempered(self)
 
 
 @dataclass(frozen=True)
@@ -104,6 +279,27 @@ class Composition(SubordinatorSpec):
     def to_dict(self):
         return {"type": "compose", "parts": [p.to_dict() for p in self.parts]}
 
+    def mixing_law(self):
+        # stable laws compose to the stable law of the product index
+        eff = flatten_stable_composition(self)
+        return None if eff is None else Stable(eff)
+
+    def increment(self, rng, dt):
+        v = np.asarray(dt, dtype=float)
+        for part in reversed(self.parts):
+            v = part.increment(rng, v)
+        return v
+
+    def passage_scale(self, t):
+        s = t
+        for part in self.parts:
+            s = part.passage_scale(s)
+        return s
+
+    def hitting(self):
+        stable = self.mixing_law()
+        return _PathWalk(self) if stable is None else stable.hitting()
+
 
 @dataclass(frozen=True)
 class InverseOf(SubordinatorSpec):
@@ -122,6 +318,129 @@ class InverseOf(SubordinatorSpec):
 
     def to_dict(self):
         return {"type": "inverse", "base": self.base.to_dict()}
+
+    def mixing_law(self):
+        return self.base.hitting().mixing_law()
+
+    def draw(self, rng, t, n, rtol):
+        return self.base.hitting().draw(rng, t, n, rtol)
+
+    def path(self, rng, t_grid, paths, rtol):
+        # every grid level off one first-passage walk per path
+        return _first_passage_walk(rng, self.base, t_grid, paths, rtol)
+
+
+# -- hitting routes: the first-passage time E(t) = inf{s : base(s) > t} ----------
+
+
+@dataclass(frozen=True)
+class _Hitting(Clock):
+    """Hitting route of `base`; unless a route has an exact sampler, each draw
+    walks the base path."""
+
+    base: SubordinatorSpec
+
+    def draw(self, rng, t, n, rtol):
+        return _first_passage_walk(rng, self.base, np.array([t]), n, rtol)[:, 0]
+
+
+class _PathWalk(_Hitting):
+    """Hitting route with no density: the path walk is all there is."""
+
+    def mixing_law(self):
+        return None
+
+
+class _InverseStable(_Hitting):
+    """Inverse stable clock: density by scaling, exact draws."""
+
+    def density(self, x, t):
+        return inverse_stable_density(x, t, self.base.beta)
+
+    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        # phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b): the t-free mixing factor
+        b = self.base.beta
+        su = stable_unit(b)
+        v_hi = self._support_end(su)
+        v, w = gauss_panels(linear_panel_edges(0.0, v_hi, n_panels), 12)
+        phi = (1.0 / b) * su.pdf(v ** (-1.0 / b)) * v ** (-1.0 - 1.0 / b)
+        return v, w, phi, v_hi * t_hi ** b
+
+    def _support_end(self, su) -> float:
+        """v beyond which phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b) is < ~1e-19."""
+        beta = self.base.beta
+        v = 2.0
+        for _ in range(60):
+            w = v ** (-1.0 / beta)
+            val = (1.0 / beta) * float(su.pdf(np.array([w]))[0]) * v ** (-1.0 - 1.0 / beta)
+            if val < 1e-19:
+                return v
+            v *= 1.3
+        raise ConvergenceError("could not bound the inverse-stable support")
+
+    def weighted(self, rule, t):
+        return t ** self.base.beta * rule.nodes, rule.weights * rule.dens
+
+    def mixing_moments(self, t, rule=None):
+        b = self.base.beta
+        m1 = t ** b / math.gamma(1.0 + b)
+        m2 = 2.0 * t ** (2 * b) / math.gamma(1.0 + 2 * b)
+        return m1, m2 - m1 * m1
+
+    def draw(self, rng, t, n, rtol):
+        # exact: E(t) =d (t / D(1))^beta by self-similar first passage
+        b = self.base.beta
+        return (t / _sample_stable_unit(rng, b, (n,))) ** b
+
+
+class _HittingIG(_Hitting):
+    """IG hitting time: closed density, exact draws by the running maximum."""
+
+    def density(self, x, t):
+        return hitting_time_density_ig(x, t, self.base.delta, self.base.gamma)
+
+    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        d, g = self.base.delta, self.base.gamma
+        x_hi = (g * t_hi + 14.0 * math.sqrt(t_hi) + 2.0) / d
+        x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
+        return x, w, None, x_hi
+
+    def weighted(self, rule, t):
+        return rule.nodes, rule.weights * self.density(rule.nodes, t)
+
+    def draw(self, rng, t, n, rtol):
+        return _sample_ig_hitting(rng, np.full(n, t), self.base.delta, self.base.gamma)
+
+
+class _InverseTempered(_Hitting):
+    """Inverse tempered clock of index != 1/2: quadrature density, path walk."""
+
+    # the density carries its own inner quadrature noise and cannot settle
+    # below this floor, however many outer panels are added
+    tol_floor = 1e-9
+
+    def density(self, x, t):
+        return inverse_tempered_density(x, t, self.base.beta, self.base.mu)
+
+    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        x_hi = self._support_end(t_hi)
+        x, w = gauss_panels(linear_panel_edges(1e-10, x_hi, n_panels), 12)
+        return x, w, None, x_hi
+
+    def _support_end(self, t_hi: float) -> float:
+        beta, mu = self.base.beta, self.base.mu
+        x = max(4.0 * t_hi ** beta, 4.0)
+        for _ in range(60):
+            val = float(inverse_tempered_density(np.array([x]), t_hi, beta, mu)[0])
+            if val < 1e-18:
+                return x
+            x *= 1.4
+        raise ConvergenceError("could not bound the inverse-tempered support")
+
+    def weighted(self, rule, t):
+        return rule.nodes, rule.weights * inverse_tempered_density(
+            rule.nodes, t, self.base.beta, self.base.mu, n_panels=48
+        )
 
 
 def spec_from_dict(d: dict) -> SubordinatorSpec:
@@ -165,19 +484,3 @@ def flatten_stable_composition(spec: SubordinatorSpec):
             out *= p.beta
         return out
     return None
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Monte Carlo draws of a subordinator value at a fixed time."""
-
-    spec: SubordinatorSpec
-    t: float
-    seed: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if np.any(values < 0):
-            raise DomainError("subordinator samples must be nonnegative")

@@ -19,25 +19,17 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .errors import ConvergenceError, DomainError, NoDensityError
-from .quadrules import gauss_panels, linear_panel_edges, log_panel_edges
-from .subordinators.densities import (
-    hitting_time_density_ig,
-    ig_cdf,
-    ig_density,
-    inverse_tempered_density,
-    tempered_half_as_ig,
-)
+from .quadrules import gauss_panels, linear_panel_edges
+from .subordinators.densities import hitting_time_density_ig
 from .subordinators.sampling import rng_stream, sample
 from .subordinators.spec import (
+    Clock,
     InverseGaussian,
     InverseOf,
     Stable,
     SubordinatorSpec,
-    TemperedStable,
-    flatten_stable_composition,
     spec_from_dict,
 )
-from .subordinators.stable import stable_unit
 
 __all__ = [
     "PoissonParams",
@@ -175,44 +167,23 @@ def _poisson_cut(kmax: int, lam: float) -> float:
 
 @dataclass
 class MixtureRule:
-    """Frozen quadrature discretization of the mixing density family."""
+    """Frozen quadrature discretization of the mixing density family.
+
+    `law` is the clock that built the nodes (spec.mixing_law()); it turns
+    them into (x, weight * density) at each t, and supplies the survivor
+    mass beyond the window end `x_hi` and the mixing moments.
+    """
 
     spec: SubordinatorSpec
     lam: float
-    kind: str
     t_lo: float
     t_hi: float
     kmax: int
+    law: Clock = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    dens: np.ndarray | None = field(repr=False, default=None)
-    params: dict = field(default_factory=dict)
-
-    def _x_and_weighted_density(self, t: float):
-        """(x nodes, weight * density) for this t."""
-        p = self.params
-        if self.kind == "ig":
-            return self.nodes, self.weights * ig_density(self.nodes, t, p["delta"], p["gamma"])
-        if self.kind == "stable":
-            # x = t^(1/b) y with f(x,t) dx = f1(y) dy
-            return t ** (1.0 / p["beta"]) * self.nodes, self.weights * self.dens
-        if self.kind == "tempered":
-            b, mu = p["beta"], p["mu"]
-            x = t ** (1.0 / b) * self.nodes
-            damp = np.exp(mu ** b * t - mu * x)
-            return x, self.weights * self.dens * damp
-        if self.kind == "inv-stable":
-            x = t ** p["beta"] * self.nodes
-            return x, self.weights * self.dens
-        if self.kind == "hitting-ig":
-            return self.nodes, self.weights * hitting_time_density_ig(
-                self.nodes, t, p["delta"], p["gamma"]
-            )
-        if self.kind == "inv-tempered":
-            return self.nodes, self.weights * inverse_tempered_density(
-                self.nodes, t, p["beta"], p["mu"], n_panels=p["inner_panels"]
-            )
-        raise NoDensityError(f"no rule kind {self.kind}")
+    dens: np.ndarray | None = field(repr=False)
+    x_hi: float
 
     def pmf_matrix(self, ts, ks):
         """pmf[k_i, t_j] for all requested counts and times in one pass."""
@@ -220,7 +191,7 @@ class MixtureRule:
         ks = np.asarray(ks, dtype=int)
         out = np.empty((ks.size, ts.size))
         for j, t in enumerate(ts):
-            x, wd = self._x_and_weighted_density(float(t))
+            x, wd = self.law.weighted(self, float(t))
             out[:, j] = _poisson_matrix(ks, x, self.lam) @ wd
         return out
 
@@ -229,128 +200,14 @@ class MixtureRule:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty(ts.size)
         for j, t in enumerate(ts):
-            x, wd = self._x_and_weighted_density(float(t))
+            x, wd = self.law.weighted(self, float(t))
             q = gammainc(kmax + 1.0, self.lam * x)  # P(Poi(lam x) > kmax)
-            out[j] = np.sum(q * wd) + self._survivor(float(t))
+            out[j] = np.sum(q * wd) + self.law.survivor(self, float(t))
         return out
-
-    def _survivor(self, t: float) -> float:
-        """Mixing mass beyond the node window (where p_k ~ Q ~ 1)."""
-        p = self.params
-        x_hi = self.params["x_hi"]
-        if self.kind == "ig":
-            return float(1.0 - ig_cdf(np.array([x_hi]), t, p["delta"], p["gamma"])[0])
-        if self.kind == "stable":
-            # node window scales with t, so the residual mass is t-free
-            return float(stable_unit(p["beta"]).sf(np.array([p["y_hi"]]))[0])
-        # remaining kinds chose x_hi so the residual mass is ~1e-16
-        return 0.0
 
     def mixing_moments(self, t: float):
         """(mean, variance) of the mixing law, or None when the mean is infinite."""
-        p = self.params
-        if self.kind == "ig":
-            if p["gamma"] == 0.0:
-                return None
-            m = p["delta"] * t / p["gamma"]
-            return m, p["delta"] * t / p["gamma"] ** 3
-        if self.kind == "stable":
-            return None
-        if self.kind == "tempered":
-            b, mu = p["beta"], p["mu"]
-            return t * b * mu ** (b - 1.0), t * b * (1.0 - b) * mu ** (b - 2.0)
-        if self.kind == "inv-stable":
-            b = p["beta"]
-            m1 = t ** b / math.gamma(1.0 + b)
-            m2 = 2.0 * t ** (2 * b) / math.gamma(1.0 + 2 * b)
-            return m1, m2 - m1 * m1
-        # numeric moments from the frozen nodes
-        x, wd = self._x_and_weighted_density(t)
-        m1 = float(np.sum(x * wd))
-        m2 = float(np.sum(x * x * wd))
-        return m1, m2 - m1 * m1
-
-
-def _construct_rule(spec, lam, t_lo, t_hi, kmax, n_panels):
-    cut = _poisson_cut(kmax, lam)
-    if isinstance(spec, InverseGaussian):
-        d, g = spec.delta, spec.gamma
-        x_lo = d * d * t_lo * t_lo / 95.0
-        x_hi = cut if g == 0.0 else max(cut, 2.0 * (d * g * t_hi + 45.0) / (g * g))
-        x, w = gauss_panels(log_panel_edges(x_lo, x_hi, n_panels), 12)
-        return MixtureRule(spec, lam, "ig", t_lo, t_hi, kmax, x, w,
-                           params={"delta": d, "gamma": g, "x_hi": x_hi})
-    eff = flatten_stable_composition(spec)
-    if eff is not None:
-        su = stable_unit(eff)
-        y_hi = max(cut / t_lo ** (1.0 / eff), 10.0)
-        y, w, f1 = su.mixture_nodes(y_hi, n_panels=n_panels, nodes_per_panel=12)
-        return MixtureRule(spec, lam, "stable", t_lo, t_hi, kmax, y, w, dens=f1,
-                           params={"beta": eff, "y_hi": y_hi, "x_hi": y_hi})
-    if isinstance(spec, TemperedStable):
-        b, mu = spec.beta, spec.mu
-        su = stable_unit(b)
-        x_need = max(cut, (mu ** b * t_hi + 42.0) / mu)
-        y_hi = max(x_need / t_lo ** (1.0 / b), 10.0)
-        y, w, f1 = su.mixture_nodes(y_hi, n_panels=n_panels, nodes_per_panel=12)
-        return MixtureRule(spec, lam, "tempered", t_lo, t_hi, kmax, y, w, dens=f1,
-                           params={"beta": b, "mu": mu, "x_hi": x_need})
-    if isinstance(spec, InverseOf):
-        base = spec.base
-        eff = flatten_stable_composition(base)
-        if eff is not None:
-            su = stable_unit(eff)
-            # phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b): the t-free mixing factor
-            v_hi = _phi_support_end(su, eff)
-            v, w = gauss_panels(linear_panel_edges(0.0, v_hi, n_panels), 12)
-            phi = (1.0 / eff) * su.pdf(v ** (-1.0 / eff)) * v ** (-1.0 - 1.0 / eff)
-            return MixtureRule(spec, lam, "inv-stable", t_lo, t_hi, kmax, v, w, dens=phi,
-                               params={"beta": eff, "x_hi": v_hi * t_hi ** eff})
-        if isinstance(base, TemperedStable) and base.beta == 0.5:
-            base = InverseGaussian(*tempered_half_as_ig(base.mu))
-        if isinstance(base, InverseGaussian):
-            d, g = base.delta, base.gamma
-            x_hi = (g * t_hi + 14.0 * math.sqrt(t_hi) + 2.0) / d
-            x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
-            return MixtureRule(spec, lam, "hitting-ig", t_lo, t_hi, kmax, x, w,
-                               params={"delta": d, "gamma": g, "x_hi": x_hi})
-        if isinstance(base, TemperedStable):
-            b, mu = base.beta, base.mu
-            x_hi = _inv_tempered_support_end(b, mu, t_hi)
-            x, w = gauss_panels(linear_panel_edges(1e-10, x_hi, n_panels), 12)
-            return MixtureRule(spec, lam, "inv-tempered", t_lo, t_hi, kmax, x, w,
-                               params={"beta": b, "mu": mu, "x_hi": x_hi,
-                                       "inner_panels": 48})
-    raise NoDensityError(
-        f"spec {spec.label()} has no density evaluator; use pmf_monte_carlo"
-    )
-
-
-def _phi_support_end(su, beta: float) -> float:
-    """v beyond which phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b) is < ~1e-19."""
-    v = 2.0
-    for _ in range(60):
-        w = v ** (-1.0 / beta)
-        val = (1.0 / beta) * float(su.pdf(np.array([w]))[0]) * v ** (-1.0 - 1.0 / beta)
-        if val < 1e-19:
-            return v
-        v *= 1.3
-    raise ConvergenceError("could not bound the inverse-stable support")
-
-
-def _inv_tempered_support_end(beta: float, mu: float, t_hi: float) -> float:
-    x = max(4.0 * t_hi ** beta, 4.0)
-    for _ in range(60):
-        val = float(inverse_tempered_density(np.array([x]), t_hi, beta, mu)[0])
-        if val < 1e-18:
-            return x
-        x *= 1.4
-    raise ConvergenceError("could not bound the inverse-tempered support")
-
-
-# the general-index inverse-tempered density carries its own inner quadrature
-# noise and cannot settle below this floor, however many outer panels are added
-_KIND_TOL_FLOOR = {"inv-tempered": 1e-9}
+        return self.law.mixing_moments(t, self)
 
 
 @lru_cache(maxsize=64)
@@ -367,11 +224,16 @@ def mixture_rule(
         raise DomainError("need 0 < t_lo <= t_hi")
     probe_ts = np.array([t_lo, math.sqrt(t_lo * t_hi), t_hi])
     probe_ks = np.unique(np.array([0, kmax // 2, kmax]))
+    law = spec.mixing_law()
+    if law is None:
+        raise NoDensityError(f"spec {spec.label()} has no density evaluator; use pmf_monte_carlo")
+    cut = _poisson_cut(kmax, lam)
+    eff_tol = max(tol, law.tol_floor)
     n_panels = 32
     prev = None
     while n_panels <= 2048:
-        rule = _construct_rule(spec, lam, t_lo, t_hi, kmax, n_panels)
-        eff_tol = max(tol, _KIND_TOL_FLOOR.get(rule.kind, 0.0))
+        rule = MixtureRule(spec, lam, t_lo, t_hi, kmax, law,
+                           *law.rule_nodes(t_lo, t_hi, cut, n_panels))
         vals = rule.pmf_matrix(probe_ts, probe_ks)
         if prev is not None and np.max(np.abs(vals - prev)) < eff_tol:
             return rule
@@ -456,27 +318,26 @@ class PmfTable:
             yield row
 
 
-def _auto_kmax(rule: MixtureRule, t: float, bound: float = 1e-10, cap: int = 2000) -> int:
+def _auto_kmax(moments, lam: float, tail_above, bound: float = 1e-10, cap: int = 2000) -> int:
     """Smallest K (within a growth factor) whose mixture tail drops below `bound`.
 
-    A Bernstein-type bound from the numerically known mean and variance of
-    N(X(t)) seeds the search; because Poisson mixtures over light-but-
-    sub-exponential clocks beat that bound's validity, the candidate is then
-    verified (and grown as needed) against the exact tail mass.  Heavy-tailed
-    mixing (stable clocks, infinite mean) cannot reach 1e-10 at any sane K
-    and instead targets an explicit 1e-6 tail mass, which the honest
-    tail_bound then reports.
+    `moments` is the mixing law's (mean, variance) at t, or None when its mean
+    is infinite; `tail_above(k)` is the tail mass P(N(X(t)) > k).  A
+    Bernstein-type bound from the mean and variance of N(X(t)) seeds the
+    search; because Poisson mixtures over light-but-sub-exponential clocks
+    beat that bound's validity, the candidate is then verified (and grown as
+    needed) against the tail mass.  Heavy-tailed mixing (stable clocks,
+    infinite mean) cannot reach 1e-10 at any sane K and instead targets an
+    explicit 1e-6 tail mass, which the honest tail_bound then reports.
     """
-    mv = rule.mixing_moments(t)
-    lam = rule.lam
-    if mv is None:
+    if moments is None:
         k = 8
         while k < cap:
-            if rule.tail_mass(np.array([t]), k)[0] < 1e-6:
+            if tail_above(k) < 1e-6:
                 return k
             k *= 2
         return cap
-    m, v = mv
+    m, v = moments
     mean = lam * m
     var = lam * m + lam * lam * v
     k = int(mean) + 1
@@ -485,7 +346,7 @@ def _auto_kmax(rule: MixtureRule, t: float, bound: float = 1e-10, cap: int = 200
         if math.exp(-(dev * dev) / (2.0 * (var + dev / 3.0))) < bound:
             break
         k += 1
-    while k < cap and rule.tail_mass(np.array([t]), k)[0] >= bound:
+    while k < cap and tail_above(k) >= bound:
         k = int(1.4 * k) + 4
     return min(k, cap)
 
@@ -508,7 +369,8 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
         raise DomainError("pmf_table requires t > 0 and lambda > 0")
     rule = mixture_rule(spec, lam, t, t, kmax if kmax is not None else 64, tol)
     if kmax is None:
-        kmax = _auto_kmax(rule, t)
+        kmax = _auto_kmax(rule.mixing_moments(t), lam,
+                          lambda k: rule.tail_mass(np.array([t]), k)[0])
         rule = mixture_rule(spec, lam, t, t, kmax, tol)
     ks = np.arange(kmax + 1)
     values = rule.pmf_matrix(np.array([t]), ks)[:, 0]
@@ -546,14 +408,13 @@ def fractional_poisson_pmf(k: int, t: float, lam: float, beta: float) -> float:
     """
     if not 0 < beta < 1:
         raise DomainError("fractional order must satisfy 0 < beta < 1")
+    spec = InverseOf(Stable(beta))
     if beta > 0.95:
-        m1 = t ** beta / math.gamma(1.0 + beta)
-        m2 = 2.0 * t ** (2.0 * beta) / math.gamma(1.0 + 2.0 * beta)
-        var = m2 - m1 * m1
+        m1, var = spec.mixing_law().mixing_moments(t)
         return float(
             poisson_pmf(k, m1, lam) + 0.5 * var * poisson_pmf(k, m1, lam, order=2)
         )
-    return pmf_quadrature(k, t, lam, InverseOf(Stable(beta)))
+    return pmf_quadrature(k, t, lam, spec)
 
 
 # -- moments and waiting times -----------------------------------------------------

@@ -99,10 +99,13 @@ def estimate_order(hs, residuals, floor: float = 1e-9) -> OrderEstimate:
 
     Levels whose residual sits below `floor` are treated as noise-dominated
     and excluded; if fewer than 3 informative levels remain the sequence is
-    flagged floor-limited rather than failed.
+    flagged floor-limited rather than failed.  A non-finite residual means
+    the equation was not checked: no order, not floor-limited, not monotone.
     """
     hs = np.asarray(hs, dtype=float)
     res = np.asarray(residuals, dtype=float)
+    if not np.all(np.isfinite(res)):
+        return OrderEstimate(None, False, False, 0)
     usable = res >= floor
     if np.count_nonzero(usable) < 3:
         return OrderEstimate(None, True, True, int(np.count_nonzero(usable)))

@@ -146,6 +146,14 @@ class TestKolmogorovSmirnov:
         stat = _ks_stat(vals, lambda v: hitting_time_cdf_ig(v, 1.0, 1.0, 1.0))
         assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
 
+    def test_inverse_tempered_half(self):
+        # tempered(1/2, 1) is IG(1/sqrt 2, sqrt 2): its hitting time is drawn exactly
+        vals = sample(InverseOf(TemperedStable(0.5, 1.0)), 1.0, self.N, seed=111).values
+        stat = _ks_stat(
+            vals, lambda v: np.array([inverse_tempered_cdf(x, 1.0, 0.5, 1.0) for x in v])
+        )
+        assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
+
 
 class TestFirstPassageWalk:
     def test_walk_matches_exact_law(self):
@@ -156,8 +164,11 @@ class TestFirstPassageWalk:
         assert stat < KS_CRIT_1E3 / math.sqrt(2000)
 
     def test_inverse_tempered_duality(self):
-        vals = sample(InverseOf(TemperedStable(0.5, 1.0)), 1.0, 500, seed=21,
-                      rtol=2e-3).values
+        # the walk's crossing law over a tempered base; `sample` draws this
+        # clock exactly, so the walk is called directly
+        rng = rng_stream(21, 0)
+        vals = _first_passage_walk(rng, TemperedStable(0.5, 1.0), np.array([1.0]),
+                                   500, 2e-3)[:, 0]
         for x in (0.4, 0.8, 1.5):
             emp = float(np.mean(vals <= x))
             want = inverse_tempered_cdf(x, 1.0, 0.5, 1.0)

@@ -16,9 +16,10 @@ from tcpp.subordinators.spec import (
     TemperedStable,
 )
 from tcpp.timechange import (
+    MixtureRule,
     PmfTable,
     PoissonParams,
-    _construct_rule,
+    _poisson_cut,
     fractional_poisson_pmf,
     mixture_rule,
     moments_ig,
@@ -145,8 +146,10 @@ class TestQuadraturePmf:
     @pytest.mark.parametrize("tol", [1e-11, 1e-12])
     def test_hitting_rule_settles_below_1e_10(self, tol):
         rule = mixture_rule(InverseOf(InverseGaussian(1.0, 1.0)), 1.0, 0.5, 2.0, 5, tol)
-        assert rule.kind == "hitting-ig"
-        fine = _construct_rule(rule.spec, 1.0, 0.5, 2.0, 5, 4 * rule.nodes.size // 12)
+        assert rule.law.tol_floor == 0.0  # settles at tol itself, not at a floor
+        n_fine = 4 * rule.nodes.size // 12
+        fine = MixtureRule(rule.spec, 1.0, 0.5, 2.0, 5, rule.law,
+                           *rule.law.rule_nodes(0.5, 2.0, _poisson_cut(5, 1.0), n_fine))
         ts, ks = np.linspace(0.5, 2.0, 7), np.arange(6)
         assert np.max(np.abs(rule.pmf_matrix(ts, ks) - fine.pmf_matrix(ts, ks))) <= tol
 

@@ -114,6 +114,12 @@ class TestConvergenceOrder:
         assert rep.floor_limited
         assert math.isnan(convergence_order(rep))
 
+    @pytest.mark.parametrize("res", [[math.nan] * 4, [1e-3, math.nan, math.nan, math.inf]])
+    def test_non_finite_residual_is_not_floor_limited(self, res):
+        est = estimate_order([0.1, 0.05, 0.025, 0.0125], res)
+        assert est.order is None
+        assert not est.floor_limited and not est.monotone
+
     def test_needs_three_levels(self):
         rep = self._report([0.1, 0.05, 0.025], [1e-2, 2.5e-3, 6.25e-4])
         rep.levels = rep.levels[:2]
