@@ -41,7 +41,7 @@ from .timechange import (
     pmf_monte_carlo,
     pmf_table,
 )
-from .verify.registry import REGISTRY, check_equation
+from .verify.registry import check_equation, equation_params
 from .verify.report import GridSpec
 
 EXIT_OK = 0
@@ -194,9 +194,7 @@ def _load_campaign(path: str | None) -> list:
     if not isinstance(requests, list) or not requests:
         raise DomainError("campaign config must hold a nonempty request list")
     for req in requests:
-        eq = req.get("equation_id")
-        if eq not in REGISTRY:
-            raise UnknownEquationError(f"unknown equation_id '{eq}' in campaign")
+        equation_params(req.get("equation_id"), req.get("params"))
         if "grid" in req:
             GridSpec(**req["grid"])  # validate early: no partial runs on bad input
     return requests
@@ -215,7 +213,8 @@ def _run_request(req: dict):
 def cmd_verify(args) -> int:
     try:
         requests = _load_campaign(args.config)
-    except (DomainError, UnknownEquationError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DomainError, UnknownEquationError, OSError, json.JSONDecodeError, KeyError,
+            TypeError) as exc:
         print(f"error: invalid campaign config: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out_dir = Path(args.out_dir)

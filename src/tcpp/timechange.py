@@ -3,9 +3,10 @@
 The mixture identity P(N(X(t)) = k) = int p_k(x) dens_X(x, t) dx is evaluated
 against frozen composite Gauss-Legendre rules.  A rule's nodes are built once
 per (spec, lambda, time-window, kmax) and shared by every t in the window and
-every count index, so a whole pmf table falls out of one matrix product and,
-crucially, the quadrature error is a smooth function of t: finite-difference
-operators applied to tables (see tcpp.verify) do not see it as noise.
+every count index, so the quadrature error is a smooth function of t:
+finite-difference operators applied to tables (see tcpp.verify) do not see it
+as noise.  A pmf table is a banded sum: each block of counts k sums only the
+nodes where p_k(lambda x) can exceed e^-50, dropping <= e^-50 sum_i |w_i f_i|.
 """
 
 from __future__ import annotations
@@ -96,14 +97,30 @@ def _poisson_value(k: int, x, lam: float):
     return out if out.ndim else float(out)
 
 
-def _poisson_matrix(ks, x, lam: float):
-    """Matrix p_{k}(lam x) over ks x nodes, log-space."""
+_LOG_CUT = 50.0
+_K_BLOCK = 128
+
+
+def _poisson_mix(ks, x, lam: float, wd):
+    """sum_i p_k(lam x_i) wd_i for each k of ks, in their order; x must ascend.
+
+    log p_k(m) <= -(k-m)^2/(2k) for m < k and <= -(m-k)^2/(2m) for m > k, so
+    for the sorted counts k0..k1 of a block every node with m = lam x outside
+    [k0 - sqrt(2 C k0), k1 + C + sqrt(C (C + 2 k1))], C = _LOG_CUT, has
+    p_k(m) < e^-C and is left out of the sum.
+    """
     ks = np.asarray(ks, dtype=int)
-    x = np.asarray(x, dtype=float)
-    m = lam * x
-    logm = np.log(m)
-    logp = ks[:, None] * logm[None, :] - m[None, :] - gammaln(ks + 1.0)[:, None]
-    return np.exp(logp)
+    m = lam * np.asarray(x, dtype=float)
+    order = np.argsort(ks, kind="stable")
+    out = np.empty(ks.size)
+    for start in range(0, ks.size, _K_BLOCK):
+        idx = order[start:start + _K_BLOCK]
+        k0, k1 = float(ks[idx[0]]), float(ks[idx[-1]])
+        lo, hi = np.searchsorted(m, [k0 - math.sqrt(2.0 * _LOG_CUT * k0),
+                                     k1 + _LOG_CUT + math.sqrt(_LOG_CUT * (_LOG_CUT + 2.0 * k1))])
+        kb, mb = ks[idx][:, None], m[lo:hi]
+        out[idx] = np.exp(kb * np.log(mb) - mb - gammaln(kb + 1.0)) @ wd[lo:hi]
+    return out
 
 
 # -- closed-form Bessel pmf for the IG time change --------------------------------
@@ -185,14 +202,17 @@ class MixtureRule:
     dens: np.ndarray | None = field(repr=False)
     x_hi: float
 
+    def __post_init__(self):
+        # _poisson_mix slices by value the nodes that weighted() scales by t > 0
+        assert np.all(np.diff(self.nodes) > 0), "rule nodes must ascend"
+
     def pmf_matrix(self, ts, ks):
         """pmf[k_i, t_j] for all requested counts and times in one pass."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ks = np.asarray(ks, dtype=int)
-        out = np.empty((ks.size, ts.size))
+        out = np.empty((np.size(ks), ts.size))
         for j, t in enumerate(ts):
             x, wd = self.law.weighted(self, float(t))
-            out[:, j] = _poisson_matrix(ks, x, self.lam) @ wd
+            out[:, j] = _poisson_mix(ks, x, self.lam, wd)
         return out
 
     def tail_mass(self, ts, kmax: int):

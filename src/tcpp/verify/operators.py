@@ -98,9 +98,10 @@ def estimate_order(hs, residuals, floor: float = 1e-9) -> OrderEstimate:
     """Least-squares slope of log residual vs log step.
 
     Levels whose residual sits below `floor` are treated as noise-dominated
-    and excluded; if fewer than 3 informative levels remain the sequence is
-    flagged floor-limited rather than failed.  A non-finite residual means
-    the equation was not checked: no order, not floor-limited, not monotone.
+    and excluded; if fewer than 3 informative levels remain, the sequence is
+    floor-limited (a pass) when it has >= 3 levels and a finest residual <=
+    `floor`, and has no order otherwise.  A non-finite residual means the
+    equation was not checked: no order, not floor-limited, not monotone.
     """
     hs = np.asarray(hs, dtype=float)
     res = np.asarray(residuals, dtype=float)
@@ -108,7 +109,8 @@ def estimate_order(hs, residuals, floor: float = 1e-9) -> OrderEstimate:
         return OrderEstimate(None, False, False, 0)
     usable = res >= floor
     if np.count_nonzero(usable) < 3:
-        return OrderEstimate(None, True, True, int(np.count_nonzero(usable)))
+        limited = bool(res.size >= 3 and res[np.argmin(hs)] <= floor)
+        return OrderEstimate(None, limited, limited, int(np.count_nonzero(usable)))
     hu, ru = hs[usable], res[usable]
     slope = np.polyfit(np.log(hu), np.log(ru), 1)[0]
     monotone = bool(np.all(np.diff(ru) < 0)) if hu[0] > hu[-1] else bool(

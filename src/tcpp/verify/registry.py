@@ -37,7 +37,7 @@ from ..timechange import mixture_rule, pmf_bessel_ig
 from .operators import central_difference, estimate_order, shift_power
 from .report import GridSpec, LevelResidual, ResidualReport
 
-__all__ = ["check_equation", "registry_ids", "REGISTRY"]
+__all__ = ["check_equation", "equation_params", "registry_ids", "REGISTRY"]
 
 _FLOOR = 1e-9
 
@@ -195,13 +195,7 @@ def _inv_stable_on_grid(x: float, times: np.ndarray, beta: float):
 
 def _eq_deblassie(params, grid, xs):
     beta = params["beta"]
-    # beta = k/m in lowest terms; the registry instances use k = 1
-    if abs(beta - 0.5) < 1e-12:
-        m_ord = 2
-    elif abs(beta - 1.0 / 3.0) < 1e-12:
-        m_ord = 3
-    else:
-        raise DomainError("deblassie is registered for beta in {1/2, 1/3}")
+    m_ord = round(1.0 / beta)  # beta = 1/m, m in {2, 3} (the entry's domain)
     xs = np.asarray(xs, dtype=float)
     t_fine = grid.level_times(grid.refinement_levels - 1)
     F = np.stack([_stable_on_grid(x, t_fine, beta) for x in xs])
@@ -334,8 +328,6 @@ def _eq_prop32(params, grid, ks):
 
 
 def _eq_et_pde(params, grid, xs):
-    if int(params["m"]) != 2:
-        raise DomainError("et-pde is registered for m = 2 (index 1/2)")
     beta = 0.5
     xs = np.asarray(xs, dtype=float)
     t_fine = grid.level_times(grid.refinement_levels - 1)
@@ -421,8 +413,6 @@ def _eq_prop41(params, grid, xs):
 
 def _eq_rmk41(params, grid, ks):
     lam, mu = params["lam"], params["mu"]
-    if int(params["m"]) != 2:
-        raise DomainError("rmk4.1 is registered for m = 2 (beta = 1/2)")
     beta = 0.5
     t_fine = grid.level_times(grid.refinement_levels - 1)
     R = _pmf_tables(TemperedStable(beta, mu), lam, t_fine, ks)
@@ -440,8 +430,6 @@ def _eq_rmk41(params, grid, ks):
 
 def _eq_inv_tempered_pde(params, grid, xs):
     mu = params["mu"]
-    if int(params["m"]) != 2:
-        raise DomainError("inv-tempered-pde is registered for m = 2")
     beta = 0.5
     xs = np.asarray(xs, dtype=float)
     t_fine = grid.level_times(grid.refinement_levels - 1)
@@ -465,8 +453,6 @@ def _eq_inv_tempered_pde(params, grid, xs):
 
 def _eq_prop42(params, grid, ks):
     lam, mu = params["lam"], params["mu"]
-    if int(params["m"]) != 2:
-        raise DomainError("prop4.2 is registered for m = 2")
     beta = 0.5
     t_fine = grid.level_times(grid.refinement_levels - 1)
     R = _pmf_tables(InverseOf(TemperedStable(beta, mu)), lam, t_fine, ks)
@@ -500,7 +486,7 @@ def _eq_prop42(params, grid, ks):
 class EquationDef:
     equation_id: str
     runner: object
-    default_params: dict
+    params: dict  # name -> (default, (domain description, predicate))
     default_grid: GridSpec
     band: tuple
     default_range: tuple  # counts k or space points x
@@ -512,6 +498,16 @@ def _std_ks(n=4):
     return tuple(range(n))
 
 
+_POS = ("> 0", lambda v: v > 0)
+_NONNEG = (">= 0", lambda v: v >= 0)
+_INDEX = ("in (0, 1)", lambda v: 0 < v < 1)
+_DEBLASSIE = ("1/2 or 1/3", lambda v: min(abs(v - 0.5), abs(v - 1.0 / 3.0)) < 1e-12)
+
+
+def _ints(lo, hi=math.inf):
+    return (f"an integer in [{lo}, {hi}]", lambda v: v == int(v) and lo <= v <= hi)
+
+
 REGISTRY: dict[str, EquationDef] = {}
 
 
@@ -521,140 +517,140 @@ def _register(eq):
 
 _register(EquationDef(
     "prop2.1", _eq_prop21,
-    {"lam": 1.0, "delta": 1.0, "gamma": 1.0},
+    {"lam": (1.0, _POS), "delta": (1.0, _POS), "gamma": (1.0, _POS)},
     GridSpec(0.5, 2.0, points=97, refinement_levels=4),
     band=(3.0, 5.0), default_range=_std_ks(5),
     statement="d2/dt2 p - 2 d g d/dt p = 2 d^2 lam (1-shift) p",
 ))
 _register(EquationDef(
     "prop2.2", _eq_prop22,
-    {"lam": 1.0, "delta": 1.0, "gamma": 1.0},
+    {"lam": (1.0, _POS), "delta": (1.0, _POS), "gamma": (1.0, _NONNEG)},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(0.8, 2.3), default_range=_std_ks(4),
     statement="d/dt p~ = (2 d^2)^-1 [lam^2(1-shift)^2 - 2 d g lam (1-shift)] p~ + h(0,t) p'(0)/(2 d^2)",
 ))
 _register(EquationDef(
     "ig-density-pde", _eq_ig_density_pde,
-    {"delta": 1.0, "gamma": 1.0},
+    {"delta": (1.0, _POS), "gamma": (1.0, _NONNEG)},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=(0.4, 0.8, 1.5, 2.5), range_kind="x",
     statement="d2/dt2 g - 2 d g_ d/dt g = 2 d^2 dg/dx",
 ))
 _register(EquationDef(
     "prop3.1(1)", _eq_prop31,
-    {"lam": 1.0, "n": 1},
+    {"lam": (1.0, _POS), "n": (1, _ints(1, 2))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=_std_ks(4),
     statement="d2/dt2 p~ = lam (1-shift) p~ for the once-iterated 1/2-stable clock",
 ))
 _register(EquationDef(
     "prop3.1(2)", _eq_prop31,
-    {"lam": 1.0, "n": 2},
+    {"lam": (1.0, _POS), "n": (2, _ints(1, 2))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.5, 2.5), default_range=_std_ks(4),
     statement="d4/dt4 p~ = lam (1-shift) p~ for the twice-iterated 1/2-stable clock",
 ))
 _register(EquationDef(
     "deblassie(1/2)", _eq_deblassie,
-    {"beta": 0.5},
+    {"beta": (0.5, _DEBLASSIE)},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), range_kind="x",
     statement="d2/dt2 f = df/dx for the 1/2-stable density",
 ))
 _register(EquationDef(
     "deblassie(1/3)", _eq_deblassie,
-    {"beta": 1.0 / 3.0},
+    {"beta": (1.0 / 3.0, _DEBLASSIE)},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), range_kind="x",
     statement="d3/dt3 f = -df/dx for the 1/3-stable density",
 ))
 _register(EquationDef(
     "thm3.1(2)", _eq_thm31,
-    {"lam": 1.0, "m": 2},
+    {"lam": (1.0, _POS), "m": (2, _ints(2))},
     GridSpec(0.25, 4.0, points=31, refinement_levels=5),
     band=(2.5, 4.6), default_range=_std_ks(4),
     statement="d/dt q = lam^2 (1-shift)^2 q + p'(0) t^-1/2/Gamma(1/2)",
 ))
 _register(EquationDef(
     "thm3.1(3)", _eq_thm31,
-    {"lam": 1.0, "m": 3},
+    {"lam": (1.0, _POS), "m": (3, _ints(2))},
     GridSpec(0.25, 4.0, points=31, refinement_levels=5),
     band=(2.5, 4.6), default_range=_std_ks(4),
     statement="d/dt q = -lam^3 (1-shift)^3 q + sources, index 1/3",
 ))
 _register(EquationDef(
     "cor3.1(1)", _eq_cor31,
-    {"lam": 1.0, "n": 1},
+    {"lam": (1.0, _POS), "n": (1, _ints(1))},
     GridSpec(0.25, 4.0, points=31, refinement_levels=5),
     band=(2.5, 4.6), default_range=_std_ks(4),
     statement="theorem DDE with m = 2^1 (subsumed by thm3.1(2))",
 ))
 _register(EquationDef(
     "cor3.1(2)", _eq_cor31,
-    {"lam": 1.0, "n": 2},
+    {"lam": (1.0, _POS), "n": (2, _ints(1))},
     GridSpec(0.5, 4.0, points=29, refinement_levels=4),
     band=(2.5, 4.6), default_range=_std_ks(4),
     statement="d/dt q = lam^4 (1-shift)^4 q + sources, index 1/4",
 ))
 _register(EquationDef(
     "frac-dde(1/2)", _eq_frac_dde,
-    {"lam": 1.0, "beta": 0.5},
+    {"lam": (1.0, _POS), "beta": (0.5, _INDEX)},
     GridSpec(0.5, 2.0, points=64, refinement_levels=4),
     band=(1.35, 1.85), default_range=_std_ks(3),
     statement="Caputo^1/2 q = -lam (1-shift) q",
 ))
 _register(EquationDef(
     "frac-dde(1/4)", _eq_frac_dde,
-    {"lam": 1.0, "beta": 0.25},
+    {"lam": (1.0, _POS), "beta": (0.25, _INDEX)},
     GridSpec(0.5, 2.0, points=64, refinement_levels=4),
     band=(1.0, 1.8), default_range=_std_ks(3),
     statement="Caputo^1/4 q = -lam (1-shift) q",
 ))
 _register(EquationDef(
     "et-pde(2)", _eq_et_pde,
-    {"m": 2},
+    {"m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=(0.3, 0.6, 1.0, 1.8), range_kind="x",
     statement="dm/dt = d2m/dx2 with boundary system, inverse 1/2-stable density",
 ))
 _register(EquationDef(
     "prop3.2", _eq_prop32,
-    {"lam": 1.0, "n": 1, "beta": 0.5},
+    {"lam": (1.0, _POS), "n": (1, _ints(1)), "beta": (0.5, _INDEX)},
     GridSpec(0.5, 2.0, points=64, refinement_levels=4),
     band=(0.9, 1.8), default_range=_std_ks(3),
     statement="Caputo^beta q~ = lam^2 (1-shift)^2 q~ + U-weighted sources",
 ))
 _register(EquationDef(
     "prop4.1(2)", _eq_prop41,
-    {"mu": 1.0, "m": 2},
+    {"mu": (1.0, _POS), "m": (2, _ints(2, 4))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), range_kind="x",
     statement="d2/dt2 f - 2 sqrt(mu) d/dt f = df/dx, tempered 1/2-stable",
 ))
 _register(EquationDef(
     "prop4.1(3)", _eq_prop41,
-    {"mu": 1.0, "m": 3},
+    {"mu": (1.0, _POS), "m": (3, _ints(2, 4))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), range_kind="x",
     statement="third-order tempered operator = df/dx, tempered 1/3-stable",
 ))
 _register(EquationDef(
     "rmk4.1(2)", _eq_rmk41,
-    {"lam": 1.0, "mu": 1.0, "m": 2},
+    {"lam": (1.0, _POS), "mu": (1.0, _POS), "m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=_std_ks(4),
     statement="d2/dt2 r - 2 sqrt(mu) d/dt r = lam (1-shift) r",
 ))
 _register(EquationDef(
     "inv-tempered-pde(2)", _eq_inv_tempered_pde,
-    {"mu": 1.0, "m": 2},
+    {"mu": (1.0, _POS), "m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(1.5, 2.5), default_range=(0.4, 0.8, 1.5), range_kind="x",
     statement="d2m/dx2 - 2 sqrt(mu) dm/dx = dm/dt, inverse tempered density",
 ))
 _register(EquationDef(
     "prop4.2(2)", _eq_prop42,
-    {"lam": 1.0, "mu": 1.0, "m": 2},
+    {"lam": (1.0, _POS), "mu": (1.0, _POS), "m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(0.8, 2.3), default_range=_std_ks(4),
     statement="d/dt r~ = tempered shift operator + x=0 boundary cross-terms",
@@ -665,16 +661,27 @@ def registry_ids():
     return list(REGISTRY.keys())
 
 
+def equation_params(equation_id: str, params: dict | None = None) -> dict:
+    """The entry's default params updated by `params`, every key known and in its domain."""
+    if equation_id not in REGISTRY:
+        raise UnknownEquationError(f"unknown equation '{equation_id}'; known: {sorted(REGISTRY)}")
+    eq = REGISTRY[equation_id]
+    params = {} if params is None else params
+    if not isinstance(params, dict) or set(params) - set(eq.params):
+        raise DomainError(f"{equation_id} takes params {sorted(eq.params)}, got {params!r}")
+    p = {key: params.get(key, default) for key, (default, _) in eq.params.items()}
+    for key, (_, (what, ok)) in eq.params.items():
+        v = p[key]
+        if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and ok(v)):
+            raise DomainError(f"{equation_id}: param {key} = {v!r} must be {what}")
+    return p
+
+
 def check_equation(equation_id: str, params: dict | None = None,
                    grid: GridSpec | None = None, k_range=None) -> ResidualReport:
     """Build tables, apply the equation's operators, grade the residuals."""
-    if equation_id not in REGISTRY:
-        raise UnknownEquationError(
-            f"unknown equation '{equation_id}'; known: {sorted(REGISTRY)}"
-        )
+    p = equation_params(equation_id, params)
     eq = REGISTRY[equation_id]
-    p = dict(eq.default_params)
-    p.update(params or {})
     g = grid or eq.default_grid
     rng = tuple(k_range) if k_range is not None else eq.default_range
     ks = np.asarray(rng, dtype=float if eq.range_kind == "x" else int)

@@ -37,9 +37,6 @@ class GridSpec:
         n = (self.points - 1) * 2 ** level + 1
         return np.linspace(self.t_min, self.t_max, n)
 
-    def level_step(self, level: int) -> float:
-        return (self.t_max - self.t_min) / ((self.points - 1) * 2 ** level)
-
 
 @dataclass(frozen=True)
 class LevelResidual:

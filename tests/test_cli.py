@@ -132,6 +132,35 @@ class TestVerifyCommand:
         assert rc == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("params", [
+        {"lamda": 1},  # unknown key: not silently ignored
+        {"lam": -1},  # out of domain: no traceback
+        {"lam": "2"},
+    ])
+    def test_bad_params_no_partial_run(self, tmp_path, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([
+            {"equation_id": "deblassie(1/2)"},
+            {"equation_id": "prop2.1", "params": params},
+        ]))
+        out_dir = tmp_path / "out"
+        rc = main(["verify", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("req", [
+        {"equation_id": "et-pde(2)", "params": {"m": 3}},
+        {"equation_id": "deblassie(1/3)", "params": {"beta": 0.25}},
+        {"equation_id": "prop3.1(1)", "params": {"n": 1.5}},
+        {"equation_id": "prop2.1", "grid": {"tmin": 0.5}},
+    ])
+    def test_invalid_request_is_input_error(self, tmp_path, req):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([req]))
+        rc = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
     def test_grid_override_levels(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([{

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, gammaln
 
 from tcpp.errors import DomainError, NoDensityError
 from tcpp.specfun import mittag_leffler
@@ -152,6 +152,57 @@ class TestQuadraturePmf:
                            *rule.law.rule_nodes(0.5, 2.0, _poisson_cut(5, 1.0), n_fine))
         ts, ks = np.linspace(0.5, 2.0, 7), np.arange(6)
         assert np.max(np.abs(rule.pmf_matrix(ts, ks) - fine.pmf_matrix(ts, ks))) <= tol
+
+
+def _dense_pmf_matrix(rule, ts, ks):
+    """Oracle: sum_i p_k(lam x_i) wd_i over every node of the rule, no band."""
+    ks = np.asarray(ks)
+    out = np.empty((ks.size, len(ts)))
+    for j, t in enumerate(ts):
+        x, wd = rule.law.weighted(rule, float(t))
+        m = rule.lam * x
+        logp = ks[:, None] * np.log(m)[None, :] - m[None, :] - gammaln(ks + 1.0)[:, None]
+        out[:, j] = np.exp(logp) @ wd
+    return out
+
+
+class TestBandedKernel:
+    HEAVY = [Stable(0.3), Composition((Stable(0.5), Stable(0.5))), InverseGaussian(1.0, 0.0)]
+
+    @pytest.mark.parametrize("spec", HEAVY, ids=["stable0.3", "stable0.5^2", "ig-gamma0"])
+    def test_matches_dense_sum_at_kmax_2000(self, spec):
+        kmax = 2000
+        ts = np.linspace(0.5, 2.0, 5)  # a multi-t window rule, as the registry builds
+        rule = mixture_rule(spec, 1.0, 0.5, 2.0, kmax, 1e-11)
+        ks = np.array([kmax, 0, kmax // 2])
+        got = rule.pmf_matrix(ts, ks)
+        assert np.max(np.abs(got - _dense_pmf_matrix(rule, ts, ks))) <= 1e-15
+        # every count, shuffled: many blocks of the sorted counts
+        ks = np.random.default_rng(0).permutation(kmax + 1)
+        got = rule.pmf_matrix(ts[::2], ks)
+        assert np.max(np.abs(got - _dense_pmf_matrix(rule, ts[::2], ks))) <= 1e-15
+
+    @pytest.mark.parametrize("spec", [
+        InverseGaussian(1.0, 1.0),
+        Stable(0.5),
+        TemperedStable(0.3, 1.0),
+        InverseOf(Stable(0.5)),
+        InverseOf(InverseGaussian(1.0, 1.0)),
+        InverseOf(TemperedStable(0.5, 1.0)),
+    ], ids=["ig", "stable", "tempered", "inverse-stable", "hitting-ig", "inverse-tempered0.5"])
+    def test_rule_nodes_ascend(self, spec):
+        law = spec.mixing_law()
+        nodes = law.rule_nodes(0.5, 2.0, _poisson_cut(64, 1.0), 32)[0]
+        assert np.all(np.diff(nodes) > 0)
+        rule = mixture_rule(spec, 1.0, 0.5, 2.0, 64)
+        for t in (0.5, 1.3, 2.0):
+            assert np.all(np.diff(law.weighted(rule, t)[0]) > 0)
+
+    def test_rule_rejects_unsorted_nodes(self):
+        rule = mixture_rule(Stable(0.5), 1.0, 1.0, 1.0, 16)
+        with pytest.raises(AssertionError):
+            MixtureRule(rule.spec, 1.0, 1.0, 1.0, 16, rule.law, rule.nodes[::-1],
+                        rule.weights[::-1], rule.dens[::-1], rule.x_hi)
 
 
 class TestMonteCarloPmf:

@@ -120,6 +120,20 @@ class TestConvergenceOrder:
         assert est.order is None
         assert not est.floor_limited and not est.monotone
 
+    def test_two_levels_are_never_floor_limited(self):
+        est = estimate_order([0.1, 0.05], [1e-11, 1e-12])
+        assert est.order is None and not est.floor_limited
+
+    @pytest.mark.parametrize("res,limited", [
+        ([1e-6, 1e-8, 1e-10], True),
+        ([1e-11, 1e-11, 1e-3], False),
+        ([1e-3, 1e-10, 1e-10, 1e-6], False),
+    ])
+    def test_floor_limited_needs_finest_below_floor(self, res, limited):
+        hs = [0.1 / 2 ** j for j in range(len(res))]
+        est = estimate_order(hs, res)
+        assert est.order is None and est.floor_limited is limited
+
     def test_needs_three_levels(self):
         rep = self._report([0.1, 0.05, 0.025], [1e-2, 2.5e-3, 6.25e-4])
         rep.levels = rep.levels[:2]
@@ -165,6 +179,30 @@ class TestCheckEquation:
         assert {"h", "max_residual", "l2_residual"} <= set(d["levels"][0])
         assert len(d["levels"]) == 4
         assert {"estimated_order", "pass", "floor_limited"} <= set(d)
+
+    def test_two_level_grid_cannot_pass(self):
+        # residuals 0.19 and 0.059 used to pass as "floor-limited"
+        grid = GridSpec(0.5, 2.0, points=8, refinement_levels=2)
+        rep = check_equation("ig-density-pde", grid=grid)
+        assert rep.finest_residual > 1e-2
+        assert not rep.floor_limited and not rep.passed
+
+    @pytest.mark.parametrize("eq,points,floor_limited", [
+        ("ig-density-pde", 8, False), ("prop2.1", 97, True),
+    ])
+    def test_three_level_grid(self, eq, points, floor_limited):
+        rep = check_equation(eq, grid=GridSpec(0.5, 2.0, points=points, refinement_levels=3))
+        assert rep.passed and rep.floor_limited is floor_limited
+        if floor_limited:
+            assert rep.finest_residual <= 1e-9
+        else:
+            assert rep.estimated_order == pytest.approx(1.8, abs=0.1)
+
+    @pytest.mark.parametrize("params", [{"lamda": 1.0}, {"lam": -1.0}, {"lam": math.nan},
+                                        {"lam": "1"}, {"lam": True}])
+    def test_bad_params_rejected(self, params):
+        with pytest.raises(DomainError):
+            check_equation("prop2.1", params=params)
 
     def test_prop21_k0_exact_identity(self):
         # a(a - 2 d g) = 2 d^2 lam for a = d g - d sqrt(g^2 + 2 lam): the k=0
