@@ -41,7 +41,7 @@ from .timechange import (
     pmf_monte_carlo,
     pmf_table,
 )
-from .verify.registry import check_equation, equation_params
+from .verify.registry import check_equation, equation_params, equation_points
 from .verify.report import GridSpec
 
 EXIT_OK = 0
@@ -183,6 +183,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_REQUEST_KEYS = {"equation_id", "params", "grid", "k_range"}
+
+
 def _load_campaign(path: str | None) -> list:
     """The campaign's request list, each request checked before any runs."""
     if path is None:
@@ -194,7 +197,11 @@ def _load_campaign(path: str | None) -> list:
     if not isinstance(requests, list) or not requests:
         raise DomainError("campaign config must hold a nonempty request list")
     for req in requests:
+        if not isinstance(req, dict) or set(req) - _REQUEST_KEYS:
+            raise DomainError(f"a request is an object with keys {sorted(_REQUEST_KEYS)}, "
+                              f"got {req!r}")
         equation_params(req.get("equation_id"), req.get("params"))
+        equation_points(req["equation_id"], req.get("k_range"))
         if "grid" in req:
             GridSpec(**req["grid"])  # validate early: no partial runs on bad input
     return requests

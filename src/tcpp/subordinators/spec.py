@@ -361,22 +361,10 @@ class _InverseStable(_Hitting):
         # phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b): the t-free mixing factor
         b = self.base.beta
         su = stable_unit(b)
-        v_hi = self._support_end(su)
+        v_hi = su.inverse_support_end
         v, w = gauss_panels(linear_panel_edges(0.0, v_hi, n_panels), 12)
         phi = (1.0 / b) * su.pdf(v ** (-1.0 / b)) * v ** (-1.0 - 1.0 / b)
         return v, w, phi, v_hi * t_hi ** b
-
-    def _support_end(self, su) -> float:
-        """v beyond which phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b) is < ~1e-19."""
-        beta = self.base.beta
-        v = 2.0
-        for _ in range(60):
-            w = v ** (-1.0 / beta)
-            val = (1.0 / beta) * float(su.pdf(np.array([w]))[0]) * v ** (-1.0 - 1.0 / beta)
-            if val < 1e-19:
-                return v
-            v *= 1.3
-        raise ConvergenceError("could not bound the inverse-stable support")
 
     def weighted(self, rule, t):
         return t ** self.base.beta * rule.nodes, rule.weights * rule.dens

@@ -10,19 +10,27 @@ Three evaluation regimes, stitched where they agree:
       f(x) = beta/(1-beta) * x^(-1/(1-beta)) * (1/pi) *
              int_0^pi A(th) exp(-x^(-beta/(1-beta)) A(th)) dth,
       A(th) = sin((1-beta) th) sin(beta th)^(beta/(1-beta)) / sin(th)^(1/(1-beta)),
-* right tail: the convergent inverse-power series whose leading term is the
-  classical  beta/(Gamma(1-beta) x^(1+beta))  asymptotic,
-* deep left tail: the stretched-exponential asymptotic, used only where the
-  density is below ~1e-290 anyway.
+  by two 96-node Gauss-Legendre panels split where the exponential has
+  decayed by e^-5 and e^-48.  A is increasing, so the splits come from
+  inverting log A: a safeguarded Newton iteration started between two
+  points of a 512-point probe table, a few steps per point;
+* right tail (x >= x_series >= 1): the convergent inverse-power series whose
+  leading term is the classical  beta/(Gamma(1-beta) x^(1+beta))  asymptotic,
+  with its coefficients computed once per beta and trimmed to the terms
+  above e^-120 (about 40 to 400 of them, by beta);
+* deep left tail (x < x_tiny, where the exponent exceeds 48): the
+  stretched-exponential asymptotic for the density, a few per cent off at
+  x_tiny, and zero for the distribution function, which is below e^-48 there.
 
 The series/integral switch point is picked per beta by requiring the two
-routes to agree, then cached.
+routes to agree, then cached with the rest of the per-beta engine
+(`stable_unit`).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import erfc, gammaln, roots_legendre
@@ -59,6 +67,7 @@ class StableUnit:
         self._log_a_probe = self._log_a(self._theta_probe)
         if np.any(np.diff(self._log_a_probe) <= 0):
             raise ConvergenceError("A(theta) not monotone; cannot bracket")
+        self._series = {shift: self._series_terms(shift) for shift in (0, 1)}
         self.x_series = self._calibrate_series_switch()
         # left edge of numerically visible support: exponent ~ _DECAY there
         self.x_tiny = (self.a0 / _DECAY) ** (1.0 / self.ratio)
@@ -74,19 +83,53 @@ class StableUnit:
             - (1.0 / (1.0 - b)) * np.log(np.sin(theta))
         )
 
+    def _log_a_slope(self, theta):
+        """d log A / d theta; positive on (0, pi)."""
+        b = self.beta
+        return (
+            (1.0 - b) / np.tan((1.0 - b) * theta)
+            + b * self.ratio / np.tan(b * theta)
+            - 1.0 / ((1.0 - b) * np.tan(theta))
+        )
+
     def _theta_for_log_a(self, log_a_target):
-        """Invert log A on (0, pi) by bisection (A is monotone increasing)."""
+        """Invert log A on (0, pi) by safeguarded Newton (A is increasing).
+
+        Each target starts bracketed by two neighbouring probe points and
+        interpolated between them.  A Newton step that lands outside the
+        bracket (ends included) is replaced by a bisection step, and the
+        bracket shrinks onto each new iterate.  Stops at |log A(theta) -
+        target| <= 1e-13 max(1, |target|), three or four steps from the
+        probes, or once the step is at roundoff (near pi, where log A is too
+        steep for that tolerance); the result only places panel splits, so
+        this is ample.  Targets at or below the first probe give its theta;
+        targets beyond the last give pi - 1e-12.
+        """
         target = np.asarray(log_a_target, dtype=float)
-        lo = np.full(target.shape, 1e-9)
-        hi = np.full(target.shape, math.pi - 1e-12)
-        out_of_range = target >= self._log_a_probe[-1]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self._log_a(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        theta = 0.5 * (lo + hi)
-        theta[out_of_range] = math.pi - 1e-12
+        th_p, la_p = self._theta_probe, self._log_a_probe
+        idx = np.searchsorted(la_p, target)
+        theta = np.where(idx == 0, th_p[0], math.pi - 1e-12)
+        act = np.flatnonzero((idx > 0) & (idx < la_p.size))
+        tgt, i = target[act], idx[act]
+        lo, hi = th_p[i - 1], th_p[i]
+        th = lo + (hi - lo) * (tgt - la_p[i - 1]) / (la_p[i] - la_p[i - 1])
+        tol = 1e-13 * np.maximum(1.0, np.abs(tgt))
+        for _ in range(64):
+            f = self._log_a(th) - tgt
+            step = f / self._log_a_slope(th)
+            done = (np.abs(f) <= tol) | (np.abs(step) <= 4e-16 * th)
+            theta[act[done]] = th[done]
+            keep = ~done
+            if not keep.any():
+                break
+            act, tgt, tol, th, f, step = (v[keep] for v in (act, tgt, tol, th, f, step))
+            below = f < 0.0
+            lo = np.where(below, th, lo[keep])
+            hi = np.where(below, hi[keep], th)
+            th_new = th - step
+            th = np.where((th_new >= lo) & (th_new <= hi), th_new, 0.5 * (lo + hi))
+        else:
+            theta[act] = th
         return theta
 
     def _integral(self, x, want_pdf: bool):
@@ -97,8 +140,7 @@ class StableUnit:
         # panel split at the e^-5 and e^-_DECAY points of the exponential decay
         log_a5 = np.log(self.a0 + 5.0 / xi)
         log_aD = np.log(self.a0 + _DECAY / xi)
-        th5 = self._theta_for_log_a(log_a5)
-        thD = self._theta_for_log_a(log_aD)
+        th5, thD = np.split(self._theta_for_log_a(np.concatenate([log_a5, log_aD])), 2)
         gl, glw = self._gl_x, self._gl_w
 
         def panel(lo, hi):
@@ -129,25 +171,35 @@ class StableUnit:
 
     # -- right-tail series ----------------------------------------------------
 
-    def _tail_series(self, x, order_shift: float):
-        """sum_n (-1)^(n+1) Gamma(n b + shift...)/n! sin(pi n b) x^(-n b - s0).
+    def _series_terms(self, order_shift: int):
+        """log c_n, powers and signs of the right-tail series, trimmed.
 
-        order_shift = 1 gives the density (s0 = 1, Gamma(n b + 1)); 0 gives the
-        survival function (s0 = 0, Gamma(n b)).  Returns (value, max_term).
+        Terms with log c_n <= -120 are dropped (the first two are always
+        kept).  The powers x^(-n b - s0) only fall with n for x >= 1, so on
+        the series' range x >= x_series >= 1 each dropped term is below
+        e^-120 relative to the leading one.
         """
         b = self.beta
-        x = np.asarray(x, dtype=float)
         n = np.arange(1, 501, dtype=float)
         if order_shift == 1:
             log_c = gammaln(n * b + 1.0) - gammaln(n + 1.0)
-            pow_ = -(n * b + 1.0)
         else:
             log_c = gammaln(n * b) - gammaln(n + 1.0)
-            pow_ = -(n * b)
         sgn = np.where(n % 2 == 1, 1.0, -1.0) * np.sin(np.pi * n * b)
-        log_t = log_c[None, :] + pow_[None, :] * np.log(x)[:, None]
-        log_t = np.where(log_t > 700.0, -np.inf, log_t)  # cancellation guard below
-        t = np.exp(log_t)
+        keep = log_c > -120.0
+        keep[:2] = True
+        return log_c[keep], -(n[keep] * b + order_shift), sgn[keep]
+
+    def _tail_series(self, x, order_shift: int):
+        """sum_n (-1)^(n+1) Gamma(n b + s0)/n! sin(pi n b) x^(-n b - s0) / pi.
+
+        order_shift s0 = 1 gives the density, 0 the survival function.  The
+        terms come precomputed and trimmed (`_series_terms`); x >= 1.
+        Returns (value, max_term).
+        """
+        log_c, pow_, sgn = self._series[order_shift]
+        x = np.asarray(x, dtype=float)
+        t = np.exp(log_c[None, :] + pow_[None, :] * np.log(x)[:, None])
         total = np.sum(t * sgn[None, :], axis=1) / math.pi
         max_term = np.max(t, axis=1) / math.pi
         return total, max_term
@@ -244,18 +296,25 @@ class StableUnit:
         n_panels = max(48, int(10 * math.log10(self.x_series / x_lo)))
         nodes, w = gauss_panels(log_panel_edges(x_lo, self.x_series, n_panels), 16)
         bulk = float(np.sum(w * nodes ** p * self.pdf(nodes)))
-        # analytic tail: integrate the series term by term
-        b = self.beta
-        n = np.arange(1, 501, dtype=float)
-        sgn = np.where(n % 2 == 1, 1.0, -1.0) * np.sin(np.pi * n * b)
-        log_t = (
-            gammaln(n * b + 1.0)
-            - gammaln(n + 1.0)
-            + (p - n * b) * math.log(self.x_series)
-            - np.log(n * b - p)
-        )
-        tail = float(np.sum(np.exp(log_t) * sgn) / math.pi)
+        # analytic tail: integrate the density series term by term
+        log_c, pow_, sgn = self._series[1]
+        expo = pow_ + 1.0 + p  # p - n beta < 0
+        tail = float(np.sum(sgn * np.exp(log_c + expo * math.log(self.x_series)) / -expo)
+                     / math.pi)
         return bulk + tail
+
+    @cached_property
+    def inverse_support_end(self) -> float:
+        """v beyond which the inverse-stable mixing factor
+        phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b) is < ~1e-19 (once per beta)."""
+        b = self.beta
+        v = 2.0
+        for _ in range(60):
+            f1 = float(self.pdf(np.array([v ** (-1.0 / b)]))[0])
+            if f1 * v ** (-1.0 - 1.0 / b) / b < 1e-19:
+                return v
+            v *= 1.3
+        raise ConvergenceError("could not bound the inverse-stable support")
 
     def mixture_nodes(self, x_hi: float, n_panels: int = 40, nodes_per_panel: int = 12):
         """Frozen quadrature rule (nodes, weights, pdf values) on (0, x_hi]."""

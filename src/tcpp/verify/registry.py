@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import comb
@@ -677,14 +678,33 @@ def equation_params(equation_id: str, params: dict | None = None) -> dict:
     return p
 
 
+def equation_points(equation_id: str, k_range=None) -> np.ndarray:
+    """The entry's counts k, or its space points x for an x-range entry.
+
+    `k_range` (default `default_range`) must be the counts 0, 1, ..., K in
+    order, because the shift operators read row i - 1 as count k - 1; or,
+    for an x-range entry, a nonempty list of finite numbers > 0.
+    """
+    x_points = REGISTRY[equation_id].range_kind == "x"
+    pts = REGISTRY[equation_id].default_range if k_range is None else k_range
+    ok = isinstance(pts, (list, tuple, np.ndarray)) and len(pts) > 0 and all(
+        not isinstance(v, bool) and (
+            isinstance(v, Real) and math.isfinite(v) and v > 0 if x_points
+            else isinstance(v, Integral) and v == i)
+        for i, v in enumerate(pts))
+    if not ok:
+        what = "a nonempty list of finite numbers > 0" if x_points else "the counts [0, 1, ..., K]"
+        raise DomainError(f"{equation_id}: k_range must be {what}, got {pts!r}")
+    return np.asarray(pts, dtype=float if x_points else int)
+
+
 def check_equation(equation_id: str, params: dict | None = None,
                    grid: GridSpec | None = None, k_range=None) -> ResidualReport:
     """Build tables, apply the equation's operators, grade the residuals."""
     p = equation_params(equation_id, params)
+    ks = equation_points(equation_id, k_range)
     eq = REGISTRY[equation_id]
     g = grid or eq.default_grid
-    rng = tuple(k_range) if k_range is not None else eq.default_range
-    ks = np.asarray(rng, dtype=float if eq.range_kind == "x" else int)
     levels_raw, scale, extras = eq.runner(p, g, ks)
     hs = [lv[0] for lv in levels_raw]
     maxs = [lv[1] for lv in levels_raw]

@@ -161,6 +161,22 @@ class TestVerifyCommand:
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("req", [
+        1,  # not an object
+        {"equation_id": "prop2.1", "k_range": "ab"},
+        {"equation_id": "prop2.1", "k_range": [-1, 0]},
+        {"equation_id": "prop2.1", "k_range": [0, 2]},  # a gap: the shifts need 0..K
+        {"equation_id": "ig-density-pde", "k_range": [0.5, -1.0]},
+        {"equation_id": "prop2.1", "extra": 1},  # unknown key: not silently ignored
+    ])
+    def test_bad_request_no_partial_run(self, tmp_path, req):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"equation_id": "deblassie(1/2)"}, req]))
+        out_dir = tmp_path / "out"
+        rc = main(["verify", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert not out_dir.exists()
+
     def test_grid_override_levels(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([{

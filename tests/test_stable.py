@@ -1,0 +1,122 @@
+"""The stable engine (tcpp.subordinators.stable) against independent routes."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import gammaln
+
+from tcpp.subordinators.stable import StableUnit, stable_unit
+
+
+def _zolotarev(beta, x):
+    """(pdf, cdf, sf) of D(1) at x from the Zolotarev integral, by mp.quad at
+    30 digits, split where A(theta) = 1/xi (the peak of A exp(-xi A))."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(30):
+        b = mpf(beta)
+        r = b / (1 - b)
+        x = mpf(x)
+        xi = x ** (-r)
+
+        memo = {}  # both integrals visit the same nodes
+
+        def log_a(th):
+            if th not in memo:
+                memo[th] = (mp.log(mp.sin((1 - b) * th)) + r * mp.log(mp.sin(b * th))
+                            - mp.log(abs(mp.sin(th))) / (1 - b))
+            return memo[th]
+
+        pts = [0, mp.pi]
+        if (1 - b) * b ** r * xi < 1:  # A(0+) < 1/xi: the peak is inside (0, pi)
+            lo, hi = mpf("1e-20"), mp.pi - mpf("1e-20")
+            for _ in range(100):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if log_a(mid) < -mp.log(xi) else (lo, mid)
+            pts = [0, lo, mp.pi]
+        pdf = mp.quad(lambda th: mp.exp(log_a(th) - xi * mp.exp(log_a(th))), pts)
+        cdf = mp.quad(lambda th: mp.exp(-xi * mp.exp(log_a(th))), pts) / mp.pi
+        pdf *= b / (1 - b) * x ** (-1 / (1 - b)) / mp.pi
+        return float(pdf), float(cdf), float(1 - cdf)
+
+
+class TestZolotarevOracle:
+    @pytest.mark.parametrize("beta", [0.25, 0.3, 0.7, 0.9, 0.95])
+    def test_pdf_cdf_sf(self, beta):
+        su = stable_unit(beta)
+        lo, hi = su.x_tiny, su.x_series
+        for x in (1.5 * lo, math.sqrt(lo * hi), 0.9 * hi, 1.1 * hi, 1e3 * hi):
+            want = _zolotarev(beta, x)
+            got = [float(f(np.array([x]))[0]) for f in (su.pdf, su.cdf, su.sf)]
+            for g, w in zip(got, want):
+                if w > 1e-280:
+                    assert abs(g - w) <= 1e-10 * w, (x, got, want)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.3, 0.7, 0.9, 0.95])
+    def test_deep_left_tail(self, beta):
+        # left of x_tiny the exponent exceeds 48: the pdf is the
+        # stretched-exponential asymptotic (a few per cent off there) and the
+        # cdf, below e^-48, is zero
+        su = stable_unit(beta)
+        x = su.x_tiny / 3
+        pdf, cdf, _ = _zolotarev(beta, x)
+        assert abs(su.pdf(np.array([x]))[0] - pdf) <= 5e-2 * pdf
+        assert su.cdf(np.array([x]))[0] == 0.0 and cdf < 1e-21
+        assert su.sf(np.array([x]))[0] == 1.0
+
+
+class TestPanelSplit:
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.95])
+    def test_newton_inverts_log_a(self, beta):
+        su = StableUnit(beta)
+        lo, hi = su._log_a_probe[0], su._log_a_probe[-1]
+        rng = np.random.default_rng(3)
+        target = np.concatenate([[lo, hi], np.linspace(lo, hi, 2001), rng.uniform(lo, hi, 500),
+                                 su._log_a_probe])
+        theta = su._theta_for_log_a(target)
+        assert np.all((theta > 0) & (theta < math.pi))
+        ok = np.abs(su._log_a(theta) - target) <= 1e-12 * np.maximum(1.0, np.abs(target))
+        assert np.all(ok[theta < math.pi - 1e-3])
+        # nearer pi log A is so steep that one ulp of theta can move it by
+        # more than that: there theta must be the root to a few ulps
+        step = 8 * np.finfo(float).eps * theta
+        at_root = (su._log_a(theta - step) <= target) & (target <= su._log_a(theta + step))
+        assert np.all(ok | at_root)
+
+    def test_out_of_range_targets_clamp(self):
+        su = StableUnit(0.3)
+        lo, hi = su._log_a_probe[0], su._log_a_probe[-1]
+        theta = su._theta_for_log_a(np.array([lo - 1.0, hi + 1e-9, hi + 50.0]))
+        assert theta[0] == su._theta_probe[0]
+        assert np.all(theta[1:] == math.pi - 1e-12)
+
+
+class TestTailSeries:
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.7, 0.9, 0.95])
+    @pytest.mark.parametrize("order_shift", [0, 1])
+    def test_trimmed_matches_full_sum(self, beta, order_shift):
+        su = StableUnit(beta)
+        x = np.geomspace(su.x_series, 1e8, 400)
+        n = np.arange(1, 501, dtype=float)
+        log_c = gammaln(n * beta + order_shift) - gammaln(n + 1.0)
+        terms = np.exp(log_c[None, :] - (n * beta + order_shift)[None, :] * np.log(x)[:, None])
+        sgn = np.where(n % 2 == 1, 1.0, -1.0) * np.sin(np.pi * n * beta)
+        full = np.sum(terms * sgn, axis=1) / math.pi
+        got, max_term = su._tail_series(x, order_shift)
+        assert su._series[order_shift][0].size < 500
+        assert np.all(np.abs(got - full) <= 1e-15 * np.abs(full))
+        assert np.array_equal(max_term, np.max(terms, axis=1) / math.pi)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+def test_inverse_support_end(beta):
+    # the first v on the grid 2 * 1.3^j where phi(v) = f1(v^(-1/b)) v^(-1-1/b) / b < 1e-19
+    su = stable_unit(beta)
+    v_hi = su.inverse_support_end
+    j = round(math.log(v_hi / 2.0) / math.log(1.3))
+    grid = 2.0 * 1.3 ** np.arange(j + 1)
+    phi = su.pdf(grid ** (-1.0 / beta)) * grid ** (-1.0 - 1.0 / beta) / beta
+    assert np.all(phi[:-1] >= 1e-19) and phi[-1] < 1e-19
+    assert v_hi == pytest.approx(grid[-1], rel=1e-12)
+    assert su.inverse_support_end is v_hi  # computed once per unit

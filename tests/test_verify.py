@@ -204,6 +204,15 @@ class TestCheckEquation:
         with pytest.raises(DomainError):
             check_equation("prop2.1", params=params)
 
+    @pytest.mark.parametrize("eq_id, k_range", [
+        ("prop2.1", "ab"), ("prop2.1", [-1, 0]), ("prop2.1", [1, 2, 3]), ("prop2.1", []),
+        ("prop2.1", [True]), ("prop2.1", [0.0, 1.0]), ("ig-density-pde", [0.4, math.inf]),
+        ("ig-density-pde", [0.0]),
+    ])
+    def test_bad_k_range_rejected(self, eq_id, k_range):
+        with pytest.raises(DomainError):
+            check_equation(eq_id, k_range=k_range)
+
     def test_prop21_k0_exact_identity(self):
         # a(a - 2 d g) = 2 d^2 lam for a = d g - d sqrt(g^2 + 2 lam): the k=0
         # closed form satisfies the DDE exactly, so every level is tiny
