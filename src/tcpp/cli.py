@@ -7,8 +7,9 @@ Subcommands:
     moments   closed-form IG time-change moments plus a pmf cross-check
 
 Exit codes: 0 success, 2 input error, 3 capability error (method not
-available for the spec), 4 verification failure.  The TCPP_SEED environment
-variable provides a seed when --seed is absent.
+available for the spec, or its route did not converge), 4 verification
+failure (a check failed, or raised: its report then has status "error").
+The TCPP_SEED environment variable provides a seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -19,19 +20,20 @@ import json
 import os
 import re
 import sys
+import traceback
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DomainError,
     NoDensityError,
-    RejectionBudgetError,
     UnknownEquationError,
 )
 from .subordinators.sampling import rng_stream, sample_path
-from .subordinators.spec import SubordinatorSpec, spec_from_json
+from .subordinators.spec import InverseOf, SubordinatorSpec, spec_from_json
 from .timechange import (
     PmfTable,
     _auto_kmax,
@@ -42,7 +44,7 @@ from .timechange import (
     pmf_table,
 )
 from .verify.registry import check_equation, equation_params, equation_points
-from .verify.report import GridSpec
+from .verify.report import ErrorReport, GridSpec
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -82,6 +84,8 @@ def _write_table(table: PmfTable, out: str):
 def _bessel_table(spec, lam: float, t: float, kmax: int | None) -> PmfTable:
     """Closed-form IG table; kmax by default from the clock's closed moments,
     checked against the Bessel tail 1 - sum_{j <= k} p_j."""
+    if kmax is not None and kmax < 0:
+        raise DomainError("kmax must be >= 0")
     delta, gamma = spec.bessel_params()
 
     def pmf(k):
@@ -107,32 +111,28 @@ def cmd_pmf(args) -> int:
         return EXIT_INPUT
     method = args.method
     bessel = spec.bessel_params()
-    has_density = spec.mixing_law() is not None
     if method == "auto":
-        method = "bessel" if bessel else ("quadrature" if has_density else "mc")
+        method = ("bessel" if bessel else "pgf" if not isinstance(spec, InverseOf)
+                  else "quadrature" if spec.mixing_law() is not None else "mc")
     try:
         if method == "bessel":
             if not bessel:
                 print(
                     "error: Bessel closed form needs an IG spec with gamma > 0; "
-                    "use --method quadrature",
+                    "use --method pgf",
                     file=sys.stderr,
                 )
                 return EXIT_CAPABILITY
             table = _bessel_table(spec, lam, t, args.kmax)
-        elif method == "quadrature":
-            if not has_density:
-                print(f"error: {spec.label()} has no density evaluator; use --method mc",
-                      file=sys.stderr)
-                return EXIT_CAPABILITY
-            table = pmf_table(t, lam, spec, kmax=args.kmax)
+        elif method in ("pgf", "quadrature"):
+            table = pmf_table(t, lam, spec, kmax=args.kmax, method=method)
         elif method == "mc":
             count = args.count if args.count is not None else 100000
             table = pmf_monte_carlo(t, lam, spec, count, _default_seed(args.seed),
                                     kmax=args.kmax)
         else:  # pragma: no cover - argparse restricts choices
             return EXIT_INPUT
-    except (RejectionBudgetError, NoDensityError) as exc:
+    except (ConvergenceError, NoDensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except DomainError as exc:
@@ -208,13 +208,18 @@ def _load_campaign(path: str | None) -> list:
 
 
 def _run_request(req: dict):
+    """The request's ResidualReport, or an ErrorReport when its check raised."""
     grid = GridSpec(**req["grid"]) if "grid" in req else None
-    return check_equation(
-        req["equation_id"],
-        params=req.get("params"),
-        grid=grid,
-        k_range=req.get("k_range"),
-    )
+    try:
+        return check_equation(
+            req["equation_id"],
+            params=req.get("params"),
+            grid=grid,
+            k_range=req.get("k_range"),
+        )
+    except Exception as exc:  # one broken check must not lose the rest of the campaign
+        return ErrorReport(req["equation_id"], req.get("params"),
+                           f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
 def cmd_verify(args) -> int:
@@ -232,13 +237,20 @@ def cmd_verify(args) -> int:
         (out_dir / fname).write_text(report.to_json() + "\n")
     with (out_dir / "summary.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
+        # the pass column reads true, false, or error for a check that raised
         writer.writerow(["equation_id", "finest_residual", "order", "pass"])
         for report in reports:
+            if isinstance(report, ErrorReport):
+                writer.writerow([report.equation_id, "", "", "error"])
+                continue
             order = "" if report.estimated_order is None else _fmt(report.estimated_order)
             writer.writerow([report.equation_id, _fmt(report.finest_residual),
                              order, str(bool(report.passed)).lower()])
     n_pass = sum(1 for r in reports if r.passed)
     for report in reports:
+        if isinstance(report, ErrorReport):
+            print(f"{report.equation_id:22s} ERROR {report.error}")
+            continue
         status = "pass" if report.passed else "FAIL"
         extra = "floor-limited" if report.floor_limited else (
             f"order={report.estimated_order:.2f}" if report.estimated_order is not None else ""
@@ -282,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="subordinator spec JSON (inline or file path)")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--method", choices=["auto", "bessel", "quadrature", "mc"], default="auto")
+    p.add_argument("--method", choices=["auto", "bessel", "pgf", "quadrature", "mc"],
+                   default="auto", help="auto tries bessel, pgf, quadrature, mc in turn")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--count", type=int, default=None, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=None)

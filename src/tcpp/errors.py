@@ -22,7 +22,8 @@ class GridTooCoarseError(ValueError):
 
 
 class NoDensityError(ValueError):
-    """The process specification has no quadrature-ready density evaluator."""
+    """The process specification has no evaluator for the requested route:
+    a density for quadrature, or a Laplace exponent for the PGF inversion."""
 
 
 class RejectionBudgetError(ConvergenceError):

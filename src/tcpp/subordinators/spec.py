@@ -1,10 +1,11 @@
 """The time-change processes: one object per clock, and its JSON wire format.
 
-Each process class owns everything tcpp does with its clock: its density,
-the pieces of a frozen quadrature rule for the Poisson mixture (nodes and
-weights, the per-t (x, weight * density), the survivor mass beyond the node
-window, the mixing moments and a tolerance floor), its increment sampler
-and its first-passage scale.  `Composition` and `InverseOf` are combinators:
+Each process class owns everything tcpp does with its clock: its Laplace
+exponent phi(s), with E e^{-s X(t)} = e^{-t phi(s)}, its density, the pieces
+of a frozen quadrature rule for the Poisson mixture (nodes and weights, the
+per-t (x, weight * density), the survivor mass beyond the node window, the
+mixing moments and a tolerance floor), its increment sampler and its
+first-passage scale.  `Composition` and `InverseOf` are combinators:
 a composition of stable laws answers as one stable law with the product of
 the indices, any other composition chains its parts' increments, and an
 inverse asks its base for a hitting route (`hitting()`).
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError, DomainError
+from ..errors import ConvergenceError, DomainError, NoDensityError
 from ..quadrules import gauss_panels, linear_panel_edges, log_panel_edges
 from .densities import (
     hitting_time_density_ig,
@@ -104,6 +105,11 @@ class SubordinatorSpec(Clock):
         """(delta, gamma) when the count law has the closed Bessel form, else None."""
         return None
 
+    def phi(self, s):
+        """Laplace exponent at complex s, Re s > 0 (principal branches), vectorized."""
+        raise NoDensityError(f"{self.label()} is not a Levy clock: it has no Laplace "
+                             "exponent (use the quadrature route)")
+
     def path(self, rng, t_grid, paths: int, rtol: float):
         """`paths` trajectories on t_grid from independent increments."""
         dts = np.diff(np.concatenate([[0.0], t_grid]))
@@ -131,6 +137,10 @@ class InverseGaussian(SubordinatorSpec):
 
     def bessel_params(self):
         return (self.delta, self.gamma) if self.gamma > 0 else None
+
+    def phi(self, s):
+        g = self.gamma
+        return self.delta * (np.sqrt(g * g + 2.0 * np.asarray(s, dtype=complex)) - g)
 
     def density(self, x, t):
         return ig_density(x, t, self.delta, self.gamma)
@@ -177,6 +187,9 @@ class Stable(SubordinatorSpec):
     def to_dict(self):
         return {"type": "stable", "beta": self.beta}
 
+    def phi(self, s):
+        return np.asarray(s, dtype=complex) ** self.beta
+
     def density(self, x, t):
         return stable_density(x, t, self.beta)
 
@@ -221,6 +234,10 @@ class TemperedStable(SubordinatorSpec):
 
     def to_dict(self):
         return {"type": "tempered", "beta": self.beta, "mu": self.mu}
+
+    def phi(self, s):
+        b, mu = self.beta, self.mu
+        return (np.asarray(s, dtype=complex) + mu) ** b - mu ** b
 
     def density(self, x, t):
         return tempered_stable_density(x, t, self.beta, self.mu)
@@ -278,6 +295,13 @@ class Composition(SubordinatorSpec):
 
     def to_dict(self):
         return {"type": "compose", "parts": [p.to_dict() for p in self.parts]}
+
+    def phi(self, s):
+        # E e^{-s A(B(t))} = E e^{-B(t) phi_A(s)}: the outermost part's exponent
+        # is applied first, and Bernstein functions keep Re s > 0
+        for part in self.parts:
+            s = part.phi(s)
+        return s
 
     def mixing_law(self):
         # stable laws compose to the stable law of the product index

@@ -1,5 +1,10 @@
 """Pmf, moment, and waiting-time computations for time-changed Poisson counts.
 
+A Levy clock X (every clock but an inverse one) has the closed generating
+function E u^{N(X(t))} = exp(-t phi_X(lam (1 - u))); `pmf_table` inverts it
+by one FFT on the circle |u| = r (Abate & Whitt 1992).  Inverse clocks take
+the quadrature route below, which also serves as the independent oracle.
+
 The mixture identity P(N(X(t)) = k) = int p_k(x) dens_X(x, t) dx is evaluated
 against frozen composite Gauss-Legendre rules.  A rule's nodes are built once
 per (spec, lambda, time-window, kmax) and shared by every t in the window and
@@ -278,7 +283,9 @@ class PmfTable:
     stderr: np.ndarray | None = None
     seed: int | None = None
     method: str = "quadrature"
-    tol: float = 1e-10
+    # the route's own diagnostics: pgf radius, nodes and aliasing bound;
+    # quadrature rule nodes and tol
+    route: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -306,11 +313,16 @@ class PmfTable:
             "stderr": None if self.stderr is None else [float(s) for s in self.stderr],
             "seed": self.seed,
             "method": self.method,
-            "tolerances": {"quadrature_abs": self.tol},
+            "route": self.route,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PmfTable":
+        method = d.get("method", "quadrature")
+        route = d.get("route")
+        if route is None:  # the older form kept only the quadrature tolerance
+            old_tol = d.get("tolerances", {}).get("quadrature_abs")
+            route = {"tol": float(old_tol)} if method == "quadrature" and old_tol else {}
         return cls(
             spec=spec_from_dict(d["spec"]),
             lam=float(d["lambda"]),
@@ -320,8 +332,8 @@ class PmfTable:
             tail_bound=float(d["tail_bound"]),
             stderr=None if d.get("stderr") is None else np.asarray(d["stderr"], dtype=float),
             seed=d.get("seed"),
-            method=d.get("method", "quadrature"),
-            tol=float(d.get("tolerances", {}).get("quadrature_abs", 1e-10)),
+            method=method,
+            route=dict(route),
         )
 
     def to_json(self) -> str:
@@ -383,10 +395,26 @@ def pmf_quadrature(k: int, t: float, lam: float, spec: SubordinatorSpec,
 
 
 def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = None,
-              tol: float = 1e-10) -> PmfTable:
-    """Full quadrature PmfTable with an honest tail bound."""
+              tol: float = 1e-10, method: str = "auto") -> PmfTable:
+    """PmfTable for k = 0..kmax with an honest tail bound.
+
+    method "pgf" inverts the generating function of a Levy clock (see
+    `_pgf_values`); "quadrature" sums the Poisson mixture against a frozen
+    rule settled to `tol`; "auto" takes the PGF route for every clock but an
+    inverse one.  Without kmax, the PGF route takes the smallest K <= 2000
+    whose tail bound is below 1e-10, and quadrature grows K from a moment
+    bound by factors of 1.4 until its tail is.
+    """
     if t <= 0 or lam <= 0:
         raise DomainError("pmf_table requires t > 0 and lambda > 0")
+    if kmax is not None and kmax < 0:
+        raise DomainError("kmax must be >= 0")
+    if method == "auto":
+        method = "quadrature" if isinstance(spec, InverseOf) else "pgf"
+    if method == "pgf":
+        return _pgf_table(t, lam, spec, kmax)
+    if method != "quadrature":
+        raise DomainError(f"unknown pmf method '{method}'")
     rule = mixture_rule(spec, lam, t, t, kmax if kmax is not None else 64, tol)
     if kmax is None:
         kmax = _auto_kmax(rule.mixing_moments(t), lam,
@@ -396,7 +424,51 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     values = rule.pmf_matrix(np.array([t]), ks)[:, 0]
     tail = float(rule.tail_mass(np.array([t]), kmax)[0])
     return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=np.clip(values, 0.0, 1.0),
-                    tail_bound=tail, method="quadrature", tol=tol)
+                    tail_bound=tail, method="quadrature",
+                    route={"nodes": int(rule.nodes.size), "tol": tol})
+
+
+_PGF_DIGITS = 13
+_PGF_ALIAS = 10.0 ** -_PGF_DIGITS / (1.0 - 10.0 ** -_PGF_DIGITS)  # r^N / (1 - r^N)
+_KMAX_CAP = 2000
+
+
+def _pgf_values(t: float, lam: float, spec: SubordinatorSpec, n: int):
+    """(raw p_k for k < n/4, radius r) from n points of G(u) = E u^{N(X(t))}.
+
+    On u_j = r e^{2 pi i j/n}, r = 10^(-d/n), FFT(G)[k] / (n r^k) is p_k plus
+    the aliased sum_{m >= 1} p_{k+mn} r^{mn} <= r^n / (1 - r^n) = 10^-d.  G is
+    Hermitian in j, so half the circle gives the real transform.  Rounding
+    is amplified by r^-k <= 10^(d/4): the far values carry absolute noise
+    near 1e-14, enough for mass but not for k^2-weighted sums.
+    """
+    r = 10.0 ** (-_PGF_DIGITS / n)
+    u = r * np.exp(2j * math.pi * np.arange(n // 2 + 1) / n)
+    g = np.exp(-t * spec.phi(lam * (1.0 - u)))
+    k = np.arange(n // 4)
+    return np.fft.hfft(g, n)[: n // 4] / (n * r ** k), r
+
+
+def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> PmfTable:
+    n_cap = 4 * (_KMAX_CAP + 1)
+    n = 256 if kmax is None else max(256, 4 * (kmax + 1))
+    raw, r = _pgf_values(t, lam, spec, n)
+    while kmax is None:
+        # the smallest K whose tail bound is below 1e-10; else double n, up to the cap
+        below = np.flatnonzero(1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS < 1e-10)
+        if below.size or n == n_cap:
+            kmax = int(below[0]) if below.size else _KMAX_CAP
+        else:
+            n = min(2 * n, n_cap)
+            raw, r = _pgf_values(t, lam, spec, n)
+    raw = raw[: kmax + 1]
+    if not np.all(np.isfinite(raw)) or np.min(raw) < -1e-12:
+        raise ConvergenceError(f"PGF inversion for {spec.label()} gave a value "
+                               f"{np.min(raw):.3g} below -1e-12")
+    values = np.clip(raw, 0.0, 1.0)
+    tail = max(0.0, 1.0 - float(np.sum(values))) + _PGF_ALIAS
+    return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=values, tail_bound=tail,
+                    method="pgf", route={"radius": r, "nodes": n, "aliasing_bound": _PGF_ALIAS})
 
 
 def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
@@ -404,6 +476,8 @@ def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
     """Empirical pmf from `count` sampled clock values and Poisson draws."""
     if count < 1000:
         raise DomainError("pmf_monte_carlo needs count >= 1000")
+    if kmax is not None and kmax < 0:
+        raise DomainError("kmax must be >= 0")
     clock = sample(spec, t, count, seed, stream=0)
     rng = rng_stream(seed, 1)
     # heavy-tailed clocks produce astronomically large means in a few draws;
@@ -445,12 +519,17 @@ def ig_moment_table(t: float, lam: float, delta: float, gamma: float,
     """PmfTable deep enough that even the k^2-weighted tail is below tol.
 
     Second-moment summation needs far more of the sub-exponential tail than
-    pmf mass does: the table grows until tail_bound * kmax^2 < tol.
+    pmf mass does: the table grows until tail_bound * kmax^2 < tol.  It stays
+    on the quadrature route: the PGF route's tail bound carries the 1e-13
+    aliasing floor, which times kmax^2 (kmax ~ 1000 at lambda = 2, gamma =
+    0.5, t = 5) never drops below 1e-7, and its far-tail values are rounding
+    noise near 1e-14, absolute, which a k^2-weighted sum cannot absorb.
     """
     mean, var = moments_ig(t, lam, delta, gamma)
     kmax = max(256, int(mean + 70.0 * math.sqrt(var) + 70.0))
     while kmax < 20000:
-        table = pmf_table(t, lam, InverseGaussian(delta, gamma), kmax=kmax)
+        table = pmf_table(t, lam, InverseGaussian(delta, gamma), kmax=kmax,
+                          method="quadrature")
         if table.tail_bound * kmax * kmax < tol:
             return table
         kmax = int(1.5 * kmax)

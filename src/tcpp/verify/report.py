@@ -83,6 +83,27 @@ class ResidualReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+@dataclass
+class ErrorReport:
+    """A request whose check raised instead of reporting: it does not pass."""
+
+    equation_id: str
+    params: dict | None
+    error: str
+    traceback: str
+    passed = False  # a class constant, not a field
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "equation_id": self.equation_id,
+            "params": self.params,
+            "status": "error",
+            "pass": False,
+            "error": self.error,
+            "traceback": self.traceback,
+        }, indent=2)
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}

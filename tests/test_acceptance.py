@@ -59,8 +59,9 @@ def _report(number: int, name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_01_triple_agreement():
-    """Bessel closed form, quadrature, and Monte Carlo agree for N(G(t))."""
+    """Bessel closed form, quadrature, PGF inversion and Monte Carlo agree for N(G(t))."""
     worst_pair = 0.0
+    worst_pgf = 0.0
     worst_z = 0.0
     n = 100_000
     for i, (lam, delta, gamma, t) in enumerate(CRIT_GRID):
@@ -68,15 +69,18 @@ def test_criterion_01_triple_agreement():
         bessel = np.array([pmf_bessel_ig(k, t, lam, delta, gamma) for k in range(31)])
         quadr = np.array([pmf_quadrature(k, t, lam, spec) for k in range(31)])
         worst_pair = max(worst_pair, float(np.max(np.abs(bessel - quadr))))
+        pgf = pmf_table(t, lam, spec, kmax=30, method="pgf").values
+        worst_pgf = max(worst_pgf, float(np.max(np.abs(bessel - pgf))))
         mc = pmf_monte_carlo(t, lam, spec, n, seed=1000 + i, kmax=30)
         se = np.sqrt(bessel * (1.0 - bessel) / n)
         z = np.abs(mc.values - bessel) / np.maximum(se, 1e-300)
         # far-tail bins with true mass below 1/n carry no draws; the binomial
         # deviation |0 - p| <= 4 sqrt(p/n) there holds automatically
         worst_z = max(worst_z, float(np.max(z[bessel > 1e-12])))
-    ok = worst_pair <= 1e-8 and worst_z <= 4.0
+    ok = worst_pair <= 1e-8 and worst_pgf <= 1e-12 and worst_z <= 4.0
     _report(1, "triple agreement", ok,
-            f"max|bessel-quad|={worst_pair:.2e}, max MC z={worst_z:.2f}")
+            f"max|bessel-quad|={worst_pair:.2e}, max|bessel-pgf|={worst_pgf:.2e}, "
+            f"max MC z={worst_z:.2f}")
 
 
 def test_criterion_02_closed_form_anchor():

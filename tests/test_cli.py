@@ -51,6 +51,54 @@ class TestPmfCommand:
         table = PmfTable.from_dict(json.loads(out.read_text()))
         assert table.spec.to_dict() == {"type": "tempered", "beta": 0.5, "mu": 1.0}
 
+    @pytest.mark.parametrize("spec,method", [
+        ('{"type":"stable","beta":0.5}', "auto"),
+        ('{"type":"stable","beta":0.5}', "pgf"),
+        ('{"type":"stable","beta":0.5}', "quadrature"),
+        (IG_SPEC, "bessel"),
+        ('{"type":"stable","beta":0.5}', "mc"),
+    ])
+    def test_negative_kmax_is_input_error(self, tmp_path, capsys, spec, method):
+        out = tmp_path / "t.csv"
+        rc = main(["pmf", "--spec", spec, "--lambda", "1", "--t", "1", "--method", method,
+                   "--kmax", "-1", "--out", str(out)])
+        assert rc == 2
+        assert "kmax" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_auto_takes_pgf_for_ig_tempered_composition(self, tmp_path):
+        out = tmp_path / "c.json"
+        spec = ('{"type":"compose","parts":[{"type":"ig","delta":1,"gamma":1},'
+                '{"type":"tempered","beta":0.4,"mu":1}]}')
+        rc = main(["pmf", "--spec", spec, "--lambda", "1", "--t", "1", "--out", str(out)])
+        assert rc == 0
+        d = json.loads(out.read_text())
+        assert d["method"] == "pgf" and d["tail_bound"] < 1e-10
+
+    def test_auto_keeps_bessel_then_quadrature_for_inverse(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["pmf", "--spec", IG_SPEC, "--lambda", "1", "--t", "1",
+                     "--out", str(a)]) == 0
+        assert json.loads(a.read_text())["method"] == "bessel"
+        inv = '{"type":"inverse","base":{"type":"stable","beta":0.5}}'
+        assert main(["pmf", "--spec", inv, "--lambda", "1", "--t", "1",
+                     "--out", str(b)]) == 0
+        assert json.loads(b.read_text())["method"] == "quadrature"
+
+    def test_pgf_on_inverse_is_capability_error(self, tmp_path, capsys):
+        rc = main(["pmf", "--spec", '{"type":"inverse","base":{"type":"stable","beta":0.5}}',
+                   "--lambda", "1", "--t", "1", "--method", "pgf",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+        assert "Laplace exponent" in capsys.readouterr().err
+
+    def test_quadrature_still_forced(self, tmp_path):
+        out = tmp_path / "t.json"
+        rc = main(["pmf", "--spec", '{"type":"tempered","beta":0.5,"mu":1}', "--lambda", "1",
+                   "--t", "1", "--method", "quadrature", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["method"] == "quadrature"
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TCPP_SEED", "99")
         a = tmp_path / "a.csv"
@@ -176,6 +224,30 @@ class TestVerifyCommand:
         rc = main(["verify", "--config", str(cfg), "--out-dir", str(out_dir)])
         assert rc == 2
         assert not out_dir.exists()
+
+    def test_raising_check_is_reported_not_fatal(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from tcpp.verify import registry
+
+        def boom(params, grid, ks):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setitem(registry.REGISTRY, "deblassie(1/2)",
+                            replace(registry.REGISTRY["deblassie(1/2)"], runner=boom))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"equation_id": "deblassie(1/2)"},
+                                   {"equation_id": "prop2.1"}]))
+        out_dir = tmp_path / "out"
+        rc = main(["verify", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert rc == 4
+        err = json.loads((out_dir / "deblassie_1_2_.json").read_text())
+        assert err["status"] == "error" and err["pass"] is False
+        assert "injected failure" in err["error"] and "RuntimeError" in err["traceback"]
+        assert json.loads((out_dir / "prop2.1.json").read_text())["pass"] is True
+        summary = list(csv.reader((out_dir / "summary.csv").open()))
+        assert summary[1] == ["deblassie(1/2)", "", "", "error"]
+        assert summary[2][0] == "prop2.1" and summary[2][3] == "true"
 
     def test_grid_override_levels(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -94,6 +94,15 @@ class TestTransformOracles:
             m, se = _emp_lt(vals, s)
             assert abs(m - math.exp(-(s ** 0.25))) <= 4.0 * se
 
+    def test_asymmetric_composition_laplace(self):
+        # IG(1,1) run on a tempered(0.4,1) clock: exponent phi_T(phi_IG(s)),
+        # which the mirrored order phi_IG(phi_T(s)) misses by tens of SE
+        spec = Composition((InverseGaussian(1.0, 1.0), TemperedStable(0.4, 1.0)))
+        vals = sample(spec, 1.0, 200_000, seed=17).values
+        for s in (0.5, 1.0, 2.0):
+            m, se = _emp_lt(vals, s)
+            assert abs(m - math.exp(-spec.phi(s).real)) <= 4.0 * se
+
     def test_inverse_stable_mittag_leffler(self):
         from tcpp.specfun import mittag_leffler
 

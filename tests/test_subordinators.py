@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from tcpp.errors import DivergenceError, DomainError
+from tcpp.errors import DivergenceError, DomainError, NoDensityError
 from tcpp.specfun import laplace_numeric
 from tcpp.subordinators.densities import (
     _inverse_tempered_quadrature,
@@ -69,6 +69,51 @@ class TestSpecTypes:
         spec = Composition((Stable(0.5), Stable(0.5), Stable(0.5)))
         assert flatten_stable_composition(spec) == pytest.approx(0.125)
         assert flatten_stable_composition(InverseGaussian(1, 1)) is None
+
+
+class TestLaplaceExponent:
+    """phi(s) against the analytic exponents of criterion 08, real and complex s."""
+
+    S_GRID = [0.5, 1.0, 2.0, 0.5 + 1.0j, 1.0 - 2.0j, 3.0 + 0.25j]
+
+    @pytest.mark.parametrize("spec,want", [
+        (InverseGaussian(1.0, 1.0), lambda s: np.sqrt(1 + 2 * s) - 1),
+        (InverseGaussian(1.0, 0.0), lambda s: np.sqrt(2 * s)),
+        (Stable(0.25), lambda s: s ** 0.25),
+        (Stable(0.5), lambda s: s ** 0.5),
+        (Stable(0.7), lambda s: s ** 0.7),
+        (TemperedStable(0.5, 1.0), lambda s: (s + 1) ** 0.5 - 1),
+        (Composition((Stable(0.5), Stable(0.5))), lambda s: s ** 0.25),
+    ], ids=["ig", "ig-gamma0", "stable0.25", "stable0.5", "stable0.7", "tempered",
+            "stable0.5^2"])
+    def test_matches_analytic(self, spec, want):
+        s = np.array(self.S_GRID)
+        assert np.max(np.abs(spec.phi(s) - want(s))) <= 1e-14
+        assert np.all(spec.phi(s).real > 0)
+
+    @pytest.mark.parametrize("spec", [
+        InverseGaussian(1.0, 1.0), Stable(0.5), TemperedStable(0.3, 1.0),
+        Composition((Stable(0.5), Stable(0.5))),
+    ], ids=["ig", "stable", "tempered", "stable0.5^2"])
+    def test_density_transform_at_complex_s(self, spec):
+        # int e^{-s x} f(x, 1) dx on the frozen quadrature rule equals e^{-phi(s)}
+        from tcpp.timechange import mixture_rule
+
+        rule = mixture_rule(spec, 1.0, 1.0, 1.0, 64)
+        x, wd = rule.law.weighted(rule, 1.0)
+        for s in self.S_GRID:
+            assert abs(np.sum(wd * np.exp(-s * x)) - np.exp(-spec.phi(s))) <= 1e-12
+
+    def test_composition_chains_outermost_first(self):
+        ig, tem = InverseGaussian(1.0, 1.0), TemperedStable(0.4, 1.0)
+        s = np.array(self.S_GRID)
+        assert np.array_equal(Composition((ig, tem)).phi(s), tem.phi(ig.phi(s)))
+        assert np.max(np.abs(Composition((ig, tem)).phi(s)
+                             - Composition((tem, ig)).phi(s))) > 1e-2
+
+    def test_inverse_clock_has_no_exponent(self):
+        with pytest.raises(NoDensityError):
+            InverseOf(Stable(0.5)).phi(1.0)
 
 
 class TestIGDensity:

@@ -1,12 +1,13 @@
 """Pmf, moment, and waiting-time computations for time-changed counts."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import erfc, gammaln
 
-from tcpp.errors import DomainError, NoDensityError
+from tcpp.errors import ConvergenceError, DomainError, NoDensityError
 from tcpp.specfun import mittag_leffler
 from tcpp.subordinators.spec import (
     Composition,
@@ -205,6 +206,77 @@ class TestBandedKernel:
                         rule.weights[::-1], rule.dens[::-1], rule.x_hi)
 
 
+class TestPgfRoute:
+    KMAX2000 = [Stable(0.3), Stable(0.5), Stable(0.7), InverseGaussian(1.0, 0.0),
+                Composition((Stable(0.5), Stable(0.5))), TemperedStable(0.3, 1.0),
+                TemperedStable(0.5, 1.0)]
+
+    @pytest.mark.parametrize("spec", KMAX2000, ids=[
+        "stable0.3", "stable0.5", "stable0.7", "ig-gamma0", "stable0.5^2", "tempered0.3",
+        "tempered0.5"])
+    def test_matches_quadrature_at_kmax_2000(self, spec):
+        pgf = pmf_table(1.0, 1.0, spec, kmax=2000, method="pgf")
+        quad = pmf_table(1.0, 1.0, spec, kmax=2000, method="quadrature")
+        assert pgf.method == "pgf" and quad.method == "quadrature"
+        assert np.max(np.abs(pgf.values - quad.values)) <= 1e-12
+        assert abs(pgf.tail_bound - quad.tail_bound) <= 1e-12
+
+    @pytest.mark.parametrize("lam,t", [(0.5, 0.5), (2.0, 1.0), (2.0, 5.0)])
+    def test_ig_matches_bessel(self, lam, t):
+        table = pmf_table(t, lam, InverseGaussian(1.0, 0.5), kmax=300, method="pgf")
+        bessel = np.array([pmf_bessel_ig(k, t, lam, 1.0, 0.5) for k in range(301)])
+        assert np.max(np.abs(table.values - bessel)) <= 1e-12
+
+    def test_auto_routes(self):
+        assert pmf_table(1.0, 1.0, Stable(0.5), kmax=8).method == "pgf"
+        assert pmf_table(1.0, 1.0, InverseOf(Stable(0.5)), kmax=8).method == "quadrature"
+        with pytest.raises(NoDensityError):
+            pmf_table(1.0, 1.0, InverseOf(Stable(0.5)), kmax=8, method="pgf")
+        with pytest.raises(DomainError):
+            pmf_table(1.0, 1.0, Stable(0.5), method="fft")
+
+    def test_auto_kmax_is_smallest_with_tail_below_1e_10(self):
+        table = pmf_table(1.0, 2.0, InverseGaussian(1.0, 1.0))
+        assert table.tail_bound < 1e-10
+        # one count fewer leaves more than 1e-10 behind
+        assert table.tail_bound + table.values[-1] >= 1e-10
+        heavy = pmf_table(1.0, 1.0, Stable(0.5))
+        assert heavy.kmax == 2000 and heavy.route["nodes"] == 8004
+
+    def test_tail_bound_includes_aliasing(self):
+        table = pmf_table(1.0, 1.0, TemperedStable(0.5, 1.0), kmax=64)
+        alias = table.route["aliasing_bound"]
+        assert table.route["radius"] ** table.route["nodes"] == pytest.approx(1e-13, rel=1e-9)
+        assert alias == pytest.approx(1e-13, rel=1e-9)
+        assert table.tail_bound >= alias
+        assert abs(table.normalization_defect) <= 2 * alias
+
+    def test_negative_coefficient_raises(self):
+        class NotBernstein(Stable):
+            # exp(-(1-u)^2) has negative u^3 coefficient: not a pgf
+            def phi(self, s):
+                return np.asarray(s, dtype=complex) ** 2
+
+        with pytest.raises(ConvergenceError):
+            pmf_table(1.0, 1.0, NotBernstein(0.5), kmax=8, method="pgf")
+
+    def test_ig_tempered_composition_matches_monte_carlo(self):
+        # no density evaluator, so Monte Carlo is the oracle: each cell within
+        # 4 SE, widened by Bonferroni over the cells, plus a 5-draw floor
+        from statistics import NormalDist
+
+        spec = Composition((InverseGaussian(1.0, 1.0), TemperedStable(0.4, 1.0)))
+        table = pmf_table(1.0, 1.0, spec)
+        assert table.method == "pgf" and table.tail_bound < 1e-10
+        n = 400_000
+        mc = pmf_monte_carlo(1.0, 1.0, spec, n, seed=2026, kmax=table.kmax)
+        p = np.append(table.values, table.tail_bound)
+        q = np.append(mc.values, mc.tail_bound)
+        z = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-4.0) / p.size)
+        allowed = z * np.sqrt(p * (1.0 - p) / n) + 5.0 / n
+        assert np.all(np.abs(q - p) <= allowed)
+
+
 class TestMonteCarloPmf:
     def test_within_4se_of_bessel(self):
         table = pmf_monte_carlo(1.0, 1.0, InverseGaussian(1.0, 1.0), 100_000, seed=77)
@@ -352,6 +424,36 @@ class TestPmfTableSerialization:
         table = pmf_monte_carlo(1.0, 1.0, InverseGaussian(1.0, 1.0), 2000, seed=3)
         rows = list(table.csv_rows())
         assert rows[0] == ["k", "value", "stderr"]
+
+    def test_pgf_provenance_round_trip(self):
+        table = pmf_table(1.0, 1.0, Stable(0.5), kmax=40)
+        d = table.to_dict()
+        assert d["method"] == "pgf"
+        assert set(d["route"]) == {"radius", "nodes", "aliasing_bound"}
+        assert d["route"]["nodes"] == 256
+        again = PmfTable.from_dict(json.loads(table.to_json()))
+        assert again.route == table.route and again.method == "pgf"
+        assert np.array_equal(again.values, table.values)
+
+    def test_quadrature_provenance_round_trip(self):
+        table = pmf_table(1.0, 1.0, InverseOf(Stable(0.5)), kmax=12, tol=1e-11)
+        d = table.to_dict()
+        assert d["route"] == {"nodes": mixture_rule(InverseOf(Stable(0.5)), 1.0, 1.0, 1.0,
+                                                    12, 1e-11).nodes.size,
+                              "tol": 1e-11}
+        assert "tolerances" not in d
+        assert PmfTable.from_dict(json.loads(table.to_json())).route == d["route"]
+
+    def test_loads_older_json(self):
+        # the form written before route diagnostics: one quadrature tolerance
+        d = pmf_table(1.0, 1.0, TemperedStable(0.5, 1.0), kmax=12,
+                      method="quadrature").to_dict()
+        del d["route"]
+        d["tolerances"] = {"quadrature_abs": 1e-10}
+        table = PmfTable.from_dict(d)
+        assert table.method == "quadrature" and table.route == {"tol": 1e-10}
+        d.update(method="mc", stderr=[0.0] * 13, seed=3)
+        assert PmfTable.from_dict(d).route == {}
 
     def test_gross_normalization_violation_rejected(self):
         with pytest.raises(DomainError):
