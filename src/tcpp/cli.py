@@ -166,6 +166,9 @@ def cmd_simulate(args) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
     if args.lam is not None:
         # time-changed Poisson counts: accumulate Poisson increments over the
         # nondecreasing clock increments so each row is a genuine count path

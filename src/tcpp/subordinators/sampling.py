@@ -21,8 +21,12 @@ Sampler routes (each process class in tcpp.subordinators.spec picks its own):
   H(t) = M(t)/delta for a drifted Brownian motion, and so does the tempered
   1/2-stable base, which is IG(1/sqrt 2, sqrt(2 mu)); anything else walks the
   base path on a geometrically growing committed grid until it crosses t,
-  bracketing the crossing to a relative tolerance.  Paths of every inverse
+  bracketing the crossing to a relative tolerance.  The grid is the same for
+  every path, so the walk draws it in blocks of steps, one increment call per
+  block for all paths still below the last level.  Paths of every inverse
   process come from that walk.
+
+Subordinator paths draw every increment of the time grid in one call.
 """
 
 from __future__ import annotations
@@ -104,26 +108,26 @@ def _sample_tempered(rng, t, beta, mu, n=None, budget_factor=400):
     """Tilting rejection: propose stable, accept with prob exp(-mu X)."""
     t = np.asarray(t, dtype=float)
     size = t.shape if n is None else (n,)
-    t_b = np.broadcast_to(t, size)
-    accept_rate = math.exp(-(mu ** beta) * float(np.max(t_b)))
+    t_flat = np.broadcast_to(t, size).ravel()
+    accept_rate = math.exp(-(mu ** beta) * float(np.max(t_flat)))
     if accept_rate < 1e-8:
         raise RejectionBudgetError(
             f"tilting acceptance ~exp(-mu^beta t) = {accept_rate:.2e} is too small"
         )
-    out = np.empty(size, dtype=float)
-    pending = np.ones(size, dtype=bool)
+    out = np.empty(t_flat.size, dtype=float)
+    pending = np.ones(t_flat.size, dtype=bool)
     rounds = 0
     max_rounds = int(budget_factor / accept_rate) + 20
     while np.any(pending):
         rounds += 1
         if rounds > max_rounds:
             raise RejectionBudgetError("tempered stable rejection budget exceeded")
-        idx = np.nonzero(pending)[0]
-        x = _sample_stable(rng, t_b.ravel()[idx], beta)
+        idx = np.flatnonzero(pending)
+        x = _sample_stable(rng, t_flat[idx], beta)
         ok = rng.random(idx.shape) <= np.exp(-mu * x)
-        out.ravel()[idx[ok]] = x[ok]
-        pending.ravel()[idx[ok]] = False
-    return out
+        out[idx[ok]] = x[ok]
+        pending[idx[ok]] = False
+    return out.reshape(size)
 
 
 def _sample_ig_hitting(rng, t, delta, gamma, n=None):
@@ -141,21 +145,26 @@ def _sample_ig_hitting(rng, t, delta, gamma, n=None):
 # -- first-passage walk ------------------------------------------------------
 
 
+# a block of the walk advances every live path by up to _BLOCK_STEPS steps
+# and holds at most _BLOCK_ELEMS increments: numpy's per-call overhead is paid
+# once per block while the (paths, steps) arrays stay cache-sized
+_BLOCK_ELEMS = 2 ** 14
+_BLOCK_STEPS = 256
+
+
 def _first_passage_walk(rng, base, levels, n, rtol, max_iters=None):
     """Crossing times of the base path over every level in `levels`.
 
     Committed walk: the step taken from state (s, d) depends only on s, so no
     sampled increment is ever discarded and the crossing law stays unbiased.
     Steps grow geometrically (h = rtol * s), which brackets each crossing to a
-    relative width rtol.  Returns an (n, len(levels)) array.
+    relative width rtol.  The grid is the same for every path, so the walk
+    draws a block of steps for all live paths at once and finds each crossing
+    in the block's cumulative sums.  Returns an (n, len(levels)) array.
     """
     levels = np.asarray(levels, dtype=float)
-    t_max = float(levels[-1])
     if max_iters is None:
         max_iters = int(60.0 / rtol) + 1000
-    # crude lower scale for the first grid point; crossing below s0 is a
-    # ~1e-6 tail event handled by restarting the whole path on a finer grid
-    s0_scale = base.passage_scale(t_max)
     out = np.full((n, levels.size), np.nan)
 
     def run(idx, s0, depth):
@@ -163,39 +172,50 @@ def _first_passage_walk(rng, base, levels, n, rtol, max_iters=None):
             return
         if depth > 6:
             raise GridBudgetError("first-passage restart recursion exhausted")
-        m = idx.size
-        s = np.full(m, s0)
-        d = base.increment(rng, np.full(m, s0))
-        next_level = np.zeros(m, dtype=int)
+        d = base.increment(rng, np.full(idx.size, s0))
         # levels crossed by the very first committed step: restart those paths
         early = d > levels[0]
-        for it in range(max_iters):
-            alive = next_level < levels.size
-            if not np.any(alive):
-                break
-            ai = np.nonzero(alive)[0]
-            h = rtol * s[ai]
-            inc = base.increment(rng, h)
-            s[ai] += h
-            d[ai] += inc
-            crossed = np.searchsorted(levels, d[ai], side="left")
-            adv = crossed > next_level[ai]
-            if np.any(adv):
-                for j in np.nonzero(adv)[0]:
-                    row = ai[j]
-                    if not early[row]:
-                        out[idx[row], next_level[row]:crossed[j]] = s[row] - 0.5 * h[j]
-                    next_level[row] = crossed[j]
-        else:
-            raise GridBudgetError("first-passage walk exceeded its step budget")
+        live = np.flatnonzero(~early)
+        next_level = np.zeros(idx.size, dtype=int)
+        done = 0
+        while live.size:
+            if done >= max_iters:
+                raise GridBudgetError("first-passage walk exceeded its step budget")
+            b = min(_BLOCK_STEPS, max(1, _BLOCK_ELEMS // live.size), max_iters - done)
+            s = s0 * (1.0 + rtol) ** np.arange(done, done + b + 1)
+            h = rtol * s[:-1]
+            mid = s[1:] - 0.5 * h
+            path = d[live, None] + np.cumsum(base.increment(rng, np.broadcast_to(
+                h, (live.size, b))), axis=1)
+            d[live] = path[:, -1]
+            crossed = np.searchsorted(levels, d[live], side="left")
+            for j in np.flatnonzero(crossed > next_level[live]):
+                row, lo, hi = live[j], next_level[live[j]], crossed[j]
+                k = np.searchsorted(path[j], levels[lo:hi], side="right")
+                out[idx[row], lo:hi] = mid[k]
+                next_level[row] = hi
+            live = live[crossed < levels.size]
+            done += b
         if np.any(early):
             run(idx[early], s0 * 1e-2, depth + 1)
 
-    run(np.arange(n), max(1e-12, rtol * s0_scale), 0)
+    # crude lower scale for the first grid point; a path whose first step
+    # passes levels[0] restarts on a finer grid, which is rare only when
+    # levels[0] is near the last level
+    s0 = max(1e-12, rtol * base.passage_scale(float(levels[-1])))
+    # chunks of at most _BLOCK_ELEMS paths keep every block within the cap
+    for start in range(0, n, _BLOCK_ELEMS):
+        run(np.arange(start, min(n, start + _BLOCK_ELEMS)), s0, 0)
     return out
 
 
 # -- public sampling surface ----------------------------------------------------
+
+
+def _check_rtol(rtol):
+    # NaN fails the comparison too
+    if not 0.0 < rtol < 1.0:
+        raise DomainError(f"rtol must satisfy 0 < rtol < 1, got {rtol}")
 
 
 def sample(
@@ -211,6 +231,7 @@ def sample(
         raise DomainError("sample requires t > 0")
     if count < 1:
         raise DomainError("sample requires count >= 1")
+    _check_rtol(rtol)
     rng = rng_stream(seed, stream)
     values = spec.draw(rng, float(t), int(count), rtol)
     return SampleBatch(spec=spec, t=float(t), seed=int(seed), values=values)
@@ -235,4 +256,5 @@ def sample_path(
         raise DomainError("t_grid must be strictly increasing and positive")
     if paths < 1:
         raise DomainError("paths must be >= 1")
+    _check_rtol(rtol)
     return spec.path(rng_stream(seed, stream), t_grid, paths, rtol)

@@ -112,13 +112,8 @@ class SubordinatorSpec(Clock):
 
     def path(self, rng, t_grid, paths: int, rtol: float):
         """`paths` trajectories on t_grid from independent increments."""
-        dts = np.diff(np.concatenate([[0.0], t_grid]))
-        out = np.empty((paths, t_grid.size))
-        acc = np.zeros(paths)
-        for j, dt in enumerate(dts):
-            acc = acc + self.increment(rng, np.full(paths, dt))
-            out[:, j] = acc
-        return out
+        dts = np.diff(t_grid, prepend=0.0)
+        return np.cumsum(self.increment(rng, np.broadcast_to(dts, (paths, dts.size))), axis=1)
 
 
 @dataclass(frozen=True)

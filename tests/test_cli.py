@@ -155,6 +155,18 @@ class TestSimulateCommand:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("rtol", ["0", "nan", "-1e-3"])
+    def test_bad_rtol_is_input_error(self, tmp_path, rtol):
+        rc = main(["simulate", "--spec",
+                   '{"type":"inverse","base":{"type":"stable","beta":0.5}}',
+                   "--t-grid", "0.5:2:4", f"--rtol={rtol}", "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+
+    def test_rejection_budget_is_capability_error(self, tmp_path):
+        rc = main(["simulate", "--spec", '{"type":"tempered","beta":0.5,"mu":400}',
+                   "--t-grid", "1:50:2", "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+
 
 class TestVerifyCommand:
     def test_single_equation_campaign(self, tmp_path):

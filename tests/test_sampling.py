@@ -15,7 +15,9 @@ from tcpp.subordinators.densities import (
     tempered_stable_cdf,
 )
 from tcpp.subordinators.sampling import (
+    _BLOCK_ELEMS,
     _first_passage_walk,
+    _sample_tempered,
     rng_stream,
     sample,
     sample_path,
@@ -67,6 +69,13 @@ class TestReproducibility:
             sample(Stable(0.5), 0.0, 10, seed=1)
         with pytest.raises(DomainError):
             sample(Stable(0.5), 1.0, 0, seed=1)
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-3, 1.0, float("nan"), float("inf")])
+    def test_rtol_domain(self, rtol):
+        with pytest.raises(DomainError):
+            sample(InverseOf(TemperedStable(0.3, 1.0)), 1.0, 10, seed=1, rtol=rtol)
+        with pytest.raises(DomainError):
+            sample_path(InverseOf(Stable(0.5)), np.array([0.5, 1.0]), 4, seed=1, rtol=rtol)
 
 
 class TestTransformOracles:
@@ -164,6 +173,50 @@ class TestKolmogorovSmirnov:
         assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
 
 
+class TestTemperedSampler:
+    def test_small_steps_in_two_dimensions(self):
+        # a 2-D t once refilled only the first rows and exhausted the budget
+        t = np.broadcast_to([1e-4, 2e-4, 3e-4], (4, 3))
+        vals = _sample_tempered(rng_stream(3, 0), t, 0.5, 1.0)
+        assert vals.shape == (4, 3)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+
+    def test_two_dimensional_column_means(self):
+        b, mu, n = 0.5, 1.0, 20_000
+        t = np.array([0.5, 1.0, 2.0])
+        vals = _sample_tempered(rng_stream(5, 0), np.broadcast_to(t, (n, 3)), b, mu)
+        assert vals.shape == (n, 3)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+        mean = t * b * mu ** (b - 1.0)
+        se = np.sqrt(t * b * (1.0 - b) * mu ** (b - 2.0) / n)
+        assert np.all(np.abs(vals.mean(axis=0) - mean) <= 4.0 * se)
+
+
+class _Recorder:
+    """A walk base that forwards to `base` and records every step array."""
+
+    def __init__(self, base):
+        self.base = base
+        self.steps = []
+
+    def increment(self, rng, dt):
+        self.steps.append((np.size(dt), float(np.min(dt))))
+        return self.base.increment(rng, dt)
+
+    def passage_scale(self, t):
+        return self.base.passage_scale(t)
+
+
+class _Drift:
+    """Deterministic clock D(s) = s: every path crosses level t at s = t."""
+
+    def increment(self, rng, dt):
+        return np.array(dt, dtype=float)
+
+    def passage_scale(self, t):
+        return t
+
+
 class TestFirstPassageWalk:
     def test_walk_matches_exact_law(self):
         # inverse 1/2-stable admits the exact half-normal law as an oracle
@@ -183,6 +236,39 @@ class TestFirstPassageWalk:
             want = inverse_tempered_cdf(x, 1.0, 0.5, 1.0)
             se = math.sqrt(want * (1 - want) / 500)
             assert abs(emp - want) <= 4.0 * se + 1e-3
+
+    def test_ig_multi_level(self):
+        # one walk over three levels: each column is that level's hitting law
+        n, levels = 2000, np.array([0.5, 1.0, 2.0])
+        vals = _first_passage_walk(rng_stream(41, 0), InverseGaussian(1.0, 1.0), levels,
+                                   n, 2e-3)
+        assert vals.shape == (n, 3)
+        assert np.all(np.diff(vals, axis=1) >= 0)
+        for j, level in enumerate(levels):
+            stat = _ks_stat(vals[:, j], lambda v: hitting_time_cdf_ig(v, level, 1.0, 1.0))
+            assert stat < KS_CRIT_1E3 / math.sqrt(n)
+
+    def test_early_restart(self):
+        # s0 = rtol * sqrt(1) = 2e-3; about 1% of the paths pass the first
+        # level on their first committed step and are walked again on a grid
+        # 100x finer, whose steps are the only ones below rtol * s0
+        n, rtol, levels = 2000, 2e-3, np.array([0.0125, 1.0])
+        base = _Recorder(Stable(0.5))
+        vals = _first_passage_walk(rng_stream(43, 0), base, levels, n, rtol)
+        s0 = rtol * Stable(0.5).passage_scale(1.0)
+        assert min(h for _, h in base.steps) < rtol * s0
+        assert np.all(np.isfinite(vals))
+        for j, level in enumerate(levels):
+            stat = _ks_stat(vals[:, j], lambda v: erf(v / (2.0 * math.sqrt(level))))
+            assert stat < KS_CRIT_1E3 / math.sqrt(n)
+
+    def test_block_element_cap(self):
+        n, rtol = 100_000, 0.05
+        base = _Recorder(_Drift())
+        vals = _first_passage_walk(rng_stream(1, 0), base, np.array([1.0]), n, rtol)
+        assert max(size for size, _ in base.steps) <= _BLOCK_ELEMS
+        assert vals.shape == (n, 1)
+        assert np.all(np.abs(vals - 1.0) <= rtol)
 
     def test_rejection_budget(self):
         with pytest.raises(RejectionBudgetError):
