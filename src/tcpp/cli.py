@@ -87,14 +87,18 @@ def _bessel_table(spec, lam: float, t: float, kmax: int | None) -> PmfTable:
     if kmax is not None and kmax < 0:
         raise DomainError("kmax must be >= 0")
     delta, gamma = spec.bessel_params()
+    ps, mass = [], [0.0]  # p_0, p_1, ... and their running sums, each p_k made once
 
-    def pmf(k):
-        return pmf_bessel_ig(k, t, lam, delta, gamma)
+    def tail_above(k):
+        while len(ps) <= k:
+            ps.append(pmf_bessel_ig(len(ps), t, lam, delta, gamma))
+            mass.append(mass[-1] + ps[-1])
+        return 1.0 - mass[k + 1]
 
     if kmax is None:
-        kmax = _auto_kmax(spec.mixing_moments(t), lam,
-                          lambda k: 1.0 - sum(pmf(j) for j in range(k + 1)))
-    values = np.array([pmf(k) for k in range(kmax + 1)])
+        kmax = _auto_kmax(spec.mixing_moments(t), lam, tail_above)
+    tail_above(kmax)
+    values = np.array(ps[:kmax + 1])
     return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=values,
                     tail_bound=max(0.0, 1.0 - float(values.sum())), method="bessel")
 

@@ -102,8 +102,11 @@ def ig_cdf(u, t: float, delta: float, gamma: float):
 # -- stable and tempered stable ----------------------------------------------
 
 
-def stable_density(x, t: float, beta: float):
-    """Density f(x,t) of the beta-stable subordinator, LT exp(-t s^beta)."""
+def stable_density(x, t, beta: float):
+    """Density f(x,t) of the beta-stable subordinator, LT exp(-t s^beta).
+
+    Broadcasts over x and t.
+    """
     x = np.asarray(x, dtype=float)
     _positive("stable_density", x, t)
     scale = t ** (-1.0 / beta)
@@ -116,8 +119,11 @@ def stable_cdf(x, t: float, beta: float):
     return stable_unit(beta).cdf(x * t ** (-1.0 / beta))
 
 
-def tempered_stable_density(x, t: float, beta: float, mu: float):
-    """Density f_mu(x,t) = exp(-mu x + mu^beta t) f(x,t) of the tempered law."""
+def tempered_stable_density(x, t, beta: float, mu: float):
+    """Density f_mu(x,t) = exp(-mu x + mu^beta t) f(x,t) of the tempered law.
+
+    Broadcasts over x and t.
+    """
     x = np.asarray(x, dtype=float)
     _positive("tempered_stable_density", x, t)
     if mu < 0:
@@ -141,11 +147,11 @@ def tempered_stable_cdf(x, t: float, beta: float, mu: float, n_panels: int = 64)
 # -- inverse stable ------------------------------------------------------------
 
 
-def inverse_stable_density(x, t: float, beta: float):
+def inverse_stable_density(x, t, beta: float):
     """Density m(x,t) of the inverse stable subordinator E(t).
 
     m(x,t) = (t/beta) f(t x^(-1/beta), 1) x^(-1-1/beta); approaches
-    t^(-beta)/Gamma(1-beta) as x -> 0+.
+    t^(-beta)/Gamma(1-beta) as x -> 0+.  Broadcasts over x and t.
     """
     x = np.asarray(x, dtype=float)
     _positive("inverse_stable_density", x, t)

@@ -445,9 +445,10 @@ class _InverseTempered(_Hitting):
         raise ConvergenceError("could not bound the inverse-tempered support")
 
     def weighted(self, rule, t):
-        return rule.nodes, rule.weights * inverse_tempered_density(
-            rule.nodes, t, self.base.beta, self.base.mu, n_panels=48
-        )
+        # the quadrature density takes one t at a time: stack the columns
+        dens = [inverse_tempered_density(rule.nodes, float(tj), self.base.beta, self.base.mu,
+                                         n_panels=48) for tj in np.ravel(t)]
+        return rule.nodes, rule.weights * np.reshape(dens, np.shape(t)[:-1] + (-1,))
 
 
 def spec_from_dict(d: dict) -> SubordinatorSpec:

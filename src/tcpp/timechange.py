@@ -104,28 +104,47 @@ def _poisson_value(k: int, x, lam: float):
 
 _LOG_CUT = 50.0
 _K_BLOCK = 128
+_T_BLOCK = 16
+_UNION_CELLS = 1 << 16
 
 
 def _poisson_mix(ks, x, lam: float, wd):
-    """sum_i p_k(lam x_i) wd_i for each k of ks, in their order; x must ascend.
+    """out[i, b] = sum_n p_{ks[i]}(lam x[b, n]) wd[b, n]; each row of x must ascend.
 
-    log p_k(m) <= -(k-m)^2/(2k) for m < k and <= -(m-k)^2/(2m) for m > k, so
-    for the sorted counts k0..k1 of a block every node with m = lam x outside
-    [k0 - sqrt(2 C k0), k1 + C + sqrt(C (C + 2 k1))], C = _LOG_CUT, has
-    p_k(m) < e^-C and is left out of the sum.
+    x and wd are (nodes,) or (columns, nodes) arrays, at least one of them
+    2-D; a 1-D one is shared by every column.  log p_k(m) <= -(k-m)^2/(2k)
+    for m < k and <= -(m-k)^2/(2m) for m > k, so for the sorted counts
+    k0..k1 of a block every node with m = lam x outside [k0 - sqrt(2 C k0),
+    k1 + C + sqrt(C (C + 2 k1))], C = _LOG_CUT, has p_k(m) < e^-C and may be
+    left out of that column's sum.  The columns share the union of their bands
+    while it spans at most _UNION_CELLS terms; past that each sums its own.
     """
     ks = np.asarray(ks, dtype=int)
     m = lam * np.asarray(x, dtype=float)
+    rows, wd = np.atleast_2d(m), np.atleast_2d(wd)
     order = np.argsort(ks, kind="stable")
-    out = np.empty(ks.size)
+    out = np.empty((ks.size, max(len(rows), len(wd))))
     for start in range(0, ks.size, _K_BLOCK):
         idx = order[start:start + _K_BLOCK]
         k0, k1 = float(ks[idx[0]]), float(ks[idx[-1]])
-        lo, hi = np.searchsorted(m, [k0 - math.sqrt(2.0 * _LOG_CUT * k0),
-                                     k1 + _LOG_CUT + math.sqrt(_LOG_CUT * (_LOG_CUT + 2.0 * k1))])
-        kb, mb = ks[idx][:, None], m[lo:hi]
-        out[idx] = np.exp(kb * np.log(mb) - mb - gammaln(kb + 1.0)) @ wd[lo:hi]
+        cuts = [k0 - math.sqrt(2.0 * _LOG_CUT * k0),
+                k1 + _LOG_CUT + math.sqrt(_LOG_CUT * (_LOG_CUT + 2.0 * k1))]
+        bands = [np.searchsorted(row, cuts) for row in rows]
+        kb, a, b = ks[idx][:, None], min(lo for lo, _ in bands), max(hi for _, hi in bands)
+        if m.ndim == 1:  # (counts, nodes) @ (nodes, columns)
+            out[idx] = _poisson_terms(kb, m[a:b]) @ wd[:, a:b].T
+        elif len(rows) * idx.size * (b - a) <= _UNION_CELLS:
+            # (columns, counts, nodes) @ (columns, nodes, 1) on the union band
+            out[idx] = (_poisson_terms(kb, m[:, None, a:b]) @ wd[:, a:b, None])[..., 0].T
+        else:  # one column at a time, on its own band, keeps the terms in cache
+            wd = np.broadcast_to(wd, m.shape)
+            for j, (lo, hi) in enumerate(bands):
+                out[idx, j] = _poisson_terms(kb, m[j, lo:hi]) @ wd[j, lo:hi]
     return out
+
+
+def _poisson_terms(kb, mb):
+    return np.exp(kb * np.log(mb) - mb - gammaln(kb + 1.0))
 
 
 # -- closed-form Bessel pmf for the IG time change --------------------------------
@@ -211,23 +230,32 @@ class MixtureRule:
         # _poisson_mix slices by value the nodes that weighted() scales by t > 0
         assert np.all(np.diff(self.nodes) > 0), "rule nodes must ascend"
 
+    def _blocks(self, ts):
+        """(columns, x, wd) for each block of _T_BLOCK consecutive times."""
+        for start in range(0, ts.size, _T_BLOCK):
+            cols = slice(start, start + _T_BLOCK)
+            yield (cols, *self.law.weighted(self, ts[cols, None]))
+
     def pmf_matrix(self, ts, ks):
-        """pmf[k_i, t_j] for all requested counts and times in one pass."""
+        """pmf[k_i, t_j] for all requested counts and times.
+
+        The times are taken in blocks of _T_BLOCK consecutive columns, one
+        `weighted` call and one banded sum (`_poisson_mix`) per block.
+        """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((np.size(ks), ts.size))
-        for j, t in enumerate(ts):
-            x, wd = self.law.weighted(self, float(t))
-            out[:, j] = _poisson_mix(ks, x, self.lam, wd)
+        for cols, x, wd in self._blocks(ts):
+            out[:, cols] = _poisson_mix(ks, x, self.lam, wd)
         return out
 
     def tail_mass(self, ts, kmax: int):
         """P(N > kmax) including the analytic mass beyond the node window."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty(ts.size)
-        for j, t in enumerate(ts):
-            x, wd = self.law.weighted(self, float(t))
+        for cols, x, wd in self._blocks(ts):
             q = gammainc(kmax + 1.0, self.lam * x)  # P(Poi(lam x) > kmax)
-            out[j] = np.sum(q * wd) + self.law.survivor(self, float(t))
+            out[cols] = np.sum(q * wd, axis=-1) + [self.law.survivor(self, float(t))
+                                                  for t in ts[cols]]
         return out
 
     def mixing_moments(self, t: float):

@@ -33,7 +33,6 @@ from ..subordinators.densities import (
     tempered_stable_density,
 )
 from ..subordinators.spec import InverseGaussian, InverseOf, Stable, TemperedStable
-from ..subordinators.stable import stable_unit
 from ..timechange import mixture_rule, pmf_bessel_ig
 from .operators import central_difference, estimate_order, shift_power
 from .report import GridSpec, LevelResidual, ResidualReport
@@ -146,13 +145,9 @@ def _eq_ig_density_pde(params, grid, xs):
     d, g = params["delta"], params["gamma"]
     t_fine = grid.level_times(grid.refinement_levels - 1)
     xs = np.asarray(xs, dtype=float)
-    G = np.stack([ig_density(x, t_fine, d, g) for x in xs])
-    # exact space derivative of the closed-form density
-    dGdx = np.stack([
-        ig_density(x, t_fine, d, g)
-        * (-1.5 / x + d * d * t_fine ** 2 / (2.0 * x * x) - g * g / 2.0)
-        for x in xs
-    ])
+    x, t = xs[:, None], t_fine[None, :]
+    G = ig_density(x, t, d, g)
+    dGdx = G * (-1.5 / x + d * d * t ** 2 / (2.0 * x * x) - g * g / 2.0)  # exact d/dx
 
     def residual(tl, sub, h, finest):
         gtab, gx = sub
@@ -182,27 +177,13 @@ def _eq_prop31(params, grid, ks):
     return _run_leveled(grid, [P], residual)
 
 
-def _stable_on_grid(x: float, times: np.ndarray, beta: float):
-    """f(x, t) over a whole time grid in one vectorized density call."""
-    scale = times ** (-1.0 / beta)
-    return scale * stable_unit(beta).pdf(x * scale)
-
-
-def _inv_stable_on_grid(x: float, times: np.ndarray, beta: float):
-    return (times / beta) * stable_unit(beta).pdf(times * x ** (-1.0 / beta)) * x ** (
-        -1.0 - 1.0 / beta
-    )
-
-
 def _eq_deblassie(params, grid, xs):
     beta = params["beta"]
     m_ord = round(1.0 / beta)  # beta = 1/m, m in {2, 3} (the entry's domain)
     xs = np.asarray(xs, dtype=float)
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    F = np.stack([_stable_on_grid(x, t_fine, beta) for x in xs])
-    dFdx = np.empty_like(F)
-    for j, t in enumerate(t_fine):
-        dFdx[:, j] = _dx_ref(lambda xv: stable_density(xv, float(t), beta), xs, 1)
+    t_fine = grid.level_times(grid.refinement_levels - 1)[None, :]
+    F = stable_density(xs[:, None], t_fine, beta)
+    dFdx = _dx_ref(lambda xv: stable_density(xv, t_fine, beta), xs[:, None], 1)
 
     def residual(tl, sub, h, finest):
         f, fx = sub
@@ -331,9 +312,9 @@ def _eq_prop32(params, grid, ks):
 def _eq_et_pde(params, grid, xs):
     beta = 0.5
     xs = np.asarray(xs, dtype=float)
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    M = np.stack([_inv_stable_on_grid(x, t_fine, beta) for x in xs])
-    Mxx = _et_pde_xx(xs, t_fine, beta)
+    t_fine = grid.level_times(grid.refinement_levels - 1)[None, :]
+    M = inverse_stable_density(xs[:, None], t_fine, beta)
+    Mxx = _dx_ref(lambda xv: inverse_stable_density(xv, t_fine, beta), xs[:, None], 2)
 
     def residual(tl, sub, h, finest):
         m_tab, mxx = sub
@@ -348,34 +329,17 @@ def _eq_et_pde(params, grid, xs):
     return _run_leveled(grid, [M, Mxx], residual)
 
 
-def _et_pde_xx(xs, times, beta):
-    out = np.empty((len(xs), times.size))
-    for j, t in enumerate(times):
-        out[:, j] = _dx_ref(lambda xv: inverse_stable_density(xv, float(t), beta),
-                            np.asarray(xs), 2)
-    return out
-
-
 def _et_pde_boundaries(times, beta):
     """Boundary system of the index-1/2 PDE at a few probe times."""
-    probes = times[:: max(1, times.size // 4)]
+    t = times[:: max(1, times.size // 4)]
     eps = 1e-5
-    val_err = 0.0
-    der_sz = 0.0
-    far = 0.0
-    for t in probes:
-        m1 = float(inverse_stable_density(np.array([eps]), float(t), beta)[0])
-        m2 = float(inverse_stable_density(np.array([2 * eps]), float(t), beta)[0])
-        m0 = 2.0 * m1 - m2
-        target = float(t) ** (-beta) / gamma_fn(1.0 - beta)
-        val_err = max(val_err, abs(m0 - target))
-        der_sz = max(der_sz, abs((m2 - m1) / eps))
-        far = max(far, float(inverse_stable_density(np.array([40.0 * math.sqrt(t)]),
-                                                    float(t), beta)[0]))
+    m1, m2 = inverse_stable_density(np.array([[eps], [2 * eps]]), t, beta)
+    m0 = 2.0 * m1 - m2  # linear extrapolation to x = 0
+    target = t ** (-beta) / gamma_fn(1.0 - beta)
     return {
-        "boundary_value_max_error": val_err,
-        "boundary_derivative_max_abs": der_sz,
-        "far_field_max": far,
+        "boundary_value_max_error": float(np.max(np.abs(m0 - target))),
+        "boundary_derivative_max_abs": float(np.max(np.abs((m2 - m1) / eps))),
+        "far_field_max": float(np.max(inverse_stable_density(40.0 * np.sqrt(t), t, beta))),
     }
 
 
@@ -383,16 +347,9 @@ def _eq_prop41(params, grid, xs):
     mu, m_ord = params["mu"], int(params["m"])
     beta = 1.0 / m_ord
     xs = np.asarray(xs, dtype=float)
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    F = np.stack([
-        np.exp(-mu * x + mu ** beta * t_fine) * _stable_on_grid(x, t_fine, beta)
-        for x in xs
-    ])
-    dFdx = np.empty_like(F)
-    for j, t in enumerate(t_fine):
-        dFdx[:, j] = _dx_ref(
-            lambda xv: tempered_stable_density(xv, float(t), beta, mu), xs, 1
-        )
+    t_fine = grid.level_times(grid.refinement_levels - 1)[None, :]
+    F = tempered_stable_density(xs[:, None], t_fine, beta, mu)
+    dFdx = _dx_ref(lambda xv: tempered_stable_density(xv, t_fine, beta, mu), xs[:, None], 1)
 
     def residual(tl, sub, h, finest):
         f, fx = sub

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from tcpp.cli import main
-from tcpp.timechange import PmfTable
+import tcpp.cli
+from tcpp.cli import _bessel_table, main
+from tcpp.subordinators.spec import InverseGaussian
+from tcpp.timechange import PmfTable, _auto_kmax, pmf_bessel_ig
 
 
 IG_SPEC = '{"type":"ig","delta":1,"gamma":1}'
@@ -23,6 +25,29 @@ class TestPmfCommand:
         rows = list(csv.reader(out.open()))
         assert rows[0] == ["k", "value"]
         assert float(rows[1][1]) == pytest.approx(math.exp(1 - math.sqrt(3)), abs=1e-12)
+
+    @pytest.mark.parametrize("lam,t", [(1.0, 1.0), (5.0, 3.0)])
+    def test_bessel_auto_kmax_makes_each_term_once(self, monkeypatch, lam, t):
+        spec = InverseGaussian(1.0, 1.0)
+
+        def pmf(k):
+            return pmf_bessel_ig(k, t, lam, 1.0, 1.0)
+
+        # the table as the re-summing search made it: tail 1 - sum_{j <= k} p_j
+        kmax = _auto_kmax(spec.mixing_moments(t), lam,
+                          lambda k: 1.0 - sum(pmf(j) for j in range(k + 1)))
+        want = np.array([pmf(k) for k in range(kmax + 1)])
+        calls = []
+
+        def counted(k, *args):
+            calls.append(k)
+            return pmf_bessel_ig(k, *args)
+
+        monkeypatch.setattr(tcpp.cli, "pmf_bessel_ig", counted)
+        table = _bessel_table(spec, lam, t, None)
+        assert table.kmax == kmax and np.array_equal(table.values, want)
+        assert table.tail_bound == max(0.0, 1.0 - float(want.sum()))
+        assert len(calls) <= kmax + 1
 
     def test_bessel_gamma_zero_is_capability_error(self, tmp_path):
         rc = main(["pmf", "--spec", '{"type":"ig","delta":1,"gamma":0}',

@@ -289,6 +289,25 @@ class TestInverseTempered:
             assert np.array_equal(inverse_tempered_density(x, t, 0.5, mu), closed)
 
 
+class TestDensitiesBroadcastInTime:
+    @pytest.mark.parametrize("dens", [
+        lambda x, t: stable_density(x, t, 1.0 / 3.0),
+        lambda x, t: stable_density(x, t, 0.5),
+        lambda x, t: inverse_stable_density(x, t, 0.5),
+        lambda x, t: inverse_stable_density(x, t, 0.25),
+        lambda x, t: tempered_stable_density(x, t, 1.0 / 3.0, 1.0),
+        lambda x, t: tempered_stable_density(x, t, 0.5, 0.7),
+    ], ids=["stable1/3", "stable1/2", "inverse-stable1/2", "inverse-stable1/4",
+            "tempered1/3", "tempered1/2"])
+    def test_grid_equals_scalar_t_calls(self, dens):
+        x = np.array([0.3, 0.5, 1.0, 2.0, 4.0])
+        t = np.linspace(0.5, 2.5, 9)
+        grid = dens(x[:, None], t[None, :])
+        assert grid.shape == (5, 9)
+        by_t = np.stack([dens(x, float(tj)) for tj in t], axis=1)
+        np.testing.assert_allclose(grid, by_t, rtol=1e-14, atol=0.0)
+
+
 class TestTemperedLevyTail:
     def test_mu_zero(self):
         z = np.array([0.1, 1.0, 10.0])

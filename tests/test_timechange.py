@@ -206,6 +206,54 @@ class TestBandedKernel:
                         rule.weights[::-1], rule.dens[::-1], rule.x_hi)
 
 
+def _by_column(rule, ts, ks):
+    return np.column_stack([rule.pmf_matrix(np.array([t]), ks) for t in ts])
+
+
+class TestBlockedColumns:
+    """pmf_matrix and tail_mass take the times in blocks; single columns are the oracle."""
+
+    @pytest.mark.parametrize("spec", [
+        InverseGaussian(1.0, 0.5),
+        Stable(0.25),
+        TemperedStable(0.5, 1.0),
+        InverseOf(Stable(1.0 / 3.0)),
+        InverseOf(InverseGaussian(1.0, 1.0)),
+    ], ids=["ig", "stable1/4", "tempered1/2", "inverse-stable1/3", "hitting-ig"])
+    def test_blocks_equal_single_columns(self, spec):
+        rule = mixture_rule(spec, 1.0, 0.5, 2.5, 4, 1e-11)
+        # two full blocks and a ragged one, in shuffled order; few counts, as
+        # the registry asks, so a block of columns shares one band
+        ts = np.random.default_rng(1).permutation(np.linspace(0.5, 2.5, 37))
+        ks = np.arange(4)
+        got = rule.pmf_matrix(ts, ks)
+        assert got.shape == (4, 37)
+        assert np.max(np.abs(got - _by_column(rule, ts, ks))) <= 1e-14
+        tails = [rule.tail_mass(np.array([t]), 3)[0] for t in ts]
+        assert np.max(np.abs(rule.tail_mass(ts, 3) - tails)) <= 1e-14
+
+    def test_blocks_equal_single_columns_at_kmax_2000(self):
+        rule = mixture_rule(Stable(0.7), 20.0, 1.0, 3.0, 2000, 1e-11)
+        ts, ks = np.linspace(1.0, 3.0, 18), np.arange(2001)
+        got = rule.pmf_matrix(ts, ks)
+        assert np.max(np.abs(got - _by_column(rule, ts, ks))) <= 1e-14
+
+    def test_inverse_tempered_weighted_stacks_columns(self):
+        spec = InverseOf(TemperedStable(0.3, 1.0))
+        law = spec.mixing_law()
+        nodes = np.array([0.2, 0.5, 1.0, 2.0])
+        rule = MixtureRule(spec, 1.0, 0.5, 1.5, 4, law, nodes, np.full(4, 0.25), None, 2.0)
+        ts = np.array([1.5, 0.5, 1.0])
+        x, wd = law.weighted(rule, ts[:, None])
+        assert np.array_equal(x, nodes) and wd.shape == (3, 4)
+        for j, t in enumerate(ts):
+            x1, wd1 = law.weighted(rule, t)
+            assert wd1.shape == (4,)
+            assert np.array_equal(wd[j], wd1)
+        ks = np.arange(5)
+        assert np.max(np.abs(rule.pmf_matrix(ts, ks) - _by_column(rule, ts, ks))) <= 1e-14
+
+
 class TestPgfRoute:
     KMAX2000 = [Stable(0.3), Stable(0.5), Stable(0.7), InverseGaussian(1.0, 0.0),
                 Composition((Stable(0.5), Stable(0.5))), TemperedStable(0.3, 1.0),
