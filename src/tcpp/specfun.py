@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import erfcx, gammaln
 
 from .errors import ConvergenceError, DomainError, GridTooCoarseError, PoleError
@@ -83,7 +84,6 @@ def _bessel_k_integral(nu: float, omega: float, tol: float = 1e-12) -> float:
     int_0^inf cosh(nu*u) exp(-w*cosh(u)) du with doubly-exponential decay;
     the integrand is scaled by exp(omega) to dodge premature underflow.
     """
-    from scipy.integrate import quad  # costly to import; only these quadratures use it
 
     def integrand(u):
         return math.cosh(nu * u) * math.exp(-omega * (math.cosh(u) - 1.0))
@@ -142,7 +142,6 @@ def _ml_cm_integral(beta: float, x: float, tol: float) -> float:
     E_beta(-x) = sin(pi beta)/(pi beta) *
                  int_0^inf exp(-(u x)^(1/beta)) / (u^2 + 2u cos(pi beta) + 1) du.
     """
-    from scipy.integrate import quad
     c = math.cos(math.pi * beta)
     pref = math.sin(math.pi * beta) / (math.pi * beta)
     ib = 1.0 / beta
@@ -223,7 +222,6 @@ def laplace_numeric(f, s: float, tol: float = 1e-9) -> float:
     The domain is split at an automatically detected mass center of f so that
     QUADPACK sees the peak, then the remainder runs to infinity.
     """
-    from scipy.integrate import quad
     s = float(s)
     if s <= 0:
         raise DomainError("laplace_numeric requires s > 0")

@@ -105,6 +105,10 @@ def _poisson_value(k: int, x, lam: float):
 _LOG_CUT = 50.0
 _K_BLOCK = 128
 _T_BLOCK = 16
+# Past this many terms a block's union band leaves the cache.  Only many-column
+# tables with many counts get there: a `verify` request with a large k_range
+# (registry `_pmf_tables`).  Stable(0.7) at lam 20, kmax 2000 on 37 columns:
+# 0.12-0.14 s CPU per column band, 0.20-0.26 s on the union (2 cores).
 _UNION_CELLS = 1 << 16
 
 

@@ -1,16 +1,11 @@
 """Special-function oracles: closed identities and dual-route agreement."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erfc, kv
 
-import tcpp
 from tcpp.errors import DomainError, GridTooCoarseError, PoleError
 from tcpp.specfun import (
     TimeSeries,
@@ -204,19 +199,3 @@ class TestLaplaceNumeric:
     def test_domain(self):
         with pytest.raises(DomainError):
             laplace_numeric(lambda x: math.exp(-x), 0.0)
-
-
-def test_package_import_leaves_scipy_integrate_unloaded():
-    """scipy.integrate serves only the QUADPACK routes; importing tcpp does not load it."""
-    code = ("import sys, tcpp, tcpp.cli\n"
-            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'\n"
-            "from tcpp.specfun import bessel_k\n"
-            "print(repr(bessel_k(0.3, 1.0)))\n")
-    src = str(Path(tcpp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) == pytest.approx(0.43507602420880204, rel=1e-13)
-    assert float(proc.stdout) == pytest.approx(kv(0.3, 1.0), rel=1e-10)
