@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="if given, emit time-changed Poisson count paths")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rtol", type=float, default=1e-4,
-                   help="bracketing tolerance for inverse-process paths")
+                   help="bracketing tolerance of the first-passage walk (inverse paths "
+                        "with no exact route)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
 

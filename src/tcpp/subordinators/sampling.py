@@ -10,21 +10,30 @@ Sampler routes (each process class in tcpp.subordinators.spec picks its own):
 * IG(delta, gamma):  two-root transformation method (gamma > 0); the
   gamma = 0 degenerate case is the Levy law (delta t)^2 / Z^2.
 * stable(beta):      positive-stable transformation sampler from a uniform
-  angle and a unit exponential.
+  angle and a unit exponential; at beta = 1/2, which is IG(1/sqrt 2, 0), the
+  IG sampler.
 * tempered(beta,mu): exponential-tilting rejection against the stable
-  sampler, acceptance exp(-mu X).
+  sampler, acceptance exp(-mu X), refused (RejectionBudgetError) when
+  exp(-mu^beta t) < 1e-8; at beta = 1/2, which is IG(1/sqrt 2, sqrt(2 mu)),
+  the IG sampler, with no rejection and no budget.
 * composition:       feed sampled values as the time argument of the next
   part (outermost part listed first).
-* inverse:           first-passage time of the base.  Stable bases (and
-  compositions of stables) use the exact scaling identity
-  E(t) =d (t/D(1))^beta; IG bases use the running-maximum identity
-  H(t) = M(t)/delta for a drifted Brownian motion, and so does the tempered
-  1/2-stable base, which is IG(1/sqrt 2, sqrt(2 mu)); anything else walks the
-  base path on a geometrically growing committed grid until it crosses t,
-  bracketing the crossing to a relative tolerance.  The grid is the same for
-  every path, so the walk draws it in blocks of steps, one increment call per
-  block for all paths still below the last level.  Paths of every inverse
-  process come from that walk.
+* inverse:           first-passage time of the base.  Exact routes: an IG
+  base, and the stable or tempered base of index 1/2 through its IG law,
+  takes the running maximum H(t) = M(t)/delta of a drifted Brownian motion,
+  drawn on a whole grid as one Brownian-bridge maximum per cell; single-t
+  draws of a stable base of any other index (and of a composition of stables,
+  a stable law of the product index) use the scaling identity
+  E(t) =d (t/D(1))^beta.  Anything else walks the base path on a
+  geometrically growing committed grid until it crosses t, bracketing the
+  crossing to a relative tolerance: every path of an inverse stable clock of
+  index != 1/2 (a stable composition walks its product-index stable law),
+  and every draw and path of an inverse tempered clock of index != 1/2 and
+  of the inverse of a composition that is not stable.  The grid is the same
+  for every path, so the walk draws it in blocks of steps, one increment
+  call per block for all paths still below the last level.  Its first step
+  is scaled to the last level, so over levels spread by many orders of
+  magnitude the walk biases its first column; the exact routes do not.
 
 Subordinator paths draw every increment of the time grid in one call.
 """
@@ -130,16 +139,21 @@ def _sample_tempered(rng, t, beta, mu, n=None, budget_factor=400):
     return out.reshape(size)
 
 
-def _sample_ig_hitting(rng, t, delta, gamma, n=None):
-    """H(t) = M(t)/delta, M the running max of B(s) + gamma s on [0, t]."""
-    t = np.asarray(t, dtype=float)
-    size = t.shape if n is None else (n,)
-    t_b = np.broadcast_to(t, size).astype(float)
-    z = rng.standard_normal(size)
-    u = rng.random(size)
-    x_end = gamma * t_b + np.sqrt(t_b) * z
-    m = 0.5 * (x_end + np.sqrt(x_end * x_end - 2.0 * t_b * np.log(np.maximum(u, 1e-300))))
-    return m / delta
+def _sample_ig_hitting(rng, t_grid, delta, gamma, n):
+    """H(t_i) = M(t_i)/delta on a grid, M the running max of B(s) + gamma s.
+
+    Cell j (length h_j) draws its increment X_j = gamma h_j + sqrt(h_j) Z_j
+    and, given X_j, its Brownian-bridge maximum (X_j + sqrt(X_j^2 - 2 h_j
+    log U_j))/2 above the cell's start S_{j-1}; the running maximum of those
+    is exact on the grid.  One normal and one uniform per cell, so a one-point
+    grid is the single-t draw.  Returns an (n, len(t_grid)) array.
+    """
+    h = np.diff(t_grid, prepend=0.0)
+    z = rng.standard_normal((n, h.size))
+    u = rng.random((n, h.size))
+    x = gamma * h + np.sqrt(h) * z
+    top = 0.5 * (x + np.sqrt(x * x - 2.0 * h * np.log(np.maximum(u, 1e-300))))
+    return np.maximum.accumulate(np.cumsum(x, axis=1) - x + top, axis=1) / delta
 
 
 # -- first-passage walk ------------------------------------------------------
@@ -248,8 +262,9 @@ def sample_path(
     """Sample `paths` trajectories on the grid; rows are nondecreasing.
 
     Plain subordinators and compositions accumulate independent increments;
-    inverse processes read all grid levels off one first-passage walk per
-    path (their paths are continuous and nondecreasing).
+    inverse processes take their base's hitting route: a Brownian running
+    maximum for IG and index-1/2 bases, otherwise all grid levels off one
+    first-passage walk per path (their paths are continuous and nondecreasing).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] <= 0 or np.any(np.diff(t_grid) <= 0):

@@ -207,7 +207,8 @@ class Stable(SubordinatorSpec):
         return None  # infinite mean
 
     def increment(self, rng, dt):
-        return _sample_stable(rng, dt, self.beta)
+        ig = _half_ig(self.beta, 0.0)
+        return _sample_stable(rng, dt, self.beta) if ig is None else ig.increment(rng, dt)
 
     def passage_scale(self, t):
         return t ** self.beta
@@ -255,6 +256,9 @@ class TemperedStable(SubordinatorSpec):
         return t * b * mu ** (b - 1.0), t * b * (1.0 - b) * mu ** (b - 2.0)
 
     def increment(self, rng, dt):
+        ig = _half_ig(self.beta, self.mu)
+        if ig is not None:
+            return ig.increment(rng, dt)
         return _sample_tempered(rng, dt, self.beta, self.mu)
 
     def passage_scale(self, t):
@@ -262,9 +266,8 @@ class TemperedStable(SubordinatorSpec):
         return min(t ** self.beta, drift_scale)
 
     def hitting(self):
-        if self.beta == 0.5:
-            return InverseGaussian(*tempered_half_as_ig(self.mu)).hitting()
-        return _InverseTempered(self)
+        ig = _half_ig(self.beta, self.mu)
+        return _InverseTempered(self) if ig is None else ig.hitting()
 
 
 @dataclass(frozen=True)
@@ -345,8 +348,13 @@ class InverseOf(SubordinatorSpec):
         return self.base.hitting().draw(rng, t, n, rtol)
 
     def path(self, rng, t_grid, paths, rtol):
-        # every grid level off one first-passage walk per path
-        return _first_passage_walk(rng, self.base, t_grid, paths, rtol)
+        return self.base.hitting().path(rng, t_grid, paths, rtol)
+
+
+def _half_ig(beta, mu):
+    """The IG clock equal to tempered(1/2, mu), or to stable(1/2) at mu = 0;
+    None for any other index.  Its sampler and running maximum are exact."""
+    return InverseGaussian(*tempered_half_as_ig(mu)) if beta == 0.5 else None
 
 
 # -- hitting routes: the first-passage time E(t) = inf{s : base(s) > t} ----------
@@ -354,13 +362,17 @@ class InverseOf(SubordinatorSpec):
 
 @dataclass(frozen=True)
 class _Hitting(Clock):
-    """Hitting route of `base`; unless a route has an exact sampler, each draw
-    walks the base path."""
+    """Hitting route of `base`; unless a route has an exact sampler, each path
+    walks the base path, and a draw is a path on the one-point grid."""
 
     base: SubordinatorSpec
 
+    def path(self, rng, t_grid, paths, rtol):
+        # every grid level off one first-passage walk per path
+        return _first_passage_walk(rng, self.base, t_grid, paths, rtol)
+
     def draw(self, rng, t, n, rtol):
-        return _first_passage_walk(rng, self.base, np.array([t]), n, rtol)[:, 0]
+        return self.path(rng, np.array([t]), n, rtol)[:, 0]
 
 
 class _PathWalk(_Hitting):
@@ -394,9 +406,17 @@ class _InverseStable(_Hitting):
         m2 = 2.0 * t ** (2 * b) / math.gamma(1.0 + 2 * b)
         return m1, m2 - m1 * m1
 
+    def path(self, rng, t_grid, paths, rtol):
+        # stable(1/2) is IG(1/sqrt 2, 0), whose running maximum is exact
+        ig = _half_ig(self.base.beta, 0.0)
+        route = super() if ig is None else ig.hitting()
+        return route.path(rng, t_grid, paths, rtol)
+
     def draw(self, rng, t, n, rtol):
-        # exact: E(t) =d (t / D(1))^beta by self-similar first passage
         b = self.base.beta
+        if b == 0.5:
+            return super().draw(rng, t, n, rtol)
+        # exact: E(t) =d (t / D(1))^beta by self-similar first passage
         return (t / _sample_stable_unit(rng, b, (n,))) ** b
 
 
@@ -415,8 +435,8 @@ class _HittingIG(_Hitting):
     def weighted(self, rule, t):
         return rule.nodes, rule.weights * self.density(rule.nodes, t)
 
-    def draw(self, rng, t, n, rtol):
-        return _sample_ig_hitting(rng, np.full(n, t), self.base.delta, self.base.gamma)
+    def path(self, rng, t_grid, paths, rtol):
+        return _sample_ig_hitting(rng, t_grid, self.base.delta, self.base.gamma, paths)
 
 
 class _InverseTempered(_Hitting):

@@ -9,8 +9,8 @@ import pytest
 
 import tcpp.cli
 from tcpp.cli import _bessel_table, main
-from tcpp.subordinators.spec import InverseGaussian
-from tcpp.timechange import PmfTable, _auto_kmax, pmf_bessel_ig
+from tcpp.subordinators.spec import InverseGaussian, TemperedStable
+from tcpp.timechange import PmfTable, _auto_kmax, pmf_bessel_ig, pmf_table
 
 
 IG_SPEC = '{"type":"ig","delta":1,"gamma":1}'
@@ -67,6 +67,21 @@ class TestPmfCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_mc_on_steep_tempered_half_matches_pgf(self, tmp_path, monkeypatch):
+        # acceptance e^(-mu^beta t) = 2e-9 once refused this by rejection;
+        # tempered(1/2) now draws as an IG clock
+        monkeypatch.delenv("TCPP_SEED", raising=False)
+        out = tmp_path / "t.json"
+        rc = main(["pmf", "--spec", '{"type":"tempered","beta":0.5,"mu":400}', "--lambda", "1",
+                   "--t", "1", "--method", "mc", "--out", str(out)])
+        assert rc == 0
+        table = PmfTable.from_dict(json.loads(out.read_text()))
+        want = pmf_table(1.0, 1.0, TemperedStable(0.5, 400.0), method="pgf").values
+        n = 100_000
+        for k in range(table.kmax + 1):
+            p = want[k] if k < want.size else 0.0
+            assert abs(table.values[k] - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
     def test_json_round_trips_spec_schema(self, tmp_path):
         out = tmp_path / "t.json"
@@ -188,7 +203,7 @@ class TestSimulateCommand:
         assert rc == 2
 
     def test_rejection_budget_is_capability_error(self, tmp_path):
-        rc = main(["simulate", "--spec", '{"type":"tempered","beta":0.5,"mu":400}',
+        rc = main(["simulate", "--spec", '{"type":"tempered","beta":0.3,"mu":400}',
                    "--t-grid", "1:50:2", "--out", str(tmp_path / "t.csv")])
         assert rc == 3
 

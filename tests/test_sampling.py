@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import erf
+from scipy.stats import ks_2samp
 
 from tcpp.errors import DomainError, RejectionBudgetError
 from tcpp.subordinators.densities import (
@@ -12,6 +13,7 @@ from tcpp.subordinators.densities import (
     ig_cdf,
     inverse_tempered_cdf,
     stable_cdf,
+    tempered_half_as_ig,
     tempered_stable_cdf,
 )
 from tcpp.subordinators.sampling import (
@@ -41,6 +43,11 @@ def _ks_stat(values, cdf):
     up = np.max(np.arange(1, n + 1) / n - f)
     dn = np.max(f - np.arange(0, n) / n)
     return max(up, dn)
+
+
+def _ks_2samp_ok(a, b):
+    n, m = len(a), len(b)
+    return ks_2samp(a, b).statistic < KS_CRIT_1E3 * math.sqrt((n + m) / (n * m))
 
 
 def _emp_lt(values, s):
@@ -94,6 +101,19 @@ class TestTransformOracles:
         vals = sample(TemperedStable(0.5, 1.0), 1.0, 200_000, seed=3).values
         m, se = _emp_lt(vals, 1.0)
         assert abs(m - math.exp(-(math.sqrt(2.0) - 1.0))) <= 4.0 * se
+
+    @pytest.mark.parametrize("spec", [
+        TemperedStable(0.3, 1.0),
+        TemperedStable(0.7, 2.0),
+        Composition((Stable(0.7), Stable(0.4))),
+    ], ids=["tempered(0.3,1)", "tempered(0.7,2)", "stable(0.7)*stable(0.4)"])
+    def test_general_index_laplace(self, spec):
+        # index 1/2 takes the IG sampler: these keep the Kanter and tilting
+        # samplers under test
+        vals = sample(spec, 1.0, 200_000, seed=23).values
+        for s in (0.5, 2.0):
+            m, se = _emp_lt(vals, s)
+            assert abs(m - math.exp(-spec.phi(s).real)) <= 4.0 * se
 
     def test_composition_closure(self):
         # two 1/2-stable clocks compose to index 1/4: LT exp(-t s^(1/4))
@@ -171,6 +191,74 @@ class TestKolmogorovSmirnov:
             vals, lambda v: np.array([inverse_tempered_cdf(x, 1.0, 0.5, 1.0) for x in v])
         )
         assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
+
+
+class TestIndexHalfRoutes:
+    def test_large_tilt_finishes_with_the_right_mean(self):
+        # mu^beta t = 15: tilting rejection would accept one proposal in 3e6
+        b, mu, t, n = 0.5, 100.0, 1.5, 1000
+        vals = sample(TemperedStable(b, mu), t, n, seed=1).values
+        se = math.sqrt(t * b * (1.0 - b) * mu ** (b - 2.0) / n)
+        assert abs(vals.mean() - t * b * mu ** (b - 1.0)) <= 4.0 * se
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ig_hitting_draw_is_the_one_cell_path(self, seed):
+        # the single-t running-maximum draw as first written, one normal and
+        # one uniform per value: the grid sampler's one-cell case repeats it
+        delta, gamma, t, n = 1.3, 0.7, 1.7, 500
+        rng = rng_stream(seed, 0)
+        z = rng.standard_normal(n)
+        u = rng.random(n)
+        t_b = np.full(n, t)
+        x_end = gamma * t_b + np.sqrt(t_b) * z
+        m = 0.5 * (x_end + np.sqrt(x_end * x_end - 2.0 * t_b * np.log(np.maximum(u, 1e-300))))
+        got = sample(InverseOf(InverseGaussian(delta, gamma)), t, n, seed=seed).values
+        assert np.array_equal(got, m / delta)
+
+
+class TestExactPaths:
+    N = 10_000
+    GRID = np.array([0.1, 0.3, 0.7, 1.2, 2.0, 3.5])
+
+    @pytest.mark.parametrize("base, cdf", [
+        (InverseGaussian(1.0, 1.0), lambda v, t: hitting_time_cdf_ig(v, t, 1.0, 1.0)),
+        (TemperedStable(0.5, 1.0),
+         lambda v, t: hitting_time_cdf_ig(v, t, *tempered_half_as_ig(1.0))),
+        (Stable(0.5), lambda v, t: erf(v / (2.0 * math.sqrt(t)))),
+    ], ids=["ig(1,1)", "tempered(0.5,1)", "stable(0.5)"])
+    def test_columns_follow_the_hitting_law(self, base, cdf):
+        paths = sample_path(InverseOf(base), self.GRID, self.N, seed=61)
+        assert np.all(np.diff(paths, axis=1) >= 0)
+        for j, t in enumerate(self.GRID):
+            stat = _ks_stat(paths[:, j], lambda v: cdf(v, t))
+            assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("base", [InverseGaussian(1.0, 1.0), Stable(0.5)],
+                             ids=["ig(1,1)", "stable(0.5)"])
+    def test_increments_match_the_walk(self, base):
+        # the joint law over the grid, not just each column: E(t_j) - E(t_i)
+        grid = np.array([0.5, 1.0, 2.0])
+        walk = _first_passage_walk(rng_stream(8, 0), base, grid, 2000, 2e-3)
+        exact = sample_path(InverseOf(base), grid, self.N, seed=9)
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            assert _ks_2samp_ok(walk[:, j] - walk[:, i], exact[:, j] - exact[:, i])
+
+    def test_widely_spread_levels(self):
+        # the walk starts at a scale set by the last level and restarts a
+        # path that passes the first level at once, which biases the first
+        # column here (KS p ~ 1e-14); the running maximum has no start scale
+        n, grid = 5000, np.array([0.01, 100.0])
+        paths = sample_path(InverseOf(Stable(0.5)), grid, n, seed=5)
+        for j, t in enumerate(grid):
+            stat = _ks_stat(paths[:, j], lambda v: erf(v / (2.0 * math.sqrt(t))))
+            assert stat < KS_CRIT_1E3 / math.sqrt(n)
+
+    def test_stable_composition_walks_its_product_index(self):
+        grid = np.array([0.5, 1.0, 2.0])
+        spec = InverseOf(Composition((Stable(0.5), Stable(0.5))))
+        paths = sample_path(spec, grid, 1000, seed=3, rtol=2e-3)
+        exact = sample(InverseOf(Stable(0.25)), 2.0, self.N, seed=4).values
+        assert _ks_2samp_ok(paths[:, -1], exact)
 
 
 class TestTemperedSampler:
@@ -272,7 +360,7 @@ class TestFirstPassageWalk:
 
     def test_rejection_budget(self):
         with pytest.raises(RejectionBudgetError):
-            sample(TemperedStable(0.5, 400.0), 50.0, 10, seed=1)
+            sample(TemperedStable(0.3, 400.0), 50.0, 10, seed=1)
 
     def test_grid_budget(self):
         from tcpp.errors import GridBudgetError
