@@ -8,8 +8,20 @@ parameter instead of behaving like noise under finite differencing.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import roots_legendre
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n
+    and returned read-only."""
+    xi, wi = roots_legendre(n)
+    xi.flags.writeable = False
+    wi.flags.writeable = False
+    return xi, wi
 
 
 def gauss_panels(edges: np.ndarray, nodes_per_panel: int = 16):
@@ -20,7 +32,7 @@ def gauss_panels(edges: np.ndarray, nodes_per_panel: int = 16):
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be a strictly increasing 1-d array")
-    xi, wi = roots_legendre(nodes_per_panel)
+    xi, wi = gauss_legendre(nodes_per_panel)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     x = 0.5 * (b - a) * xi[None, :] + 0.5 * (b + a)

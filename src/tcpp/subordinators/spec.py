@@ -3,12 +3,12 @@
 Each process class owns everything tcpp does with its clock: its Laplace
 exponent phi(s), with E e^{-s X(t)} = e^{-t phi(s)}, its density, the pieces
 of a frozen quadrature rule for the Poisson mixture (nodes and weights, the
-per-t (x, weight * density), the survivor mass beyond the node window, the
-mixing moments and a tolerance floor), its increment sampler and its
-first-passage scale.  `Composition` and `InverseOf` are combinators:
-a composition of stable laws answers as one stable law with the product of
-the indices, any other composition chains its parts' increments, and an
-inverse asks its base for a hitting route (`hitting()`).
+per-t (x, weight * density), the survivor mass beyond the node window and the
+mixing moments), its increment sampler and its first-passage scale.
+`Composition` and `InverseOf` are combinators: a composition of stable laws
+answers as one stable law with the product of the indices, any other
+composition chains its parts' increments, and an inverse asks its base for a
+hitting route (`hitting()`).
 
 The JSON schema is the CLI's process-description contract:
 
@@ -62,12 +62,13 @@ class Clock:
     `mixing_moments(t, rule)`.
     """
 
-    # a rule settles once its probe pmfs move by less than max(tol, tol_floor)
-    tol_floor = 0.0
-
     def mixing_law(self):
         """The object owning this clock's density and frozen rule, or None."""
         return self
+
+    def weighted(self, rule, t):
+        """(x, weight * density) on the rule's nodes at t; t may be a column."""
+        return rule.nodes, rule.weights * self.density(rule.nodes, t)
 
     def survivor(self, rule, t: float) -> float:
         """Mixing mass beyond the node window; the window is chosen so it is ~1e-16."""
@@ -146,9 +147,6 @@ class InverseGaussian(SubordinatorSpec):
         x_hi = cut if g == 0.0 else max(cut, 2.0 * (d * g * t_hi + 45.0) / (g * g))
         x, w = gauss_panels(log_panel_edges(x_lo, x_hi, n_panels), 12)
         return x, w, None, x_hi
-
-    def weighted(self, rule, t):
-        return rule.nodes, rule.weights * self.density(rule.nodes, t)
 
     def survivor(self, rule, t):
         return float(1.0 - ig_cdf(np.array([rule.x_hi]), t, self.delta, self.gamma)[0])
@@ -432,26 +430,19 @@ class _HittingIG(_Hitting):
         x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
         return x, w, None, x_hi
 
-    def weighted(self, rule, t):
-        return rule.nodes, rule.weights * self.density(rule.nodes, t)
-
     def path(self, rng, t_grid, paths, rtol):
         return _sample_ig_hitting(rng, t_grid, self.base.delta, self.base.gamma, paths)
 
 
 class _InverseTempered(_Hitting):
-    """Inverse tempered clock of index != 1/2: quadrature density, path walk."""
-
-    # the density carries its own inner quadrature noise and cannot settle
-    # below this floor, however many outer panels are added
-    tol_floor = 1e-9
+    """Inverse tempered clock of index != 1/2: tilted-stable density, path walk."""
 
     def density(self, x, t):
         return inverse_tempered_density(x, t, self.base.beta, self.base.mu)
 
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
         x_hi = self._support_end(t_hi)
-        x, w = gauss_panels(linear_panel_edges(1e-10, x_hi, n_panels), 12)
+        x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
         return x, w, None, x_hi
 
     def _support_end(self, t_hi: float) -> float:
@@ -463,12 +454,6 @@ class _InverseTempered(_Hitting):
                 return x
             x *= 1.4
         raise ConvergenceError("could not bound the inverse-tempered support")
-
-    def weighted(self, rule, t):
-        # the quadrature density takes one t at a time: stack the columns
-        dens = [inverse_tempered_density(rule.nodes, float(tj), self.base.beta, self.base.mu,
-                                         n_panels=48) for tj in np.ravel(t)]
-        return rule.nodes, rule.weights * np.reshape(dens, np.shape(t)[:-1] + (-1,))
 
 
 def spec_from_dict(d: dict) -> SubordinatorSpec:

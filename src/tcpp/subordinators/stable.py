@@ -33,10 +33,10 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import erfc, gammaln, roots_legendre
+from scipy.special import erfc, gammaln
 
 from ..errors import ConvergenceError, DivergenceError, DomainError
-from ..quadrules import gauss_panels, log_panel_edges
+from ..quadrules import gauss_legendre, gauss_panels, log_panel_edges
 
 _BETA_MAX = 0.95
 _DECAY = 48.0  # exp(-48) ~ 1.4e-21 relative truncation of the theta integral
@@ -62,7 +62,7 @@ class StableUnit:
         b = self.beta
         self.ratio = b / (1.0 - b)  # exponent beta/(1-beta)
         self.a0 = (1.0 - b) * b ** self.ratio
-        self._gl_x, self._gl_w = roots_legendre(96)
+        self._gl_x, self._gl_w = gauss_legendre(96)
         self._theta_probe = np.linspace(1e-9, math.pi - 1e-9, 512)
         self._log_a_probe = self._log_a(self._theta_probe)
         if np.any(np.diff(self._log_a_probe) <= 0):

@@ -9,9 +9,10 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from tcpp.errors import DivergenceError, DomainError, NoDensityError
+from tcpp.quadrules import gauss_panels, linear_panel_edges
 from tcpp.specfun import laplace_numeric
 from tcpp.subordinators.densities import (
-    _inverse_tempered_quadrature,
+    _inverse_tempered_tilt,
     hitting_time_cdf_ig,
     hitting_time_density_ig,
     ig_cdf,
@@ -24,7 +25,6 @@ from tcpp.subordinators.densities import (
     stable_density,
     stable_moment,
     tempered_half_as_ig,
-    tempered_levy_tail,
     tempered_stable_cdf,
     tempered_stable_density,
 )
@@ -251,6 +251,32 @@ class TestInverseStable:
                 assert abs(lhs - rhs) <= 1e-5
 
 
+def _tempered_levy_tail(t, beta, mu):
+    """nu_mu(t, inf) by direct quadrature of the Levy density c e^{-mu u} u^{-beta-1},
+    c = beta/Gamma(1-beta)."""
+    c = beta / math.gamma(1.0 - beta)
+    return quad(lambda u: c * math.exp(-mu * u) * u ** (-beta - 1.0), t, np.inf,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _mpmath_inverse_tempered(x, t, beta, mu, want):
+    """30-digit Talbot inversion in t of the density transform
+    phi(s) e^{-x phi(s)}/s or of the CDF transform (1 - e^{-x phi(s)})/s,
+    phi(s) = (s+mu)^beta - mu^beta."""
+    from mpmath import exp, expm1, invertlaplace, mpf, workdps
+
+    with workdps(30):
+        b, m, xx = mpf(beta), mpf(mu), mpf(x)
+
+        def phi(s):
+            return (s + m) ** b - m ** b
+
+        if want == "density":
+            return float(invertlaplace(lambda s: phi(s) * exp(-xx * phi(s)) / s, t,
+                                       method="talbot"))
+        return float(invertlaplace(lambda s: -expm1(-xx * phi(s)) / s, t, method="talbot"))
+
+
 class TestInverseTempered:
     def test_normalization(self):
         val = quad(
@@ -265,28 +291,55 @@ class TestInverseTempered:
         b = inverse_stable_density(x, 1.3, 0.5)
         assert np.max(np.abs(a - b)) < 1e-6
 
+    def test_mu_to_zero_reduction_general_index(self):
+        # mu = 1e-30 gives mu^beta = 1e-9 at beta = 0.3: within ~1e-9 of mu = 0
+        x = np.array([1e-3, 0.05, 0.3, 0.8, 2.0, 5.0])
+        a = inverse_tempered_density(x, 1.3, 0.3, 1e-30)
+        b = inverse_stable_density(x, 1.3, 0.3)
+        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
+
     def test_boundary_is_levy_tail(self):
-        t = 1.3
-        val = float(inverse_tempered_density(np.array([1e-7]), t, 0.5, 1.0)[0])
-        assert val == pytest.approx(
-            float(tempered_levy_tail(np.array([t]), 0.5, 1.0)[0]), rel=1e-5
-        )
+        # m(0+, t) is the tail of the tempered Levy measure beyond t
+        for beta in (0.3, 0.5, 0.7):
+            for mu, t in ((1.0, 0.25), (1.0, 1.3), (4.0, 1.0)):
+                val = float(inverse_tempered_density(np.array([1e-9]), t, beta, mu)[0])
+                assert val == pytest.approx(_tempered_levy_tail(t, beta, mu), rel=1e-6)
 
     def test_duality(self):
         lhs = inverse_tempered_cdf(1.0, 1.0, 0.5, 1.0)
         rhs = 1.0 - tempered_stable_cdf(1.0, 1.0, 0.5, 1.0)
         assert abs(lhs - rhs) <= 1e-6
 
+    @pytest.mark.parametrize("beta", [0.3, 0.7])
+    @pytest.mark.parametrize("mu", [1.0, 4.0])
+    def test_against_mpmath_oracle(self, beta, mu):
+        xs = np.array([1e-4, 0.01, 0.2, 0.7, 2.0])
+        for t in (0.25, 1.0, 2.0):
+            dens = inverse_tempered_density(xs, t, beta, mu)
+            cdf = inverse_tempered_cdf(xs, t, beta, mu)
+            for i, x in enumerate(xs):
+                assert abs(dens[i] - _mpmath_inverse_tempered(x, t, beta, mu, "density")) <= 1e-12
+                assert abs(cdf[i] - _mpmath_inverse_tempered(x, t, beta, mu, "cdf")) <= 1e-12
+
+    def test_density_integrates_to_cdf(self):
+        for t in (0.5, 2.0):
+            for x in (0.1, 0.6, 1.5):
+                nodes, w = gauss_panels(linear_panel_edges(0.0, x, 8), 12)
+                integral = float(np.sum(w * inverse_tempered_density(nodes, t, 0.7, 1.0)))
+                assert integral == pytest.approx(inverse_tempered_cdf(x, t, 0.7, 1.0), abs=1e-12)
+
     @pytest.mark.parametrize("mu", [0.25, 1.0, 3.0])
     def test_quadrature_route_matches_closed_form_at_half(self, mu):
-        # the general-index quadrature, run at beta = 1/2, against the closed
-        # IG hitting density of the equal law IG(1/sqrt 2, sqrt(2 mu))
+        # the general-index tilt identity, run at beta = 1/2, against the closed
+        # IG hitting density and CDF of the equal law IG(1/sqrt 2, sqrt(2 mu))
         x = np.array([1e-6, 0.01, 0.1, 0.4, 1.0, 2.0, 4.0, 8.0, 15.0])
+        ig = tempered_half_as_ig(mu)
         for t in (0.1, 0.3, 1.0, 2.5, 6.0):
-            quad_route = _inverse_tempered_quadrature(x, t, 0.5, mu)
-            closed = hitting_time_density_ig(x, t, *tempered_half_as_ig(mu))
-            assert np.max(np.abs(quad_route - closed)) <= 1e-12
+            closed = hitting_time_density_ig(x, t, *ig)
+            assert np.max(np.abs(_inverse_tempered_tilt(x, t, 0.5, mu) - closed)) <= 1e-12
             assert np.array_equal(inverse_tempered_density(x, t, 0.5, mu), closed)
+            tilt_cdf = 1.0 - tempered_stable_cdf(t, x, 0.5, mu)
+            assert np.max(np.abs(tilt_cdf - hitting_time_cdf_ig(x, t, *ig))) <= 1e-12
 
 
 class TestDensitiesBroadcastInTime:
@@ -297,8 +350,10 @@ class TestDensitiesBroadcastInTime:
         lambda x, t: inverse_stable_density(x, t, 0.25),
         lambda x, t: tempered_stable_density(x, t, 1.0 / 3.0, 1.0),
         lambda x, t: tempered_stable_density(x, t, 0.5, 0.7),
+        lambda x, t: inverse_tempered_density(x, t, 0.3, 1.0),
+        lambda x, t: inverse_tempered_density(x, t, 0.7, 1.0),
     ], ids=["stable1/3", "stable1/2", "inverse-stable1/2", "inverse-stable1/4",
-            "tempered1/3", "tempered1/2"])
+            "tempered1/3", "tempered1/2", "inverse-tempered0.3", "inverse-tempered0.7"])
     def test_grid_equals_scalar_t_calls(self, dens):
         x = np.array([0.3, 0.5, 1.0, 2.0, 4.0])
         t = np.linspace(0.5, 2.5, 9)
@@ -306,22 +361,6 @@ class TestDensitiesBroadcastInTime:
         assert grid.shape == (5, 9)
         by_t = np.stack([dens(x, float(tj)) for tj in t], axis=1)
         np.testing.assert_allclose(grid, by_t, rtol=1e-14, atol=0.0)
-
-
-class TestTemperedLevyTail:
-    def test_mu_zero(self):
-        z = np.array([0.1, 1.0, 10.0])
-        assert np.allclose(
-            tempered_levy_tail(z, 0.5, 0.0), z ** -0.5 / math.gamma(0.5)
-        )
-
-    @pytest.mark.parametrize("z", [0.5, 2.0, 31.0])
-    def test_against_direct_quadrature(self, z):
-        c = 0.5 / math.gamma(0.5)
-        direct = quad(lambda u: c * math.exp(-u) * u ** -1.5, z, np.inf, limit=300)[0]
-        assert float(tempered_levy_tail(np.array([z]), 0.5, 1.0)[0]) == pytest.approx(
-            direct, rel=1e-4, abs=1e-18
-        )
 
 
 class TestHittingTimeIG:

@@ -34,6 +34,22 @@ from tcpp.timechange import (
 )
 
 
+def _mpmath_inverse_pmf(k, t, lam, beta, mu):
+    """P(N(E(t)) = k) for the inverse tempered(beta, mu) clock (inverse stable at
+    mu = 0): 30-digit Talbot inversion in t of (phi(s)/s) lam^k/(lam + phi(s))^(k+1),
+    phi(s) = (s+mu)^beta - mu^beta."""
+    from mpmath import invertlaplace, mpf, workdps
+
+    with workdps(30):
+        b, m, la = mpf(beta), mpf(mu), mpf(lam)
+
+        def transform(s):
+            phi = (s + m) ** b - m ** b
+            return phi / s * la ** k / (la + phi) ** (k + 1)
+
+        return float(invertlaplace(transform, t, method="talbot"))
+
+
 class TestPoissonPmf:
     def test_initial_conditions(self):
         assert poisson_pmf(0, 0.0, 1.0) == 1.0
@@ -144,10 +160,17 @@ class TestQuadraturePmf:
         assert np.max(np.abs(a.values - b.values)) <= 1e-12
         assert abs(a.tail_bound - b.tail_bound) <= 1e-12
 
+    def test_general_index_inverse_tempered_table_against_mpmath(self):
+        # index 0.3 takes the tilted-stable density: the table is right to
+        # rounding and settles at tol with no floor
+        table = pmf_table(1.0, 1.0, InverseOf(TemperedStable(0.3, 1.0)), kmax=24)
+        want = np.array([_mpmath_inverse_pmf(k, 1.0, 1.0, 0.3, 1.0) for k in range(25)])
+        assert np.max(np.abs(table.values - want)) <= 1e-11
+        assert abs(table.normalization_defect) <= 1e-11
+
     @pytest.mark.parametrize("tol", [1e-11, 1e-12])
     def test_hitting_rule_settles_below_1e_10(self, tol):
         rule = mixture_rule(InverseOf(InverseGaussian(1.0, 1.0)), 1.0, 0.5, 2.0, 5, tol)
-        assert rule.law.tol_floor == 0.0  # settles at tol itself, not at a floor
         n_fine = 4 * rule.nodes.size // 12
         fine = MixtureRule(rule.spec, 1.0, 0.5, 2.0, 5, rule.law,
                            *rule.law.rule_nodes(0.5, 2.0, _poisson_cut(5, 1.0), n_fine))
@@ -375,6 +398,19 @@ class TestFractionalPoisson:
     def test_normalization(self):
         total = sum(fractional_poisson_pmf(k, 1.0, 1.0, 0.5) for k in range(40))
         assert total == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("beta", [0.96, 0.99])
+    def test_near_one_against_mpmath(self, beta):
+        for t, lam in ((1.0, 1.0), (2.0, 1.5), (5.0, 3.0)):
+            for k in (0, 1, 2, 5, 20):
+                want = _mpmath_inverse_pmf(k, t, lam, beta, 0.0)
+                assert abs(fractional_poisson_pmf(k, t, lam, beta) - want) <= 1e-10
+
+    def test_near_one_raises_when_node_counts_disagree(self):
+        # at k = 100, t = 10, lambda = 5 the 24- and 32-node contours give
+        # -2.5e2 and -1.5e-4
+        with pytest.raises(ConvergenceError):
+            fractional_poisson_pmf(100, 10.0, 5.0, 0.96)
 
 
 class TestMomentsIG:
