@@ -36,10 +36,8 @@ from .subordinators.sampling import rng_stream, sample_path
 from .subordinators.spec import InverseOf, SubordinatorSpec, spec_from_json
 from .timechange import (
     PmfTable,
-    _auto_kmax,
     ig_moment_table,
     moments_ig,
-    pmf_bessel_ig,
     pmf_monte_carlo,
     pmf_table,
 )
@@ -81,28 +79,6 @@ def _write_table(table: PmfTable, out: str):
                 writer.writerow(row)
 
 
-def _bessel_table(spec, lam: float, t: float, kmax: int | None) -> PmfTable:
-    """Closed-form IG table; kmax by default from the clock's closed moments,
-    checked against the Bessel tail 1 - sum_{j <= k} p_j."""
-    if kmax is not None and kmax < 0:
-        raise DomainError("kmax must be >= 0")
-    delta, gamma = spec.bessel_params()
-    ps, mass = [], [0.0]  # p_0, p_1, ... and their running sums, each p_k made once
-
-    def tail_above(k):
-        while len(ps) <= k:
-            ps.append(pmf_bessel_ig(len(ps), t, lam, delta, gamma))
-            mass.append(mass[-1] + ps[-1])
-        return 1.0 - mass[k + 1]
-
-    if kmax is None:
-        kmax = _auto_kmax(spec.mixing_moments(t), lam, tail_above)
-    tail_above(kmax)
-    values = np.array(ps[:kmax + 1])
-    return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=values,
-                    tail_bound=max(0.0, 1.0 - float(values.sum())), method="bessel")
-
-
 def cmd_pmf(args) -> int:
     try:
         spec = _load_spec(args.spec)
@@ -114,28 +90,16 @@ def cmd_pmf(args) -> int:
         print("error: need --lambda > 0 and --t > 0", file=sys.stderr)
         return EXIT_INPUT
     method = args.method
-    bessel = spec.bessel_params()
     if method == "auto":
-        method = ("bessel" if bessel else "pgf" if not isinstance(spec, InverseOf)
+        method = ("bessel" if spec.bessel_params() else "pgf" if not isinstance(spec, InverseOf)
                   else "quadrature" if spec.mixing_law() is not None else "mc")
     try:
-        if method == "bessel":
-            if not bessel:
-                print(
-                    "error: Bessel closed form needs an IG spec with gamma > 0; "
-                    "use --method pgf",
-                    file=sys.stderr,
-                )
-                return EXIT_CAPABILITY
-            table = _bessel_table(spec, lam, t, args.kmax)
-        elif method in ("pgf", "quadrature"):
-            table = pmf_table(t, lam, spec, kmax=args.kmax, method=method)
-        elif method == "mc":
+        if method == "mc":
             count = args.count if args.count is not None else 100000
             table = pmf_monte_carlo(t, lam, spec, count, _default_seed(args.seed),
                                     kmax=args.kmax)
-        else:  # pragma: no cover - argparse restricts choices
-            return EXIT_INPUT
+        else:
+            table = pmf_table(t, lam, spec, kmax=args.kmax, method=method)
     except (ConvergenceError, NoDensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
@@ -277,6 +241,9 @@ def cmd_moments(args) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
     ks = np.arange(table.kmax + 1, dtype=float)
     m1 = float(np.sum(ks * table.values))
     m2 = float(np.sum(ks * ks * table.values))

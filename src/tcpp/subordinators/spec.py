@@ -3,8 +3,8 @@
 Each process class owns everything tcpp does with its clock: its Laplace
 exponent phi(s), with E e^{-s X(t)} = e^{-t phi(s)}, its density, the pieces
 of a frozen quadrature rule for the Poisson mixture (nodes and weights, the
-per-t (x, weight * density), the survivor mass beyond the node window and the
-mixing moments), its increment sampler and its first-passage scale.
+per-t (x, weight * density) and the survivor mass beyond the node window),
+its increment sampler and its first-passage scale.
 `Composition` and `InverseOf` are combinators: a composition of stable laws
 answers as one stable law with the product of the indices, any other
 composition chains its parts' increments, and an inverse asks its base for a
@@ -58,8 +58,7 @@ class Clock:
     A frozen rule (tcpp.timechange.MixtureRule) keeps the nodes, weights,
     optional t-free density factor `dens` and window end `x_hi` that
     `rule_nodes(t_lo, t_hi, cut, n_panels)` returned, and asks the clock that
-    built it for `weighted(rule, t)`, `survivor(rule, t)` and
-    `mixing_moments(t, rule)`.
+    built it for `weighted(rule, t)` and `survivor(rule, t)`.
     """
 
     def mixing_law(self):
@@ -73,13 +72,6 @@ class Clock:
     def survivor(self, rule, t: float) -> float:
         """Mixing mass beyond the node window; the window is chosen so it is ~1e-16."""
         return 0.0
-
-    def mixing_moments(self, t: float, rule=None):
-        """(mean, variance) of the mixing law, here from the frozen nodes."""
-        x, wd = self.weighted(rule, t)
-        m1 = float(np.sum(x * wd))
-        m2 = float(np.sum(x * x * wd))
-        return m1, m2 - m1 * m1
 
     def draw(self, rng, t: float, n: int, rtol: float):
         """n values at time t."""
@@ -151,12 +143,6 @@ class InverseGaussian(SubordinatorSpec):
     def survivor(self, rule, t):
         return float(1.0 - ig_cdf(np.array([rule.x_hi]), t, self.delta, self.gamma)[0])
 
-    def mixing_moments(self, t, rule=None):
-        if self.gamma == 0.0:
-            return None
-        m = self.delta * t / self.gamma
-        return m, self.delta * t / self.gamma ** 3
-
     def increment(self, rng, dt):
         """One increment of the Levy subordinator over per-element steps dt."""
         return _sample_ig(rng, dt, self.delta, self.gamma)
@@ -189,8 +175,7 @@ class Stable(SubordinatorSpec):
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
         # nodes in y = x t^(-1/b): the window and the density factor are t-free
         y_hi = max(cut / t_lo ** (1.0 / self.beta), 10.0)
-        y, w, f1 = stable_unit(self.beta).mixture_nodes(y_hi, n_panels=n_panels,
-                                                        nodes_per_panel=12)
+        y, w, f1 = stable_unit(self.beta).mixture_nodes(y_hi, n_panels)
         return y, w, f1, y_hi
 
     def weighted(self, rule, t):
@@ -200,9 +185,6 @@ class Stable(SubordinatorSpec):
     def survivor(self, rule, t):
         # the node window scales with t, so the residual mass is t-free
         return float(stable_unit(self.beta).sf(np.array([rule.x_hi]))[0])
-
-    def mixing_moments(self, t, rule=None):
-        return None  # infinite mean
 
     def increment(self, rng, dt):
         ig = _half_ig(self.beta, 0.0)
@@ -240,7 +222,7 @@ class TemperedStable(SubordinatorSpec):
         b, mu = self.beta, self.mu
         x_need = max(cut, (mu ** b * t_hi + 42.0) / mu)
         y_hi = max(x_need / t_lo ** (1.0 / b), 10.0)
-        y, w, f1 = stable_unit(b).mixture_nodes(y_hi, n_panels=n_panels, nodes_per_panel=12)
+        y, w, f1 = stable_unit(b).mixture_nodes(y_hi, n_panels)
         return y, w, f1, x_need
 
     def weighted(self, rule, t):
@@ -248,10 +230,6 @@ class TemperedStable(SubordinatorSpec):
         x = t ** (1.0 / b) * rule.nodes
         damp = np.exp(mu ** b * t - mu * x)
         return x, rule.weights * rule.dens * damp
-
-    def mixing_moments(self, t, rule=None):
-        b, mu = self.beta, self.mu
-        return t * b * mu ** (b - 1.0), t * b * (1.0 - b) * mu ** (b - 2.0)
 
     def increment(self, rng, dt):
         ig = _half_ig(self.beta, self.mu)
@@ -397,12 +375,6 @@ class _InverseStable(_Hitting):
 
     def weighted(self, rule, t):
         return t ** self.base.beta * rule.nodes, rule.weights * rule.dens
-
-    def mixing_moments(self, t, rule=None):
-        b = self.base.beta
-        m1 = t ** b / math.gamma(1.0 + b)
-        m2 = 2.0 * t ** (2 * b) / math.gamma(1.0 + 2 * b)
-        return m1, m2 - m1 * m1
 
     def path(self, rng, t_grid, paths, rtol):
         # stable(1/2) is IG(1/sqrt 2, 0), whose running maximum is exact

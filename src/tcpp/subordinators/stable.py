@@ -316,13 +316,14 @@ class StableUnit:
             v *= 1.3
         raise ConvergenceError("could not bound the inverse-stable support")
 
-    def mixture_nodes(self, x_hi: float, n_panels: int = 40, nodes_per_panel: int = 12):
-        """Frozen quadrature rule (nodes, weights, pdf values) on (0, x_hi]."""
+    def mixture_nodes(self, x_hi: float, n_panels: int):
+        """Frozen quadrature rule (nodes, weights, pdf values) on (0, x_hi],
+        12 Gauss points on each of n_panels log-spaced panels."""
         x_lo = max(self.x_tiny * 0.25, 1e-10)
         if x_hi <= x_lo * 10:
             x_hi = x_lo * 10
         edges = log_panel_edges(x_lo, x_hi, n_panels)
-        x, w = gauss_panels(edges, nodes_per_panel)
+        x, w = gauss_panels(edges, 12)
         return x, w, self.pdf(x)
 
 

@@ -216,7 +216,7 @@ class MixtureRule:
 
     `law` is the clock that built the nodes (spec.mixing_law()); it turns
     them into (x, weight * density) at each t, and supplies the survivor
-    mass beyond the window end `x_hi` and the mixing moments.
+    mass beyond the window end `x_hi`.
     """
 
     spec: SubordinatorSpec
@@ -262,10 +262,6 @@ class MixtureRule:
                                                   for t in ts[cols]]
         return out
 
-    def mixing_moments(self, t: float):
-        """(mean, variance) of the mixing law, or None when the mean is infinite."""
-        return self.law.mixing_moments(t, self)
-
 
 @lru_cache(maxsize=64)
 def mixture_rule(
@@ -279,7 +275,7 @@ def mixture_rule(
     """Adaptive construction: double panel count until probe pmfs settle."""
     if not 0 < t_lo <= t_hi:
         raise DomainError("need 0 < t_lo <= t_hi")
-    probe_ts = np.array([t_lo, math.sqrt(t_lo * t_hi), t_hi])
+    probe_ts = np.unique([t_lo, math.sqrt(t_lo * t_hi), t_hi])  # one column when t_lo == t_hi
     probe_ks = np.unique(np.array([0, kmax // 2, kmax]))
     law = spec.mixing_law()
     if law is None:
@@ -381,39 +377,6 @@ class PmfTable:
             yield row
 
 
-def _auto_kmax(moments, lam: float, tail_above, bound: float = 1e-10, cap: int = 2000) -> int:
-    """Smallest K (within a growth factor) whose mixture tail drops below `bound`.
-
-    `moments` is the mixing law's (mean, variance) at t, or None when its mean
-    is infinite; `tail_above(k)` is the tail mass P(N(X(t)) > k).  A
-    Bernstein-type bound from the mean and variance of N(X(t)) seeds the
-    search; because Poisson mixtures over light-but-sub-exponential clocks
-    beat that bound's validity, the candidate is then verified (and grown as
-    needed) against the tail mass.  Heavy-tailed mixing (stable clocks,
-    infinite mean) cannot reach 1e-10 at any sane K and instead targets an
-    explicit 1e-6 tail mass, which the honest tail_bound then reports.
-    """
-    if moments is None:
-        k = 8
-        while k < cap:
-            if tail_above(k) < 1e-6:
-                return k
-            k *= 2
-        return cap
-    m, v = moments
-    mean = lam * m
-    var = lam * m + lam * lam * v
-    k = int(mean) + 1
-    while k < cap:
-        dev = k - mean
-        if math.exp(-(dev * dev) / (2.0 * (var + dev / 3.0))) < bound:
-            break
-        k += 1
-    while k < cap and tail_above(k) >= bound:
-        k = int(1.4 * k) + 4
-    return min(k, cap)
-
-
 def pmf_quadrature(k: int, t: float, lam: float, spec: SubordinatorSpec,
                    tol: float = 1e-10) -> float:
     """P(N(X(t)) = k) by adaptive quadrature of the Poisson mixture."""
@@ -425,16 +388,28 @@ def pmf_quadrature(k: int, t: float, lam: float, spec: SubordinatorSpec,
     return float(rule.pmf_matrix(np.array([t]), np.array([k]))[0, 0])
 
 
+_TAIL_TARGET = 1e-10
+_KMAX_START = 64
+_KMAX_CAP = 2000
+
+
+def _first_below(tails):
+    """The first k with P(N > k) = tails[k] below _TAIL_TARGET, or None."""
+    below = np.flatnonzero(tails < _TAIL_TARGET)
+    return int(below[0]) if below.size else None
+
+
 def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = None,
               tol: float = 1e-10, method: str = "auto") -> PmfTable:
     """PmfTable for k = 0..kmax with an honest tail bound.
 
     method "pgf" inverts the generating function of a Levy clock (see
-    `_pgf_values`); "quadrature" sums the Poisson mixture against a frozen
-    rule settled to `tol`; "auto" takes the PGF route for every clock but an
-    inverse one.  Without kmax, the PGF route takes the smallest K <= 2000
-    whose tail bound is below 1e-10, and quadrature grows K from a moment
-    bound by factors of 1.4 until its tail is.
+    `_pgf_values`); "bessel" sums the closed form of an IG clock with
+    gamma > 0 (`pmf_bessel_ig`); "quadrature" sums the Poisson mixture against
+    a frozen rule settled to `tol`; "auto" takes the PGF route for every clock
+    but an inverse one.  Without kmax, every route returns the smallest
+    K <= 2000 whose tail bound P(N > K) is below 1e-10, read off the tail
+    column of the table it computes, or K = 2000 when none is.
     """
     if t <= 0 or lam <= 0:
         raise DomainError("pmf_table requires t > 0 and lambda > 0")
@@ -444,24 +419,50 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
         method = "quadrature" if isinstance(spec, InverseOf) else "pgf"
     if method == "pgf":
         return _pgf_table(t, lam, spec, kmax)
+    if method == "bessel":
+        return _bessel_table(t, lam, spec, kmax)
     if method != "quadrature":
         raise DomainError(f"unknown pmf method '{method}'")
-    rule = mixture_rule(spec, lam, t, t, kmax if kmax is not None else 64, tol)
-    if kmax is None:
-        kmax = _auto_kmax(rule.mixing_moments(t), lam,
-                          lambda k: rule.tail_mass(np.array([t]), k)[0])
-        rule = mixture_rule(spec, lam, t, t, kmax, tol)
-    ks = np.arange(kmax + 1)
-    values = rule.pmf_matrix(np.array([t]), ks)[:, 0]
-    tail = float(rule.tail_mass(np.array([t]), kmax)[0])
-    return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=np.clip(values, 0.0, 1.0),
-                    tail_bound=tail, method="quadrature",
-                    route={"nodes": int(rule.nodes.size), "tol": tol})
+    ts = np.array([t])
+    k_rule = _KMAX_START if kmax is None else kmax
+    while True:
+        rule = mixture_rule(spec, lam, t, t, k_rule, tol)
+        values = np.clip(rule.pmf_matrix(ts, np.arange(k_rule + 1))[:, 0], 0.0, 1.0)
+        tail = float(rule.tail_mass(ts, k_rule)[0])
+        if kmax is not None:
+            break
+        # P(N > k) = P(N > K) + sum_{k < j <= K} p_j
+        tails = tail + np.append(np.cumsum(values[:0:-1])[::-1], 0.0)
+        kmax = _first_below(tails)
+        if kmax is not None or k_rule == _KMAX_CAP:
+            kmax = k_rule if kmax is None else kmax
+            values, tail = values[:kmax + 1], float(tails[kmax])
+            break
+        k_rule = min(2 * k_rule, _KMAX_CAP)
+    return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=values, tail_bound=tail,
+                    method="quadrature", route={"nodes": int(rule.nodes.size), "tol": tol})
+
+
+def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> PmfTable:
+    """Closed-form IG table, each p_k made once; without kmax the terms stop
+    at the first k whose tail 1 - sum_{j <= k} p_j is below _TAIL_TARGET."""
+    params = spec.bessel_params()
+    if params is None:
+        raise NoDensityError(f"Bessel closed form needs an IG spec with gamma > 0, not "
+                             f"{spec.label()}; use method 'pgf'")
+    ps, mass = [], 0.0
+    while len(ps) <= (_KMAX_CAP if kmax is None else kmax):
+        ps.append(pmf_bessel_ig(len(ps), t, lam, *params))
+        mass += ps[-1]
+        if kmax is None and 1.0 - mass < _TAIL_TARGET:
+            break
+    values = np.array(ps)
+    return PmfTable(spec=spec, lam=lam, t=t, kmax=values.size - 1, values=values,
+                    tail_bound=max(0.0, 1.0 - float(values.sum())), method="bessel")
 
 
 _PGF_DIGITS = 13
 _PGF_ALIAS = 10.0 ** -_PGF_DIGITS / (1.0 - 10.0 ** -_PGF_DIGITS)  # r^N / (1 - r^N)
-_KMAX_CAP = 2000
 
 
 def _pgf_values(t: float, lam: float, spec: SubordinatorSpec, n: int):
@@ -486,12 +487,12 @@ def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -
     raw, r = _pgf_values(t, lam, spec, n)
     while kmax is None:
         # the smallest K whose tail bound is below 1e-10; else double n, up to the cap
-        below = np.flatnonzero(1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS < 1e-10)
-        if below.size or n == n_cap:
-            kmax = int(below[0]) if below.size else _KMAX_CAP
-        else:
+        kmax = _first_below(1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS)
+        if kmax is None and n < n_cap:
             n = min(2 * n, n_cap)
             raw, r = _pgf_values(t, lam, spec, n)
+        elif kmax is None:
+            kmax = _KMAX_CAP
     raw = raw[: kmax + 1]
     if not np.all(np.isfinite(raw)) or np.min(raw) < -1e-12:
         raise ConvergenceError(f"PGF inversion for {spec.label()} gave a value "
@@ -606,13 +607,13 @@ def moments_ig(t: float, lam: float, delta: float, gamma: float):
     return mean, var
 
 
-def waiting_time_survival(x: float, lam: float, delta: float, gamma: float,
-                          n_panels: int = 96) -> float:
-    """P(J > x) = E exp(-lam H(x)) for the renewal process N(H(t))."""
+def waiting_time_survival(x: float, lam: float, delta: float, gamma: float) -> float:
+    """P(J > x) = E exp(-lam H(x)) for the renewal process N(H(t)), on 96
+    panels of 12 Gauss points."""
     if x <= 0:
         raise DomainError("waiting_time_survival requires x > 0")
     u_hi = (gamma * x + 14.0 * math.sqrt(x) + 2.0) / delta
-    u, w = gauss_panels(linear_panel_edges(0.0, u_hi, n_panels), 12)
+    u, w = gauss_panels(linear_panel_edges(0.0, u_hi, 96), 12)
     h = hitting_time_density_ig(u, x, delta, gamma)
     return float(np.sum(w * np.exp(-lam * u) * h))
 

@@ -45,13 +45,13 @@ _FLOOR = 1e-9
 # -- small helpers ---------------------------------------------------------------
 
 
-def _dx_ref(fn, x: np.ndarray, order: int, h_rel: float = 8e-3):
+def _dx_ref(fn, x: np.ndarray, order: int):
     """High-accuracy x-derivative of a smooth vectorized evaluator.
 
-    Five-point O(h^4) stencils at a fixed small step; this side of each PDE is
+    Five-point O(h^4) stencils at the step h = 8e-3 max(x, 1/2); this side of each PDE is
     treated as a reference while the time derivative carries the refinement.
     """
-    h = h_rel * np.maximum(x, 0.5)
+    h = 8e-3 * np.maximum(x, 0.5)
     if order == 1:
         vals = [fn(x + k * h) for k in (-2, -1, 1, 2)]
         return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * h)

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-import tcpp.cli
-from tcpp.cli import _bessel_table, main
+import tcpp.timechange
+from tcpp.cli import main
 from tcpp.subordinators.spec import InverseGaussian, TemperedStable
-from tcpp.timechange import PmfTable, _auto_kmax, pmf_bessel_ig, pmf_table
+from tcpp.timechange import PmfTable, pmf_bessel_ig, pmf_table
 
 
 IG_SPEC = '{"type":"ig","delta":1,"gamma":1}'
@@ -26,28 +26,23 @@ class TestPmfCommand:
         assert rows[0] == ["k", "value"]
         assert float(rows[1][1]) == pytest.approx(math.exp(1 - math.sqrt(3)), abs=1e-12)
 
-    @pytest.mark.parametrize("lam,t", [(1.0, 1.0), (5.0, 3.0)])
+    @pytest.mark.parametrize("lam,t", [(1.0, 1.0), (5.0, 3.0), (20.0, 20.0)])
     def test_bessel_auto_kmax_makes_each_term_once(self, monkeypatch, lam, t):
-        spec = InverseGaussian(1.0, 1.0)
-
-        def pmf(k):
-            return pmf_bessel_ig(k, t, lam, 1.0, 1.0)
-
-        # the table as the re-summing search made it: tail 1 - sum_{j <= k} p_j
-        kmax = _auto_kmax(spec.mixing_moments(t), lam,
-                          lambda k: 1.0 - sum(pmf(j) for j in range(k + 1)))
-        want = np.array([pmf(k) for k in range(kmax + 1)])
         calls = []
 
         def counted(k, *args):
             calls.append(k)
             return pmf_bessel_ig(k, *args)
 
-        monkeypatch.setattr(tcpp.cli, "pmf_bessel_ig", counted)
-        table = _bessel_table(spec, lam, t, None)
-        assert table.kmax == kmax and np.array_equal(table.values, want)
-        assert table.tail_bound == max(0.0, 1.0 - float(want.sum()))
-        assert len(calls) <= kmax + 1
+        monkeypatch.setattr(tcpp.timechange, "pmf_bessel_ig", counted)
+        table = pmf_table(t, lam, InverseGaussian(1.0, 1.0), method="bessel")
+        assert table.method == "bessel"
+        assert calls == list(range(table.kmax + 1))
+        # the smallest K whose tail is below 1e-10
+        assert table.tail_bound < 1e-10 <= table.tail_bound + table.values[-1]
+        if lam == 20.0:  # the PGF table of the same law stops within one count
+            pgf = pmf_table(t, lam, InverseGaussian(1.0, 1.0), method="pgf")
+            assert abs(table.kmax - pgf.kmax) <= 1
 
     def test_bessel_gamma_zero_is_capability_error(self, tmp_path):
         rc = main(["pmf", "--spec", '{"type":"ig","delta":1,"gamma":0}',
@@ -326,3 +321,9 @@ class TestMomentsCommand:
     def test_gamma_zero_is_input_error(self):
         rc = main(["moments", "--lambda", "1", "--delta", "1", "--gamma", "0", "--t", "1"])
         assert rc == 2
+
+    def test_unbounded_tail_is_capability_error(self, capsys):
+        # the second-moment tail search starts past its 20 000-count limit
+        rc = main(["moments", "--lambda", "1000", "--delta", "1", "--gamma", "1", "--t", "100"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")

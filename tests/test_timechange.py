@@ -151,6 +151,43 @@ class TestQuadraturePmf:
         past = table.values[int(mean) + 2 :]
         assert np.all(np.diff(past) < 0)
 
+    @pytest.mark.parametrize("spec,lam,t", [
+        (InverseOf(Stable(0.5)), 1.0, 1.0),
+        (InverseOf(InverseGaussian(1.0, 1.0)), 1.0, 1.0),
+        (InverseOf(TemperedStable(0.5, 1.0)), 1.0, 1.0),
+        (TemperedStable(0.5, 1.0), 1.0, 1.0),
+        (InverseOf(InverseGaussian(1.0, 1.0)), 5.0, 10.0),  # past the first rule's 64
+        (Stable(0.3), 1.0, 1.0),  # no K reaches 1e-10
+    ], ids=["inverse-stable0.5", "hitting-ig", "inverse-tempered0.5", "tempered0.5",
+            "hitting-ig-doubling", "stable0.3-cap"])
+    def test_auto_kmax_is_smallest_with_tail_below_1e_10(self, spec, lam, t):
+        table = pmf_table(t, lam, spec, method="quadrature")
+        if spec == Stable(0.3):
+            assert table.kmax == 2000 and table.tail_bound >= 1e-10
+        else:
+            # one count fewer leaves more than 1e-10 behind
+            assert table.tail_bound < 1e-10 <= table.tail_bound + table.values[-1]
+        if lam == 5.0:
+            assert table.kmax > 64
+        fixed = pmf_table(t, lam, spec, kmax=table.kmax, method="quadrature")
+        assert np.max(np.abs(table.values - fixed.values)) <= 1e-10
+        assert abs(table.tail_bound - fixed.tail_bound) <= 1e-10
+
+    def test_one_probe_column_when_window_is_one_time(self, monkeypatch):
+        import tcpp.subordinators.spec as spec_module
+
+        cols = []
+        weighted = spec_module.Clock.weighted
+
+        def counted(self, rule, t):
+            cols.append(np.size(t))
+            return weighted(self, rule, t)
+
+        monkeypatch.setattr(spec_module.Clock, "weighted", counted)
+        # parameters no other test builds, so the rule is not in the cache
+        mixture_rule(InverseOf(InverseGaussian(1.0, 1.0)), 1.7, 0.77, 0.77, 9)
+        assert len(cols) >= 2 and set(cols) == {1}
+
     @pytest.mark.parametrize("mu,t", [(1.0, 1.0), (0.3, 2.5)])
     def test_inverse_tempered_half_is_ig_hitting(self, mu, t):
         # tempered(1/2, mu) is IG(1/sqrt 2, sqrt(2 mu)), so their hitting clocks agree
