@@ -14,7 +14,6 @@ from .errors import (
     GridTooCoarseError,
     NoDensityError,
     PoleError,
-    RejectionBudgetError,
     UnknownEquationError,
 )
 from .specfun import (

@@ -26,10 +26,6 @@ class NoDensityError(ValueError):
     a density for quadrature, or a Laplace exponent for the PGF inversion."""
 
 
-class RejectionBudgetError(ConvergenceError):
-    """A rejection sampler exceeded its iteration budget."""
-
-
 class GridBudgetError(ConvergenceError):
     """First-passage path simulation exceeded its step budget."""
 

@@ -13,9 +13,12 @@ Sampler routes (each process class in tcpp.subordinators.spec picks its own):
   angle and a unit exponential; at beta = 1/2, which is IG(1/sqrt 2, 0), the
   IG sampler.
 * tempered(beta,mu): exponential-tilting rejection against the stable
-  sampler, acceptance exp(-mu X), refused (RejectionBudgetError) when
-  exp(-mu^beta t) < 1e-8; at beta = 1/2, which is IG(1/sqrt 2, sqrt(2 mu)),
-  the IG sampler, with no rejection and no budget.
+  sampler, acceptance exp(-mu X).  A tabulated floor of Zolotarev's A on
+  256 angle bins rejects most proposals before their sines, with the draws
+  of the plain loop bit for bit; a value with mu^beta t > 2 is the sum of
+  ceil(mu^beta t / 2) iid pieces, each accepted with probability >= e^-2,
+  so every draw costs O(mu^beta t) proposals and none is refused.  At
+  beta = 1/2, which is IG(1/sqrt 2, sqrt(2 mu)), the IG sampler.
 * composition:       feed sampled values as the time argument of the next
   part (outermost part listed first).
 * inverse:           first-passage time of the base.  Exact routes: an IG
@@ -42,10 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DomainError, GridBudgetError, RejectionBudgetError
+from ..errors import DomainError, GridBudgetError
+from .stable import log_zolotarev_a
 
 __all__ = ["SampleBatch", "rng_stream", "sample", "sample_path"]
 
@@ -98,13 +103,7 @@ def _sample_stable_unit(rng, beta, size):
     theta = math.pi * rng.random(size)
     theta = np.clip(theta, 1e-12, math.pi - 1e-12)
     w = rng.standard_exponential(size)
-    b = beta
-    log_a = (
-        np.log(np.sin((1.0 - b) * theta))
-        + (b / (1.0 - b)) * np.log(np.sin(b * theta))
-        - (1.0 / (1.0 - b)) * np.log(np.sin(theta))
-    )
-    return np.exp((1.0 - b) / b * (log_a - np.log(w)))
+    return np.exp((1.0 - beta) / beta * (log_zolotarev_a(theta, beta) - np.log(w)))
 
 
 def _sample_stable(rng, t, beta, n=None):
@@ -113,29 +112,97 @@ def _sample_stable(rng, t, beta, n=None):
     return t ** (1.0 / beta) * _sample_stable_unit(rng, beta, size)
 
 
-def _sample_tempered(rng, t, beta, mu, n=None, budget_factor=400):
-    """Tilting rejection: propose stable, accept with prob exp(-mu X)."""
+# the squeeze splits the proposal angle theta = pi U into equal bins of U
+_SQUEEZE_BINS = 256
+# a call draws the pieces of its split tempered values in chunks of at most
+# this many, so memory does not grow with mu^beta t times the count
+_PIECE_ELEMS = 2 ** 14
+
+
+@lru_cache(maxsize=32)
+def _log_a_floor(beta):
+    """log A at the left edge of each angle bin, lowered by 1e-9.
+
+    A is increasing and pi k/B <= pi U in floating point for U in bin k, so
+    the edge value bounds log A(theta) below for every angle of the bin; bin 0
+    starts at the clip end 1e-12.  The margin covers the rounding of log A.
+    """
+    edges = math.pi * (np.arange(_SQUEEZE_BINS) / _SQUEEZE_BINS)
+    edges[0] = 1e-12
+    floor = log_zolotarev_a(edges, beta) - 1e-9
+    floor.flags.writeable = False
+    return floor
+
+
+def _sample_tilted(rng, t, beta, mu):
+    """Tilting rejection on a 1-D t: propose D(t) stable, accept w.p. exp(-mu D).
+
+    Each round draws an angle, an exponential and an acceptance uniform for
+    every pending element, in ascending index order.  A proposal whose
+    uniform exceeds exp(-mu X_low), X_low built from the floor of log A on its
+    angle bin, would fail the exact test too and is dropped before any sine;
+    the survivors run the exact test on the exact stable value.  The additive
+    1e-12 absorbs the rounding of the two exponentials.
+    """
+    c = (1.0 - beta) / beta
+    t_pow = t ** (1.0 / beta)
+    floor = _log_a_floor(beta)
+    out = np.empty(t.size, dtype=float)
+    idx = np.arange(t.size)
+    while idx.size:
+        u = rng.random(idx.size)
+        log_w = np.log(rng.standard_exponential(idx.size))
+        v = rng.random(idx.size)
+        t_idx = t_pow[idx]
+        # exp(-mu X_low); capping the exponent at -700 only raises the bound,
+        # and spares exp its slow subnormal results
+        bound = floor[(u * _SQUEEZE_BINS).astype(np.intp)]
+        bound -= log_w
+        bound *= c
+        np.exp(bound, out=bound)
+        bound *= t_idx
+        bound *= -mu
+        np.maximum(bound, -700.0, out=bound)
+        np.exp(bound, out=bound)
+        bound += 1e-12
+        live = np.flatnonzero(v <= bound)
+        theta = np.clip(math.pi * u[live], 1e-12, math.pi - 1e-12)
+        x = t_idx[live] * np.exp(c * (log_zolotarev_a(theta, beta) - log_w[live]))
+        ok = v[live] <= np.exp(-mu * x)
+        out[idx[live[ok]]] = x[ok]
+        pending = np.ones(idx.size, dtype=bool)
+        pending[live[ok]] = False
+        idx = idx[pending]
+    return out
+
+
+def _sample_tempered(rng, t, beta, mu, n=None):
+    """Tempered stable D(t) by tilting, split into iid pieces where mu^beta t > 2.
+
+    An element with mu^beta t > 2 is the sum of m = ceil(mu^beta t / 2) iid
+    draws at t/m (infinite divisibility), each accepted with probability
+    >= e^-2, so a draw costs O(mu^beta t) proposals.  The unsplit elements
+    are drawn first, in one tilting call; then the pieces, in chunks of at
+    most _PIECE_ELEMS.
+    """
     t = np.asarray(t, dtype=float)
     size = t.shape if n is None else (n,)
     t_flat = np.broadcast_to(t, size).ravel()
-    accept_rate = math.exp(-(mu ** beta) * float(np.max(t_flat)))
-    if accept_rate < 1e-8:
-        raise RejectionBudgetError(
-            f"tilting acceptance ~exp(-mu^beta t) = {accept_rate:.2e} is too small"
-        )
-    out = np.empty(t_flat.size, dtype=float)
-    pending = np.ones(t_flat.size, dtype=bool)
-    rounds = 0
-    max_rounds = int(budget_factor / accept_rate) + 20
-    while np.any(pending):
-        rounds += 1
-        if rounds > max_rounds:
-            raise RejectionBudgetError("tempered stable rejection budget exceeded")
-        idx = np.flatnonzero(pending)
-        x = _sample_stable(rng, t_flat[idx], beta)
-        ok = rng.random(idx.shape) <= np.exp(-mu * x)
-        out[idx[ok]] = x[ok]
-        pending[idx[ok]] = False
+    pieces = np.ceil(mu ** beta * t_flat / 2.0)
+    split = pieces > 1.0
+    if not split.any():
+        return _sample_tilted(rng, t_flat, beta, mu).reshape(size)
+    out = np.zeros(t_flat.size, dtype=float)
+    out[~split] = _sample_tilted(rng, t_flat[~split], beta, mu)
+    elems = np.flatnonzero(split)
+    counts = pieces[split].astype(np.int64)
+    ends = np.cumsum(counts)
+    for lo in range(0, int(ends[-1]), _PIECE_ELEMS):
+        hi = min(lo + _PIECE_ELEMS, int(ends[-1]))
+        owner = np.searchsorted(ends, np.arange(lo, hi), side="right")
+        draws = _sample_tilted(rng, t_flat[elems[owner]] / counts[owner], beta, mu)
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        out[elems[owner[first]]] += np.add.reduceat(draws, first)
     return out.reshape(size)
 
 

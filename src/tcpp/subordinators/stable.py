@@ -54,6 +54,20 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def log_zolotarev_a(theta, beta: float):
+    """log A(theta) of Zolotarev's kernel; increasing in theta on (0, pi).
+
+    The one definition behind the density integral, the stable sampler and
+    the tempered sampler's floor table, so all of them round alike.
+    """
+    b = beta
+    return (
+        np.log(np.sin((1.0 - b) * theta))
+        + (b / (1.0 - b)) * np.log(np.sin(b * theta))
+        - (1.0 / (1.0 - b)) * np.log(np.sin(theta))
+    )
+
+
 class StableUnit:
     """Density, distribution and fractional moments of D(1)."""
 
@@ -75,13 +89,7 @@ class StableUnit:
     # -- Zolotarev kernel ---------------------------------------------------
 
     def _log_a(self, theta):
-        b = self.beta
-        theta = np.asarray(theta, dtype=float)
-        return (
-            np.log(np.sin((1.0 - b) * theta))
-            + self.ratio * np.log(np.sin(b * theta))
-            - (1.0 / (1.0 - b)) * np.log(np.sin(theta))
-        )
+        return log_zolotarev_a(np.asarray(theta, dtype=float), self.beta)
 
     def _log_a_slope(self, theta):
         """d log A / d theta; positive on (0, pi)."""

@@ -197,10 +197,16 @@ class TestSimulateCommand:
                    "--t-grid", "0.5:2:4", f"--rtol={rtol}", "--out", str(tmp_path / "r.csv")])
         assert rc == 2
 
-    def test_rejection_budget_is_capability_error(self, tmp_path):
+    def test_tempered_far_past_unit_acceptance(self, tmp_path):
+        # increments of mu^beta t = 6 and 296, drawn as sums of pieces
+        out = tmp_path / "t.csv"
         rc = main(["simulate", "--spec", '{"type":"tempered","beta":0.3,"mu":400}',
-                   "--t-grid", "1:50:2", "--out", str(tmp_path / "t.csv")])
-        assert rc == 3
+                   "--t-grid", "1:50:2", "--out", str(out)])
+        assert rc == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:]
+        assert rows.shape == (8, 2)
+        assert np.all(np.isfinite(rows)) and np.all(rows > 0)
+        assert np.all(np.diff(rows, axis=1) >= 0)
 
 
 class TestVerifyCommand:

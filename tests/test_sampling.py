@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf
 from scipy.stats import ks_2samp
 
-from tcpp.errors import DomainError, RejectionBudgetError
+from tcpp.errors import DomainError
 from tcpp.subordinators.densities import (
     hitting_time_cdf_ig,
     ig_cdf,
@@ -18,7 +18,11 @@ from tcpp.subordinators.densities import (
 )
 from tcpp.subordinators.sampling import (
     _BLOCK_ELEMS,
+    _PIECE_ELEMS,
+    _SQUEEZE_BINS,
     _first_passage_walk,
+    _log_a_floor,
+    _sample_stable,
     _sample_tempered,
     rng_stream,
     sample,
@@ -31,6 +35,7 @@ from tcpp.subordinators.spec import (
     Stable,
     TemperedStable,
 )
+from tcpp.subordinators.stable import log_zolotarev_a
 
 # 0.1% two-sided KS critical value: sqrt(-ln(alpha/2)/2) / sqrt(n)
 KS_CRIT_1E3 = math.sqrt(-math.log(0.0005) / 2.0)
@@ -261,7 +266,113 @@ class TestExactPaths:
         assert _ks_2samp_ok(paths[:, -1], exact)
 
 
+def _tilting_reference(rng, t, beta, mu, n=None):
+    """The tilting rejection without its squeeze: every proposal pays its sines."""
+    t = np.asarray(t, dtype=float)
+    size = t.shape if n is None else (n,)
+    t_flat = np.broadcast_to(t, size).ravel()
+    out, pending = np.empty(t_flat.size), np.ones(t_flat.size, dtype=bool)
+    while pending.any():
+        idx = np.flatnonzero(pending)
+        x = _sample_stable(rng, t_flat[idx], beta)
+        ok = rng.random(idx.size) <= np.exp(-mu * x)
+        out[idx[ok]] = x[ok]
+        pending[idx[ok]] = False
+    return out.reshape(size)
+
+
+class _SizeRecorder:
+    """A generator that forwards every draw and records the largest request."""
+
+    def __init__(self, rng):
+        self.rng, self.largest = rng, 0
+
+    def random(self, size):
+        self.largest = max(self.largest, int(np.prod(size)))
+        return self.rng.random(size)
+
+    def standard_exponential(self, size):
+        self.largest = max(self.largest, int(np.prod(size)))
+        return self.rng.standard_exponential(size)
+
+
+SQUEEZE_BETAS = [0.1, 0.3, 0.4, 0.7, 0.9]
+
+
 class TestTemperedSampler:
+    @pytest.mark.parametrize("beta", SQUEEZE_BETAS)
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 20.0])
+    def test_squeeze_keeps_the_stream(self, beta, mu):
+        # every element has mu^beta t <= 2, so no element is split and the
+        # squeeze must return the plain rejection loop's draws bit for bit
+        t_max = 2.0 / mu ** beta
+        grid = np.random.default_rng(1).uniform(1e-6, 1.0, 3000) * t_max
+        cases = [
+            (0.9 * t_max, 2000),
+            (grid, None),
+            (grid[:200].reshape(50, 4), None),
+            (np.broadcast_to([1e-4, 2e-4, 3e-4], (4, 3)), None),
+        ]
+        for t, n in cases:
+            got = _sample_tempered(rng_stream(17, 0), t, beta, mu, n)
+            want = _tilting_reference(rng_stream(17, 0), t, beta, mu, n)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("beta", SQUEEZE_BETAS)
+    def test_floor_is_a_floor(self, beta):
+        # bin edges of U and one ulp either side, both clip ends, and a fill
+        # of uniform angles: log A never falls below its bin's floor
+        edges = np.arange(_SQUEEZE_BINS) / _SQUEEZE_BINS
+        u = np.concatenate([
+            edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+            [np.nextafter(0.0, 1.0), 1e-12 / math.pi, np.nextafter(1.0, 0.0)],
+        ])
+        u = np.concatenate([u, np.random.default_rng(2).random(100_000 - u.size)])
+        theta = np.clip(math.pi * u, 1e-12, math.pi - 1e-12)
+        floor = _log_a_floor(beta)[(u * _SQUEEZE_BINS).astype(np.intp)]
+        assert np.all(log_zolotarev_a(theta, beta) >= floor)
+
+    @pytest.mark.parametrize("beta, mu, t, n", [
+        (0.3, 400.0, 1.0, 20_000),
+        (0.7, 20.0, 3.0, 20_000),
+        (0.3, 400.0, 50.0, 10_000),
+    ], ids=["mu^b t=6", "mu^b t=24", "mu^b t=302"])
+    def test_pieces_have_the_tempered_law(self, beta, mu, t, n):
+        vals = _sample_tempered(rng_stream(29, 0), t, beta, mu, n)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+        mean = t * beta * mu ** (beta - 1.0)
+        se = math.sqrt(t * beta * (1.0 - beta) * mu ** (beta - 2.0) / n)
+        assert abs(vals.mean() - mean) <= 4.0 * se
+        # s chosen so that the transform reads 0.3 and 0.7
+        for want in (0.3, 0.7):
+            s = (mu ** beta - math.log(want) / t) ** (1.0 / beta) - mu
+            m, se_lt = _emp_lt(vals, s)
+            assert abs(m - math.exp(-t * ((s + mu) ** beta - mu ** beta))) <= 4.0 * se_lt
+
+    def test_pieces_pass_ks(self):
+        # mu^beta t = 6: four pieces of 1.5.  Larger splits sit in the stable
+        # engine's deep left tail, where tempered_stable_cdf is not exact.
+        # Each cdf point costs about a millisecond here, hence 2000 draws
+        n, t = 2000, 1.0
+        vals = _sample_tempered(rng_stream(31, 0), t, 0.3, 400.0, n)
+        stat = _ks_stat(vals, lambda v: tempered_stable_cdf(v, t, 0.3, 400.0))
+        assert stat < KS_CRIT_1E3 / math.sqrt(n)
+
+    def test_pieces_are_drawn_in_capped_chunks(self):
+        # 1000 draws of 151 pieces each: uncapped, one request of 151000
+        rng = _SizeRecorder(rng_stream(37, 0))
+        vals = _sample_tempered(rng, 50.0, 0.3, 400.0, 1000)
+        assert 0 < rng.largest <= _PIECE_ELEMS
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+
+    def test_sample_at_mu_beta_t_302(self):
+        # once refused for its e^-302 acceptance; now 151 pieces of mu^beta t 2
+        b, mu, t, n = 0.3, 400.0, 50.0, 2000
+        vals = sample(TemperedStable(b, mu), t, n, seed=1).values
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+        se = math.sqrt(t * b * (1.0 - b) * mu ** (b - 2.0) / n)
+        assert abs(vals.mean() - t * b * mu ** (b - 1.0)) <= 4.0 * se
+
     def test_small_steps_in_two_dimensions(self):
         # a 2-D t once refilled only the first rows and exhausted the budget
         t = np.broadcast_to([1e-4, 2e-4, 3e-4], (4, 3))
@@ -357,10 +468,6 @@ class TestFirstPassageWalk:
         assert max(size for size, _ in base.steps) <= _BLOCK_ELEMS
         assert vals.shape == (n, 1)
         assert np.all(np.abs(vals - 1.0) <= rtol)
-
-    def test_rejection_budget(self):
-        with pytest.raises(RejectionBudgetError):
-            sample(TemperedStable(0.3, 400.0), 50.0, 10, seed=1)
 
     def test_grid_budget(self):
         from tcpp.errors import GridBudgetError
