@@ -1,14 +1,20 @@
 """Registry of governing equations and the residual-certification driver.
 
-Every entry discretizes one difference-differential or partial differential
-equation satisfied by a pmf or density produced elsewhere in the package,
-evaluates the residual on a dyadically refined grid, and grades the outcome:
-pass when the residual decreases with an estimated convergence order inside
-the entry's expected band, or when it is floor-limited below the noise floor.
+Every entry is one equation of the form
 
-Tables are always built once on the finest grid from a frozen quadrature rule
-and subsampled to the coarser levels, so every level sees the same smooth
-function and the finite-difference operators converge at their design order.
+    sum_j a_j d^j/dt^j T = sum_i c_i (1 - shift)^i T + S
+
+on a table T of pmfs (one row per count k; the shift takes row k to k - 1)
+or of densities (one row per space point x).  The time operator is either a
+set of central differences or a Caputo derivative of order beta in (0, 1);
+the source S is an x-side reference derivative, or the boundary and
+time-origin sources of the equation.  A runner builds T and S once on the
+finest grid from a frozen quadrature rule or a closed form and returns the
+coefficients; one driver subsamples them to every dyadic level, so each
+level sees the same smooth function and the finite differences converge at
+their design order.  The outcome is graded pass when the residual falls
+with an estimated convergence order inside the entry's band, or when it is
+floor-limited below the noise floor.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .report import GridSpec, LevelResidual, ResidualReport
 __all__ = ["check_equation", "equation_params", "registry_ids", "REGISTRY"]
 
 _FLOOR = 1e-9
+_DX_STEP = 8e-3  # _dx_ref's relative step: its stencil reaches x - _DX_STEP for x < 1/2
 
 
 # -- small helpers ---------------------------------------------------------------
@@ -51,7 +58,7 @@ def _dx_ref(fn, x: np.ndarray, order: int):
     Five-point O(h^4) stencils at the step h = 8e-3 max(x, 1/2); this side of each PDE is
     treated as a reference while the time derivative carries the refinement.
     """
-    h = 8e-3 * np.maximum(x, 0.5)
+    h = _DX_STEP * np.maximum(x, 0.5)
     if order == 1:
         vals = [fn(x + k * h) for k in (-2, -1, 1, 2)]
         return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * h)
@@ -64,7 +71,10 @@ def _dx_ref(fn, x: np.ndarray, order: int):
 
 
 def _shift_at_zero(j: int, ks: np.ndarray, lam: float):
-    """(-lam)^j (1-shift)^j p_.(0) at each count: equals (-lam)^j (-1)^k C(j,k)."""
+    """(-lam)^j (1-shift)^j p_.(0) at each count: equals (-lam)^j (-1)^k C(j,k).
+
+    j = 0 gives p_k(0) and j = 1 gives p'_k(0).
+    """
     out = np.zeros(ks.size)
     for i, k in enumerate(ks):
         if k <= j:
@@ -72,154 +82,143 @@ def _shift_at_zero(j: int, ks: np.ndarray, lam: float):
     return out
 
 
+def _origin_sources(ks, t, lam, n, beta=1.0, u=None):
+    """sum_{j<n} (-lam)^j [(1-shift)^j p(0)]_k u_j t^(-beta f_j) / Gamma(1 - f_j), f_j = (n-j)/n.
+
+    u_j is 1 unless the callable `u` gives it from j.
+    """
+    src = np.zeros((len(ks), t.size))
+    for j in range(1, n):
+        frac = (n - j) / n
+        weight = 1.0 if u is None else u(j)
+        src += (_shift_at_zero(j, ks, lam)[:, None] * t[None, :] ** (-beta * frac) * weight
+                / gamma_fn(1.0 - frac))
+    return src
+
+
 def _pmf_tables(spec, lam, times, ks, tol=1e-11):
     rule = mixture_rule(spec, lam, float(times[0]), float(times[-1]), int(np.max(ks)) + 1, tol)
     return rule.pmf_matrix(times, ks)
 
 
-def _norms(res: np.ndarray):
-    return float(np.max(np.abs(res))), float(math.sqrt(np.mean(np.square(res))))
+def _fine_times(grid: GridSpec, origin: bool = False):
+    """The finest level's times: the grid's own, or h, 2h, ..., t_max anchored at the origin."""
+    if not origin:
+        return grid.level_times(grid.refinement_levels - 1)
+    n = grid.points * 2 ** (grid.refinement_levels - 1)
+    return grid.t_max / n * np.arange(1, n + 1)
 
 
-# -- equation implementations -----------------------------------------------------
-#
-# Each returns (levels, scale, extras): levels is a list of (h, max, l2) from
-# coarse to fine.
+# -- the equation and its driver --------------------------------------------------
 
 
-def _run_leveled(grid: GridSpec, tables_fine, residual_at):
-    """Subsample finest-grid tables to every level and collect residual norms."""
+@dataclass(frozen=True)
+class _Problem:
+    """sum_j a_j d^j/dt^j T = sum_i c_i (1 - shift)^i T + S on the finest grid.
+
+    `time` is {j: a_j} for central differences (O(h^4) by Richardson when
+    `richardson`), or a Caputo order beta with u(0) = 1 at count 0, on a grid
+    anchored at the origin.  `shifts` is {i: c_i}; `S` is a table shaped like
+    T, or None.  `extras`, when given, maps the finest level's (lhs, T, S) on
+    the measured points to the report's extras.
+    """
+
+    T: np.ndarray
+    time: dict | float
+    shifts: dict
+    S: np.ndarray | None = None
+    richardson: bool = False
+    extras: object = None
+
+
+def _levels(grid: GridSpec, ks, pb: _Problem):
+    """Residual norms (h, max, l2) from coarse to fine, the finest scale and extras.
+
+    Central differences are trimmed to the largest stencil margin and summed
+    in ascending order; a Caputo residual is measured where t >= t_min.  The
+    scale is max|rhs| over the finest level's measured points.
+    """
+    caputo = not isinstance(pb.time, dict)
     L = grid.refinement_levels
-    t_fine = grid.level_times(L - 1)
+    t_fine = _fine_times(grid, caputo)
     out = []
-    scale = 1.0
-    extras = {}
     for lev in range(L):
         stride = 2 ** (L - 1 - lev)
-        tl = t_fine[::stride]
-        sub = [v[..., ::stride] for v in tables_fine]
-        res, scale, extras = residual_at(tl, sub, float(tl[1] - tl[0]), lev == L - 1)
-        mx, l2 = _norms(res)
-        out.append((float(tl[1] - tl[0]), mx, l2))
-    return out, scale, extras
+        sl = slice(stride - 1 if caputo else 0, None, stride)
+        tl, T = t_fine[sl], pb.T[:, sl]
+        rhs = sum(c * shift_power(T, i, axis=0) for i, c in pb.shifts.items())
+        if pb.S is not None:
+            rhs = rhs + pb.S[:, sl]
+        if caputo:
+            h = float(tl[0])
+            lhs = np.stack([caputo_derivative(TimeSeries(tl, row), pb.time, float(k == 0)).values
+                            for row, k in zip(T, ks)])
+            keep = tl >= grid.t_min
+            lhs = lhs[:, keep]
+        else:
+            h = float(tl[1] - tl[0])
+            diffs = [(pb.time[j], *central_difference(T, h, j, pb.richardson))
+                     for j in sorted(pb.time)]
+            m = max(mj for _, _, mj in diffs)
+            lhs = sum(a * d[:, m - mj:d.shape[1] - (m - mj)] for a, d, mj in diffs)
+            keep = slice(m, -m)
+        rhs = rhs[:, keep]
+        res = lhs - rhs
+        out.append((h, float(np.max(np.abs(res))), float(math.sqrt(np.mean(np.square(res))))))
+    S = None if pb.S is None else pb.S[:, keep]
+    extras = pb.extras(lhs, T[:, keep], S) if pb.extras else {}
+    return out, float(np.max(np.abs(rhs))), extras
+
+
+# -- equation runners: each builds its finest-grid tables once ----------------------
 
 
 def _eq_prop21(params, grid, ks):
     lam, d, g = params["lam"], params["delta"], params["gamma"]
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    P = np.stack([pmf_bessel_ig(int(k), t_fine, lam, d, g) for k in ks])
-
-    def residual(tl, sub, h, finest):
-        (p,) = sub
-        d2, m = central_difference(p, h, 2, richardson=True)
-        d1, _ = central_difference(p, h, 1, richardson=True)
-        rhs = 2.0 * d * d * lam * shift_power(p, 1, axis=0)[:, m:-m]
-        res = d2 - 2.0 * d * g * d1 - rhs
-        return res, float(np.max(np.abs(rhs))), {}
-
-    return _run_leveled(grid, [P], residual)
+    P = np.stack([pmf_bessel_ig(int(k), _fine_times(grid), lam, d, g) for k in ks])
+    return _Problem(P, {1: -2.0 * d * g, 2: 1.0}, {1: 2.0 * d * d * lam}, richardson=True)
 
 
 def _eq_prop22(params, grid, ks):
+    # (2 d^2) d/dt p~ = [lam^2 (1-shift)^2 - 2 d g lam (1-shift)] p~ + h(0,t) p'(0)
     lam, d, g = params["lam"], params["delta"], params["gamma"]
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    P = _pmf_tables(InverseOf(InverseGaussian(d, g)), lam, t_fine, ks)
-    h0 = hitting_time_density_ig(0.0, t_fine, d, g)
-    dpk0 = np.where(ks == 0, -lam, np.where(ks == 1, lam, 0.0))
-
-    def residual(tl, sub, h, finest):
-        p, h0t = sub
-        d1, m = central_difference(p, h, 1, richardson=False)
-        s1 = shift_power(p, 1, axis=0)
-        s2 = shift_power(p, 2, axis=0)
-        # (1/2 d^2)[lam^2 (1-shift)^2 - 2 d g lam (1-shift)] p + boundary source
-        rhs = (lam * lam * s2 - 2.0 * d * g * lam * s1) / (2.0 * d * d)
-        rhs = rhs + (dpk0[:, None] * h0t[None, :]) / (2.0 * d * d)
-        res = d1 - rhs[:, m:-m]
-        return res, float(np.max(np.abs(rhs))), {}
-
-    return _run_leveled(grid, [P, h0], residual)
+    t = _fine_times(grid)
+    P = _pmf_tables(InverseOf(InverseGaussian(d, g)), lam, t, ks)
+    h0 = hitting_time_density_ig(0.0, t, d, g)
+    S = _shift_at_zero(1, ks, lam)[:, None] * h0[None, :] / (2.0 * d * d)
+    shifts = {1: -2.0 * d * g * lam / (2.0 * d * d), 2: lam * lam / (2.0 * d * d)}
+    return _Problem(P, {1: 1.0}, shifts, S)
 
 
 def _eq_ig_density_pde(params, grid, xs):
     d, g = params["delta"], params["gamma"]
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    xs = np.asarray(xs, dtype=float)
-    x, t = xs[:, None], t_fine[None, :]
+    x, t = xs[:, None], _fine_times(grid)[None, :]
     G = ig_density(x, t, d, g)
     dGdx = G * (-1.5 / x + d * d * t ** 2 / (2.0 * x * x) - g * g / 2.0)  # exact d/dx
-
-    def residual(tl, sub, h, finest):
-        gtab, gx = sub
-        d2, m = central_difference(gtab, h, 2, richardson=False)
-        d1, _ = central_difference(gtab, h, 1, richardson=False)
-        rhs = 2.0 * d * d * gx[:, m:-m]
-        res = d2 - 2.0 * d * g * d1 - rhs
-        return res, float(np.max(np.abs(rhs))), {}
-
-    return _run_leveled(grid, [G, dGdx], residual)
+    return _Problem(G, {1: -2.0 * d * g, 2: 1.0}, {}, 2.0 * d * d * dGdx)
 
 
 def _eq_prop31(params, grid, ks):
     lam, n = params["lam"], int(params["n"])
-    beta = 0.5 ** n
-    order = 2 ** n
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    P = _pmf_tables(Stable(beta), lam, t_fine, ks, tol=1e-12)
-
-    def residual(tl, sub, h, finest):
-        (p,) = sub
-        dN, m = central_difference(p, h, order, richardson=False)
-        rhs = lam * shift_power(p, 1, axis=0)[:, m:-m]
-        res = dN - rhs
-        return res, float(np.max(np.abs(rhs))), {}
-
-    return _run_leveled(grid, [P], residual)
+    P = _pmf_tables(Stable(0.5 ** n), lam, _fine_times(grid), ks, tol=1e-12)
+    return _Problem(P, {2 ** n: 1.0}, {1: lam})
 
 
 def _eq_deblassie(params, grid, xs):
     beta = params["beta"]
     m_ord = round(1.0 / beta)  # beta = 1/m, m in {2, 3} (the entry's domain)
-    xs = np.asarray(xs, dtype=float)
-    t_fine = grid.level_times(grid.refinement_levels - 1)[None, :]
-    F = stable_density(xs[:, None], t_fine, beta)
-    dFdx = _dx_ref(lambda xv: stable_density(xv, t_fine, beta), xs[:, None], 1)
-
-    def residual(tl, sub, h, finest):
-        f, fx = sub
-        dm, m = central_difference(f, h, m_ord, richardson=False)
-        rhs = (-1.0) ** m_ord * fx[:, m:-m]
-        res = dm - rhs
-        return res, float(np.max(np.abs(rhs))), {}
-
-    return _run_leveled(grid, [F, dFdx], residual)
+    t = _fine_times(grid)[None, :]
+    F = stable_density(xs[:, None], t, beta)
+    dFdx = _dx_ref(lambda xv: stable_density(xv, t, beta), xs[:, None], 1)
+    return _Problem(F, {m_ord: 1.0}, {}, (-1.0) ** m_ord * dFdx)
 
 
 def _eq_thm31(params, grid, ks):
     lam, m_ord = params["lam"], int(params["m"])
-    beta = 1.0 / m_ord
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    Q = _pmf_tables(InverseOf(Stable(beta)), lam, t_fine, ks)
-    src = _thm31_source(t_fine, ks, lam, m_ord)
-
-    def residual(tl, sub, h, finest):
-        q, s = sub
-        d1, m = central_difference(q, h, 1, richardson=True)
-        rhs = (-lam) ** m_ord * shift_power(q, m_ord, axis=0) + s
-        res = d1 - rhs[:, m:-m]
-        return res, float(np.max(np.abs(rhs))), {}
-
-    return _run_leveled(grid, [Q, src], residual)
-
-
-def _thm31_source(times, ks, lam, m_ord):
-    """sum_j (-lam)^j [(1-shift)^j p(0)]_k t^(-(m-j)/m) / Gamma(1-(m-j)/m)."""
-    src = np.zeros((len(ks), times.size))
-    for j in range(1, m_ord):
-        frac = (m_ord - j) / m_ord
-        coeff = _shift_at_zero(j, np.asarray(ks), lam)
-        src += coeff[:, None] * times[None, :] ** (-frac) / gamma_fn(1.0 - frac)
-    return src
+    t = _fine_times(grid)
+    Q = _pmf_tables(InverseOf(Stable(1.0 / m_ord)), lam, t, ks)
+    return _Problem(Q, {1: 1.0}, {m_ord: (-lam) ** m_ord}, _origin_sources(ks, t, lam, m_ord),
+                    richardson=True)
 
 
 def _eq_cor31(params, grid, ks):
@@ -228,105 +227,34 @@ def _eq_cor31(params, grid, ks):
     return _eq_thm31(p, grid, ks)
 
 
-def _caputo_level_times(grid: GridSpec, level: int):
-    n = grid.points * 2 ** level
-    h = grid.t_max / n
-    return h * np.arange(1, n + 1)
-
-
-def _run_caputo_leveled(grid, tables_fine, residual_at):
-    L = grid.refinement_levels
-    t_fine = _caputo_level_times(grid, L - 1)
-    out = []
-    scale, extras = 1.0, {}
-    for lev in range(L):
-        stride = 2 ** (L - 1 - lev)
-        tl = t_fine[stride - 1 :: stride]
-        sub = [v[..., stride - 1 :: stride] for v in tables_fine]
-        res, scale, extras = residual_at(tl, sub, float(tl[0]), lev == L - 1)
-        mx, l2 = _norms(res)
-        out.append((float(tl[0]), mx, l2))
-    return out, scale, extras
-
-
 def _eq_frac_dde(params, grid, ks):
     lam, beta = params["lam"], params["beta"]
-    L = grid.refinement_levels
-    t_fine = _caputo_level_times(grid, L - 1)
-    Q = _pmf_tables(InverseOf(Stable(beta)), lam, t_fine, ks)
-
-    def residual(tl, sub, h, finest):
-        (q,) = sub
-        mask = tl >= grid.t_min
-        cap = np.stack([
-            caputo_derivative(TimeSeries(tl, q[i]), beta, 1.0 if k == 0 else 0.0).values
-            for i, k in enumerate(ks)
-        ])
-        rhs = -lam * shift_power(q, 1, axis=0)
-        res = (cap - rhs)[:, mask]
-        return res, float(np.max(np.abs(rhs))), {}
-
-    return _run_caputo_leveled(grid, [Q], residual)
+    Q = _pmf_tables(InverseOf(Stable(beta)), lam, _fine_times(grid, origin=True), ks)
+    return _Problem(Q, beta, {1: -lam})
 
 
 def _eq_prop32(params, grid, ks):
     lam, n, beta = params["lam"], int(params["n"]), params["beta"]
     two_n = 2 ** n
-    beta_tot = beta / two_n
-    L = grid.refinement_levels
-    t_fine = _caputo_level_times(grid, L - 1)
-    Q = _pmf_tables(InverseOf(Stable(beta_tot)), lam, t_fine, ks)
-    # U(gamma) = E[D(1)^(gamma beta)] for the outer index-beta subordinator
-    u_vals = {j: stable_moment(beta, beta * (two_n - j) / two_n) for j in range(1, two_n)}
-    src = np.zeros((len(ks), t_fine.size))
-    for j in range(1, two_n):
-        fracj = (two_n - j) / two_n
-        coeff = _shift_at_zero(j, np.asarray(ks), lam)
-        src += (
-            coeff[:, None]
-            * t_fine[None, :] ** (-beta * fracj)
-            * u_vals[j]
-            / gamma_fn(1.0 - fracj)
-        )
+    t = _fine_times(grid, origin=True)
+    Q = _pmf_tables(InverseOf(Stable(beta / two_n)), lam, t, ks)
+    # u_j = U((2^n - j) / 2^n), U(gamma) = E[D(1)^(gamma beta)] of the outer index-beta clock
+    S = _origin_sources(ks, t, lam, two_n, beta,
+                        u=lambda j: stable_moment(beta, beta * (two_n - j) / two_n))
 
-    def residual(tl, sub, h, finest):
-        q, s = sub
-        mask = tl >= grid.t_min
-        cap = np.stack([
-            caputo_derivative(TimeSeries(tl, q[i]), beta, 1.0 if k == 0 else 0.0).values
-            for i, k in enumerate(ks)
-        ])
-        rhs = lam ** two_n * shift_power(q, two_n, axis=0) + s
-        res = (cap - rhs)[:, mask]
-        extras = {}
-        if finest:
-            alt = lam ** two_n * shift_power(q, two_n - 1, axis=0) + s
-            extras["alternative_shift_exponent_max_residual"] = float(
-                np.max(np.abs((cap - alt)[:, mask]))
-            )
-        return res, float(np.max(np.abs(rhs))), extras
+    def alternative(lhs, T, S):
+        alt = lam ** two_n * shift_power(T, two_n - 1, axis=0) + S
+        return {"alternative_shift_exponent_max_residual": float(np.max(np.abs(lhs - alt)))}
 
-    return _run_caputo_leveled(grid, [Q, src], residual)
+    return _Problem(Q, beta, {two_n: lam ** two_n}, S, extras=alternative)
 
 
 def _eq_et_pde(params, grid, xs):
     beta = 0.5
-    xs = np.asarray(xs, dtype=float)
-    t_fine = grid.level_times(grid.refinement_levels - 1)[None, :]
-    M = inverse_stable_density(xs[:, None], t_fine, beta)
-    Mxx = _dx_ref(lambda xv: inverse_stable_density(xv, t_fine, beta), xs[:, None], 2)
-
-    def residual(tl, sub, h, finest):
-        m_tab, mxx = sub
-        d1, m = central_difference(m_tab, h, 1, richardson=False)
-        rhs = mxx[:, m:-m]
-        res = d1 - rhs
-        extras = {}
-        if finest:
-            extras.update(_et_pde_boundaries(tl, beta))
-        return res, float(np.max(np.abs(rhs))), extras
-
-    return _run_leveled(grid, [M, Mxx], residual)
+    t = _fine_times(grid)
+    M = inverse_stable_density(xs[:, None], t[None, :], beta)
+    Mxx = _dx_ref(lambda xv: inverse_stable_density(xv, t[None, :], beta), xs[:, None], 2)
+    return _Problem(M, {1: 1.0}, {}, Mxx, extras=lambda *_: _et_pde_boundaries(t, beta))
 
 
 def _et_pde_boundaries(times, beta):
@@ -346,95 +274,46 @@ def _et_pde_boundaries(times, beta):
 def _eq_prop41(params, grid, xs):
     mu, m_ord = params["mu"], int(params["m"])
     beta = 1.0 / m_ord
-    xs = np.asarray(xs, dtype=float)
-    t_fine = grid.level_times(grid.refinement_levels - 1)[None, :]
-    F = tempered_stable_density(xs[:, None], t_fine, beta, mu)
-    dFdx = _dx_ref(lambda xv: tempered_stable_density(xv, t_fine, beta, mu), xs[:, None], 1)
-
-    def residual(tl, sub, h, finest):
-        f, fx = sub
-        parts = []
-        margin = 2 if m_ord >= 3 else 1
-        lhs = None
-        for j in range(1, m_ord + 1):
-            dj, m = central_difference(f, h, j, richardson=False)
-            trim = margin - m
-            dj = dj[:, trim : dj.shape[1] - trim or None]
-            term = (-1.0) ** j * comb(m_ord, j, exact=True) * mu ** (1.0 - j / m_ord) * dj
-            lhs = term if lhs is None else lhs + term
-        rhs = fx[:, margin:-margin]
-        res = lhs - rhs
-        return res, float(np.max(np.abs(rhs))), {}
-
-    return _run_leveled(grid, [F, dFdx], residual)
+    t = _fine_times(grid)[None, :]
+    F = tempered_stable_density(xs[:, None], t, beta, mu)
+    dFdx = _dx_ref(lambda xv: tempered_stable_density(xv, t, beta, mu), xs[:, None], 1)
+    time = {j: (-1.0) ** j * comb(m_ord, j, exact=True) * mu ** (1.0 - j / m_ord)
+            for j in range(1, m_ord + 1)}
+    return _Problem(F, time, {}, dFdx)
 
 
 def _eq_rmk41(params, grid, ks):
     lam, mu = params["lam"], params["mu"]
-    beta = 0.5
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    R = _pmf_tables(TemperedStable(beta, mu), lam, t_fine, ks)
-
-    def residual(tl, sub, h, finest):
-        (r,) = sub
-        d2, m = central_difference(r, h, 2, richardson=False)
-        d1, _ = central_difference(r, h, 1, richardson=False)
-        rhs = lam * shift_power(r, 1, axis=0)[:, m:-m]
-        res = d2 - 2.0 * math.sqrt(mu) * d1 - rhs
-        return res, float(np.max(np.abs(rhs))), {}
-
-    return _run_leveled(grid, [R], residual)
+    R = _pmf_tables(TemperedStable(0.5, mu), lam, _fine_times(grid), ks)
+    return _Problem(R, {1: -2.0 * math.sqrt(mu), 2: 1.0}, {1: lam})
 
 
 def _eq_inv_tempered_pde(params, grid, xs):
     mu = params["mu"]
-    beta = 0.5
-    xs = np.asarray(xs, dtype=float)
-    t_fine = grid.level_times(grid.refinement_levels - 1)
+    t = _fine_times(grid)
 
     def dens(xv):
-        return inverse_tempered_density(xv, t_fine[None, :], beta, mu)
+        return inverse_tempered_density(xv, t[None, :], 0.5, mu)
 
     M = dens(xs[:, None])
-    Mx = _dx_ref(dens, xs[:, None], 1)
-    Mxx = _dx_ref(dens, xs[:, None], 2)
-
-    def residual(tl, sub, h, finest):
-        m_tab, mx, mxx = sub
-        d1, m = central_difference(m_tab, h, 1, richardson=False)
-        lhs = mxx[:, m:-m] - 2.0 * math.sqrt(mu) * mx[:, m:-m]
-        res = lhs - d1
-        return res, float(np.max(np.abs(lhs))), {}
-
-    return _run_leveled(grid, [M, Mx, Mxx], residual)
+    S = _dx_ref(dens, xs[:, None], 2) - 2.0 * math.sqrt(mu) * _dx_ref(dens, xs[:, None], 1)
+    return _Problem(M, {1: 1.0}, {}, S)
 
 
 def _eq_prop42(params, grid, ks):
     lam, mu = params["lam"], params["mu"]
-    beta = 0.5
-    t_fine = grid.level_times(grid.refinement_levels - 1)
-    R = _pmf_tables(InverseOf(TemperedStable(beta, mu)), lam, t_fine, ks)
+    t = _fine_times(grid)
+    R = _pmf_tables(InverseOf(TemperedStable(0.5, mu)), lam, t, ks)
     # exact boundary terms: m(0,t) = h(0,t) of the equal IG law, and
     # d/dx m(0,t) = 2 delta gamma m(0,t) = 2 sqrt(mu) m(0,t)
-    m0 = hitting_time_density_ig(0.0, t_fine, *tempered_half_as_ig(mu))
+    m0 = hitting_time_density_ig(0.0, t, *tempered_half_as_ig(mu))
     mx0 = 2.0 * math.sqrt(mu) * m0
-    pk0 = np.where(np.asarray(ks) == 0, 1.0, 0.0)
-    dpk0 = np.where(np.asarray(ks) == 0, -lam, np.where(np.asarray(ks) == 1, lam, 0.0))
-
-    def residual(tl, sub, h, finest):
-        r, b0, bx0 = sub
-        d1, m = central_difference(r, h, 1, richardson=False)
-        s1 = shift_power(r, 1, axis=0)
-        s2 = shift_power(r, 2, axis=0)
-        rhs = -2.0 * math.sqrt(mu) * lam * s1 + lam * lam * s2
-        rhs = rhs + (2.0 * math.sqrt(mu) * pk0 + dpk0)[:, None] * b0[None, :]
-        rhs = rhs - pk0[:, None] * bx0[None, :]
-        res = d1 - rhs[:, m:-m]
-        extras = {"boundary_value_at_tmax": float(b0[-1]),
-                  "boundary_slope_at_tmax": float(bx0[-1])} if finest else {}
-        return res, float(np.max(np.abs(rhs))), extras
-
-    return _run_leveled(grid, [R, m0, mx0], residual)
+    pk0, dpk0 = _shift_at_zero(0, ks, lam), _shift_at_zero(1, ks, lam)
+    S = ((2.0 * math.sqrt(mu) * pk0 + dpk0)[:, None] * m0[None, :]
+         - pk0[:, None] * mx0[None, :])
+    extras = {"boundary_value_at_tmax": float(m0[-1]), "boundary_slope_at_tmax": float(mx0[-1])}
+    return _Problem(R, {1: 1.0}, {1: -2.0 * math.sqrt(mu) * lam, 2: lam * lam}, S,
+                    extras=lambda *_: extras)
 
 
 # -- registry -----------------------------------------------------------------------
@@ -448,7 +327,7 @@ class EquationDef:
     default_grid: GridSpec
     band: tuple
     default_range: tuple  # counts k or space points x
-    range_kind: str = "k"
+    x_min: float | None = None  # None: counts k; else space points x > x_min
     statement: str = ""
 
 
@@ -476,7 +355,7 @@ def _register(eq):
 _register(EquationDef(
     "prop2.1", _eq_prop21,
     {"lam": (1.0, _POS), "delta": (1.0, _POS), "gamma": (1.0, _POS)},
-    GridSpec(0.5, 2.0, points=97, refinement_levels=4),
+    GridSpec(0.5, 2.0, points=13, refinement_levels=4),
     band=(3.0, 5.0), default_range=_std_ks(5),
     statement="d2/dt2 p - 2 d g d/dt p = 2 d^2 lam (1-shift) p",
 ))
@@ -491,7 +370,7 @@ _register(EquationDef(
     "ig-density-pde", _eq_ig_density_pde,
     {"delta": (1.0, _POS), "gamma": (1.0, _NONNEG)},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
-    band=(1.6, 2.4), default_range=(0.4, 0.8, 1.5, 2.5), range_kind="x",
+    band=(1.6, 2.4), default_range=(0.4, 0.8, 1.5, 2.5), x_min=0.0,
     statement="d2/dt2 g - 2 d g_ d/dt g = 2 d^2 dg/dx",
 ))
 _register(EquationDef(
@@ -512,14 +391,14 @@ _register(EquationDef(
     "deblassie(1/2)", _eq_deblassie,
     {"beta": (0.5, _DEBLASSIE)},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
-    band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), range_kind="x",
+    band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), x_min=_DX_STEP,
     statement="d2/dt2 f = df/dx for the 1/2-stable density",
 ))
 _register(EquationDef(
     "deblassie(1/3)", _eq_deblassie,
     {"beta": (1.0 / 3.0, _DEBLASSIE)},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
-    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), range_kind="x",
+    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), x_min=_DX_STEP,
     statement="d3/dt3 f = -df/dx for the 1/3-stable density",
 ))
 _register(EquationDef(
@@ -568,7 +447,7 @@ _register(EquationDef(
     "et-pde(2)", _eq_et_pde,
     {"m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
-    band=(1.6, 2.4), default_range=(0.3, 0.6, 1.0, 1.8), range_kind="x",
+    band=(1.6, 2.4), default_range=(0.3, 0.6, 1.0, 1.8), x_min=_DX_STEP,
     statement="dm/dt = d2m/dx2 with boundary system, inverse 1/2-stable density",
 ))
 _register(EquationDef(
@@ -582,14 +461,14 @@ _register(EquationDef(
     "prop4.1(2)", _eq_prop41,
     {"mu": (1.0, _POS), "m": (2, _ints(2, 4))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
-    band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), range_kind="x",
+    band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), x_min=_DX_STEP,
     statement="d2/dt2 f - 2 sqrt(mu) d/dt f = df/dx, tempered 1/2-stable",
 ))
 _register(EquationDef(
     "prop4.1(3)", _eq_prop41,
     {"mu": (1.0, _POS), "m": (3, _ints(2, 4))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
-    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), range_kind="x",
+    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), x_min=_DX_STEP,
     statement="third-order tempered operator = df/dx, tempered 1/3-stable",
 ))
 _register(EquationDef(
@@ -603,7 +482,7 @@ _register(EquationDef(
     "inv-tempered-pde(2)", _eq_inv_tempered_pde,
     {"mu": (1.0, _POS), "m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
-    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.5), range_kind="x",
+    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.5), x_min=_DX_STEP,
     statement="d2m/dx2 - 2 sqrt(mu) dm/dx = dm/dt, inverse tempered density",
 ))
 _register(EquationDef(
@@ -640,19 +519,21 @@ def equation_points(equation_id: str, k_range=None) -> np.ndarray:
 
     `k_range` (default `default_range`) must be the counts 0, 1, ..., K in
     order, because the shift operators read row i - 1 as count k - 1; or,
-    for an x-range entry, a nonempty list of finite numbers > 0.
+    for an x-range entry, a nonempty list of finite numbers > the entry's
+    `x_min` (0, or 0.008 where the x-reference stencil reaches x - 0.008).
     """
-    x_points = REGISTRY[equation_id].range_kind == "x"
+    x_min = REGISTRY[equation_id].x_min
     pts = REGISTRY[equation_id].default_range if k_range is None else k_range
     ok = isinstance(pts, (list, tuple, np.ndarray)) and len(pts) > 0 and all(
         not isinstance(v, bool) and (
-            isinstance(v, Real) and math.isfinite(v) and v > 0 if x_points
+            isinstance(v, Real) and math.isfinite(v) and v > x_min if x_min is not None
             else isinstance(v, Integral) and v == i)
         for i, v in enumerate(pts))
     if not ok:
-        what = "a nonempty list of finite numbers > 0" if x_points else "the counts [0, 1, ..., K]"
+        what = (f"a nonempty list of finite numbers > {x_min:g}" if x_min is not None
+                else "the counts [0, 1, ..., K]")
         raise DomainError(f"{equation_id}: k_range must be {what}, got {pts!r}")
-    return np.asarray(pts, dtype=float if x_points else int)
+    return np.asarray(pts, dtype=int if x_min is None else float)
 
 
 def check_equation(equation_id: str, params: dict | None = None,
@@ -662,7 +543,7 @@ def check_equation(equation_id: str, params: dict | None = None,
     ks = equation_points(equation_id, k_range)
     eq = REGISTRY[equation_id]
     g = grid or eq.default_grid
-    levels_raw, scale, extras = eq.runner(p, g, ks)
+    levels_raw, scale, extras = _levels(g, ks, eq.runner(p, g, ks))
     hs = [lv[0] for lv in levels_raw]
     maxs = [lv[1] for lv in levels_raw]
     floor = max(_FLOOR, 1e-12 * scale)

@@ -47,7 +47,11 @@ class LevelResidual:
 
 @dataclass
 class ResidualReport:
-    """Residual norms per refinement level plus the pass/fail verdict."""
+    """Residual norms per refinement level plus the pass/fail verdict.
+
+    `scale` is max|right-hand side| over the points where the finest level's
+    residual is measured; the noise floor is max(1e-9, 1e-12 scale).
+    """
 
     equation_id: str
     params: dict

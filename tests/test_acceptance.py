@@ -43,6 +43,7 @@ from tcpp.timechange import (
 )
 from tcpp.verify.operators import central_difference
 from tcpp.verify.registry import check_equation, registry_ids
+from tcpp.verify.report import GridSpec
 
 CRIT_GRID = [
     (lam, 1.0, gamma, t)
@@ -166,7 +167,8 @@ def test_criterion_04_full_campaign():
 
 def test_criterion_05_analytic_exactness():
     """Closed-form solutions satisfy their discretized equations."""
-    rep21 = check_equation("prop2.1", k_range=(0,))
+    rep21 = check_equation("prop2.1", k_range=(0,),
+                           grid=GridSpec(0.5, 2.0, points=97, refinement_levels=4))
     ok21 = all(lv.max_residual <= 1e-8 for lv in rep21.levels)
     # theorem residual of the analytic q_0 = e^{lam^2 t} erfc(lam sqrt(t))
     lam = 1.0

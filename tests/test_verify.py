@@ -1,10 +1,12 @@
 """Discrete operators and the equation-certification engine."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from tcpp.cli import main
 from tcpp.errors import DomainError, GridTooCoarseError, UnknownEquationError
 from tcpp.specfun import TimeSeries
 from tcpp.timechange import poisson_pmf
@@ -207,7 +209,7 @@ class TestCheckEquation:
     @pytest.mark.parametrize("eq_id, k_range", [
         ("prop2.1", "ab"), ("prop2.1", [-1, 0]), ("prop2.1", [1, 2, 3]), ("prop2.1", []),
         ("prop2.1", [True]), ("prop2.1", [0.0, 1.0]), ("ig-density-pde", [0.4, math.inf]),
-        ("ig-density-pde", [0.0]),
+        ("ig-density-pde", [0.0]), ("et-pde(2)", [0.005, 0.3]),
     ])
     def test_bad_k_range_rejected(self, eq_id, k_range):
         with pytest.raises(DomainError):
@@ -215,8 +217,9 @@ class TestCheckEquation:
 
     def test_prop21_k0_exact_identity(self):
         # a(a - 2 d g) = 2 d^2 lam for a = d g - d sqrt(g^2 + 2 lam): the k=0
-        # closed form satisfies the DDE exactly, so every level is tiny
-        rep = check_equation("prop2.1", k_range=(0,))
+        # closed form satisfies the DDE exactly, so every level of a fine grid is tiny
+        grid = GridSpec(0.5, 2.0, points=97, refinement_levels=4)
+        rep = check_equation("prop2.1", k_range=(0,), grid=grid)
         assert all(lv.max_residual <= 1e-8 for lv in rep.levels)
         assert rep.passed
 
@@ -279,3 +282,44 @@ class TestCheckEquation:
         b = check_equation("prop3.1(1)", grid=grid)
         assert a.passed
         assert abs(a.finest_residual - b.finest_residual) <= 1e-3
+
+
+# (equation_id, floor_limited, estimated order, finest max residual) of every
+# default-campaign row; every row passes
+DEFAULT_CAMPAIGN = [
+    ("prop2.1", False, 3.8790324920641144, 3.0169353681941402e-09),
+    ("prop2.2", False, 1.835916283839684, 4.044259849361742e-05),
+    ("ig-density-pde", False, 1.9820886306533299, 0.0007486504984965947),
+    ("prop3.1(1)", False, 1.933419565448243, 2.1165385167110085e-05),
+    ("prop3.1(2)", False, 1.8777065295886732, 3.270435782443126e-05),
+    ("deblassie(1/2)", False, 1.9986539820740792, 9.383983871380508e-05),
+    ("deblassie(1/3)", False, 1.8283196536795323, 0.00019770324580314913),
+    ("thm3.1(2)", False, 3.043711377924059, 1.6728076296379513e-07),
+    ("thm3.1(3)", False, 2.9958208837357967, 1.570498317504665e-07),
+    ("cor3.1(1)", False, 3.043711377924059, 1.6728076296379513e-07),
+    ("cor3.1(2)", False, 3.2350824024963627, 6.841645734667612e-08),
+    ("frac-dde(1/2)", False, 1.5021786019736312, 7.543826727884895e-05),
+    ("frac-dde(1/4)", False, 1.229694840818565, 0.00014631061695935532),
+    ("et-pde(2)", False, 1.784550092584627, 0.0001798752265580461),
+    ("prop3.2", False, 1.2433939835633228, 0.00025224899508496934),
+    ("prop4.1(2)", False, 1.9965067667664327, 0.00024442579086336735),
+    ("prop4.1(3)", False, 1.9992535590736789, 7.346217470871608e-05),
+    ("rmk4.1(2)", False, 1.9783282790493302, 7.144320695595674e-06),
+    ("inv-tempered-pde(2)", False, 1.748184326678066, 0.0005046199160323728),
+    ("prop4.2(2)", False, 1.8398009735943082, 6.297588886489125e-05),
+]
+
+
+def test_default_campaign_is_pinned(tmp_path):
+    # a change to the operators, tables or grids that moves any order or
+    # residual shows here, not only one that flips a verdict
+    assert main(["verify", "--out-dir", str(tmp_path)]) == 0
+    reports = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
+    reports = {rep["equation_id"]: rep for rep in reports}
+    assert set(reports) == {row[0] for row in DEFAULT_CAMPAIGN}
+    for eq, floor_limited, order, finest in DEFAULT_CAMPAIGN:
+        rep = reports[eq]
+        assert rep["pass"] is True, eq
+        assert rep["floor_limited"] is floor_limited, eq
+        assert rep["estimated_order"] == pytest.approx(order, rel=0, abs=1e-9), eq
+        assert rep["levels"][-1]["max_residual"] == pytest.approx(finest, rel=1e-9, abs=0), eq
