@@ -1,10 +1,10 @@
 """The time-change processes: one object per clock, and its JSON wire format.
 
 Each process class owns everything tcpp does with its clock: its Laplace
-exponent phi(s), with E e^{-s X(t)} = e^{-t phi(s)}, its density, the pieces
-of a frozen quadrature rule for the Poisson mixture (nodes and weights, the
-per-t (x, weight * density) and the survivor mass beyond the node window),
-its increment sampler and its first-passage scale.
+exponent phi(s), with E e^{-s X(t)} = e^{-t phi(s)}, its mean rate phi'(0+),
+its density, the pieces of a frozen quadrature rule for the Poisson mixture
+(nodes and weights, the per-t (x, weight * density) and the survivor mass
+beyond the node window), its increment sampler and its first-passage scale.
 `Composition` and `InverseOf` are combinators: a composition of stable laws
 answers as one stable law with the product of the indices, any other
 composition chains its parts' increments, and an inverse asks its base for a
@@ -98,6 +98,11 @@ class SubordinatorSpec(Clock):
         """(delta, gamma) when the count law has the closed Bessel form, else None."""
         return None
 
+    def mean_rate(self):
+        """E X(t) / t = phi'(0+), math.inf when the mean is infinite; None when
+        the clock does not say, which `pmf_table` treats as possibly finite."""
+        return None
+
     def phi(self, s):
         """Laplace exponent at complex s, Re s > 0 (principal branches), vectorized."""
         raise NoDensityError(f"{self.label()} is not a Levy clock: it has no Laplace "
@@ -125,6 +130,9 @@ class InverseGaussian(SubordinatorSpec):
 
     def bessel_params(self):
         return (self.delta, self.gamma) if self.gamma > 0 else None
+
+    def mean_rate(self):
+        return self.delta / self.gamma if self.gamma > 0 else math.inf
 
     def phi(self, s):
         g = self.gamma
@@ -165,6 +173,9 @@ class Stable(SubordinatorSpec):
 
     def to_dict(self):
         return {"type": "stable", "beta": self.beta}
+
+    def mean_rate(self):
+        return math.inf
 
     def phi(self, s):
         return np.asarray(s, dtype=complex) ** self.beta
@@ -210,6 +221,9 @@ class TemperedStable(SubordinatorSpec):
 
     def to_dict(self):
         return {"type": "tempered", "beta": self.beta, "mu": self.mu}
+
+    def mean_rate(self):
+        return self.beta * self.mu ** (self.beta - 1.0)
 
     def phi(self, s):
         b, mu = self.beta, self.mu
@@ -269,6 +283,11 @@ class Composition(SubordinatorSpec):
 
     def to_dict(self):
         return {"type": "compose", "parts": [p.to_dict() for p in self.parts]}
+
+    def mean_rate(self):
+        # E A(B(t)) = E B(t) * rate_A: the chain rule on the composed exponents
+        rates = [part.mean_rate() for part in self.parts]
+        return None if None in rates else math.prod(rates)
 
     def phi(self, s):
         # E e^{-s A(B(t))} = E e^{-B(t) phi_A(s)}: the outermost part's exponent

@@ -229,13 +229,27 @@ class MixtureRule:
     weights: np.ndarray = field(repr=False)
     dens: np.ndarray | None = field(repr=False)
     x_hi: float
+    # (t, (x, wd)) of the last one-column weighted() call, kept as one tuple so
+    # a reader on another thread never sees t paired with another t's result
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # _poisson_mix slices by value the nodes that weighted() scales by t > 0
         assert np.all(np.diff(self.nodes) > 0), "rule nodes must ascend"
 
     def _blocks(self, ts):
-        """(columns, x, wd) for each block of _T_BLOCK consecutive times."""
+        """(columns, x, wd) for each block of _T_BLOCK consecutive times.
+
+        A one-column call at the t of the previous one reuses its (x, wd):
+        a table's last settling probe, `pmf_matrix` and `tail_mass` make one
+        density pass between them.
+        """
+        if ts.size == 1:
+            last = self._last
+            if last is None or last[0] != ts[0]:
+                last = self._last = (float(ts[0]), self.law.weighted(self, ts[:, None]))
+            yield (slice(0, 1), *last[1])
+            return
         for start in range(0, ts.size, _T_BLOCK):
             cols = slice(start, start + _T_BLOCK)
             yield (cols, *self.law.weighted(self, ts[cols, None]))
@@ -409,7 +423,10 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     a frozen rule settled to `tol`; "auto" takes the PGF route for every clock
     but an inverse one.  Without kmax, every route returns the smallest
     K <= 2000 whose tail bound P(N > K) is below 1e-10, read off the tail
-    column of the table it computes, or K = 2000 when none is.
+    column of the table it computes, or K = 2000 when none is.  Quadrature
+    doubles K from 64; the PGF route doubles its FFT from 256 points, except
+    that a clock of infinite mean first runs the 8004-point cap pass and keeps
+    it when every tail bound there is >= 2e-10 (`_pgf_search`).
     """
     if t <= 0 or lam <= 0:
         raise DomainError("pmf_table requires t > 0 and lambda > 0")
@@ -465,6 +482,17 @@ _PGF_DIGITS = 13
 _PGF_ALIAS = 10.0 ** -_PGF_DIGITS / (1.0 - 10.0 ** -_PGF_DIGITS)  # r^N / (1 - r^N)
 
 
+@lru_cache(maxsize=16)
+def _pgf_contour(n: int):
+    """(r, u, scale) of the n-point circle: r = 10^(-d/n), the half circle
+    u_j = r e^{2 pi i j/n}, j <= n/2, and scale_k = n r^k for k < n/4."""
+    r = 10.0 ** (-_PGF_DIGITS / n)
+    u = r * np.exp(2j * math.pi * np.arange(n // 2 + 1) / n)
+    scale = n * r ** np.arange(n // 4)
+    u.flags.writeable = scale.flags.writeable = False
+    return r, u, scale
+
+
 def _pgf_values(t: float, lam: float, spec: SubordinatorSpec, n: int):
     """(raw p_k for k < n/4, radius r) from n points of G(u) = E u^{N(X(t))}.
 
@@ -474,25 +502,52 @@ def _pgf_values(t: float, lam: float, spec: SubordinatorSpec, n: int):
     is amplified by r^-k <= 10^(d/4): the far values carry absolute noise
     near 1e-14, enough for mass but not for k^2-weighted sums.
     """
-    r = 10.0 ** (-_PGF_DIGITS / n)
-    u = r * np.exp(2j * math.pi * np.arange(n // 2 + 1) / n)
+    r, u, scale = _pgf_contour(n)
     g = np.exp(-t * spec.phi(lam * (1.0 - u)))
-    k = np.arange(n // 4)
-    return np.fft.hfft(g, n)[: n // 4] / (n * r ** k), r
+    return np.fft.hfft(g, n)[: n // 4] / scale, r
+
+
+def _pgf_tails(raw):
+    """Tail bounds P(N > k) <= 1 - sum_{j <= k} p_j + aliasing, k < raw.size."""
+    return 1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS
+
+
+def _pgf_search(t: float, lam: float, spec: SubordinatorSpec):
+    """(n, raw, r, kmax) with auto kmax: the smallest K whose tail bound is
+    below 1e-10, read off passes of n = 256, 512, ... points up to the
+    4 (2000 + 1) cap, and K = 2000 when none is.
+
+    An infinite-mean clock (stable, IG(delta, 0), any composition with such
+    a part) rarely has that tail before K = 2000, so it runs the cap pass
+    first and keeps it when every tail bound there is >= 2e-10.  A smaller
+    pass reads the same p_k up to its 1e-13 aliasing and ~1e-14 rounding
+    per value, so it could not have found a tail below 1e-10 either: the
+    table is the one the doubling would end on.  Otherwise the doubling runs
+    as for any other clock, reusing the cap pass if it gets there.
+    """
+    n_cap = 4 * (_KMAX_CAP + 1)
+    capped = None
+    if spec.mean_rate() == math.inf:
+        capped = _pgf_values(t, lam, spec, n_cap)
+        if np.all(_pgf_tails(capped[0]) >= 2.0 * _TAIL_TARGET):
+            return (n_cap, *capped, _KMAX_CAP)
+    n = 256
+    while True:
+        raw, r = capped if n == n_cap and capped is not None else _pgf_values(t, lam, spec, n)
+        kmax = _first_below(_pgf_tails(raw))
+        if kmax is not None or n == n_cap:
+            return n, raw, r, _KMAX_CAP if kmax is None else kmax
+        n = min(2 * n, n_cap)
 
 
 def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> PmfTable:
-    n_cap = 4 * (_KMAX_CAP + 1)
-    n = 256 if kmax is None else max(256, 4 * (kmax + 1))
-    raw, r = _pgf_values(t, lam, spec, n)
-    while kmax is None:
-        # the smallest K whose tail bound is below 1e-10; else double n, up to the cap
-        kmax = _first_below(1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS)
-        if kmax is None and n < n_cap:
-            n = min(2 * n, n_cap)
-            raw, r = _pgf_values(t, lam, spec, n)
-        elif kmax is None:
-            kmax = _KMAX_CAP
+    """PGF-route table: one pass of 4 (kmax + 1) >= 256 points when kmax is
+    given, else the pass `_pgf_search` settles on."""
+    if kmax is None:
+        n, raw, r, kmax = _pgf_search(t, lam, spec)
+    else:
+        n = max(256, 4 * (kmax + 1))
+        raw, r = _pgf_values(t, lam, spec, n)
     raw = raw[: kmax + 1]
     if not np.all(np.isfinite(raw)) or np.min(raw) < -1e-12:
         raise ConvergenceError(f"PGF inversion for {spec.label()} gave a value "

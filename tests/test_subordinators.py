@@ -111,6 +111,26 @@ class TestLaplaceExponent:
         assert np.max(np.abs(Composition((ig, tem)).phi(s)
                              - Composition((tem, ig)).phi(s))) > 1e-2
 
+    @pytest.mark.parametrize("spec,rate", [
+        (InverseGaussian(2.0, 0.5), 4.0),
+        (TemperedStable(0.3, 2.0), 0.3 * 2.0 ** -0.7),
+        (Composition((InverseGaussian(1.0, 1.0), TemperedStable(0.4, 1.0))), 0.4),
+        (InverseGaussian(1.0, 0.0), math.inf),
+        (Stable(0.9), math.inf),
+        (Composition((TemperedStable(0.4, 1.0), Stable(0.5))), math.inf),
+    ], ids=["ig", "tempered", "ig-tempered", "ig-gamma0", "stable", "tempered-stable"])
+    def test_mean_rate_is_phi_slope_at_zero(self, spec, rate):
+        assert spec.mean_rate() == pytest.approx(rate, rel=1e-15)
+        h = 1e-7
+        slope, coarse = spec.phi(h).real / h, spec.phi(100.0 * h).real / (100.0 * h)
+        if math.isinf(rate):  # phi(h)/h grows at least like h^(beta - 1), beta <= 0.9
+            assert slope > 1.5 * coarse
+        else:
+            assert slope == pytest.approx(rate, rel=1e-6)
+
+    def test_inverse_clock_has_no_mean_rate(self):
+        assert InverseOf(InverseGaussian(1.0, 1.0)).mean_rate() is None
+
     def test_inverse_clock_has_no_exponent(self):
         with pytest.raises(NoDensityError):
             InverseOf(Stable(0.5)).phi(1.0)

@@ -1,5 +1,6 @@
 """Pmf, moment, and waiting-time computations for time-changed counts."""
 
+import dataclasses
 import json
 import math
 
@@ -14,12 +15,15 @@ from tcpp.subordinators.spec import (
     InverseGaussian,
     InverseOf,
     Stable,
+    SubordinatorSpec,
     TemperedStable,
 )
 from tcpp.timechange import (
+    _PGF_ALIAS,
     MixtureRule,
     PmfTable,
     PoissonParams,
+    _pgf_values,
     _poisson_cut,
     fractional_poisson_pmf,
     mixture_rule,
@@ -314,6 +318,57 @@ class TestBlockedColumns:
         assert np.max(np.abs(rule.pmf_matrix(ts, ks) - _by_column(rule, ts, ks))) <= 1e-14
 
 
+class TestDensityMemo:
+    """A one-column table makes one density pass: the settled rule's last
+    probe, pmf_matrix and tail_mass share the (x, wd) of one weighted() call."""
+
+    @pytest.mark.parametrize("name,spec,points", [
+        ("inverse_tempered_density", InverseOf(TemperedStable(0.3, 1.0)), 1168),
+        ("hitting_time_density_ig", InverseOf(InverseGaussian(1.0, 1.0)), 1152),
+    ], ids=["inverse-tempered0.3", "hitting-ig"])
+    def test_one_density_pass_per_table(self, monkeypatch, name, spec, points):
+        import tcpp.subordinators.spec as spec_module
+
+        density, counted = getattr(spec_module, name), []
+
+        def counting(x, *args):
+            counted.append(np.size(x))
+            return density(x, *args)
+
+        monkeypatch.setattr(spec_module, name, counting)
+        # the oracle forgets the memo before every call: one pass per call
+        with monkeypatch.context() as forget:
+            for method_name in ("pmf_matrix", "tail_mass"):
+                method = getattr(MixtureRule, method_name)
+
+                def forgetful(self, *args, _method=method):
+                    self._last = None
+                    return _method(self, *args)
+
+                forget.setattr(MixtureRule, method_name, forgetful)
+            mixture_rule.cache_clear()
+            want = pmf_table(1.0, 1.0, spec, method="quadrature")
+        assert sum(counted) == points + 2 * want.route["nodes"]
+        counted.clear()
+        mixture_rule.cache_clear()
+        got = pmf_table(1.0, 1.0, spec, method="quadrature")
+        assert sum(counted) == points
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.kmax, got.tail_bound, got.route) == (want.kmax, want.tail_bound, want.route)
+        counted.clear()
+        again = pmf_table(1.0, 1.0, spec, method="quadrature")  # the cached rule
+        assert sum(counted) == 0 and again.values.tobytes() == want.values.tobytes()
+
+    def test_many_columns_keep_no_memo(self):
+        rule = dataclasses.replace(
+            mixture_rule(InverseOf(InverseGaussian(1.0, 1.0)), 1.0, 0.5, 2.0, 5))
+        rule.pmf_matrix(np.linspace(0.5, 2.0, 7), np.arange(6))
+        rule.tail_mass(np.linspace(0.5, 2.0, 7), 5)
+        assert rule._last is None
+        rule.pmf_matrix(np.array([0.7]), np.arange(6))
+        assert rule._last[0] == 0.7
+
+
 class TestPgfRoute:
     KMAX2000 = [Stable(0.3), Stable(0.5), Stable(0.7), InverseGaussian(1.0, 0.0),
                 Composition((Stable(0.5), Stable(0.5))), TemperedStable(0.3, 1.0),
@@ -358,6 +413,80 @@ class TestPgfRoute:
         assert alias == pytest.approx(1e-13, rel=1e-9)
         assert table.tail_bound >= alias
         assert abs(table.normalization_defect) <= 2 * alias
+
+    ONE_PASS = [Stable(b) for b in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)] + [
+        InverseGaussian(1.0, 0.0), Composition((Stable(0.5), InverseGaussian(1.0, 1.0))),
+        Composition((InverseGaussian(1.0, 1.0), Stable(0.9)))]
+
+    @staticmethod
+    def _doubling(t, lam, spec):
+        """Oracle for auto kmax: passes of n = 256, 512, ... points up to
+        8004, stopping at the first whose tail column falls below 1e-10."""
+        n = 256
+        while True:
+            raw, r = _pgf_values(t, lam, spec, n)
+            below = np.flatnonzero(1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS < 1e-10)
+            if below.size or n == 8004:
+                kmax = int(below[0]) if below.size else 2000
+                values = np.clip(raw[: kmax + 1], 0.0, 1.0)
+                tail = max(0.0, 1.0 - float(np.sum(values))) + _PGF_ALIAS
+                route = {"radius": r, "nodes": n, "aliasing_bound": _PGF_ALIAS}
+                return values, kmax, tail, route
+            n = min(2 * n, 8004)
+
+    @staticmethod
+    def _counting(monkeypatch):
+        import tcpp.timechange as timechange
+
+        calls = []
+
+        def counted(t, lam, spec, n):
+            calls.append(n)
+            return _pgf_values(t, lam, spec, n)
+
+        monkeypatch.setattr(timechange, "_pgf_values", counted)
+        return calls
+
+    @pytest.mark.parametrize("spec", ONE_PASS, ids=[
+        "stable0.1", "stable0.3", "stable0.5", "stable0.7", "stable0.9", "stable0.99",
+        "ig-gamma0", "stable0.5-ig", "ig-stable0.9"])
+    def test_infinite_mean_one_pass_matches_doubling(self, monkeypatch, spec):
+        assert spec.mean_rate() == math.inf
+        calls = self._counting(monkeypatch)
+        for t in (1e-12, 1e-8, 1e-5, 1e-3, 0.25, 1.0, 4.0, 100.0):
+            for lam in (0.5, 2.0, 20.0):
+                values, kmax, tail, route = self._doubling(t, lam, spec)
+                calls.clear()
+                table = pmf_table(t, lam, spec, method="pgf")
+                assert table.values.tobytes() == values.tobytes()
+                assert (table.kmax, table.tail_bound, table.route) == (kmax, tail, route)
+                # the cap pass comes first; a doubling after it reuses it at 8004
+                assert calls[0] == 8004 and 8004 not in calls[1:]
+                if t >= 1e-3:  # the tail stays high: the cap pass is the table
+                    assert calls == [8004]
+                if t == 1e-12:  # p_0 ~ 1: the doubling stops at once
+                    assert calls == [8004, 256] and kmax < 64
+
+    def test_finite_or_unstated_mean_keeps_the_doubling(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class PlainStable(SubordinatorSpec):
+            # states no mean rate, so pmf_table may not assume an infinite one
+            def to_dict(self):
+                return {"type": "plain-stable", "beta": 0.7}
+
+            def phi(self, s):
+                return np.asarray(s, dtype=complex) ** 0.7
+
+        calls = self._counting(monkeypatch)
+        plain = pmf_table(1.0, 1.0, PlainStable(), method="pgf")
+        assert calls == [256, 512, 1024, 2048, 4096, 8004]
+        stable = pmf_table(1.0, 1.0, Stable(0.7), method="pgf")
+        assert calls[6:] == [8004]
+        assert plain.values.tobytes() == stable.values.tobytes()
+        assert plain.kmax == stable.kmax == 2000 and plain.route == stable.route
+        calls.clear()
+        tempered = pmf_table(1.0, 1.0, TemperedStable(0.3, 1.0), method="pgf")
+        assert calls[0] == 256 and tempered.kmax < 2000
 
     def test_negative_coefficient_raises(self):
         class NotBernstein(Stable):
