@@ -24,19 +24,20 @@ Sampler routes (each process class in tcpp.subordinators.spec picks its own):
 * inverse:           first-passage time of the base.  Exact routes: an IG
   base, and the stable or tempered base of index 1/2 through its IG law,
   takes the running maximum H(t) = M(t)/delta of a drifted Brownian motion,
-  drawn on a whole grid as one Brownian-bridge maximum per cell; single-t
-  draws of a stable base of any other index (and of a composition of stables,
-  a stable law of the product index) use the scaling identity
-  E(t) =d (t/D(1))^beta.  Anything else walks the base path on a
-  geometrically growing committed grid until it crosses t, bracketing the
-  crossing to a relative tolerance: every path of an inverse stable clock of
-  index != 1/2 (a stable composition walks its product-index stable law),
-  and every draw and path of an inverse tempered clock of index != 1/2 and
-  of the inverse of a composition that is not stable.  The grid is the same
-  for every path, so the walk draws it in blocks of steps, one increment
-  call per block for all paths still below the last level.  Its first step
-  is scaled to the last level, so over levels spread by many orders of
-  magnitude the walk biases its first column; the exact routes do not.
+  drawn on a whole grid as one Brownian-bridge maximum per cell; a stable
+  base of any other index (and a composition of stables, a stable law of the
+  product index) draws single-t values by the scaling identity
+  E(t) =d (t/D(1))^beta and paths one first passage at a time, from the
+  closed law of (passage time, undershoot, landing), at most one passage per
+  grid level.  Anything else walks the base path on a geometrically growing
+  committed grid until it crosses t, bracketing the crossing to a relative
+  tolerance: every draw and path of an inverse tempered clock of index
+  != 1/2 and of the inverse of a composition that is not stable.  The grid
+  is the same for every path, so the walk draws it in blocks of steps, one
+  increment call per block for all paths still below the last level.  Its
+  first step is scaled to the last level, so over levels spread by many
+  orders of magnitude the walk biases its first column; the exact routes do
+  not.
 
 Subordinator paths draw every increment of the time grid in one call.
 """
@@ -223,6 +224,65 @@ def _sample_ig_hitting(rng, t_grid, delta, gamma, n):
     return np.maximum.accumulate(np.cumsum(x, axis=1) - x + top, axis=1) / delta
 
 
+def _passage_log_a(rng, beta, k):
+    """log A(theta) for k angles of density proportional to A^-(1-beta) on (0, pi).
+
+    Rejection from theta = pi U: A is increasing with infimum
+    a0 = (1-beta) beta^(beta/(1-beta)) at 0+, so the acceptance
+    (A / a0)^-(1-beta) is at most 1 (0.64-0.8 on average).  Each round
+    proposes twice the shortfall and keeps the first accepted angles, so one
+    round almost always suffices.
+    """
+    log_a0 = math.log1p(-beta) + beta / (1.0 - beta) * math.log(beta)
+    out = np.empty(k)
+    done = 0
+    while done < k:
+        theta = np.clip(math.pi * rng.random(2 * (k - done)), 1e-12, math.pi - 1e-12)
+        log_a = log_zolotarev_a(theta, beta)
+        ok = rng.random(theta.size) <= np.exp((beta - 1.0) * (log_a - log_a0))
+        take = log_a[ok][:k - done]
+        out[done:done + take.size] = take
+        done += take.size
+    return out
+
+
+def _sample_inverse_stable_path(rng, t_grid, beta, n):
+    """E(t_i) = inf{s : D(s) > t_i} on a grid, D the beta-stable subordinator.
+
+    Exact, one first passage at a time.  A passage of a fresh D over level a
+    has undershoot Y = a B, B ~ Beta(beta, 1-beta), landing
+    Z = Y + (a - Y) V^(-1/beta), V ~ U(0, 1], and, given Y, time
+    Y^beta (W / A(theta))^(1-beta) with W ~ Gamma(2-beta) and theta drawn by
+    `_passage_log_a`: the potential density y^(beta-1)/Gamma(beta) times the
+    Levy tail, and D(1) biased by D(1)^-beta in Kanter's form.  By the strong
+    Markov property each path restarts at its landing and passes the first
+    level it has not covered; every level below the landing reads the passage
+    time.  Each round covers at least one level of every live path, so a
+    path costs at most len(t_grid) passages.  Returns an (n, len(t_grid))
+    array.
+    """
+    levels = np.asarray(t_grid, dtype=float)
+    out = np.zeros((n, levels.size))
+    time = np.zeros(n)
+    pos = np.zeros(n)
+    nxt = np.zeros(n, dtype=np.intp)
+    live = np.arange(n)
+    while live.size:
+        k, j = live.size, nxt[live]
+        gap = levels[j] - pos[live]
+        under = gap * rng.beta(beta, 1.0 - beta, k)
+        jump = (gap - under) * (1.0 - rng.random(k)) ** (-1.0 / beta)
+        log_wa = np.log(rng.gamma(2.0 - beta, size=k)) - _passage_log_a(rng, beta, k)
+        time[live] += under ** beta * np.exp((1.0 - beta) * log_wa)
+        pos[live] += under + jump
+        out[live, j] = time[live]
+        # a landing that rounds onto or below its level still covers it
+        nxt[live] = np.maximum(j + 1, np.searchsorted(levels, pos[live], side="right"))
+        live = live[nxt[live] < levels.size]
+    # levels a passage jumped over read its time, the last one written before them
+    return np.maximum.accumulate(out, axis=1)
+
+
 # -- first-passage walk ------------------------------------------------------
 
 
@@ -330,8 +390,10 @@ def sample_path(
 
     Plain subordinators and compositions accumulate independent increments;
     inverse processes take their base's hitting route: a Brownian running
-    maximum for IG and index-1/2 bases, otherwise all grid levels off one
-    first-passage walk per path (their paths are continuous and nondecreasing).
+    maximum for IG and index-1/2 bases, exact first passages for stable bases
+    (and stable compositions) of any other index, otherwise all grid levels
+    off one first-passage walk per path, the only route that reads rtol
+    (their paths are continuous and nondecreasing).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] <= 0 or np.any(np.diff(t_grid) <= 0):

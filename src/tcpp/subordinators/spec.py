@@ -43,6 +43,7 @@ from .sampling import (
     _first_passage_walk,
     _sample_ig,
     _sample_ig_hitting,
+    _sample_inverse_stable_path,
     _sample_stable,
     _sample_stable_unit,
     _sample_tempered,
@@ -357,8 +358,9 @@ def _half_ig(beta, mu):
 
 @dataclass(frozen=True)
 class _Hitting(Clock):
-    """Hitting route of `base`; unless a route has an exact sampler, each path
-    walks the base path, and a draw is a path on the one-point grid."""
+    """Hitting route of `base`; unless a route has an exact sampler (IG and
+    index-1/2 bases, stable bases of any index), each path walks the base
+    path, and a draw is a path on the one-point grid."""
 
     base: SubordinatorSpec
 
@@ -378,7 +380,8 @@ class _PathWalk(_Hitting):
 
 
 class _InverseStable(_Hitting):
-    """Inverse stable clock: density by scaling, exact draws."""
+    """Inverse stable clock: density and single-t draws by scaling, exact
+    paths (a Brownian running maximum at index 1/2, else first passages)."""
 
     def density(self, x, t):
         return inverse_stable_density(x, t, self.base.beta)
@@ -396,10 +399,11 @@ class _InverseStable(_Hitting):
         return t ** self.base.beta * rule.nodes, rule.weights * rule.dens
 
     def path(self, rng, t_grid, paths, rtol):
-        # stable(1/2) is IG(1/sqrt 2, 0), whose running maximum is exact
+        # stable(1/2) is IG(1/sqrt 2, 0), whose running maximum is cheaper
         ig = _half_ig(self.base.beta, 0.0)
-        route = super() if ig is None else ig.hitting()
-        return route.path(rng, t_grid, paths, rtol)
+        if ig is not None:
+            return ig.hitting().path(rng, t_grid, paths, rtol)
+        return _sample_inverse_stable_path(rng, t_grid, self.base.beta, paths)
 
     def draw(self, rng, t, n, rtol):
         b = self.base.beta

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import betainc, erf
 from scipy.stats import ks_2samp
 
 from tcpp.errors import DomainError
@@ -22,20 +22,23 @@ from tcpp.subordinators.sampling import (
     _SQUEEZE_BINS,
     _first_passage_walk,
     _log_a_floor,
+    _sample_inverse_stable_path,
     _sample_stable,
     _sample_tempered,
     rng_stream,
     sample,
     sample_path,
 )
+from tcpp.subordinators import spec as spec_module
 from tcpp.subordinators.spec import (
     Composition,
     InverseGaussian,
     InverseOf,
     Stable,
     TemperedStable,
+    flatten_stable_composition,
 )
-from tcpp.subordinators.stable import log_zolotarev_a
+from tcpp.subordinators.stable import log_zolotarev_a, stable_unit
 
 # 0.1% two-sided KS critical value: sqrt(-ln(alpha/2)/2) / sqrt(n)
 KS_CRIT_1E3 = math.sqrt(-math.log(0.0005) / 2.0)
@@ -238,8 +241,9 @@ class TestExactPaths:
             stat = _ks_stat(paths[:, j], lambda v: cdf(v, t))
             assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
 
-    @pytest.mark.parametrize("base", [InverseGaussian(1.0, 1.0), Stable(0.5)],
-                             ids=["ig(1,1)", "stable(0.5)"])
+    @pytest.mark.parametrize("base", [InverseGaussian(1.0, 1.0), Stable(0.5), Stable(0.3),
+                                      Stable(0.7)],
+                             ids=["ig(1,1)", "stable(0.5)", "stable(0.3)", "stable(0.7)"])
     def test_increments_match_the_walk(self, base):
         # the joint law over the grid, not just each column: E(t_j) - E(t_i)
         grid = np.array([0.5, 1.0, 2.0])
@@ -248,22 +252,137 @@ class TestExactPaths:
         for i, j in ((0, 1), (1, 2), (0, 2)):
             assert _ks_2samp_ok(walk[:, j] - walk[:, i], exact[:, j] - exact[:, i])
 
-    def test_widely_spread_levels(self):
+    @pytest.mark.parametrize("beta", [0.5, 0.3, 0.7],
+                             ids=["stable(0.5)", "stable(0.3)", "stable(0.7)"])
+    def test_widely_spread_levels(self, beta):
         # the walk starts at a scale set by the last level and restarts a
         # path that passes the first level at once, which biases the first
-        # column here (KS p ~ 1e-14); the running maximum has no start scale
+        # column here (KS p ~ 1e-14); the running maximum and the passage
+        # sampler have no start scale.  P(E(t) <= x) = P(D(1) > t x^(-1/beta))
         n, grid = 5000, np.array([0.01, 100.0])
-        paths = sample_path(InverseOf(Stable(0.5)), grid, n, seed=5)
+        paths = sample_path(InverseOf(Stable(beta)), grid, n, seed=5)
+        sf = stable_unit(beta).sf
         for j, t in enumerate(grid):
-            stat = _ks_stat(paths[:, j], lambda v: erf(v / (2.0 * math.sqrt(t))))
+            stat = _ks_stat(paths[:, j], lambda v: sf(t * v ** (-1.0 / beta)))
             assert stat < KS_CRIT_1E3 / math.sqrt(n)
 
-    def test_stable_composition_walks_its_product_index(self):
+    def test_stable_composition_takes_its_product_index(self):
         grid = np.array([0.5, 1.0, 2.0])
         spec = InverseOf(Composition((Stable(0.5), Stable(0.5))))
         paths = sample_path(spec, grid, 1000, seed=3, rtol=2e-3)
         exact = sample(InverseOf(Stable(0.25)), 2.0, self.N, seed=4).values
         assert _ks_2samp_ok(paths[:, -1], exact)
+
+
+class _PassageRecorder:
+    """A generator that forwards every draw and counts the passages, one
+    Gamma(2 - beta) draw each."""
+
+    def __init__(self, rng):
+        self.rng, self.passages = rng, 0
+
+    def beta(self, a, b, size):
+        return self.rng.beta(a, b, size)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def gamma(self, shape, size):
+        self.passages += size
+        return self.rng.gamma(shape, size=size)
+
+
+class _FlushLandings(_PassageRecorder):
+    """Undershoot B = 1 and V = 1: every passage lands at pos + (level - pos)
+    in floating point, which can round below the level."""
+
+    def beta(self, a, b, size):
+        return np.ones(size)
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def gamma(self, shape, size):
+        self.passages += size
+        return np.ones(size)
+
+
+PASSAGE_LEVELS = np.array([0.01, 0.5, 1.0, 100.0])
+PASSAGE_SPECS = [InverseOf(Stable(0.3)), InverseOf(Stable(0.7)),
+                 InverseOf(Composition((Stable(0.5), Stable(0.5))))]
+PASSAGE_IDS = ["stable(0.3)", "stable(0.7)", "stable(0.5)*stable(0.5)"]
+
+
+class TestInverseStablePassages:
+    """Inverse stable paths of index != 1/2, drawn one first passage at a time."""
+
+    N = 20_000
+
+    @pytest.fixture(scope="class", params=PASSAGE_SPECS, ids=PASSAGE_IDS)
+    def drawn(self, request):
+        spec = request.param
+        return spec, sample_path(spec, PASSAGE_LEVELS, self.N, seed=71)
+
+    def test_columns_match_the_single_t_draws(self, drawn):
+        spec, paths = drawn
+        for j, t in enumerate(PASSAGE_LEVELS):
+            exact = sample(spec, t, self.N, seed=72 + j).values
+            assert _ks_2samp_ok(paths[:, j], exact)
+
+    def test_ties_follow_the_arcsine_law(self, drawn):
+        # E(t_i) = E(t_j) iff no passage lands in (t_i, t_j], iff the
+        # undershoot at t_j is below t_i: P = I_{t_i/t_j}(beta, 1 - beta)
+        spec, paths = drawn
+        b = flatten_stable_composition(spec.base)
+        for i in range(PASSAGE_LEVELS.size - 1):
+            want = betainc(b, 1.0 - b, PASSAGE_LEVELS[i] / PASSAGE_LEVELS[i + 1])
+            got = float(np.mean(paths[:, i] == paths[:, i + 1]))
+            assert abs(got - want) <= 4.0 * math.sqrt(want * (1.0 - want) / self.N)
+
+    def test_moments(self, drawn):
+        # E E(t) = t^b / Gamma(1+b), E E(t)^2 = 2 t^(2b) / Gamma(1+2b)
+        spec, paths = drawn
+        b = flatten_stable_composition(spec.base)
+        for j, t in enumerate(PASSAGE_LEVELS):
+            col = paths[:, j]
+            for p, want in ((1, t ** b / math.gamma(1.0 + b)),
+                            (2, 2.0 * t ** (2.0 * b) / math.gamma(1.0 + 2.0 * b))):
+                v = col ** p
+                assert abs(v.mean() - want) <= 4.0 * v.std(ddof=1) / math.sqrt(self.N)
+
+    def test_rows_nondecreasing_and_seeded(self, drawn):
+        spec, paths = drawn
+        assert paths.shape == (self.N, PASSAGE_LEVELS.size)
+        assert np.all(np.isfinite(paths)) and np.all(paths > 0)
+        assert np.all(np.diff(paths, axis=1) >= 0)
+        grid = np.geomspace(0.01, 100.0, 16)
+        a = sample_path(spec, grid, 64, seed=5)
+        assert np.array_equal(a, sample_path(spec, grid, 64, seed=5))
+        assert not np.array_equal(a, sample_path(spec, grid, 64, seed=6))
+
+    @pytest.mark.parametrize("spec", PASSAGE_SPECS, ids=PASSAGE_IDS)
+    def test_never_walks_and_bounds_its_passages(self, spec, monkeypatch):
+        # one Gamma(2 - beta) draw per passage, and each round of passages
+        # covers at least one level of every path still drawing
+        def refuse(*args, **kwargs):
+            raise AssertionError("inverse stable path walked")
+
+        monkeypatch.setattr(spec_module, "_first_passage_walk", refuse)
+        paths, grid = 256, np.geomspace(0.01, 100.0, 64)
+        rng = _PassageRecorder(rng_stream(3, 0))
+        got = spec.path(rng, grid, paths, 1e-4)
+        assert 0 < rng.passages <= paths * grid.size
+        assert np.array_equal(got, sample_path(spec, grid, paths, seed=3))
+
+    def test_a_landing_below_its_level_still_covers_it(self):
+        # the second passage lands one rounding short of its level: without
+        # the guard the path would pass the same level again
+        levels = np.array([0.7283449608802397, 6.365520464819748])
+        assert levels[0] + (levels[1] - levels[0]) < levels[1]
+        rng = _FlushLandings(None)
+        paths = _sample_inverse_stable_path(rng, levels, 0.7, 3)
+        assert rng.passages == 3 * levels.size
+        assert np.all(paths[:, 1] > paths[:, 0])
 
 
 def _tilting_reference(rng, t, beta, mu, n=None):
