@@ -12,14 +12,19 @@ every count index, so the quadrature error is a smooth function of t:
 finite-difference operators applied to tables (see tcpp.verify) do not see it
 as noise.  A pmf table is a banded sum: each block of counts k sums only the
 nodes where p_k(lambda x) can exceed e^-50, dropping <= e^-50 sum_i |w_i f_i|.
+
+Every table, Monte Carlo included, is made by `table_cache`, so a process
+answers an identical request with the immutable table it already made.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -311,9 +316,20 @@ def mixture_rule(
 # -- pmf tables -----------------------------------------------------------------
 
 
-@dataclass
+def _frozen_copy(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class PmfTable:
-    """pmf values for k = 0..kmax at one (spec, lambda, t), with tail mass."""
+    """pmf values for k = 0..kmax at one (spec, lambda, t), with tail mass.
+
+    A table is immutable, so one can be shared: `values` and `stderr` are
+    read-only copies of the arrays it was given, and `route` is a read-only
+    view of a copy of its dict.
+    """
 
     spec: SubordinatorSpec
     lam: float
@@ -326,11 +342,14 @@ class PmfTable:
     method: str = "quadrature"
     # the route's own diagnostics: pgf radius, nodes and aliasing bound;
     # quadrature rule nodes and tol
-    route: dict = field(default_factory=dict)
+    route: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen_copy(self.values)
         object.__setattr__(self, "values", v)
+        if self.stderr is not None:
+            object.__setattr__(self, "stderr", _frozen_copy(self.stderr))
+        object.__setattr__(self, "route", MappingProxyType(dict(self.route)))
         if v.size != self.kmax + 1:
             raise DomainError("values must have length kmax + 1")
         if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-9):
@@ -354,7 +373,7 @@ class PmfTable:
             "stderr": None if self.stderr is None else [float(s) for s in self.stderr],
             "seed": self.seed,
             "method": self.method,
-            "route": self.route,
+            "route": dict(self.route),
         }
 
     @classmethod
@@ -374,7 +393,7 @@ class PmfTable:
             stderr=None if d.get("stderr") is None else np.asarray(d["stderr"], dtype=float),
             seed=d.get("seed"),
             method=method,
-            route=dict(route),
+            route=route,
         )
 
     def to_json(self) -> str:
@@ -426,20 +445,85 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     column of the table it computes, or K = 2000 when none is.  Quadrature
     doubles K from 64; the PGF route doubles its FFT from 256 points, except
     that a clock of infinite mean first runs the 8004-point cap pass and keeps
-    it when every tail bound there is >= 2e-10 (`_pgf_search`).
+    it when every tail bound there is >= 2e-10 (`_pgf_search`).  The request
+    is served by `table_cache`, with "auto" resolved first.
     """
-    if t <= 0 or lam <= 0:
-        raise DomainError("pmf_table requires t > 0 and lambda > 0")
+    if not (0 < t < math.inf and 0 < lam < math.inf):  # refuses NaN as well
+        raise DomainError("pmf_table requires finite t > 0 and lambda > 0")
     if kmax is not None and kmax < 0:
         raise DomainError("kmax must be >= 0")
     if method == "auto":
         method = "quadrature" if isinstance(spec, InverseOf) else "pgf"
-    if method == "pgf":
-        return _pgf_table(t, lam, spec, kmax)
-    if method == "bessel":
-        return _bessel_table(t, lam, spec, kmax)
-    if method != "quadrature":
+    if method not in ("pgf", "bessel", "quadrature"):
         raise DomainError(f"unknown pmf method '{method}'")
+    return table_cache(method, float(t), float(lam), spec, _kmax_key(kmax), float(tol))
+
+
+def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
+                    seed: int, kmax: int | None = None) -> PmfTable:
+    """Empirical pmf from `count` sampled clock values and Poisson draws.
+
+    The draws are a function of the request and its seed, so `table_cache`
+    serves it like any other table.
+    """
+    if not (0 < t < math.inf and 0 < lam < math.inf):
+        raise DomainError("pmf_monte_carlo requires finite t > 0 and lambda > 0")
+    if count < 1000:
+        raise DomainError("pmf_monte_carlo needs count >= 1000")
+    if kmax is not None and kmax < 0:
+        raise DomainError("kmax must be >= 0")
+    return table_cache("mc", float(t), float(lam), spec, _kmax_key(kmax), int(count), int(seed))
+
+
+def _kmax_key(kmax):
+    return None if kmax is None else int(kmax)
+
+
+@lru_cache(maxsize=64)
+def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
+                kmax: int | None, *args) -> PmfTable:
+    """The table of one normalized request, made once per process.
+
+    The key is the route ("pgf", "bessel", "quadrature" or "mc"), float t and
+    lambda, the spec and kmax (None or int), then tol for a table, or count
+    and seed for Monte Carlo.  An entry holds the immutable table alone,
+    never the clock draws behind it; a raised error is not kept.
+    `table_cache.cache_clear()` empties the cache.
+
+    A table is refused with ConvergenceError, naming its route, when its
+    values and tail bound miss 1 by more than 1e-3, and when kmax was not
+    given and K reached the 2000 cap with a tail bound above 1e-3 for a
+    clock whose count has a finite mean (`_finite_mean`): such a table holds
+    next to none of the law's mass.  A clock of infinite or unstated mean
+    keeps its honest tail there.
+    """
+    if route == "mc":
+        fields = _mc_table(t, lam, spec, kmax, *args)
+    elif route == "quadrature":
+        fields = _quadrature_table(t, lam, spec, kmax, *args)
+    else:
+        fields = (_pgf_table if route == "pgf" else _bessel_table)(t, lam, spec, kmax)
+    tail = fields["tail_bound"]
+    defect = abs(float(np.sum(fields["values"])) + tail - 1.0)
+    if defect > 1e-3:
+        raise ConvergenceError(f"the {route} route for {spec.label()} at lambda={lam}, t={t} "
+                               f"gave a table with normalization defect {defect:.2e}")
+    if kmax is None and fields["kmax"] == _KMAX_CAP and tail > 1e-3 and _finite_mean(spec):
+        raise ConvergenceError(f"the {route} route for {spec.label()} at lambda={lam}, t={t} "
+                               f"reached the kmax cap of {_KMAX_CAP} with tail bound "
+                               f"{tail:.3g}; give a larger --kmax")
+    return PmfTable(spec=spec, lam=lam, t=t, **fields)
+
+
+def _finite_mean(spec: SubordinatorSpec) -> bool:
+    """True for an inverse clock and a clock whose mean rate is finite."""
+    rate = spec.mean_rate()
+    return isinstance(spec, InverseOf) or (rate is not None and rate < math.inf)
+
+
+def _quadrature_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
+                      tol: float) -> dict:
+    """Quadrature-route table fields: K doubles from 64 against frozen rules."""
     ts = np.array([t])
     k_rule = _KMAX_START if kmax is None else kmax
     while True:
@@ -456,13 +540,13 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
             values, tail = values[:kmax + 1], float(tails[kmax])
             break
         k_rule = min(2 * k_rule, _KMAX_CAP)
-    return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=values, tail_bound=tail,
-                    method="quadrature", route={"nodes": int(rule.nodes.size), "tol": tol})
+    return {"kmax": kmax, "values": values, "tail_bound": tail, "method": "quadrature",
+            "route": {"nodes": int(rule.nodes.size), "tol": tol}}
 
 
-def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> PmfTable:
-    """Closed-form IG table, each p_k made once; without kmax the terms stop
-    at the first k whose tail 1 - sum_{j <= k} p_j is below _TAIL_TARGET."""
+def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
+    """Closed-form IG table fields, each p_k made once; without kmax the terms
+    stop at the first k whose tail 1 - sum_{j <= k} p_j is below _TAIL_TARGET."""
     params = spec.bessel_params()
     if params is None:
         raise NoDensityError(f"Bessel closed form needs an IG spec with gamma > 0, not "
@@ -474,8 +558,8 @@ def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None
         if kmax is None and 1.0 - mass < _TAIL_TARGET:
             break
     values = np.array(ps)
-    return PmfTable(spec=spec, lam=lam, t=t, kmax=values.size - 1, values=values,
-                    tail_bound=max(0.0, 1.0 - float(values.sum())), method="bessel")
+    return {"kmax": values.size - 1, "values": values,
+            "tail_bound": max(0.0, 1.0 - float(values.sum())), "method": "bessel"}
 
 
 _PGF_DIGITS = 13
@@ -540,8 +624,8 @@ def _pgf_search(t: float, lam: float, spec: SubordinatorSpec):
         n = min(2 * n, n_cap)
 
 
-def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> PmfTable:
-    """PGF-route table: one pass of 4 (kmax + 1) >= 256 points when kmax is
+def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
+    """PGF-route table fields: one pass of 4 (kmax + 1) >= 256 points when kmax is
     given, else the pass `_pgf_search` settles on."""
     if kmax is None:
         n, raw, r, kmax = _pgf_search(t, lam, spec)
@@ -553,31 +637,25 @@ def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -
         raise ConvergenceError(f"PGF inversion for {spec.label()} gave a value "
                                f"{np.min(raw):.3g} below -1e-12")
     values = np.clip(raw, 0.0, 1.0)
-    tail = max(0.0, 1.0 - float(np.sum(values))) + _PGF_ALIAS
-    return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=values, tail_bound=tail,
-                    method="pgf", route={"radius": r, "nodes": n, "aliasing_bound": _PGF_ALIAS})
+    return {"kmax": kmax, "values": values,
+            "tail_bound": max(0.0, 1.0 - float(np.sum(values))) + _PGF_ALIAS, "method": "pgf",
+            "route": {"radius": r, "nodes": n, "aliasing_bound": _PGF_ALIAS}}
 
 
-def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
-                    seed: int, kmax: int | None = None) -> PmfTable:
-    """Empirical pmf from `count` sampled clock values and Poisson draws."""
-    if count < 1000:
-        raise DomainError("pmf_monte_carlo needs count >= 1000")
-    if kmax is not None and kmax < 0:
-        raise DomainError("kmax must be >= 0")
+def _mc_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
+              count: int, seed: int) -> dict:
+    """Monte Carlo table fields from `count` clock draws and Poisson draws."""
     clock = sample(spec, t, count, seed, stream=0)
     rng = rng_stream(seed, 1)
     # heavy-tailed clocks produce astronomically large means in a few draws;
     # those land in the tail bin regardless, so cap the Poisson argument
     counts = rng.poisson(np.minimum(lam * clock.values, 1e12))
     if kmax is None:
-        kmax = int(min(np.max(counts), max(50, 4.0 * np.quantile(counts, 0.999)), 2000))
+        kmax = int(min(np.max(counts), max(50, 4.0 * np.quantile(counts, 0.999)), _KMAX_CAP))
     freq = np.bincount(np.minimum(counts, kmax + 1), minlength=kmax + 2).astype(float)
     values = freq[: kmax + 1] / count
-    tail = float(freq[kmax + 1] / count)
-    stderr = np.sqrt(values * (1.0 - values) / count)
-    return PmfTable(spec=spec, lam=lam, t=t, kmax=kmax, values=values,
-                    tail_bound=tail, stderr=stderr, seed=seed, method="mc")
+    return {"kmax": kmax, "values": values, "tail_bound": float(freq[kmax + 1] / count),
+            "stderr": np.sqrt(values * (1.0 - values) / count), "seed": seed, "method": "mc"}
 
 
 def fractional_poisson_pmf(k: int, t: float, lam: float, beta: float) -> float:

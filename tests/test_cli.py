@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,13 @@ class TestPmfCommand:
                    "--lambda", "1", "--t", "1", "--method", "bessel",
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 3
+
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_nan_t_is_input_error(self, tmp_path, method):
+        out = tmp_path / "t.csv"
+        rc = main(["pmf", "--spec", IG_SPEC, "--lambda", "1", "--t", "nan",
+                   "--method", method, "--out", str(out)])
+        assert rc == 2 and not out.exists()
 
     def test_invalid_spec_is_input_error(self, tmp_path):
         rc = main(["pmf", "--spec", '{"type":"wat"}', "--lambda", "1", "--t", "1",
@@ -119,6 +127,20 @@ class TestPmfCommand:
         assert main(["pmf", "--spec", inv, "--lambda", "1", "--t", "1",
                      "--out", str(b)]) == 0
         assert json.loads(b.read_text())["method"] == "quadrature"
+
+    @pytest.mark.parametrize("spec,lam,t,message", [
+        # the tilt route's density is far off at t = 100: a table summing to
+        # nothing like 1 is a route that failed, not bad input
+        ('{"type":"inverse","base":{"type":"tempered","beta":0.3,"mu":1}}', "1", "100",
+         "quadrature route .* normalization defect"),
+        # mean count 1e4: K = 2000 would hold none of the mass
+        (IG_SPEC, "100", "100", "bessel route .* kmax cap of 2000 .* --kmax"),
+    ], ids=["inverse-tempered-normalization", "ig-past-the-cap"])
+    def test_refused_table_is_capability_error(self, tmp_path, capsys, spec, lam, t, message):
+        out = tmp_path / "t.csv"
+        rc = main(["pmf", "--spec", spec, "--lambda", lam, "--t", t, "--out", str(out)])
+        assert rc == 3 and not out.exists()
+        assert re.search(message, capsys.readouterr().err)
 
     def test_pgf_on_inverse_is_capability_error(self, tmp_path, capsys):
         rc = main(["pmf", "--spec", '{"type":"inverse","base":{"type":"stable","beta":0.5}}',

@@ -33,6 +33,7 @@ from tcpp.timechange import (
     pmf_quadrature,
     pmf_table,
     poisson_pmf,
+    table_cache,
     waiting_time_lt,
     waiting_time_survival,
 )
@@ -347,15 +348,18 @@ class TestDensityMemo:
 
                 forget.setattr(MixtureRule, method_name, forgetful)
             mixture_rule.cache_clear()
+            table_cache.cache_clear()
             want = pmf_table(1.0, 1.0, spec, method="quadrature")
         assert sum(counted) == points + 2 * want.route["nodes"]
         counted.clear()
         mixture_rule.cache_clear()
+        table_cache.cache_clear()
         got = pmf_table(1.0, 1.0, spec, method="quadrature")
         assert sum(counted) == points
         assert got.values.tobytes() == want.values.tobytes()
         assert (got.kmax, got.tail_bound, got.route) == (want.kmax, want.tail_bound, want.route)
         counted.clear()
+        table_cache.cache_clear()
         again = pmf_table(1.0, 1.0, spec, method="quadrature")  # the cached rule
         assert sum(counted) == 0 and again.values.tobytes() == want.values.tobytes()
 
@@ -711,6 +715,125 @@ class TestPmfTableSerialization:
                 spec=Stable(0.5), lam=1.0, t=1.0, kmax=1,
                 values=np.array([0.3, 0.3]), tail_bound=0.0,
             )
+
+
+class TestTableCache:
+    """An identical request, once normalized, is served the table already made."""
+
+    IG = InverseGaussian(1.0, 1.0)
+
+    def test_repeat_returns_identical_bytes(self):
+        first = pmf_table(1, 1, self.IG)
+        again = pmf_table(1.0, 1.0, self.IG, kmax=None, method="pgf")
+        mc = pmf_monte_carlo(1.0, 2.0, self.IG, 2000, seed=4)
+        mc_again = pmf_monte_carlo(1, 2, self.IG, 2000, 4)
+        assert again.values.tobytes() == first.values.tobytes()
+        assert mc_again.values.tobytes() == mc.values.tobytes()
+        assert mc_again.stderr.tobytes() == mc.stderr.tobytes()
+        info = table_cache.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+    def test_tables_are_read_only_copies(self):
+        table = pmf_monte_carlo(1.0, 1.0, self.IG, 2000, seed=3)
+        with pytest.raises(ValueError):
+            table.values[0] = 0.5
+        with pytest.raises(ValueError):
+            table.stderr[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.kmax = 3
+        pgf = pmf_table(1.0, 1.0, self.IG, kmax=4)
+        with pytest.raises(TypeError):
+            pgf.route["nodes"] = 1
+        d = pgf.to_dict()
+        d["route"]["nodes"] = 1
+        assert pgf.route["nodes"] == 256
+        given = np.array([0.5, 0.25])
+        built = PmfTable(spec=self.IG, lam=1.0, t=1.0, kmax=1, values=given, tail_bound=0.25)
+        given[0] = 0.0
+        assert built.values[0] == 0.5 and given.flags.writeable
+
+    def test_new_entry_per_seed_kmax_and_method(self):
+        base = pmf_table(1.0, 1.0, self.IG)
+        assert pmf_table(1.0, 1.0, self.IG, method="auto") is base
+        assert pmf_table(1.0, 1.0, self.IG, method="pgf") is base
+        others = [pmf_table(1.0, 1.0, self.IG, kmax=8), pmf_table(1.0, 1.0, self.IG,
+                                                                  method="bessel")]
+        assert others[1].method == "bessel" and others[0].kmax == 8
+        inverse = InverseOf(Stable(0.5))
+        quad = pmf_table(1.0, 1.0, inverse, kmax=6)
+        assert pmf_table(1.0, 1.0, inverse, kmax=6, method="quadrature") is quad
+        mcs = [pmf_monte_carlo(1.0, 1.0, self.IG, 2000, seed) for seed in (1, 2)]
+        assert mcs[0].values.tobytes() != mcs[1].values.tobytes()
+        info = table_cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 6, 6)
+
+    def test_cache_clear_empties_the_cache(self):
+        first = pmf_table(1.0, 1.0, self.IG)
+        assert table_cache.cache_info().currsize == 1
+        table_cache.cache_clear()
+        assert table_cache.cache_info().currsize == 0
+        again = pmf_table(1.0, 1.0, self.IG)
+        assert again is not first and again.values.tobytes() == first.values.tobytes()
+
+    def test_raised_error_is_not_cached(self, monkeypatch):
+        import tcpp.timechange as timechange
+
+        calls = []
+        real = timechange._bessel_table
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ConvergenceError("first call fails")
+            return real(*args)
+
+        monkeypatch.setattr(timechange, "_bessel_table", flaky)
+        with pytest.raises(ConvergenceError):
+            pmf_table(1.0, 1.0, self.IG, method="bessel")
+        assert table_cache.cache_info().currsize == 0
+        table = pmf_table(1.0, 1.0, self.IG, method="bessel")
+        assert len(calls) == 2 and table.method == "bessel"
+
+
+class TestRefusals:
+    """A table that would mislead is refused with ConvergenceError, and a
+    request that names no table with DomainError."""
+
+    @pytest.mark.parametrize("t,lam", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                       (1.0, -1.0)])
+    def test_non_finite_or_non_positive_t_or_lambda(self, t, lam):
+        with pytest.raises(DomainError):
+            pmf_table(t, lam, InverseGaussian(1.0, 1.0))
+        with pytest.raises(DomainError):
+            pmf_monte_carlo(t, lam, InverseGaussian(1.0, 1.0), 2000, seed=1)
+        assert table_cache.cache_info().currsize == 0
+
+    def test_finite_mean_at_the_cap_is_refused(self):
+        ig = InverseGaussian(1.0, 1.0)  # mean count lam t delta / gamma = 1e4
+        for method in ("pgf", "bessel"):
+            with pytest.raises(ConvergenceError, match=f"{method} route.*--kmax"):
+                pmf_table(100.0, 100.0, ig, method=method)
+        with pytest.raises(ConvergenceError, match="mc route.*--kmax"):
+            pmf_monte_carlo(100.0, 100.0, ig, 2000, seed=1)
+        table = pmf_table(100.0, 100.0, ig, kmax=2000)  # a given kmax keeps its tail
+        assert table.kmax == 2000 and table.tail_bound > 0.99
+
+    def test_infinite_mean_at_the_cap_keeps_its_tail(self):
+        table = pmf_table(1.0, 3.0, Stable(0.5))
+        assert table.kmax == 2000 and table.tail_bound > 1e-3
+
+    def test_normalization_defect_is_a_convergence_error(self, monkeypatch):
+        import tcpp.timechange as timechange
+
+        real = timechange._bessel_table
+
+        def doubled(*args):
+            fields = real(*args)
+            return dict(fields, values=2.0 * fields["values"])
+
+        monkeypatch.setattr(timechange, "_bessel_table", doubled)
+        with pytest.raises(ConvergenceError, match="bessel route.*normalization defect"):
+            pmf_table(1.0, 1.0, InverseGaussian(1.0, 1.0), kmax=6, method="bessel")
 
 
 class TestMixedPoissonIdentity:
