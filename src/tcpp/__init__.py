@@ -10,7 +10,6 @@ from .errors import (
     ConvergenceError,
     DivergenceError,
     DomainError,
-    GridBudgetError,
     GridTooCoarseError,
     NoDensityError,
     PoleError,

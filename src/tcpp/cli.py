@@ -285,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="if given, emit time-changed Poisson count paths")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rtol", type=float, default=1e-4,
-                   help="bracketing tolerance of the first-passage walk, which draws "
-                        "the paths of inverse tempered clocks of index != 1/2 and of "
-                        "inverses of compositions that are not stable; exact routes "
-                        "ignore it")
+                   help="accepted and unused: every sampling route is exact "
+                        "(it must still lie in (0, 1))")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
 

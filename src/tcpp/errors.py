@@ -26,9 +26,5 @@ class NoDensityError(ValueError):
     a density for quadrature, or a Laplace exponent for the PGF inversion."""
 
 
-class GridBudgetError(ConvergenceError):
-    """First-passage path simulation exceeded its step budget."""
-
-
 class UnknownEquationError(ValueError):
     """The equation identifier is not in the verification registry."""

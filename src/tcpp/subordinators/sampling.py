@@ -1,4 +1,4 @@
-"""Exact and approximate samplers for every time-change process.
+"""Exact samplers for every time-change process.
 
 RNG discipline: every sampler draws from a Philox counter-based generator
 keyed by (seed, stream).  Batches are reproducible for a given
@@ -21,23 +21,20 @@ Sampler routes (each process class in tcpp.subordinators.spec picks its own):
   beta = 1/2, which is IG(1/sqrt 2, sqrt(2 mu)), the IG sampler.
 * composition:       feed sampled values as the time argument of the next
   part (outermost part listed first).
-* inverse:           first-passage time of the base.  Exact routes: an IG
-  base, and the stable or tempered base of index 1/2 through its IG law,
-  takes the running maximum H(t) = M(t)/delta of a drifted Brownian motion,
-  drawn on a whole grid as one Brownian-bridge maximum per cell; a stable
-  base of any other index (and a composition of stables, a stable law of the
-  product index) draws single-t values by the scaling identity
+* inverse:           first-passage time of the base, exact on every route.
+  An IG base, and the stable or tempered base of index 1/2 through its IG
+  law, takes the running maximum H(t) = M(t)/delta of a drifted Brownian
+  motion, drawn on a whole grid as one Brownian-bridge maximum per cell.  A
+  stable base of any other index (and a composition of stables, a stable law
+  of the product index) draws single-t values by the scaling identity
   E(t) =d (t/D(1))^beta and paths one first passage at a time, from the
   closed law of (passage time, undershoot, landing), at most one passage per
-  grid level.  Anything else walks the base path on a geometrically growing
-  committed grid until it crosses t, bracketing the crossing to a relative
-  tolerance: every draw and path of an inverse tempered clock of index
-  != 1/2 and of the inverse of a composition that is not stable.  The grid
-  is the same for every path, so the walk draws it in blocks of steps, one
-  increment call per block for all paths still below the last level.  Its
-  first step is scaled to the last level, so over levels spread by many
-  orders of magnitude the walk biases its first column; the exact routes do
-  not.
+  grid level.  A tempered base of any other index draws the same passages
+  stopped at mu^-beta and accepts each step with its Esscher weight; a draw
+  is a path on the one-point grid.  The inverse of any other composition is
+  the composition of its parts' inverses, outermost part first, because no
+  part creeps over a level: each hitting route takes a matrix of per-path
+  levels as readily as one grid.
 
 Subordinator paths draw every increment of the time grid in one call.
 """
@@ -50,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DomainError, GridBudgetError
+from ..errors import DomainError
 from .stable import log_zolotarev_a
 
 __all__ = ["SampleBatch", "rng_stream", "sample", "sample_path"]
@@ -214,11 +211,12 @@ def _sample_ig_hitting(rng, t_grid, delta, gamma, n):
     and, given X_j, its Brownian-bridge maximum (X_j + sqrt(X_j^2 - 2 h_j
     log U_j))/2 above the cell's start S_{j-1}; the running maximum of those
     is exact on the grid.  One normal and one uniform per cell, so a one-point
-    grid is the single-t draw.  Returns an (n, len(t_grid)) array.
+    grid is the single-t draw.  t_grid is one grid or an (n, L) matrix of
+    nondecreasing rows, one grid per path.  Returns an (n, L) array.
     """
     h = np.diff(t_grid, prepend=0.0)
-    z = rng.standard_normal((n, h.size))
-    u = rng.random((n, h.size))
+    z = rng.standard_normal((n, h.shape[-1]))
+    u = rng.random((n, h.shape[-1]))
     x = gamma * h + np.sqrt(h) * z
     top = 0.5 * (x + np.sqrt(x * x - 2.0 * h * np.log(np.maximum(u, 1e-300))))
     return np.maximum.accumulate(np.cumsum(x, axis=1) - x + top, axis=1) / delta
@@ -246,115 +244,91 @@ def _passage_log_a(rng, beta, k):
     return out
 
 
-def _sample_inverse_stable_path(rng, t_grid, beta, n):
-    """E(t_i) = inf{s : D(s) > t_i} on a grid, D the beta-stable subordinator.
+def _sample_stable_below(rng, t, beta, cap):
+    """D(t) conditioned on D(t) <= cap, elementwise, by plain rejection."""
+    out = np.empty(cap.size)
+    idx = np.arange(cap.size)
+    while idx.size:
+        x = _sample_stable(rng, t, beta, idx.size)
+        ok = x <= cap[idx]
+        out[idx[ok]] = x[ok]
+        idx = idx[~ok]
+    return out
 
-    Exact, one first passage at a time.  A passage of a fresh D over level a
-    has undershoot Y = a B, B ~ Beta(beta, 1-beta), landing
-    Z = Y + (a - Y) V^(-1/beta), V ~ U(0, 1], and, given Y, time
-    Y^beta (W / A(theta))^(1-beta) with W ~ Gamma(2-beta) and theta drawn by
-    `_passage_log_a`: the potential density y^(beta-1)/Gamma(beta) times the
-    Levy tail, and D(1) biased by D(1)^-beta in Kanter's form.  By the strong
-    Markov property each path restarts at its landing and passes the first
-    level it has not covered; every level below the landing reads the passage
-    time.  Each round covers at least one level of every live path, so a
-    path costs at most len(t_grid) passages.  Returns an (n, len(t_grid))
-    array.
+
+def _sample_stable_passages(rng, levels, beta, n, mu=0.0):
+    """E(t_i) = inf{s : D(s) > t_i} at every level, D the beta-stable
+    subordinator, or at mu > 0 the tempered one (the stable law tilted by
+    e^(-mu x)).
+
+    `levels` is one grid for all n paths or an (n, L) matrix with positive,
+    nondecreasing rows, one grid per path.  Exact, one first passage at a
+    time.  A passage of a fresh stable D over gap a has undershoot
+    Y = a B, B ~ Beta(beta, 1-beta), landing Z = Y + (a - Y) V^(-1/beta),
+    V ~ U(0, 1], and, given Y, time Y^beta (W / A(theta))^(1-beta) with
+    W ~ Gamma(2-beta) and theta drawn by `_passage_log_a`: the potential
+    density y^(beta-1)/Gamma(beta) times the Levy tail, and D(1) biased by
+    D(1)^-beta in Kanter's form.  By the strong Markov property each path
+    restarts at its landing and passes the first level it has not covered;
+    every level below the landing reads the passage time.
+
+    At mu > 0 a step stops at the passage or at h = mu^-beta, whichever comes
+    first: a passage later than h becomes the step (h, X), X a stable(h) value
+    conditioned on X <= a (no passage by h).  The Esscher martingale
+    e^(-mu D(s) + mu^beta s) turns the stable law of that bounded step into
+    the tempered one and is at most e^(mu^beta h), so the step is accepted
+    with probability exp(-mu dpos + mu^beta (dtime - h)), and a rejected step
+    is drawn again from the same state.  The mean acceptance is e^-1, so a
+    path costs about e mu t_max / beta proposals.
+
+    At mu = 0 each round covers at least one level of every live path, so a
+    path costs at most L passages.  Returns an (n, L) array.
     """
-    levels = np.asarray(t_grid, dtype=float)
-    out = np.zeros((n, levels.size))
+    levels = np.asarray(levels, dtype=float)
+    per_row = levels.ndim == 2
+    width = levels.shape[-1]
+    h = mu ** -beta if mu > 0 else math.inf
+    out = np.zeros((n, width))
     time = np.zeros(n)
     pos = np.zeros(n)
     nxt = np.zeros(n, dtype=np.intp)
     live = np.arange(n)
     while live.size:
         k, j = live.size, nxt[live]
-        gap = levels[j] - pos[live]
+        gap = (levels[live, j] if per_row else levels[j]) - pos[live]
+        # a tilted step stopped below its level can round onto or past it
+        np.maximum(gap, 0.0, out=gap)
         under = gap * rng.beta(beta, 1.0 - beta, k)
-        jump = (gap - under) * (1.0 - rng.random(k)) ** (-1.0 / beta)
+        land = under + (gap - under) * (1.0 - rng.random(k)) ** (-1.0 / beta)
         log_wa = np.log(rng.gamma(2.0 - beta, size=k)) - _passage_log_a(rng, beta, k)
-        time[live] += under ** beta * np.exp((1.0 - beta) * log_wa)
-        pos[live] += under + jump
-        out[live, j] = time[live]
+        tau = under ** beta * np.exp((1.0 - beta) * log_wa)
+        step = passed = live
+        if mu > 0:
+            stop = tau > h
+            tau[stop] = h
+            land[stop] = _sample_stable_below(rng, h, beta, gap[stop])
+            ok = rng.random(k) <= np.exp(mu ** beta * (tau - h) - mu * land)
+            step, passed, tau, land = live[ok], live[ok & ~stop], tau[ok], land[ok]
+        time[step] += tau
+        pos[step] += land
+        j = nxt[passed]
+        out[passed, j] = time[passed]
         # a landing that rounds onto or below its level still covers it
-        nxt[live] = np.maximum(j + 1, np.searchsorted(levels, pos[live], side="right"))
-        live = live[nxt[live] < levels.size]
+        if per_row:
+            above = np.count_nonzero(levels[passed] <= pos[passed, None], axis=1)
+        else:
+            above = np.searchsorted(levels, pos[passed], side="right")
+        nxt[passed] = np.maximum(j + 1, above)
+        live = live[nxt[live] < width]
     # levels a passage jumped over read its time, the last one written before them
     return np.maximum.accumulate(out, axis=1)
-
-
-# -- first-passage walk ------------------------------------------------------
-
-
-# a block of the walk advances every live path by up to _BLOCK_STEPS steps
-# and holds at most _BLOCK_ELEMS increments: numpy's per-call overhead is paid
-# once per block while the (paths, steps) arrays stay cache-sized
-_BLOCK_ELEMS = 2 ** 14
-_BLOCK_STEPS = 256
-
-
-def _first_passage_walk(rng, base, levels, n, rtol, max_iters=None):
-    """Crossing times of the base path over every level in `levels`.
-
-    Committed walk: the step taken from state (s, d) depends only on s, so no
-    sampled increment is ever discarded and the crossing law stays unbiased.
-    Steps grow geometrically (h = rtol * s), which brackets each crossing to a
-    relative width rtol.  The grid is the same for every path, so the walk
-    draws a block of steps for all live paths at once and finds each crossing
-    in the block's cumulative sums.  Returns an (n, len(levels)) array.
-    """
-    levels = np.asarray(levels, dtype=float)
-    if max_iters is None:
-        max_iters = int(60.0 / rtol) + 1000
-    out = np.full((n, levels.size), np.nan)
-
-    def run(idx, s0, depth):
-        if idx.size == 0:
-            return
-        if depth > 6:
-            raise GridBudgetError("first-passage restart recursion exhausted")
-        d = base.increment(rng, np.full(idx.size, s0))
-        # levels crossed by the very first committed step: restart those paths
-        early = d > levels[0]
-        live = np.flatnonzero(~early)
-        next_level = np.zeros(idx.size, dtype=int)
-        done = 0
-        while live.size:
-            if done >= max_iters:
-                raise GridBudgetError("first-passage walk exceeded its step budget")
-            b = min(_BLOCK_STEPS, max(1, _BLOCK_ELEMS // live.size), max_iters - done)
-            s = s0 * (1.0 + rtol) ** np.arange(done, done + b + 1)
-            h = rtol * s[:-1]
-            mid = s[1:] - 0.5 * h
-            path = d[live, None] + np.cumsum(base.increment(rng, np.broadcast_to(
-                h, (live.size, b))), axis=1)
-            d[live] = path[:, -1]
-            crossed = np.searchsorted(levels, d[live], side="left")
-            for j in np.flatnonzero(crossed > next_level[live]):
-                row, lo, hi = live[j], next_level[live[j]], crossed[j]
-                k = np.searchsorted(path[j], levels[lo:hi], side="right")
-                out[idx[row], lo:hi] = mid[k]
-                next_level[row] = hi
-            live = live[crossed < levels.size]
-            done += b
-        if np.any(early):
-            run(idx[early], s0 * 1e-2, depth + 1)
-
-    # crude lower scale for the first grid point; a path whose first step
-    # passes levels[0] restarts on a finer grid, which is rare only when
-    # levels[0] is near the last level
-    s0 = max(1e-12, rtol * base.passage_scale(float(levels[-1])))
-    # chunks of at most _BLOCK_ELEMS paths keep every block within the cap
-    for start in range(0, n, _BLOCK_ELEMS):
-        run(np.arange(start, min(n, start + _BLOCK_ELEMS)), s0, 0)
-    return out
 
 
 # -- public sampling surface ----------------------------------------------------
 
 
 def _check_rtol(rtol):
-    # NaN fails the comparison too
+    # accepted and unused: every route is exact; NaN fails the comparison too
     if not 0.0 < rtol < 1.0:
         raise DomainError(f"rtol must satisfy 0 < rtol < 1, got {rtol}")
 
@@ -367,14 +341,18 @@ def sample(
     stream: int = 0,
     rtol: float = 1e-4,
 ) -> SampleBatch:
-    """Draw `count` values of the process at time t; reproducible per seed."""
+    """Draw `count` values of the process at time t; reproducible per seed.
+
+    rtol is accepted and unused: every route is exact.  It must still satisfy
+    0 < rtol < 1.
+    """
     if t <= 0:
         raise DomainError("sample requires t > 0")
     if count < 1:
         raise DomainError("sample requires count >= 1")
     _check_rtol(rtol)
     rng = rng_stream(seed, stream)
-    values = spec.draw(rng, float(t), int(count), rtol)
+    values = spec.draw(rng, float(t), int(count))
     return SampleBatch(spec=spec, t=float(t), seed=int(seed), values=values)
 
 
@@ -390,10 +368,11 @@ def sample_path(
 
     Plain subordinators and compositions accumulate independent increments;
     inverse processes take their base's hitting route: a Brownian running
-    maximum for IG and index-1/2 bases, exact first passages for stable bases
-    (and stable compositions) of any other index, otherwise all grid levels
-    off one first-passage walk per path, the only route that reads rtol
-    (their paths are continuous and nondecreasing).
+    maximum for IG and index-1/2 bases, exact first passages for stable and
+    tempered bases (and stable compositions) of any other index, and the
+    composition of the parts' inverses for any other composition (their
+    paths are continuous and nondecreasing).  rtol is accepted and unused, as
+    in `sample`.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] <= 0 or np.any(np.diff(t_grid) <= 0):
@@ -401,4 +380,4 @@ def sample_path(
     if paths < 1:
         raise DomainError("paths must be >= 1")
     _check_rtol(rtol)
-    return spec.path(rng_stream(seed, stream), t_grid, paths, rtol)
+    return spec.path(rng_stream(seed, stream), t_grid, paths)

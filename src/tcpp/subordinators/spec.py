@@ -4,11 +4,11 @@ Each process class owns everything tcpp does with its clock: its Laplace
 exponent phi(s), with E e^{-s X(t)} = e^{-t phi(s)}, its mean rate phi'(0+),
 its density, the pieces of a frozen quadrature rule for the Poisson mixture
 (nodes and weights, the per-t (x, weight * density) and the survivor mass
-beyond the node window), its increment sampler and its first-passage scale.
-`Composition` and `InverseOf` are combinators: a composition of stable laws
-answers as one stable law with the product of the indices, any other
-composition chains its parts' increments, and an inverse asks its base for a
-hitting route (`hitting()`).
+beyond the node window) and its increment sampler.  `Composition` and
+`InverseOf` are combinators: a composition of stable laws answers as one
+stable law with the product of the indices, any other composition chains its
+parts' increments (and its inverse chains its parts' inverses), and an
+inverse asks its base for a hitting route (`hitting()`).
 
 The JSON schema is the CLI's process-description contract:
 
@@ -40,11 +40,10 @@ from .densities import (
     tempered_stable_density,
 )
 from .sampling import (
-    _first_passage_walk,
     _sample_ig,
     _sample_ig_hitting,
-    _sample_inverse_stable_path,
     _sample_stable,
+    _sample_stable_passages,
     _sample_stable_unit,
     _sample_tempered,
 )
@@ -74,7 +73,7 @@ class Clock:
         """Mixing mass beyond the node window; the window is chosen so it is ~1e-16."""
         return 0.0
 
-    def draw(self, rng, t: float, n: int, rtol: float):
+    def draw(self, rng, t: float, n: int):
         """n values at time t."""
         return self.increment(rng, np.full(n, t))
 
@@ -109,7 +108,7 @@ class SubordinatorSpec(Clock):
         raise NoDensityError(f"{self.label()} is not a Levy clock: it has no Laplace "
                              "exponent (use the quadrature route)")
 
-    def path(self, rng, t_grid, paths: int, rtol: float):
+    def path(self, rng, t_grid, paths: int):
         """`paths` trajectories on t_grid from independent increments."""
         dts = np.diff(t_grid, prepend=0.0)
         return np.cumsum(self.increment(rng, np.broadcast_to(dts, (paths, dts.size))), axis=1)
@@ -156,10 +155,6 @@ class InverseGaussian(SubordinatorSpec):
         """One increment of the Levy subordinator over per-element steps dt."""
         return _sample_ig(rng, dt, self.delta, self.gamma)
 
-    def passage_scale(self, t):
-        """Order of magnitude of the first-passage time over level t."""
-        return t / self.delta * max(self.gamma, 1.0 / math.sqrt(t))
-
     def hitting(self):
         return _HittingIG(self)
 
@@ -201,9 +196,6 @@ class Stable(SubordinatorSpec):
     def increment(self, rng, dt):
         ig = _half_ig(self.beta, 0.0)
         return _sample_stable(rng, dt, self.beta) if ig is None else ig.increment(rng, dt)
-
-    def passage_scale(self, t):
-        return t ** self.beta
 
     def hitting(self):
         return _InverseStable(self)
@@ -251,10 +243,6 @@ class TemperedStable(SubordinatorSpec):
         if ig is not None:
             return ig.increment(rng, dt)
         return _sample_tempered(rng, dt, self.beta, self.mu)
-
-    def passage_scale(self, t):
-        drift_scale = t / (self.beta * self.mu ** (self.beta - 1.0))
-        return min(t ** self.beta, drift_scale)
 
     def hitting(self):
         ig = _half_ig(self.beta, self.mu)
@@ -308,15 +296,9 @@ class Composition(SubordinatorSpec):
             v = part.increment(rng, v)
         return v
 
-    def passage_scale(self, t):
-        s = t
-        for part in self.parts:
-            s = part.passage_scale(s)
-        return s
-
     def hitting(self):
         stable = self.mixing_law()
-        return _PathWalk(self) if stable is None else stable.hitting()
+        return _InverseComposition(self) if stable is None else stable.hitting()
 
 
 @dataclass(frozen=True)
@@ -340,11 +322,11 @@ class InverseOf(SubordinatorSpec):
     def mixing_law(self):
         return self.base.hitting().mixing_law()
 
-    def draw(self, rng, t, n, rtol):
-        return self.base.hitting().draw(rng, t, n, rtol)
+    def draw(self, rng, t, n):
+        return self.base.hitting().draw(rng, t, n)
 
-    def path(self, rng, t_grid, paths, rtol):
-        return self.base.hitting().path(rng, t_grid, paths, rtol)
+    def path(self, rng, t_grid, paths):
+        return self.base.hitting().path(rng, t_grid, paths)
 
 
 def _half_ig(beta, mu):
@@ -358,25 +340,31 @@ def _half_ig(beta, mu):
 
 @dataclass(frozen=True)
 class _Hitting(Clock):
-    """Hitting route of `base`; unless a route has an exact sampler (IG and
-    index-1/2 bases, stable bases of any index), each path walks the base
-    path, and a draw is a path on the one-point grid."""
+    """Hitting route of `base`.  Its `path` takes one grid or an (n, L)
+    matrix of nondecreasing per-path levels; a draw is a path on the
+    one-point grid unless the route has a cheaper single-t sampler."""
 
     base: SubordinatorSpec
 
-    def path(self, rng, t_grid, paths, rtol):
-        # every grid level off one first-passage walk per path
-        return _first_passage_walk(rng, self.base, t_grid, paths, rtol)
-
-    def draw(self, rng, t, n, rtol):
-        return self.path(rng, np.array([t]), n, rtol)[:, 0]
+    def draw(self, rng, t, n):
+        return self.path(rng, np.array([t]), n)[:, 0]
 
 
-class _PathWalk(_Hitting):
-    """Hitting route with no density: the path walk is all there is."""
+class _InverseComposition(_Hitting):
+    """Inverse of a composition that is not stable: no density, and paths as
+    the composition of the parts' inverses.  D = P_0(P_1(...)) passes level t
+    when P_1(...) passes E_0(t), because P_0 has no drift and so does not
+    creep over t; hence E(t) = ...E_1(E_0(t)).  The outermost part's route
+    runs on the grid, each next one on the previous matrix, row by row."""
 
     def mixing_law(self):
         return None
+
+    def path(self, rng, t_grid, paths):
+        levels = t_grid
+        for part in self.base.parts:
+            levels = part.hitting().path(rng, levels, paths)
+        return levels
 
 
 class _InverseStable(_Hitting):
@@ -398,17 +386,17 @@ class _InverseStable(_Hitting):
     def weighted(self, rule, t):
         return t ** self.base.beta * rule.nodes, rule.weights * rule.dens
 
-    def path(self, rng, t_grid, paths, rtol):
+    def path(self, rng, t_grid, paths):
         # stable(1/2) is IG(1/sqrt 2, 0), whose running maximum is cheaper
         ig = _half_ig(self.base.beta, 0.0)
         if ig is not None:
-            return ig.hitting().path(rng, t_grid, paths, rtol)
-        return _sample_inverse_stable_path(rng, t_grid, self.base.beta, paths)
+            return ig.hitting().path(rng, t_grid, paths)
+        return _sample_stable_passages(rng, t_grid, self.base.beta, paths)
 
-    def draw(self, rng, t, n, rtol):
+    def draw(self, rng, t, n):
         b = self.base.beta
         if b == 0.5:
-            return super().draw(rng, t, n, rtol)
+            return super().draw(rng, t, n)
         # exact: E(t) =d (t / D(1))^beta by self-similar first passage
         return (t / _sample_stable_unit(rng, b, (n,))) ** b
 
@@ -425,12 +413,13 @@ class _HittingIG(_Hitting):
         x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
         return x, w, None, x_hi
 
-    def path(self, rng, t_grid, paths, rtol):
+    def path(self, rng, t_grid, paths):
         return _sample_ig_hitting(rng, t_grid, self.base.delta, self.base.gamma, paths)
 
 
 class _InverseTempered(_Hitting):
-    """Inverse tempered clock of index != 1/2: tilted-stable density, path walk."""
+    """Inverse tempered clock of index != 1/2: tilted-stable density, and
+    exact paths by stable passages accepted with their Esscher weight."""
 
     def density(self, x, t):
         return inverse_tempered_density(x, t, self.base.beta, self.base.mu)
@@ -449,6 +438,9 @@ class _InverseTempered(_Hitting):
                 return x
             x *= 1.4
         raise ConvergenceError("could not bound the inverse-tempered support")
+
+    def path(self, rng, t_grid, paths):
+        return _sample_stable_passages(rng, t_grid, self.base.beta, paths, self.base.mu)
 
 
 def spec_from_dict(d: dict) -> SubordinatorSpec:

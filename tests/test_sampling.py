@@ -8,27 +8,31 @@ from scipy.special import betainc, erf
 from scipy.stats import ks_2samp
 
 from tcpp.errors import DomainError
+from tcpp.quadrules import gauss_panels, log_panel_edges
 from tcpp.subordinators.densities import (
     hitting_time_cdf_ig,
     ig_cdf,
+    ig_density,
     inverse_tempered_cdf,
     stable_cdf,
+    stable_density,
     tempered_half_as_ig,
     tempered_stable_cdf,
+    tempered_stable_density,
 )
 from tcpp.subordinators.sampling import (
-    _BLOCK_ELEMS,
     _PIECE_ELEMS,
     _SQUEEZE_BINS,
-    _first_passage_walk,
     _log_a_floor,
-    _sample_inverse_stable_path,
+    _sample_ig_hitting,
     _sample_stable,
+    _sample_stable_passages,
     _sample_tempered,
     rng_stream,
     sample,
     sample_path,
 )
+from tcpp.subordinators import sampling as sampling_module
 from tcpp.subordinators import spec as spec_module
 from tcpp.subordinators.spec import (
     Composition,
@@ -39,6 +43,7 @@ from tcpp.subordinators.spec import (
     flatten_stable_composition,
 )
 from tcpp.subordinators.stable import log_zolotarev_a, stable_unit
+from tcpp.timechange import _talbot
 
 # 0.1% two-sided KS critical value: sqrt(-ln(alpha/2)/2) / sqrt(n)
 KS_CRIT_1E3 = math.sqrt(-math.log(0.0005) / 2.0)
@@ -53,6 +58,18 @@ def _ks_stat(values, cdf):
     return max(up, dn)
 
 
+def _ks_stat_bound(values, cdf, points=1000):
+    """An upper bound on _ks_stat from the cdf at `points` order statistics,
+    for cdfs that cost about a millisecond a point: between two of them F
+    and the empirical cdf are nondecreasing, so each gap can hide no more
+    than its own rise in both."""
+    v = np.sort(values)
+    n = v.size
+    j = np.unique(np.linspace(0, n - 1, points).astype(np.intp))
+    f = cdf(v[j])
+    return max(np.max((j[1:] + 1) / n - f[:-1]), np.max(f[1:] - j[:-1] / n))
+
+
 def _ks_2samp_ok(a, b):
     n, m = len(a), len(b)
     return ks_2samp(a, b).statistic < KS_CRIT_1E3 * math.sqrt((n + m) / (n * m))
@@ -61,6 +78,14 @@ def _ks_2samp_ok(a, b):
 def _emp_lt(values, s):
     e = np.exp(-s * values)
     return float(e.mean()), float(e.std(ddof=1) / math.sqrt(e.size))
+
+
+def _assert_hitting_moments(values, base, t):
+    # E E(t) and E E(t)^2 have the transforms 1/(s phi(s)) and 2/(s phi(s)^2)
+    for p in (1, 2):
+        want = _talbot(lambda s: p / (s * base.phi(s) ** p), t, 32)
+        v = values ** p
+        assert abs(v.mean() - want) <= 4.0 * v.std(ddof=1) / math.sqrt(v.size)
 
 
 class TestReproducibility:
@@ -241,29 +266,56 @@ class TestExactPaths:
             stat = _ks_stat(paths[:, j], lambda v: cdf(v, t))
             assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
 
-    @pytest.mark.parametrize("base", [InverseGaussian(1.0, 1.0), Stable(0.5), Stable(0.3),
-                                      Stable(0.7)],
-                             ids=["ig(1,1)", "stable(0.5)", "stable(0.3)", "stable(0.7)"])
-    def test_increments_match_the_walk(self, base):
-        # the joint law over the grid, not just each column: E(t_j) - E(t_i)
+    @pytest.mark.parametrize("base, density, cdf", [
+        (InverseGaussian(1.0, 1.0), lambda y, x: ig_density(y, x, 1.0, 1.0),
+         lambda y, x: ig_cdf(y, x, 1.0, 1.0)),
+        (Stable(0.5), lambda y, x: stable_density(y, x, 0.5),
+         lambda y, x: stable_cdf(y, x, 0.5)),
+        (Stable(0.3), lambda y, x: stable_density(y, x, 0.3),
+         lambda y, x: stable_cdf(y, x, 0.3)),
+        (Stable(0.7), lambda y, x: stable_density(y, x, 0.7),
+         lambda y, x: stable_cdf(y, x, 0.7)),
+        (TemperedStable(0.3, 1.0), lambda y, x: tempered_stable_density(y, x, 0.3, 1.0),
+         lambda y, x: tempered_stable_cdf(y, x, 0.3, 1.0)),
+    ], ids=["ig(1,1)", "stable(0.5)", "stable(0.3)", "stable(0.7)", "tempered(0.3,1)"])
+    def test_increments_match_the_walk(self, base, density, cdf):
+        # the joint law over the grid, not just each column, against the
+        # base's own walk D at two levels: E(t) > x iff D(x) <= t, and
+        # D(x_j) - D(x_i) is an independent increment, so
+        # P(E(t_i) > x_i, E(t_j) > x_j) = int_0^t_i f(y; x_i) F(t_j - y; x_j - x_i) dy
         grid = np.array([0.5, 1.0, 2.0])
-        walk = _first_passage_walk(rng_stream(8, 0), base, grid, 2000, 2e-3)
         exact = sample_path(InverseOf(base), grid, self.N, seed=9)
         for i, j in ((0, 1), (1, 2), (0, 2)):
-            assert _ks_2samp_ok(walk[:, j] - walk[:, i], exact[:, j] - exact[:, i])
+            for q in (0.25, 0.5, 0.75):
+                x_i, x_j = np.quantile(exact[:, i], q), np.quantile(exact[:, j], q)
+                assert x_i < x_j
+                y, w = gauss_panels(log_panel_edges(1e-12 * grid[i], grid[i], 20), 12)
+                want = float(np.sum(w * density(y, x_i) * cdf(grid[j] - y, x_j - x_i)))
+                got = float(np.mean((exact[:, i] > x_i) & (exact[:, j] > x_j)))
+                assert abs(got - want) <= 4.0 * math.sqrt(want * (1.0 - want) / self.N)
 
-    @pytest.mark.parametrize("beta", [0.5, 0.3, 0.7],
-                             ids=["stable(0.5)", "stable(0.3)", "stable(0.7)"])
-    def test_widely_spread_levels(self, beta):
-        # the walk starts at a scale set by the last level and restarts a
-        # path that passes the first level at once, which biases the first
-        # column here (KS p ~ 1e-14); the running maximum and the passage
-        # sampler have no start scale.  P(E(t) <= x) = P(D(1) > t x^(-1/beta))
+    @pytest.mark.parametrize("base", [
+        Stable(0.5), Stable(0.3), Stable(0.7), TemperedStable(0.3, 1.0),
+        Composition((InverseGaussian(1.0, 1.0), TemperedStable(0.4, 1.0))),
+    ], ids=["stable(0.5)", "stable(0.3)", "stable(0.7)", "tempered(0.3,1)",
+            "ig(1,1)*tempered(0.4,1)"])
+    def test_widely_spread_levels(self, base):
+        # a sampler with a start scale set by the last level would bias the
+        # first column here; no route has one.  Exact CDFs:
+        # P(E(t) <= x) = P(D(1) > t x^(-1/beta)) for stable bases, and
+        # inverse_tempered_cdf up to t = 5; elsewhere the first two moments
         n, grid = 5000, np.array([0.01, 100.0])
-        paths = sample_path(InverseOf(Stable(beta)), grid, n, seed=5)
-        sf = stable_unit(beta).sf
+        paths = sample_path(InverseOf(base), grid, n, seed=5)
         for j, t in enumerate(grid):
-            stat = _ks_stat(paths[:, j], lambda v: sf(t * v ** (-1.0 / beta)))
+            if isinstance(base, Stable):
+                sf = stable_unit(base.beta).sf
+                stat = _ks_stat(paths[:, j], lambda v: sf(t * v ** (-1.0 / base.beta)))
+            elif isinstance(base, TemperedStable) and t <= 5.0:
+                stat = _ks_stat_bound(
+                    paths[:, j], lambda v: inverse_tempered_cdf(v, t, base.beta, base.mu))
+            else:
+                _assert_hitting_moments(paths[:, j], base, t)
+                continue
             assert stat < KS_CRIT_1E3 / math.sqrt(n)
 
     def test_stable_composition_takes_its_product_index(self):
@@ -305,6 +357,16 @@ class _FlushLandings(_PassageRecorder):
     def gamma(self, shape, size):
         self.passages += size
         return np.ones(size)
+
+
+class _StoppedSteps(_FlushLandings):
+    """As _FlushLandings, but every passage takes far longer than the tilt's
+    h, so every step over a positive gap stops at h."""
+
+    def gamma(self, shape, size):
+        self.passages += size
+        assert self.passages <= 3, "the path stalled"
+        return np.full(size, 1e300)
 
 
 PASSAGE_LEVELS = np.array([0.01, 0.5, 1.0, 100.0])
@@ -361,16 +423,12 @@ class TestInverseStablePassages:
         assert not np.array_equal(a, sample_path(spec, grid, 64, seed=6))
 
     @pytest.mark.parametrize("spec", PASSAGE_SPECS, ids=PASSAGE_IDS)
-    def test_never_walks_and_bounds_its_passages(self, spec, monkeypatch):
+    def test_never_walks_and_bounds_its_passages(self, spec):
         # one Gamma(2 - beta) draw per passage, and each round of passages
         # covers at least one level of every path still drawing
-        def refuse(*args, **kwargs):
-            raise AssertionError("inverse stable path walked")
-
-        monkeypatch.setattr(spec_module, "_first_passage_walk", refuse)
         paths, grid = 256, np.geomspace(0.01, 100.0, 64)
         rng = _PassageRecorder(rng_stream(3, 0))
-        got = spec.path(rng, grid, paths, 1e-4)
+        got = spec.path(rng, grid, paths)
         assert 0 < rng.passages <= paths * grid.size
         assert np.array_equal(got, sample_path(spec, grid, paths, seed=3))
 
@@ -380,9 +438,78 @@ class TestInverseStablePassages:
         levels = np.array([0.7283449608802397, 6.365520464819748])
         assert levels[0] + (levels[1] - levels[0]) < levels[1]
         rng = _FlushLandings(None)
-        paths = _sample_inverse_stable_path(rng, levels, 0.7, 3)
+        paths = _sample_stable_passages(rng, levels, 0.7, 3)
         assert rng.passages == 3 * levels.size
         assert np.all(paths[:, 1] > paths[:, 0])
+
+
+class TestTiltedPassages:
+    """Inverse tempered clocks of index != 1/2: stable passages stopped at
+    mu^-beta and accepted with their Esscher weight."""
+
+    @pytest.mark.parametrize("beta, mu, t", [
+        (0.3, 1.0, 1.0), (0.7, 1.0, 1.0), (0.3, 20.0, 0.5), (0.7, 2.0, 5.0),
+    ])
+    def test_draws_follow_the_hitting_law(self, beta, mu, t):
+        # inverse_tempered_cdf is exact up to t = 5
+        n = 20_000
+        vals = sample(InverseOf(TemperedStable(beta, mu)), t, n, seed=113).values
+        stat = _ks_stat_bound(vals, lambda v: inverse_tempered_cdf(v, t, beta, mu), 2000)
+        assert stat < KS_CRIT_1E3 / math.sqrt(n)
+
+    def test_a_stopped_step_that_rounds_past_its_level_still_covers_it(self, monkeypatch):
+        # the second stopped step takes its whole gap, and 2.17 + 5.07 rounds
+        # past the level: the next gap must read 0, not a negative number
+        # whose passage is NaN and rejected forever
+        level = 7.2478994077353365
+        assert 0.3 * level + (level - 0.3 * level) > level
+        fractions = [0.3, 1.0]
+        monkeypatch.setattr(sampling_module, "_sample_stable_below",
+                            lambda rng, t, beta, cap: cap * fractions.pop(0) if cap.size else cap)
+        rng = _StoppedSteps(None)
+        paths = _sample_stable_passages(rng, np.array([level]), 0.3, 1, 1.0)
+        assert rng.passages == 3
+        assert paths[0, 0] == 2.0  # two stopped steps of h = mu^-beta = 1
+
+
+IG_ON_TEMPERED = Composition((InverseGaussian(1.0, 1.0), TemperedStable(0.4, 1.0)))
+
+
+class TestInverseCompositions:
+    """The inverse of a composition that is not stable, as the composition of
+    its parts' inverses on per-path levels."""
+
+    N = 10_000
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng, levels: _sample_stable_passages(rng, levels, 0.7, 64),
+        lambda rng, levels: _sample_stable_passages(rng, levels, 0.3, 64, 1.0),
+        lambda rng, levels: _sample_ig_hitting(rng, levels, 1.0, 1.0, 64),
+    ], ids=["stable(0.7)", "tempered(0.3,1)", "ig(1,1)"])
+    def test_equal_rows_draw_the_shared_grid(self, draw):
+        # per-path levels spend the stream as one shared grid does
+        grid = np.geomspace(0.01, 100.0, 16)
+        want = draw(rng_stream(3, 0), grid)
+        assert np.array_equal(draw(rng_stream(3, 0), np.tile(grid, (64, 1))), want)
+
+    def test_mean_at_t_1(self):
+        spec, n = InverseOf(IG_ON_TEMPERED), 20_000
+        assert spec.mixing_law() is None
+        vals = sample(spec, 1.0, n, seed=115).values
+        want = _talbot(lambda s: 1.0 / (s * IG_ON_TEMPERED.phi(s)), 1.0, 32)
+        assert abs(want - 4.2618) < 1e-4
+        assert abs(vals.mean() - want) <= 4.0 * vals.std(ddof=1) / math.sqrt(n)
+
+    def test_stable_parts_compose_to_the_product_index(self):
+        # the route itself, on parts whose composition has a known inverse:
+        # stable(0.5)*stable(0.6) is stable(0.3)
+        grid = np.array([0.5, 2.0])
+        route = spec_module._InverseComposition(Composition((Stable(0.5), Stable(0.6))))
+        paths = route.path(rng_stream(11, 0), grid, 5000)
+        assert np.all(np.diff(paths, axis=1) >= 0)
+        for j, t in enumerate(grid):
+            exact = sample(InverseOf(Stable(0.3)), t, self.N, seed=12 + j).values
+            assert _ks_2samp_ok(paths[:, j], exact)
 
 
 def _tilting_reference(rng, t, beta, mu, n=None):
@@ -508,93 +635,6 @@ class TestTemperedSampler:
         mean = t * b * mu ** (b - 1.0)
         se = np.sqrt(t * b * (1.0 - b) * mu ** (b - 2.0) / n)
         assert np.all(np.abs(vals.mean(axis=0) - mean) <= 4.0 * se)
-
-
-class _Recorder:
-    """A walk base that forwards to `base` and records every step array."""
-
-    def __init__(self, base):
-        self.base = base
-        self.steps = []
-
-    def increment(self, rng, dt):
-        self.steps.append((np.size(dt), float(np.min(dt))))
-        return self.base.increment(rng, dt)
-
-    def passage_scale(self, t):
-        return self.base.passage_scale(t)
-
-
-class _Drift:
-    """Deterministic clock D(s) = s: every path crosses level t at s = t."""
-
-    def increment(self, rng, dt):
-        return np.array(dt, dtype=float)
-
-    def passage_scale(self, t):
-        return t
-
-
-class TestFirstPassageWalk:
-    def test_walk_matches_exact_law(self):
-        # inverse 1/2-stable admits the exact half-normal law as an oracle
-        rng = rng_stream(99, 0)
-        vals = _first_passage_walk(rng, Stable(0.5), np.array([1.0]), 2000, 2e-3)[:, 0]
-        stat = _ks_stat(vals, lambda v: erf(v / 2.0))
-        assert stat < KS_CRIT_1E3 / math.sqrt(2000)
-
-    def test_inverse_tempered_duality(self):
-        # the walk's crossing law over a tempered base; `sample` draws this
-        # clock exactly, so the walk is called directly
-        rng = rng_stream(21, 0)
-        vals = _first_passage_walk(rng, TemperedStable(0.5, 1.0), np.array([1.0]),
-                                   500, 2e-3)[:, 0]
-        for x in (0.4, 0.8, 1.5):
-            emp = float(np.mean(vals <= x))
-            want = inverse_tempered_cdf(x, 1.0, 0.5, 1.0)
-            se = math.sqrt(want * (1 - want) / 500)
-            assert abs(emp - want) <= 4.0 * se + 1e-3
-
-    def test_ig_multi_level(self):
-        # one walk over three levels: each column is that level's hitting law
-        n, levels = 2000, np.array([0.5, 1.0, 2.0])
-        vals = _first_passage_walk(rng_stream(41, 0), InverseGaussian(1.0, 1.0), levels,
-                                   n, 2e-3)
-        assert vals.shape == (n, 3)
-        assert np.all(np.diff(vals, axis=1) >= 0)
-        for j, level in enumerate(levels):
-            stat = _ks_stat(vals[:, j], lambda v: hitting_time_cdf_ig(v, level, 1.0, 1.0))
-            assert stat < KS_CRIT_1E3 / math.sqrt(n)
-
-    def test_early_restart(self):
-        # s0 = rtol * sqrt(1) = 2e-3; about 1% of the paths pass the first
-        # level on their first committed step and are walked again on a grid
-        # 100x finer, whose steps are the only ones below rtol * s0
-        n, rtol, levels = 2000, 2e-3, np.array([0.0125, 1.0])
-        base = _Recorder(Stable(0.5))
-        vals = _first_passage_walk(rng_stream(43, 0), base, levels, n, rtol)
-        s0 = rtol * Stable(0.5).passage_scale(1.0)
-        assert min(h for _, h in base.steps) < rtol * s0
-        assert np.all(np.isfinite(vals))
-        for j, level in enumerate(levels):
-            stat = _ks_stat(vals[:, j], lambda v: erf(v / (2.0 * math.sqrt(level))))
-            assert stat < KS_CRIT_1E3 / math.sqrt(n)
-
-    def test_block_element_cap(self):
-        n, rtol = 100_000, 0.05
-        base = _Recorder(_Drift())
-        vals = _first_passage_walk(rng_stream(1, 0), base, np.array([1.0]), n, rtol)
-        assert max(size for size, _ in base.steps) <= _BLOCK_ELEMS
-        assert vals.shape == (n, 1)
-        assert np.all(np.abs(vals - 1.0) <= rtol)
-
-    def test_grid_budget(self):
-        from tcpp.errors import GridBudgetError
-
-        rng = rng_stream(1, 0)
-        with pytest.raises(GridBudgetError):
-            _first_passage_walk(rng, TemperedStable(0.5, 1.0), np.array([1.0]),
-                                4, 1e-4, max_iters=3)
 
 
 class TestPaths:
