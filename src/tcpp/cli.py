@@ -6,10 +6,13 @@ Subcommands:
     verify    run a verification campaign, one residual report per request
     moments   closed-form IG time-change moments plus a pmf cross-check
 
-Exit codes: 0 success, 2 input error, 3 capability error (method not
-available for the spec, or its route did not converge), 4 verification
-failure (a check failed, or raised: its report then has status "error").
-The TCPP_SEED environment variable provides a seed when --seed is absent.
+Exit codes: 0 success, 2 input error (a malformed or out-of-domain argument,
+spec or campaign config, or an output path that cannot be written), 3
+capability error (method not available for the spec, or its route did not
+converge), 4 verification failure (a check failed, or raised: its report then
+has status "error").  The commands raise; `main` alone maps each error to its
+exit code, through `_EXIT_CODES`.  The TCPP_SEED environment variable provides
+a seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -49,22 +53,20 @@ EXIT_INPUT = 2
 EXIT_CAPABILITY = 3
 EXIT_VERIFY = 4
 
+# every error a command ends in on bad input or a refused route; any other
+# exception is a bug and keeps its traceback
+_EXIT_CODES = {ConvergenceError: EXIT_CAPABILITY, NoDensityError: EXIT_CAPABILITY,
+               DomainError: EXIT_INPUT, UnknownEquationError: EXIT_INPUT, OSError: EXIT_INPUT,
+               UnicodeDecodeError: EXIT_INPUT}
+
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
 def _load_spec(text: str) -> SubordinatorSpec:
-    path = Path(text)
-    if path.exists() and path.is_file():
-        text = path.read_text()
-    return spec_from_json(text)
-
-
-def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("TCPP_SEED", "0"))
+    """An inline JSON object, or the path of a file that holds one."""
+    return spec_from_json(text if text.lstrip().startswith("{") else Path(text).read_text())
 
 
 def _write_table(table: PmfTable, out: str):
@@ -80,67 +82,41 @@ def _write_table(table: PmfTable, out: str):
 
 
 def cmd_pmf(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-    except DomainError as exc:
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    lam, t = args.lam, args.t
-    if lam is None or t is None or lam <= 0 or t <= 0:
-        print("error: need --lambda > 0 and --t > 0", file=sys.stderr)
-        return EXIT_INPUT
+    spec = _load_spec(args.spec)
     method = args.method
     if method == "auto":
         method = ("bessel" if spec.bessel_params() else "pgf" if not isinstance(spec, InverseOf)
                   else "quadrature" if spec.mixing_law() is not None else "mc")
-    try:
-        if method == "mc":
-            count = args.count if args.count is not None else 100000
-            table = pmf_monte_carlo(t, lam, spec, count, _default_seed(args.seed),
-                                    kmax=args.kmax)
-        else:
-            table = pmf_table(t, lam, spec, kmax=args.kmax, method=method)
-    except (ConvergenceError, NoDensityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if method == "mc":
+        table = pmf_monte_carlo(args.t, args.lam, spec, args.count, args.seed, kmax=args.kmax)
+    else:
+        table = pmf_table(args.t, args.lam, spec, kmax=args.kmax, method=method)
     _write_table(table, args.out)
     print(f"wrote {args.out}: kmax={table.kmax} sum+tail={1.0 + table.normalization_defect:.12f}")
     return EXIT_OK
 
 
 def _parse_t_grid(text: str) -> np.ndarray:
-    if ":" in text:
-        start, stop, num = text.split(":")
-        return np.linspace(float(start), float(stop), int(num))
-    return np.array([float(v) for v in text.split(",")])
+    try:
+        if ":" in text:
+            start, stop, num = text.split(":")
+            return np.linspace(float(start), float(stop), int(num))
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise DomainError(f"--t-grid must be 'start:stop:num' or comma-separated times, "
+                          f"got {text!r}") from exc
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-        t_grid = _parse_t_grid(args.t_grid)
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.paths < 1:
-        print("error: --paths must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    seed = _default_seed(args.seed)
-    try:
-        values = sample_path(spec, t_grid, args.paths, seed, rtol=args.rtol)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
+    spec = _load_spec(args.spec)
+    t_grid = _parse_t_grid(args.t_grid)
+    if args.lam is not None and not 0 < args.lam < math.inf:
+        raise DomainError("simulate needs a finite --lambda > 0")
+    values = sample_path(spec, t_grid, args.paths, args.seed)
     if args.lam is not None:
         # time-changed Poisson counts: accumulate Poisson increments over the
         # nondecreasing clock increments so each row is a genuine count path
-        rng = rng_stream(seed, 1)
+        rng = rng_stream(args.seed, 1)
         inc = np.diff(np.concatenate([np.zeros((args.paths, 1)), values], axis=1), axis=1)
         values = np.cumsum(rng.poisson(args.lam * inc), axis=1).astype(float)
     out_path = Path(args.out)
@@ -163,8 +139,11 @@ def _load_campaign(path: str | None) -> list:
         text = resources.files("tcpp.data").joinpath("default_campaign.json").read_text()
     else:
         text = Path(path).read_text()
-    cfg = json.loads(text)
-    requests = cfg["requests"] if isinstance(cfg, dict) else cfg
+    try:
+        cfg = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"campaign config is not valid JSON: {exc}") from exc
+    requests = cfg.get("requests") if isinstance(cfg, dict) else cfg
     if not isinstance(requests, list) or not requests:
         raise DomainError("campaign config must hold a nonempty request list")
     for req in requests:
@@ -174,7 +153,10 @@ def _load_campaign(path: str | None) -> list:
         equation_params(req.get("equation_id"), req.get("params"))
         equation_points(req["equation_id"], req.get("k_range"))
         if "grid" in req:
-            GridSpec(**req["grid"])  # validate early: no partial runs on bad input
+            try:
+                GridSpec(**req["grid"])  # validate early: no partial runs on bad input
+            except TypeError as exc:
+                raise DomainError(f"bad grid {req['grid']!r}: {exc}") from exc
     return requests
 
 
@@ -194,12 +176,7 @@ def _run_request(req: dict):
 
 
 def cmd_verify(args) -> int:
-    try:
-        requests = _load_campaign(args.config)
-    except (DomainError, UnknownEquationError, OSError, json.JSONDecodeError, KeyError,
-            TypeError) as exc:
-        print(f"error: invalid campaign config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    requests = _load_campaign(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = [_run_request(req) for req in requests]
@@ -232,18 +209,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if args.gamma is None or args.gamma <= 0:
-        print("error: moments need gamma > 0", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        mean, var = moments_ig(args.t, args.lam, args.delta, args.gamma)
-        table = ig_moment_table(args.t, args.lam, args.delta, args.gamma)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
+    mean, var = moments_ig(args.t, args.lam, args.delta, args.gamma)
+    table = ig_moment_table(args.t, args.lam, args.delta, args.gamma)
     ks = np.arange(table.kmax + 1, dtype=float)
     m1 = float(np.sum(ks * table.values))
     m2 = float(np.sum(ks * ks * table.values))
@@ -263,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and numerical certification of the governing equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = os.environ.get("TCPP_SEED", "0")  # a string default goes through type=int too
 
     p = sub.add_parser("pmf", help="pmf table of N(X(t))")
     p.add_argument("--spec", required=True, help="subordinator spec JSON (inline or file path)")
@@ -271,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["auto", "bessel", "pgf", "quadrature", "mc"],
                    default="auto", help="auto tries bessel, pgf, quadrature, mc in turn")
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--count", type=int, default=None, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--count", type=int, default=100000, help="Monte Carlo sample count")
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", required=True, help="output file (.csv or .json)")
     p.set_defaults(fn=cmd_pmf)
 
@@ -283,10 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=8)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="if given, emit time-changed Poisson count paths")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rtol", type=float, default=1e-4,
-                   help="accepted and unused: every sampling route is exact "
-                        "(it must still lie in (0, 1))")
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
 
@@ -294,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="campaign JSON (default: the packaged standard campaign)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: the checks run one after another "
-                        "(threads were slower, as the checks hold the GIL)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("moments", help="closed-form IG time-change moments")
@@ -311,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ __all__ = [
 
 def _positive(name, *vals):
     for v in vals:
-        if np.any(np.asarray(v) <= 0):
+        if not np.all(np.asarray(v) > 0):  # refuses NaN as well
             raise DomainError(f"{name} requires strictly positive arguments")
 
 
@@ -70,7 +70,7 @@ def ig_density(x, t, delta: float, gamma: float):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     _positive("ig_density", x, t, delta)
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError("ig_density requires gamma >= 0")
     dt = delta * t
     log_g = (
@@ -133,7 +133,7 @@ def tempered_stable_density(x, t, beta: float, mu: float):
     """
     x = np.asarray(x, dtype=float)
     _positive("tempered_stable_density", x, t)
-    if mu < 0:
+    if not mu >= 0:
         raise DomainError("tempered_stable_density requires mu >= 0")
     if mu == 0.0:
         return stable_density(x, t, beta)
@@ -143,7 +143,7 @@ def tempered_stable_density(x, t, beta: float, mu: float):
 def tempered_stable_cdf(x, t, beta: float, mu: float):
     """P(D_mu(t) <= x); broadcasts over x and t, a float for scalar arguments."""
     _positive("tempered_stable_cdf", x, t)
-    if mu < 0:
+    if not mu >= 0:
         raise DomainError("tempered_stable_cdf requires mu >= 0")
     return _float_if_scalar(_tempered_partial_moments(x, t, beta, mu)[0])
 
@@ -214,16 +214,14 @@ def inverse_stable_cdf(x, t: float, beta: float):
     """P(E(t) <= x) by quadrature of m(.,t) (independent of the duality route).
 
     Uses the substitution u = t^beta v, under which m(u,t) du = phi(v) dv with
-    phi(v) = (1/beta) f(v^(-1/beta), 1) v^(-1-1/beta) free of t, integrated on
-    48 panels of 12 Gauss points.
+    the t-free phi of `StableUnit.inverse_mixing`, integrated on 48 panels of
+    12 Gauss points.
     """
     x = float(x)
     _positive("inverse_stable_cdf", x, t)
     v_hi = x * t ** (-beta)
     nodes, w = gauss_panels(linear_panel_edges(0.0, v_hi, 48), 12)
-    su = stable_unit(beta)
-    phi = (1.0 / beta) * su.pdf(nodes ** (-1.0 / beta)) * nodes ** (-1.0 - 1.0 / beta)
-    return float(np.sum(w * phi))
+    return float(np.sum(w * stable_unit(beta).inverse_mixing(nodes)))
 
 
 # -- tempered stable hitting time ----------------------------------------------
@@ -283,7 +281,7 @@ def _hitting_ig_parts(name, x, t, delta: float, gamma: float):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
     _positive(name, t, delta)
-    if np.any(x < 0) or gamma < 0:
+    if not (np.all(x >= 0) and gamma >= 0):
         raise DomainError(f"{name} requires x >= 0 and gamma >= 0")
     st = np.sqrt(t)
     z1 = (gamma * t - delta * x) / st

@@ -346,8 +346,8 @@ def sample(
     rtol is accepted and unused: every route is exact.  It must still satisfy
     0 < rtol < 1.
     """
-    if t <= 0:
-        raise DomainError("sample requires t > 0")
+    if not 0 < t < math.inf:  # refuses NaN as well
+        raise DomainError("sample requires finite t > 0")
     if count < 1:
         raise DomainError("sample requires count >= 1")
     _check_rtol(rtol)
@@ -375,8 +375,9 @@ def sample_path(
     in `sample`.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] <= 0 or np.any(np.diff(t_grid) <= 0):
-        raise DomainError("t_grid must be strictly increasing and positive")
+    if t_grid.ndim != 1 or t_grid.size < 1 or not (
+            t_grid[0] > 0 and np.all(np.diff(t_grid) > 0) and t_grid[-1] < math.inf):
+        raise DomainError("t_grid must be finite, positive and strictly increasing")
     if paths < 1:
         raise DomainError("paths must be >= 1")
     _check_rtol(rtol)

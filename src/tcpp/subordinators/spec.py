@@ -120,10 +120,10 @@ class InverseGaussian(SubordinatorSpec):
     gamma: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise DomainError("IG requires delta > 0")
-        if self.gamma < 0:
-            raise DomainError("IG requires gamma >= 0")
+        if not 0 < self.delta < math.inf:  # refuses NaN as well
+            raise DomainError("IG requires finite delta > 0")
+        if not 0 <= self.gamma < math.inf:
+            raise DomainError("IG requires finite gamma >= 0")
 
     def to_dict(self):
         return {"type": "ig", "delta": self.delta, "gamma": self.gamma}
@@ -209,8 +209,8 @@ class TemperedStable(SubordinatorSpec):
     def __post_init__(self):
         if not 0 < self.beta < 1:
             raise DomainError("tempered stable index must satisfy 0 < beta < 1")
-        if self.mu <= 0:
-            raise DomainError("tempered stable requires mu > 0")
+        if not 0 < self.mu < math.inf:
+            raise DomainError("tempered stable requires finite mu > 0")
 
     def to_dict(self):
         return {"type": "tempered", "beta": self.beta, "mu": self.mu}
@@ -375,13 +375,10 @@ class _InverseStable(_Hitting):
         return inverse_stable_density(x, t, self.base.beta)
 
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
-        # phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b): the t-free mixing factor
-        b = self.base.beta
-        su = stable_unit(b)
+        su = stable_unit(self.base.beta)
         v_hi = su.inverse_support_end
         v, w = gauss_panels(linear_panel_edges(0.0, v_hi, n_panels), 12)
-        phi = (1.0 / b) * su.pdf(v ** (-1.0 / b)) * v ** (-1.0 - 1.0 / b)
-        return v, w, phi, v_hi * t_hi ** b
+        return v, w, su.inverse_mixing(v), v_hi * t_hi ** self.base.beta
 
     def weighted(self, rule, t):
         return t ** self.base.beta * rule.nodes, rule.weights * rule.dens
@@ -458,8 +455,11 @@ def spec_from_dict(d: dict) -> SubordinatorSpec:
             return Composition(tuple(spec_from_dict(p) for p in d["parts"]))
         if kind == "inverse":
             return InverseOf(spec_from_dict(d["base"]))
-    except KeyError as exc:
-        raise DomainError(f"spec of type '{kind}' is missing field {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, DomainError):  # a part's own error, already worded
+            raise
+        raise DomainError(f"spec of type '{kind}' has a missing or malformed field: "
+                          f"{exc!r}") from exc
     raise DomainError(f"unknown spec type '{kind}'")
 
 

@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import erfc, gammaln
 
-from ..errors import ConvergenceError, DivergenceError, DomainError
+from ..errors import ConvergenceError, DivergenceError, DomainError, NoDensityError
 from ..quadrules import gauss_legendre, gauss_panels, log_panel_edges
 
 _BETA_MAX = 0.95
@@ -46,10 +46,10 @@ def _check_beta(beta: float) -> float:
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise DomainError("stable index beta must be in (0, 1)")
-    if beta > _BETA_MAX:
-        raise DomainError(
+    if beta > _BETA_MAX:  # a valid law this engine cannot evaluate
+        raise NoDensityError(
             f"density engine supports beta <= {_BETA_MAX}; the law is nearly "
-            "degenerate beyond that (use moment expansions instead)"
+            "degenerate beyond that (use the pgf or mc method instead)"
         )
     return beta
 
@@ -311,15 +311,18 @@ class StableUnit:
                      / math.pi)
         return bulk + tail
 
+    def inverse_mixing(self, v):
+        """phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b), the t-free density of
+        E(t) / t^b for the inverse stable clock E (u = t^b v)."""
+        b = self.beta
+        return (1.0 / b) * self.pdf(v ** (-1.0 / b)) * v ** (-1.0 - 1.0 / b)
+
     @cached_property
     def inverse_support_end(self) -> float:
-        """v beyond which the inverse-stable mixing factor
-        phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b) is < ~1e-19 (once per beta)."""
-        b = self.beta
+        """v beyond which `inverse_mixing` is < ~1e-19 (once per beta)."""
         v = 2.0
         for _ in range(60):
-            f1 = float(self.pdf(np.array([v ** (-1.0 / b)]))[0])
-            if f1 * v ** (-1.0 - 1.0 / b) / b < 1e-19:
+            if self.inverse_mixing(v)[0] < 1e-19:
                 return v
             v *= 1.3
         raise ConvergenceError("could not bound the inverse-stable support")

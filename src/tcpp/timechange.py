@@ -180,7 +180,7 @@ def pmf_bessel_ig(k: int, t, lam: float, delta: float, gamma: float):
         (delta t / sqrt(gamma^2+2 lam))^(k-1/2) K_{k-1/2}(delta t sqrt(gamma^2+2 lam)),
     evaluated throughout in log space so large k and t cannot overflow.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError(
             "Bessel-form pmf needs gamma > 0 (use pmf_quadrature for gamma = 0)"
         )
@@ -188,8 +188,8 @@ def pmf_bessel_ig(k: int, t, lam: float, delta: float, gamma: float):
         raise DomainError("count index k must be >= 0")
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0):
-        raise DomainError("pmf_bessel_ig requires t > 0")
+    if not (np.all(t > 0) and lam > 0 and delta > 0):  # refuses NaN as well
+        raise DomainError("pmf_bessel_ig requires t, lambda and delta > 0")
     c = math.sqrt(gamma * gamma + 2.0 * lam)
     omega = delta * t * c
     n = k - 1 if k >= 1 else 0
@@ -415,8 +415,8 @@ def pmf_quadrature(k: int, t: float, lam: float, spec: SubordinatorSpec,
     """P(N(X(t)) = k) by adaptive quadrature of the Poisson mixture."""
     if k < 0:
         raise DomainError("count index k must be >= 0")
-    if t <= 0 or lam <= 0:
-        raise DomainError("pmf_quadrature requires t > 0 and lambda > 0")
+    if not (0 < t < math.inf and 0 < lam < math.inf):  # refuses NaN as well
+        raise DomainError("pmf_quadrature requires finite t > 0 and lambda > 0")
     rule = mixture_rule(spec, lam, t, t, max(k, 8), tol)
     return float(rule.pmf_matrix(np.array([t]), np.array([k]))[0, 0])
 
@@ -727,10 +727,8 @@ def moments_ig(t: float, lam: float, delta: float, gamma: float):
     """(mean, variance) of N(G(t)): lam delta t / gamma and the Bessel-form
     variance, evaluated through the scaled K_{3/2} so large delta gamma t
     cannot overflow."""
-    if gamma <= 0:
-        raise DomainError("moments_ig requires gamma > 0")
-    if t <= 0 or lam <= 0 or delta <= 0:
-        raise DomainError("moments_ig requires positive t, lambda, delta")
+    if not all(0 < v < math.inf for v in (t, lam, delta, gamma)):  # refuses NaN as well
+        raise DomainError("moments_ig requires finite t, lambda, delta and gamma > 0")
     mean = lam * delta * t / gamma
     omega = delta * gamma * t
     # e^omega K_{3/2}(omega) = sqrt(pi/(2 omega)) (1 + 1/omega)

@@ -500,7 +500,7 @@ def registry_ids():
 
 def equation_params(equation_id: str, params: dict | None = None) -> dict:
     """The entry's default params updated by `params`, every key known and in its domain."""
-    if equation_id not in REGISTRY:
+    if not isinstance(equation_id, str) or equation_id not in REGISTRY:
         raise UnknownEquationError(f"unknown equation '{equation_id}'; known: {sorted(REGISTRY)}")
     eq = REGISTRY[equation_id]
     params = {} if params is None else params

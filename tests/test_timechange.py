@@ -10,6 +10,8 @@ from scipy.special import erfc, gammaln
 
 from tcpp.errors import ConvergenceError, DomainError, NoDensityError
 from tcpp.specfun import mittag_leffler
+from tcpp.subordinators.densities import ig_density
+from tcpp.subordinators.sampling import sample, sample_path
 from tcpp.subordinators.spec import (
     Composition,
     InverseGaussian,
@@ -807,6 +809,30 @@ class TestRefusals:
         with pytest.raises(DomainError):
             pmf_monte_carlo(t, lam, InverseGaussian(1.0, 1.0), 2000, seed=1)
         assert table_cache.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda: sample(InverseGaussian(1.0, 1.0), math.nan, 3, seed=1),
+        lambda: sample(InverseGaussian(1.0, 1.0), math.inf, 3, seed=1),
+        lambda: sample_path(InverseGaussian(1.0, 1.0), [0.5, math.nan], 2, seed=1),
+        lambda: sample_path(InverseGaussian(1.0, 1.0), [0.5, math.inf], 2, seed=1),
+        lambda: ig_density(1.0, math.nan, 1.0, 1.0),
+        lambda: ig_density(1.0, 1.0, 1.0, math.nan),
+        lambda: moments_ig(math.nan, 1.0, 1.0, 1.0),
+        lambda: moments_ig(1.0, 1.0, 1.0, math.inf),
+        lambda: pmf_quadrature(0, math.nan, 1.0, InverseGaussian(1.0, 1.0)),
+        lambda: pmf_quadrature(0, 1.0, math.nan, InverseGaussian(1.0, 1.0)),
+        lambda: pmf_bessel_ig(0, math.nan, 1.0, 1.0, 1.0),
+        lambda: pmf_bessel_ig(0, 1.0, math.nan, 1.0, 1.0),
+        lambda: pmf_bessel_ig(0, 1.0, 1.0, 1.0, math.nan),
+        lambda: InverseGaussian(math.nan, 1.0),
+        lambda: TemperedStable(0.5, math.nan),
+    ], ids=["sample-t-nan", "sample-t-inf", "path-nan", "path-inf", "ig-density-t-nan",
+            "ig-density-gamma-nan", "moments-t-nan", "moments-gamma-inf", "quadrature-t-nan",
+            "quadrature-lambda-nan", "bessel-t-nan", "bessel-lambda-nan", "bessel-gamma-nan",
+            "ig-spec-delta-nan", "tempered-spec-mu-nan"])
+    def test_nan_is_refused_not_propagated(self, call):
+        with pytest.raises(DomainError):
+            call()
 
     def test_finite_mean_at_the_cap_is_refused(self):
         ig = InverseGaussian(1.0, 1.0)  # mean count lam t delta / gamma = 1e4
