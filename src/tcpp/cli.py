@@ -60,6 +60,10 @@ _EXIT_CODES = {ConvergenceError: EXIT_CAPABILITY, NoDensityError: EXIT_CAPABILIT
                UnicodeDecodeError: EXIT_INPUT}
 
 
+# numpy's Poisson sampler refuses a mean above about 9.22e18
+_POISSON_MAX = 9.2e18
+
+
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -114,6 +118,10 @@ def cmd_simulate(args) -> int:
         raise DomainError("simulate needs a finite --lambda > 0")
     values = sample_path(spec, t_grid, args.paths, args.seed)
     if args.lam is not None:
+        if not args.lam * np.max(values) <= _POISSON_MAX:
+            raise DomainError(f"--lambda {args.lam:g} times the largest clock value "
+                              f"{np.max(values):g} exceeds the Poisson sampler's range "
+                              f"({_POISSON_MAX:g})")
         # time-changed Poisson counts: accumulate Poisson increments over the
         # nondecreasing clock increments so each row is a genuine count path
         rng = rng_stream(args.seed, 1)

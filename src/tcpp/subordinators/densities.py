@@ -22,7 +22,12 @@ integration by parts gives
                 - mu^beta P(D_mu(x) <= t),
 
 and both partial moments are single integrals of the unit stable density
-(`_tempered_partial_moments`).
+(`_tempered_partial_moments`).  Their weights f1(u) e^{mu^beta t - mu y} are
+formed as exp(log f1(u) + mu^beta t - mu y), from `StableUnit.log_pdf`: at
+large mu^beta t the integral lies where f1 itself is far below the smallest
+float.  As f1(u) ~ exp(-a0 u^(-beta/(1-beta))) on the left, the lower limit
+is a quarter of the u where f1 e^{mu^beta t} falls to e^-48.  The term
+t f_mu(t, x) is formed in log space the same way.
 """
 
 from __future__ import annotations
@@ -145,7 +150,7 @@ def tempered_stable_cdf(x, t, beta: float, mu: float):
     _positive("tempered_stable_cdf", x, t)
     if not mu >= 0:
         raise DomainError("tempered_stable_cdf requires mu >= 0")
-    return _float_if_scalar(_tempered_partial_moments(x, t, beta, mu)[0])
+    return _float_if_scalar(np.clip(_tempered_partial_moments(x, t, beta, mu)[0], 0.0, 1.0))
 
 
 # the most unit-density points evaluated in one pass (bounds the working arrays)
@@ -156,20 +161,23 @@ def _tempered_partial_moments(x, t, beta: float, mu: float):
     """P(D_mu(t) <= x) and E[D_mu(t); D_mu(t) <= x], broadcast over x and t.
 
     In unit variables u = y t^(-1/beta) both are integrals of the unit stable
-    density f1 against e^{mu^beta t - mu y} over [x_tiny/4, x t^(-1/beta)]
-    (f1 is below ~e^-48 left of x_tiny).  Each point gets its own 12-point
-    Gauss panels, evenly spaced in log u and at most w wide, where w is the
-    smallest of 1, the log-width scale (1-beta)/beta of f1's peak and twice
-    the relative spread sqrt((1-beta)/(beta mu^beta t)) of D_mu(t); so a
-    point's value depends on that point alone.
+    density f1 against e^{mu^beta t - mu y}, in log space, over
+    [u_48/4, x t^(-1/beta)], where u_48 = (a0/(48 + mu^beta t))^((1-beta)/beta)
+    is the u where f1 e^{mu^beta t} falls to about e^-48 (module docstring).
+    Each point gets its own 12-point Gauss panels, evenly spaced in log u and
+    at most w wide, where w is the smallest of 1, the log-width scale
+    (1-beta)/beta of f1's peak and twice the relative spread
+    sqrt((1-beta)/(beta mu^beta t)) of D_mu(t); so a point's value depends on
+    that point alone.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     su = stable_unit(beta)
     tt = t.ravel()
     scale = tt ** (1.0 / beta)  # D(t) = scale D(1)
-    v_lo = math.log(0.25 * su.x_tiny)
+    lift = mu ** beta * tt
+    v_lo = np.log(0.25 * (su.a0 / (48.0 + lift)) ** (1.0 / su.ratio))
     span = np.maximum(np.log(x.ravel() / scale) - v_lo, 0.0)
-    spread = np.sqrt((1.0 - beta) / np.maximum(beta * mu ** beta * tt, 1e-300))
+    spread = np.sqrt((1.0 - beta) / np.maximum(beta * lift, 1e-300))
     width = np.minimum(min(1.0, (1.0 - beta) / beta), 2.0 * spread)
     n_pan = np.ceil(span / width).astype(int)
     first = np.cumsum(n_pan) - n_pan
@@ -182,9 +190,9 @@ def _tempered_partial_moments(x, t, beta: float, mu: float):
         pt = np.repeat(np.arange(i, i + n_pan[c].size), n_pan[c])  # each panel's point
         j = np.arange(pt.size) - (first[pt] - first[i])  # and its place in that point
         h = (span[pt] / n_pan[pt])[:, None]
-        u = np.exp(v_lo + h * (j[:, None] + q))
+        u = np.exp(v_lo[pt, None] + h * (j[:, None] + q))
         y = scale[pt, None] * u
-        w = su.pdf(u) * u * h * qw * np.exp(mu ** beta * tt[pt, None] - mu * y)
+        w = np.exp(su.log_pdf(u) + lift[pt, None] - mu * y) * u * h * qw
         p0 += np.bincount(pt, weights=np.sum(w, axis=1), minlength=tt.size)
         p1 += np.bincount(pt, weights=np.sum(w * y, axis=1), minlength=tt.size)
     return p0.reshape(x.shape), p1.reshape(x.shape)
@@ -250,7 +258,9 @@ def _inverse_tempered_tilt(x, t, beta: float, mu: float):
     """m_mu(x,t) by the tilt identity of the module docstring, for any index."""
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     p0, p1 = _tempered_partial_moments(t, x, beta, mu)
-    at_t = t * tempered_stable_density(t, x, beta, mu)
+    # t f_mu(t, x) = t x^(-1/beta) f1(t x^(-1/beta)) e^{mu^beta x - mu t}, in log space
+    u = t * x ** (-1.0 / beta)
+    at_t = u * np.exp(stable_unit(beta).log_pdf(u) + mu ** beta * x - mu * t)
     return np.maximum((at_t + mu * p1) / (beta * x) - mu ** beta * p0, 0.0)
 
 

@@ -427,11 +427,14 @@ class _InverseTempered(_Hitting):
         return x, w, None, x_hi
 
     def _support_end(self, t_hi: float) -> float:
+        """The first x on the grid max(4 t^beta, 4) 1.4^j past the mean
+        t / phi'(0) of E(t) where the density is below 1e-18: at large t the
+        grid starts left of the bulk, where the density is below it too."""
         beta, mu = self.base.beta, self.base.mu
         x = max(4.0 * t_hi ** beta, 4.0)
         for _ in range(60):
             val = float(inverse_tempered_density(np.array([x]), t_hi, beta, mu)[0])
-            if val < 1e-18:
+            if val < 1e-18 and x > t_hi / self.base.mean_rate():
                 return x
             x *= 1.4
         raise ConvergenceError("could not bound the inverse-tempered support")

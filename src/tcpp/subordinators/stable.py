@@ -4,23 +4,24 @@ Everything here is for the standardized subordinator value D(1) with Laplace
 transform E exp(-s D(1)) = exp(-s^beta), 0 < beta < 1.  Time enters elsewhere
 through the scaling D(t) =d t^(1/beta) D(1).
 
-Three evaluation regimes, stitched where they agree:
+Two evaluation regimes, stitched where they agree:
 
-* bulk: the Zolotarev/Ibragimov-Chernin single integral
+* x < x_series: the Zolotarev/Ibragimov-Chernin single integral
       f(x) = beta/(1-beta) * x^(-1/(1-beta)) * (1/pi) *
-             int_0^pi A(th) exp(-x^(-beta/(1-beta)) A(th)) dth,
+             int_0^pi A(th) exp(-xi A(th)) dth,   xi = x^(-beta/(1-beta)),
       A(th) = sin((1-beta) th) sin(beta th)^(beta/(1-beta)) / sin(th)^(1/(1-beta)),
-  by two 96-node Gauss-Legendre panels split where the exponential has
-  decayed by e^-5 and e^-48.  A is increasing, so the splits come from
-  inverting log A: a safeguarded Newton iteration started between two
-  points of a 512-point probe table, a few steps per point;
+  in the scaled form of Nolan (1997): A rises from a0 = A(0+), so
+  e^(-xi a0) comes out of the integral and the exponent left inside is
+  -xi (A - a0) <= 0, which keeps the deep left tail, where xi a0 is large,
+  exact and lets `log_pdf` return log f where f itself underflows.  Two
+  96-node Gauss-Legendre panels split where the exponential has decayed by
+  e^-5 and e^-48.  A is increasing, so the splits come from inverting log A:
+  a safeguarded Newton iteration started between two points of a 512-point
+  probe table, a few steps per point;
 * right tail (x >= x_series >= 1): the convergent inverse-power series whose
   leading term is the classical  beta/(Gamma(1-beta) x^(1+beta))  asymptotic,
   with its coefficients computed once per beta and trimmed to the terms
-  above e^-120 (about 40 to 400 of them, by beta);
-* deep left tail (x < x_tiny, where the exponent exceeds 48): the
-  stretched-exponential asymptotic for the density, a few per cent off at
-  x_tiny, and zero for the distribution function, which is below e^-48 there.
+  above e^-120 (about 40 to 400 of them, by beta).
 
 The series/integral switch point is picked per beta by requiring the two
 routes to agree, then cached with the rest of the per-beta engine
@@ -124,7 +125,8 @@ class StableUnit:
         tol = 1e-13 * np.maximum(1.0, np.abs(tgt))
         for _ in range(64):
             f = self._log_a(th) - tgt
-            step = f / self._log_a_slope(th)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope bisects
+                step = f / self._log_a_slope(th)
             done = (np.abs(f) <= tol) | (np.abs(step) <= 4e-16 * th)
             theta[act[done]] = th[done]
             keep = ~done
@@ -140,10 +142,12 @@ class StableUnit:
             theta[act] = th
         return theta
 
-    def _integral(self, x, want_pdf: bool):
-        """Theta integral for pdf or cdf on moderate x (vectorized)."""
+    def _integral(self, x, want_pdf: bool, log: bool = False):
+        """Theta integral for the pdf or cdf left of x_series, or its log
+        (vectorized)."""
         x = np.asarray(x, dtype=float)
-        xi = x ** (-self.ratio)
+        with np.errstate(over="ignore"):  # xi a0 >= 1e299: e^(-xi a0) is 0 either way
+            xi = np.minimum(x ** (-self.ratio), 1e300)
         eff = xi * self.a0
         # panel split at the e^-5 and e^-_DECAY points of the exponential decay
         log_a5 = np.log(self.a0 + 5.0 / xi)
@@ -155,7 +159,8 @@ class StableUnit:
             th = 0.5 * (hi - lo)[:, None] * gl[None, :] + 0.5 * (hi + lo)[:, None]
             w = 0.5 * (hi - lo)[:, None] * glw[None, :]
             log_a = self._log_a(th)
-            expo = -np.exp(log_a + np.log(xi)[:, None]) + eff[:, None]
+            # -xi (A - a0) <= 0; rounding at huge xi must not lift it above 0
+            expo = np.minimum(eff[:, None] - np.exp(log_a + np.log(xi)[:, None]), 0.0)
             if want_pdf:
                 vals = np.exp(log_a + expo)
             else:
@@ -174,8 +179,9 @@ class StableUnit:
             )
         else:
             log_pref = -math.log(math.pi) - eff
-        with np.errstate(over="ignore"):
-            return np.where(raw > 0, np.exp(np.log(np.maximum(raw, 1e-300)) + log_pref), 0.0)
+        with np.errstate(divide="ignore"):
+            log_val = np.log(raw) + log_pref
+        return log_val if log else np.exp(log_val)
 
     # -- right-tail series ----------------------------------------------------
 
@@ -230,65 +236,51 @@ class StableUnit:
             f"could not stitch tail series to integral for beta={self.beta}"
         )
 
-    def _log_pdf_left_asymptotic(self, x):
-        """Stretched-exponential small-x form, in log space."""
-        b = self.beta
-        x = np.asarray(x, dtype=float)
-        return (
-            ((2.0 - b) / (2.0 * (1.0 - b))) * np.log(b / x)
-            - 0.5 * math.log(2.0 * math.pi * b * (1.0 - b))
-            - (1.0 - b) * (x / b) ** (-self.ratio)
-        )
-
     # -- public surface -------------------------------------------------------
 
-    def pdf(self, x):
-        """Density of D(1); vectorized, nonnegative, zero left of the support."""
+    @staticmethod
+    def _valid(x, name: str):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x <= 0):
-            raise DomainError("stable density requires x > 0")
-        out = np.zeros_like(x)
-        if abs(self.beta - 0.5) < 1e-14:
-            out[:] = 0.5 / math.sqrt(math.pi) * x ** -1.5 * np.exp(-0.25 / x)
-            return out
-        deep = x < self.x_tiny
-        tail = x >= self.x_series
-        mid = ~deep & ~tail
-        if np.any(deep):
-            with np.errstate(over="ignore", under="ignore"):
-                out[deep] = np.exp(self._log_pdf_left_asymptotic(x[deep]))
-        if np.any(mid):
-            out[mid] = self._integral(x[mid], True)
-        if np.any(tail):
-            out[tail] = self._tail_series(x[tail], 1)[0]
+            raise DomainError(f"stable {name} requires x > 0")
+        return x
+
+    def _by_regime(self, x, name: str, bulk, tail):
+        """bulk(x) left of x_series and tail(x) from it on."""
+        x = self._valid(x, name)
+        out = np.empty_like(x)
+        right = x >= self.x_series
+        for part, route in ((~right, bulk), (right, tail)):
+            if np.any(part):
+                out[part] = route(x[part])
         return out
 
-    def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x <= 0):
-            raise DomainError("stable cdf requires x > 0")
+    def pdf(self, x):
+        """Density of D(1); vectorized, nonnegative."""
         if abs(self.beta - 0.5) < 1e-14:
-            return erfc(0.5 / np.sqrt(x))
-        out = np.zeros_like(x)
-        deep = x < self.x_tiny
-        tail = x >= self.x_series
-        mid = ~deep & ~tail
-        if np.any(mid):
-            out[mid] = self._integral(x[mid], False)
-        if np.any(tail):
-            out[tail] = 1.0 - self._tail_series(x[tail], 0)[0]
-        return np.clip(out, 0.0, 1.0)
+            x = self._valid(x, "density")
+            return 0.5 / math.sqrt(math.pi) * x ** -1.5 * np.exp(-0.25 / x)
+        return self._by_regime(x, "density", lambda v: self._integral(v, True),
+                               lambda v: self._tail_series(v, 1)[0])
+
+    def log_pdf(self, x):
+        """log of the density, finite where the density itself underflows."""
+        if abs(self.beta - 0.5) < 1e-14:
+            x = self._valid(x, "density")
+            return -0.5 * math.log(4.0 * math.pi) - 1.5 * np.log(x) - 0.25 / x
+        return self._by_regime(x, "density", lambda v: self._integral(v, True, log=True),
+                               lambda v: np.log(self._tail_series(v, 1)[0]))
+
+    def cdf(self, x):
+        if abs(self.beta - 0.5) < 1e-14:
+            return erfc(0.5 / np.sqrt(self._valid(x, "cdf")))
+        return np.clip(self._by_regime(x, "cdf", lambda v: self._integral(v, False),
+                                       lambda v: 1.0 - self._tail_series(v, 0)[0]), 0.0, 1.0)
 
     def sf(self, x):
         """Survival function P(D(1) > x)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        tail = x >= self.x_series
-        if np.any(tail):
-            out[tail] = self._tail_series(x[tail], 0)[0]
-        if np.any(~tail):
-            out[~tail] = 1.0 - self.cdf(x[~tail])
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(self._by_regime(x, "cdf", lambda v: 1.0 - self.cdf(v),
+                                       lambda v: self._tail_series(v, 0)[0]), 0.0, 1.0)
 
     def moment(self, p: float) -> float:
         """E[D(1)^p] for 0 < p < beta (diverges at p >= beta)."""

@@ -713,7 +713,8 @@ def ig_moment_table(t: float, lam: float, delta: float, gamma: float,
     noise near 1e-14, absolute, which a k^2-weighted sum cannot absorb.
     """
     mean, var = moments_ig(t, lam, delta, gamma)
-    kmax = max(256, int(mean + 70.0 * math.sqrt(var) + 70.0))
+    reach = mean + 70.0 * math.sqrt(var)
+    kmax = max(256, int(reach + 70.0)) if reach < 20000 else 20000  # refused below
     while kmax < 20000:
         table = pmf_table(t, lam, InverseGaussian(delta, gamma), kmax=kmax,
                           method="quadrature")
@@ -724,18 +725,14 @@ def ig_moment_table(t: float, lam: float, delta: float, gamma: float,
 
 
 def moments_ig(t: float, lam: float, delta: float, gamma: float):
-    """(mean, variance) of N(G(t)): lam delta t / gamma and the Bessel-form
-    variance, evaluated through the scaled K_{3/2} so large delta gamma t
-    cannot overflow."""
+    """(mean, variance) of N(G(t)): lam delta t / gamma, and by total variance
+    mean + lam^2 Var G(t) = mean (1 + lam / gamma^2), as Var G(t) = delta t /
+    gamma^3.  No difference of large terms is formed, so neither overflows to
+    inf - inf."""
     if not all(0 < v < math.inf for v in (t, lam, delta, gamma)):  # refuses NaN as well
         raise DomainError("moments_ig requires finite t, lambda, delta and gamma > 0")
     mean = lam * delta * t / gamma
-    omega = delta * gamma * t
-    # e^omega K_{3/2}(omega) = sqrt(pi/(2 omega)) (1 + 1/omega)
-    scaled_k = math.sqrt(math.pi / (2.0 * omega)) * (1.0 + 1.0 / omega)
-    second = math.sqrt(2.0 / math.pi) * (delta * t) * (delta * t / gamma) ** 1.5 * scaled_k
-    var = mean + lam * lam * second - mean * mean
-    return mean, var
+    return mean, mean * (1.0 + lam / gamma / gamma)
 
 
 def waiting_time_survival(x: float, lam: float, delta: float, gamma: float) -> float:

@@ -15,6 +15,7 @@ from tcpp.timechange import PmfTable, pmf_bessel_ig, pmf_table
 
 
 IG_SPEC = '{"type":"ig","delta":1,"gamma":1}'
+INV_TEMPERED_SPEC = '{"type":"inverse","base":{"type":"tempered","beta":0.3,"mu":1}}'
 
 
 class TestPmfCommand:
@@ -129,18 +130,36 @@ class TestPmfCommand:
         assert json.loads(b.read_text())["method"] == "quadrature"
 
     @pytest.mark.parametrize("spec,lam,t,message", [
-        # the tilt route's density is far off at t = 100: a table summing to
-        # nothing like 1 is a route that failed, not bad input
-        ('{"type":"inverse","base":{"type":"tempered","beta":0.3,"mu":1}}', "1", "100",
-         "quadrature route .* normalization defect"),
+        # a table summing to nothing like 1 is a route that failed, not bad
+        # input; no valid request is known to give one, so the quadrature
+        # route is patched below to return half of a table
+        (INV_TEMPERED_SPEC, "1", "100", "quadrature route .* normalization defect"),
         # mean count 1e4: K = 2000 would hold none of the mass
         (IG_SPEC, "100", "100", "bessel route .* kmax cap of 2000 .* --kmax"),
     ], ids=["inverse-tempered-normalization", "ig-past-the-cap"])
-    def test_refused_table_is_capability_error(self, tmp_path, capsys, spec, lam, t, message):
+    def test_refused_table_is_capability_error(self, tmp_path, capsys, monkeypatch,
+                                               spec, lam, t, message):
+        monkeypatch.setattr(tcpp.timechange, "_quadrature_table", lambda *args: {
+            "kmax": 0, "values": np.array([0.5]), "tail_bound": 0.0, "method": "quadrature",
+            "route": {}})
         out = tmp_path / "t.csv"
         rc = main(["pmf", "--spec", spec, "--lambda", lam, "--t", t, "--out", str(out)])
         assert rc == 3 and not out.exists()
         assert re.search(message, capsys.readouterr().err)
+
+    def test_inverse_tempered_at_large_t_is_served(self, tmp_path, inverse_tempered_oracle):
+        # E(100) has mean 333: its tilt integrals lie wholly left of x_tiny,
+        # where the unit stable density is near e^-230
+        out = tmp_path / "t.json"
+        rc = main(["pmf", "--spec", INV_TEMPERED_SPEC, "--lambda", "1", "--t", "100",
+                   "--out", str(out)])
+        assert rc == 0
+        d = json.loads(out.read_text())
+        assert abs(sum(d["values"]) + d["tail_bound"] - 1.0) <= 1e-10
+        want = next(e for e in inverse_tempered_oracle["pmf"] if e["t"] == 100.0)
+        assert d["kmax"] >= max(want["k"])
+        for k, value in zip(want["k"], want["values"]):
+            assert abs(d["values"][k] - value) <= 1e-12, k
 
     def test_pgf_on_inverse_is_capability_error(self, tmp_path, capsys):
         rc = main(["pmf", "--spec", '{"type":"inverse","base":{"type":"stable","beta":0.5}}',
@@ -364,6 +383,9 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
                  id="simulate-lambda-nan"),
     pytest.param(_SIM + ["--lambda", "inf", "--out", "{tmp}/s.csv"], None, 2,
                  id="simulate-lambda-inf"),
+    # finite, but lambda times the clock is past numpy's Poisson sampler
+    pytest.param(_SIM + ["--lambda", "1e300", "--out", "{tmp}/s.csv"], None, 2,
+                 id="simulate-lambda-huge"),
     pytest.param(["simulate", "--spec", IG_SPEC, "--t-grid", "0.1,nan", "--out", "{tmp}/s.csv"],
                  None, 2, id="simulate-t-grid-nan"),
     pytest.param(["simulate", "--spec", IG_SPEC, "--t-grid", "0.1:2", "--out", "{tmp}/s.csv"],
@@ -376,6 +398,9 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
                  id="spec-file-missing"),
     pytest.param(_MOMENTS + ["--lambda", "nan", "--out", "{tmp}/m.json"], None, 2,
                  id="moments-lambda-nan"),
+    # a valid request whose variance overflows: the pmf cross-check is refused
+    pytest.param(_MOMENTS + ["--lambda", "1e300", "--out", "{tmp}/m.json"], None, 3,
+                 id="moments-lambda-huge"),
     pytest.param(_PMF + [IG_SPEC, "--out", "{tmp}/file/t.csv"], None, 2, id="pmf-out-unwritable"),
     pytest.param(_SIM + ["--out", "{tmp}/file/s.csv"], None, 2, id="simulate-out-unwritable"),
     pytest.param(_MOMENTS + ["--lambda", "1", "--out", "{tmp}/file/m.json"], None, 2,

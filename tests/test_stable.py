@@ -1,6 +1,7 @@
 """The stable engine (tcpp.subordinators.stable) against independent routes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from tcpp.subordinators.stable import StableUnit, stable_unit
 
 def _zolotarev(beta, x):
     """(pdf, cdf, sf) of D(1) at x from the Zolotarev integral, by mp.quad at
-    30 digits, split where A(theta) = 1/xi (the peak of A exp(-xi A))."""
+    30 digits.  The integrand is scaled by e^(xi a0), a0 = A(0+), and split
+    where A(theta) = 1/xi (the peak of A exp(-xi A)) and, in the left tail, at
+    w 2^j, where w = (xi a0)^(-1/2) is about the width of the peak at theta = 0."""
     from mpmath import mp, mpf
 
     with mp.workdps(30):
@@ -19,6 +22,7 @@ def _zolotarev(beta, x):
         r = b / (1 - b)
         x = mpf(x)
         xi = x ** (-r)
+        a0 = (1 - b) * b ** r
 
         memo = {}  # both integrals visit the same nodes
 
@@ -29,24 +33,33 @@ def _zolotarev(beta, x):
             return memo[th]
 
         pts = [0, mp.pi]
-        if (1 - b) * b ** r * xi < 1:  # A(0+) < 1/xi: the peak is inside (0, pi)
+        if a0 * xi < 1:  # A(0+) < 1/xi: the peak is inside (0, pi)
             lo, hi = mpf("1e-20"), mp.pi - mpf("1e-20")
             for _ in range(100):
                 mid = (lo + hi) / 2
                 lo, hi = (mid, hi) if log_a(mid) < -mp.log(xi) else (lo, mid)
             pts = [0, lo, mp.pi]
-        pdf = mp.quad(lambda th: mp.exp(log_a(th) - xi * mp.exp(log_a(th))), pts)
-        cdf = mp.quad(lambda th: mp.exp(-xi * mp.exp(log_a(th))), pts) / mp.pi
-        pdf *= b / (1 - b) * x ** (-1 / (1 - b)) / mp.pi
+        else:
+            w = (a0 * xi) ** mpf(-0.5)
+            pts = [0] + [w * 2 ** j for j in range(12) if w * 2 ** j < mp.pi] + [mp.pi]
+
+        def scaled(th):
+            return mp.exp(-xi * (mp.exp(log_a(th)) - a0))
+
+        pdf = mp.quad(lambda th: mp.exp(log_a(th)) * scaled(th), pts)
+        cdf = mp.quad(scaled, pts) / mp.pi * mp.exp(-xi * a0)
+        pdf *= b / (1 - b) * x ** (-1 / (1 - b)) / mp.pi * mp.exp(-xi * a0)
         return float(pdf), float(cdf), float(1 - cdf)
 
 
 class TestZolotarevOracle:
     @pytest.mark.parametrize("beta", [0.25, 0.3, 0.7, 0.9, 0.95])
     def test_pdf_cdf_sf(self, beta):
+        # from x_tiny / 100, where the density is e^-223 at beta = 0.25, to
+        # past the tail series' switch point
         su = stable_unit(beta)
         lo, hi = su.x_tiny, su.x_series
-        for x in (1.5 * lo, math.sqrt(lo * hi), 0.9 * hi, 1.1 * hi, 1e3 * hi):
+        for x in (lo / 100, lo / 3, 1.5 * lo, math.sqrt(lo * hi), 0.9 * hi, 1.1 * hi, 1e3 * hi):
             want = _zolotarev(beta, x)
             got = [float(f(np.array([x]))[0]) for f in (su.pdf, su.cdf, su.sf)]
             for g, w in zip(got, want):
@@ -55,15 +68,19 @@ class TestZolotarevOracle:
 
     @pytest.mark.parametrize("beta", [0.25, 0.3, 0.7, 0.9, 0.95])
     def test_deep_left_tail(self, beta):
-        # left of x_tiny the exponent exceeds 48: the pdf is the
-        # stretched-exponential asymptotic (a few per cent off there) and the
-        # cdf, below e^-48, is zero
+        # down to x = 1e-300, where x^(-beta/(1-beta)) overflows for beta > 0.3:
+        # finite values, no warning; the log density is finite or, where the
+        # density is below e^-1e17, -inf
         su = stable_unit(beta)
-        x = su.x_tiny / 3
-        pdf, cdf, _ = _zolotarev(beta, x)
-        assert abs(su.pdf(np.array([x]))[0] - pdf) <= 5e-2 * pdf
-        assert su.cdf(np.array([x]))[0] == 0.0 and cdf < 1e-21
-        assert su.sf(np.array([x]))[0] == 1.0
+        x = np.geomspace(1e-300, su.x_tiny, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdf, cdf, sf, log_pdf = su.pdf(x), su.cdf(x), su.sf(x), su.log_pdf(x)
+        for values in (pdf, cdf, sf):
+            assert np.all(np.isfinite(values) & (values >= 0.0))
+        assert not np.any(np.isnan(log_pdf)) and np.all(log_pdf < 0.0)
+        assert np.array_equal(np.exp(log_pdf), pdf)
+        assert np.all(np.isfinite(log_pdf[x >= 1e-10 * su.x_tiny]))
 
 
 class TestPanelSplit:

@@ -341,6 +341,19 @@ class TestInverseTempered:
                 assert abs(dens[i] - _mpmath_inverse_tempered(x, t, beta, mu, "density")) <= 1e-12
                 assert abs(cdf[i] - _mpmath_inverse_tempered(x, t, beta, mu, "cdf")) <= 1e-12
 
+    def test_against_50_digit_oracle(self, inverse_tempered_oracle):
+        # the (0.3, 1) clock from t = 5 to t = 100, where the tilt's integral
+        # lies wholly in the unit stable law's deep left tail, and two points
+        # with mu = 20; at (0.7, 20, 8, 10) the density is 6.7e-37, a
+        # cancellation of O(1) terms in the tilt identity, so only absolute
+        # accuracy is in reach there
+        for p in inverse_tempered_oracle["points"]:
+            args = (p["t"], p["beta"], p["mu"])
+            got = (float(inverse_tempered_density(np.array([p["x"]]), *args)[0]),
+                   inverse_tempered_cdf(p["x"], *args))
+            for g, w in zip(got, (p["density"], p["cdf"])):
+                assert abs(g - w) <= (1e-15 if p["beta"] == 0.7 else 1e-10 * w), (p, g)
+
     def test_density_integrates_to_cdf(self):
         for t in (0.5, 2.0):
             for x in (0.1, 0.6, 1.5):

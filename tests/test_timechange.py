@@ -28,6 +28,7 @@ from tcpp.timechange import (
     _pgf_values,
     _poisson_cut,
     fractional_poisson_pmf,
+    ig_moment_table,
     mixture_rule,
     moments_ig,
     pmf_bessel_ig,
@@ -211,6 +212,13 @@ class TestQuadraturePmf:
         want = np.array([_mpmath_inverse_pmf(k, 1.0, 1.0, 0.3, 1.0) for k in range(25)])
         assert np.max(np.abs(table.values - want)) <= 1e-11
         assert abs(table.normalization_defect) <= 1e-11
+
+    def test_general_index_inverse_tempered_table_at_large_t(self, inverse_tempered_oracle):
+        # E(20) has mean 67: its tilt integrals reach left of x_tiny
+        want = next(e for e in inverse_tempered_oracle["pmf"] if e["t"] == 20.0)
+        table = pmf_table(20.0, 1.0, InverseOf(TemperedStable(0.3, 1.0)))
+        assert abs(table.normalization_defect) <= 1e-10 and table.kmax >= max(want["k"])
+        assert np.max(np.abs(table.values[want["k"]] - want["values"])) <= 1e-12
 
     @pytest.mark.parametrize("tol", [1e-11, 1e-12])
     def test_hitting_rule_settles_below_1e_10(self, tol):
@@ -587,10 +595,16 @@ class TestFractionalPoisson:
 
 class TestMomentsIG:
     def test_closed_form_values(self):
-        mean, var = moments_ig(3.0, 2.0, 1.0, 1.0)
-        assert mean == pytest.approx(6.0, rel=1e-12)
-        # Bessel form collapses to lam d t/g + lam^2 d t/g^3
-        assert var == pytest.approx(6.0 + 4.0 * 3.0, rel=1e-10)
+        # lam d t/g and lam d t/g + lam^2 d t/g^3, exact in binary here
+        assert moments_ig(3.0, 2.0, 1.0, 1.0) == (6.0, 18.0)
+        assert moments_ig(5.0, 2.0, 1.0, 0.5) == (20.0, 180.0)
+
+    def test_huge_lambda_is_refused_before_the_table(self):
+        # lam^2 Var G(t) overflows: the variance is inf, not inf - inf, and the
+        # table search refuses before it sizes a table from it
+        assert moments_ig(1.0, 1e300, 1.0, 1.0) == (1e300, math.inf)
+        with pytest.raises(ConvergenceError, match="second-moment tail"):
+            ig_moment_table(1.0, 1e300, 1.0, 1.0)
 
     def test_matches_pmf_summation(self):
         mean, var = moments_ig(1.0, 1.0, 1.0, 1.0)
