@@ -1,8 +1,9 @@
 """Special functions backing every density and pmf formula in the package.
 
-Gamma, the modified Bessel function of the third kind K_nu, the Mittag-Leffler
-function E_beta, the Caputo fractional derivative (L1 scheme), and a numerical
-Laplace transform for densities on the positive half-line.
+Gamma, the modified Bessel function of the third kind K_nu (and the log of
+its exponentially scaled half-integer orders), the Mittag-Leffler function
+E_beta, the Caputo fractional derivative (L1 scheme), and a numerical Laplace
+transform for densities on the positive half-line.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "TimeSeries",
     "gamma_fn",
     "bessel_k",
+    "log_bessel_k_half_scaled",
     "mittag_leffler",
     "caputo_derivative",
     "laplace_numeric",
@@ -62,19 +64,24 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def _bessel_k_half_integer(n: int, omega):
-    """K_{n+1/2}(omega) via the finite-sum closed form.
+def log_bessel_k_half_scaled(n: int, omega):
+    """log(e^omega K_{n+1/2}(omega)) by the finite sum, vectorized in omega > 0.
 
-    K_{n+1/2}(w) = sqrt(pi/(2w)) e^{-w} sum_{i=0}^{n} (n+i)! / (i! (n-i)! (2w)^i).
+    K_{n+1/2}(w) = sqrt(pi/(2w)) e^{-w} sum_{i=0}^{n} (n+i)! / (i! (n-i)! (2w)^i),
+    summed in log space.  The scaled log leaves e^{-w} to the caller, who can
+    cancel it exactly against other exponentials.
     """
-    omega = np.asarray(omega, dtype=float)
-    s = np.ones_like(omega)
-    term = np.ones_like(omega)
-    for i in range(1, n + 1):
-        # term ratio: (n+i)(n-i+1) / (i * 2w)
-        term = term * ((n + i) * (n - i + 1)) / (2.0 * i * omega)
-        s = s + term
-    return np.sqrt(np.pi / (2.0 * omega)) * np.exp(-omega) * s
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    i = np.arange(n + 1, dtype=float)
+    log_terms = (
+        gammaln(n + i + 1.0)
+        - gammaln(i + 1.0)
+        - gammaln(n - i + 1.0)
+        - i[None, :] * np.log(2.0 * omega)[:, None]
+    )
+    peak = np.max(log_terms, axis=1)
+    log_sum = peak + np.log(np.sum(np.exp(log_terms - peak[:, None]), axis=1))
+    return 0.5 * (math.log(math.pi) - np.log(2.0 * omega)) + log_sum
 
 
 def _bessel_k_integral(nu: float, omega: float, tol: float = 1e-12) -> float:
@@ -99,8 +106,9 @@ def _bessel_k_integral(nu: float, omega: float, tol: float = 1e-12) -> float:
 def bessel_k(nu: float, omega: float, tol: float = 1e-12) -> float:
     """Modified Bessel function of the third kind K_nu(omega), omega > 0.
 
-    Half-integer orders use the finite-sum closed form; other orders fall
-    through to the integral representation.  Symmetric in nu.
+    Half-integer orders use the finite-sum closed form
+    (`log_bessel_k_half_scaled`); other orders fall through to the integral
+    representation.  Symmetric in nu.
     """
     omega = float(omega)
     if omega <= 0:
@@ -108,7 +116,7 @@ def bessel_k(nu: float, omega: float, tol: float = 1e-12) -> float:
     nu = abs(float(nu))
     half = nu - 0.5
     if abs(half - round(half)) < 1e-13 and half >= -0.25:
-        return float(_bessel_k_half_integer(int(round(half)), omega))
+        return float(np.exp(log_bessel_k_half_scaled(int(round(half)), omega)[0] - omega))
     return _bessel_k_integral(nu, omega, tol)
 
 

@@ -7,6 +7,10 @@ plain nonnegative floats/arrays.  Laplace-transform conventions:
     stable(beta):                E e^{-s D(t)} = exp(-t s^beta)
     tempered(beta, mu):          E e^{-s D_mu(t)} = exp(-t ((s+mu)^beta - mu^beta))
 
+The IG exponent is written once, in `ig_exponent`, as 2 delta s /
+(sqrt(gamma^2+2s) + gamma): the clock's generating function, the Bessel-form
+pmf and the renewal waiting time all take it from there.
+
 Inverse (hitting-time) processes are handled through first-passage duality
 P(E(t) <= x) = P(D(x) >= t).  The IG hitting time has a closed density,
 obtained by differentiating the closed IG CDF in its process-time argument;
@@ -35,13 +39,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr
+from scipy.special import erfcx, ndtr
 
-from ..errors import DomainError
+from ..errors import DivergenceError, DomainError
 from ..quadrules import gauss_legendre, gauss_panels, linear_panel_edges
 from .stable import stable_unit
 
 __all__ = [
+    "ig_exponent",
     "ig_density",
     "ig_cdf",
     "stable_density",
@@ -67,10 +72,27 @@ def _positive(name, *vals):
 # -- inverse Gaussian ---------------------------------------------------------
 
 
+def ig_exponent(s, delta: float, gamma: float):
+    """Laplace exponent phi(s) = delta (sqrt(gamma^2 + 2s) - gamma) of IG(delta, gamma).
+
+    Formed as 2 delta s / (c + gamma), c = sqrt(gamma^2 + 2s) taken as
+    g sqrt((gamma/g)^2 + 2s/g^2) with g = max(gamma, 1), so no difference of
+    large terms is taken and gamma^2 never overflows; at gamma = 0 it is
+    delta sqrt(2s), which is 0 at s = 0.  Vectorized over real or complex s
+    (principal branch).
+    """
+    if gamma == 0.0:
+        return delta * np.sqrt(2.0 * s)
+    g = max(gamma, 1.0)
+    c = g * np.sqrt((gamma / g) ** 2 + 2.0 * s / g / g)
+    return 2.0 * delta * s / (c + gamma)
+
+
 def ig_density(x, t, delta: float, gamma: float):
     """Density g(x,t) of the IG subordinator G(t) ~ IG(delta t, gamma).
 
-    Broadcasts over both x and t.
+    The exponent -(delta t - gamma x)^2 / (2x) is one square, so it holds no
+    difference of large terms at large gamma.  Broadcasts over both x and t.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -82,32 +104,21 @@ def ig_density(x, t, delta: float, gamma: float):
         -0.5 * math.log(2.0 * math.pi)
         + np.log(dt)
         - 1.5 * np.log(x)
-        + delta * gamma * t
-        - 0.5 * (dt * dt / x + gamma * gamma * x)
+        - (dt - gamma * x) ** 2 / (2.0 * x)
     )
     return np.exp(log_g)
 
 
 def ig_cdf(u, t: float, delta: float, gamma: float):
-    """P(G(t) <= u) in closed form (Phi-based; erfc for the gamma = 0 case)."""
+    """P(G(t) <= u): the hitting-time parts (`_hitting_ig_parts`) with process
+    time t and level u, Phi(z1) + e^{2 delta gamma t} Phi(z2); 0 for u <= 0."""
     u = np.asarray(u, dtype=float)
     _positive("ig_cdf", t, delta)
     out = np.zeros_like(u, dtype=float)
     pos = u > 0
-    if not np.any(pos):
-        return out
-    up = u[pos]
-    dt = delta * t
-    if gamma == 0.0:
-        # Levy law with c = (delta t)^2
-        out[pos] = 2.0 * ndtr(-dt / np.sqrt(up))
-        return out
-    mean = dt / gamma
-    shape = dt * dt
-    z1 = np.sqrt(shape / up) * (up / mean - 1.0)
-    z2 = -np.sqrt(shape / up) * (up / mean + 1.0)
-    # second term computed in log space: exp(2 delta gamma t) overflows alone
-    out[pos] = ndtr(z1) + np.exp(2.0 * shape / mean + log_ndtr(z2))
+    if np.any(pos):
+        z1, _, _, tail = _hitting_ig_parts("ig_cdf", t, u[pos], delta, gamma)
+        out[pos] = ndtr(z1) + tail
     return np.clip(out, 0.0, 1.0)
 
 
@@ -325,6 +336,19 @@ def hitting_time_cdf_ig(x, t, delta: float, gamma: float):
 
 
 def stable_moment(beta: float, p: float) -> float:
-    """E[D(1)^p] for 0 < p < beta; quadrature of x^p f(x,1) with the power
-    tail integrated analytically.  Diverges (raises) at p >= beta."""
-    return stable_unit(beta).moment(p)
+    """E[D(1)^p] = Gamma(1 - p/beta) / Gamma(1 - p) for 0 < p < beta < 1.
+
+    Raises DivergenceError at p >= beta, where the x^-(1+beta) tail is not
+    integrable against x^p.
+    """
+    beta, p = float(beta), float(p)
+    if not 0.0 < beta < 1.0:
+        raise DomainError("stable index beta must be in (0, 1)")
+    if not p > 0:
+        raise DomainError("moment order must be positive")
+    if p >= beta:
+        raise DivergenceError(
+            f"E[D(1)^p] diverges for p >= beta (p={p}, beta={beta}); "
+            "the x^-(1+beta) tail is not integrable against x^p"
+        )
+    return math.gamma(1.0 - p / beta) / math.gamma(1.0 - p)

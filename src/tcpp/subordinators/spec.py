@@ -33,6 +33,7 @@ from .densities import (
     hitting_time_density_ig,
     ig_cdf,
     ig_density,
+    ig_exponent,
     inverse_stable_density,
     inverse_tempered_density,
     stable_density,
@@ -135,8 +136,7 @@ class InverseGaussian(SubordinatorSpec):
         return self.delta / self.gamma if self.gamma > 0 else math.inf
 
     def phi(self, s):
-        g = self.gamma
-        return self.delta * (np.sqrt(g * g + 2.0 * np.asarray(s, dtype=complex)) - g)
+        return ig_exponent(np.asarray(s, dtype=complex), self.delta, self.gamma)
 
     def density(self, x, t):
         return ig_density(x, t, self.delta, self.gamma)

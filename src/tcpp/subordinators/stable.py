@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import erfc, gammaln
 
-from ..errors import ConvergenceError, DivergenceError, DomainError, NoDensityError
+from ..errors import ConvergenceError, DomainError, NoDensityError
 from ..quadrules import gauss_legendre, gauss_panels, log_panel_edges
 
 _BETA_MAX = 0.95
@@ -70,7 +70,7 @@ def log_zolotarev_a(theta, beta: float):
 
 
 class StableUnit:
-    """Density, distribution and fractional moments of D(1)."""
+    """Density and distribution of D(1)."""
 
     def __init__(self, beta: float):
         self.beta = _check_beta(beta)
@@ -258,7 +258,9 @@ class StableUnit:
     def pdf(self, x):
         """Density of D(1); vectorized, nonnegative."""
         if abs(self.beta - 0.5) < 1e-14:
-            x = self._valid(x, "density")
+            # x^-1.5 overflows below about 1e-205, where e^(-1/(4x)) is long 0:
+            # the clamp keeps the pdf at 0 there
+            x = np.maximum(self._valid(x, "density"), 1e-200)
             return 0.5 / math.sqrt(math.pi) * x ** -1.5 * np.exp(-0.25 / x)
         return self._by_regime(x, "density", lambda v: self._integral(v, True),
                                lambda v: self._tail_series(v, 1)[0])
@@ -281,27 +283,6 @@ class StableUnit:
         """Survival function P(D(1) > x)."""
         return np.clip(self._by_regime(x, "cdf", lambda v: 1.0 - self.cdf(v),
                                        lambda v: self._tail_series(v, 0)[0]), 0.0, 1.0)
-
-    def moment(self, p: float) -> float:
-        """E[D(1)^p] for 0 < p < beta (diverges at p >= beta)."""
-        p = float(p)
-        if p <= 0:
-            raise DomainError("moment order must be positive")
-        if p >= self.beta:
-            raise DivergenceError(
-                f"E[D(1)^p] diverges for p >= beta (p={p}, beta={self.beta}); "
-                "the x^-(1+beta) tail is not integrable against x^p"
-            )
-        x_lo = max(self.x_tiny * 0.5, 1e-300)
-        n_panels = max(48, int(10 * math.log10(self.x_series / x_lo)))
-        nodes, w = gauss_panels(log_panel_edges(x_lo, self.x_series, n_panels), 16)
-        bulk = float(np.sum(w * nodes ** p * self.pdf(nodes)))
-        # analytic tail: integrate the density series term by term
-        log_c, pow_, sgn = self._series[1]
-        expo = pow_ + 1.0 + p  # p - n beta < 0
-        tail = float(np.sum(sgn * np.exp(log_c + expo * math.log(self.x_series)) / -expo)
-                     / math.pi)
-        return bulk + tail
 
     def inverse_mixing(self, v):
         """phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b), the t-free density of

@@ -27,11 +27,12 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import ConvergenceError, DomainError, NoDensityError
 from .quadrules import gauss_panels, linear_panel_edges
-from .subordinators.densities import hitting_time_density_ig
+from .specfun import log_bessel_k_half_scaled
+from .subordinators.densities import hitting_time_density_ig, ig_exponent
 from .subordinators.sampling import rng_stream, sample
 from .subordinators.spec import (
     Clock,
@@ -97,13 +98,8 @@ def _poisson_value(k: int, x, lam: float):
     if np.any(x < 0):
         raise DomainError("poisson_pmf requires x >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = lam * x
-        logp = k * np.log(m) - m - gammaln(k + 1.0)
-        out = np.exp(logp)
-    if k == 0:
-        out = np.where(x == 0, 1.0, out)
-    else:
-        out = np.where(x == 0, 0.0, out)
+        out = _poisson_terms(k, lam * x)
+    out = np.where(x == 0, 1.0 if k == 0 else 0.0, out)
     return out if out.ndim else float(out)
 
 
@@ -159,26 +155,16 @@ def _poisson_terms(kb, mb):
 # -- closed-form Bessel pmf for the IG time change --------------------------------
 
 
-def _log_bessel_half_sum(n: int, omega):
-    """log sum_{i=0}^n (n+i)! / (i!(n-i)! (2 w)^i), vectorized in omega."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    i = np.arange(n + 1, dtype=float)
-    log_terms = (
-        gammaln(n + i + 1.0)
-        - gammaln(i + 1.0)
-        - gammaln(n - i + 1.0)
-        - i[None, :] * np.log(2.0 * omega)[:, None]
-    )
-    peak = np.max(log_terms, axis=1)
-    return peak + np.log(np.sum(np.exp(log_terms - peak[:, None]), axis=1))
-
-
 def pmf_bessel_ig(k: int, t, lam: float, delta: float, gamma: float):
     """P(N(G(t)) = k) in closed Bessel form (requires gamma > 0).
 
     sqrt(2/pi) delta t e^{delta gamma t} (lam^k/k!)
-        (delta t / sqrt(gamma^2+2 lam))^(k-1/2) K_{k-1/2}(delta t sqrt(gamma^2+2 lam)),
-    evaluated throughout in log space so large k and t cannot overflow.
+        (delta t / c)^(k-1/2) K_{k-1/2}(omega),  c = sqrt(gamma^2+2 lam), omega = delta t c,
+    which is sqrt(2 omega/pi) (lam delta t / c)^k / k! e^{-t phi(lam)} e^omega K_{k-1/2}(omega)
+    with the IG exponent phi (`ig_exponent`): e^{delta gamma t - omega} is
+    taken as e^{-t phi(lam)}, never as a difference of large terms, and the
+    scaled Bessel factor comes in log space (`log_bessel_k_half_scaled`), so
+    neither large k, t nor gamma can overflow or cancel.
     """
     if not gamma > 0:
         raise DomainError(
@@ -190,18 +176,14 @@ def pmf_bessel_ig(k: int, t, lam: float, delta: float, gamma: float):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not (np.all(t > 0) and lam > 0 and delta > 0):  # refuses NaN as well
         raise DomainError("pmf_bessel_ig requires t, lambda and delta > 0")
-    c = math.sqrt(gamma * gamma + 2.0 * lam)
+    c = math.hypot(gamma, math.sqrt(2.0 * lam))
     omega = delta * t * c
-    n = k - 1 if k >= 1 else 0
-    log_k_bessel = 0.5 * (math.log(math.pi) - np.log(2.0 * omega)) - omega + _log_bessel_half_sum(n, omega)
     logp = (
-        0.5 * math.log(2.0 / math.pi)
-        + np.log(delta * t)
-        + delta * gamma * t
-        + k * math.log(lam)
+        xlogy(k, lam * delta * t / c)
         - gammaln(k + 1.0)
-        + (k - 0.5) * (np.log(delta * t) - math.log(c))
-        + log_k_bessel
+        - t * ig_exponent(lam, delta, gamma)
+        + 0.5 * np.log(2.0 * omega / math.pi)
+        + log_bessel_k_half_scaled(max(k - 1, 0), omega)
     )
     out = np.exp(logp)
     return float(out[0]) if scalar else out
@@ -747,7 +729,7 @@ def waiting_time_survival(x: float, lam: float, delta: float, gamma: float) -> f
 
 
 def waiting_time_lt(s: float, lam: float, delta: float, gamma: float) -> float:
-    """E exp(-s J) = lam / (lam + delta (sqrt(gamma^2 + 2s) - gamma))."""
+    """E exp(-s J) = lam / (lam + phi(s)), phi the IG exponent (`ig_exponent`)."""
     if s <= 0:
         raise DomainError("waiting_time_lt requires s > 0")
-    return lam / (lam + delta * (math.sqrt(gamma * gamma + 2.0 * s) - gamma))
+    return float(lam / (lam + ig_exponent(s, delta, gamma)))

@@ -33,7 +33,6 @@ from ..subordinators.densities import (
     ig_density,
     inverse_stable_density,
     inverse_tempered_density,
-    stable_density,
     stable_moment,
     tempered_half_as_ig,
     tempered_stable_density,
@@ -205,12 +204,9 @@ def _eq_prop31(params, grid, ks):
 
 
 def _eq_deblassie(params, grid, xs):
-    beta = params["beta"]
-    m_ord = round(1.0 / beta)  # beta = 1/m, m in {2, 3} (the entry's domain)
-    t = _fine_times(grid)[None, :]
-    F = stable_density(xs[:, None], t, beta)
-    dFdx = _dx_ref(lambda xv: stable_density(xv, t, beta), xs[:, None], 1)
-    return _Problem(F, {m_ord: 1.0}, {}, (-1.0) ** m_ord * dFdx)
+    # prop4.1 at mu = 0: every time coefficient but the m-th vanishes, and the
+    # tempered density is the stable one; beta = 1/m, m in {2, 3}
+    return _eq_prop41({"mu": 0.0, "m": round(1.0 / params["beta"])}, grid, xs)
 
 
 def _eq_thm31(params, grid, ks):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc, kv
+from scipy.special import erfc, kv, kve
 
 from tcpp.errors import DomainError, GridTooCoarseError, PoleError
 from tcpp.specfun import (
@@ -13,6 +13,7 @@ from tcpp.specfun import (
     caputo_derivative,
     gamma_fn,
     laplace_numeric,
+    log_bessel_k_half_scaled,
     mittag_leffler,
 )
 
@@ -68,6 +69,17 @@ class TestBesselK:
     @pytest.mark.parametrize("omega", [0.1, 1.0, 5.0, 20.0])
     def test_general_order_reference(self, nu, omega):
         assert bessel_k(nu, omega) == pytest.approx(float(kv(nu, omega)), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 20, 100])
+    def test_half_integer_against_kve(self, n):
+        # log form: at omega = 700, K is near 1e-304 and kv underflows soon after
+        omega = np.array([1.0, 10.0, 100.0, 700.0])
+        want = np.log(kve(n + 0.5, omega))
+        got = log_bessel_k_half_scaled(n, omega)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        for w, lw in zip(omega, want):
+            got_k = math.log(bessel_k(n + 0.5, w))
+            assert abs(got_k - (lw - w)) <= 1e-13 * max(1.0, abs(lw - w))
 
     def test_domain(self):
         with pytest.raises(DomainError):

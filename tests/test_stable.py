@@ -82,6 +82,23 @@ class TestZolotarevOracle:
         assert np.array_equal(np.exp(log_pdf), pdf)
         assert np.all(np.isfinite(log_pdf[x >= 1e-10 * su.x_tiny]))
 
+    def test_half_closed_forms_deep_left_tail(self):
+        # the index-1/2 closed forms down to x = 1e-300, where x^-1.5 overflows:
+        # finite values, no warning, and pdf = exp(log_pdf) up to rounding (the
+        # two closed forms are rounded apart, so not bit for bit)
+        su = stable_unit(0.5)
+        x = np.concatenate([np.geomspace(1e-300, 1e-4, 600), np.linspace(1e-4, su.x_tiny, 600)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdf, cdf, sf, log_pdf = su.pdf(x), su.cdf(x), su.sf(x), su.log_pdf(x)
+        for values in (pdf, cdf, sf):
+            assert np.all(np.isfinite(values) & (values >= 0.0))
+        assert np.all(np.isfinite(log_pdf))
+        normal = pdf >= 1e-300
+        assert np.count_nonzero(normal) > 100
+        assert np.all(np.abs(pdf[normal] - np.exp(log_pdf[normal])) <= 1e-12 * pdf[normal])
+        assert np.all(pdf[x < 1e-200] == 0.0)
+
 
 class TestPanelSplit:
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.95])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,12 @@ class TestLaplaceExponent:
         else:
             assert slope == pytest.approx(rate, rel=1e-6)
 
+    def test_ig_gamma_zero_exponent_at_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert InverseGaussian(1.0, 0.0).phi(0.0) == 0.0
+            assert InverseGaussian(2.5, 0.0).phi(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
     def test_inverse_clock_has_no_mean_rate(self):
         assert InverseOf(InverseGaussian(1.0, 1.0)).mean_rate() is None
 
@@ -155,6 +162,27 @@ class TestIGDensity:
             assert float(ig_cdf(np.array([u]), 1.0, 1.0, 1.0)[0]) == pytest.approx(
                 direct, abs=1e-10
             )
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    def test_against_mpmath_at_large_gamma(self, gamma, t):
+        # at the mode, where delta gamma t - ((delta t)^2/x + gamma^2 x)/2 is a
+        # difference of terms near 1e8 at gamma = 1e8; a wide law also at 1/5
+        # and 5 times the mode (off the mode of a narrow one, one rounding of x
+        # moves the density by more than 1e-12)
+        from mpmath import mp, workdps
+
+        dt = 1.0 * t
+        mode = dt / (math.sqrt(gamma * gamma + 2.25 / dt / dt) + 1.5 / dt)
+        xs = mode * (np.array([0.2, 1.0, 5.0]) if gamma * dt < 10.0 else np.ones(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ig_density(xs, t, 1.0, gamma)
+        with workdps(60):
+            for x, g in zip(xs, got):
+                x = mp.mpf(x)
+                want = dt / mp.sqrt(2 * mp.pi * x ** 3) * mp.exp(-(dt - gamma * x) ** 2 / (2 * x))
+                assert float(abs(g - want) / want) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -472,6 +500,26 @@ class TestHittingTimeIG:
                     if want > mp.mpf("1e-280"):
                         assert float(abs(mp.mpf(got[i, j]) - want) / want) <= 1e-9
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1e6])
+    def test_ig_cdf_against_mpmath(self, gamma):
+        # P(G(t) <= u) = Phi(z1) + e^{2 delta gamma t} Phi(z2), at 60 digits
+        from mpmath import mp, workdps
+
+        d, t = 1.0, 1.0
+        if gamma == 0.0:
+            us = np.geomspace(0.05, 50.0, 9)
+        elif gamma == 1.0:
+            us = np.geomspace(0.05, 20.0, 9)
+        else:  # mean 1e-6, relative spread 1e-3
+            us = 1e-6 * (1.0 + 1e-3 * np.linspace(-4.0, 6.0, 11))
+        got = ig_cdf(us, t, d, gamma)
+        with workdps(60):
+            for u, g in zip(us, got):
+                u, dt = mp.mpf(u), mp.mpf(d) * t
+                z1, z2 = (gamma * u - dt) / mp.sqrt(u), -(gamma * u + dt) / mp.sqrt(u)
+                want = mp.ncdf(z1) + mp.exp(2 * gamma * dt) * mp.ncdf(z2)
+                assert float(abs(g - want) / want) <= 1e-12
+
     def test_cdf_duality(self):
         # P(H(t) <= x) = P(G(x) >= t)
         got = float(hitting_time_cdf_ig(np.array([1.2]), 1.0, 1.0, 1.0)[0])
@@ -496,6 +544,16 @@ class TestStableMoment:
             stable_moment(0.5, 0.6)
         with pytest.raises(DivergenceError):
             stable_moment(0.5, 0.5)
+
+    @pytest.mark.parametrize("beta", [0.97, 0.99])
+    def test_closed_form_past_the_density_engine(self, beta):
+        # the density engine stops at beta = 0.95; the moment does not need it
+        from tcpp.subordinators.sampling import rng_stream, _sample_stable_unit
+
+        p = 0.4
+        draws = _sample_stable_unit(rng_stream(2025, 0), beta, (400_000,)) ** p
+        mc, se = draws.mean(), draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(stable_moment(beta, p) - mc) <= 4.0 * se
 
     def test_monte_carlo_agreement(self):
         from tcpp.subordinators.sampling import rng_stream, _sample_stable_unit

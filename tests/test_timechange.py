@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,33 @@ class TestBesselPmf:
 
     def test_large_k_no_overflow(self):
         assert pmf_bessel_ig(400, 1.0, 1.0, 1.0, 1.0) >= 0.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e3, 1e6, 1e9, 1e15, 1e20, 1e200])
+    def test_large_gamma_against_mpmath(self, gamma):
+        # IG(1, gamma) at lambda = t = 1: the Bessel closed form, the PGF table
+        # and the waiting-time transform all take the IG exponent from
+        # `ig_exponent`, which holds no difference of large terms
+        from mpmath import mp, workdps
+
+        with workdps(60):
+            g = mp.mpf(gamma)
+            c = mp.sqrt(g * g + 2)
+            # e^{gamma - c} taken as e^{-2/(c + gamma)}: 60 digits do not resolve
+            # c - gamma = 1e-200 at gamma = 1e200
+            want = [mp.sqrt(2 / mp.pi) * mp.exp(-2 / (c + g)) / mp.factorial(k)
+                    * c ** (0.5 - k) * mp.besselk(k - 0.5, c) * mp.exp(c) for k in range(3)]
+            lt = [1 / (1 + 2 * s / (mp.sqrt(g * g + 2 * s) + g)) for s in (0.5, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bessel = [pmf_bessel_ig(k, 1.0, 1.0, 1.0, gamma) for k in range(3)]
+            pgf = pmf_table(1.0, 1.0, InverseGaussian(1.0, gamma), kmax=3, method="pgf").values
+            waits = [waiting_time_lt(s, 1.0, 1.0, gamma) for s in (0.5, 2.0)]
+        for k, w in enumerate(want):
+            if w >= mp.mpf("1e-300"):
+                assert float(abs(bessel[k] - w) / w) <= 1e-13, k
+            assert float(abs(pgf[k] - w)) <= 1e-14, k
+        for got, w in zip(waits, lt):
+            assert float(abs(got - w) / w) <= 1e-14
 
 
 class TestQuadraturePmf:
