@@ -8,10 +8,13 @@ parameter instead of behaving like noise under finite differencing.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
+
+from .errors import ConvergenceError
 
 
 @lru_cache(maxsize=None)
@@ -27,17 +30,22 @@ def gauss_legendre(n: int):
 def gauss_panels(edges: np.ndarray, nodes_per_panel: int = 16):
     """Composite Gauss-Legendre rule on the panels defined by ``edges``.
 
-    Returns (x, w) with x strictly inside each panel.
+    Returns (x, w) with x strictly inside each panel.  Raises
+    ConvergenceError when x does not ascend in floating point: the panels
+    are narrower than float spacing.
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be a strictly increasing 1-d array")
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("edges must be a 1-d array of at least two points")
     xi, wi = gauss_legendre(nodes_per_panel)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
-    x = 0.5 * (b - a) * xi[None, :] + 0.5 * (b + a)
+    x = (0.5 * (b - a) * xi[None, :] + 0.5 * (b + a)).ravel()
+    if not np.all(np.diff(x) > 0):
+        raise ConvergenceError(f"{edges.size - 1} panels on [{edges[0]:.17g}, {edges[-1]:.17g}] "
+                               "are narrower than float spacing")
     w = 0.5 * (b - a) * wi[None, :]
-    return x.ravel(), w.ravel()
+    return x, w.ravel()
 
 
 def linear_panel_edges(a: float, b: float, n_panels: int) -> np.ndarray:
@@ -45,7 +53,9 @@ def linear_panel_edges(a: float, b: float, n_panels: int) -> np.ndarray:
 
 
 def log_panel_edges(a: float, b: float, n_panels: int) -> np.ndarray:
-    """Geometrically spaced panel edges; requires 0 < a < b."""
-    if not 0 < a < b:
-        raise ValueError("log panels need 0 < a < b")
+    """Geometrically spaced panel edges; ConvergenceError unless 0 < a < b < inf
+    (an end that underflowed, overflowed or rounded onto the other)."""
+    if not 0 < a < b < math.inf:
+        raise ConvergenceError(f"the node window [{a:.17g}, {b:.17g}] cannot be split "
+                               "into log panels in floating point")
     return np.geomspace(a, b, n_panels + 1)

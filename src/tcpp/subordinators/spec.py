@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError, DomainError, NoDensityError
+from ..errors import DomainError, NoDensityError
 from ..quadrules import gauss_panels, linear_panel_edges, log_panel_edges
 from .densities import (
     hitting_time_density_ig,
@@ -50,7 +50,36 @@ from .sampling import (
 )
 from .stable import stable_unit
 
-MAX_NESTING = 8
+# Every frozen rule's node window leaves out at most e^-TAIL_LOG of its clock's
+# mass.  Each end is a Chernoff bound from the clock's Laplace exponent phi:
+# P(X(t) > x) <= min_s exp(-s x - t phi(-s)) on the right of a Levy clock, and
+# for a hitting time, by the duality P(E(t) > x) = P(D(x) < t),
+# P(E(t) > x) <= min_{s >= 0} exp(s t - x phi(s)).
+TAIL_LOG = 45.0
+
+
+def _chernoff_scale(a: float, target: float) -> float:
+    """y >= 1 with B(y) = y^a - 1 - a (y - 1) = target > 0, for a > 1 or a < 0.
+
+    In w = y^c, c = max(a, 1), B = w^p - 1 - a (w^q - 1) with p = a/c and
+    q = 1/c is convex, increasing and asymptotically linear for w >= 1.  So
+    its tangent at w = 2 reaches the target right of the root, and Newton
+    falls from there onto the root in a few steps, without overshooting.
+    """
+    c = max(a, 1.0)
+    p, q = a / c, 1.0 / c
+
+    def newton_step(w):
+        wp, wq = w ** p, w ** q
+        return (wp - 1.0 - a * (wq - 1.0) - target) / (p * (wp - wq) / w)
+
+    w = 2.0 - min(newton_step(2.0), 0.0)
+    for _ in range(100):
+        step = newton_step(w)
+        w -= step
+        if step <= 1e-15 * w:
+            break
+    return w ** q
 
 
 class Clock:
@@ -71,7 +100,7 @@ class Clock:
         return rule.nodes, rule.weights * self.density(rule.nodes, t)
 
     def survivor(self, rule, t: float) -> float:
-        """Mixing mass beyond the node window; the window is chosen so it is ~1e-16."""
+        """Mixing mass beyond the node window; at most e^-TAIL_LOG by default."""
         return 0.0
 
     def draw(self, rng, t: float, n: int):
@@ -88,9 +117,6 @@ class SubordinatorSpec(Clock):
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    def depth(self) -> int:
-        return 1
 
     def label(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
@@ -142,9 +168,15 @@ class InverseGaussian(SubordinatorSpec):
         return ig_density(x, t, self.delta, self.gamma)
 
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
-        d, g = self.delta, self.gamma
-        x_lo = d * d * t_lo * t_lo / 95.0
-        x_hi = cut if g == 0.0 else max(cut, 2.0 * (d * g * t_hi + 45.0) / (g * g))
+        # both tails of G(t) have the Chernoff exponent (delta t - gamma x)^2 / (2x);
+        # the window ends are its roots at TAIL_LOG.  The upper one is capped
+        # at cut, `survivor` counting the rest, but kept right of x_lo: a cut
+        # left of the mass leaves the survivor all of it
+        g, c = self.gamma, TAIL_LOG
+        a, b = self.delta * t_lo, self.delta * t_hi
+        x_lo = a * a / (a * g + c + math.sqrt(c * (c + 2.0 * a * g)))
+        root = math.inf if g == 0.0 else (b + (c + math.sqrt(c * (c + 2.0 * b * g))) / g) / g
+        x_hi = max(min(cut, root), min(root, 2.0 * x_lo))
         x, w = gauss_panels(log_panel_edges(x_lo, x_hi, n_panels), 12)
         return x, w, None, x_hi
 
@@ -180,7 +212,9 @@ class Stable(SubordinatorSpec):
         return stable_density(x, t, self.beta)
 
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
-        # nodes in y = x t^(-1/b): the window and the density factor are t-free
+        # nodes in y = x t^(-1/b): the window and the density factor are t-free.
+        # D(t) has no exponential moment, so no Chernoff end: the window runs
+        # to the Poisson cut and `survivor` counts the mass beyond it
         y_hi = max(cut / t_lo ** (1.0 / self.beta), 10.0)
         y, w, f1 = stable_unit(self.beta).mixture_nodes(y_hi, n_panels)
         return y, w, f1, y_hi
@@ -226,8 +260,13 @@ class TemperedStable(SubordinatorSpec):
         return tempered_stable_density(x, t, self.beta, self.mu)
 
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        # the Chernoff end at s = mu - mu z^(-1/(1-b)) is z times the mean
+        # t b mu^(b-1), where z^q - 1 - q (z - 1) = TAIL_LOG / ((1-b) t mu^b),
+        # q = -b/(1-b).  The rule keeps no survivor, so the window runs to
+        # the larger of that end and the Poisson cut
         b, mu = self.beta, self.mu
-        x_need = max(cut, (mu ** b * t_hi + 42.0) / mu)
+        z = _chernoff_scale(-b / (1.0 - b), TAIL_LOG / ((1.0 - b) * t_hi * mu ** b))
+        x_need = max(cut, t_hi * b * mu ** (b - 1.0) * z)
         y_hi = max(x_need / t_lo ** (1.0 / b), 10.0)
         y, w, f1 = stable_unit(b).mixture_nodes(y_hi, n_panels)
         return y, w, f1, x_need
@@ -264,11 +303,6 @@ class Composition(SubordinatorSpec):
                 raise DomainError("composition parts must be plain subordinators")
             if not isinstance(p, SubordinatorSpec):
                 raise DomainError("composition parts must be SubordinatorSpec")
-        if self.depth() > MAX_NESTING:
-            raise DomainError(f"nesting depth exceeds {MAX_NESTING}")
-
-    def depth(self):
-        return 1 + max(p.depth() for p in self.parts)
 
     def to_dict(self):
         return {"type": "compose", "parts": [p.to_dict() for p in self.parts]}
@@ -310,11 +344,6 @@ class InverseOf(SubordinatorSpec):
             raise DomainError("inverse of an inverse is not supported")
         if not isinstance(self.base, SubordinatorSpec):
             raise DomainError("inverse needs a SubordinatorSpec base")
-        if self.depth() > MAX_NESTING:
-            raise DomainError(f"nesting depth exceeds {MAX_NESTING}")
-
-    def depth(self):
-        return 1 + self.base.depth()
 
     def to_dict(self):
         return {"type": "inverse", "base": self.base.to_dict()}
@@ -375,8 +404,9 @@ class _InverseStable(_Hitting):
         return inverse_stable_density(x, t, self.base.beta)
 
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        # P(E(1) > v) = P(D(v) < 1) <= exp(-a0 v^(1/(1-b))) at the best s
         su = stable_unit(self.base.beta)
-        v_hi = su.inverse_support_end
+        v_hi = (TAIL_LOG / su.a0) ** (1.0 - self.base.beta)
         v, w = gauss_panels(linear_panel_edges(0.0, v_hi, n_panels), 12)
         return v, w, su.inverse_mixing(v), v_hi * t_hi ** self.base.beta
 
@@ -405,8 +435,9 @@ class _HittingIG(_Hitting):
         return hitting_time_density_ig(x, t, self.base.delta, self.base.gamma)
 
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        # P(H(t) > x) = P(G(x) < t) <= exp(-(delta x - gamma t)^2 / (2t))
         d, g = self.base.delta, self.base.gamma
-        x_hi = (g * t_hi + 14.0 * math.sqrt(t_hi) + 2.0) / d
+        x_hi = (g * t_hi + math.sqrt(2.0 * TAIL_LOG * t_hi)) / d
         x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
         return x, w, None, x_hi
 
@@ -422,22 +453,14 @@ class _InverseTempered(_Hitting):
         return inverse_tempered_density(x, t, self.base.beta, self.base.mu)
 
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
-        x_hi = self._support_end(t_hi)
+        # P(E(t) > x) = P(D(x) < t): the best s has phi'(s) = t/x, and the end
+        # is y times the mean t mu^(1-b)/b, where y^p - 1 - p (y - 1) =
+        # p b TAIL_LOG / (mu t), p = 1/(1-b)
+        b, mu = self.base.beta, self.base.mu
+        y = _chernoff_scale(1.0 / (1.0 - b), b * TAIL_LOG / ((1.0 - b) * mu * t_hi))
+        x_hi = t_hi * mu ** (1.0 - b) / b * y
         x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
         return x, w, None, x_hi
-
-    def _support_end(self, t_hi: float) -> float:
-        """The first x on the grid max(4 t^beta, 4) 1.4^j past the mean
-        t / phi'(0) of E(t) where the density is below 1e-18: at large t the
-        grid starts left of the bulk, where the density is below it too."""
-        beta, mu = self.base.beta, self.base.mu
-        x = max(4.0 * t_hi ** beta, 4.0)
-        for _ in range(60):
-            val = float(inverse_tempered_density(np.array([x]), t_hi, beta, mu)[0])
-            if val < 1e-18 and x > t_hi / self.base.mean_rate():
-                return x
-            x *= 1.4
-        raise ConvergenceError("could not bound the inverse-tempered support")
 
     def path(self, rng, t_grid, paths):
         return _sample_stable_passages(rng, t_grid, self.base.beta, paths, self.base.mu)

@@ -31,7 +31,7 @@ routes to agree, then cached with the rest of the per-beta engine
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc, gammaln
@@ -289,16 +289,6 @@ class StableUnit:
         E(t) / t^b for the inverse stable clock E (u = t^b v)."""
         b = self.beta
         return (1.0 / b) * self.pdf(v ** (-1.0 / b)) * v ** (-1.0 - 1.0 / b)
-
-    @cached_property
-    def inverse_support_end(self) -> float:
-        """v beyond which `inverse_mixing` is < ~1e-19 (once per beta)."""
-        v = 2.0
-        for _ in range(60):
-            if self.inverse_mixing(v)[0] < 1e-19:
-                return v
-            v *= 1.3
-        raise ConvergenceError("could not bound the inverse-stable support")
 
     def mixture_nodes(self, x_hi: float, n_panels: int):
         """Frozen quadrature rule (nodes, weights, pdf values) on (0, x_hi],

@@ -30,9 +30,8 @@ import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import ConvergenceError, DomainError, NoDensityError
-from .quadrules import gauss_panels, linear_panel_edges
 from .specfun import log_bessel_k_half_scaled
-from .subordinators.densities import hitting_time_density_ig, ig_exponent
+from .subordinators.densities import ig_exponent
 from .subordinators.sampling import rng_stream, sample
 from .subordinators.spec import (
     Clock,
@@ -718,14 +717,12 @@ def moments_ig(t: float, lam: float, delta: float, gamma: float):
 
 
 def waiting_time_survival(x: float, lam: float, delta: float, gamma: float) -> float:
-    """P(J > x) = E exp(-lam H(x)) for the renewal process N(H(t)), on 96
-    panels of 12 Gauss points."""
+    """P(J > x) = E exp(-lam H(x)) = P(N(H(x)) = 0) for the renewal process
+    N(H(t)): the k = 0 entry of the IG-hitting quadrature table."""
     if x <= 0:
         raise DomainError("waiting_time_survival requires x > 0")
-    u_hi = (gamma * x + 14.0 * math.sqrt(x) + 2.0) / delta
-    u, w = gauss_panels(linear_panel_edges(0.0, u_hi, 96), 12)
-    h = hitting_time_density_ig(u, x, delta, gamma)
-    return float(np.sum(w * np.exp(-lam * u) * h))
+    spec = InverseOf(InverseGaussian(delta, gamma))
+    return float(pmf_table(x, lam, spec, kmax=0, method="quadrature").values[0])
 
 
 def waiting_time_lt(s: float, lam: float, delta: float, gamma: float) -> float:

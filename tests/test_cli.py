@@ -401,6 +401,10 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
     # a valid request whose variance overflows: the pmf cross-check is refused
     pytest.param(_MOMENTS + ["--lambda", "1e300", "--out", "{tmp}/m.json"], None, 3,
                  id="moments-lambda-huge"),
+    # G(1) sits at delta t / gamma = 1e-200, where the node window is narrower
+    # than float spacing: refused, not a traceback
+    pytest.param(["moments", "--lambda", "1", "--delta", "1", "--gamma", "1e200", "--t", "1",
+                  "--out", "{tmp}/m.json"], None, 3, id="moments-gamma-1e200"),
     pytest.param(_PMF + [IG_SPEC, "--out", "{tmp}/file/t.csv"], None, 2, id="pmf-out-unwritable"),
     pytest.param(_SIM + ["--out", "{tmp}/file/s.csv"], None, 2, id="simulate-out-unwritable"),
     pytest.param(_MOMENTS + ["--lambda", "1", "--out", "{tmp}/file/m.json"], None, 2,

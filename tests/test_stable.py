@@ -141,16 +141,3 @@ class TestTailSeries:
         assert su._series[order_shift][0].size < 500
         assert np.all(np.abs(got - full) <= 1e-15 * np.abs(full))
         assert np.array_equal(max_term, np.max(terms, axis=1) / math.pi)
-
-
-@pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
-def test_inverse_support_end(beta):
-    # the first v on the grid 2 * 1.3^j where phi(v) = f1(v^(-1/b)) v^(-1-1/b) / b < 1e-19
-    su = stable_unit(beta)
-    v_hi = su.inverse_support_end
-    j = round(math.log(v_hi / 2.0) / math.log(1.3))
-    grid = 2.0 * 1.3 ** np.arange(j + 1)
-    phi = su.pdf(grid ** (-1.0 / beta)) * grid ** (-1.0 - 1.0 / beta) / beta
-    assert np.all(phi[:-1] >= 1e-19) and phi[-1] < 1e-19
-    assert v_hi == pytest.approx(grid[-1], rel=1e-12)
-    assert su.inverse_support_end is v_hi  # computed once per unit

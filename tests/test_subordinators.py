@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from tcpp.errors import DivergenceError, DomainError, NoDensityError
+from tcpp.errors import ConvergenceError, DivergenceError, DomainError, NoDensityError
 from tcpp.quadrules import gauss_panels, linear_panel_edges
 from tcpp.specfun import laplace_numeric
 from tcpp.subordinators.densities import (
@@ -34,10 +34,12 @@ from tcpp.subordinators.spec import (
     InverseGaussian,
     InverseOf,
     Stable,
+    TAIL_LOG,
     TemperedStable,
     flatten_stable_composition,
     spec_from_json,
 )
+from tcpp.subordinators.stable import stable_unit
 
 
 class TestSpecTypes:
@@ -562,3 +564,71 @@ class TestStableMoment:
         draws = _sample_stable_unit(rng, 0.5, (1_000_000,)) ** 0.25
         mc, se = draws.mean(), draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(stable_moment(0.5, 0.25) - mc) <= 3.0 * se
+
+
+def _window_end(spec, t, cut=0.0, n_panels=32):
+    """x_hi of the frozen rule that spec's mixing law builds at the single time t."""
+    return spec.mixing_law().rule_nodes(t, t, cut, n_panels)[3]
+
+
+def _mass_outside(clock, t):
+    """The mass each window end leaves out, from a CDF that does not use the rule."""
+    if isinstance(clock, InverseOf) and isinstance(clock.base, Stable):
+        # P(E(t) > x) = P(D(1) < t x^(-1/b))
+        b = clock.base.beta
+        return [stable_unit(b).cdf(t * _window_end(clock, t) ** (-1.0 / b))[0]]
+    if isinstance(clock, InverseOf) and isinstance(clock.base, InverseGaussian):
+        # P(H(t) > x) = P(G(x) < t)
+        d, g = clock.base.delta, clock.base.gamma
+        return [ig_cdf(np.array([t]), _window_end(clock, t), d, g)[0]]
+    if isinstance(clock, InverseOf):
+        # P(E_mu(t) > x) = P(D_mu(x) < t) = 1 - inverse_tempered_cdf, read
+        # without the complement, which would round e^-45 away
+        b, mu = clock.base.beta, clock.base.mu
+        x = _window_end(clock, t)
+        assert 1.0 - inverse_tempered_cdf(x, t, b, mu) <= 1e-15
+        return [tempered_stable_cdf(t, x, b, mu)]
+    if isinstance(clock, InverseGaussian):
+        # P(G(t) < x) at the first node, a hair past x_lo, and P(G(t) > x_hi)
+        # = P(H(x_hi) < t); the cut is wide enough not to cap x_hi
+        d, g = clock.delta, clock.gamma
+        nodes, _, _, x_hi = clock.rule_nodes(t, t, 1e9, 2048)
+        return [ig_cdf(nodes[:1], t, d, g)[0], hitting_time_cdf_ig(t, x_hi, d, g)[0]]
+    # tempered: P(D_mu(t) > x) by quadrature of the density
+    b, mu = clock.beta, clock.mu
+    x = _window_end(clock, t)
+    return [quad(lambda y: float(tempered_stable_density(np.array([y]), t, b, mu)[0]),
+                 x, x + 300.0 / mu, epsabs=0.0, limit=200)[0]]
+
+
+class TestNodeWindows:
+    """Each frozen rule's node window leaves out at most e^-TAIL_LOG of its
+    clock's mass (the Chernoff bound), and not a great deal less."""
+
+    @pytest.mark.parametrize("clock", [
+        pytest.param(InverseOf(Stable(0.3)), id="inverse-stable(0.3)"),
+        pytest.param(InverseOf(Stable(0.5)), id="inverse-stable(0.5)"),
+        pytest.param(InverseOf(Stable(0.7)), id="inverse-stable(0.7)"),
+        pytest.param(InverseOf(InverseGaussian(1.0, 1.0)), id="ig-hitting(1,1)"),
+        pytest.param(InverseOf(InverseGaussian(0.5, 100.0)), id="ig-hitting(0.5,100)"),
+        pytest.param(InverseOf(InverseGaussian(2.0, 0.0)), id="ig-hitting(2,0)"),
+        pytest.param(InverseOf(TemperedStable(0.5, 2.0)), id="inverse-tempered(0.5,2)"),
+        pytest.param(InverseOf(TemperedStable(0.3, 1.0)), id="inverse-tempered(0.3,1)"),
+        pytest.param(InverseOf(TemperedStable(0.7, 0.5)), id="inverse-tempered(0.7,0.5)"),
+        pytest.param(InverseOf(TemperedStable(0.3, 400.0)), id="inverse-tempered(0.3,400)"),
+        pytest.param(InverseGaussian(1.0, 1.0), id="ig(1,1)"),
+        pytest.param(InverseGaussian(0.5, 100.0), id="ig(0.5,100)"),
+        pytest.param(InverseGaussian(1.0, 1e6), id="ig(1,1e6)"),
+        pytest.param(TemperedStable(0.3, 1.0), id="tempered(0.3,1)"),
+        pytest.param(TemperedStable(0.7, 0.5), id="tempered(0.7,0.5)"),
+        pytest.param(TemperedStable(0.3, 400.0), id="tempered(0.3,400)"),
+    ])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 20.0])
+    def test_window_leaves_out_at_most_the_tail_bound(self, clock, t):
+        for mass in _mass_outside(clock, t):
+            assert math.exp(-TAIL_LOG - 12.0) < mass <= math.exp(-TAIL_LOG)
+
+    def test_huge_gamma_window_is_refused(self):
+        # at gamma = 1e200 both ends round onto delta t / gamma
+        with pytest.raises(ConvergenceError, match="floating point"):
+            InverseGaussian(1.0, 1e200).rule_nodes(1.0, 1.0, 100.0, 32)

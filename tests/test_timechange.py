@@ -155,6 +155,22 @@ class TestQuadraturePmf:
         )
         assert pmf_quadrature(1, 1e-3, 1.0, InverseGaussian(1.0, 1.0)) < 2e-3
 
+    @pytest.mark.parametrize("gamma", [100.0, 1e6, 1e12])
+    def test_large_gamma_ig_table_matches_bessel(self, gamma):
+        # the window's lower end follows gamma: G(1) sits near delta t / gamma
+        table = pmf_table(1.0, 1.0, InverseGaussian(1.0, gamma), method="quadrature")
+        want = [pmf_bessel_ig(k, 1.0, 1.0, 1.0, gamma) for k in range(table.kmax + 1)]
+        assert np.max(np.abs(table.values - want)) <= 1e-10
+        assert abs(table.normalization_defect) <= 1e-10
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_poisson_cut_left_of_the_mass(self, gamma):
+        # at lambda = 1e4 every p_k(lambda x), k <= 10, is negligible where G(10)
+        # lives: the window keeps right of its lower end, the survivor has the mass
+        table = pmf_table(10.0, 1e4, InverseGaussian(1.0, gamma), kmax=10, method="quadrature")
+        assert np.all(table.values <= 1e-15)
+        assert table.tail_bound == pytest.approx(1.0, abs=1e-12)
+
     def test_inverse_stable_k0_erfc(self):
         got = pmf_quadrature(0, 1.0, 1.0, InverseOf(Stable(0.5)))
         assert got == pytest.approx(math.e * erfc(1.0), abs=1e-10)
@@ -362,7 +378,7 @@ class TestDensityMemo:
     probe, pmf_matrix and tail_mass share the (x, wd) of one weighted() call."""
 
     @pytest.mark.parametrize("name,spec,points", [
-        ("inverse_tempered_density", InverseOf(TemperedStable(0.3, 1.0)), 1168),
+        ("inverse_tempered_density", InverseOf(TemperedStable(0.3, 1.0)), 1152),
         ("hitting_time_density_ig", InverseOf(InverseGaussian(1.0, 1.0)), 1152),
     ], ids=["inverse-tempered0.3", "hitting-ig"])
     def test_one_density_pass_per_table(self, monkeypatch, name, spec, points):

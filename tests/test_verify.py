@@ -294,10 +294,10 @@ DEFAULT_CAMPAIGN = [
     ("prop3.1(2)", False, 1.8777065295886732, 3.270435782443126e-05),
     ("deblassie(1/2)", False, 1.9986539820740792, 9.383983871380508e-05),
     ("deblassie(1/3)", False, 1.8283196536795323, 0.00019770324580314913),
-    ("thm3.1(2)", False, 3.043711377924059, 1.6728076296379513e-07),
-    ("thm3.1(3)", False, 2.9958208837357967, 1.570498317504665e-07),
-    ("cor3.1(1)", False, 3.043711377924059, 1.6728076296379513e-07),
-    ("cor3.1(2)", False, 3.2350824024963627, 6.841645734667612e-08),
+    ("thm3.1(2)", False, 3.0437113473636597, 1.6728078072736352e-07),
+    ("thm3.1(3)", False, 2.995820969090929, 1.5704978556518867e-07),
+    ("cor3.1(1)", False, 3.0437113473636597, 1.6728078072736352e-07),
+    ("cor3.1(2)", False, 3.235082297134734, 6.841647393063255e-08),
     ("frac-dde(1/2)", False, 1.5021786019736312, 7.543826727884895e-05),
     ("frac-dde(1/4)", False, 1.229694840818565, 0.00014631061695935532),
     ("et-pde(2)", False, 1.784550092584627, 0.0001798752265580461),
