@@ -29,9 +29,9 @@ and both partial moments are single integrals of the unit stable density
 (`_tempered_partial_moments`).  Their weights f1(u) e^{mu^beta t - mu y} are
 formed as exp(log f1(u) + mu^beta t - mu y), from `StableUnit.log_pdf`: at
 large mu^beta t the integral lies where f1 itself is far below the smallest
-float.  As f1(u) ~ exp(-a0 u^(-beta/(1-beta))) on the left, the lower limit
-is a quarter of the u where f1 e^{mu^beta t} falls to e^-48.  The term
-t f_mu(t, x) is formed in log space the same way.
+float.  The lower limit is D(1)'s Chernoff left end at the lift mu^beta t
+(`StableUnit.left_end`), so the weights left of it hold at most e^-45.  The
+term t f_mu(t, x) is formed in log space the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 import numpy as np
 from scipy.special import erfcx, ndtr
 
-from ..errors import DivergenceError, DomainError
+from ..errors import ConvergenceError, DivergenceError, DomainError
 from ..quadrules import gauss_legendre, gauss_panels, linear_panel_edges
 from .stable import stable_unit
 
@@ -139,7 +139,8 @@ def stable_density(x, t, beta: float):
 def stable_cdf(x, t: float, beta: float):
     x = np.asarray(x, dtype=float)
     _positive("stable_cdf", x, t)
-    return stable_unit(beta).cdf(x * t ** (-1.0 / beta))
+    with np.errstate(over="ignore"):  # at tiny t, x t^(-1/beta) is inf and the cdf 1
+        return stable_unit(beta).cdf(x * np.asarray(t, dtype=float) ** (-1.0 / beta))
 
 
 def tempered_stable_density(x, t, beta: float, mu: float):
@@ -173,8 +174,11 @@ def _tempered_partial_moments(x, t, beta: float, mu: float):
 
     In unit variables u = y t^(-1/beta) both are integrals of the unit stable
     density f1 against e^{mu^beta t - mu y}, in log space, over
-    [u_48/4, x t^(-1/beta)], where u_48 = (a0/(48 + mu^beta t))^((1-beta)/beta)
-    is the u where f1 e^{mu^beta t} falls to about e^-48 (module docstring).
+    [u_lo, x t^(-1/beta)], where u_lo = `StableUnit.left_end(mu^beta t)` drops
+    at most e^-45 of the probability and t^(1/beta) u_lo e^-45 of the moment
+    (module docstring).  The upper limit is formed in logs, and refused with
+    ConvergenceError past e^709, where t^(-1/beta) overflows: there D(1)'s
+    survivor, about (x t^(-1/beta))^(-beta), need not be below rounding.
     Each point gets its own 12-point Gauss panels, evenly spaced in log u and
     at most w wide, where w is the smallest of 1, the log-width scale
     (1-beta)/beta of f1's peak and twice the relative spread
@@ -186,8 +190,10 @@ def _tempered_partial_moments(x, t, beta: float, mu: float):
     tt = t.ravel()
     scale = tt ** (1.0 / beta)  # D(t) = scale D(1)
     lift = mu ** beta * tt
-    v_lo = np.log(0.25 * (su.a0 / (48.0 + lift)) ** (1.0 / su.ratio))
-    span = np.maximum(np.log(x.ravel() / scale) - v_lo, 0.0)
+    v_lo, v_hi = np.log(su.left_end(lift)), np.log(x.ravel()) - np.log(tt) / beta
+    if np.any(v_hi > 709.0):  # u = e^v_hi would be past the largest float
+        raise ConvergenceError(f"x t^(-1/beta) is past float range at index {beta:g}")
+    span = np.maximum(v_hi - v_lo, 0.0)
     spread = np.sqrt((1.0 - beta) / np.maximum(beta * lift, 1e-300))
     width = np.minimum(min(1.0, (1.0 - beta) / beta), 2.0 * spread)
     n_pan = np.ceil(span / width).astype(int)

@@ -3,8 +3,9 @@
 Each process class owns everything tcpp does with its clock: its Laplace
 exponent phi(s), with E e^{-s X(t)} = e^{-t phi(s)}, its mean rate phi'(0+),
 its density, the pieces of a frozen quadrature rule for the Poisson mixture
-(nodes and weights, the per-t (x, weight * density) and the survivor mass
-beyond the node window) and its increment sampler.  `Composition` and
+(the node window and t-free density factor that `Clock.rule_nodes` lays
+nodes on, the per-t (x, weight * density) and the survivor mass beyond the
+window) and its increment sampler.  `Composition` and
 `InverseOf` are combinators: a composition of stable laws answers as one
 stable law with the product of the indices, any other composition chains its
 parts' increments (and its inverse chains its parts' inverses), and an
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError, NoDensityError
+from ..errors import ConvergenceError, DomainError, NoDensityError
 from ..quadrules import gauss_panels, linear_panel_edges, log_panel_edges
 from .densities import (
     hitting_time_density_ig,
@@ -48,14 +49,16 @@ from .sampling import (
     _sample_stable_unit,
     _sample_tempered,
 )
-from .stable import stable_unit
+from .stable import TAIL_LOG, stable_unit
 
 # Every frozen rule's node window leaves out at most e^-TAIL_LOG of its clock's
 # mass.  Each end is a Chernoff bound from the clock's Laplace exponent phi:
-# P(X(t) > x) <= min_s exp(-s x - t phi(-s)) on the right of a Levy clock, and
-# for a hitting time, by the duality P(E(t) > x) = P(D(x) < t),
-# P(E(t) > x) <= min_{s >= 0} exp(s t - x phi(s)).
-TAIL_LOG = 45.0
+# P(X(t) > x) <= min_s exp(-s x - t phi(-s)) on the right of a Levy clock,
+# P(X(t) < x) <= min_{s >= 0} exp(s x - t phi(s)) on its left (for a stable
+# law, `StableUnit.left_end`), and for a hitting time, by the duality
+# P(E(t) > x) = P(D(x) < t), P(E(t) > x) <= min_{s >= 0} exp(s t - x phi(s)).
+# The IG and stable windows may instead end at the Poisson cut, with the mass
+# beyond it counted by the clock's `survivor`.
 
 
 def _chernoff_scale(a: float, target: float) -> float:
@@ -82,18 +85,42 @@ def _chernoff_scale(a: float, target: float) -> float:
     return w ** q
 
 
+def _unit_scale(t: float, beta: float) -> float:
+    """t^(1/beta), with D(t) = t^(1/beta) D(1); ConvergenceError where it
+    underflows, as a rule's t-free window would not map back onto x."""
+    if (scale := t ** (1.0 / beta)) < np.finfo(float).tiny:
+        raise ConvergenceError(f"t^(1/beta) underflows at t = {t:g}, beta = {beta:g}")
+    return scale
+
+
 class Clock:
     """Defaults shared by the process classes and the hitting routes.
 
     A frozen rule (tcpp.timechange.MixtureRule) keeps the nodes, weights,
     optional t-free density factor `dens` and window end `x_hi` that
     `rule_nodes(t_lo, t_hi, cut, n_panels)` returned, and asks the clock that
-    built it for `weighted(rule, t)` and `survivor(rule, t)`.
+    built it for `weighted(rule, t)` and `survivor(rule, t)`.  A clock states
+    its node window, `window(t_lo, t_hi, cut)` -> (lo, hi) with lo None for a
+    window from 0, and, where it has one, its t-free density factor,
+    `rule_density(nodes)`.
     """
 
     def mixing_law(self):
         """The object owning this clock's density and frozen rule, or None."""
         return self
+
+    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+        """(nodes, weights, dens, x_hi): 12 Gauss points on each of n_panels
+        panels over the window, log-spaced from its left end, or evenly
+        spaced from 0 when it has none; x_hi is the window's right end."""
+        lo, hi = self.window(t_lo, t_hi, cut)
+        nodes, weights = gauss_panels(linear_panel_edges(0.0, hi, n_panels) if lo is None
+                                      else log_panel_edges(lo, hi, n_panels), 12)
+        return nodes, weights, self.rule_density(nodes), hi
+
+    def rule_density(self, nodes):
+        """The t-free density factor on the rule's nodes, or None."""
+        return None
 
     def weighted(self, rule, t):
         """(x, weight * density) on the rule's nodes at t; t may be a column."""
@@ -167,7 +194,7 @@ class InverseGaussian(SubordinatorSpec):
     def density(self, x, t):
         return ig_density(x, t, self.delta, self.gamma)
 
-    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+    def window(self, t_lo, t_hi, cut):
         # both tails of G(t) have the Chernoff exponent (delta t - gamma x)^2 / (2x);
         # the window ends are its roots at TAIL_LOG.  The upper one is capped
         # at cut, `survivor` counting the rest, but kept right of x_lo: a cut
@@ -176,9 +203,7 @@ class InverseGaussian(SubordinatorSpec):
         a, b = self.delta * t_lo, self.delta * t_hi
         x_lo = a * a / (a * g + c + math.sqrt(c * (c + 2.0 * a * g)))
         root = math.inf if g == 0.0 else (b + (c + math.sqrt(c * (c + 2.0 * b * g))) / g) / g
-        x_hi = max(min(cut, root), min(root, 2.0 * x_lo))
-        x, w = gauss_panels(log_panel_edges(x_lo, x_hi, n_panels), 12)
-        return x, w, None, x_hi
+        return x_lo, max(min(cut, root), min(root, 2.0 * x_lo))
 
     def survivor(self, rule, t):
         return float(1.0 - ig_cdf(np.array([rule.x_hi]), t, self.delta, self.gamma)[0])
@@ -211,13 +236,16 @@ class Stable(SubordinatorSpec):
     def density(self, x, t):
         return stable_density(x, t, self.beta)
 
-    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+    def window(self, t_lo, t_hi, cut):
         # nodes in y = x t^(-1/b): the window and the density factor are t-free.
-        # D(t) has no exponential moment, so no Chernoff end: the window runs
-        # to the Poisson cut and `survivor` counts the mass beyond it
-        y_hi = max(cut / t_lo ** (1.0 / self.beta), 10.0)
-        y, w, f1 = stable_unit(self.beta).mixture_nodes(y_hi, n_panels)
-        return y, w, f1, y_hi
+        # D(t) has no exponential moment, so no Chernoff end on the right: the
+        # window runs to the Poisson cut, kept right of its left end as IG's
+        # is, and `survivor` counts the mass beyond it
+        y_lo = stable_unit(self.beta).left_end()
+        return y_lo, max(cut / _unit_scale(t_lo, self.beta), 2.0 * y_lo)
+
+    def rule_density(self, y):
+        return stable_unit(self.beta).pdf(y)
 
     def weighted(self, rule, t):
         # x = t^(1/b) y with f(x,t) dx = f1(y) dy
@@ -259,17 +287,20 @@ class TemperedStable(SubordinatorSpec):
     def density(self, x, t):
         return tempered_stable_density(x, t, self.beta, self.mu)
 
-    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
-        # the Chernoff end at s = mu - mu z^(-1/(1-b)) is z times the mean
-        # t b mu^(b-1), where z^q - 1 - q (z - 1) = TAIL_LOG / ((1-b) t mu^b),
-        # q = -b/(1-b).  The rule keeps no survivor, so the window runs to
-        # the larger of that end and the Poisson cut
+    def window(self, t_lo, t_hi, cut):
+        # nodes in y = x t^(-1/b), as for the stable clock.  The weights
+        # f1(y) e^(mu^b t - mu x) are lifted by at most e^(mu^b t_hi), so the
+        # left end is D(1)'s at that lift.  The right Chernoff end at
+        # s = mu - mu z^(-1/(1-b)) is z times the mean t b mu^(b-1), where
+        # z^q - 1 - q (z - 1) = TAIL_LOG / ((1-b) t mu^b), q = -b/(1-b).  The
+        # rule keeps no survivor, so the window runs to the larger of that
+        # end and the Poisson cut
         b, mu = self.beta, self.mu
         z = _chernoff_scale(-b / (1.0 - b), TAIL_LOG / ((1.0 - b) * t_hi * mu ** b))
         x_need = max(cut, t_hi * b * mu ** (b - 1.0) * z)
-        y_hi = max(x_need / t_lo ** (1.0 / b), 10.0)
-        y, w, f1 = stable_unit(b).mixture_nodes(y_hi, n_panels)
-        return y, w, f1, x_need
+        return stable_unit(b).left_end(mu ** b * t_hi), x_need / _unit_scale(t_lo, b)
+
+    rule_density = Stable.rule_density
 
     def weighted(self, rule, t):
         b, mu = self.beta, self.mu
@@ -403,12 +434,13 @@ class _InverseStable(_Hitting):
     def density(self, x, t):
         return inverse_stable_density(x, t, self.base.beta)
 
-    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
-        # P(E(1) > v) = P(D(v) < 1) <= exp(-a0 v^(1/(1-b))) at the best s
-        su = stable_unit(self.base.beta)
-        v_hi = (TAIL_LOG / su.a0) ** (1.0 - self.base.beta)
-        v, w = gauss_panels(linear_panel_edges(0.0, v_hi, n_panels), 12)
-        return v, w, su.inverse_mixing(v), v_hi * t_hi ** self.base.beta
+    def window(self, t_lo, t_hi, cut):
+        # nodes in v = x t^(-b); P(E(1) > v) = P(D(v) < 1) <= exp(-a0 v^(1/(1-b)))
+        # at the best s
+        return None, (TAIL_LOG / stable_unit(self.base.beta).a0) ** (1.0 - self.base.beta)
+
+    def rule_density(self, v):
+        return stable_unit(self.base.beta).inverse_mixing(v)
 
     def weighted(self, rule, t):
         return t ** self.base.beta * rule.nodes, rule.weights * rule.dens
@@ -434,12 +466,10 @@ class _HittingIG(_Hitting):
     def density(self, x, t):
         return hitting_time_density_ig(x, t, self.base.delta, self.base.gamma)
 
-    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+    def window(self, t_lo, t_hi, cut):
         # P(H(t) > x) = P(G(x) < t) <= exp(-(delta x - gamma t)^2 / (2t))
         d, g = self.base.delta, self.base.gamma
-        x_hi = (g * t_hi + math.sqrt(2.0 * TAIL_LOG * t_hi)) / d
-        x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
-        return x, w, None, x_hi
+        return None, (g * t_hi + math.sqrt(2.0 * TAIL_LOG * t_hi)) / d
 
     def path(self, rng, t_grid, paths):
         return _sample_ig_hitting(rng, t_grid, self.base.delta, self.base.gamma, paths)
@@ -452,15 +482,13 @@ class _InverseTempered(_Hitting):
     def density(self, x, t):
         return inverse_tempered_density(x, t, self.base.beta, self.base.mu)
 
-    def rule_nodes(self, t_lo, t_hi, cut, n_panels):
+    def window(self, t_lo, t_hi, cut):
         # P(E(t) > x) = P(D(x) < t): the best s has phi'(s) = t/x, and the end
         # is y times the mean t mu^(1-b)/b, where y^p - 1 - p (y - 1) =
         # p b TAIL_LOG / (mu t), p = 1/(1-b)
         b, mu = self.base.beta, self.base.mu
         y = _chernoff_scale(1.0 / (1.0 - b), b * TAIL_LOG / ((1.0 - b) * mu * t_hi))
-        x_hi = t_hi * mu ** (1.0 - b) / b * y
-        x, w = gauss_panels(linear_panel_edges(0.0, x_hi, n_panels), 12)
-        return x, w, None, x_hi
+        return None, t_hi * mu ** (1.0 - b) / b * y
 
     def path(self, rng, t_grid, paths):
         return _sample_stable_passages(rng, t_grid, self.base.beta, paths, self.base.mu)

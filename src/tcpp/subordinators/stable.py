@@ -37,10 +37,13 @@ import numpy as np
 from scipy.special import erfc, gammaln
 
 from ..errors import ConvergenceError, DomainError, NoDensityError
-from ..quadrules import gauss_legendre, gauss_panels, log_panel_edges
+from ..quadrules import gauss_legendre
 
 _BETA_MAX = 0.95
 _DECAY = 48.0  # exp(-48) ~ 1.4e-21 relative truncation of the theta integral
+# Every frozen rule's node window, and the tilt integrals of the tempered law,
+# leave out at most e^-TAIL_LOG of their mass (tcpp.subordinators.spec).
+TAIL_LOG = 45.0
 
 
 def _check_beta(beta: float) -> float:
@@ -84,8 +87,6 @@ class StableUnit:
             raise ConvergenceError("A(theta) not monotone; cannot bracket")
         self._series = {shift: self._series_terms(shift) for shift in (0, 1)}
         self.x_series = self._calibrate_series_switch()
-        # left edge of numerically visible support: exponent ~ _DECAY there
-        self.x_tiny = (self.a0 / _DECAY) ** (1.0 / self.ratio)
 
     # -- Zolotarev kernel ---------------------------------------------------
 
@@ -290,15 +291,14 @@ class StableUnit:
         b = self.beta
         return (1.0 / b) * self.pdf(v ** (-1.0 / b)) * v ** (-1.0 - 1.0 / b)
 
-    def mixture_nodes(self, x_hi: float, n_panels: int):
-        """Frozen quadrature rule (nodes, weights, pdf values) on (0, x_hi],
-        12 Gauss points on each of n_panels log-spaced panels."""
-        x_lo = max(self.x_tiny * 0.25, 1e-10)
-        if x_hi <= x_lo * 10:
-            x_hi = x_lo * 10
-        edges = log_panel_edges(x_lo, x_hi, n_panels)
-        x, w = gauss_panels(edges, 12)
-        return x, w, self.pdf(x)
+    def left_end(self, lift=0.0):
+        """u with e^lift P(D(1) <= u) <= e^-TAIL_LOG; vectorized over lift.
+
+        The Chernoff bound P(D(1) <= u) <= min_s e^(s u - s^beta)
+        = exp(-a0 u^(-beta/(1-beta))) reaches e^-(TAIL_LOG + lift) at
+        u = (a0 / (TAIL_LOG + lift))^((1-beta)/beta).
+        """
+        return (self.a0 / (TAIL_LOG + lift)) ** (1.0 / self.ratio)
 
 
 @lru_cache(maxsize=32)

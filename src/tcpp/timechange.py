@@ -34,6 +34,7 @@ from .specfun import log_bessel_k_half_scaled
 from .subordinators.densities import ig_exponent
 from .subordinators.sampling import rng_stream, sample
 from .subordinators.spec import (
+    TAIL_LOG,
     Clock,
     InverseGaussian,
     InverseOf,
@@ -119,9 +120,10 @@ def _poisson_mix(ks, x, lam: float, wd):
     2-D; a 1-D one is shared by every column.  log p_k(m) <= -(k-m)^2/(2k)
     for m < k and <= -(m-k)^2/(2m) for m > k, so for the sorted counts
     k0..k1 of a block every node with m = lam x outside [k0 - sqrt(2 C k0),
-    k1 + C + sqrt(C (C + 2 k1))], C = _LOG_CUT, has p_k(m) < e^-C and may be
-    left out of that column's sum.  The columns share the union of their bands
-    while it spans at most _UNION_CELLS terms; past that each sums its own.
+    k1 + C + sqrt(C (C + 2 k1))] (`_poisson_cut`), C = _LOG_CUT, has
+    p_k(m) < e^-C and may be left out of that column's sum.  The columns
+    share the union of their bands while it spans at most _UNION_CELLS terms;
+    past that each sums its own.
     """
     ks = np.asarray(ks, dtype=int)
     m = lam * np.asarray(x, dtype=float)
@@ -131,8 +133,7 @@ def _poisson_mix(ks, x, lam: float, wd):
     for start in range(0, ks.size, _K_BLOCK):
         idx = order[start:start + _K_BLOCK]
         k0, k1 = float(ks[idx[0]]), float(ks[idx[-1]])
-        cuts = [k0 - math.sqrt(2.0 * _LOG_CUT * k0),
-                k1 + _LOG_CUT + math.sqrt(_LOG_CUT * (_LOG_CUT + 2.0 * k1))]
+        cuts = [k0 - math.sqrt(2.0 * _LOG_CUT * k0), _poisson_cut(k1, 1.0, _LOG_CUT)]
         bands = [np.searchsorted(row, cuts) for row in rows]
         kb, a, b = ks[idx][:, None], min(lo for lo, _ in bands), max(hi for _, hi in bands)
         if m.ndim == 1:  # (counts, nodes) @ (nodes, columns)
@@ -191,9 +192,15 @@ def pmf_bessel_ig(k: int, t, lam: float, delta: float, gamma: float):
 # -- frozen mixture rules -----------------------------------------------------------
 
 
-def _poisson_cut(kmax: int, lam: float) -> float:
-    """x beyond which every p_k(lam x), k <= kmax, is below ~e^-40."""
-    return (kmax + 45.0 * math.sqrt(kmax + 1.0) + 45.0) / lam
+# the probe pmfs of a table's frozen rule settle to this (a registry check
+# asks `mixture_rule` for its own)
+_RULE_TOL = 1e-10
+
+
+def _poisson_cut(kmax: float, lam: float, c: float = TAIL_LOG) -> float:
+    """x beyond which every p_k(lam x), k <= kmax, is below e^-c: the root
+    m = lam x > kmax of (m - kmax)^2 / (2m) = c, as log p_k(m) <= -(m-k)^2/(2m)."""
+    return (kmax + c + math.sqrt(c * (c + 2.0 * kmax))) / lam
 
 
 @dataclass
@@ -202,7 +209,7 @@ class MixtureRule:
 
     `law` is the clock that built the nodes (spec.mixing_law()); it turns
     them into (x, weight * density) at each t, and supplies the survivor
-    mass beyond the window end `x_hi`.
+    mass beyond the window's right end `x_hi`, in the nodes' variable.
     """
 
     spec: SubordinatorSpec
@@ -270,7 +277,7 @@ def mixture_rule(
     t_lo: float,
     t_hi: float,
     kmax: int,
-    tol: float = 1e-10,
+    tol: float = _RULE_TOL,
 ) -> MixtureRule:
     """Adaptive construction: double panel count until probe pmfs settle."""
     if not 0 < t_lo <= t_hi:
@@ -391,14 +398,13 @@ class PmfTable:
             yield row
 
 
-def pmf_quadrature(k: int, t: float, lam: float, spec: SubordinatorSpec,
-                   tol: float = 1e-10) -> float:
+def pmf_quadrature(k: int, t: float, lam: float, spec: SubordinatorSpec) -> float:
     """P(N(X(t)) = k) by adaptive quadrature of the Poisson mixture."""
     if k < 0:
         raise DomainError("count index k must be >= 0")
     if not (0 < t < math.inf and 0 < lam < math.inf):  # refuses NaN as well
         raise DomainError("pmf_quadrature requires finite t > 0 and lambda > 0")
-    rule = mixture_rule(spec, lam, t, t, max(k, 8), tol)
+    rule = mixture_rule(spec, lam, t, t, max(k, 8))
     return float(rule.pmf_matrix(np.array([t]), np.array([k]))[0, 0])
 
 
@@ -414,13 +420,13 @@ def _first_below(tails):
 
 
 def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = None,
-              tol: float = 1e-10, method: str = "auto") -> PmfTable:
+              method: str = "auto") -> PmfTable:
     """PmfTable for k = 0..kmax with an honest tail bound.
 
     method "pgf" inverts the generating function of a Levy clock (see
     `_pgf_values`); "bessel" sums the closed form of an IG clock with
     gamma > 0 (`pmf_bessel_ig`); "quadrature" sums the Poisson mixture against
-    a frozen rule settled to `tol`; "auto" takes the PGF route for every clock
+    a frozen rule settled to 1e-10; "auto" takes the PGF route for every clock
     but an inverse one.  Without kmax, every route returns the smallest
     K <= 2000 whose tail bound P(N > K) is below 1e-10, read off the tail
     column of the table it computes, or K = 2000 when none is.  Quadrature
@@ -437,7 +443,7 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
         method = "quadrature" if isinstance(spec, InverseOf) else "pgf"
     if method not in ("pgf", "bessel", "quadrature"):
         raise DomainError(f"unknown pmf method '{method}'")
-    return table_cache(method, float(t), float(lam), spec, _kmax_key(kmax), float(tol))
+    return table_cache(method, float(t), float(lam), spec, _kmax_key(kmax))
 
 
 def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
@@ -466,8 +472,8 @@ def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
     """The table of one normalized request, made once per process.
 
     The key is the route ("pgf", "bessel", "quadrature" or "mc"), float t and
-    lambda, the spec and kmax (None or int), then tol for a table, or count
-    and seed for Monte Carlo.  An entry holds the immutable table alone,
+    lambda, the spec and kmax (None or int), then count and seed for Monte
+    Carlo.  An entry holds the immutable table alone,
     never the clock draws behind it; a raised error is not kept.
     `table_cache.cache_clear()` empties the cache.
 
@@ -480,10 +486,9 @@ def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
     """
     if route == "mc":
         fields = _mc_table(t, lam, spec, kmax, *args)
-    elif route == "quadrature":
-        fields = _quadrature_table(t, lam, spec, kmax, *args)
     else:
-        fields = (_pgf_table if route == "pgf" else _bessel_table)(t, lam, spec, kmax)
+        fields = {"quadrature": _quadrature_table, "pgf": _pgf_table,
+                  "bessel": _bessel_table}[route](t, lam, spec, kmax)
     tail = fields["tail_bound"]
     defect = abs(float(np.sum(fields["values"])) + tail - 1.0)
     if defect > 1e-3:
@@ -502,13 +507,12 @@ def _finite_mean(spec: SubordinatorSpec) -> bool:
     return isinstance(spec, InverseOf) or (rate is not None and rate < math.inf)
 
 
-def _quadrature_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
-                      tol: float) -> dict:
+def _quadrature_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
     """Quadrature-route table fields: K doubles from 64 against frozen rules."""
     ts = np.array([t])
     k_rule = _KMAX_START if kmax is None else kmax
     while True:
-        rule = mixture_rule(spec, lam, t, t, k_rule, tol)
+        rule = mixture_rule(spec, lam, t, t, k_rule)
         values = np.clip(rule.pmf_matrix(ts, np.arange(k_rule + 1))[:, 0], 0.0, 1.0)
         tail = float(rule.tail_mass(ts, k_rule)[0])
         if kmax is not None:
@@ -522,7 +526,7 @@ def _quadrature_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | 
             break
         k_rule = min(2 * k_rule, _KMAX_CAP)
     return {"kmax": kmax, "values": values, "tail_bound": tail, "method": "quadrature",
-            "route": {"nodes": int(rule.nodes.size), "tol": tol}}
+            "route": {"nodes": int(rule.nodes.size), "tol": _RULE_TOL}}
 
 
 def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:

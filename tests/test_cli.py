@@ -148,8 +148,8 @@ class TestPmfCommand:
         assert re.search(message, capsys.readouterr().err)
 
     def test_inverse_tempered_at_large_t_is_served(self, tmp_path, inverse_tempered_oracle):
-        # E(100) has mean 333: its tilt integrals lie wholly left of x_tiny,
-        # where the unit stable density is near e^-230
+        # E(100) has mean 333: its tilt integrals lie far in the unit stable
+        # law's left tail, where its density is near e^-230
         out = tmp_path / "t.json"
         rc = main(["pmf", "--spec", INV_TEMPERED_SPEC, "--lambda", "1", "--t", "100",
                    "--out", str(out)])
@@ -174,6 +174,16 @@ class TestPmfCommand:
                    "--t", "1", "--method", "quadrature", "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["method"] == "quadrature"
+
+    def test_stable_quadrature_at_small_index_is_served(self, tmp_path):
+        # D(1) at index 0.05 holds 4.6 % of its mass below 1e-10: the window
+        # starts at its Chernoff left end, near 1e-33
+        out = tmp_path / "t.json"
+        rc = main(["pmf", "--spec", '{"type":"stable","beta":0.05}', "--lambda", "1",
+                   "--t", "1", "--method", "quadrature", "--out", str(out)])
+        assert rc == 0
+        d = json.loads(out.read_text())
+        assert abs(sum(d["values"]) + d["tail_bound"] - 1.0) <= 1e-12
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TCPP_SEED", "99")
@@ -429,6 +439,10 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
                          "--out", "{tmp}/t.csv"], None, 3, id="pmf-inverse-stable-0.99"),
     pytest.param(_PMF + ['{"type":"stable","beta":0.99}', "--method", "quadrature",
                          "--out", "{tmp}/t.csv"], None, 3, id="pmf-stable-0.99-quadrature"),
+    # t^(1/beta) underflows: the rule's unit window cannot be mapped back onto x
+    pytest.param(["pmf", "--spec", '{"type":"stable","beta":0.1}', "--lambda", "1", "--t",
+                  "1e-40", "--method", "quadrature", "--out", "{tmp}/t.csv"], None, 3,
+                 id="pmf-stable-quadrature-tiny-t"),
 ])
 def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, config, code):
     (tmp_path / "file").write_text("")  # a regular file where a directory is needed

@@ -52,13 +52,18 @@ def _zolotarev(beta, x):
         return float(pdf), float(cdf), float(1 - cdf)
 
 
+def _left_edge(su):
+    """The x where the exponent a0 x^(-beta/(1-beta)) of D(1)'s left tail is 48."""
+    return (su.a0 / 48.0) ** (1.0 / su.ratio)
+
+
 class TestZolotarevOracle:
     @pytest.mark.parametrize("beta", [0.25, 0.3, 0.7, 0.9, 0.95])
     def test_pdf_cdf_sf(self, beta):
-        # from x_tiny / 100, where the density is e^-223 at beta = 0.25, to
-        # past the tail series' switch point
+        # from _left_edge / 100, where the density is e^-223 at beta = 0.25,
+        # to past the tail series' switch point
         su = stable_unit(beta)
-        lo, hi = su.x_tiny, su.x_series
+        lo, hi = _left_edge(su), su.x_series
         for x in (lo / 100, lo / 3, 1.5 * lo, math.sqrt(lo * hi), 0.9 * hi, 1.1 * hi, 1e3 * hi):
             want = _zolotarev(beta, x)
             got = [float(f(np.array([x]))[0]) for f in (su.pdf, su.cdf, su.sf)]
@@ -72,7 +77,7 @@ class TestZolotarevOracle:
         # finite values, no warning; the log density is finite or, where the
         # density is below e^-1e17, -inf
         su = stable_unit(beta)
-        x = np.geomspace(1e-300, su.x_tiny, 400)
+        x = np.geomspace(1e-300, _left_edge(su), 400)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pdf, cdf, sf, log_pdf = su.pdf(x), su.cdf(x), su.sf(x), su.log_pdf(x)
@@ -80,14 +85,15 @@ class TestZolotarevOracle:
             assert np.all(np.isfinite(values) & (values >= 0.0))
         assert not np.any(np.isnan(log_pdf)) and np.all(log_pdf < 0.0)
         assert np.array_equal(np.exp(log_pdf), pdf)
-        assert np.all(np.isfinite(log_pdf[x >= 1e-10 * su.x_tiny]))
+        assert np.all(np.isfinite(log_pdf[x >= 1e-10 * _left_edge(su)]))
 
     def test_half_closed_forms_deep_left_tail(self):
         # the index-1/2 closed forms down to x = 1e-300, where x^-1.5 overflows:
         # finite values, no warning, and pdf = exp(log_pdf) up to rounding (the
         # two closed forms are rounded apart, so not bit for bit)
         su = stable_unit(0.5)
-        x = np.concatenate([np.geomspace(1e-300, 1e-4, 600), np.linspace(1e-4, su.x_tiny, 600)])
+        x = np.concatenate([np.geomspace(1e-300, 1e-4, 600),
+                            np.linspace(1e-4, _left_edge(su), 600)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pdf, cdf, sf, log_pdf = su.pdf(x), su.cdf(x), su.sf(x), su.log_pdf(x)

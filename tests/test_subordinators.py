@@ -14,6 +14,7 @@ from tcpp.quadrules import gauss_panels, linear_panel_edges
 from tcpp.specfun import laplace_numeric
 from tcpp.subordinators.densities import (
     _inverse_tempered_tilt,
+    _tempered_partial_moments,
     hitting_time_cdf_ig,
     hitting_time_density_ig,
     ig_cdf,
@@ -243,6 +244,13 @@ class TestStableDensity:
                     direct, abs=1e-8
                 )
 
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.7])
+    def test_cdf_at_tiny_t_is_one(self, beta):
+        # t^(-1/beta) overflows at t = 1e-40: x t^(-1/beta) is inf, and the cdf 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert float(stable_cdf(1.0, 1e-40, beta)[0]) == 1.0
+
 
 class TestTemperedStable:
     def test_mu_zero_reduces_to_stable(self):
@@ -265,6 +273,13 @@ class TestTemperedStable:
             2.0,
         )
         assert lt == pytest.approx(math.exp(-(math.sqrt(3.0) - 1.0)), abs=1e-9)
+
+    def test_cdf_at_tiny_t_is_refused(self):
+        # x t^(-1/beta) = 1e400 is past float range: refused, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="float range"):
+                tempered_stable_cdf(1.0, 1e-40, 0.1, 1.0)
 
 
 class TestInverseStable:
@@ -567,16 +582,26 @@ class TestStableMoment:
 
 
 def _window_end(spec, t, cut=0.0, n_panels=32):
-    """x_hi of the frozen rule that spec's mixing law builds at the single time t."""
+    """x_hi of the frozen rule that spec's mixing law builds at the single time t,
+    in the variable of its nodes."""
     return spec.mixing_law().rule_nodes(t, t, cut, n_panels)[3]
+
+
+def _first_node(clock, t):
+    """The first node, a hair past the window's left end, of a rule on many
+    panels; the cut is wide enough not to cap the window."""
+    return clock.rule_nodes(t, t, 1e9, 2048)[0][0]
 
 
 def _mass_outside(clock, t):
     """The mass each window end leaves out, from a CDF that does not use the rule."""
     if isinstance(clock, InverseOf) and isinstance(clock.base, Stable):
-        # P(E(t) > x) = P(D(1) < t x^(-1/b))
+        # nodes in v = x t^(-b): P(E(t) > x) = P(D(1) < t x^(-1/b)) = P(D(1) < v^(-1/b))
         b = clock.base.beta
-        return [stable_unit(b).cdf(t * _window_end(clock, t) ** (-1.0 / b))[0]]
+        return [stable_unit(b).cdf(_window_end(clock, t) ** (-1.0 / b))[0]]
+    if isinstance(clock, Stable):
+        # nodes in y = x t^(-1/b); the right end is the Poisson cut, with a survivor
+        return [stable_unit(clock.beta).cdf(_first_node(clock, t))[0]]
     if isinstance(clock, InverseOf) and isinstance(clock.base, InverseGaussian):
         # P(H(t) > x) = P(G(x) < t)
         d, g = clock.base.delta, clock.base.gamma
@@ -594,11 +619,16 @@ def _mass_outside(clock, t):
         d, g = clock.delta, clock.gamma
         nodes, _, _, x_hi = clock.rule_nodes(t, t, 1e9, 2048)
         return [ig_cdf(nodes[:1], t, d, g)[0], hitting_time_cdf_ig(t, x_hi, d, g)[0]]
-    # tempered: P(D_mu(t) > x) by quadrature of the density
+    # tempered, nodes in y = x t^(-1/b): P(D_mu(t) < x) at the first node and
+    # P(D_mu(t) > x) at the window end, by quadrature of the density
     b, mu = clock.beta, clock.mu
-    x = _window_end(clock, t)
-    return [quad(lambda y: float(tempered_stable_density(np.array([y]), t, b, mu)[0]),
-                 x, x + 300.0 / mu, epsabs=0.0, limit=200)[0]]
+
+    def density(y):
+        return float(tempered_stable_density(np.array([y]), t, b, mu)[0])
+
+    x_lo, x_hi = (t ** (1.0 / b) * y for y in (_first_node(clock, t), _window_end(clock, t)))
+    return [quad(density, 0.0, x_lo, epsabs=0.0, limit=200)[0],
+            quad(density, x_hi, x_hi + 300.0 / mu, epsabs=0.0, limit=200)[0]]
 
 
 class TestNodeWindows:
@@ -616,17 +646,37 @@ class TestNodeWindows:
         pytest.param(InverseOf(TemperedStable(0.3, 1.0)), id="inverse-tempered(0.3,1)"),
         pytest.param(InverseOf(TemperedStable(0.7, 0.5)), id="inverse-tempered(0.7,0.5)"),
         pytest.param(InverseOf(TemperedStable(0.3, 400.0)), id="inverse-tempered(0.3,400)"),
+        pytest.param(Stable(0.1), id="stable(0.1)"),
+        pytest.param(Stable(0.3), id="stable(0.3)"),
+        pytest.param(Stable(0.5), id="stable(0.5)"),
+        pytest.param(Stable(0.7), id="stable(0.7)"),
         pytest.param(InverseGaussian(1.0, 1.0), id="ig(1,1)"),
         pytest.param(InverseGaussian(0.5, 100.0), id="ig(0.5,100)"),
         pytest.param(InverseGaussian(1.0, 1e6), id="ig(1,1e6)"),
         pytest.param(TemperedStable(0.3, 1.0), id="tempered(0.3,1)"),
         pytest.param(TemperedStable(0.7, 0.5), id="tempered(0.7,0.5)"),
         pytest.param(TemperedStable(0.3, 400.0), id="tempered(0.3,400)"),
+        pytest.param(TemperedStable(0.1, 1.0), id="tempered(0.1,1)"),
     ])
     @pytest.mark.parametrize("t", [0.1, 1.0, 20.0])
     def test_window_leaves_out_at_most_the_tail_bound(self, clock, t):
         for mass in _mass_outside(clock, t):
             assert math.exp(-TAIL_LOG - 12.0) < mass <= math.exp(-TAIL_LOG)
+
+    @pytest.mark.parametrize("beta, mu", [(0.3, 1.0), (0.7, 0.5), (0.3, 400.0), (0.1, 1.0)])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 20.0])
+    def test_tilt_integrals_drop_at_most_the_tail_bound(self, monkeypatch, beta, mu, t):
+        # against the same integrals from a lower limit ten times further left,
+        # at points where the dropped mass would show: the shifted panels move
+        # the rest by about 1e-14 relative
+        x = t * beta * mu ** (beta - 1.0) * np.array([1e-3, 1e-2, 0.1, 0.3])
+        near = _tempered_partial_moments(x, t, beta, mu)
+        su = stable_unit(beta)
+        left_end = su.left_end
+        monkeypatch.setattr(su, "left_end", lambda lift: left_end(lift) / 10.0)
+        far = _tempered_partial_moments(x, t, beta, mu)
+        for a, b in zip(near, far):
+            assert np.all(np.abs(a - b) <= math.exp(-TAIL_LOG) + 1e-13 * b)
 
     def test_huge_gamma_window_is_refused(self):
         # at gamma = 1e200 both ends round onto delta t / gamma

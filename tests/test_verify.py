@@ -290,8 +290,8 @@ DEFAULT_CAMPAIGN = [
     ("prop2.1", False, 3.878950505214958, 3.0175089649198128e-09),
     ("prop2.2", False, 1.835916283839684, 4.044259849361742e-05),
     ("ig-density-pde", False, 1.9820886306533299, 0.0007486504984965947),
-    ("prop3.1(1)", False, 1.933419565448243, 2.1165385167110085e-05),
-    ("prop3.1(2)", False, 1.8777065295886732, 3.270435782443126e-05),
+    ("prop3.1(1)", False, 1.9334195720101248, 2.1165384826160594e-05),
+    ("prop3.1(2)", False, 1.8777007002341954, 3.270482348571857e-05),
     ("deblassie(1/2)", False, 1.9986539820740792, 9.383983871380508e-05),
     ("deblassie(1/3)", False, 1.8283196536795323, 0.00019770324580314913),
     ("thm3.1(2)", False, 3.0437113473636597, 1.6728078072736352e-07),
@@ -304,7 +304,7 @@ DEFAULT_CAMPAIGN = [
     ("prop3.2", False, 1.2433939835629386, 0.00025224899508519139),
     ("prop4.1(2)", False, 1.9965067667664327, 0.00024442579086336735),
     ("prop4.1(3)", False, 1.9992535590736789, 7.346217470871608e-05),
-    ("rmk4.1(2)", False, 1.9783282790493302, 7.144320695595674e-06),
+    ("rmk4.1(2)", False, 1.978328254303906, 7.144321099716855e-06),
     ("inv-tempered-pde(2)", False, 1.748184326678066, 0.0005046199160323728),
     ("prop4.2(2)", False, 1.8398009735943082, 6.297588886489125e-05),
 ]
