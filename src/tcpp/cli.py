@@ -37,9 +37,10 @@ from .errors import (
     UnknownEquationError,
 )
 from .subordinators.sampling import rng_stream, sample_path
-from .subordinators.spec import InverseOf, SubordinatorSpec, spec_from_json
+from .subordinators.spec import SubordinatorSpec, spec_from_json
 from .timechange import (
     PmfTable,
+    auto_method,
     ig_moment_table,
     moments_ig,
     pmf_monte_carlo,
@@ -87,10 +88,7 @@ def _write_table(table: PmfTable, out: str):
 
 def cmd_pmf(args) -> int:
     spec = _load_spec(args.spec)
-    method = args.method
-    if method == "auto":
-        method = ("bessel" if spec.bessel_params() else "pgf" if not isinstance(spec, InverseOf)
-                  else "quadrature" if spec.mixing_law() is not None else "mc")
+    method = auto_method(spec) if args.method == "auto" else args.method
     if method == "mc":
         table = pmf_monte_carlo(args.t, args.lam, spec, args.count, args.seed, kmax=args.kmax)
     else:
@@ -245,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--method", choices=["auto", "bessel", "pgf", "quadrature", "mc"],
-                   default="auto", help="auto tries bessel, pgf, quadrature, mc in turn")
+                   default="auto", help="auto: bessel (IG), pgf (Levy), quadrature/mc (inverse)")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--count", type=int, default=100000, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=seed)

@@ -132,7 +132,10 @@ def stable_density(x, t, beta: float):
     """
     x = np.asarray(x, dtype=float)
     _positive("stable_density", x, t)
-    scale = t ** (-1.0 / beta)
+    try:
+        scale = t ** (-1.0 / beta)
+    except OverflowError:  # so small a t puts D(t) at 0: its density at x > 0 is 0
+        return np.zeros(np.atleast_1d(x).shape)
     return scale * stable_unit(beta).pdf(x * scale)
 
 
@@ -238,15 +241,14 @@ def inverse_stable_density(x, t, beta: float):
 def inverse_stable_cdf(x, t: float, beta: float):
     """P(E(t) <= x) by quadrature of m(.,t) (independent of the duality route).
 
-    Uses the substitution u = t^beta v, under which m(u,t) du = phi(v) dv with
-    the t-free phi of `StableUnit.inverse_mixing`, integrated on 48 panels of
-    12 Gauss points.
+    Uses the substitution u = t^beta v, under which m(u,t) du = m(v,1) dv,
+    integrated on 48 panels of 12 Gauss points.
     """
     x = float(x)
     _positive("inverse_stable_cdf", x, t)
     v_hi = x * t ** (-beta)
     nodes, w = gauss_panels(linear_panel_edges(0.0, v_hi, 48), 12)
-    return float(np.sum(w * stable_unit(beta).inverse_mixing(nodes)))
+    return float(np.sum(w * inverse_stable_density(nodes, 1.0, beta)))
 
 
 # -- tempered stable hitting time ----------------------------------------------

@@ -22,6 +22,7 @@ The JSON schema is the CLI's process-description contract:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -87,10 +88,11 @@ def _chernoff_scale(a: float, target: float) -> float:
 
 def _unit_scale(t: float, beta: float) -> float:
     """t^(1/beta), with D(t) = t^(1/beta) D(1); ConvergenceError where it
-    underflows, as a rule's t-free window would not map back onto x."""
-    if (scale := t ** (1.0 / beta)) < np.finfo(float).tiny:
-        raise ConvergenceError(f"t^(1/beta) underflows at t = {t:g}, beta = {beta:g}")
-    return scale
+    underflows or overflows, as a rule's t-free window would not map back onto x."""
+    with contextlib.suppress(OverflowError):
+        if (scale := t ** (1.0 / beta)) >= np.finfo(float).tiny:
+            return scale
+    raise ConvergenceError(f"t^(1/beta) leaves the float range at t = {t:g}, beta = {beta:g}")
 
 
 class Clock:
@@ -440,7 +442,7 @@ class _InverseStable(_Hitting):
         return None, (TAIL_LOG / stable_unit(self.base.beta).a0) ** (1.0 - self.base.beta)
 
     def rule_density(self, v):
-        return stable_unit(self.base.beta).inverse_mixing(v)
+        return inverse_stable_density(v, 1.0, self.base.beta)
 
     def weighted(self, rule, t):
         return t ** self.base.beta * rule.nodes, rule.weights * rule.dens

@@ -285,12 +285,6 @@ class StableUnit:
         return np.clip(self._by_regime(x, "cdf", lambda v: 1.0 - self.cdf(v),
                                        lambda v: self._tail_series(v, 0)[0]), 0.0, 1.0)
 
-    def inverse_mixing(self, v):
-        """phi(v) = (1/b) f1(v^(-1/b)) v^(-1-1/b), the t-free density of
-        E(t) / t^b for the inverse stable clock E (u = t^b v)."""
-        b = self.beta
-        return (1.0 / b) * self.pdf(v ** (-1.0 / b)) * v ** (-1.0 - 1.0 / b)
-
     def left_end(self, lift=0.0):
         """u with e^lift P(D(1) <= u) <= e^-TAIL_LOG; vectorized over lift.
 

@@ -2,8 +2,10 @@
 
 A Levy clock X (every clock but an inverse one) has the closed generating
 function E u^{N(X(t))} = exp(-t phi_X(lam (1 - u))); `pmf_table` inverts it
-by one FFT on the circle |u| = r (Abate & Whitt 1992).  Inverse clocks take
-the quadrature route below, which also serves as the independent oracle.
+by one FFT on the circle |u| = r (Abate & Whitt 1992), except an IG clock
+with gamma > 0, whose count law has a closed Bessel form (`_ig_count_logs`).
+Inverse clocks take the quadrature route below, which also serves as the
+independent oracle.  `auto_method` picks the route.
 
 The mixture identity P(N(X(t)) = k) = int p_k(x) dens_X(x, t) dx is evaluated
 against frozen composite Gauss-Legendre rules.  A rule's nodes are built once
@@ -19,6 +21,7 @@ answers an identical request with the immutable table it already made.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Mapping
@@ -27,10 +30,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import gammainc, gammaln, xlogy
+from scipy.special import gammainc, gammaln
 
 from .errors import ConvergenceError, DomainError, NoDensityError
-from .specfun import log_bessel_k_half_scaled
 from .subordinators.densities import ig_exponent
 from .subordinators.sampling import rng_stream, sample
 from .subordinators.spec import (
@@ -49,6 +51,7 @@ __all__ = [
     "poisson_pmf",
     "pmf_bessel_ig",
     "pmf_quadrature",
+    "auto_method",
     "pmf_table",
     "pmf_monte_carlo",
     "fractional_poisson_pmf",
@@ -156,37 +159,41 @@ def _poisson_terms(kb, mb):
 
 
 def pmf_bessel_ig(k: int, t, lam: float, delta: float, gamma: float):
-    """P(N(G(t)) = k) in closed Bessel form (requires gamma > 0).
-
-    sqrt(2/pi) delta t e^{delta gamma t} (lam^k/k!)
-        (delta t / c)^(k-1/2) K_{k-1/2}(omega),  c = sqrt(gamma^2+2 lam), omega = delta t c,
-    which is sqrt(2 omega/pi) (lam delta t / c)^k / k! e^{-t phi(lam)} e^omega K_{k-1/2}(omega)
-    with the IG exponent phi (`ig_exponent`): e^{delta gamma t - omega} is
-    taken as e^{-t phi(lam)}, never as a difference of large terms, and the
-    scaled Bessel factor comes in log space (`log_bessel_k_half_scaled`), so
-    neither large k, t nor gamma can overflow or cancel.
-    """
+    """P(N(G(t)) = k) in closed Bessel form (requires gamma > 0): term k of
+    `_ig_count_logs`."""
     if not gamma > 0:
-        raise DomainError(
-            "Bessel-form pmf needs gamma > 0 (use pmf_quadrature for gamma = 0)"
-        )
+        raise DomainError("Bessel-form pmf needs gamma > 0 (use pmf_quadrature for gamma = 0)")
     if k < 0:
         raise DomainError("count index k must be >= 0")
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not (np.all(t > 0) and lam > 0 and delta > 0):  # refuses NaN as well
         raise DomainError("pmf_bessel_ig requires t, lambda and delta > 0")
-    c = math.hypot(gamma, math.sqrt(2.0 * lam))
-    omega = delta * t * c
-    logp = (
-        xlogy(k, lam * delta * t / c)
-        - gammaln(k + 1.0)
-        - t * ig_exponent(lam, delta, gamma)
-        + 0.5 * np.log(2.0 * omega / math.pi)
-        + log_bessel_k_half_scaled(max(k - 1, 0), omega)
-    )
-    out = np.exp(logp)
+    out = np.exp(next(itertools.islice(_ig_count_logs(t, lam, delta, gamma), k, None)))
     return float(out[0]) if scalar else out
+
+
+def _ig_count_logs(t, lam: float, delta: float, gamma: float):
+    """log P(N(G(t)) = k) for k = 0, 1, 2, ... in turn; t is a float or an array.
+
+    The closed form p_k = sqrt(2 omega/pi) (lam delta t/c)^k / k! e^{-t phi(lam)}
+    e^omega K_{k-1/2}(omega), c = sqrt(gamma^2 + 2 lam), omega = delta t c,
+    gives p_0 = e^{-t phi(lam)} (`ig_exponent`) and p_k = p_{k-1} s_{k-1} / k
+    with s_j = (lam delta t/c) K_{j+1/2}(omega) / K_{j-1/2}(omega).  The
+    Bessel recurrence K_{v+1} = K_{v-1} + (2v/omega) K_v (DLMF 10.29.1) makes
+    that s_j = s_0 (s_0/s_{j-1}) + (2j-1) lam/c^2, so each term costs O(1).
+    s_j >= max(s_0, (2j-1) lam/c^2) neither overflows nor cancels, and the
+    terms are summed in log space, so neither large k, t nor gamma can
+    overflow; s_0 is kept at or above the least positive float.
+    """
+    c = math.hypot(gamma, math.sqrt(2.0 * lam))
+    log, at_least = (np.log, np.maximum) if isinstance(t, np.ndarray) else (math.log, max)
+    s0, step = at_least(lam * delta * t / c, math.ulp(0.0)), lam / c / c
+    logp, s = -t * ig_exponent(lam, delta, gamma), s0
+    for k in itertools.count(1):
+        yield logp
+        logp = logp + log(s / k)
+        s = s0 * (s0 / s) + (2 * k - 1) * step
 
 
 # -- frozen mixture rules -----------------------------------------------------------
@@ -399,13 +406,10 @@ class PmfTable:
 
 
 def pmf_quadrature(k: int, t: float, lam: float, spec: SubordinatorSpec) -> float:
-    """P(N(X(t)) = k) by adaptive quadrature of the Poisson mixture."""
+    """P(N(X(t)) = k): entry k of the quadrature table with kmax = k."""
     if k < 0:
         raise DomainError("count index k must be >= 0")
-    if not (0 < t < math.inf and 0 < lam < math.inf):  # refuses NaN as well
-        raise DomainError("pmf_quadrature requires finite t > 0 and lambda > 0")
-    rule = mixture_rule(spec, lam, t, t, max(k, 8))
-    return float(rule.pmf_matrix(np.array([t]), np.array([k]))[0, 0])
+    return float(pmf_table(t, lam, spec, kmax=k, method="quadrature").values[k])
 
 
 _TAIL_TARGET = 1e-10
@@ -419,31 +423,43 @@ def _first_below(tails):
     return int(below[0]) if below.size else None
 
 
+def auto_method(spec: SubordinatorSpec) -> str:
+    """The route "auto" takes, for `pmf_table` and `tcpp pmf` alike: "bessel"
+    for an IG clock with gamma > 0, "pgf" for every other Levy clock,
+    "quadrature" for an inverse clock with a density, and "mc" (Monte Carlo,
+    `pmf_monte_carlo`) for one without."""
+    if not isinstance(spec, InverseOf):
+        return "pgf" if spec.bessel_params() is None else "bessel"
+    return "quadrature" if spec.mixing_law() is not None else "mc"
+
+
 def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = None,
               method: str = "auto") -> PmfTable:
     """PmfTable for k = 0..kmax with an honest tail bound.
 
     method "pgf" inverts the generating function of a Levy clock (see
     `_pgf_values`); "bessel" sums the closed form of an IG clock with
-    gamma > 0 (`pmf_bessel_ig`); "quadrature" sums the Poisson mixture against
-    a frozen rule settled to 1e-10; "auto" takes the PGF route for every clock
-    but an inverse one.  Without kmax, every route returns the smallest
-    K <= 2000 whose tail bound P(N > K) is below 1e-10, read off the tail
-    column of the table it computes, or K = 2000 when none is.  Quadrature
-    doubles K from 64; the PGF route doubles its FFT from 256 points, except
-    that a clock of infinite mean first runs the 8004-point cap pass and keeps
-    it when every tail bound there is >= 2e-10 (`_pgf_search`).  The request
-    is served by `table_cache`, with "auto" resolved first.
+    gamma > 0 (`_ig_count_logs`); "quadrature" sums the Poisson mixture
+    against a frozen rule settled to 1e-10; "auto" takes the route
+    `auto_method` names, and refuses with NoDensityError an inverse clock
+    with no density, which only `pmf_monte_carlo` serves.  Without kmax,
+    every route returns the smallest K <= 2000 whose tail bound P(N > K) is
+    below 1e-10, read off the tail column of the table it computes, or
+    K = 2000 when none is.  Quadrature doubles K from 64; the PGF route
+    doubles its FFT from 256 points, except that a clock of infinite mean
+    first runs the 8004-point cap pass and keeps it when every tail bound
+    there is >= 2e-10 (`_pgf_search`).  The request is served by
+    `table_cache`, with "auto" resolved first.
     """
-    if not (0 < t < math.inf and 0 < lam < math.inf):  # refuses NaN as well
-        raise DomainError("pmf_table requires finite t > 0 and lambda > 0")
-    if kmax is not None and kmax < 0:
-        raise DomainError("kmax must be >= 0")
+    t, lam, kmax = _request("pmf_table", t, lam, kmax)
     if method == "auto":
-        method = "quadrature" if isinstance(spec, InverseOf) else "pgf"
+        method = auto_method(spec)
+        if method == "mc":
+            raise NoDensityError(f"spec {spec.label()} has no density evaluator; "
+                                 f"use pmf_monte_carlo")
     if method not in ("pgf", "bessel", "quadrature"):
         raise DomainError(f"unknown pmf method '{method}'")
-    return table_cache(method, float(t), float(lam), spec, _kmax_key(kmax))
+    return table_cache(method, t, lam, spec, kmax)
 
 
 def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
@@ -453,17 +469,19 @@ def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
     The draws are a function of the request and its seed, so `table_cache`
     serves it like any other table.
     """
-    if not (0 < t < math.inf and 0 < lam < math.inf):
-        raise DomainError("pmf_monte_carlo requires finite t > 0 and lambda > 0")
+    t, lam, kmax = _request("pmf_monte_carlo", t, lam, kmax)
     if count < 1000:
         raise DomainError("pmf_monte_carlo needs count >= 1000")
+    return table_cache("mc", t, lam, spec, kmax, int(count), int(seed))
+
+
+def _request(name: str, t, lam, kmax):
+    """(float t, float lambda, kmax as None or int) of a valid table request."""
+    if not (0 < t < math.inf and 0 < lam < math.inf):  # refuses NaN as well
+        raise DomainError(f"{name} requires finite t > 0 and lambda > 0")
     if kmax is not None and kmax < 0:
         raise DomainError("kmax must be >= 0")
-    return table_cache("mc", float(t), float(lam), spec, _kmax_key(kmax), int(count), int(seed))
-
-
-def _kmax_key(kmax):
-    return None if kmax is None else int(kmax)
+    return float(t), float(lam), None if kmax is None else int(kmax)
 
 
 @lru_cache(maxsize=64)
@@ -484,14 +502,11 @@ def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
     next to none of the law's mass.  A clock of infinite or unstated mean
     keeps its honest tail there.
     """
-    if route == "mc":
-        fields = _mc_table(t, lam, spec, kmax, *args)
-    else:
-        fields = {"quadrature": _quadrature_table, "pgf": _pgf_table,
-                  "bessel": _bessel_table}[route](t, lam, spec, kmax)
+    fields = {"quadrature": _quadrature_table, "pgf": _pgf_table, "bessel": _bessel_table,
+              "mc": _mc_table}[route](t, lam, spec, kmax, *args)
     tail = fields["tail_bound"]
     defect = abs(float(np.sum(fields["values"])) + tail - 1.0)
-    if defect > 1e-3:
+    if not defect <= 1e-3:  # NaN as well
         raise ConvergenceError(f"the {route} route for {spec.label()} at lambda={lam}, t={t} "
                                f"gave a table with normalization defect {defect:.2e}")
     if kmax is None and fields["kmax"] == _KMAX_CAP and tail > 1e-3 and _finite_mean(spec):
@@ -530,15 +545,17 @@ def _quadrature_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | 
 
 
 def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
-    """Closed-form IG table fields, each p_k made once; without kmax the terms
-    stop at the first k whose tail 1 - sum_{j <= k} p_j is below _TAIL_TARGET."""
+    """Closed-form IG table fields from one pass of `_ig_count_logs`; without
+    kmax the terms stop at the first k whose tail 1 - sum_{j <= k} p_j is
+    below _TAIL_TARGET, or at the 2000 cap."""
     params = spec.bessel_params()
     if params is None:
         raise NoDensityError(f"Bessel closed form needs an IG spec with gamma > 0, not "
                              f"{spec.label()}; use method 'pgf'")
     ps, mass = [], 0.0
-    while len(ps) <= (_KMAX_CAP if kmax is None else kmax):
-        ps.append(pmf_bessel_ig(len(ps), t, lam, *params))
+    terms = _ig_count_logs(t, lam, *params)
+    for logp in itertools.islice(terms, (_KMAX_CAP if kmax is None else kmax) + 1):
+        ps.append(math.exp(logp))
         mass += ps[-1]
         if kmax is None and 1.0 - mass < _TAIL_TARGET:
             break
@@ -723,8 +740,6 @@ def moments_ig(t: float, lam: float, delta: float, gamma: float):
 def waiting_time_survival(x: float, lam: float, delta: float, gamma: float) -> float:
     """P(J > x) = E exp(-lam H(x)) = P(N(H(x)) = 0) for the renewal process
     N(H(t)): the k = 0 entry of the IG-hitting quadrature table."""
-    if x <= 0:
-        raise DomainError("waiting_time_survival requires x > 0")
     spec = InverseOf(InverseGaussian(delta, gamma))
     return float(pmf_table(x, lam, spec, kmax=0, method="quadrature").values[0])
 

@@ -10,8 +10,9 @@ import pytest
 
 import tcpp.timechange
 from tcpp.cli import main
+from tcpp.errors import NoDensityError
 from tcpp.subordinators.spec import InverseGaussian, TemperedStable
-from tcpp.timechange import PmfTable, pmf_bessel_ig, pmf_table
+from tcpp.timechange import PmfTable, auto_method, pmf_monte_carlo, pmf_table
 
 
 IG_SPEC = '{"type":"ig","delta":1,"gamma":1}'
@@ -30,16 +31,20 @@ class TestPmfCommand:
 
     @pytest.mark.parametrize("lam,t", [(1.0, 1.0), (5.0, 3.0), (20.0, 20.0)])
     def test_bessel_auto_kmax_makes_each_term_once(self, monkeypatch, lam, t):
-        calls = []
+        passes, steps = [], []
+        real = tcpp.timechange._ig_count_logs
 
-        def counted(k, *args):
-            calls.append(k)
-            return pmf_bessel_ig(k, *args)
+        def counted(*args):
+            passes.append(args)
+            for logp in real(*args):
+                steps.append(logp)
+                yield logp
 
-        monkeypatch.setattr(tcpp.timechange, "pmf_bessel_ig", counted)
+        monkeypatch.setattr(tcpp.timechange, "_ig_count_logs", counted)
         table = pmf_table(t, lam, InverseGaussian(1.0, 1.0), method="bessel")
         assert table.method == "bessel"
-        assert calls == list(range(table.kmax + 1))
+        # one pass of the recurrence, one step per term
+        assert len(passes) == 1 and len(steps) == table.kmax + 1
         # the smallest K whose tail is below 1e-10
         assert table.tail_bound < 1e-10 <= table.tail_bound + table.values[-1]
         if lam == 20.0:  # the PGF table of the same law stops within one count
@@ -128,6 +133,27 @@ class TestPmfCommand:
         assert main(["pmf", "--spec", inv, "--lambda", "1", "--t", "1",
                      "--out", str(b)]) == 0
         assert json.loads(b.read_text())["method"] == "quadrature"
+
+    @pytest.mark.parametrize("spec", [
+        IG_SPEC,
+        '{"type":"stable","beta":0.5}',
+        '{"type":"inverse","base":{"type":"stable","beta":0.5}}',
+        '{"type":"inverse","base":{"type":"compose","parts":[{"type":"ig","delta":1,"gamma":1},'
+        '{"type":"tempered","beta":0.4,"mu":1}]}}',
+    ], ids=["ig", "stable0.5", "inverse-stable0.5", "inverse-ig-tempered"])
+    def test_auto_is_the_library_auto(self, tmp_path, spec):
+        # `tcpp pmf` and `pmf_table` take their "auto" route from one resolver
+        out = tmp_path / "t.json"
+        assert main(["pmf", "--spec", spec, "--lambda", "1", "--t", "1", "--count", "2000",
+                     "--seed", "3", "--out", str(out)]) == 0
+        got = PmfTable.from_dict(json.loads(out.read_text()))
+        want = (pmf_monte_carlo(1.0, 1.0, got.spec, 2000, 3) if got.method == "mc"
+                else pmf_table(1.0, 1.0, got.spec, method="auto"))
+        assert got.method == want.method == auto_method(got.spec)
+        assert got.values.tobytes() == want.values.tobytes()
+        if want.method == "mc":  # only pmf_monte_carlo serves a clock with no density
+            with pytest.raises(NoDensityError):
+                pmf_table(1.0, 1.0, got.spec)
 
     @pytest.mark.parametrize("spec,lam,t,message", [
         # a table summing to nothing like 1 is a route that failed, not bad
@@ -439,10 +465,14 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
                          "--out", "{tmp}/t.csv"], None, 3, id="pmf-inverse-stable-0.99"),
     pytest.param(_PMF + ['{"type":"stable","beta":0.99}', "--method", "quadrature",
                          "--out", "{tmp}/t.csv"], None, 3, id="pmf-stable-0.99-quadrature"),
-    # t^(1/beta) underflows: the rule's unit window cannot be mapped back onto x
+    # t^(1/beta) underflows or overflows: the rule's unit window cannot be
+    # mapped back onto x
     pytest.param(["pmf", "--spec", '{"type":"stable","beta":0.1}', "--lambda", "1", "--t",
                   "1e-40", "--method", "quadrature", "--out", "{tmp}/t.csv"], None, 3,
                  id="pmf-stable-quadrature-tiny-t"),
+    pytest.param(["pmf", "--spec", '{"type":"stable","beta":0.1}', "--lambda", "1", "--t",
+                  "1e31", "--method", "quadrature", "--out", "{tmp}/t.csv"], None, 3,
+                 id="pmf-stable-quadrature-huge-t"),
 ])
 def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, config, code):
     (tmp_path / "file").write_text("")  # a regular file where a directory is needed

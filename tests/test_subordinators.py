@@ -251,6 +251,16 @@ class TestStableDensity:
             warnings.simplefilter("error")
             assert float(stable_cdf(1.0, 1e-40, beta)[0]) == 1.0
 
+    @pytest.mark.parametrize("beta,t", [(0.1, 1e-40), (0.5, 1e-160), (0.7, 1e-250)])
+    def test_density_at_tiny_t_is_zero(self, beta, t):
+        # t^(-1/beta) overflows: D(t) sits at 0, and the density at x > 0 is
+        # its limit 0, for the tempered law as well
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(stable_density(np.array([0.5, 1.0]), t, beta), [0.0, 0.0])
+            assert float(stable_density(1.0, t, beta)[0]) == 0.0
+            assert float(tempered_stable_density(1.0, t, beta, 1.0)[0]) == 0.0
+
 
 class TestTemperedStable:
     def test_mu_zero_reduces_to_stable(self):

@@ -120,6 +120,25 @@ class TestBesselPmf:
     def test_large_k_no_overflow(self):
         assert pmf_bessel_ig(400, 1.0, 1.0, 1.0, 1.0) >= 0.0
 
+    @pytest.mark.parametrize("lam,t,gamma,ks", [
+        (20.0, 20.0, 1.0, [100, 400, 1000, 1400]),
+        (1.0, 100.0, 1.0, [50, 100, 200]),
+        (1.0, 0.01, 1.0, range(21)),
+        (1.0, 1.0, 0.5, range(0, 41, 5)),
+        (1.0, 1.0, 1e6, range(4)),
+    ])
+    def test_recurrence_against_mpmath(self, lam, t, gamma, ks):
+        # the ratio recurrence against the closed form at 50 digits, deep in k
+        from mpmath import mp, workdps
+
+        with workdps(50):
+            lm, tm, g = mp.mpf(lam), mp.mpf(t), mp.mpf(gamma)
+            c = mp.sqrt(g * g + 2 * lm)
+            want = [mp.sqrt(2 * tm * c / mp.pi) * (lm * tm / c) ** k / mp.factorial(k)
+                    * mp.exp(g * tm) * mp.besselk(k - mp.mpf(1) / 2, tm * c) for k in ks]
+        for k, w in zip(ks, want):
+            assert float(abs(pmf_bessel_ig(k, t, lam, 1.0, gamma) - w) / w) <= 1e-12, k
+
     @pytest.mark.parametrize("gamma", [1.0, 1e3, 1e6, 1e9, 1e15, 1e20, 1e200])
     def test_large_gamma_against_mpmath(self, gamma):
         # IG(1, gamma) at lambda = t = 1: the Bessel closed form, the PGF table
@@ -810,7 +829,7 @@ class TestTableCache:
 
     def test_repeat_returns_identical_bytes(self):
         first = pmf_table(1, 1, self.IG)
-        again = pmf_table(1.0, 1.0, self.IG, kmax=None, method="pgf")
+        again = pmf_table(1.0, 1.0, self.IG, kmax=None, method="bessel")
         mc = pmf_monte_carlo(1.0, 2.0, self.IG, 2000, seed=4)
         mc_again = pmf_monte_carlo(1, 2, self.IG, 2000, 4)
         assert again.values.tobytes() == first.values.tobytes()
@@ -827,7 +846,7 @@ class TestTableCache:
             table.stderr[0] = 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             table.kmax = 3
-        pgf = pmf_table(1.0, 1.0, self.IG, kmax=4)
+        pgf = pmf_table(1.0, 1.0, self.IG, kmax=4, method="pgf")
         with pytest.raises(TypeError):
             pgf.route["nodes"] = 1
         d = pgf.to_dict()
@@ -841,10 +860,10 @@ class TestTableCache:
     def test_new_entry_per_seed_kmax_and_method(self):
         base = pmf_table(1.0, 1.0, self.IG)
         assert pmf_table(1.0, 1.0, self.IG, method="auto") is base
-        assert pmf_table(1.0, 1.0, self.IG, method="pgf") is base
+        assert pmf_table(1.0, 1.0, self.IG, method="bessel") is base
         others = [pmf_table(1.0, 1.0, self.IG, kmax=8), pmf_table(1.0, 1.0, self.IG,
-                                                                  method="bessel")]
-        assert others[1].method == "bessel" and others[0].kmax == 8
+                                                                  method="pgf")]
+        assert others[1].method == "pgf" and others[0].kmax == 8
         inverse = InverseOf(Stable(0.5))
         quad = pmf_table(1.0, 1.0, inverse, kmax=6)
         assert pmf_table(1.0, 1.0, inverse, kmax=6, method="quadrature") is quad
