@@ -132,11 +132,15 @@ def stable_density(x, t, beta: float):
     """
     x = np.asarray(x, dtype=float)
     _positive("stable_density", x, t)
-    try:
-        scale = t ** (-1.0 / beta)
-    except OverflowError:  # so small a t puts D(t) at 0: its density at x > 0 is 0
-        return np.zeros(np.atleast_1d(x).shape)
-    return scale * stable_unit(beta).pdf(x * scale)
+    # where t^(-1/beta) overflows (a float t raises, an array t gives inf), so
+    # small a t puts D(t) at 0: its density at x > 0 is 0, not inf * pdf(inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            scale = t ** (-1.0 / beta)
+        except OverflowError:
+            scale = math.inf
+        dens = scale * stable_unit(beta).pdf(x * scale)
+    return np.where(scale < math.inf, dens, 0.0)
 
 
 def stable_cdf(x, t: float, beta: float):

@@ -4,7 +4,7 @@ Everything here is for the standardized subordinator value D(1) with Laplace
 transform E exp(-s D(1)) = exp(-s^beta), 0 < beta < 1.  Time enters elsewhere
 through the scaling D(t) =d t^(1/beta) D(1).
 
-Two evaluation regimes, stitched where they agree:
+Three evaluation regimes, in x:
 
 * x < x_series: the Zolotarev/Ibragimov-Chernin single integral
       f(x) = beta/(1-beta) * x^(-1/(1-beta)) * (1/pi) *
@@ -17,7 +17,15 @@ Two evaluation regimes, stitched where they agree:
   96-node Gauss-Legendre panels split where the exponential has decayed by
   e^-5 and e^-48.  A is increasing, so the splits come from inverting log A:
   a safeguarded Newton iteration started between two points of a 512-point
-  probe table, a few steps per point;
+  probe table, a few steps per point (`_integral`);
+* x_lo <= x < x_series, where xi a0 <= 2000: a table of that integral.  The
+  log h(z) of the scaled integral is smooth in z = log x; its piecewise
+  Chebyshev series (8 equal panels of 32 first-kind nodes, Trefethen,
+  Approximation Theory and Approximation Practice, 2013) is built once per
+  beta and per kind (pdf, cdf) from `_integral` at the nodes, on first use,
+  and read by Clenshaw's recurrence.  It reproduces `_integral` to a few
+  1e-12 relative for beta in [0.05, 0.95].  Below x_lo the pdf and cdf are
+  below e^-1200, so 0.0, and only `log_pdf` integrates there;
 * right tail (x >= x_series >= 1): the convergent inverse-power series whose
   leading term is the classical  beta/(Gamma(1-beta) x^(1+beta))  asymptotic,
   with its coefficients computed once per beta and trimmed to the terms
@@ -34,6 +42,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
 from scipy.special import erfc, gammaln
 
 from ..errors import ConvergenceError, DomainError, NoDensityError
@@ -41,6 +50,10 @@ from ..quadrules import gauss_legendre
 
 _BETA_MAX = 0.95
 _DECAY = 48.0  # exp(-48) ~ 1.4e-21 relative truncation of the theta integral
+# the Chebyshev table of the integral starts where xi a0 = _TABLE_EFF
+_TABLE_EFF = 2000.0
+_TABLE_PANELS = 8
+_TABLE_NODES = 32
 # Every frozen rule's node window, and the tilt integrals of the tempered law,
 # leave out at most e^-TAIL_LOG of their mass (tcpp.subordinators.spec).
 TAIL_LOG = 45.0
@@ -87,6 +100,10 @@ class StableUnit:
             raise ConvergenceError("A(theta) not monotone; cannot bracket")
         self._series = {shift: self._series_terms(shift) for shift in (0, 1)}
         self.x_series = self._calibrate_series_switch()
+        # log x_lo, where xi a0 = _TABLE_EFF; formed in logs, as x_lo itself
+        # underflows for beta below about 0.0102
+        self._z_lo = (math.log(self.a0) - math.log(_TABLE_EFF)) / self.ratio
+        self._tables = {}  # want_pdf -> `_table`
 
     # -- Zolotarev kernel ---------------------------------------------------
 
@@ -143,12 +160,13 @@ class StableUnit:
             theta[act] = th
         return theta
 
-    def _integral(self, x, want_pdf: bool, log: bool = False):
-        """Theta integral for the pdf or cdf left of x_series, or its log
-        (vectorized)."""
-        x = np.asarray(x, dtype=float)
+    def _xi(self, x):
         with np.errstate(over="ignore"):  # xi a0 >= 1e299: e^(-xi a0) is 0 either way
-            xi = np.minimum(x ** (-self.ratio), 1e300)
+            return np.minimum(x ** (-self.ratio), 1e300)
+
+    def _log_raw(self, x, want_pdf: bool):
+        """log of the scaled theta integral (`_integral` before `_log_scale`)."""
+        xi = self._xi(x)
         eff = xi * self.a0
         # panel split at the e^-5 and e^-_DECAY points of the exponential decay
         log_a5 = np.log(self.a0 + 5.0 / xi)
@@ -169,20 +187,68 @@ class StableUnit:
             return np.sum(vals * w, axis=1)
 
         zero = np.zeros_like(x)
-        raw = panel(zero, th5) + panel(th5, thD)
-        # scaled by exp(+eff); undo it together with the prefactors
+        with np.errstate(divide="ignore"):
+            return np.log(panel(zero, th5) + panel(th5, thD))
+
+    def _log_scale(self, x, want_pdf: bool):
+        """The log prefactors that undo the integral's e^(+xi a0) scaling."""
+        eff = self._xi(x) * self.a0
         if want_pdf:
-            log_pref = (
+            return (
                 math.log(self.beta / (1.0 - self.beta))
                 - (1.0 / (1.0 - self.beta)) * np.log(x)
                 - math.log(math.pi)
                 - eff
             )
-        else:
-            log_pref = -math.log(math.pi) - eff
-        with np.errstate(divide="ignore"):
-            log_val = np.log(raw) + log_pref
+        return -math.log(math.pi) - eff
+
+    def _integral(self, x, want_pdf: bool, log: bool = False):
+        """Theta integral for the pdf or cdf left of x_series, or its log
+        (vectorized)."""
+        x = np.asarray(x, dtype=float)
+        log_val = self._log_raw(x, want_pdf) + self._log_scale(x, want_pdf)
         return log_val if log else np.exp(log_val)
+
+    # -- Chebyshev table of the integral --------------------------------------
+
+    def _table(self, want_pdf: bool):
+        """(panel width, coefficients) of the piecewise Chebyshev series of
+        h(z) = `_log_raw`(e^z) on [z_lo, log x_series); built on first use.
+
+        _TABLE_PANELS equal panels in z of _TABLE_NODES first-kind Chebyshev
+        nodes each, where `_integral`'s own sum is taken: h is smooth in z,
+        and the series reproduces it to a few 1e-12 relative.
+        """
+        table = self._tables.get(want_pdf)
+        if table is None:
+            width = (math.log(self.x_series) - self._z_lo) / _TABLE_PANELS
+            u = chebpts1(_TABLE_NODES)
+            z = self._z_lo + width * (np.arange(_TABLE_PANELS)[:, None] + 0.5 * (u + 1.0))
+            h = self._log_raw(np.exp(z).ravel(), want_pdf).reshape(z.shape)
+            coef = chebvander(u, _TABLE_NODES - 1).T @ h.T * (2.0 / _TABLE_NODES)
+            coef[0] *= 0.5
+            # a thread that loses the race to build drops its identical copy
+            table = self._tables.setdefault(want_pdf, (width, coef))
+        return table
+
+    def _left(self, x, want_pdf: bool, log: bool = False):
+        """pdf or cdf left of x_series, or the log pdf: the table from x_lo on.
+
+        Below x_lo, xi a0 > 2000 puts both below e^-1200 wherever x_lo is a
+        float, so they are 0.0; only the log pdf integrates there.
+        """
+        z = np.log(x)
+        on = z >= self._z_lo
+        out = np.full(x.shape, -math.inf)
+        if log and not on.all():
+            out[~on] = self._integral(x[~on], want_pdf, log=True)
+        if on.any():
+            width, coef = self._table(want_pdf)
+            s = (z[on] - self._z_lo) / width
+            panel = np.minimum(s.astype(int), _TABLE_PANELS - 1)
+            h = chebval(2.0 * (s - panel) - 1.0, coef[:, panel], tensor=False)  # Clenshaw
+            out[on] = h + self._log_scale(x[on], want_pdf)
+        return out if log else np.exp(out)
 
     # -- right-tail series ----------------------------------------------------
 
@@ -263,7 +329,7 @@ class StableUnit:
             # the clamp keeps the pdf at 0 there
             x = np.maximum(self._valid(x, "density"), 1e-200)
             return 0.5 / math.sqrt(math.pi) * x ** -1.5 * np.exp(-0.25 / x)
-        return self._by_regime(x, "density", lambda v: self._integral(v, True),
+        return self._by_regime(x, "density", lambda v: self._left(v, True),
                                lambda v: self._tail_series(v, 1)[0])
 
     def log_pdf(self, x):
@@ -271,13 +337,13 @@ class StableUnit:
         if abs(self.beta - 0.5) < 1e-14:
             x = self._valid(x, "density")
             return -0.5 * math.log(4.0 * math.pi) - 1.5 * np.log(x) - 0.25 / x
-        return self._by_regime(x, "density", lambda v: self._integral(v, True, log=True),
+        return self._by_regime(x, "density", lambda v: self._left(v, True, log=True),
                                lambda v: np.log(self._tail_series(v, 1)[0]))
 
     def cdf(self, x):
         if abs(self.beta - 0.5) < 1e-14:
             return erfc(0.5 / np.sqrt(self._valid(x, "cdf")))
-        return np.clip(self._by_regime(x, "cdf", lambda v: self._integral(v, False),
+        return np.clip(self._by_regime(x, "cdf", lambda v: self._left(v, False),
                                        lambda v: 1.0 - self._tail_series(v, 0)[0]), 0.0, 1.0)
 
     def sf(self, x):

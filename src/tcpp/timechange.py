@@ -137,8 +137,9 @@ def _poisson_mix(ks, x, lam: float, wd):
         idx = order[start:start + _K_BLOCK]
         k0, k1 = float(ks[idx[0]]), float(ks[idx[-1]])
         cuts = [k0 - math.sqrt(2.0 * _LOG_CUT * k0), _poisson_cut(k1, 1.0, _LOG_CUT)]
-        bands = [np.searchsorted(row, cuts) for row in rows]
-        kb, a, b = ks[idx][:, None], min(lo for lo, _ in bands), max(hi for _, hi in bands)
+        # each row's [lo, hi) band; the rows ascend, so a count is a search
+        los, his = (np.count_nonzero(rows < cut, axis=1) for cut in cuts)
+        kb, a, b = ks[idx][:, None], los.min(), his.max()
         if m.ndim == 1:  # (counts, nodes) @ (nodes, columns)
             out[idx] = _poisson_terms(kb, m[a:b]) @ wd[:, a:b].T
         elif len(rows) * idx.size * (b - a) <= _UNION_CELLS:
@@ -146,13 +147,19 @@ def _poisson_mix(ks, x, lam: float, wd):
             out[idx] = (_poisson_terms(kb, m[:, None, a:b]) @ wd[:, a:b, None])[..., 0].T
         else:  # one column at a time, on its own band, keeps the terms in cache
             wd = np.broadcast_to(wd, m.shape)
-            for j, (lo, hi) in enumerate(bands):
+            for j, (lo, hi) in enumerate(zip(los, his)):
                 out[idx, j] = _poisson_terms(kb, m[j, lo:hi]) @ wd[j, lo:hi]
     return out
 
 
 def _poisson_terms(kb, mb):
-    return np.exp(kb * np.log(mb) - mb - gammaln(kb + 1.0))
+    """p_k(m) = exp(k log m - m - log k!), formed in one array (a 0-d one for
+    scalars): separate temporaries are large enough that the allocator
+    returns them to the system, and pays page faults to map them again."""
+    out = np.asarray(kb * np.log(mb))
+    out -= mb
+    out -= gammaln(kb + 1.0)
+    return np.exp(out, out=out)
 
 
 # -- closed-form Bessel pmf for the IG time change --------------------------------
@@ -347,6 +354,9 @@ class PmfTable:
         object.__setattr__(self, "route", MappingProxyType(dict(self.route)))
         if v.size != self.kmax + 1:
             raise DomainError("values must have length kmax + 1")
+        # NaN passes the comparisons below, so non-finite numbers are refused first
+        if not (np.all(np.isfinite(v)) and math.isfinite(self.tail_bound)):
+            raise DomainError("pmf values and tail bound must be finite")
         if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-9):
             raise DomainError("pmf values must lie in [0, 1]")
         defect = abs(float(np.sum(v)) + self.tail_bound - 1.0)

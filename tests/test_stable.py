@@ -106,6 +106,42 @@ class TestZolotarevOracle:
         assert np.all(pdf[x < 1e-200] == 0.0)
 
 
+TABLE_BETAS = np.linspace(0.05, 0.95, 20)
+
+
+class TestChebyshevTable:
+    """The per-beta tables against `_integral`, which builds them."""
+
+    @pytest.mark.parametrize("beta", TABLE_BETAS, ids=lambda b: f"{b:.3f}")
+    def test_table_reproduces_the_integral(self, beta):
+        su = StableUnit(beta)
+        x = np.exp(np.random.default_rng(7).uniform(su._z_lo, math.log(su.x_series), 20000))
+        x = x[x < su.x_series]
+        for want_pdf in (True, False):
+            want = su._integral(x, want_pdf)
+            got = su._left(x, want_pdf)
+            big = want >= 1e-290
+            assert np.count_nonzero(big) > 10000
+            assert np.all(np.abs(got[big] - want[big]) <= 1e-11 * want[big]), (beta, want_pdf)
+        assert np.array_equal(su.pdf(x), su._left(x, True))
+        assert np.array_equal(su.cdf(x), np.clip(su._left(x, False), 0.0, 1.0))
+
+    @pytest.mark.parametrize("beta", TABLE_BETAS, ids=lambda b: f"{b:.3f}")
+    def test_zero_below_the_table_without_integrating(self, beta, monkeypatch):
+        su = StableUnit(beta)
+        x_lo = math.exp(su._z_lo)
+        x = np.geomspace(max(x_lo * 1e-30, 1e-300), x_lo, 200)[:-1]
+        x = x[np.log(x) < su._z_lo]
+        assert x.size > 150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for want_pdf in (True, False):  # the exact values are 0.0 as well
+                assert np.all(su._integral(x, want_pdf) == 0.0)
+            monkeypatch.setattr(su, "_log_raw", None)  # no integral below x_lo
+            assert np.all(su.pdf(x) == 0.0) and np.all(su.cdf(x) == 0.0)
+            assert np.all(su.sf(x) == 1.0)
+
+
 class TestPanelSplit:
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.95])
     def test_newton_inverts_log_a(self, beta):

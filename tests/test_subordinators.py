@@ -261,6 +261,18 @@ class TestStableDensity:
             assert float(stable_density(1.0, t, beta)[0]) == 0.0
             assert float(tempered_stable_density(1.0, t, beta, 1.0)[0]) == 0.0
 
+    def test_density_at_tiny_array_t_is_zero(self):
+        # an array t overflows t^(-1/beta) to inf rather than raising: the
+        # density there is the same limit 0, next to ordinary values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stable_density(1.0, np.array([1e-40, 1.0]), 0.1)
+            grid = stable_density(np.array([[0.5], [1.0]]), np.array([1e-40, 1.0, 1e-300]), 0.1)
+        assert got[0] == 0.0 and got[1] == float(stable_density(1.0, 1.0, 0.1)[0]) > 0.0
+        assert grid.shape == (2, 3)
+        assert np.all(grid[:, [0, 2]] == 0.0)
+        assert np.array_equal(grid[:, 1], stable_density(np.array([0.5, 1.0]), 1.0, 0.1))
+
 
 class TestTemperedStable:
     def test_mu_zero_reduces_to_stable(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, gammaln
 
+import tcpp.timechange as timechange
 from tcpp.errors import ConvergenceError, DomainError, NoDensityError
 from tcpp.specfun import mittag_leffler
 from tcpp.subordinators.densities import ig_density
@@ -329,6 +330,69 @@ def _dense_pmf_matrix(rule, ts, ks):
         logp = ks[:, None] * np.log(m)[None, :] - m[None, :] - gammaln(ks + 1.0)[:, None]
         out[:, j] = np.exp(logp) @ wd
     return out
+
+
+def _poisson_terms_reference(kb, mb):
+    """`_poisson_terms` as one expression, before it was formed in place."""
+    return np.exp(kb * np.log(mb) - mb - gammaln(kb + 1.0))
+
+
+def _poisson_mix_reference(ks, x, lam, wd):
+    """`_poisson_mix` with a `searchsorted` per row for the bands and the
+    reference terms, as it was before the bands became two counts."""
+    ks = np.asarray(ks, dtype=int)
+    m = lam * np.asarray(x, dtype=float)
+    rows, wd = np.atleast_2d(m), np.atleast_2d(wd)
+    order = np.argsort(ks, kind="stable")
+    out = np.empty((ks.size, max(len(rows), len(wd))))
+    for start in range(0, ks.size, timechange._K_BLOCK):
+        idx = order[start:start + timechange._K_BLOCK]
+        k0, k1 = float(ks[idx[0]]), float(ks[idx[-1]])
+        cuts = [k0 - math.sqrt(2.0 * timechange._LOG_CUT * k0),
+                _poisson_cut(k1, 1.0, timechange._LOG_CUT)]
+        bands = [np.searchsorted(row, cuts) for row in rows]
+        kb, a, b = ks[idx][:, None], min(lo for lo, _ in bands), max(hi for _, hi in bands)
+        if m.ndim == 1:
+            out[idx] = _poisson_terms_reference(kb, m[a:b]) @ wd[:, a:b].T
+        elif len(rows) * idx.size * (b - a) <= timechange._UNION_CELLS:
+            out[idx] = (_poisson_terms_reference(kb, m[:, None, a:b])
+                        @ wd[:, a:b, None])[..., 0].T
+        else:
+            wd = np.broadcast_to(wd, m.shape)
+            for j, (lo, hi) in enumerate(bands):
+                out[idx, j] = _poisson_terms_reference(kb, m[j, lo:hi]) @ wd[j, lo:hi]
+    return out
+
+
+class TestInPlaceKernel:
+    """The in-place Poisson terms and the counted bands give the bits of the
+    expressions they replaced."""
+
+    def test_terms_scalar_2d_and_3d(self):
+        rng = np.random.default_rng(5)
+        m = np.sort(rng.uniform(0.0, 400.0, 300))
+        kb = np.arange(0, 300, 7)[:, None]
+        for k, mb in [(3, np.asarray(2.5)), (0, np.asarray(0.0)), (kb, m),
+                      (kb, rng.uniform(0.0, 400.0, (4, 1, 300)))]:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got, want = timechange._poisson_terms(k, mb), _poisson_terms_reference(k, mb)
+            assert got.shape == np.shape(want)
+            assert np.array_equal(got, want, equal_nan=True)
+        assert poisson_pmf(3, 2.5, 1.0) == _poisson_terms_reference(3, 2.5)
+
+    @pytest.mark.parametrize("shared,columns,nodes,counts", [
+        (True, 5, 900, 240), (False, 5, 400, 16), (False, 3, 4000, 240),
+    ], ids=["shared-x", "union-band", "per-column-bands"])
+    def test_mix_matches_searchsorted_bands(self, shared, columns, nodes, counts):
+        # the three branches of _poisson_mix: one x for every column, the
+        # union of the columns' bands, and each column on its own band
+        rng = np.random.default_rng(columns)
+        x = np.sort(rng.uniform(0.0, 3.0, (columns, nodes)), axis=1)
+        x = x[0] if shared else x
+        wd = rng.uniform(0.0, 1.0, (columns, nodes))
+        ks = rng.permutation(np.arange(0, 3 * counts, 3))
+        got = timechange._poisson_mix(ks, x, 200.0, wd)
+        assert np.array_equal(got, _poisson_mix_reference(ks, x, 200.0, wd))
 
 
 class TestBandedKernel:
@@ -813,6 +877,18 @@ class TestPmfTableSerialization:
         assert table.method == "quadrature" and table.route == {"tol": 1e-10}
         d.update(method="mc", stderr=[0.0] * 13, seed=3)
         assert PmfTable.from_dict(d).route == {}
+
+    @pytest.mark.parametrize("values,tail", [([math.nan, 0.5], 0.5), ([0.5, 0.5], math.nan),
+                                             ([math.inf, 0.0], 0.0), ([0.5, 0.5], math.inf)],
+                             ids=["nan-value", "nan-tail", "inf-value", "inf-tail"])
+    def test_non_finite_values_or_tail_rejected(self, values, tail):
+        with pytest.raises(DomainError, match="finite"):
+            PmfTable(spec=Stable(0.5), lam=1.0, t=1.0, kmax=1, values=np.array(values),
+                     tail_bound=tail)
+        d = pmf_table(1.0, 1.0, Stable(0.5), kmax=1).to_dict()
+        d.update(values=values, tail_bound=tail)
+        with pytest.raises(DomainError, match="finite"):
+            PmfTable.from_dict(json.loads(json.dumps(d)))
 
     def test_gross_normalization_violation_rejected(self):
         with pytest.raises(DomainError):

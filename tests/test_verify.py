@@ -291,19 +291,19 @@ DEFAULT_CAMPAIGN = [
     ("prop2.2", False, 1.835916283839684, 4.044259849361742e-05),
     ("ig-density-pde", False, 1.9820886306533299, 0.0007486504984965947),
     ("prop3.1(1)", False, 1.9334195720101248, 2.1165384826160594e-05),
-    ("prop3.1(2)", False, 1.8777007002341954, 3.270482348571857e-05),
+    ("prop3.1(2)", False, 1.87770070001487, 3.270482348571857e-05),
     ("deblassie(1/2)", False, 1.9986539820740792, 9.383983871380508e-05),
-    ("deblassie(1/3)", False, 1.8283196536795323, 0.00019770324580314913),
+    ("deblassie(1/3)", False, 1.8283196536741098, 0.00019770324580314913),
     ("thm3.1(2)", False, 3.0437113473636597, 1.6728078072736352e-07),
-    ("thm3.1(3)", False, 2.995820969090929, 1.5704978556518867e-07),
+    ("thm3.1(3)", False, 2.9958209843974277, 1.5704977723851599e-07),
     ("cor3.1(1)", False, 3.0437113473636597, 1.6728078072736352e-07),
-    ("cor3.1(2)", False, 3.235082297134734, 6.841647393063255e-08),
+    ("cor3.1(2)", False, 3.235082330867848, 6.841646860156203e-08),
     ("frac-dde(1/2)", False, 1.5021786019736312, 7.543826727884895e-05),
-    ("frac-dde(1/4)", False, 1.229694840818565, 0.00014631061695935532),
+    ("frac-dde(1/4)", False, 1.2296948408226382, 0.00014631061695802305),
     ("et-pde(2)", False, 1.784550092584627, 0.0001798752265580461),
-    ("prop3.2", False, 1.2433939835629386, 0.00025224899508519139),
+    ("prop3.2", False, 1.2433939835716963, 0.00025224899508047294),
     ("prop4.1(2)", False, 1.9965067667664327, 0.00024442579086336735),
-    ("prop4.1(3)", False, 1.9992535590736789, 7.346217470871608e-05),
+    ("prop4.1(3)", False, 1.9992546673700806, 7.346198830138206e-05),
     ("rmk4.1(2)", False, 1.978328254303906, 7.144321099716855e-06),
     ("inv-tempered-pde(2)", False, 1.748184326678066, 0.0005046199160323728),
     ("prop4.2(2)", False, 1.8398009735943082, 6.297588886489125e-05),
