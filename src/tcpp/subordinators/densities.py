@@ -132,6 +132,7 @@ def stable_density(x, t, beta: float):
     """
     x = np.asarray(x, dtype=float)
     _positive("stable_density", x, t)
+    su = stable_unit(beta)
     # where t^(-1/beta) overflows (a float t raises, an array t gives inf), so
     # small a t puts D(t) at 0: its density at x > 0 is 0, not inf * pdf(inf)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,7 +140,16 @@ def stable_density(x, t, beta: float):
             scale = t ** (-1.0 / beta)
         except OverflowError:
             scale = math.inf
-        dens = scale * stable_unit(beta).pdf(x * scale)
+        u = x * scale
+        pdf = su.pdf(u)
+        dens = scale * pdf
+    # far right at tiny t, pdf(u) leaves the normal floats before the huge
+    # scale multiplies it back: there the density is taken in logs
+    u = np.broadcast_to(u, pdf.shape)
+    lost = (pdf < np.finfo(float).tiny) & (u > 1.0) & np.isfinite(u)
+    if np.any(lost):
+        log_scale = np.broadcast_to(-np.log(t) / beta, dens.shape)
+        dens[lost] = np.exp(su.log_pdf(u[lost]) + log_scale[lost])
     return np.where(scale < math.inf, dens, 0.0)
 
 

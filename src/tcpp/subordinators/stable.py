@@ -57,6 +57,7 @@ _TABLE_NODES = 32
 # Every frozen rule's node window, and the tilt integrals of the tempered law,
 # leave out at most e^-TAIL_LOG of their mass (tcpp.subordinators.spec).
 TAIL_LOG = 45.0
+_TINY = np.finfo(float).tiny
 
 
 def _check_beta(beta: float) -> float:
@@ -338,7 +339,21 @@ class StableUnit:
             x = self._valid(x, "density")
             return -0.5 * math.log(4.0 * math.pi) - 1.5 * np.log(x) - 0.25 / x
         return self._by_regime(x, "density", lambda v: self._left(v, True, log=True),
-                               lambda v: np.log(self._tail_series(v, 1)[0]))
+                               self._log_tail_pdf)
+
+    def _log_tail_pdf(self, x):
+        """log of the right-tail density series.  Where its sum is not a
+        normal float, the terms are summed relative to the largest one, so
+        the log stays finite where the density underflows."""
+        value = self._tail_series(x, 1)[0]
+        low = value < _TINY
+        out = np.log(np.where(low, 1.0, value))
+        if np.any(low):
+            log_c, pow_, sgn = self._series[1]
+            terms = log_c[None, :] + pow_[None, :] * np.log(x[low])[:, None]
+            top = np.max(terms, axis=1)
+            out[low] = top + np.log(np.sum(np.exp(terms - top[:, None]) * sgn, axis=1) / math.pi)
+        return out
 
     def cdf(self, x):
         if abs(self.beta - 0.5) < 1e-14:

@@ -14,6 +14,10 @@ every count index, so the quadrature error is a smooth function of t:
 finite-difference operators applied to tables (see tcpp.verify) do not see it
 as noise.  A pmf table is a banded sum: each block of counts k sums only the
 nodes where p_k(lambda x) can exceed e^-50, dropping <= e^-50 sum_i |w_i f_i|.
+Within a block, consecutive counts take the ratio p_k = p_{k-1} (lambda x/k)
+from one direct row: a divide and a multiply a term, where the direct formula
+exp(k log m - m - log k!) pays a multiply, two subtractions and an exp, and
+loses relative accuracy as k log m grows (Loader 2000).
 
 Every table, Monte Carlo included, is made by `table_cache`, so a process
 answers an identical request with the immutable table it already made.
@@ -112,8 +116,15 @@ _T_BLOCK = 16
 # Past this many terms a block's union band leaves the cache.  Only many-column
 # tables with many counts get there: a `verify` request with a large k_range
 # (registry `_pmf_tables`).  Stable(0.7) at lam 20, kmax 2000 on 37 columns:
-# 0.12-0.14 s CPU per column band, 0.20-0.26 s on the union (2 cores).
+# 0.09-0.13 s CPU per column band and 0.095-0.13 s on the union (2 cores;
+# 0.20-0.22 s on the union with direct rows), so the union's wider buffer buys
+# nothing past this size.
 _UNION_CELLS = 1 << 16
+# A row of the ratio recurrence costs one Python step, about 0.6 us, and saves
+# about 1.5 ns a term over the direct formula: rows of fewer terms than this
+# (one column on a narrow band) are cheaper direct.  Measured on 128-count
+# blocks, where the two cross at 400-600 terms a row (2 cores).
+_RATIO_TERMS = 512
 
 
 def _poisson_mix(ks, x, lam: float, wd):
@@ -126,37 +137,100 @@ def _poisson_mix(ks, x, lam: float, wd):
     k1 + C + sqrt(C (C + 2 k1))] (`_poisson_cut`), C = _LOG_CUT, has
     p_k(m) < e^-C and may be left out of that column's sum.  The columns
     share the union of their bands while it spans at most _UNION_CELLS terms;
-    past that each sums its own.
+    past that each sums its own.  Every block's terms are written by
+    `_poisson_rows` into one buffer made once per call.
     """
-    ks = np.asarray(ks, dtype=int)
+    # float counts: an int operand makes numpy cast it in a buffered loop
+    ks = np.asarray(ks, dtype=int).astype(float)
     m = lam * np.asarray(x, dtype=float)
     rows, wd = np.atleast_2d(m), np.atleast_2d(wd)
     order = np.argsort(ks, kind="stable")
     out = np.empty((ks.size, max(len(rows), len(wd))))
+    counts, nodes = min(ks.size, _K_BLOCK), rows.shape[1]
+    buf = np.empty(min(counts * len(rows) * nodes, max(_UNION_CELLS, counts * nodes)))
+    ends = rows[:, 0].min(), rows[:, -1].max()
     for start in range(0, ks.size, _K_BLOCK):
         idx = order[start:start + _K_BLOCK]
-        k0, k1 = float(ks[idx[0]]), float(ks[idx[-1]])
-        cuts = [k0 - math.sqrt(2.0 * _LOG_CUT * k0), _poisson_cut(k1, 1.0, _LOG_CUT)]
-        # each row's [lo, hi) band; the rows ascend, so a count is a search
-        los, his = (np.count_nonzero(rows < cut, axis=1) for cut in cuts)
-        kb, a, b = ks[idx][:, None], los.min(), his.max()
+        kb = ks[idx]
+        k0, k1 = kb[0], kb[-1]
+        # each row's [lo, hi) band
+        los, his = (_below(rows, ends, cut) for cut in
+                    (k0 - math.sqrt(2.0 * _LOG_CUT * k0), _poisson_cut(k1, 1.0, _LOG_CUT)))
+        a, b = los.min(), his.max()
         if m.ndim == 1:  # (counts, nodes) @ (nodes, columns)
-            out[idx] = _poisson_terms(kb, m[a:b]) @ wd[:, a:b].T
-        elif len(rows) * idx.size * (b - a) <= _UNION_CELLS:
-            # (columns, counts, nodes) @ (columns, nodes, 1) on the union band
-            out[idx] = (_poisson_terms(kb, m[:, None, a:b]) @ wd[:, a:b, None])[..., 0].T
+            terms = _poisson_rows(kb, m[a:b], buf[:kb.size * (b - a)])
+            out[idx] = terms @ wd[:, a:b].T
+        elif len(rows) * kb.size * (b - a) <= _UNION_CELLS:
+            # the union band: terms laid out (counts, columns, nodes), so each
+            # count's row over every column is contiguous, and read as
+            # (columns, counts, nodes) @ (columns, nodes, 1)
+            terms = _poisson_rows(kb, m[:, a:b], buf[:len(rows) * kb.size * (b - a)])
+            out[idx] = (terms.transpose(1, 0, 2) @ wd[:, a:b, None])[..., 0].T
         else:  # one column at a time, on its own band, keeps the terms in cache
             wd = np.broadcast_to(wd, m.shape)
             for j, (lo, hi) in enumerate(zip(los, his)):
-                out[idx, j] = _poisson_terms(kb, m[j, lo:hi]) @ wd[j, lo:hi]
+                terms = _poisson_rows(kb, m[j, lo:hi], buf[:kb.size * (hi - lo)])
+                out[idx, j] = terms @ wd[j, lo:hi]
     return out
 
 
-def _poisson_terms(kb, mb):
-    """p_k(m) = exp(k log m - m - log k!), formed in one array (a 0-d one for
-    scalars): separate temporaries are large enough that the allocator
-    returns them to the system, and pays page faults to map them again."""
-    out = np.asarray(kb * np.log(mb))
+def _below(rows, ends, cut: float):
+    """How many nodes of each ascending row lie below cut: a count, skipped
+    when every node lies on one side of it (ends: the least first node and
+    the greatest last one)."""
+    if ends[0] >= cut:
+        return np.zeros(len(rows), dtype=int)
+    if ends[1] < cut:
+        return np.full(len(rows), rows.shape[1])
+    return np.count_nonzero(rows < cut, axis=1)
+
+
+def _poisson_rows(kb, mb, buf):
+    """terms[i] = p_{kb[i]}(mb) for ascending counts kb, written into buf
+    viewed as (counts, *mb.shape).
+
+    A count one above the previous one takes the ratio p_k = p_{k-1} (m/k);
+    every other count (the first, one after a gap, a repeat) takes
+    `_poisson_terms` (p_0 = e^-m, its same bits, at k = 0).  The ratios of a
+    run are formed by one division and multiplied row by row.  Each product
+    adds about one rounding, where the direct formula carries the rounding
+    of k log m (Loader 2000).  On its column's own band a head is above
+    about e^-310 (m <= 311 there when k0 <= 1); where one underflows, off
+    that band, every row of the block is below e^-_LOG_CUT anyway.  Rows of
+    fewer than _RATIO_TERMS terms are all taken by `_poisson_terms`.
+    """
+    terms = buf.reshape(kb.size, *mb.shape)
+    kcol = kb.reshape(-1, *[1] * mb.ndim)
+    if mb.size < _RATIO_TERMS:
+        return _poisson_terms(kcol, mb, terms)
+    ks = kb.tolist()
+    i0 = 0
+    while i0 < len(ks):
+        head = terms[i0]
+        if ks[i0] == 0:
+            np.exp(np.negative(mb, out=head), out=head)
+        else:
+            _poisson_terms(ks[i0], mb, head)
+        i1 = i0 + 1
+        while i1 < len(ks) and ks[i1] == ks[i1 - 1] + 1:
+            i1 += 1
+        run = terms[i0 + 1:i1]
+        np.divide(mb, kcol[i0 + 1:i1], out=run)
+        for row in run:
+            row *= head
+            head = row
+        i0 = i1
+    return terms
+
+
+def _poisson_terms(kb, mb, out=None):
+    """p_k(m) = exp(k log m - m - log k!), formed in one array, `out` when it
+    is given (made, and 0-d for scalars, when not): separate temporaries are
+    large enough that the allocator returns them to the system, and pays
+    page faults to map them again."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(kb), np.shape(mb)))
+    np.multiply(kb, np.log(mb), out=out)
     out -= mb
     out -= gammaln(kb + 1.0)
     return np.exp(out, out=out)
@@ -619,11 +693,13 @@ def _pgf_search(t: float, lam: float, spec: SubordinatorSpec):
     pass reads the same p_k up to its 1e-13 aliasing and ~1e-14 rounding
     per value, so it could not have found a tail below 1e-10 either: the
     table is the one the doubling would end on.  Otherwise the doubling runs
-    as for any other clock, reusing the cap pass if it gets there.
+    as for any other clock, reusing the cap pass if it gets there.  When
+    `_cap_tail_bound` already puts P(N > 2000) below 2e-10 (tiny t), the cap
+    pass could not be kept, and the doubling runs without it.
     """
     n_cap = 4 * (_KMAX_CAP + 1)
     capped = None
-    if spec.mean_rate() == math.inf:
+    if spec.mean_rate() == math.inf and _cap_tail_bound(t, lam, spec) >= 2.0 * _TAIL_TARGET:
         capped = _pgf_values(t, lam, spec, n_cap)
         if np.all(_pgf_tails(capped[0]) >= 2.0 * _TAIL_TARGET):
             return (n_cap, *capped, _KMAX_CAP)
@@ -634,6 +710,14 @@ def _pgf_search(t: float, lam: float, spec: SubordinatorSpec):
         if kmax is not None or n == n_cap:
             return n, raw, r, _KMAX_CAP if kmax is None else kmax
         n = min(2 * n, n_cap)
+
+
+def _cap_tail_bound(t: float, lam: float, spec: SubordinatorSpec) -> float:
+    """P(N > 2000) <= (1 - G(u)) / (1 - u^2001) at u = 1 - 1/2001, G(u) =
+    exp(-t phi(lam (1 - u))) the generating function: for any u in (0, 1),
+    1 - u^N >= (1 - u^2001) 1{N > 2000}."""
+    n = _KMAX_CAP + 1
+    return -math.expm1(-t * float(spec.phi(lam / n).real)) / -math.expm1(n * math.log1p(-1.0 / n))
 
 
 def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -95,9 +96,18 @@ def _origin_sources(ks, t, lam, n, beta=1.0, u=None):
     return src
 
 
-def _pmf_tables(spec, lam, times, ks, tol=1e-11):
-    rule = mixture_rule(spec, lam, float(times[0]), float(times[-1]), int(np.max(ks)) + 1, tol)
-    return rule.pmf_matrix(times, ks)
+@lru_cache(maxsize=8)
+def _pmf_tables(spec, lam, grid: GridSpec, ks: tuple, origin: bool = False, tol=1e-11):
+    """P(N(X(t)) = k) for the counts ks on the finest times (`_fine_times`).
+
+    Made once per process for equal arguments, as cor3.1(1) asks for
+    thm3.1(2)'s table, so the table is read-only.
+    """
+    times = _fine_times(grid, origin)
+    rule = mixture_rule(spec, lam, float(times[0]), float(times[-1]), int(max(ks)) + 1, tol)
+    table = rule.pmf_matrix(times, ks)
+    table.flags.writeable = False
+    return table
 
 
 def _fine_times(grid: GridSpec, origin: bool = False):
@@ -182,7 +192,7 @@ def _eq_prop22(params, grid, ks):
     # (2 d^2) d/dt p~ = [lam^2 (1-shift)^2 - 2 d g lam (1-shift)] p~ + h(0,t) p'(0)
     lam, d, g = params["lam"], params["delta"], params["gamma"]
     t = _fine_times(grid)
-    P = _pmf_tables(InverseOf(InverseGaussian(d, g)), lam, t, ks)
+    P = _pmf_tables(InverseOf(InverseGaussian(d, g)), lam, grid, tuple(ks))
     h0 = hitting_time_density_ig(0.0, t, d, g)
     S = _shift_at_zero(1, ks, lam)[:, None] * h0[None, :] / (2.0 * d * d)
     shifts = {1: -2.0 * d * g * lam / (2.0 * d * d), 2: lam * lam / (2.0 * d * d)}
@@ -199,7 +209,7 @@ def _eq_ig_density_pde(params, grid, xs):
 
 def _eq_prop31(params, grid, ks):
     lam, n = params["lam"], int(params["n"])
-    P = _pmf_tables(Stable(0.5 ** n), lam, _fine_times(grid), ks, tol=1e-12)
+    P = _pmf_tables(Stable(0.5 ** n), lam, grid, tuple(ks), tol=1e-12)
     return _Problem(P, {2 ** n: 1.0}, {1: lam})
 
 
@@ -212,7 +222,7 @@ def _eq_deblassie(params, grid, xs):
 def _eq_thm31(params, grid, ks):
     lam, m_ord = params["lam"], int(params["m"])
     t = _fine_times(grid)
-    Q = _pmf_tables(InverseOf(Stable(1.0 / m_ord)), lam, t, ks)
+    Q = _pmf_tables(InverseOf(Stable(1.0 / m_ord)), lam, grid, tuple(ks))
     return _Problem(Q, {1: 1.0}, {m_ord: (-lam) ** m_ord}, _origin_sources(ks, t, lam, m_ord),
                     richardson=True)
 
@@ -225,7 +235,7 @@ def _eq_cor31(params, grid, ks):
 
 def _eq_frac_dde(params, grid, ks):
     lam, beta = params["lam"], params["beta"]
-    Q = _pmf_tables(InverseOf(Stable(beta)), lam, _fine_times(grid, origin=True), ks)
+    Q = _pmf_tables(InverseOf(Stable(beta)), lam, grid, tuple(ks), origin=True)
     return _Problem(Q, beta, {1: -lam})
 
 
@@ -233,7 +243,7 @@ def _eq_prop32(params, grid, ks):
     lam, n, beta = params["lam"], int(params["n"]), params["beta"]
     two_n = 2 ** n
     t = _fine_times(grid, origin=True)
-    Q = _pmf_tables(InverseOf(Stable(beta / two_n)), lam, t, ks)
+    Q = _pmf_tables(InverseOf(Stable(beta / two_n)), lam, grid, tuple(ks), origin=True)
     # u_j = U((2^n - j) / 2^n), U(gamma) = E[D(1)^(gamma beta)] of the outer index-beta clock
     S = _origin_sources(ks, t, lam, two_n, beta,
                         u=lambda j: stable_moment(beta, beta * (two_n - j) / two_n))
@@ -280,7 +290,7 @@ def _eq_prop41(params, grid, xs):
 
 def _eq_rmk41(params, grid, ks):
     lam, mu = params["lam"], params["mu"]
-    R = _pmf_tables(TemperedStable(0.5, mu), lam, _fine_times(grid), ks)
+    R = _pmf_tables(TemperedStable(0.5, mu), lam, grid, tuple(ks))
     return _Problem(R, {1: -2.0 * math.sqrt(mu), 2: 1.0}, {1: lam})
 
 
@@ -299,7 +309,7 @@ def _eq_inv_tempered_pde(params, grid, xs):
 def _eq_prop42(params, grid, ks):
     lam, mu = params["lam"], params["mu"]
     t = _fine_times(grid)
-    R = _pmf_tables(InverseOf(TemperedStable(0.5, mu)), lam, t, ks)
+    R = _pmf_tables(InverseOf(TemperedStable(0.5, mu)), lam, grid, tuple(ks))
     # exact boundary terms: m(0,t) = h(0,t) of the equal IG law, and
     # d/dx m(0,t) = 2 delta gamma m(0,t) = 2 sqrt(mu) m(0,t)
     m0 = hitting_time_density_ig(0.0, t, *tempered_half_as_ig(mu))

@@ -273,6 +273,23 @@ class TestStableDensity:
         assert np.all(grid[:, [0, 2]] == 0.0)
         assert np.array_equal(grid[:, 1], stable_density(np.array([0.5, 1.0]), 1.0, 0.1))
 
+    def test_right_tail_at_tiny_t(self):
+        # pdf(x t^(-1/beta)) leaves the normal floats before the scale lifts
+        # it back; the density keeps the leading tail term
+        x = np.array([1.0, 3.0, 1e4])
+        for t in np.geomspace(1e-20, 1e-30, 11):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = stable_density(x, t, 0.1)
+            lead = 0.1 * t * x ** -1.1 / math.gamma(0.9)
+            assert np.all(np.abs(got / lead - 1.0) <= 1e-6), t
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0 / 3.0, 0.7])
+    def test_normal_unit_pdf_keeps_the_scaled_product(self, beta):
+        x, t = np.geomspace(1e-3, 1e4, 60)[:, None], np.geomspace(1e-6, 10.0, 25)[None, :]
+        scale = t ** (-1.0 / beta)
+        assert np.array_equal(stable_density(x, t, beta), scale * stable_unit(beta).pdf(x * scale))
+
 
 class TestTemperedStable:
     def test_mu_zero_reduces_to_stable(self):

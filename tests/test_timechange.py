@@ -395,6 +395,71 @@ class TestInPlaceKernel:
         assert np.array_equal(got, _poisson_mix_reference(ks, x, 200.0, wd))
 
 
+def _mpmath_poisson(ks, m):
+    """p_k(m) = exp(k log m - m - log k!) at 30 digits."""
+    from mpmath import exp, log, loggamma, mpf, workdps
+
+    with workdps(30):
+        return np.array([[float(exp(k * log(mpf(v)) - mpf(v) - loggamma(k + 1))) for v in m]
+                         for k in ks])
+
+
+def _rows(ks, m):
+    """`_poisson_rows` on m, repeated to enough terms a row for the ratio."""
+    ks, reps = np.asarray(ks), -(-timechange._RATIO_TERMS // m.size)
+    return timechange._poisson_rows(ks, np.tile(m, reps), np.empty(ks.size * m.size * reps))[
+        :, :m.size]
+
+
+class TestRatioRows:
+    """A block's rows by the ratio p_k = p_{k-1} m/k from a direct head."""
+
+    def test_first_block_against_mpmath(self):
+        ks, m = np.arange(128), np.geomspace(1e-3, 300.0, 41)[1:]
+        want = _mpmath_poisson(ks, m)
+        normal = want >= 1e-290
+        rel = np.abs(_rows(ks, m) - want)[normal] / want[normal]
+        assert np.max(rel) <= 5e-15
+        # the direct formula carries the rounding of k log m, which this bound sees
+        direct = _poisson_terms_reference(ks[:, None], m)
+        assert np.max(np.abs(direct - want)[normal] / want[normal]) > 5e-15
+
+    @pytest.mark.parametrize("k0", [1000, 1872])
+    def test_far_blocks_against_mpmath(self, k0):
+        ks = np.arange(k0, k0 + 128)
+        m = np.linspace(k0 - math.sqrt(100.0 * k0), _poisson_cut(k0 + 127, 1.0, 50.0), 40)
+        want = _mpmath_poisson(ks, m)
+        normal = want >= 1e-290
+        assert np.max(np.abs(_rows(ks, m) - want)[normal] / want[normal]) <= 5e-12
+
+    def test_heads_take_the_direct_formula(self):
+        # the first count, a count after a gap and a repeat: the bits of
+        # `_poisson_terms`, k = 0 included
+        m = np.geomspace(1e-2, 250.0, 300)
+        ks = [0, 1, 2, 9, 9, 10, 40, 64]
+        got = _rows(ks, m)
+        for i in (0, 3, 4, 6, 7):
+            assert np.array_equal(got[i], timechange._poisson_terms(ks[i], m))
+        assert np.array_equal(got[1], got[0] * (m / 1))
+
+    @pytest.mark.parametrize("shared,columns,nodes", [
+        (True, 5, 900), (False, 5, 400), (False, 3, 4000),
+    ], ids=["shared-x", "union-band", "per-column-bands"])
+    def test_mixed_counts_match_a_dense_sum(self, shared, columns, nodes):
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(0.0, 3.0, (columns, nodes)), axis=1)
+        x = x[0] if shared else x
+        wd = rng.uniform(0.0, 1.0, (columns, nodes)) / nodes
+        # consecutive runs, gaps and repeats, some runs across a block's end
+        ks = np.array([0, 1, 2, 3, 3, 5, 6, 6, 6, 7, 30, *range(100, 240), 240, 240, 300, 599])
+        ks = rng.permutation(ks)
+        got = timechange._poisson_mix(ks, x, 200.0, wd)
+        m = 200.0 * np.broadcast_to(x, wd.shape)
+        dense = np.stack([_poisson_terms_reference(ks[:, None], row) @ w
+                          for row, w in zip(m, wd)], axis=1)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(dense)
+
+
 class TestBandedKernel:
     HEAVY = [Stable(0.3), Composition((Stable(0.5), Stable(0.5))), InverseGaussian(1.0, 0.0)]
 
@@ -627,12 +692,36 @@ class TestPgfRoute:
                 table = pmf_table(t, lam, spec, method="pgf")
                 assert table.values.tobytes() == values.tobytes()
                 assert (table.kmax, table.tail_bound, table.route) == (kmax, tail, route)
-                # the cap pass comes first; a doubling after it reuses it at 8004
-                assert calls[0] == 8004 and 8004 not in calls[1:]
+                # the cap pass comes first unless the tail bound rules it out;
+                # a doubling after it reuses it at 8004
+                first = 8004 if timechange._cap_tail_bound(t, lam, spec) >= 2e-10 else 256
+                assert calls[0] == first and 8004 not in calls[1:]
                 if t >= 1e-3:  # the tail stays high: the cap pass is the table
                     assert calls == [8004]
                 if t == 1e-12:  # p_0 ~ 1: the doubling stops at once
-                    assert calls == [8004, 256] and kmax < 64
+                    assert calls == [256] and kmax < 64
+
+    @pytest.mark.parametrize("t,lam,want", [
+        (1e-12, 1.0, [256]), (1e-8, 0.5, [256, 512]), (1.0, 1.0, [8004])])
+    def test_tail_bound_skips_the_cap_pass_at_tiny_t(self, monkeypatch, t, lam, want):
+        spec = Stable(0.7)
+        values, kmax, tail, route = self._doubling(t, lam, spec)
+        calls = self._counting(monkeypatch)
+        table = pmf_table(t, lam, spec, method="pgf")
+        assert calls == want
+        assert table.values.tobytes() == values.tobytes()
+        assert (table.kmax, table.tail_bound, table.route) == (kmax, tail, route)
+
+    @pytest.mark.parametrize("spec", ONE_PASS[:4] + ONE_PASS[6:], ids=[
+        "stable0.1", "stable0.3", "stable0.5", "stable0.7", "ig-gamma0", "stable0.5-ig",
+        "ig-stable0.9"])
+    def test_cap_tail_bound_holds(self, spec):
+        # P(N > 2000) = 1 - sum of the cap pass's 2001 values, up to its 1e-13 aliasing
+        for t in (1e-8, 1e-5, 1e-3, 1.0):
+            for lam in (0.5, 20.0):
+                raw, _ = _pgf_values(t, lam, spec, 8004)
+                past = 1.0 - float(np.sum(raw[:2001]))
+                assert past <= timechange._cap_tail_bound(t, lam, spec) + 1e-12
 
     def test_finite_or_unstated_mean_keeps_the_doubling(self, monkeypatch):
         @dataclasses.dataclass(frozen=True)

@@ -290,8 +290,8 @@ DEFAULT_CAMPAIGN = [
     ("prop2.1", False, 3.8789312677641883, 3.017643912528456e-09),
     ("prop2.2", False, 1.835916283839684, 4.044259849361742e-05),
     ("ig-density-pde", False, 1.9820886306533299, 0.0007486504984965947),
-    ("prop3.1(1)", False, 1.9334195720101248, 2.1165384826160594e-05),
-    ("prop3.1(2)", False, 1.87770070001487, 3.270482348571857e-05),
+    ("prop3.1(1)", False, 1.9334195766607989, 2.1165384598731407e-05),
+    ("prop3.1(2)", False, 1.8777129585043737, 3.2703892163143955e-05),
     ("deblassie(1/2)", False, 1.9986539820740792, 9.383983871380508e-05),
     ("deblassie(1/3)", False, 1.8283196536741098, 0.00019770324580314913),
     ("thm3.1(2)", False, 3.0437113473636597, 1.6728078072736352e-07),
@@ -304,7 +304,7 @@ DEFAULT_CAMPAIGN = [
     ("prop3.2", False, 1.2433939835716963, 0.00025224899508047294),
     ("prop4.1(2)", False, 1.9965067667664327, 0.00024442579086336735),
     ("prop4.1(3)", False, 1.9992546673700806, 7.346198830138206e-05),
-    ("rmk4.1(2)", False, 1.978328254303906, 7.144321099716855e-06),
+    ("rmk4.1(2)", False, 1.9783282298180664, 7.1443215039490582e-06),
     ("inv-tempered-pde(2)", False, 1.748184326678066, 0.0005046199160323728),
     ("prop4.2(2)", False, 1.8398009735943082, 6.297588886489125e-05),
 ]
@@ -323,3 +323,37 @@ def test_default_campaign_is_pinned(tmp_path):
         assert rep["floor_limited"] is floor_limited, eq
         assert rep["estimated_order"] == pytest.approx(order, rel=0, abs=1e-9), eq
         assert rep["levels"][-1]["max_residual"] == pytest.approx(finest, rel=1e-9, abs=0), eq
+
+
+class TestCountTableCache:
+    """Equal count-table requests share one read-only table: cor3.1(1) asks
+    for thm3.1(2)'s."""
+
+    def test_equal_requests_share_one_read_only_table(self):
+        from tcpp.subordinators.spec import InverseOf, Stable
+        from tcpp.verify.registry import REGISTRY, _pmf_tables
+
+        _pmf_tables.cache_clear()
+        grid = REGISTRY["thm3.1(2)"].default_grid
+        a = _pmf_tables(InverseOf(Stable(0.5)), 1.0, grid, (0, 1, 2, 3))
+        b = _pmf_tables(InverseOf(Stable(1.0 / 2)), 1.0, GridSpec(0.25, 4.0, 31, 5), (0, 1, 2, 3))
+        assert b is a and a.shape == (4, 481) and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.5
+        assert _pmf_tables.cache_info().currsize == 1
+        _pmf_tables.cache_clear()
+        assert _pmf_tables.cache_info().currsize == 0
+        c = _pmf_tables(InverseOf(Stable(0.5)), 1.0, grid, (0, 1, 2, 3))
+        assert c is not a and np.array_equal(c, a)
+
+    def test_served_check_reports_as_a_fresh_one(self):
+        from tcpp.verify.registry import _pmf_tables
+
+        _pmf_tables.cache_clear()
+        fresh = check_equation("cor3.1(1)").to_dict()
+        _pmf_tables.cache_clear()
+        check_equation("thm3.1(2)")
+        hits = _pmf_tables.cache_info().hits
+        served = check_equation("cor3.1(1)").to_dict()
+        assert _pmf_tables.cache_info().hits == hits + 1
+        assert json.dumps(served) == json.dumps(fresh)
