@@ -17,7 +17,6 @@ from .errors import (
 )
 from .specfun import (
     TimeSeries,
-    bessel_k,
     caputo_derivative,
     gamma_fn,
     laplace_numeric,
@@ -51,7 +50,6 @@ from .subordinators.spec import (
 )
 from .timechange import (
     PmfTable,
-    PoissonParams,
     fractional_poisson_pmf,
     moments_ig,
     pmf_bessel_ig,
@@ -62,7 +60,7 @@ from .timechange import (
     waiting_time_lt,
     waiting_time_survival,
 )
-from .verify.operators import convergence_order, fd_derivative, shift_power
+from .verify.operators import shift_power
 from .verify.registry import check_equation, registry_ids
 from .verify.report import GridSpec, ResidualReport
 

@@ -8,11 +8,12 @@ Subcommands:
 
 Exit codes: 0 success, 2 input error (a malformed or out-of-domain argument,
 spec or campaign config, or an output path that cannot be written), 3
-capability error (method not available for the spec, or its route did not
-converge), 4 verification failure (a check failed, or raised: its report then
-has status "error").  The commands raise; `main` alone maps each error to its
-exit code, through `_EXIT_CODES`.  The TCPP_SEED environment variable provides
-a seed when --seed is absent.
+capability error (method not available for the spec, its route did not
+converge, or the request needs more memory than the machine gives), 4
+verification failure (a check failed, or raised: its report then has status
+"error").  The commands raise; `main` alone maps each error to its exit code,
+through `_EXIT_CODES`.  The TCPP_SEED environment variable provides a seed
+when --seed is absent.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import os
 import re
 import sys
 import traceback
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from .timechange import (
     pmf_monte_carlo,
     pmf_table,
 )
-from .verify.registry import check_equation, equation_params, equation_points
+from .verify.registry import check_equation, equation_params, equation_points, registry_ids
 from .verify.report import ErrorReport, GridSpec
 
 EXIT_OK = 0
@@ -57,8 +57,8 @@ EXIT_VERIFY = 4
 # every error a command ends in on bad input or a refused route; any other
 # exception is a bug and keeps its traceback
 _EXIT_CODES = {ConvergenceError: EXIT_CAPABILITY, NoDensityError: EXIT_CAPABILITY,
-               DomainError: EXIT_INPUT, UnknownEquationError: EXIT_INPUT, OSError: EXIT_INPUT,
-               UnicodeDecodeError: EXIT_INPUT}
+               MemoryError: EXIT_CAPABILITY, DomainError: EXIT_INPUT,
+               UnknownEquationError: EXIT_INPUT, OSError: EXIT_INPUT, UnicodeDecodeError: EXIT_INPUT}
 
 
 # numpy's Poisson sampler refuses a mean above about 9.22e18
@@ -140,13 +140,15 @@ _REQUEST_KEYS = {"equation_id", "params", "grid", "k_range"}
 
 
 def _load_campaign(path: str | None) -> list:
-    """The campaign's request list, each request checked before any runs."""
+    """The campaign's request list, each request checked before any runs.
+
+    Without a config file it is every registered equation at its defaults,
+    in registry order, which needs no check.
+    """
     if path is None:
-        text = resources.files("tcpp.data").joinpath("default_campaign.json").read_text()
-    else:
-        text = Path(path).read_text()
+        return [{"equation_id": eq} for eq in registry_ids()]
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DomainError(f"campaign config is not valid JSON: {exc}") from exc
     requests = cfg.get("requests") if isinstance(cfg, dict) else cfg
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a residual-verification campaign")
     p.add_argument("--config", default=None,
-                   help="campaign JSON (default: the packaged standard campaign)")
+                   help="campaign JSON (default: every registered equation)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(fn=cmd_verify)
 

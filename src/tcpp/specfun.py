@@ -1,9 +1,8 @@
 """Special functions backing every density and pmf formula in the package.
 
-Gamma, the modified Bessel function of the third kind K_nu (and the log of
-its exponentially scaled half-integer orders), the Mittag-Leffler function
-E_beta, the Caputo fractional derivative (L1 scheme), and a numerical Laplace
-transform for densities on the positive half-line.
+Gamma, the Mittag-Leffler function E_beta, the Caputo fractional derivative
+(L1 scheme), and a numerical Laplace transform for densities on the positive
+half-line.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from .errors import ConvergenceError, DomainError, GridTooCoarseError, PoleError
 __all__ = [
     "TimeSeries",
     "gamma_fn",
-    "bessel_k",
-    "log_bessel_k_half_scaled",
     "mittag_leffler",
     "caputo_derivative",
     "laplace_numeric",
@@ -62,62 +59,6 @@ def gamma_fn(x: float) -> float:
     if x <= 0 and x == math.floor(x):
         raise PoleError(f"gamma has a pole at {x}")
     return math.gamma(x)
-
-
-def log_bessel_k_half_scaled(n: int, omega):
-    """log(e^omega K_{n+1/2}(omega)) by the finite sum, vectorized in omega > 0.
-
-    K_{n+1/2}(w) = sqrt(pi/(2w)) e^{-w} sum_{i=0}^{n} (n+i)! / (i! (n-i)! (2w)^i),
-    summed in log space.  The scaled log leaves e^{-w} to the caller, who can
-    cancel it exactly against other exponentials.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    i = np.arange(n + 1, dtype=float)
-    log_terms = (
-        gammaln(n + i + 1.0)
-        - gammaln(i + 1.0)
-        - gammaln(n - i + 1.0)
-        - i[None, :] * np.log(2.0 * omega)[:, None]
-    )
-    peak = np.max(log_terms, axis=1)
-    log_sum = peak + np.log(np.sum(np.exp(log_terms - peak[:, None]), axis=1))
-    return 0.5 * (math.log(math.pi) - np.log(2.0 * omega)) + log_sum
-
-
-def _bessel_k_integral(nu: float, omega: float, tol: float = 1e-12) -> float:
-    """K_nu by quadrature of (1/2) int_0^inf x^(nu-1) exp(-w(x+1/x)/2) dx.
-
-    The substitution x = e^u turns the integral into
-    int_0^inf cosh(nu*u) exp(-w*cosh(u)) du with doubly-exponential decay;
-    the integrand is scaled by exp(omega) to dodge premature underflow.
-    """
-
-    def integrand(u):
-        return math.cosh(nu * u) * math.exp(-omega * (math.cosh(u) - 1.0))
-
-    # cosh(u_max) - 1 large enough that the integrand is below 1e-20 relative
-    u_max = math.acosh(1.0 + (50.0 + nu) / omega) + 2.0
-    val, err = quad(integrand, 0.0, u_max, epsabs=tol, epsrel=1e-13, limit=200)
-    if err > 10 * max(tol, 1e-13 * abs(val)):
-        raise ConvergenceError("bessel_k quadrature did not converge")
-    return val * math.exp(-omega)
-
-
-def bessel_k(nu: float, omega: float, tol: float = 1e-12) -> float:
-    """Modified Bessel function of the third kind K_nu(omega), omega > 0.
-
-    Half-integer orders use the finite-sum closed form
-    (`log_bessel_k_half_scaled`); other orders fall through to the integral
-    representation.  Symmetric in nu.
-    """
-    omega = float(omega)
-    if omega <= 0:
-        raise DomainError("bessel_k requires omega > 0")
-    nu = abs(float(nu))
-    half = nu - 0.5
-    if abs(half - round(half)) < 1e-13 and half >= -0.25:
-        return float(np.exp(log_bessel_k_half_scaled(int(round(half)), omega)[0] - omega))
-    return _bessel_k_integral(nu, omega, tol)
 
 
 def _ml_series(beta: float, z: float, tol: float):
@@ -171,7 +112,11 @@ def _ml_cm_integral(beta: float, x: float, tol: float) -> float:
     return pref * (val1 + val2)
 
 
-def mittag_leffler(beta: float, z: float, tol: float = 1e-10) -> float:
+# absolute tolerance of E_beta by either route
+_ML_TOL = 1e-10
+
+
+def mittag_leffler(beta: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_beta(z) for 0 < beta <= 1.
 
     Series summation where it is well conditioned; for large negative z the
@@ -193,12 +138,12 @@ def mittag_leffler(beta: float, z: float, tol: float = 1e-10) -> float:
     # term does not exceed ~e^14 (keeps >10 significant digits)
     z_series = min(5.0, 14.0 ** beta)
     if z > 0 or abs(z) <= z_series:
-        val, ok = _ml_series(beta, z, tol)
+        val, ok = _ml_series(beta, z, _ML_TOL)
         if ok:
             return val
         if z > 0:
             raise ConvergenceError("mittag_leffler series lost all precision")
-    return _ml_cm_integral(beta, -z, tol)
+    return _ml_cm_integral(beta, -z, _ML_TOL)
 
 
 def caputo_derivative(series: TimeSeries, beta: float, u0: float) -> TimeSeries:
@@ -224,7 +169,11 @@ def caputo_derivative(series: TimeSeries, beta: float, u0: float) -> TimeSeries:
     return TimeSeries(series.times, out)
 
 
-def laplace_numeric(f, s: float, tol: float = 1e-9) -> float:
+# absolute tolerance of the numerical Laplace transform
+_LAPLACE_TOL = 1e-9
+
+
+def laplace_numeric(f, s: float) -> float:
     """int_0^inf exp(-s x) f(x) dx by adaptive quadrature.
 
     The domain is split at an automatically detected mass center of f so that
@@ -244,8 +193,8 @@ def laplace_numeric(f, s: float, tol: float = 1e-9) -> float:
     mass[~np.isfinite(mass)] = 0.0
     x_c = float(probe[int(np.argmax(mass))]) if np.any(mass > 0) else 1.0
 
-    val1, err1 = quad(g, 0.0, x_c, epsabs=0.25 * tol, epsrel=1e-11, limit=400)
-    val2, err2 = quad(g, x_c, np.inf, epsabs=0.25 * tol, epsrel=1e-11, limit=400)
-    if err1 + err2 > 20 * tol:
+    val1, err1 = quad(g, 0.0, x_c, epsabs=0.25 * _LAPLACE_TOL, epsrel=1e-11, limit=400)
+    val2, err2 = quad(g, x_c, np.inf, epsabs=0.25 * _LAPLACE_TOL, epsrel=1e-11, limit=400)
+    if err1 + err2 > 20 * _LAPLACE_TOL:
         raise ConvergenceError("laplace_numeric did not reach tolerance")
     return val1 + val2

@@ -50,7 +50,6 @@ from .subordinators.spec import (
 )
 
 __all__ = [
-    "PoissonParams",
     "PmfTable",
     "poisson_pmf",
     "pmf_bessel_ig",
@@ -63,15 +62,6 @@ __all__ = [
     "waiting_time_survival",
     "waiting_time_lt",
 ]
-
-
-@dataclass(frozen=True)
-class PoissonParams:
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError("Poisson rate must be positive")
 
 
 # -- Poisson pmf and its x-derivatives -----------------------------------------
@@ -797,16 +787,20 @@ def _talbot(transform, t: float, m: int) -> float:
 # -- moments and waiting times -----------------------------------------------------
 
 
-def ig_moment_table(t: float, lam: float, delta: float, gamma: float,
-                    tol: float = 1e-7) -> PmfTable:
-    """PmfTable deep enough that even the k^2-weighted tail is below tol.
+# bound on the k^2-weighted tail of ig_moment_table
+_MOMENT_TAIL = 1e-7
+
+
+def ig_moment_table(t: float, lam: float, delta: float, gamma: float) -> PmfTable:
+    """PmfTable deep enough that even the k^2-weighted tail is below 1e-7.
 
     Second-moment summation needs far more of the sub-exponential tail than
-    pmf mass does: the table grows until tail_bound * kmax^2 < tol.  It stays
-    on the quadrature route: the PGF route's tail bound carries the 1e-13
-    aliasing floor, which times kmax^2 (kmax ~ 1000 at lambda = 2, gamma =
-    0.5, t = 5) never drops below 1e-7, and its far-tail values are rounding
-    noise near 1e-14, absolute, which a k^2-weighted sum cannot absorb.
+    pmf mass does: the table grows until tail_bound * kmax^2 < _MOMENT_TAIL.
+    It stays on the quadrature route: the PGF route's tail bound carries the
+    1e-13 aliasing floor, which times kmax^2 (kmax ~ 1000 at lambda = 2,
+    gamma = 0.5, t = 5) never drops below 1e-7, and its far-tail values are
+    rounding noise near 1e-14, absolute, which a k^2-weighted sum cannot
+    absorb.
     """
     mean, var = moments_ig(t, lam, delta, gamma)
     reach = mean + 70.0 * math.sqrt(var)
@@ -814,7 +808,7 @@ def ig_moment_table(t: float, lam: float, delta: float, gamma: float,
     while kmax < 20000:
         table = pmf_table(t, lam, InverseGaussian(delta, gamma), kmax=kmax,
                           method="quadrature")
-        if table.tail_bound * kmax * kmax < tol:
+        if table.tail_bound * kmax * kmax < _MOMENT_TAIL:
             return table
         kmax = int(1.5 * kmax)
     raise ConvergenceError("could not bound the second-moment tail")

@@ -6,17 +6,14 @@ extrapolation, and convergence-order estimation from residual sequences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import comb
 
 from ..errors import DomainError, GridTooCoarseError
-from ..specfun import TimeSeries
 
-__all__ = ["shift_power", "fd_derivative", "central_difference", "estimate_order",
-           "convergence_order"]
+__all__ = ["shift_power", "central_difference", "estimate_order"]
 
 
 def shift_power(values, j: int, axis: int = 0):
@@ -77,15 +74,6 @@ def central_difference(y, h: float, order: int, richardson: bool = False):
     return (4.0 * d1[..., trim:-trim or None] - d2) / 3.0, m2
 
 
-def fd_derivative(series: TimeSeries, order: int, richardson: bool = True) -> TimeSeries:
-    """Interior-point derivative of a uniformly sampled TimeSeries."""
-    h = series.step
-    if series.times.size < 4:
-        raise GridTooCoarseError("fd_derivative needs at least 4 points")
-    d, m = central_difference(series.values, h, order, richardson)
-    return TimeSeries(series.times[m:-m], d)
-
-
 @dataclass(frozen=True)
 class OrderEstimate:
     order: float | None
@@ -118,11 +106,3 @@ def estimate_order(hs, residuals, floor: float = 1e-9) -> OrderEstimate:
     )
     return OrderEstimate(float(slope), False, monotone, int(ru.size))
 
-
-def convergence_order(report) -> float:
-    """Estimated order of a ResidualReport (>= 3 refinement levels required)."""
-    if len(report.levels) < 3:
-        raise DomainError("convergence_order needs at least 3 refinement levels")
-    if report.floor_limited:
-        return math.nan
-    return float(report.estimated_order)

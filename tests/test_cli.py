@@ -486,6 +486,25 @@ def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, config, code):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("patched,argv", [
+    ("pmf_monte_carlo", ["pmf", "--spec", '{"type":"stable","beta":0.5}', "--lambda", "1",
+                         "--t", "1", "--method", "mc", "--count", "1000000000000",
+                         "--out", "{tmp}/t.csv"]),
+    ("sample_path", _SIM + ["--paths", "1000000000000", "--out", "{tmp}/s.csv"]),
+], ids=["pmf-mc-count-huge", "simulate-paths-huge"])
+def test_memory_exhaustion_is_capability_error(tmp_path, capsys, monkeypatch, patched, argv):
+    # the patched route fails as numpy does when it cannot allocate, so the
+    # test allocates nothing
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(f"tcpp.cli.{patched}", refuse)
+    rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_long_inline_spec_is_not_taken_for_a_path(tmp_path):
     # longer than a file name may be: an inline spec must not be looked up as a path
     spec = json.dumps({"type": "compose", "parts": [json.loads(IG_SPEC)] * 12})

@@ -4,16 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc, kv, kve
+from scipy.special import erfc
 
 from tcpp.errors import DomainError, GridTooCoarseError, PoleError
 from tcpp.specfun import (
     TimeSeries,
-    bessel_k,
     caputo_derivative,
     gamma_fn,
     laplace_numeric,
-    log_bessel_k_half_scaled,
     mittag_leffler,
 )
 
@@ -38,54 +36,6 @@ class TestGamma:
         for x in (0.0, -1.0, -7.0):
             with pytest.raises(PoleError):
                 gamma_fn(x)
-
-
-class TestBesselK:
-    def test_half_integer_closed_form(self):
-        expected = math.sqrt(math.pi / 2.0) * math.exp(-1.0)
-        assert bessel_k(0.5, 1.0) == pytest.approx(expected, abs=1e-13)
-
-    def test_symmetry(self):
-        for w in (0.1, 1.0, 7.0):
-            assert bessel_k(-0.5, w) == bessel_k(0.5, w)
-            assert bessel_k(-2.3, w) == pytest.approx(bessel_k(2.3, w), abs=1e-12)
-
-    def test_three_halves_closed_form(self):
-        w = 2.0
-        expected = math.sqrt(math.pi / (2 * w)) * math.exp(-w) * (1 + 1 / w)
-        assert bessel_k(1.5, w) == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
-    @pytest.mark.parametrize("omega", [0.1, 1.0, 5.0, 20.0])
-    def test_closed_form_vs_quadrature(self, nu, omega):
-        # dual route: finite sum against the integral representation
-        from tcpp.specfun import _bessel_k_integral
-
-        closed = bessel_k(nu, omega)
-        integral = _bessel_k_integral(nu, omega)
-        assert abs(closed - integral) <= 1e-10
-
-    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.2, 3.7])
-    @pytest.mark.parametrize("omega", [0.1, 1.0, 5.0, 20.0])
-    def test_general_order_reference(self, nu, omega):
-        assert bessel_k(nu, omega) == pytest.approx(float(kv(nu, omega)), rel=1e-10)
-
-    @pytest.mark.parametrize("n", [0, 1, 5, 20, 100])
-    def test_half_integer_against_kve(self, n):
-        # log form: at omega = 700, K is near 1e-304 and kv underflows soon after
-        omega = np.array([1.0, 10.0, 100.0, 700.0])
-        want = np.log(kve(n + 0.5, omega))
-        got = log_bessel_k_half_scaled(n, omega)
-        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-        for w, lw in zip(omega, want):
-            got_k = math.log(bessel_k(n + 0.5, w))
-            assert abs(got_k - (lw - w)) <= 1e-13 * max(1.0, abs(lw - w))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bessel_k(0.5, 0.0)
-        with pytest.raises(DomainError):
-            bessel_k(0.5, -1.0)
 
 
 class TestMittagLeffler:

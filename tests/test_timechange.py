@@ -1,6 +1,7 @@
 """Pmf, moment, and waiting-time computations for time-changed counts."""
 
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -26,7 +27,6 @@ from tcpp.timechange import (
     _PGF_ALIAS,
     MixtureRule,
     PmfTable,
-    PoissonParams,
     _pgf_values,
     _poisson_cut,
     fractional_poisson_pmf,
@@ -89,9 +89,10 @@ class TestPoissonPmf:
             ) / (h * h)
             assert poisson_pmf(k, x, lam, order=2) == pytest.approx(fd2, abs=1e-6)
 
-    def test_poisson_params_validation(self):
+    @pytest.mark.parametrize("k,x,order", [(-1, 1.0, 0), (0, -1.0, 0), (1, -0.5, 1), (2, 1.0, 3)])
+    def test_domain(self, k, x, order):
         with pytest.raises(DomainError):
-            PoissonParams(0.0)
+            poisson_pmf(k, x, 1.0, order=order)
 
 
 class TestBesselPmf:
@@ -166,6 +167,80 @@ class TestBesselPmf:
             assert float(abs(pgf[k] - w)) <= 1e-14, k
         for got, w in zip(waits, lt):
             assert float(abs(got - w) / w) <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("omega", [0.1, 1.0, 5.0, 20.0])
+    def test_against_mixing_integral(self, k, omega):
+        # dual route: the closed form (Bessel order k - 1/2 at omega = delta t c)
+        # against scipy's quadrature of the Poisson pmf over the IG(delta t,
+        # gamma) density, both written out here
+        from scipy.integrate import quad
+
+        lam, delta, gamma = 1.0, 0.7, 1.3
+        c = math.sqrt(gamma * gamma + 2.0 * lam)
+        t = omega / (delta * c)
+        a = delta * t
+
+        def integrand(x):
+            log_ig = (math.log(a / math.sqrt(2.0 * math.pi)) - 1.5 * math.log(x)
+                      + a * gamma - 0.5 * (a * a / x + gamma * gamma * x))
+            return math.exp(log_ig - lam * x + k * math.log(lam * x) - math.lgamma(k + 1))
+
+        mode = a * a / 3.0 if a < 1.0 else a / gamma  # split near the density's mass
+        want = sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+                   for lo, hi in ((0.0, mode), (mode, np.inf)))
+        assert pmf_bessel_ig(k, t, lam, delta, gamma) == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 20, 100])
+    def test_log_recurrence_against_kve(self, n):
+        # log form: at omega = 700 the closed form's factors e^{-omega} and
+        # K_{n+1/2}(omega) each underflow alone, and kve keeps only their product
+        from scipy.special import kve
+
+        lam, delta, gamma = 1.0, 2.0, 0.5
+        c = math.sqrt(gamma * gamma + 2.0 * lam)
+        omega = np.array([1.0, 10.0, 100.0, 700.0])
+        t = omega / (delta * c)
+        k = n + 1
+        want = (0.5 * np.log(2.0 * omega / math.pi) + k * np.log(lam * delta * t / c)
+                - math.lgamma(k + 1) - t * delta * (c - gamma) + np.log(kve(n + 0.5, omega)))
+        logs = timechange._ig_count_logs(t, lam, delta, gamma)
+        got = next(itertools.islice(logs, k, None))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("method", ["bessel", "pgf", "quadrature"])
+    @pytest.mark.parametrize("t,lam,delta,gamma", [
+        (0.3, 1.0, 1.0, 1.0),
+        (1.0, 2.5, 0.4, 0.8),
+        (4.0, 0.5, 1.5, 2.0),
+        (10.0, 1.0, 0.2, 0.3),
+    ])
+    def test_every_route_against_kve(self, method, t, lam, delta, gamma):
+        # the three table routes of an IG clock against the closed form with
+        # scipy's e^omega K_{k-1/2}(omega)
+        from scipy.special import kve
+
+        c = math.sqrt(gamma * gamma + 2.0 * lam)
+        omega = delta * t * c
+        ks = np.arange(21)
+        want = np.exp(0.5 * np.log(2.0 * omega / math.pi) + ks * math.log(lam * delta * t / c)
+                      - gammaln(ks + 1.0) - t * delta * (c - gamma)) * kve(ks - 0.5, omega)
+        got = pmf_table(t, lam, InverseGaussian(delta, gamma), kmax=20, method=method).values
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("k,t,lam,delta", [
+        (-1, 1.0, 1.0, 1.0),
+        (0, 0.0, 1.0, 1.0),
+        (0, -1.0, 1.0, 1.0),
+        (0, math.nan, 1.0, 1.0),
+        (0, 1.0, 0.0, 1.0),
+        (0, 1.0, 1.0, 0.0),
+        (0, 1.0, 1.0, -2.0),
+        (2, [1.0, -1.0], 1.0, 1.0),
+    ])
+    def test_domain(self, k, t, lam, delta):
+        with pytest.raises(DomainError):
+            pmf_bessel_ig(k, t, lam, delta, 1.0)
 
 
 class TestQuadraturePmf:
