@@ -133,8 +133,8 @@ def stable_density(x, t, beta: float):
     x = np.asarray(x, dtype=float)
     _positive("stable_density", x, t)
     su = stable_unit(beta)
-    # where t^(-1/beta) overflows (a float t raises, an array t gives inf), so
-    # small a t puts D(t) at 0: its density at x > 0 is 0, not inf * pdf(inf)
+    # where t^(-1/beta) overflows (a float t raises, an array t gives inf),
+    # u = x t^(-1/beta) is inf, as it is where x t^(-1/beta) alone overflows
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             scale = t ** (-1.0 / beta)
@@ -144,13 +144,18 @@ def stable_density(x, t, beta: float):
         pdf = su.pdf(u)
         dens = scale * pdf
     # far right at tiny t, pdf(u) leaves the normal floats before the huge
-    # scale multiplies it back: there the density is taken in logs
+    # scale multiplies it back, or u itself overflows: there the density is
+    # taken in logs, from log u = log x - log(t)/beta when u is inf
     u = np.broadcast_to(u, pdf.shape)
-    lost = (pdf < np.finfo(float).tiny) & (u > 1.0) & np.isfinite(u)
-    if np.any(lost):
+    far = ~np.isfinite(u)
+    lost = (pdf < np.finfo(float).tiny) & (u > 1.0) & ~far
+    if np.any(lost | far):
         log_scale = np.broadcast_to(-np.log(t) / beta, dens.shape)
         dens[lost] = np.exp(su.log_pdf(u[lost]) + log_scale[lost])
-    return np.where(scale < math.inf, dens, 0.0)
+        log_u = np.broadcast_to(np.log(x), dens.shape)[far] + log_scale[far]
+        with np.errstate(over="ignore"):  # a density past the float range is inf
+            dens[far] = np.exp(su.log_tail_pdf_at_log(log_u) + log_scale[far])
+    return dens
 
 
 def stable_cdf(x, t: float, beta: float):

@@ -5,6 +5,15 @@ keyed by (seed, stream).  Batches are reproducible for a given
 (spec, t, seed, stream, count) regardless of what else ran before, and
 parallel consumers get disjoint streams.
 
+Single-t draws are made 2^14 values at a time (`_in_blocks`), so a sampler's
+temporaries stay cache-sized and are reused rather than faulted in afresh.
+A batch of at most 2^14 values is one block, drawn as before blocking; a
+larger batch draws its blocks in order from the one stream, so its values
+(and the Monte Carlo tables built on them) changed once, with the same law,
+when blocking came in.  The first-passage walks (inverse tempered of index
+other than 1/2, inverses of compositions) draw a whole batch in one walk:
+their Python loop costs the same per call, so blocks would multiply it.
+
 Sampler routes (each process class in tcpp.subordinators.spec picks its own):
 
 * IG(delta, gamma):  two-root transformation method (gamma > 0); the
@@ -75,6 +84,20 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
+# a single-t draw, and the pieces of split tempered values, take at most this
+# many values per numpy pass, so memory does not grow with the count
+_DRAW_BLOCK = 2 ** 14
+
+
+def _in_blocks(n: int, draw):
+    """n values from draw(b) on consecutive blocks of b <= _DRAW_BLOCK values,
+    in order; n <= _DRAW_BLOCK is a single call."""
+    out = np.empty(n)
+    for lo in range(0, n, _DRAW_BLOCK):
+        out[lo:lo + _DRAW_BLOCK] = draw(min(_DRAW_BLOCK, n - lo))
+    return out
+
+
 # -- elementary samplers -----------------------------------------------------
 
 
@@ -112,9 +135,6 @@ def _sample_stable(rng, t, beta, n=None):
 
 # the squeeze splits the proposal angle theta = pi U into equal bins of U
 _SQUEEZE_BINS = 256
-# a call draws the pieces of its split tempered values in chunks of at most
-# this many, so memory does not grow with mu^beta t times the count
-_PIECE_ELEMS = 2 ** 14
 
 
 @lru_cache(maxsize=32)
@@ -181,7 +201,7 @@ def _sample_tempered(rng, t, beta, mu, n=None):
     draws at t/m (infinite divisibility), each accepted with probability
     >= e^-2, so a draw costs O(mu^beta t) proposals.  The unsplit elements
     are drawn first, in one tilting call; then the pieces, in chunks of at
-    most _PIECE_ELEMS.
+    most _DRAW_BLOCK.
     """
     t = np.asarray(t, dtype=float)
     size = t.shape if n is None else (n,)
@@ -195,8 +215,8 @@ def _sample_tempered(rng, t, beta, mu, n=None):
     elems = np.flatnonzero(split)
     counts = pieces[split].astype(np.int64)
     ends = np.cumsum(counts)
-    for lo in range(0, int(ends[-1]), _PIECE_ELEMS):
-        hi = min(lo + _PIECE_ELEMS, int(ends[-1]))
+    for lo in range(0, int(ends[-1]), _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, int(ends[-1]))
         owner = np.searchsorted(ends, np.arange(lo, hi), side="right")
         draws = _sample_tilted(rng, t_flat[elems[owner]] / counts[owner], beta, mu)
         first = np.flatnonzero(np.diff(owner, prepend=-1))

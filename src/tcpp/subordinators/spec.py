@@ -43,6 +43,7 @@ from .densities import (
     tempered_stable_density,
 )
 from .sampling import (
+    _in_blocks,
     _sample_ig,
     _sample_ig_hitting,
     _sample_stable,
@@ -133,8 +134,8 @@ class Clock:
         return 0.0
 
     def draw(self, rng, t: float, n: int):
-        """n values at time t."""
-        return self.increment(rng, np.full(n, t))
+        """n values at time t, one increment call per block (`_in_blocks`)."""
+        return _in_blocks(n, lambda b: self.increment(rng, np.full(b, t)))
 
 
 @dataclass(frozen=True)
@@ -404,7 +405,9 @@ def _half_ig(beta, mu):
 class _Hitting(Clock):
     """Hitting route of `base`.  Its `path` takes one grid or an (n, L)
     matrix of nondecreasing per-path levels; a draw is a path on the
-    one-point grid unless the route has a cheaper single-t sampler."""
+    one-point grid unless the route has a cheaper single-t sampler.  That
+    path is one first-passage walk for the whole count, not blocks: the
+    walk's Python loop costs the same per call whatever its size."""
 
     base: SubordinatorSpec
 
@@ -455,11 +458,12 @@ class _InverseStable(_Hitting):
         return _sample_stable_passages(rng, t_grid, self.base.beta, paths)
 
     def draw(self, rng, t, n):
+        ig = _half_ig(self.base.beta, 0.0)
+        if ig is not None:
+            return ig.hitting().draw(rng, t, n)
         b = self.base.beta
-        if b == 0.5:
-            return super().draw(rng, t, n)
         # exact: E(t) =d (t / D(1))^beta by self-similar first passage
-        return (t / _sample_stable_unit(rng, b, (n,))) ** b
+        return _in_blocks(n, lambda m: (t / _sample_stable_unit(rng, b, (m,))) ** b)
 
 
 class _HittingIG(_Hitting):
@@ -475,6 +479,19 @@ class _HittingIG(_Hitting):
 
     def path(self, rng, t_grid, paths):
         return _sample_ig_hitting(rng, t_grid, self.base.delta, self.base.gamma, paths)
+
+    def draw(self, rng, t, n):
+        """`path` on the one-point grid, bit for bit, without its grid
+        arithmetic: M(t) is the cell's Brownian-bridge maximum above 0,
+        (X + sqrt(X^2 - 2 t log U))/2 with X = gamma t + sqrt(t) Z."""
+        d, g = self.base.delta, self.base.gamma
+
+        def block(m):
+            x = g * t + math.sqrt(t) * rng.standard_normal(m)
+            u = rng.random(m)
+            return 0.5 * (x + np.sqrt(x * x - 2.0 * t * np.log(np.maximum(u, 1e-300)))) / d
+
+        return _in_blocks(n, block)
 
 
 class _InverseTempered(_Hitting):

@@ -349,11 +349,16 @@ class StableUnit:
         low = value < _TINY
         out = np.log(np.where(low, 1.0, value))
         if np.any(low):
-            log_c, pow_, sgn = self._series[1]
-            terms = log_c[None, :] + pow_[None, :] * np.log(x[low])[:, None]
-            top = np.max(terms, axis=1)
-            out[low] = top + np.log(np.sum(np.exp(terms - top[:, None]) * sgn, axis=1) / math.pi)
+            out[low] = self.log_tail_pdf_at_log(np.log(x[low]))
         return out
+
+    def log_tail_pdf_at_log(self, log_x):
+        """log pdf from log x, for x >= x_series, by the right-tail series
+        summed relative to its largest term: finite where x itself overflows."""
+        log_c, pow_, sgn = self._series[1]
+        terms = log_c[None, :] + pow_[None, :] * np.asarray(log_x, dtype=float)[:, None]
+        top = np.max(terms, axis=1)
+        return top + np.log(np.sum(np.exp(terms - top[:, None]) * sgn, axis=1) / math.pi)
 
     def cdf(self, x):
         if abs(self.beta - 0.5) < 1e-14:

@@ -38,7 +38,7 @@ from scipy.special import gammainc, gammaln
 
 from .errors import ConvergenceError, DomainError, NoDensityError
 from .subordinators.densities import ig_exponent
-from .subordinators.sampling import rng_stream, sample
+from .subordinators.sampling import _DRAW_BLOCK, rng_stream, sample
 from .subordinators.spec import (
     TAIL_LOG,
     Clock,
@@ -730,18 +730,58 @@ def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -
 
 def _mc_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
               count: int, seed: int) -> dict:
-    """Monte Carlo table fields from `count` clock draws and Poisson draws."""
-    clock = sample(spec, t, count, seed, stream=0)
-    rng = rng_stream(seed, 1)
+    """Monte Carlo table fields from `count` clock draws and Poisson draws.
+
+    The clock values, drawn by `sample` on stream 0, become the Poisson means
+    in place.  The counts are drawn from stream 1, _DRAW_BLOCK at a time,
+    into one histogram of 0..top and a last bin for every count above top,
+    top = kmax, or the 2000 cap without kmax.  Without kmax, kmax is
+    min(max count, max(50, 4 q), 2000), q the 0.999 quantile of the counts
+    by numpy's default linear rule (`_mc_kmax`).
+    """
+    means = sample(spec, t, count, seed, stream=0).values
     # heavy-tailed clocks produce astronomically large means in a few draws;
     # those land in the tail bin regardless, so cap the Poisson argument
-    counts = rng.poisson(np.minimum(lam * clock.values, 1e12))
+    np.multiply(means, lam, out=means)
+    np.minimum(means, 1e12, out=means)
+    rng = rng_stream(seed, 1)
+    top = _KMAX_CAP if kmax is None else kmax
+    hist = np.zeros(top + 2, dtype=np.int64)
+    over = math.inf  # the smallest count above top
+    for lo in range(0, count, _DRAW_BLOCK):
+        counts = rng.poisson(means[lo:lo + _DRAW_BLOCK])
+        high = counts > top
+        if high.any():
+            over = min(over, int(counts[high].min()))
+            counts[high] = top + 1
+        hist += np.bincount(counts, minlength=top + 2)
     if kmax is None:
-        kmax = int(min(np.max(counts), max(50, 4.0 * np.quantile(counts, 0.999)), _KMAX_CAP))
-    freq = np.bincount(np.minimum(counts, kmax + 1), minlength=kmax + 2).astype(float)
-    values = freq[: kmax + 1] / count
-    return {"kmax": kmax, "values": values, "tail_bound": float(freq[kmax + 1] / count),
+        kmax = _mc_kmax(hist, count, over)
+    values = hist[: kmax + 1] / count
+    return {"kmax": kmax, "values": values, "tail_bound": float(hist[kmax + 1:].sum() / count),
             "stderr": np.sqrt(values * (1.0 - values) / count), "seed": seed, "method": "mc"}
+
+
+def _mc_kmax(hist, count: int, over) -> int:
+    """min(max count, max(50, 4 q), 2000) from the counts' histogram, q their
+    0.999 quantile by np.quantile's linear rule: at h = 0.999 (count - 1),
+    the order statistics a = c_(floor h) and b = c_(floor h + 1), numbered
+    from 0, are blended with g = h - floor h as numpy blends them, a + (b - a) g
+    for g < 1/2 and b - (b - a)(1 - g) otherwise.  A count in the last bin
+    reads as `over`, the smallest count above top: exact for b when a is
+    below it, and otherwise q > 2000 either way."""
+    cum = np.cumsum(hist)
+
+    def order(i):
+        k = int(np.searchsorted(cum, i, side="right"))
+        return k if k < hist.size - 1 else over
+
+    h = (count - 1) * 0.999
+    i = math.floor(h)
+    g = h - i
+    a, b = order(i), order(i + 1)
+    q = a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)
+    return int(min(order(count - 1), max(50, 4.0 * q), _KMAX_CAP))
 
 
 def fractional_poisson_pmf(k: int, t: float, lam: float, beta: float) -> float:

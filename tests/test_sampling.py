@@ -1,6 +1,7 @@
 """Samplers: reproducibility, transform oracles, KS conformance, duality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from tcpp.subordinators.densities import (
     tempered_stable_density,
 )
 from tcpp.subordinators.sampling import (
-    _PIECE_ELEMS,
+    _DRAW_BLOCK,
     _SQUEEZE_BINS,
     _log_a_floor,
     _sample_ig_hitting,
@@ -43,7 +44,7 @@ from tcpp.subordinators.spec import (
     flatten_stable_composition,
 )
 from tcpp.subordinators.stable import log_zolotarev_a, stable_unit
-from tcpp.timechange import _talbot
+from tcpp.timechange import _talbot, pmf_monte_carlo, table_cache
 
 # 0.1% two-sided KS critical value: sqrt(-ln(alpha/2)/2) / sqrt(n)
 KS_CRIT_1E3 = math.sqrt(-math.log(0.0005) / 2.0)
@@ -608,7 +609,7 @@ class TestTemperedSampler:
         # 1000 draws of 151 pieces each: uncapped, one request of 151000
         rng = _SizeRecorder(rng_stream(37, 0))
         vals = _sample_tempered(rng, 50.0, 0.3, 400.0, 1000)
-        assert 0 < rng.largest <= _PIECE_ELEMS
+        assert 0 < rng.largest <= _DRAW_BLOCK
         assert np.all(np.isfinite(vals)) and np.all(vals > 0)
 
     def test_sample_at_mu_beta_t_302(self):
@@ -662,3 +663,48 @@ class TestPaths:
         a = sample_path(Stable(0.5), grid, 4, seed=77)
         b = sample_path(Stable(0.5), grid, 4, seed=77)
         assert np.array_equal(a, b)
+
+
+class TestBlocks:
+    """Single-t draws fill their batch _DRAW_BLOCK values at a time."""
+
+    @pytest.mark.parametrize("spec", [
+        InverseGaussian(1.0, 1.0),
+        InverseOf(InverseGaussian(1.3, 0.7)),
+        InverseOf(Stable(0.3)),
+    ])
+    def test_a_larger_batch_starts_with_the_one_block_batch(self, spec):
+        big = sample(spec, 1.7, 40_000, seed=21).values
+        one = sample(spec, 1.7, _DRAW_BLOCK, seed=21).values
+        assert big.shape == (40_000,) and np.array_equal(big[:_DRAW_BLOCK], one)
+        assert not np.array_equal(big[_DRAW_BLOCK:2 * _DRAW_BLOCK], one)
+
+    def test_ig_hitting_draw_is_the_one_point_path_per_block(self):
+        # each block of the direct draw is the grid sampler's one-cell path
+        delta, gamma, t, n = 1.3, 0.7, 1.7, _DRAW_BLOCK + 300
+        got = sample(InverseOf(InverseGaussian(delta, gamma)), t, n, seed=4).values
+        rng = rng_stream(4, 0)
+        want = np.concatenate([_sample_ig_hitting(rng, np.array([t]), delta, gamma, m)[:, 0]
+                               for m in (_DRAW_BLOCK, 300)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", [
+        InverseGaussian(1.0, 1.0), Stable(0.3), InverseOf(Stable(0.5))])
+    def test_large_batches_peak_near_their_values(self, spec):
+        # 2e6 values are 16 MB; one array per sampler step would be several times that
+        n, values_mb = 2_000_000, 16e6
+        table_cache.cache_clear()
+        tracemalloc.start()
+        try:
+            batch = sample(spec, 1.0, n, seed=3)
+            del batch
+            sample_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            table = pmf_monte_carlo(1.0, 1.0, spec, n, seed=3)
+            mc_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            table_cache.cache_clear()
+        assert abs(float(np.sum(table.values)) + table.tail_bound - 1.0) <= 1e-12
+        assert sample_peak < 2.0 * values_mb, sample_peak
+        assert mc_peak < 2.0 * values_mb, mc_peak

@@ -251,27 +251,50 @@ class TestStableDensity:
             warnings.simplefilter("error")
             assert float(stable_cdf(1.0, 1e-40, beta)[0]) == 1.0
 
+    @staticmethod
+    def _lead(x, t, beta):
+        # the leading right-tail term beta t x^(-1-beta) / Gamma(1-beta)
+        return beta * t * np.asarray(x, dtype=float) ** (-1.0 - beta) / math.gamma(1.0 - beta)
+
     @pytest.mark.parametrize("beta,t", [(0.1, 1e-40), (0.5, 1e-160), (0.7, 1e-250)])
-    def test_density_at_tiny_t_is_zero(self, beta, t):
-        # t^(-1/beta) overflows: D(t) sits at 0, and the density at x > 0 is
-        # its limit 0, for the tempered law as well
+    def test_density_at_tiny_t_is_the_leading_tail_term(self, beta, t):
+        # t^(-1/beta) overflows, so x t^(-1/beta) is far out in D(1)'s right
+        # tail: the density is its leading term (9.36e-42 at beta = 0.1,
+        # 2.82e-161 at 1/2, 2.34e-251 at 0.7, x = 1), for the tempered law
+        # times e^(-mu x + mu^beta t)
+        x = np.array([0.5, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(stable_density(np.array([0.5, 1.0]), t, beta), [0.0, 0.0])
-            assert float(stable_density(1.0, t, beta)[0]) == 0.0
-            assert float(tempered_stable_density(1.0, t, beta, 1.0)[0]) == 0.0
+            got = stable_density(x, t, beta)
+            one = float(stable_density(1.0, t, beta)[0])
+            tempered = float(tempered_stable_density(1.0, t, beta, 1.0)[0])
+        assert np.allclose(got, self._lead(x, t, beta), rtol=1e-12, atol=0.0)
+        assert one == pytest.approx(float(self._lead(1.0, t, beta)), rel=1e-12, abs=0.0)
+        assert tempered == pytest.approx(math.exp(t - 1.0) * one, rel=1e-12, abs=0.0)
 
-    def test_density_at_tiny_array_t_is_zero(self):
+    def test_density_at_tiny_array_t_is_the_leading_tail_term(self):
         # an array t overflows t^(-1/beta) to inf rather than raising: the
-        # density there is the same limit 0, next to ordinary values
+        # density there is the same leading term, next to ordinary values
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = stable_density(1.0, np.array([1e-40, 1.0]), 0.1)
             grid = stable_density(np.array([[0.5], [1.0]]), np.array([1e-40, 1.0, 1e-300]), 0.1)
-        assert got[0] == 0.0 and got[1] == float(stable_density(1.0, 1.0, 0.1)[0]) > 0.0
+        assert got[0] == pytest.approx(float(self._lead(1.0, 1e-40, 0.1)), rel=1e-12, abs=0.0)
+        assert got[1] == float(stable_density(1.0, 1.0, 0.1)[0]) > 0.0
         assert grid.shape == (2, 3)
-        assert np.all(grid[:, [0, 2]] == 0.0)
+        lead = self._lead(np.array([[0.5], [1.0]]), np.array([1e-40, 1e-300]), 0.1)
+        assert np.allclose(grid[:, [0, 2]], lead, rtol=1e-12, atol=0.0)
         assert np.array_equal(grid[:, 1], stable_density(np.array([0.5, 1.0]), 1.0, 0.1))
+
+    def test_density_where_x_t_scale_overflows(self):
+        # t^(-1/beta) = 1e300 is finite but x t^(-1/beta) is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = float(stable_density(1e10, 1e-30, 0.1)[0])
+            small = float(stable_density(1.0, 1e-20, 0.05)[0])
+        assert got == pytest.approx(9.357787209e-43, rel=1e-9)
+        assert got == pytest.approx(float(self._lead(1e10, 1e-30, 0.1)), rel=1e-12, abs=0.0)
+        assert small == pytest.approx(float(self._lead(1.0, 1e-20, 0.05)), rel=1e-12, abs=0.0)
 
     def test_right_tail_at_tiny_t(self):
         # pdf(x t^(-1/beta)) leaves the normal floats before the scale lifts

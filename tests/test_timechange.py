@@ -14,7 +14,7 @@ import tcpp.timechange as timechange
 from tcpp.errors import ConvergenceError, DomainError, NoDensityError
 from tcpp.specfun import mittag_leffler
 from tcpp.subordinators.densities import ig_density
-from tcpp.subordinators.sampling import sample, sample_path
+from tcpp.subordinators.sampling import rng_stream, sample, sample_path
 from tcpp.subordinators.spec import (
     Composition,
     InverseGaussian,
@@ -874,6 +874,29 @@ class TestMonteCarloPmf:
     def test_count_floor(self):
         with pytest.raises(DomainError):
             pmf_monte_carlo(1.0, 1.0, Stable(0.5), 10, seed=1)
+
+    @pytest.mark.parametrize("spec, lam, count", [
+        (InverseGaussian(1.0, 1.0), 1.0, 1000),
+        (InverseGaussian(1.0, 1.0), 1.0, 2 ** 14),
+        (InverseGaussian(1.0, 1.0), 1.0, 2 ** 14 + 1),
+        (InverseGaussian(1.0, 1.0), 1.0, 100_000),
+        (Stable(0.3), 20.0, 100_000),
+    ])
+    def test_blocked_histogram_is_the_one_call_table(self, spec, lam, count):
+        # the counts drawn block by block into a capped histogram, and kmax
+        # read off it, give the table of one Poisson call and np.quantile
+        seed, t = 12, 0.8
+        table = pmf_monte_carlo(t, lam, spec, count, seed)
+        values = sample(spec, t, count, seed).values
+        counts = rng_stream(seed, 1).poisson(np.minimum(lam * values, 1e12))
+        q = np.quantile(counts, 0.999)
+        kmax = int(min(np.max(counts), max(50, 4.0 * q), 2000))
+        freq = np.bincount(np.minimum(counts, kmax + 1), minlength=kmax + 2)
+        assert table.kmax == kmax
+        assert np.array_equal(table.values, freq[:kmax + 1] / count)
+        assert table.tail_bound == float(freq[kmax + 1] / count)
+        if isinstance(spec, Stable):
+            assert 4.0 * q > 2000 and kmax == 2000
 
 
 class TestFractionalPoisson:
