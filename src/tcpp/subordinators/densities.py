@@ -145,16 +145,20 @@ def stable_density(x, t, beta: float):
         dens = scale * pdf
     # far right at tiny t, pdf(u) leaves the normal floats before the huge
     # scale multiplies it back, or u itself overflows: there the density is
-    # taken in logs, from log u = log x - log(t)/beta when u is inf
+    # taken in logs, from log u = log x - log(t)/beta when u is inf.  The
+    # right-tail series holds from x_series on; an infinite x, or a subnormal
+    # one whose log u falls short of it, keeps the density 0
     u = np.broadcast_to(u, pdf.shape)
     far = ~np.isfinite(u)
     lost = (pdf < np.finfo(float).tiny) & (u > 1.0) & ~far
     if np.any(lost | far):
         log_scale = np.broadcast_to(-np.log(t) / beta, dens.shape)
         dens[lost] = np.exp(su.log_pdf(u[lost]) + log_scale[lost])
-        log_u = np.broadcast_to(np.log(x), dens.shape)[far] + log_scale[far]
+        dens[far] = 0.0
+        log_u = np.broadcast_to(np.log(x), dens.shape) + log_scale
+        tail = far & (log_u >= math.log(su.x_series)) & (log_u < math.inf)
         with np.errstate(over="ignore"):  # a density past the float range is inf
-            dens[far] = np.exp(su.log_tail_pdf_at_log(log_u) + log_scale[far])
+            dens[tail] = np.exp(su.log_tail_pdf_at_log(log_u[tail]) + log_scale[tail])
     return dens
 
 

@@ -481,17 +481,8 @@ class _HittingIG(_Hitting):
         return _sample_ig_hitting(rng, t_grid, self.base.delta, self.base.gamma, paths)
 
     def draw(self, rng, t, n):
-        """`path` on the one-point grid, bit for bit, without its grid
-        arithmetic: M(t) is the cell's Brownian-bridge maximum above 0,
-        (X + sqrt(X^2 - 2 t log U))/2 with X = gamma t + sqrt(t) Z."""
-        d, g = self.base.delta, self.base.gamma
-
-        def block(m):
-            x = g * t + math.sqrt(t) * rng.standard_normal(m)
-            u = rng.random(m)
-            return 0.5 * (x + np.sqrt(x * x - 2.0 * t * np.log(np.maximum(u, 1e-300)))) / d
-
-        return _in_blocks(n, block)
+        """`path` on the one-point grid, one block at a time."""
+        return _in_blocks(n, lambda m: self.path(rng, np.array([t]), m)[:, 0])
 
 
 class _InverseTempered(_Hitting):

@@ -287,14 +287,22 @@ class TestStableDensity:
         assert np.array_equal(grid[:, 1], stable_density(np.array([0.5, 1.0]), 1.0, 0.1))
 
     def test_density_where_x_t_scale_overflows(self):
-        # t^(-1/beta) = 1e300 is finite but x t^(-1/beta) is not
+        # t^(-1/beta) = 1e300 is finite but x t^(-1/beta) is not.  x = inf
+        # has density 0 at any scale; so does x = 5e-324 at t = 1e-160,
+        # beta = 1/2, whose log u = log x + 736.8 is short of the tail series
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = float(stable_density(1e10, 1e-30, 0.1)[0])
             small = float(stable_density(1.0, 1e-20, 0.05)[0])
+            at_inf = [stable_density(np.inf, t, 0.1)[0] for t in (1.0, 1e-30, 1e-40)]
+            tempered_at_inf = tempered_stable_density(np.inf, 1e-30, 0.1, 1.0)[0]
+            subnormal = stable_density(np.array([5e-324, 1.0]), 1e-160, 0.5)
         assert got == pytest.approx(9.357787209e-43, rel=1e-9)
         assert got == pytest.approx(float(self._lead(1e10, 1e-30, 0.1)), rel=1e-12, abs=0.0)
         assert small == pytest.approx(float(self._lead(1.0, 1e-20, 0.05)), rel=1e-12, abs=0.0)
+        assert at_inf == [0.0, 0.0, 0.0] and tempered_at_inf == 0.0
+        assert subnormal[0] == 0.0
+        assert subnormal[1] == pytest.approx(float(self._lead(1.0, 1e-160, 0.5)), rel=1e-12, abs=0.0)
 
     def test_right_tail_at_tiny_t(self):
         # pdf(x t^(-1/beta)) leaves the normal floats before the scale lifts

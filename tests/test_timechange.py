@@ -898,6 +898,27 @@ class TestMonteCarloPmf:
         if isinstance(spec, Stable):
             assert 4.0 * q > 2000 and kmax == 2000
 
+    def test_kmax_from_the_histogram_is_the_quantile_rule(self):
+        # the order statistics that np.quantile blends at 0.999 are set to a
+        # and a + gap, some gaps crossing the 2000 cap; kmax read off the
+        # capped histogram and the smallest count above the cap is the
+        # np.quantile rule on the counts themselves
+        rng = np.random.default_rng(29)
+        gaps = [1, 2, 4, 5, 8, 25, 125, 250, 500, 1000, 2000, 10 ** 6]
+        for _ in range(2000):
+            n = int(rng.integers(100, 6000))
+            i = math.floor((n - 1) * 0.999)
+            counts = np.sort(rng.integers(0, 20, n))
+            a = int(rng.integers(10, 2100))
+            counts[i] = a
+            counts[i + 1:] = a + int(rng.choice(gaps))
+            rng.shuffle(counts)
+            hist = np.bincount(np.minimum(counts, 2001), minlength=2002)
+            high = counts[counts > 2000]
+            over = int(high.min()) if high.size else math.inf
+            want = int(min(counts.max(), max(50, 4.0 * np.quantile(counts, 0.999)), 2000))
+            assert timechange._mc_kmax(hist, n, over) == want
+
 
 class TestFractionalPoisson:
     @pytest.mark.parametrize("beta", [0.25, 0.5])
