@@ -11,6 +11,15 @@ The IG exponent is written once, in `ig_exponent`, as 2 delta s /
 (sqrt(gamma^2+2s) + gamma): the clock's generating function, the Bessel-form
 pmf and the renewal waiting time all take it from there.
 
+The stable, tempered stable and inverse stable densities are products: a
+scale, D(1)'s density at a scaled argument, and a tilt e^{mu^beta t - mu x}
+or a power of x.  Each keeps its product wherever every factor and the
+product are normal floats.  Everywhere else (tiny or huge t, far tails, a
+tilt that overflows while the stable density underflows) it is one
+exponential of the sum of the factors' logs (`_product_or_log_sum`), with
+D(1)'s log density taken at the log of its argument
+(`StableUnit.log_pdf_at_log`), so that argument may itself leave the floats.
+
 Inverse (hitting-time) processes are handled through first-passage duality
 P(E(t) <= x) = P(D(x) >= t).  The IG hitting time has a closed density,
 obtained by differentiating the closed IG CDF in its process-time argument;
@@ -36,6 +45,7 @@ term t f_mu(t, x) is formed in log space the same way.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,7 +53,7 @@ from scipy.special import erfcx, ndtr
 
 from ..errors import ConvergenceError, DivergenceError, DomainError
 from ..quadrules import gauss_legendre, gauss_panels, linear_panel_edges
-from .stable import stable_unit
+from .stable import _TINY, stable_unit
 
 __all__ = [
     "ig_exponent",
@@ -125,41 +135,40 @@ def ig_cdf(u, t: float, delta: float, gamma: float):
 # -- stable and tempered stable ----------------------------------------------
 
 
+def _product_or_log_sum(factors, x, t, beta: float, log_factor=0.0):
+    """The product of the nonnegative `factors`, e^log_factor f(x,t) with f
+    the stable density, wherever each factor and the product are normal
+    floats; elsewhere one exponential of log_factor + log f(x,t), with D(1)'s
+    log density taken at log u = log x - log(t)/beta."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out = functools.reduce(np.multiply, factors)
+    normal = [(v >= _TINY) & (v < math.inf) for v in (*factors, out)]
+    lost = ~functools.reduce(np.logical_and, normal)
+    if np.any(lost):
+        su = stable_unit(beta)
+        log_scale, log_x, log_factor = (np.broadcast_to(v, out.shape)[lost]
+                                        for v in (-np.log(t) / beta, np.log(x), log_factor))
+        log_u, lift = log_x + log_scale, log_scale + log_factor
+        # left of x_lo, D(1)'s log density is below -1200 (`StableUnit._left`):
+        # under a lift below 450 the density there is 0, so its integral is skipped
+        log_u[(log_u < su._z_lo) & (lift < 450.0)] = -math.inf
+        with np.errstate(over="ignore"):  # a density past the float range is inf
+            out[lost] = np.exp(su.log_pdf_at_log(log_u) + lift)
+    return out
+
+
 def stable_density(x, t, beta: float):
-    """Density f(x,t) of the beta-stable subordinator, LT exp(-t s^beta).
+    """Density f(x,t) = t^(-1/beta) f1(x t^(-1/beta)) of the beta-stable
+    subordinator, LT exp(-t s^beta).
 
     Broadcasts over x and t.
     """
-    x = np.asarray(x, dtype=float)
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     _positive("stable_density", x, t)
-    su = stable_unit(beta)
-    # where t^(-1/beta) overflows (a float t raises, an array t gives inf),
-    # u = x t^(-1/beta) is inf, as it is where x t^(-1/beta) alone overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            scale = t ** (-1.0 / beta)
-        except OverflowError:
-            scale = math.inf
-        u = x * scale
-        pdf = su.pdf(u)
-        dens = scale * pdf
-    # far right at tiny t, pdf(u) leaves the normal floats before the huge
-    # scale multiplies it back, or u itself overflows: there the density is
-    # taken in logs, from log u = log x - log(t)/beta when u is inf.  The
-    # right-tail series holds from x_series on; an infinite x, or a subnormal
-    # one whose log u falls short of it, keeps the density 0
-    u = np.broadcast_to(u, pdf.shape)
-    far = ~np.isfinite(u)
-    lost = (pdf < np.finfo(float).tiny) & (u > 1.0) & ~far
-    if np.any(lost | far):
-        log_scale = np.broadcast_to(-np.log(t) / beta, dens.shape)
-        dens[lost] = np.exp(su.log_pdf(u[lost]) + log_scale[lost])
-        dens[far] = 0.0
-        log_u = np.broadcast_to(np.log(x), dens.shape) + log_scale
-        tail = far & (log_u >= math.log(su.x_series)) & (log_u < math.inf)
-        with np.errstate(over="ignore"):  # a density past the float range is inf
-            dens[tail] = np.exp(su.log_tail_pdf_at_log(log_u[tail]) + log_scale[tail])
-    return dens
+    with np.errstate(over="ignore"):  # an overflowing scale or u takes the log sum
+        scale = t ** (-1.0 / beta)
+        factors = (scale, stable_unit(beta).pdf(x * scale))
+    return _product_or_log_sum(factors, x, t, beta)
 
 
 def stable_cdf(x, t: float, beta: float):
@@ -180,7 +189,10 @@ def tempered_stable_density(x, t, beta: float, mu: float):
         raise DomainError("tempered_stable_density requires mu >= 0")
     if mu == 0.0:
         return stable_density(x, t, beta)
-    return np.exp(-mu * x + mu ** beta * t) * stable_density(x, t, beta)
+    log_tilt = -mu * x + mu ** beta * t
+    with np.errstate(over="ignore"):  # an overflowing tilt takes the log sum
+        factors = (np.exp(log_tilt), stable_density(x, t, beta))
+    return _product_or_log_sum(factors, x, t, beta, log_tilt)
 
 
 def tempered_stable_cdf(x, t, beta: float, mu: float):
@@ -254,11 +266,13 @@ def inverse_stable_density(x, t, beta: float):
     m(x,t) = (t/beta) f(t x^(-1/beta), 1) x^(-1-1/beta); approaches
     t^(-beta)/Gamma(1-beta) as x -> 0+.  Broadcasts over x and t.
     """
-    x = np.asarray(x, dtype=float)
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     _positive("inverse_stable_density", x, t)
-    su = stable_unit(beta)
-    arg = t * x ** (-1.0 / beta)
-    return (t / beta) * su.pdf(arg) * x ** (-1.0 - 1.0 / beta)
+    with np.errstate(over="ignore"):  # overflowing powers of x take the log sum
+        factors = (t / beta, stable_unit(beta).pdf(t * x ** (-1.0 / beta)),
+                   x ** (-1.0 - 1.0 / beta))
+    # the product is t f(t, x) / (beta x): f taken at t, with time x
+    return _product_or_log_sum(factors, t, x, beta, np.log(t / beta) - np.log(x))
 
 
 def inverse_stable_cdf(x, t: float, beta: float):

@@ -34,6 +34,13 @@ Three evaluation regimes, in x:
 The series/integral switch point is picked per beta by requiring the two
 routes to agree, then cached with the rest of the per-beta engine
 (`stable_unit`).
+
+`log_pdf_at_log` gives the log density at x = e^z from z itself: the
+series summed relative to its largest term from log x_series up, finite
+where x overflows; `log_pdf`(e^z) below; -inf where e^z is 0.  The
+densities of D(t), of the tempered law and of the inverse stable law take
+it wherever their products leave the normal floats
+(`tcpp.subordinators.densities`).
 """
 
 from __future__ import annotations
@@ -349,16 +356,25 @@ class StableUnit:
         low = value < _TINY
         out = np.log(np.where(low, 1.0, value))
         if np.any(low):
-            out[low] = self.log_tail_pdf_at_log(np.log(x[low]))
+            out[low] = self.log_pdf_at_log(np.log(x[low]))
         return out
 
-    def log_tail_pdf_at_log(self, log_x):
-        """log pdf from log x, for x >= x_series, by the right-tail series
-        summed relative to its largest term: finite where x itself overflows."""
+    def log_pdf_at_log(self, z):
+        """log pdf at x = e^z, for any real z: from log x_series up, the
+        right-tail series summed relative to its largest term, so finite
+        where x itself overflows; `log_pdf`(e^z) below; -inf where e^z is 0
+        or z is inf."""
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        tail = (z >= math.log(self.x_series)) & (z < math.inf)
+        x = np.exp(np.where(tail, 0.0, z))  # off the tail, e^z cannot overflow
+        bulk = ~tail & (x > 0.0) & (x < math.inf)
+        out = np.full(z.shape, -math.inf)
+        out[bulk] = self.log_pdf(x[bulk])
         log_c, pow_, sgn = self._series[1]
-        terms = log_c[None, :] + pow_[None, :] * np.asarray(log_x, dtype=float)[:, None]
+        terms = log_c[None, :] + pow_[None, :] * z[tail, None]
         top = np.max(terms, axis=1)
-        return top + np.log(np.sum(np.exp(terms - top[:, None]) * sgn, axis=1) / math.pi)
+        out[tail] = top + np.log(np.sum(np.exp(terms - top[:, None]) * sgn, axis=1) / math.pi)
+        return out
 
     def cdf(self, x):
         if abs(self.beta - 0.5) < 1e-14:

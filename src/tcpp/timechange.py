@@ -517,12 +517,13 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     against a frozen rule settled to 1e-10; "auto" takes the route
     `auto_method` names, and refuses with NoDensityError an inverse clock
     with no density, which only `pmf_monte_carlo` serves.  Without kmax,
-    every route returns the smallest K <= 2000 whose tail bound P(N > K) is
-    below 1e-10, read off the tail column of the table it computes, or
-    K = 2000 when none is.  Quadrature doubles K from 64; the PGF route
-    doubles its FFT from 256 points, except that a clock of infinite mean
-    first runs the 8004-point cap pass and keeps it when every tail bound
-    there is >= 2e-10 (`_pgf_search`).  The request is served by
+    all four routes, Monte Carlo too, return the smallest K <= 2000 whose
+    tail bound P(N > K) is below 1e-10, read off the tail column of the
+    table they compute, or K = 2000 when none is; for Monte Carlo that is
+    the largest count drawn (`_mc_table`).  Quadrature doubles K from 64;
+    the PGF route doubles its FFT from 256 points, except that a clock of
+    infinite mean first runs the 8004-point cap pass and keeps it when every
+    tail bound there is >= 2e-10 (`_pgf_search`).  The request is served by
     `table_cache`, with "auto" resolved first.
     """
     t, lam, kmax = _request("pmf_table", t, lam, kmax)
@@ -735,9 +736,10 @@ def _mc_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
     The clock values, drawn by `sample` on stream 0, become the Poisson means
     in place.  The counts are drawn from stream 1, _DRAW_BLOCK at a time,
     into one histogram of 0..top and a last bin for every count above top,
-    top = kmax, or the 2000 cap without kmax.  Without kmax, kmax is
-    min(max count, max(50, 4 q), 2000), q the 0.999 quantile of the counts
-    by numpy's default linear rule (`_mc_kmax`).
+    top = kmax, or the 2000 cap without kmax.  Without kmax, kmax follows
+    `pmf_table`'s rule for every route: the tail bound P(N > k) is the share
+    of draws above k, which for any count below 1e10 first falls below 1e-10
+    at the largest count drawn, so kmax is that count, or 2000 if larger.
     """
     means = sample(spec, t, count, seed, stream=0).values
     # heavy-tailed clocks produce astronomically large means in a few draws;
@@ -747,41 +749,14 @@ def _mc_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
     rng = rng_stream(seed, 1)
     top = _KMAX_CAP if kmax is None else kmax
     hist = np.zeros(top + 2, dtype=np.int64)
-    over = math.inf  # the smallest count above top
     for lo in range(0, count, _DRAW_BLOCK):
         counts = rng.poisson(means[lo:lo + _DRAW_BLOCK])
-        high = counts > top
-        if high.any():
-            over = min(over, int(counts[high].min()))
-            counts[high] = top + 1
-        hist += np.bincount(counts, minlength=top + 2)
+        hist += np.bincount(np.minimum(counts, top + 1, out=counts), minlength=top + 2)
     if kmax is None:
-        kmax = _mc_kmax(hist, count, over)
+        kmax = min(int(np.flatnonzero(hist)[-1]), _KMAX_CAP)
     values = hist[: kmax + 1] / count
     return {"kmax": kmax, "values": values, "tail_bound": float(hist[kmax + 1:].sum() / count),
             "stderr": np.sqrt(values * (1.0 - values) / count), "seed": seed, "method": "mc"}
-
-
-def _mc_kmax(hist, count: int, over) -> int:
-    """min(max count, max(50, 4 q), 2000) from the counts' histogram, q their
-    0.999 quantile by np.quantile's linear rule: at h = 0.999 (count - 1),
-    the order statistics a = c_(floor h) and b = c_(floor h + 1), numbered
-    from 0, are blended with g = h - floor h as numpy blends them, a + (b - a) g
-    for g < 1/2 and b - (b - a)(1 - g) otherwise.  A count in the last bin
-    reads as `over`, the smallest count above top: exact for b when a is
-    below it, and otherwise q > 2000 either way."""
-    cum = np.cumsum(hist)
-
-    def order(i):
-        k = int(np.searchsorted(cum, i, side="right"))
-        return k if k < hist.size - 1 else over
-
-    h = (count - 1) * 0.999
-    i = math.floor(h)
-    g = h - i
-    a, b = order(i), order(i + 1)
-    q = a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)
-    return int(min(order(count - 1), max(50, 4.0 * q), _KMAX_CAP))
 
 
 def fractional_poisson_pmf(k: int, t: float, lam: float, beta: float) -> float:

@@ -75,11 +75,7 @@ def _shift_at_zero(j: int, ks: np.ndarray, lam: float):
 
     j = 0 gives p_k(0) and j = 1 gives p'_k(0).
     """
-    out = np.zeros(ks.size)
-    for i, k in enumerate(ks):
-        if k <= j:
-            out[i] = (-lam) ** j * (-1.0) ** k * comb(j, k, exact=True)
-    return out
+    return (-lam) ** j * shift_power((ks == 0).astype(float), j)
 
 
 def _origin_sources(ks, t, lam, n, beta=1.0, u=None):

@@ -288,8 +288,10 @@ class TestStableDensity:
 
     def test_density_where_x_t_scale_overflows(self):
         # t^(-1/beta) = 1e300 is finite but x t^(-1/beta) is not.  x = inf
-        # has density 0 at any scale; so does x = 5e-324 at t = 1e-160,
-        # beta = 1/2, whose log u = log x + 736.8 is short of the tail series
+        # has density 0 at any scale.  x = 5e-324 at t = 1e-160, beta = 1/2,
+        # has log u = log x + 736.8 = -7.6, left of the tail series: the
+        # closed form t/(2 sqrt(pi)) x^(-3/2) e^(-t^2/(4x)) there is 4.5e104,
+        # and the rounding of log u is amplified about 500 times
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = float(stable_density(1e10, 1e-30, 0.1)[0])
@@ -301,7 +303,7 @@ class TestStableDensity:
         assert got == pytest.approx(float(self._lead(1e10, 1e-30, 0.1)), rel=1e-12, abs=0.0)
         assert small == pytest.approx(float(self._lead(1.0, 1e-20, 0.05)), rel=1e-12, abs=0.0)
         assert at_inf == [0.0, 0.0, 0.0] and tempered_at_inf == 0.0
-        assert subnormal[0] == 0.0
+        assert subnormal[0] == pytest.approx(4.51090563744e104, rel=1e-10, abs=0.0)
         assert subnormal[1] == pytest.approx(float(self._lead(1.0, 1e-160, 0.5)), rel=1e-12, abs=0.0)
 
     def test_right_tail_at_tiny_t(self):
@@ -314,6 +316,44 @@ class TestStableDensity:
                 got = stable_density(x, t, 0.1)
             lead = 0.1 * t * x ** -1.1 / math.gamma(0.9)
             assert np.all(np.abs(got / lead - 1.0) <= 1e-6), t
+
+    def test_far_regimes_take_one_log_sum(self):
+        # where a factor of a density's product leaves the normal floats, the
+        # density is one exponential of the sum of logs: the tempered(1/2, 1)
+        # density, whose tilt e^(t - x) overflows while f(x, t) underflows,
+        # is the IG(1/sqrt 2, sqrt 2) density; the inverse stable density,
+        # whose x^(-1-1/beta) overflows, reaches 1/Gamma(1 - beta) at x -> 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide, near = (0.5, 1.0, 1.5), (0.9, 1.0, 1.1)
+            for t, fracs in ((1e3, wide), (2e3, wide), (1e4, near)):
+                x = 0.5 * t * np.array(fracs)  # times the mean t/2
+                got = tempered_stable_density(x, t, 0.5, 1.0)
+                ig = ig_density(x, t, 1.0 / math.sqrt(2.0), math.sqrt(2.0))
+                assert np.allclose(got, ig, rtol=1e-10, atol=0.0)
+            x = np.array([1e-80, 1e-200, 1e-300])
+            for beta in (0.3, 0.5, 0.7):
+                got = inverse_stable_density(x, 1.0, beta)
+                assert np.allclose(got, 1.0 / math.gamma(1.0 - beta), rtol=0.0, atol=1e-12)
+            # at index 0.3 the tilt identity's cdf is an independent route
+            x, h = 0.9 * 0.3 * 1e3, 1e-3  # 0.9 times the mean
+            tempered = float(tempered_stable_density(x, 1e3, 0.3, 1.0)[0])
+            slope = (tempered_stable_cdf(x + h, 1e3, 0.3, 1.0)
+                     - tempered_stable_cdf(x - h, 1e3, 0.3, 1.0)) / (2.0 * h)
+        assert tempered == pytest.approx(slope, rel=1e-7)
+
+    def test_left_tail_zeros_skip_the_integral(self, monkeypatch):
+        # left of x_lo, D(1)'s density is below e^-1200: at a lift below
+        # e^450 the three densities are 0 there without D(1)'s theta integral
+        x = np.geomspace(1e-4, 10.0, 200)
+        calls = (lambda: stable_density(x, 1.3, 0.7),
+                 lambda: tempered_stable_density(x, 1.3, 0.7, 1.0),
+                 lambda: inverse_stable_density(1.0 / x, 1.3, 0.7))
+        want = [f() for f in calls]  # builds the unit's table
+        monkeypatch.setattr(stable_unit(0.7), "_log_raw", None)
+        for f, w in zip(calls, want):
+            got = f()
+            assert np.array_equal(got, w) and got[0] == 0.0 and got[-1] > 0.0
 
     @pytest.mark.parametrize("beta", [0.1, 1.0 / 3.0, 0.7])
     def test_normal_unit_pdf_keeps_the_scaled_product(self, beta):

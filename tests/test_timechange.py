@@ -881,43 +881,31 @@ class TestMonteCarloPmf:
         (InverseGaussian(1.0, 1.0), 1.0, 2 ** 14 + 1),
         (InverseGaussian(1.0, 1.0), 1.0, 100_000),
         (Stable(0.3), 20.0, 100_000),
+        (Stable(0.9), 1.0, 100_000),
     ])
     def test_blocked_histogram_is_the_one_call_table(self, spec, lam, count):
         # the counts drawn block by block into a capped histogram, and kmax
-        # read off it, give the table of one Poisson call and np.quantile
+        # read off it, give the table of one Poisson call under the rule of
+        # every route: kmax is the largest count, or the 2000 cap
         seed, t = 12, 0.8
         table = pmf_monte_carlo(t, lam, spec, count, seed)
         values = sample(spec, t, count, seed).values
         counts = rng_stream(seed, 1).poisson(np.minimum(lam * values, 1e12))
-        q = np.quantile(counts, 0.999)
-        kmax = int(min(np.max(counts), max(50, 4.0 * q), 2000))
+        kmax = int(min(np.max(counts), 2000))
         freq = np.bincount(np.minimum(counts, kmax + 1), minlength=kmax + 2)
         assert table.kmax == kmax
         assert np.array_equal(table.values, freq[:kmax + 1] / count)
         assert table.tail_bound == float(freq[kmax + 1] / count)
         if isinstance(spec, Stable):
-            assert 4.0 * q > 2000 and kmax == 2000
+            assert kmax == 2000 and table.tail_bound > 0.0
 
-    def test_kmax_from_the_histogram_is_the_quantile_rule(self):
-        # the order statistics that np.quantile blends at 0.999 are set to a
-        # and a + gap, some gaps crossing the 2000 cap; kmax read off the
-        # capped histogram and the smallest count above the cap is the
-        # np.quantile rule on the counts themselves
-        rng = np.random.default_rng(29)
-        gaps = [1, 2, 4, 5, 8, 25, 125, 250, 500, 1000, 2000, 10 ** 6]
-        for _ in range(2000):
-            n = int(rng.integers(100, 6000))
-            i = math.floor((n - 1) * 0.999)
-            counts = np.sort(rng.integers(0, 20, n))
-            a = int(rng.integers(10, 2100))
-            counts[i] = a
-            counts[i + 1:] = a + int(rng.choice(gaps))
-            rng.shuffle(counts)
-            hist = np.bincount(np.minimum(counts, 2001), minlength=2002)
-            high = counts[counts > 2000]
-            over = int(high.min()) if high.size else math.inf
-            want = int(min(counts.max(), max(50, 4.0 * np.quantile(counts, 0.999)), 2000))
-            assert timechange._mc_kmax(hist, n, over) == want
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heavy_tailed_kmax_is_the_exact_tables(self, seed):
+        # a stable(0.9) count has no tail below 1e-10 before the cap: the
+        # Monte Carlo table covers the cells of the PGF table it is checked
+        # against (the 0.999-quantile rule gave 796, 768, 704 and 740)
+        table = pmf_monte_carlo(1.0, 1.0, Stable(0.9), 100_000, seed)
+        assert table.kmax == pmf_table(1.0, 1.0, Stable(0.9)).kmax == 2000
 
 
 class TestFractionalPoisson:
