@@ -18,7 +18,10 @@ product are normal floats.  Everywhere else (tiny or huge t, far tails, a
 tilt that overflows while the stable density underflows) it is one
 exponential of the sum of the factors' logs (`_product_or_log_sum`), with
 D(1)'s log density taken at the log of its argument
-(`StableUnit.log_pdf_at_log`), so that argument may itself leave the floats.
+(`StableUnit.log_pdf_at_log`, whose one relative sum of the right-tail
+series also serves `StableUnit.log_pdf`), so that argument may itself leave
+the floats; where it has underflowed to 0, D(1)'s factor is 0 and the log
+sum gives the density (`_unit_pdf`).
 
 Inverse (hitting-time) processes are handled through first-passage duality
 P(E(t) <= x) = P(D(x) >= t).  The IG hitting time has a closed density,
@@ -40,7 +43,7 @@ formed as exp(log f1(u) + mu^beta t - mu y), from `StableUnit.log_pdf`: at
 large mu^beta t the integral lies where f1 itself is far below the smallest
 float.  The lower limit is D(1)'s Chernoff left end at the lift mu^beta t
 (`StableUnit.left_end`), so the weights left of it hold at most e^-45.  The
-term t f_mu(t, x) is formed in log space the same way.
+term t f_mu(t, x) is t times `tempered_stable_density`(t, x).
 """
 
 from __future__ import annotations
@@ -167,8 +170,14 @@ def stable_density(x, t, beta: float):
     _positive("stable_density", x, t)
     with np.errstate(over="ignore"):  # an overflowing scale or u takes the log sum
         scale = t ** (-1.0 / beta)
-        factors = (scale, stable_unit(beta).pdf(x * scale))
+        factors = (scale, _unit_pdf(x * scale, beta))
     return _product_or_log_sum(factors, x, t, beta)
+
+
+def _unit_pdf(u, beta: float):
+    """D(1)'s density at u; 0.0 where u has underflowed to 0, so that the
+    product takes its log sum there (`_product_or_log_sum`)."""
+    return np.where(u > 0.0, stable_unit(beta).pdf(np.where(u > 0.0, u, 1.0)), 0.0)
 
 
 def stable_cdf(x, t: float, beta: float):
@@ -269,8 +278,7 @@ def inverse_stable_density(x, t, beta: float):
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     _positive("inverse_stable_density", x, t)
     with np.errstate(over="ignore"):  # overflowing powers of x take the log sum
-        factors = (t / beta, stable_unit(beta).pdf(t * x ** (-1.0 / beta)),
-                   x ** (-1.0 - 1.0 / beta))
+        factors = (t / beta, _unit_pdf(t * x ** (-1.0 / beta), beta), x ** (-1.0 - 1.0 / beta))
     # the product is t f(t, x) / (beta x): f taken at t, with time x
     return _product_or_log_sum(factors, t, x, beta, np.log(t / beta) - np.log(x))
 
@@ -314,9 +322,7 @@ def _inverse_tempered_tilt(x, t, beta: float, mu: float):
     """m_mu(x,t) by the tilt identity of the module docstring, for any index."""
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     p0, p1 = _tempered_partial_moments(t, x, beta, mu)
-    # t f_mu(t, x) = t x^(-1/beta) f1(t x^(-1/beta)) e^{mu^beta x - mu t}, in log space
-    u = t * x ** (-1.0 / beta)
-    at_t = u * np.exp(stable_unit(beta).log_pdf(u) + mu ** beta * x - mu * t)
+    at_t = t * tempered_stable_density(t, x, beta, mu)
     return np.maximum((at_t + mu * p1) / (beta * x) - mu ** beta * p0, 0.0)
 
 

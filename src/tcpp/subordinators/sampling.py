@@ -101,12 +101,11 @@ def _in_blocks(n: int, draw):
 # -- elementary samplers -----------------------------------------------------
 
 
-def _sample_ig(rng, t, delta, gamma, n=None):
+def _sample_ig(rng, t, delta, gamma):
     """IG(delta t, gamma) by the two-root transformation method."""
     t = np.asarray(t, dtype=float)
-    size = t.shape if n is None else (n,)
-    z = rng.standard_normal(size)
-    u = rng.random(size)
+    z = rng.standard_normal(t.shape)
+    u = rng.random(t.shape)
     dt = delta * t
     if gamma == 0.0:
         return (dt / z) ** 2

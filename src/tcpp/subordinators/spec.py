@@ -51,7 +51,7 @@ from .sampling import (
     _sample_stable_unit,
     _sample_tempered,
 )
-from .stable import TAIL_LOG, stable_unit
+from .stable import _BETA_MAX, _TINY, TAIL_LOG, stable_unit
 
 # Every frozen rule's node window leaves out at most e^-TAIL_LOG of its clock's
 # mass.  Each end is a Chernoff bound from the clock's Laplace exponent phi:
@@ -162,8 +162,9 @@ class SubordinatorSpec(Clock):
 
     def phi(self, s):
         """Laplace exponent at complex s, Re s > 0 (principal branches), vectorized."""
+        route = "quadrature" if self.mixing_law() is not None else "mc"
         raise NoDensityError(f"{self.label()} is not a Levy clock: it has no Laplace "
-                             "exponent (use the quadrature route)")
+                             f"exponent (use the {route} method)")
 
     def path(self, rng, t_grid, paths: int):
         """`paths` trajectories on t_grid from independent increments."""
@@ -306,10 +307,19 @@ class TemperedStable(SubordinatorSpec):
     rule_density = Stable.rule_density
 
     def weighted(self, rule, t):
+        # w f1(y) e^(mu^b t - mu x): that product where f1(y) is a normal float
+        # and the tilt is at most 709, else (at large mu^b t) one exponential
+        # of the sum of the logs, log f1 from `StableUnit.log_pdf`
         b, mu = self.beta, self.mu
         x = t ** (1.0 / b) * rule.nodes
-        damp = np.exp(mu ** b * t - mu * x)
-        return x, rule.weights * rule.dens * damp
+        tilt = mu ** b * t - mu * x
+        with np.errstate(over="ignore", invalid="ignore"):  # far cells are retaken below
+            wd = rule.weights * rule.dens * np.exp(tilt)
+        far = (rule.dens < _TINY) | (tilt > 709.0)
+        if np.any(far):
+            log_w = np.log(rule.weights) + stable_unit(b).log_pdf(rule.nodes)
+            wd[far] = np.exp(np.broadcast_to(log_w, far.shape)[far] + tilt[far])
+        return x, wd
 
     def increment(self, rng, dt):
         ig = _half_ig(self.beta, self.mu)
@@ -436,6 +446,11 @@ class _InverseStable(_Hitting):
     """Inverse stable clock: density and single-t draws by scaling, exact
     paths (a Brownian running maximum at index 1/2, else first passages)."""
 
+    def mixing_law(self):
+        # past the stable engine's index (`stable._BETA_MAX`) no density serves
+        # the clock, and `auto_method` takes Monte Carlo
+        return None if self.base.beta > _BETA_MAX else self
+
     def density(self, x, t):
         return inverse_stable_density(x, t, self.base.beta)
 
@@ -488,6 +503,8 @@ class _HittingIG(_Hitting):
 class _InverseTempered(_Hitting):
     """Inverse tempered clock of index != 1/2: tilted-stable density, and
     exact paths by stable passages accepted with their Esscher weight."""
+
+    mixing_law = _InverseStable.mixing_law
 
     def density(self, x, t):
         return inverse_tempered_density(x, t, self.base.beta, self.base.mu)

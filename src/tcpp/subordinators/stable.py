@@ -35,12 +35,14 @@ The series/integral switch point is picked per beta by requiring the two
 routes to agree, then cached with the rest of the per-beta engine
 (`stable_unit`).
 
-`log_pdf_at_log` gives the log density at x = e^z from z itself: the
-series summed relative to its largest term from log x_series up, finite
-where x overflows; `log_pdf`(e^z) below; -inf where e^z is 0.  The
-densities of D(t), of the tempered law and of the inverse stable law take
-it wherever their products leave the normal floats
-(`tcpp.subordinators.densities`).
+`log_pdf_at_log` gives the log density at x = e^z from z itself: where x >=
+x_series, the series summed relative to its largest term, finite where the
+density underflows and where x overflows; `log_pdf`(x) below; -inf where x
+is 0.  That relative sum is the one right-tail log density: `log_pdf` takes
+it at z = log x, and keeps the bulk's table on its own x, so that
+exp(log_pdf(x)) is pdf(x) bit for bit there.  The densities of D(t), of the
+tempered law and of the inverse stable law take `log_pdf_at_log` wherever
+their products leave the normal floats (`tcpp.subordinators.densities`).
 """
 
 from __future__ import annotations
@@ -346,28 +348,18 @@ class StableUnit:
             x = self._valid(x, "density")
             return -0.5 * math.log(4.0 * math.pi) - 1.5 * np.log(x) - 0.25 / x
         return self._by_regime(x, "density", lambda v: self._left(v, True, log=True),
-                               self._log_tail_pdf)
-
-    def _log_tail_pdf(self, x):
-        """log of the right-tail density series.  Where its sum is not a
-        normal float, the terms are summed relative to the largest one, so
-        the log stays finite where the density underflows."""
-        value = self._tail_series(x, 1)[0]
-        low = value < _TINY
-        out = np.log(np.where(low, 1.0, value))
-        if np.any(low):
-            out[low] = self.log_pdf_at_log(np.log(x[low]))
-        return out
+                               lambda v: self.log_pdf_at_log(np.log(v)))
 
     def log_pdf_at_log(self, z):
-        """log pdf at x = e^z, for any real z: from log x_series up, the
+        """log pdf at x = e^z, for any real z: where x >= x_series, the
         right-tail series summed relative to its largest term, so finite
-        where x itself overflows; `log_pdf`(e^z) below; -inf where e^z is 0
-        or z is inf."""
+        where the density underflows and where x itself overflows;
+        `log_pdf`(x) below; -inf where x is 0 or z is inf."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        tail = (z >= math.log(self.x_series)) & (z < math.inf)
-        x = np.exp(np.where(tail, 0.0, z))  # off the tail, e^z cannot overflow
-        bulk = ~tail & (x > 0.0) & (x < math.inf)
+        with np.errstate(over="ignore"):  # x = inf past z = 709, still on the tail
+            x = np.exp(z)
+        tail = (x >= self.x_series) & (z < math.inf)
+        bulk = (x > 0.0) & (x < self.x_series)
         out = np.full(z.shape, -math.inf)
         out[bulk] = self.log_pdf(x[bulk])
         log_c, pow_, sgn = self._series[1]

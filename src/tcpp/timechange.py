@@ -285,16 +285,15 @@ def _poisson_cut(kmax: float, lam: float, c: float = TAIL_LOG) -> float:
 class MixtureRule:
     """Frozen quadrature discretization of the mixing density family.
 
-    `law` is the clock that built the nodes (spec.mixing_law()); it turns
-    them into (x, weight * density) at each t, and supplies the survivor
-    mass beyond the window's right end `x_hi`, in the nodes' variable.
+    It keeps the Poisson rate `lam`, the clock `law` that built the nodes
+    (spec.mixing_law()), the `nodes`, `weights`, t-free density factor
+    `dens` and window right end `x_hi` that `law.rule_nodes` returned, and
+    the memo `_last`.  The request it was built for is `mixture_rule`'s
+    cache key.  `law` turns the nodes into (x, weight * density) at each t,
+    and supplies the survivor mass beyond `x_hi`, in the nodes' variable.
     """
 
-    spec: SubordinatorSpec
     lam: float
-    t_lo: float
-    t_hi: float
-    kmax: int
     law: Clock = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
@@ -369,8 +368,7 @@ def mixture_rule(
     n_panels = 32
     prev = None
     while n_panels <= 2048:
-        rule = MixtureRule(spec, lam, t_lo, t_hi, kmax, law,
-                           *law.rule_nodes(t_lo, t_hi, cut, n_panels))
+        rule = MixtureRule(lam, law, *law.rule_nodes(t_lo, t_hi, cut, n_panels))
         vals = rule.pmf_matrix(probe_ts, probe_ks)
         if prev is not None and np.max(np.abs(vals - prev)) < tol:
             return rule

@@ -12,7 +12,8 @@ import tcpp.timechange
 from tcpp.cli import main
 from tcpp.errors import NoDensityError
 from tcpp.subordinators.spec import InverseGaussian, TemperedStable
-from tcpp.timechange import PmfTable, auto_method, pmf_monte_carlo, pmf_table
+from tcpp.timechange import (PmfTable, auto_method, fractional_poisson_pmf,
+                             pmf_monte_carlo, pmf_table)
 
 
 IG_SPEC = '{"type":"ig","delta":1,"gamma":1}'
@@ -186,6 +187,27 @@ class TestPmfCommand:
         assert d["kmax"] >= max(want["k"])
         for k, value in zip(want["k"], want["values"]):
             assert abs(d["values"][k] - value) <= 1e-12, k
+
+    @pytest.mark.parametrize("spec", [
+        '{"type":"inverse","base":{"type":"stable","beta":0.97}}',
+        '{"type":"inverse","base":{"type":"tempered","beta":0.97,"mu":1}}',
+    ], ids=["inverse-stable0.97", "inverse-tempered0.97"])
+    def test_inverse_past_the_stable_engine_takes_mc(self, tmp_path, capsys, spec):
+        # no density serves a base index above 0.95: auto takes Monte Carlo,
+        # and the quadrature refusal names no route that refuses the clock too
+        out = tmp_path / "t.json"
+        assert main(["pmf", "--spec", spec, "--lambda", "1", "--t", "1", "--out", str(out)]) == 0
+        d = json.loads(out.read_text())
+        assert d["method"] == "mc"
+        if '"stable"' in spec:
+            for k in range(5):
+                want = fractional_poisson_pmf(k, 1.0, 1.0, 0.97)
+                assert abs(d["values"][k] - want) <= 4.0 * d["stderr"][k], k
+        capsys.readouterr()
+        rc = main(["pmf", "--spec", spec, "--lambda", "1", "--t", "1", "--method", "quadrature",
+                   "--out", str(tmp_path / "q.json")])
+        err = capsys.readouterr().err
+        assert rc == 3 and "pmf_monte_carlo" in err and "pgf" not in err
 
     def test_pgf_on_inverse_is_capability_error(self, tmp_path, capsys):
         rc = main(["pmf", "--spec", '{"type":"inverse","base":{"type":"stable","beta":0.5}}',
@@ -462,7 +484,8 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
                  id="spec-file-not-utf8"),
     # a valid law past the stable density engine: a capability, not an input, error
     pytest.param(_PMF + ['{"type":"inverse","base":{"type":"stable","beta":0.99}}',
-                         "--out", "{tmp}/t.csv"], None, 3, id="pmf-inverse-stable-0.99"),
+                         "--method", "quadrature", "--out", "{tmp}/t.csv"], None, 3,
+                 id="pmf-inverse-stable-0.99"),
     pytest.param(_PMF + ['{"type":"stable","beta":0.99}', "--method", "quadrature",
                          "--out", "{tmp}/t.csv"], None, 3, id="pmf-stable-0.99-quadrature"),
     # t^(1/beta) underflows or overflows: the rule's unit window cannot be

@@ -306,6 +306,16 @@ class TestStableDensity:
         assert subnormal[0] == pytest.approx(4.51090563744e104, rel=1e-10, abs=0.0)
         assert subnormal[1] == pytest.approx(float(self._lead(1.0, 1e-160, 0.5)), rel=1e-12, abs=0.0)
 
+    def test_density_where_the_scaled_argument_underflows(self):
+        # t^(-1/beta) = 1e-3000 at t = 1e300, and x^(-1/beta) at x = 1e40 or
+        # 1e300, round D(1)'s argument to 0: the density there is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [float(stable_density(1.0, 1e300, 0.1)[0]),
+                   float(inverse_stable_density(1e300, 1.0, 0.1)[0]),
+                   float(inverse_stable_density(1e40, 1.0, 0.1)[0])]
+        assert got == [0.0, 0.0, 0.0]
+
     def test_right_tail_at_tiny_t(self):
         # pdf(x t^(-1/beta)) leaves the normal floats before the scale lifts
         # it back; the density keeps the leading tail term

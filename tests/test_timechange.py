@@ -264,10 +264,16 @@ class TestQuadraturePmf:
         (TemperedStable(0.1, 1.0), 1.0, 1.0),
         (TemperedStable(0.3, 1.0), 100.0, 0.05),
         (TemperedStable(0.3, 1.0), 300.0, 0.02),
-    ], ids=["stable0.1", "stable0.05", "tempered0.1", "tempered0.3-t100", "tempered0.3-t300"])
+        (TemperedStable(0.5, 1.0), 1000.0, 0.01),
+        (TemperedStable(0.3, 1.0), 1000.0, 0.01),
+    ], ids=["stable0.1", "stable0.05", "tempered0.1", "tempered0.3-t100", "tempered0.3-t300",
+            "tempered0.5-t1000", "tempered0.3-t1000"])
+    @pytest.mark.filterwarnings("error")
     def test_stable_family_table_matches_pgf(self, spec, t, lam):
         # the unit windows start at D(1)'s Chernoff left end, at the lift
-        # e^(mu^beta t) for the tempered clocks: none of their mass is left out
+        # e^(mu^beta t) for the tempered clocks: none of their mass is left out.
+        # At t = 1000 the weights w f1(y) e^(mu^beta t - mu x) have f1 below the
+        # floats or a tilt past e^709, so they are taken as one log sum
         table = pmf_table(t, lam, spec, kmax=40, method="quadrature")
         want = pmf_table(t, lam, spec, kmax=40, method="pgf").values
         assert np.max(np.abs(table.values - want)) <= 1e-12
@@ -389,7 +395,7 @@ class TestQuadraturePmf:
     def test_hitting_rule_settles_below_1e_10(self, tol):
         rule = mixture_rule(InverseOf(InverseGaussian(1.0, 1.0)), 1.0, 0.5, 2.0, 5, tol)
         n_fine = 4 * rule.nodes.size // 12
-        fine = MixtureRule(rule.spec, 1.0, 0.5, 2.0, 5, rule.law,
+        fine = MixtureRule(1.0, rule.law,
                            *rule.law.rule_nodes(0.5, 2.0, _poisson_cut(5, 1.0), n_fine))
         ts, ks = np.linspace(0.5, 2.0, 7), np.arange(6)
         assert np.max(np.abs(rule.pmf_matrix(ts, ks) - fine.pmf_matrix(ts, ks))) <= tol
@@ -570,7 +576,7 @@ class TestBandedKernel:
     def test_rule_rejects_unsorted_nodes(self):
         rule = mixture_rule(Stable(0.5), 1.0, 1.0, 1.0, 16)
         with pytest.raises(AssertionError):
-            MixtureRule(rule.spec, 1.0, 1.0, 1.0, 16, rule.law, rule.nodes[::-1],
+            MixtureRule(1.0, rule.law, rule.nodes[::-1],
                         rule.weights[::-1], rule.dens[::-1], rule.x_hi)
 
 
@@ -610,7 +616,7 @@ class TestBlockedColumns:
         spec = InverseOf(TemperedStable(0.3, 1.0))
         law = spec.mixing_law()
         nodes = np.array([0.2, 0.5, 1.0, 2.0])
-        rule = MixtureRule(spec, 1.0, 0.5, 1.5, 4, law, nodes, np.full(4, 0.25), None, 2.0)
+        rule = MixtureRule(1.0, law, nodes, np.full(4, 0.25), None, 2.0)
         ts = np.array([1.5, 0.5, 1.0])
         x, wd = law.weighted(rule, ts[:, None])
         assert np.array_equal(x, nodes) and wd.shape == (3, 4)
