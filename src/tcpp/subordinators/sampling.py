@@ -1,9 +1,10 @@
 """Exact samplers for every time-change process.
 
-RNG discipline: every sampler draws from a Philox counter-based generator
-keyed by (seed, stream).  Batches are reproducible for a given
-(spec, t, seed, stream, count) regardless of what else ran before, and
-parallel consumers get disjoint streams.
+RNG discipline: every sampler draws from a PCG64 generator seeded by
+SeedSequence([seed, stream]) (`rng_stream`).  Batches are reproducible for a
+given (spec, t, seed, stream, count) regardless of what else ran before, and
+SeedSequence's hashing keeps the streams of one seed independent.  Every
+seeded value changed once, with the same law, when PCG64 replaced Philox.
 
 Single-t draws are made 2^14 values at a time (`_in_blocks`), so a sampler's
 temporaries stay cache-sized and are reused rather than faulted in afresh.
@@ -24,12 +25,18 @@ Sampler routes (each process class in tcpp.subordinators.spec picks its own):
 * tempered(beta,mu): exponential-tilting rejection against the stable
   sampler, acceptance exp(-mu X).  A tabulated floor of Zolotarev's A on
   256 angle bins rejects most proposals before their sines, with the draws
-  of the plain loop bit for bit; a value with mu^beta t > 2 is the sum of
-  ceil(mu^beta t / 2) iid pieces, each accepted with probability >= e^-2,
-  so every draw costs O(mu^beta t) proposals and none is refused.  At
-  beta = 1/2, which is IG(1/sqrt 2, sqrt(2 mu)), the IG sampler.
+  of the plain loop bit for bit (`_tilted_round`); a value with
+  mu^beta t > 2 is the sum of ceil(mu^beta t / 2) iid pieces, each accepted
+  with probability >= e^-2, so every draw costs O(mu^beta t) proposals and
+  none is refused.  Two drivers share the round: per-element steps
+  (increments, paths, the outer parts of compositions) give each pending
+  element one proposal a round (`_sample_tilted`), while the draws at one t
+  propose iid rounds sized to the shortfall and keep the accepted values in
+  order (`_sample_tilted_iid`), exact because all proposals share one law.
+  At beta = 1/2, which is IG(1/sqrt 2, sqrt(2 mu)), the IG sampler.
 * composition:       feed sampled values as the time argument of the next
-  part (outermost part listed first).
+  part (outermost part listed first); a single-t draw takes the innermost
+  part's own single-t sampler.
 * inverse:           first-passage time of the base, exact on every route.
   An IG base, and the stable or tempered base of index 1/2 through its IG
   law, takes the running maximum H(t) = M(t)/delta of a drifted Brownian
@@ -79,9 +86,9 @@ class SampleBatch:
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, stream); disjoint across streams."""
+    """PCG64 generator for (seed, stream), seeded by SeedSequence hashing."""
     key = np.random.SeedSequence([int(seed) & (2**64 - 1), int(stream) & (2**64 - 1)])
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(np.random.PCG64(key))
 
 
 # a single-t draw, and the pieces of split tempered values, take at most this
@@ -89,12 +96,12 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 _DRAW_BLOCK = 2 ** 14
 
 
-def _in_blocks(n: int, draw):
-    """n values from draw(b) on consecutive blocks of b <= _DRAW_BLOCK values,
-    in order; n <= _DRAW_BLOCK is a single call."""
+def _in_blocks(n: int, draw, block: int = _DRAW_BLOCK):
+    """n values from draw(b) on consecutive blocks of b <= block values, in
+    order; n <= block is a single call."""
     out = np.empty(n)
-    for lo in range(0, n, _DRAW_BLOCK):
-        out[lo:lo + _DRAW_BLOCK] = draw(min(_DRAW_BLOCK, n - lo))
+    for lo in range(0, n, block):
+        out[lo:lo + block] = draw(min(block, n - lo))
     return out
 
 
@@ -151,45 +158,74 @@ def _log_a_floor(beta):
     return floor
 
 
-def _sample_tilted(rng, t, beta, mu):
-    """Tilting rejection on a 1-D t: propose D(t) stable, accept w.p. exp(-mu D).
+def _tilted_round(rng, k, scale, beta, mu):
+    """One round of k tilting proposals: D = scale D(1) stable, accepted
+    w.p. exp(-mu D); scale is a length-k array, or one broadcast to k.
 
-    Each round draws an angle, an exponential and an acceptance uniform for
-    every pending element, in ascending index order.  A proposal whose
-    uniform exceeds exp(-mu X_low), X_low built from the floor of log A on its
-    angle bin, would fail the exact test too and is dropped before any sine;
-    the survivors run the exact test on the exact stable value.  The additive
-    1e-12 absorbs the rounding of the two exponentials.
+    Draws an angle uniform u, an exponential W and an acceptance uniform v
+    for all k proposals, in that order.  A proposal whose v exceeds
+    exp(-mu X_low), X_low built from the floor of log A on its angle bin,
+    would fail the exact test too and is dropped before any sine; the
+    survivors run the exact test on the exact stable value.  The additive
+    1e-12 absorbs the rounding of the two exponentials.  Returns the
+    accepted proposals' places in the round and their values.
     """
     c = (1.0 - beta) / beta
+    u = rng.random(k)
+    log_w = np.log(rng.standard_exponential(k))
+    v = rng.random(k)
+    # exp(-mu X_low); capping the exponent at -700 only raises the bound,
+    # and spares exp its slow subnormal results
+    bound = _log_a_floor(beta)[(u * _SQUEEZE_BINS).astype(np.intp)]
+    bound -= log_w
+    bound *= c
+    np.exp(bound, out=bound)
+    bound *= scale
+    bound *= -mu
+    np.maximum(bound, -700.0, out=bound)
+    np.exp(bound, out=bound)
+    bound += 1e-12
+    live = np.flatnonzero(v <= bound)
+    theta = np.clip(math.pi * u[live], 1e-12, math.pi - 1e-12)
+    x = scale[live] * np.exp(c * (log_zolotarev_a(theta, beta) - log_w[live]))
+    ok = v[live] <= np.exp(-mu * x)
+    return live[ok], x[ok]
+
+
+def _sample_tilted(rng, t, beta, mu):
+    """Tilting rejection on a 1-D t, one proposal per pending element a
+    round, in ascending index order (`_tilted_round`)."""
     t_pow = t ** (1.0 / beta)
-    floor = _log_a_floor(beta)
     out = np.empty(t.size, dtype=float)
     idx = np.arange(t.size)
     while idx.size:
-        u = rng.random(idx.size)
-        log_w = np.log(rng.standard_exponential(idx.size))
-        v = rng.random(idx.size)
-        t_idx = t_pow[idx]
-        # exp(-mu X_low); capping the exponent at -700 only raises the bound,
-        # and spares exp its slow subnormal results
-        bound = floor[(u * _SQUEEZE_BINS).astype(np.intp)]
-        bound -= log_w
-        bound *= c
-        np.exp(bound, out=bound)
-        bound *= t_idx
-        bound *= -mu
-        np.maximum(bound, -700.0, out=bound)
-        np.exp(bound, out=bound)
-        bound += 1e-12
-        live = np.flatnonzero(v <= bound)
-        theta = np.clip(math.pi * u[live], 1e-12, math.pi - 1e-12)
-        x = t_idx[live] * np.exp(c * (log_zolotarev_a(theta, beta) - log_w[live]))
-        ok = v[live] <= np.exp(-mu * x)
-        out[idx[live[ok]]] = x[ok]
+        hit, x = _tilted_round(rng, idx.size, t_pow[idx], beta, mu)
+        out[idx[hit]] = x
         pending = np.ones(idx.size, dtype=bool)
-        pending[live[ok]] = False
+        pending[hit] = False
         idx = idx[pending]
+    return out
+
+
+def _sample_tilted_iid(rng, t, beta, mu, n):
+    """n iid tilted draws at one t with mu^beta t <= 2 (acceptance >= e^-2).
+
+    All proposals share one scale, so the accepted proposals of the stream
+    are iid draws of the target law, kept in order until there are n.  Each
+    round proposes 2% over the expected shortfall at the exact acceptance
+    p = exp(-mu^beta t), plus 32, capped at _DRAW_BLOCK: no request outgrows
+    a block, and the first uncapped round almost always completes the batch.
+    """
+    # numpy's power, as `_sample_stable` takes it: Python's can differ by an ulp
+    scale = np.asarray(t, dtype=float) ** (1.0 / beta)
+    p = math.exp(-mu ** beta * t)
+    out = np.empty(n)
+    got = 0
+    while got < n:
+        k = min(_DRAW_BLOCK, math.ceil((n - got) / p * 1.02) + 32)
+        x = _tilted_round(rng, k, np.broadcast_to(scale, k), beta, mu)[1][:n - got]
+        out[got:got + x.size] = x
+        got += x.size
     return out
 
 

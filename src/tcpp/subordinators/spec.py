@@ -43,6 +43,7 @@ from .densities import (
     tempered_stable_density,
 )
 from .sampling import (
+    _DRAW_BLOCK,
     _in_blocks,
     _sample_ig,
     _sample_ig_hitting,
@@ -50,6 +51,7 @@ from .sampling import (
     _sample_stable_passages,
     _sample_stable_unit,
     _sample_tempered,
+    _sample_tilted_iid,
 )
 from .stable import _BETA_MAX, _TINY, TAIL_LOG, stable_unit
 
@@ -327,6 +329,20 @@ class TemperedStable(SubordinatorSpec):
             return ig.increment(rng, dt)
         return _sample_tempered(rng, dt, self.beta, self.mu)
 
+    def draw(self, rng, t, n):
+        """n values at t.  Each is the sum of m = ceil(mu^b t / 2) iid pieces
+        at t/m, as in `increment`; the pieces come from the iid driver
+        `_sample_tilted_iid`, at most _DRAW_BLOCK a block (one value's m
+        where m is larger)."""
+        b, mu = self.beta, self.mu
+        if _half_ig(b, mu) is not None:
+            return super().draw(rng, t, n)
+        m = max(1, math.ceil(mu ** b * t / 2.0))
+
+        def block(k):
+            return _sample_tilted_iid(rng, t / m, b, mu, k * m).reshape(k, m).sum(axis=1)
+        return _in_blocks(n, block, max(1, _DRAW_BLOCK // m))
+
     def hitting(self):
         ig = _half_ig(self.beta, self.mu)
         return _InverseTempered(self) if ig is None else ig.hitting()
@@ -369,8 +385,16 @@ class Composition(SubordinatorSpec):
         return None if eff is None else Stable(eff)
 
     def increment(self, rng, dt):
-        v = np.asarray(dt, dtype=float)
-        for part in reversed(self.parts):
+        return self._outer(rng, self.parts[-1].increment(rng, np.asarray(dt, dtype=float)))
+
+    def draw(self, rng, t, n):
+        """The innermost part's own `draw`, then the outer increments, one
+        block at a time."""
+        return _in_blocks(n, lambda k: self._outer(rng, self.parts[-1].draw(rng, t, k)))
+
+    def _outer(self, rng, v):
+        """The outer parts' increments over the innermost part's values v."""
+        for part in reversed(self.parts[:-1]):
             v = part.increment(rng, v)
         return v
 

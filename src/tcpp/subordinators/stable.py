@@ -69,14 +69,16 @@ TAIL_LOG = 45.0
 _TINY = np.finfo(float).tiny
 
 
-def _check_beta(beta: float) -> float:
+def _check_beta(beta: float, routes: str = "pgf or mc") -> float:
+    """beta as a float, refused outside (0, 1) and past the engine's index,
+    where the refusal names the pmf routes that still serve the law."""
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise DomainError("stable index beta must be in (0, 1)")
     if beta > _BETA_MAX:  # a valid law this engine cannot evaluate
         raise NoDensityError(
             f"density engine supports beta <= {_BETA_MAX}; the law is nearly "
-            "degenerate beyond that (use the pgf or mc method instead)"
+            f"degenerate beyond that (use the {routes} method instead)"
         )
     return beta
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import betainc, erf
+from scipy.special import betainc, erf, ndtri
 from scipy.stats import ks_2samp
 
 from tcpp.errors import DomainError
@@ -29,6 +29,7 @@ from tcpp.subordinators.sampling import (
     _sample_stable,
     _sample_stable_passages,
     _sample_tempered,
+    _sample_tilted_iid,
     rng_stream,
     sample,
     sample_path,
@@ -44,7 +45,7 @@ from tcpp.subordinators.spec import (
     flatten_stable_composition,
 )
 from tcpp.subordinators.stable import log_zolotarev_a, stable_unit
-from tcpp.timechange import _talbot, pmf_monte_carlo, table_cache
+from tcpp.timechange import _talbot, pmf_monte_carlo, pmf_table, table_cache
 
 # 0.1% two-sided KS critical value: sqrt(-ln(alpha/2)/2) / sqrt(n)
 KS_CRIT_1E3 = math.sqrt(-math.log(0.0005) / 2.0)
@@ -543,6 +544,17 @@ class _SizeRecorder:
         return self.rng.standard_exponential(size)
 
 
+def _iid_reference(rng, t, beta, mu, n):
+    """The iid driver without its squeeze, in the same round sizes: every
+    proposal pays its sines."""
+    p, out = math.exp(-mu ** beta * t), []
+    while (got := sum(x.size for x in out)) < n:
+        k = min(_DRAW_BLOCK, math.ceil((n - got) / p * 1.02) + 32)
+        x = _sample_stable(rng, t, beta, k)
+        out.append(x[rng.random(k) <= np.exp(-mu * x)][:n - got])
+    return np.concatenate(out)
+
+
 SQUEEZE_BETAS = [0.1, 0.3, 0.4, 0.7, 0.9]
 
 
@@ -564,6 +576,55 @@ class TestTemperedSampler:
             got = _sample_tempered(rng_stream(17, 0), t, beta, mu, n)
             want = _tilting_reference(rng_stream(17, 0), t, beta, mu, n)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("beta", SQUEEZE_BETAS)
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 20.0])
+    def test_iid_squeeze_keeps_the_stream(self, beta, mu):
+        # acceptance e^-2 fills rounds at the block cap; e^-0.3 takes the
+        # sized shortfall rounds
+        for scale in (2.0, 0.3):
+            t = scale / mu ** beta
+            got = _sample_tilted_iid(rng_stream(19, 0), t, beta, mu, 5000)
+            want = _iid_reference(rng_stream(19, 0), t, beta, mu, 5000)
+            assert np.array_equal(got, want)
+
+    def test_iid_rounds_stay_within_a_block(self):
+        rng = _SizeRecorder(rng_stream(41, 0))
+        vals = _sample_tilted_iid(rng, 2.0, 0.4, 1.0, 100_000)
+        assert 0 < rng.largest <= _DRAW_BLOCK and vals.shape == (100_000,)
+        # and a split draw: 151 pieces a value, 108 values a block
+        rng = _SizeRecorder(rng_stream(43, 0))
+        vals = TemperedStable(0.3, 400.0).draw(rng, 50.0, 1000)
+        assert 0 < rng.largest <= _DRAW_BLOCK
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+
+    @pytest.mark.parametrize("beta, mu, t", [
+        (0.4, 1.0, 0.5), (0.4, 1.0, 2.0), (0.7, 2.0, 1.0), (0.3, 400.0, 1.0),
+    ], ids=["mu^b t=0.5", "mu^b t=2", "mu^b t=1.6", "pieces"])
+    def test_single_t_draws_have_the_tempered_law(self, beta, mu, t):
+        n = 20_000
+        vals = sample(TemperedStable(beta, mu), t, n, seed=47).values
+        se = math.sqrt(t * beta * (1.0 - beta) * mu ** (beta - 2.0) / n)
+        assert abs(vals.mean() - t * beta * mu ** (beta - 1.0)) <= 4.0 * se
+        stat = _ks_stat_bound(vals, lambda v: tempered_stable_cdf(v, t, beta, mu))
+        assert stat < KS_CRIT_1E3 / math.sqrt(n)
+
+    @pytest.mark.parametrize("t, lam", [(0.5, 0.5), (2.0, 1.0)])
+    def test_ig_on_tempered_monte_carlo_matches_the_pgf_table(self, t, lam):
+        # the cells holding at least 10 expected draws one by one, the rest
+        # pooled with the tail, each within 4 SE widened by Bonferroni
+        spec = Composition((InverseGaussian(1.0, 1.0), TemperedStable(0.4, 1.0)))
+        n = 100_000
+        exact = pmf_table(t, lam, spec, method="pgf")
+        kmax = int(np.flatnonzero(n * exact.values >= 10.0)[-1])
+        p = exact.values[:kmax + 1]
+        p = np.append(p, 1.0 - p.sum())
+        table_cache.cache_clear()
+        mc = pmf_monte_carlo(t, lam, spec, n, seed=53, kmax=kmax)
+        q = np.append(mc.values, mc.tail_bound)
+        z = -ndtri(0.5 * math.erfc(4.0 / math.sqrt(2.0)) / p.size)
+        assert np.all(np.abs(q - p) <= z * np.sqrt(p * (1.0 - p) / n)), np.abs(q - p)
+
 
     @pytest.mark.parametrize("beta", SQUEEZE_BETAS)
     def test_floor_is_a_floor(self, beta):
@@ -672,6 +733,8 @@ class TestBlocks:
         InverseGaussian(1.0, 1.0),
         InverseOf(InverseGaussian(1.3, 0.7)),
         InverseOf(Stable(0.3)),
+        TemperedStable(0.4, 1.0),
+        Composition((InverseGaussian(1.0, 1.0), TemperedStable(0.4, 1.0))),
     ])
     def test_a_larger_batch_starts_with_the_one_block_batch(self, spec):
         big = sample(spec, 1.7, 40_000, seed=21).values

@@ -540,6 +540,20 @@ class TestInverseTempered:
             assert np.max(np.abs(tilt_cdf - hitting_time_cdf_ig(x, t, *ig))) <= 1e-12
 
 
+@pytest.mark.parametrize("law, advice", [
+    (lambda: inverse_stable_density(1.0, 1.0, 0.97), "(use the mc method instead)"),
+    (lambda: inverse_tempered_density(1.0, 1.0, 0.97, 1.0), "(use the mc method instead)"),
+    (lambda: inverse_tempered_cdf(1.0, 1.0, 0.97, 1.0), "(use the mc method instead)"),
+    (lambda: stable_density(1.0, 1.0, 0.97), "(use the pgf or mc method instead)"),
+], ids=["inverse-stable", "inverse-tempered", "inverse-tempered-cdf", "stable"])
+def test_past_the_engine_the_advice_names_a_serving_route(law, advice):
+    # the PGF route takes no inverse clock, so an inverse law's refusal names
+    # Monte Carlo alone
+    with pytest.raises(NoDensityError) as err:
+        law()
+    assert str(err.value).endswith(advice)
+
+
 class TestDensitiesBroadcastInTime:
     @pytest.mark.parametrize("dens", [
         lambda x, t: stable_density(x, t, 1.0 / 3.0),
