@@ -11,14 +11,20 @@ temporaries stay cache-sized and are reused rather than faulted in afresh.
 A batch of at most 2^14 values is one block, drawn as before blocking; a
 larger batch draws its blocks in order from the one stream, so its values
 (and the Monte Carlo tables built on them) changed once, with the same law,
-when blocking came in.  The first-passage walks (inverse tempered of index
-other than 1/2, inverses of compositions) draw a whole batch in one walk:
-their Python loop costs the same per call, so blocks would multiply it.
+when blocking came in.  First-passage paths (inverse stable and tempered
+clocks of index other than 1/2, inverses of compositions) draw a whole batch
+at once, one passage per live path a round: each round costs numpy's call
+overhead whatever its size, so blocks would multiply it.  The variates of a
+passage that do not depend on its gap come from pools drawn in bulk
+(`_Pool`), so a round is a slice and a few products; their values changed
+once, with the same law, when the pools came in.
 
 Sampler routes (each process class in tcpp.subordinators.spec picks its own):
 
-* IG(delta, gamma):  two-root transformation method (gamma > 0); the
-  gamma = 0 degenerate case is the Levy law (delta t)^2 / Z^2.
+* IG(delta, gamma):  two-root transformation method (gamma > 0), its smaller
+  root formed without a difference, so steps far below Z^2 / (gamma delta)
+  stay positive; the gamma = 0 degenerate case is the Levy law
+  (delta t)^2 / Z^2.
 * stable(beta):      positive-stable transformation sampler from a uniform
   angle and a unit exponential; at beta = 1/2, which is IG(1/sqrt 2, 0), the
   IG sampler.
@@ -45,9 +51,10 @@ Sampler routes (each process class in tcpp.subordinators.spec picks its own):
   of the product index) draws single-t values by the scaling identity
   E(t) =d (t/D(1))^beta and paths one first passage at a time, from the
   closed law of (passage time, undershoot, landing), at most one passage per
-  grid level.  A tempered base of any other index draws the same passages
-  stopped at mu^-beta and accepts each step with its Esscher weight; a draw
-  is a path on the one-point grid.  The inverse of any other composition is
+  grid level; the gap scales a passage, and its unit-gap factors come from a
+  pool.  A tempered base of any other index draws the same passages stopped
+  at mu^-beta and accepts each step with its Esscher weight; a draw is a
+  path on the one-point grid.  The inverse of any other composition is
   the composition of its parts' inverses, outermost part first, because no
   part creeps over a level: each hitting route takes a matrix of per-path
   levels as readily as one grid.
@@ -117,10 +124,14 @@ def _sample_ig(rng, t, delta, gamma):
     if gamma == 0.0:
         return (dt / z) ** 2
     mean = dt / gamma
-    shape = dt * dt
-    nu = z * z
-    w = mean * nu
-    x1 = mean + mean / (2.0 * shape) * (w - np.sqrt(4.0 * shape * w + w * w))
+    w = mean * z * z
+    # the smaller root mean (s - w) / (s + w), s = sqrt(w (w + 4 shape)) at
+    # shape dt^2, is 4 mean shape w / (s + w)^2: no difference cancels when
+    # w >> shape.  Divided through by w, with q = 4 shape / (w + 4 shape),
+    # it keeps z = 0 at the mean
+    four_shape = 4.0 * dt * dt
+    q = four_shape / (w + four_shape)
+    x1 = mean * q / (1.0 + np.sqrt(1.0 - q)) ** 2
     take_first = u <= mean / (mean + x1)
     return np.where(take_first, x1, mean * mean / x1)
 
@@ -229,7 +240,7 @@ def _sample_tilted_iid(rng, t, beta, mu, n):
     return out
 
 
-def _sample_tempered(rng, t, beta, mu, n=None):
+def _sample_tempered(rng, t, beta, mu):
     """Tempered stable D(t) by tilting, split into iid pieces where mu^beta t > 2.
 
     An element with mu^beta t > 2 is the sum of m = ceil(mu^beta t / 2) iid
@@ -239,12 +250,11 @@ def _sample_tempered(rng, t, beta, mu, n=None):
     most _DRAW_BLOCK.
     """
     t = np.asarray(t, dtype=float)
-    size = t.shape if n is None else (n,)
-    t_flat = np.broadcast_to(t, size).ravel()
+    t_flat = t.ravel()
     pieces = np.ceil(mu ** beta * t_flat / 2.0)
     split = pieces > 1.0
     if not split.any():
-        return _sample_tilted(rng, t_flat, beta, mu).reshape(size)
+        return _sample_tilted(rng, t_flat, beta, mu).reshape(t.shape)
     out = np.zeros(t_flat.size, dtype=float)
     out[~split] = _sample_tilted(rng, t_flat[~split], beta, mu)
     elems = np.flatnonzero(split)
@@ -256,7 +266,7 @@ def _sample_tempered(rng, t, beta, mu, n=None):
         draws = _sample_tilted(rng, t_flat[elems[owner]] / counts[owner], beta, mu)
         first = np.flatnonzero(np.diff(owner, prepend=-1))
         out[elems[owner[first]]] += np.add.reduceat(draws, first)
-    return out.reshape(size)
+    return out.reshape(t.shape)
 
 
 def _sample_ig_hitting(rng, t_grid, delta, gamma, n):
@@ -270,11 +280,26 @@ def _sample_ig_hitting(rng, t_grid, delta, gamma, n):
     nondecreasing rows, one grid per path.  Returns an (n, L) array.
     """
     h = np.diff(t_grid, prepend=0.0)
-    z = rng.standard_normal((n, h.shape[-1]))
+    x = rng.standard_normal((n, h.shape[-1]))
     u = rng.random((n, h.shape[-1]))
-    x = gamma * h + np.sqrt(h) * z
-    top = 0.5 * (x + np.sqrt(x * x - 2.0 * h * np.log(np.maximum(u, 1e-300))))
-    return np.maximum.accumulate(np.cumsum(x, axis=1) - x + top, axis=1) / delta
+    # in place, with the operations and roundings of gamma h + sqrt(h) z and
+    # 0.5 (x + sqrt(x^2 - 2 h log u)): four (n, L) arrays, not a dozen
+    x *= np.sqrt(h)
+    x += gamma * h
+    np.maximum(u, 1e-300, out=u)
+    np.log(u, out=u)
+    u *= 2.0 * h
+    top = x * x
+    top -= u
+    np.sqrt(top, out=top)
+    top += x
+    top *= 0.5
+    run = np.cumsum(x, axis=1)
+    run -= x
+    run += top
+    np.maximum.accumulate(run, axis=1, out=run)
+    run /= delta
+    return run
 
 
 def _passage_log_a(rng, beta, k):
@@ -282,15 +307,19 @@ def _passage_log_a(rng, beta, k):
 
     Rejection from theta = pi U: A is increasing with infimum
     a0 = (1-beta) beta^(beta/(1-beta)) at 0+, so the acceptance
-    (A / a0)^-(1-beta) is at most 1 (0.64-0.8 on average).  Each round
-    proposes twice the shortfall and keeps the first accepted angles, so one
-    round almost always suffices.
+    (A / a0)^-(1-beta) is at most 1.  Its mean is
+    p = a0^(1-beta) / (Gamma(1+beta) Gamma(2-beta)) (0.64-0.86), since
+    E D(1)^-beta = 1/Gamma(1+beta) in Kanter's form.  Each round proposes 2%
+    over the shortfall at rate p, plus 32, and keeps the first accepted angles,
+    so one round almost always suffices.
     """
     log_a0 = math.log1p(-beta) + beta / (1.0 - beta) * math.log(beta)
+    p = math.exp((1.0 - beta) * log_a0) / (math.gamma(1.0 + beta) * math.gamma(2.0 - beta))
     out = np.empty(k)
     done = 0
     while done < k:
-        theta = np.clip(math.pi * rng.random(2 * (k - done)), 1e-12, math.pi - 1e-12)
+        theta = math.pi * rng.random(math.ceil((k - done) / p * 1.02) + 32)
+        np.clip(theta, 1e-12, math.pi - 1e-12, out=theta)
         log_a = log_zolotarev_a(theta, beta)
         ok = rng.random(theta.size) <= np.exp((beta - 1.0) * (log_a - log_a0))
         take = log_a[ok][:k - done]
@@ -299,12 +328,61 @@ def _passage_log_a(rng, beta, k):
     return out
 
 
-def _sample_stable_below(rng, t, beta, cap):
-    """D(t) conditioned on D(t) <= cap, elementwise, by plain rejection."""
+class _Pool:
+    """Variates drawn ahead in bulk by fill(m), an array whose last axis holds
+    m draws, and handed out k at a time in order.
+
+    A request the pool cannot meet keeps what is left and appends fill(m) with
+    m = min(4 k + 64, k + _DRAW_BLOCK): a short request refills rarely, and a
+    large one holds at most a block beyond itself.  The pooled values are iid
+    and independent of everything the caller does with them, so handing them
+    out later than they were drawn leaves every law as it was.
+    """
+
+    def __init__(self, fill):
+        self.fill, self.draws, self.at = fill, None, 0
+
+    def take(self, k):
+        if self.draws is None or self.at + k > self.draws.shape[-1]:
+            fresh = self.fill(min(4 * k + 64, k + _DRAW_BLOCK))
+            self.draws = fresh if self.draws is None else np.concatenate(
+                (self.draws[..., self.at:], fresh), axis=-1)
+            self.at = 0
+        lo, self.at = self.at, self.at + k
+        return self.draws[..., lo:self.at]
+
+
+def _passage_draws(rng, beta, mu, m):
+    """m passages over a unit gap, as the rows land and time of one array.
+
+    Row land is B + (1 - B) V^(-1/beta) and row time is
+    B^beta (W / A(theta))^(1-beta), with B ~ Beta(beta, 1-beta), V ~ U(0, 1],
+    W ~ Gamma(2-beta) and theta from `_passage_log_a`: over a gap a the
+    passage lands a land and takes a^beta time (`_sample_stable_passages`).
+    At mu > 0 a third row holds the unit exponentials -log U of the Esscher
+    acceptance.
+    """
+    draws = np.empty((3 if mu > 0 else 2, m))
+    b = rng.beta(beta, 1.0 - beta, m)
+    land, time = draws[0], draws[1]
+    np.power(1.0 - rng.random(m), -1.0 / beta, out=land)
+    land *= 1.0 - b
+    land += b
+    log_wa = np.log(rng.gamma(2.0 - beta, size=m)) - _passage_log_a(rng, beta, m)
+    np.exp((1.0 - beta) * log_wa, out=time)
+    time *= b ** beta
+    if mu > 0:
+        draws[2] = rng.standard_exponential(m)
+    return draws
+
+
+def _sample_stable_below(pool, cap):
+    """D(h) conditioned on D(h) <= cap, elementwise, by plain rejection from a
+    pool of stable(h) proposals."""
     out = np.empty(cap.size)
     idx = np.arange(cap.size)
     while idx.size:
-        x = _sample_stable(rng, t, beta, idx.size)
+        x = pool.take(idx.size)
         ok = x <= cap[idx]
         out[idx[ok]] = x[ok]
         idx = idx[~ok]
@@ -317,24 +395,27 @@ def _sample_stable_passages(rng, levels, beta, n, mu=0.0):
     e^(-mu x)).
 
     `levels` is one grid for all n paths or an (n, L) matrix with positive,
-    nondecreasing rows, one grid per path.  Exact, one first passage at a
-    time.  A passage of a fresh stable D over gap a has undershoot
+    nondecreasing rows, one grid per path.  Exact, one first passage per live
+    path a round.  A passage of a fresh stable D over gap a has undershoot
     Y = a B, B ~ Beta(beta, 1-beta), landing Z = Y + (a - Y) V^(-1/beta),
     V ~ U(0, 1], and, given Y, time Y^beta (W / A(theta))^(1-beta) with
     W ~ Gamma(2-beta) and theta drawn by `_passage_log_a`: the potential
     density y^(beta-1)/Gamma(beta) times the Levy tail, and D(1) biased by
     D(1)^-beta in Kanter's form.  By the strong Markov property each path
     restarts at its landing and passes the first level it has not covered;
-    every level below the landing reads the passage time.
+    every level below the landing reads the passage time.  Only a scales
+    the passage, so its gap-free factors come from a `_Pool` (`_passage_draws`)
+    and a round is a slice of the pool and a few products on the live paths.
 
     At mu > 0 a step stops at the passage or at h = mu^-beta, whichever comes
     first: a passage later than h becomes the step (h, X), X a stable(h) value
-    conditioned on X <= a (no passage by h).  The Esscher martingale
-    e^(-mu D(s) + mu^beta s) turns the stable law of that bounded step into
-    the tempered one and is at most e^(mu^beta h), so the step is accepted
-    with probability exp(-mu dpos + mu^beta (dtime - h)), and a rejected step
-    is drawn again from the same state.  The mean acceptance is e^-1, so a
-    path costs about e mu t_max / beta proposals.
+    conditioned on X <= a (no passage by h), drawn from a pool of stable(h)
+    proposals.  The Esscher martingale e^(-mu D(s) + mu^beta s) turns the
+    stable law of that bounded step into the tempered one and is at most
+    e^(mu^beta h), so the step is accepted with probability
+    exp(-mu dpos + mu^beta (dtime - h)), and a rejected step is drawn again
+    from the same state.  The mean acceptance is e^-1, so a path costs about
+    e mu t_max / beta proposals.
 
     At mu = 0 each round covers at least one level of every live path, so a
     path costs at most L passages.  Returns an (n, L) array.
@@ -343,40 +424,50 @@ def _sample_stable_passages(rng, levels, beta, n, mu=0.0):
     per_row = levels.ndim == 2
     width = levels.shape[-1]
     h = mu ** -beta if mu > 0 else math.inf
+    passages = _Pool(lambda m: _passage_draws(rng, beta, mu, m))
+    below = _Pool(lambda m: _sample_stable(rng, h, beta, m))
     out = np.zeros((n, width))
+    # the live paths' rows of out, and their time, position and next level
+    live = np.arange(n)
     time = np.zeros(n)
     pos = np.zeros(n)
     nxt = np.zeros(n, dtype=np.intp)
-    live = np.arange(n)
     while live.size:
-        k, j = live.size, nxt[live]
-        gap = (levels[live, j] if per_row else levels[j]) - pos[live]
-        # a tilted step stopped below its level can round onto or past it
-        np.maximum(gap, 0.0, out=gap)
-        under = gap * rng.beta(beta, 1.0 - beta, k)
-        land = under + (gap - under) * (1.0 - rng.random(k)) ** (-1.0 / beta)
-        log_wa = np.log(rng.gamma(2.0 - beta, size=k)) - _passage_log_a(rng, beta, k)
-        tau = under ** beta * np.exp((1.0 - beta) * log_wa)
-        step = passed = live
+        gap = (levels[live, nxt] if per_row else levels[nxt]) - pos
+        if mu > 0:
+            # a tilted step stopped below its level can round onto or past it
+            np.maximum(gap, 0.0, out=gap)
+        unit = passages.take(live.size)
+        land = gap * unit[0]
+        tau = gap ** beta
+        tau *= unit[1]
+        passed = slice(None)
         if mu > 0:
             stop = tau > h
-            tau[stop] = h
-            land[stop] = _sample_stable_below(rng, h, beta, gap[stop])
-            ok = rng.random(k) <= np.exp(mu ** beta * (tau - h) - mu * land)
-            step, passed, tau, land = live[ok], live[ok & ~stop], tau[ok], land[ok]
-        time[step] += tau
-        pos[step] += land
+            if stop.any():
+                tau[stop] = h
+                land[stop] = _sample_stable_below(below, gap[stop])
+            ok = unit[2] >= mu * land - mu ** beta * (tau - h)
+            # a rejected step leaves its path where it was
+            rejected = ~ok
+            tau[rejected] = 0.0
+            land[rejected] = 0.0
+            passed = np.flatnonzero(ok & ~stop)
+        time += tau
+        pos += land
         j = nxt[passed]
-        out[passed, j] = time[passed]
+        out[live[passed], j] = time[passed]
         # a landing that rounds onto or below its level still covers it
         if per_row:
-            above = np.count_nonzero(levels[passed] <= pos[passed, None], axis=1)
+            above = np.count_nonzero(levels[live[passed]] <= pos[passed, None], axis=1)
         else:
-            above = np.searchsorted(levels, pos[passed], side="right")
-        nxt[passed] = np.maximum(j + 1, above)
-        live = live[nxt[live] < width]
+            above = levels.searchsorted(pos[passed], side="right")
+        nxt[passed] = np.maximum(j + 1, above, out=above)
+        keep = nxt < width
+        if np.count_nonzero(keep) < live.size:
+            live, time, pos, nxt = live[keep], time[keep], pos[keep], nxt[keep]
     # levels a passage jumped over read its time, the last one written before them
-    return np.maximum.accumulate(out, axis=1)
+    return np.maximum.accumulate(out, axis=1, out=out)
 
 
 # -- public sampling surface ----------------------------------------------------

@@ -440,8 +440,10 @@ class _Hitting(Clock):
     """Hitting route of `base`.  Its `path` takes one grid or an (n, L)
     matrix of nondecreasing per-path levels; a draw is a path on the
     one-point grid unless the route has a cheaper single-t sampler.  That
-    path is one first-passage walk for the whole count, not blocks: the
-    walk's Python loop costs the same per call whatever its size."""
+    path draws the whole count at once, not in blocks: first passages take
+    one round per passage of the slowest path, each costing numpy's call
+    overhead whatever its size, and their pools hold at most a block beyond
+    the live paths (`sampling._Pool`)."""
 
     base: SubordinatorSpec
 

@@ -14,6 +14,7 @@ from tcpp.subordinators.densities import (
     hitting_time_cdf_ig,
     ig_cdf,
     ig_density,
+    inverse_stable_cdf,
     inverse_tempered_cdf,
     stable_cdf,
     stable_density,
@@ -25,6 +26,7 @@ from tcpp.subordinators.sampling import (
     _DRAW_BLOCK,
     _SQUEEZE_BINS,
     _log_a_floor,
+    _sample_ig,
     _sample_ig_hitting,
     _sample_stable,
     _sample_stable_passages,
@@ -228,6 +230,31 @@ class TestKolmogorovSmirnov:
         assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
 
 
+class TestSmallIGSteps:
+    """The IG two-root draw where gamma delta dt << Z^2: its smaller root is
+    formed without a difference that cancels."""
+
+    STEPS = np.geomspace(1e-12, 1.0, 13)
+
+    def test_draws_are_nonnegative(self):
+        for dt in self.STEPS:
+            vals = _sample_ig(rng_stream(151, 0), np.full(200_000, dt), 1.0, 1.0)
+            assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0), dt
+
+    def test_path_rows_are_nondecreasing(self):
+        grids = [np.linspace(a, 4.0 * a, 4) for a in self.STEPS[::3]]
+        for grid in grids + [self.STEPS]:
+            paths = sample_path(InverseGaussian(1.0, 1.0), grid, 5000, seed=1)
+            assert np.all(paths >= 0.0) and np.all(np.diff(paths, axis=1) >= 0.0), grid
+
+    @pytest.mark.parametrize("dt", [1e-6, 1.0])
+    def test_draws_follow_the_ig_law(self, dt):
+        n = 10_000
+        vals = _sample_ig(rng_stream(153, 0), np.full(n, dt), 1.0, 1.0)
+        stat = _ks_stat(vals, lambda v: ig_cdf(v, dt, 1.0, 1.0))
+        assert stat < KS_CRIT_1E3 / math.sqrt(n)
+
+
 class TestIndexHalfRoutes:
     def test_large_tilt_finishes_with_the_right_mean(self):
         # mu^beta t = 15: tilting rejection would accept one proposal in 3e6
@@ -328,27 +355,41 @@ class TestExactPaths:
         assert _ks_2samp_ok(paths[:, -1], exact)
 
 
-class _PassageRecorder:
-    """A generator that forwards every draw and counts the passages, one
-    Gamma(2 - beta) draw each."""
+class _Pools(list):
+    """The `_Pool`s the first-passage paths make, in order; a path's first
+    pool holds its passages.  A pool counts the values it hands out (`taken`)
+    and its refills (`fills`); a passage pool that hands out more than `limit`
+    stops its path."""
 
-    def __init__(self, rng):
-        self.rng, self.passages = rng, 0
-
-    def beta(self, a, b, size):
-        return self.rng.beta(a, b, size)
-
-    def random(self, size):
-        return self.rng.random(size)
-
-    def gamma(self, shape, size):
-        self.passages += size
-        return self.rng.gamma(shape, size=size)
+    limit = math.inf
 
 
-class _FlushLandings(_PassageRecorder):
-    """Undershoot B = 1 and V = 1: every passage lands at pos + (level - pos)
-    in floating point, which can round below the level."""
+@pytest.fixture
+def pools(monkeypatch):
+    made = _Pools()
+
+    class CountingPool(sampling_module._Pool):
+        def __init__(self, fill):
+            def counted(m):
+                self.fills += 1
+                return fill(m)
+            super().__init__(counted)
+            self.taken = self.fills = 0
+            made.append(self)
+
+        def take(self, k):
+            self.taken += k
+            assert self is not made[0] or self.taken <= made.limit, "the path stalled"
+            return super().take(k)
+
+    monkeypatch.setattr(sampling_module, "_Pool", CountingPool)
+    return made
+
+
+class _FlushLandings:
+    """A generator with undershoot B = 1 and V = 1: every passage lands at
+    pos + (level - pos) in floating point, which can round below the level.
+    Every Esscher exponential is infinite, so every tilted step is accepted."""
 
     def beta(self, a, b, size):
         return np.ones(size)
@@ -357,8 +398,10 @@ class _FlushLandings(_PassageRecorder):
         return np.zeros(size)
 
     def gamma(self, shape, size):
-        self.passages += size
         return np.ones(size)
+
+    def standard_exponential(self, size):
+        return np.full(size, np.inf)
 
 
 class _StoppedSteps(_FlushLandings):
@@ -366,8 +409,6 @@ class _StoppedSteps(_FlushLandings):
     h, so every step over a positive gap stops at h."""
 
     def gamma(self, shape, size):
-        self.passages += size
-        assert self.passages <= 3, "the path stalled"
         return np.full(size, 1e300)
 
 
@@ -425,24 +466,34 @@ class TestInverseStablePassages:
         assert not np.array_equal(a, sample_path(spec, grid, 64, seed=6))
 
     @pytest.mark.parametrize("spec", PASSAGE_SPECS, ids=PASSAGE_IDS)
-    def test_never_walks_and_bounds_its_passages(self, spec):
-        # one Gamma(2 - beta) draw per passage, and each round of passages
-        # covers at least one level of every path still drawing
+    def test_never_walks_and_bounds_its_passages(self, spec, pools):
+        # each round of passages covers at least one level of every path
+        # still drawing, and takes one passage a path from the pool
         paths, grid = 256, np.geomspace(0.01, 100.0, 64)
-        rng = _PassageRecorder(rng_stream(3, 0))
-        got = spec.path(rng, grid, paths)
-        assert 0 < rng.passages <= paths * grid.size
+        got = spec.path(rng_stream(3, 0), grid, paths)
+        assert 0 < pools[0].taken <= paths * grid.size
         assert np.array_equal(got, sample_path(spec, grid, paths, seed=3))
 
-    def test_a_landing_below_its_level_still_covers_it(self):
+    def test_a_landing_below_its_level_still_covers_it(self, pools):
         # the second passage lands one rounding short of its level: without
         # the guard the path would pass the same level again
         levels = np.array([0.7283449608802397, 6.365520464819748])
         assert levels[0] + (levels[1] - levels[0]) < levels[1]
-        rng = _FlushLandings(None)
-        paths = _sample_stable_passages(rng, levels, 0.7, 3)
-        assert rng.passages == 3 * levels.size
+        paths = _sample_stable_passages(_FlushLandings(), levels, 0.7, 3)
+        assert pools[0].taken == 3 * levels.size
         assert np.all(paths[:, 1] > paths[:, 0])
+
+    @pytest.mark.parametrize("beta", [0.3, 0.7])
+    def test_paths_that_refill_their_pool_keep_the_law(self, beta, pools):
+        # 2000 paths take a pool of 8064 passages, and far levels need more:
+        # the passages after a refill must follow the law as the first ones
+        n, levels = 2000, np.geomspace(0.01, 100.0, 9)
+        paths = sample_path(InverseOf(Stable(beta)), levels, n, seed=131)
+        assert pools[0].fills > 1
+        for j, t in enumerate(levels):
+            stat = _ks_stat_bound(paths[:, j], np.vectorize(
+                lambda x: inverse_stable_cdf(x, t, beta) if x > 0 else 0.0), 200)
+            assert stat < KS_CRIT_1E3 / math.sqrt(n), (t, stat)
 
 
 class TestTiltedPassages:
@@ -459,7 +510,19 @@ class TestTiltedPassages:
         stat = _ks_stat_bound(vals, lambda v: inverse_tempered_cdf(v, t, beta, mu), 2000)
         assert stat < KS_CRIT_1E3 / math.sqrt(n)
 
-    def test_a_stopped_step_that_rounds_past_its_level_still_covers_it(self, monkeypatch):
+    def test_paths_that_refill_their_pools_keep_the_law(self, pools):
+        # 2000 paths at about e mu t / beta steps each refill their passage
+        # pool many times, and stopped steps refill their stable(h) pool
+        beta, mu, n, levels = 0.7, 1.0, 2000, np.geomspace(0.01, 100.0, 9)
+        paths = sample_path(InverseOf(TemperedStable(beta, mu)), levels, n, seed=137)
+        assert pools[0].fills > 1 and pools[1].fills > 1
+        for j, t in enumerate(levels):
+            stat = _ks_stat_bound(paths[:, j],
+                                  lambda v: inverse_tempered_cdf(v, t, beta, mu), 200)
+            assert stat < KS_CRIT_1E3 / math.sqrt(n), (t, stat)
+
+    def test_a_stopped_step_that_rounds_past_its_level_still_covers_it(self, monkeypatch,
+                                                                       pools):
         # the second stopped step takes its whole gap, and 2.17 + 5.07 rounds
         # past the level: the next gap must read 0, not a negative number
         # whose passage is NaN and rejected forever
@@ -467,10 +530,10 @@ class TestTiltedPassages:
         assert 0.3 * level + (level - 0.3 * level) > level
         fractions = [0.3, 1.0]
         monkeypatch.setattr(sampling_module, "_sample_stable_below",
-                            lambda rng, t, beta, cap: cap * fractions.pop(0) if cap.size else cap)
-        rng = _StoppedSteps(None)
-        paths = _sample_stable_passages(rng, np.array([level]), 0.3, 1, 1.0)
-        assert rng.passages == 3
+                            lambda pool, cap: cap * fractions.pop(0))
+        pools.limit = 3
+        paths = _sample_stable_passages(_StoppedSteps(), np.array([level]), 0.3, 1, 1.0)
+        assert pools[0].taken == 3
         assert paths[0, 0] == 2.0  # two stopped steps of h = mu^-beta = 1
 
 
@@ -514,11 +577,10 @@ class TestInverseCompositions:
             assert _ks_2samp_ok(paths[:, j], exact)
 
 
-def _tilting_reference(rng, t, beta, mu, n=None):
+def _tilting_reference(rng, t, beta, mu):
     """The tilting rejection without its squeeze: every proposal pays its sines."""
     t = np.asarray(t, dtype=float)
-    size = t.shape if n is None else (n,)
-    t_flat = np.broadcast_to(t, size).ravel()
+    t_flat = t.ravel()
     out, pending = np.empty(t_flat.size), np.ones(t_flat.size, dtype=bool)
     while pending.any():
         idx = np.flatnonzero(pending)
@@ -526,7 +588,7 @@ def _tilting_reference(rng, t, beta, mu, n=None):
         ok = rng.random(idx.size) <= np.exp(-mu * x)
         out[idx[ok]] = x[ok]
         pending[idx[ok]] = False
-    return out.reshape(size)
+    return out.reshape(t.shape)
 
 
 class _SizeRecorder:
@@ -567,14 +629,14 @@ class TestTemperedSampler:
         t_max = 2.0 / mu ** beta
         grid = np.random.default_rng(1).uniform(1e-6, 1.0, 3000) * t_max
         cases = [
-            (0.9 * t_max, 2000),
-            (grid, None),
-            (grid[:200].reshape(50, 4), None),
-            (np.broadcast_to([1e-4, 2e-4, 3e-4], (4, 3)), None),
+            np.full(2000, 0.9 * t_max),
+            grid,
+            grid[:200].reshape(50, 4),
+            np.broadcast_to([1e-4, 2e-4, 3e-4], (4, 3)),
         ]
-        for t, n in cases:
-            got = _sample_tempered(rng_stream(17, 0), t, beta, mu, n)
-            want = _tilting_reference(rng_stream(17, 0), t, beta, mu, n)
+        for t in cases:
+            got = _sample_tempered(rng_stream(17, 0), t, beta, mu)
+            want = _tilting_reference(rng_stream(17, 0), t, beta, mu)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("beta", SQUEEZE_BETAS)
@@ -646,7 +708,7 @@ class TestTemperedSampler:
         (0.3, 400.0, 50.0, 10_000),
     ], ids=["mu^b t=6", "mu^b t=24", "mu^b t=302"])
     def test_pieces_have_the_tempered_law(self, beta, mu, t, n):
-        vals = _sample_tempered(rng_stream(29, 0), t, beta, mu, n)
+        vals = _sample_tempered(rng_stream(29, 0), np.full(n, t), beta, mu)
         assert np.all(np.isfinite(vals)) and np.all(vals > 0)
         mean = t * beta * mu ** (beta - 1.0)
         se = math.sqrt(t * beta * (1.0 - beta) * mu ** (beta - 2.0) / n)
@@ -662,14 +724,14 @@ class TestTemperedSampler:
         # engine's deep left tail, where tempered_stable_cdf is not exact.
         # Each cdf point costs about a millisecond here, hence 2000 draws
         n, t = 2000, 1.0
-        vals = _sample_tempered(rng_stream(31, 0), t, 0.3, 400.0, n)
+        vals = _sample_tempered(rng_stream(31, 0), np.full(n, t), 0.3, 400.0)
         stat = _ks_stat(vals, lambda v: tempered_stable_cdf(v, t, 0.3, 400.0))
         assert stat < KS_CRIT_1E3 / math.sqrt(n)
 
     def test_pieces_are_drawn_in_capped_chunks(self):
         # 1000 draws of 151 pieces each: uncapped, one request of 151000
         rng = _SizeRecorder(rng_stream(37, 0))
-        vals = _sample_tempered(rng, 50.0, 0.3, 400.0, 1000)
+        vals = _sample_tempered(rng, np.full(1000, 50.0), 0.3, 400.0)
         assert 0 < rng.largest <= _DRAW_BLOCK
         assert np.all(np.isfinite(vals)) and np.all(vals > 0)
 
