@@ -212,8 +212,10 @@ def tempered_stable_cdf(x, t, beta: float, mu: float):
     return _float_if_scalar(np.clip(_tempered_partial_moments(x, t, beta, mu)[0], 0.0, 1.0))
 
 
-# the most unit-density points evaluated in one pass (bounds the working arrays)
+# the most unit-density points evaluated in one pass (bounds the working
+# arrays), and the most panels of 12 points one point may take
 _TILT_CHUNK = 1 << 14
+_TILT_PANELS = 1 << 16
 
 
 def _tempered_partial_moments(x, t, beta: float, mu: float):
@@ -230,7 +232,11 @@ def _tempered_partial_moments(x, t, beta: float, mu: float):
     at most w wide, where w is the smallest of 1, the log-width scale
     (1-beta)/beta of f1's peak and twice the relative spread
     sqrt((1-beta)/(beta mu^beta t)) of D_mu(t); so a point's value depends on
-    that point alone.
+    that point alone.  A pass takes the next _TILT_CHUNK unit-density points
+    of the panels in order, whichever points they serve.  A point that needs
+    more than _TILT_PANELS panels (mu^beta t past a few times 1e10, where the
+    relative spread is below about 1e-5) is refused with ConvergenceError
+    before any array is sized by the panel count.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     su = stable_unit(beta)
@@ -243,22 +249,29 @@ def _tempered_partial_moments(x, t, beta: float, mu: float):
     span = np.maximum(v_hi - v_lo, 0.0)
     spread = np.sqrt((1.0 - beta) / np.maximum(beta * lift, 1e-300))
     width = np.minimum(min(1.0, (1.0 - beta) / beta), 2.0 * spread)
-    n_pan = np.ceil(span / width).astype(int)
-    first = np.cumsum(n_pan) - n_pan
+    n_pan = np.ceil(span / width)
+    if not n_pan.max(initial=0) <= _TILT_PANELS:  # NaN too; before anything is sized by it
+        raise ConvergenceError(f"the tilt integrals need {n_pan.max():.3g} panels at a point, "
+                               f"past {_TILT_PANELS} (mu^beta t up to {lift.max():.3g})")
+    n_pan = n_pan.astype(np.intp)
+    ends, total = np.cumsum(n_pan), int(n_pan.sum())
     xi, wi = gauss_legendre(12)
     q, qw = 0.5 * (xi + 1.0), 0.5 * wi
     p0, p1 = np.zeros(tt.size), np.zeros(tt.size)
-    step = max(1, _TILT_CHUNK // (q.size * max(1, int(n_pan.max(initial=0)))))
-    for i in range(0, tt.size, step):
-        c = slice(i, i + step)
-        pt = np.repeat(np.arange(i, i + n_pan[c].size), n_pan[c])  # each panel's point
-        j = np.arange(pt.size) - (first[pt] - first[i])  # and its place in that point
+    step = _TILT_CHUNK // q.size
+    for lo in range(0, total, step):
+        k = np.arange(lo, min(lo + step, total))
+        pt = np.searchsorted(ends, k, side="right")  # each panel's point
+        j = k - (ends[pt] - n_pan[pt])  # and its place in that point
         h = (span[pt] / n_pan[pt])[:, None]
         u = np.exp(v_lo[pt, None] + h * (j[:, None] + q))
         y = scale[pt, None] * u
         w = np.exp(su.log_pdf(u) + lift[pt, None] - mu * y) * u * h * qw
-        p0 += np.bincount(pt, weights=np.sum(w, axis=1), minlength=tt.size)
-        p1 += np.bincount(pt, weights=np.sum(w * y, axis=1), minlength=tt.size)
+        # a point begun in the last pass goes on from its running sum, so
+        # every point is one sum over its panels in order, however they fall
+        for p, s in ((p0, np.sum(w, axis=1)), (p1, np.sum(w * y, axis=1))):
+            s[0] += p[pt[0]]
+            p[pt[0]:pt[-1] + 1] = np.bincount(pt - pt[0], weights=s)
     return p0.reshape(x.shape), p1.reshape(x.shape)
 
 

@@ -39,7 +39,11 @@ Sampler routes (each process class in tcpp.subordinators.spec picks its own):
   element one proposal a round (`_sample_tilted`), while the draws at one t
   propose iid rounds sized to the shortfall and keep the accepted values in
   order (`_sample_tilted_iid`), exact because all proposals share one law.
-  At beta = 1/2, which is IG(1/sqrt 2, sqrt(2 mu)), the IG sampler.
+  Those are the two acceptance loops of every rejection sampler here:
+  `_until_accepted` (also the stable steps conditioned below a gap) and
+  `_first_accepted` (also the passage angles of `_passage_log_a`); a sampler
+  states only its proposal.  At beta = 1/2, which is IG(1/sqrt 2,
+  sqrt(2 mu)), the IG sampler.
 * composition:       feed sampled values as the time argument of the next
   part (outermost part listed first); a single-t draw takes the innermost
   part's own single-t sampler.
@@ -203,14 +207,14 @@ def _tilted_round(rng, k, scale, beta, mu):
     return live[ok], x[ok]
 
 
-def _sample_tilted(rng, t, beta, mu):
-    """Tilting rejection on a 1-D t, one proposal per pending element a
-    round, in ascending index order (`_tilted_round`)."""
-    t_pow = t ** (1.0 / beta)
-    out = np.empty(t.size, dtype=float)
-    idx = np.arange(t.size)
+def _until_accepted(n, propose):
+    """n values by rejection, one proposal per pending element a round, in
+    ascending index order: propose(idx) returns the accepted places among idx
+    and their values."""
+    out = np.empty(n)
+    idx = np.arange(n)
     while idx.size:
-        hit, x = _tilted_round(rng, idx.size, t_pow[idx], beta, mu)
+        hit, x = propose(idx)
         out[idx[hit]] = x
         pending = np.ones(idx.size, dtype=bool)
         pending[hit] = False
@@ -218,26 +222,39 @@ def _sample_tilted(rng, t, beta, mu):
     return out
 
 
+def _first_accepted(n, p, propose, cap=math.inf):
+    """The first n accepted values of a stream of iid proposals accepted at
+    rate p, in order.  propose(k) makes k proposals and returns the accepted
+    values; each round proposes 2% over the expected shortfall, plus 32, at
+    most cap, so the first uncapped round almost always completes the batch.
+    """
+    out = np.empty(n)
+    got = 0
+    while got < n:
+        x = propose(min(cap, math.ceil((n - got) / p * 1.02) + 32))[:n - got]
+        out[got:got + x.size] = x
+        got += x.size
+    return out
+
+
+def _sample_tilted(rng, t, beta, mu):
+    """Tilting rejection on a 1-D t, element by element (`_until_accepted`)."""
+    t_pow = t ** (1.0 / beta)
+    return _until_accepted(t.size, lambda idx: _tilted_round(rng, idx.size, t_pow[idx], beta, mu))
+
+
 def _sample_tilted_iid(rng, t, beta, mu, n):
     """n iid tilted draws at one t with mu^beta t <= 2 (acceptance >= e^-2).
 
     All proposals share one scale, so the accepted proposals of the stream
-    are iid draws of the target law, kept in order until there are n.  Each
-    round proposes 2% over the expected shortfall at the exact acceptance
-    p = exp(-mu^beta t), plus 32, capped at _DRAW_BLOCK: no request outgrows
-    a block, and the first uncapped round almost always completes the batch.
+    are iid draws of the target law (`_first_accepted` at the exact
+    acceptance p = exp(-mu^beta t)).  Rounds are capped at _DRAW_BLOCK, so no
+    request outgrows a block.
     """
     # numpy's power, as `_sample_stable` takes it: Python's can differ by an ulp
     scale = np.asarray(t, dtype=float) ** (1.0 / beta)
-    p = math.exp(-mu ** beta * t)
-    out = np.empty(n)
-    got = 0
-    while got < n:
-        k = min(_DRAW_BLOCK, math.ceil((n - got) / p * 1.02) + 32)
-        x = _tilted_round(rng, k, np.broadcast_to(scale, k), beta, mu)[1][:n - got]
-        out[got:got + x.size] = x
-        got += x.size
-    return out
+    return _first_accepted(n, math.exp(-mu ** beta * t), lambda k: _tilted_round(
+        rng, k, np.broadcast_to(scale, k), beta, mu)[1], _DRAW_BLOCK)
 
 
 def _sample_tempered(rng, t, beta, mu):
@@ -309,23 +326,18 @@ def _passage_log_a(rng, beta, k):
     a0 = (1-beta) beta^(beta/(1-beta)) at 0+, so the acceptance
     (A / a0)^-(1-beta) is at most 1.  Its mean is
     p = a0^(1-beta) / (Gamma(1+beta) Gamma(2-beta)) (0.64-0.86), since
-    E D(1)^-beta = 1/Gamma(1+beta) in Kanter's form.  Each round proposes 2%
-    over the shortfall at rate p, plus 32, and keeps the first accepted angles,
-    so one round almost always suffices.
+    E D(1)^-beta = 1/Gamma(1+beta) in Kanter's form; the angles are the first
+    k accepted (`_first_accepted`).
     """
     log_a0 = math.log1p(-beta) + beta / (1.0 - beta) * math.log(beta)
     p = math.exp((1.0 - beta) * log_a0) / (math.gamma(1.0 + beta) * math.gamma(2.0 - beta))
-    out = np.empty(k)
-    done = 0
-    while done < k:
-        theta = math.pi * rng.random(math.ceil((k - done) / p * 1.02) + 32)
+
+    def propose(m):
+        theta = math.pi * rng.random(m)
         np.clip(theta, 1e-12, math.pi - 1e-12, out=theta)
         log_a = log_zolotarev_a(theta, beta)
-        ok = rng.random(theta.size) <= np.exp((beta - 1.0) * (log_a - log_a0))
-        take = log_a[ok][:k - done]
-        out[done:done + take.size] = take
-        done += take.size
-    return out
+        return log_a[rng.random(m) <= np.exp((beta - 1.0) * (log_a - log_a0))]
+    return _first_accepted(k, p, propose)
 
 
 class _Pool:
@@ -378,15 +390,12 @@ def _passage_draws(rng, beta, mu, m):
 
 def _sample_stable_below(pool, cap):
     """D(h) conditioned on D(h) <= cap, elementwise, by plain rejection from a
-    pool of stable(h) proposals."""
-    out = np.empty(cap.size)
-    idx = np.arange(cap.size)
-    while idx.size:
+    pool of stable(h) proposals (`_until_accepted`)."""
+    def propose(idx):
         x = pool.take(idx.size)
         ok = x <= cap[idx]
-        out[idx[ok]] = x[ok]
-        idx = idx[~ok]
-    return out
+        return ok, x[ok]
+    return _until_accepted(cap.size, propose)
 
 
 def _sample_stable_passages(rng, levels, beta, n, mu=0.0):

@@ -359,7 +359,10 @@ def mixture_rule(
     """Adaptive construction: double panel count until probe pmfs settle."""
     if not 0 < t_lo <= t_hi:
         raise DomainError("need 0 < t_lo <= t_hi")
-    probe_ts = np.unique([t_lo, math.sqrt(t_lo * t_hi), t_hi])  # one column when t_lo == t_hi
+    # the geometric middle from the two roots, which neither underflow at tiny
+    # t nor overflow at any span; clamped, it is t_lo when t_lo == t_hi, and
+    # the probes are one column
+    probe_ts = np.unique([t_lo, min(t_hi, max(t_lo, math.sqrt(t_lo) * math.sqrt(t_hi))), t_hi])
     probe_ks = np.unique(np.array([0, kmax // 2, kmax]))
     law = spec.mixing_law()
     if law is None:

@@ -20,7 +20,7 @@ floor-limited below the noise floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral, Real
 
@@ -303,19 +303,16 @@ def _eq_inv_tempered_pde(params, grid, xs):
 
 
 def _eq_prop42(params, grid, ks):
-    lam, mu = params["lam"], params["mu"]
-    t = _fine_times(grid)
-    R = _pmf_tables(InverseOf(TemperedStable(0.5, mu)), lam, grid, tuple(ks))
-    # exact boundary terms: m(0,t) = h(0,t) of the equal IG law, and
-    # d/dx m(0,t) = 2 delta gamma m(0,t) = 2 sqrt(mu) m(0,t)
-    m0 = hitting_time_density_ig(0.0, t, *tempered_half_as_ig(mu))
-    mx0 = 2.0 * math.sqrt(mu) * m0
-    pk0, dpk0 = _shift_at_zero(0, ks, lam), _shift_at_zero(1, ks, lam)
-    S = ((2.0 * math.sqrt(mu) * pk0 + dpk0)[:, None] * m0[None, :]
-         - pk0[:, None] * mx0[None, :])
-    extras = {"boundary_value_at_tmax": float(m0[-1]), "boundary_slope_at_tmax": float(mx0[-1])}
-    return _Problem(R, {1: 1.0}, {1: -2.0 * math.sqrt(mu) * lam, 2: lam * lam}, S,
-                    extras=lambda *_: extras)
+    # tempered(1/2, mu) is IG(1/sqrt 2, sqrt(2 mu)), so this is prop2.2 at that
+    # IG law: 2 delta^2 = 1, 2 delta gamma = 2 sqrt(mu), and the boundary
+    # terms (2 sqrt(mu) p(0) + p'(0)) m(0,t) - p(0) d/dx m(0,t) reduce to
+    # p'(0) m(0,t), as d/dx m(0,t) = 2 sqrt(mu) m(0,t)
+    mu = params["mu"]
+    d, g = tempered_half_as_ig(mu)
+    pb = _eq_prop22({"lam": params["lam"], "delta": d, "gamma": g}, grid, ks)
+    m0 = float(hitting_time_density_ig(0.0, _fine_times(grid), d, g)[-1])
+    extras = {"boundary_value_at_tmax": m0, "boundary_slope_at_tmax": 2.0 * math.sqrt(mu) * m0}
+    return replace(pb, extras=lambda *_: extras)
 
 
 # -- registry -----------------------------------------------------------------------
@@ -330,7 +327,6 @@ class EquationDef:
     band: tuple
     default_range: tuple  # counts k or space points x
     x_min: float | None = None  # None: counts k; else space points x > x_min
-    statement: str = ""
 
 
 def _std_ks(n=4):
@@ -359,140 +355,120 @@ _register(EquationDef(
     {"lam": (1.0, _POS), "delta": (1.0, _POS), "gamma": (1.0, _POS)},
     GridSpec(0.5, 2.0, points=13, refinement_levels=4),
     band=(3.0, 5.0), default_range=_std_ks(5),
-    statement="d2/dt2 p - 2 d g d/dt p = 2 d^2 lam (1-shift) p",
 ))
 _register(EquationDef(
     "prop2.2", _eq_prop22,
     {"lam": (1.0, _POS), "delta": (1.0, _POS), "gamma": (1.0, _NONNEG)},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(0.8, 2.3), default_range=_std_ks(4),
-    statement="d/dt p~ = (2 d^2)^-1 [lam^2(1-shift)^2 - 2 d g lam (1-shift)] p~ + h(0,t) p'(0)/(2 d^2)",
 ))
 _register(EquationDef(
     "ig-density-pde", _eq_ig_density_pde,
     {"delta": (1.0, _POS), "gamma": (1.0, _NONNEG)},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=(0.4, 0.8, 1.5, 2.5), x_min=0.0,
-    statement="d2/dt2 g - 2 d g_ d/dt g = 2 d^2 dg/dx",
 ))
 _register(EquationDef(
     "prop3.1(1)", _eq_prop31,
     {"lam": (1.0, _POS), "n": (1, _ints(1, 2))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=_std_ks(4),
-    statement="d2/dt2 p~ = lam (1-shift) p~ for the once-iterated 1/2-stable clock",
 ))
 _register(EquationDef(
     "prop3.1(2)", _eq_prop31,
     {"lam": (1.0, _POS), "n": (2, _ints(1, 2))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.5, 2.5), default_range=_std_ks(4),
-    statement="d4/dt4 p~ = lam (1-shift) p~ for the twice-iterated 1/2-stable clock",
 ))
 _register(EquationDef(
     "deblassie(1/2)", _eq_deblassie,
     {"beta": (0.5, _DEBLASSIE)},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), x_min=_DX_STEP,
-    statement="d2/dt2 f = df/dx for the 1/2-stable density",
 ))
 _register(EquationDef(
     "deblassie(1/3)", _eq_deblassie,
     {"beta": (1.0 / 3.0, _DEBLASSIE)},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), x_min=_DX_STEP,
-    statement="d3/dt3 f = -df/dx for the 1/3-stable density",
 ))
 _register(EquationDef(
     "thm3.1(2)", _eq_thm31,
     {"lam": (1.0, _POS), "m": (2, _ints(2))},
     GridSpec(0.25, 4.0, points=31, refinement_levels=5),
     band=(2.5, 4.6), default_range=_std_ks(4),
-    statement="d/dt q = lam^2 (1-shift)^2 q + p'(0) t^-1/2/Gamma(1/2)",
 ))
 _register(EquationDef(
     "thm3.1(3)", _eq_thm31,
     {"lam": (1.0, _POS), "m": (3, _ints(2))},
     GridSpec(0.25, 4.0, points=31, refinement_levels=5),
     band=(2.5, 4.6), default_range=_std_ks(4),
-    statement="d/dt q = -lam^3 (1-shift)^3 q + sources, index 1/3",
 ))
 _register(EquationDef(
     "cor3.1(1)", _eq_cor31,
     {"lam": (1.0, _POS), "n": (1, _ints(1))},
     GridSpec(0.25, 4.0, points=31, refinement_levels=5),
     band=(2.5, 4.6), default_range=_std_ks(4),
-    statement="theorem DDE with m = 2^1 (subsumed by thm3.1(2))",
 ))
 _register(EquationDef(
     "cor3.1(2)", _eq_cor31,
     {"lam": (1.0, _POS), "n": (2, _ints(1))},
     GridSpec(0.5, 4.0, points=29, refinement_levels=4),
     band=(2.5, 4.6), default_range=_std_ks(4),
-    statement="d/dt q = lam^4 (1-shift)^4 q + sources, index 1/4",
 ))
 _register(EquationDef(
     "frac-dde(1/2)", _eq_frac_dde,
     {"lam": (1.0, _POS), "beta": (0.5, _INDEX)},
     GridSpec(0.5, 2.0, points=64, refinement_levels=4),
     band=(1.35, 1.85), default_range=_std_ks(3),
-    statement="Caputo^1/2 q = -lam (1-shift) q",
 ))
 _register(EquationDef(
     "frac-dde(1/4)", _eq_frac_dde,
     {"lam": (1.0, _POS), "beta": (0.25, _INDEX)},
     GridSpec(0.5, 2.0, points=64, refinement_levels=4),
     band=(1.0, 1.8), default_range=_std_ks(3),
-    statement="Caputo^1/4 q = -lam (1-shift) q",
 ))
 _register(EquationDef(
     "et-pde(2)", _eq_et_pde,
     {"m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=(0.3, 0.6, 1.0, 1.8), x_min=_DX_STEP,
-    statement="dm/dt = d2m/dx2 with boundary system, inverse 1/2-stable density",
 ))
 _register(EquationDef(
     "prop3.2", _eq_prop32,
     {"lam": (1.0, _POS), "n": (1, _ints(1)), "beta": (0.5, _INDEX)},
     GridSpec(0.5, 2.0, points=64, refinement_levels=4),
     band=(0.9, 1.8), default_range=_std_ks(3),
-    statement="Caputo^beta q~ = lam^2 (1-shift)^2 q~ + U-weighted sources",
 ))
 _register(EquationDef(
     "prop4.1(2)", _eq_prop41,
     {"mu": (1.0, _POS), "m": (2, _ints(2, 4))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), x_min=_DX_STEP,
-    statement="d2/dt2 f - 2 sqrt(mu) d/dt f = df/dx, tempered 1/2-stable",
 ))
 _register(EquationDef(
     "prop4.1(3)", _eq_prop41,
     {"mu": (1.0, _POS), "m": (3, _ints(2, 4))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), x_min=_DX_STEP,
-    statement="third-order tempered operator = df/dx, tempered 1/3-stable",
 ))
 _register(EquationDef(
     "rmk4.1(2)", _eq_rmk41,
     {"lam": (1.0, _POS), "mu": (1.0, _POS), "m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=_std_ks(4),
-    statement="d2/dt2 r - 2 sqrt(mu) d/dt r = lam (1-shift) r",
 ))
 _register(EquationDef(
     "inv-tempered-pde(2)", _eq_inv_tempered_pde,
     {"mu": (1.0, _POS), "m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(1.5, 2.5), default_range=(0.4, 0.8, 1.5), x_min=_DX_STEP,
-    statement="d2m/dx2 - 2 sqrt(mu) dm/dx = dm/dt, inverse tempered density",
 ))
 _register(EquationDef(
     "prop4.2(2)", _eq_prop42,
     {"lam": (1.0, _POS), "mu": (1.0, _POS), "m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(0.8, 2.3), default_range=_std_ks(4),
-    statement="d/dt r~ = tempered shift operator + x=0 boundary cross-terms",
 ))
 
 

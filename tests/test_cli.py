@@ -496,6 +496,10 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
     pytest.param(["pmf", "--spec", '{"type":"stable","beta":0.1}', "--lambda", "1", "--t",
                   "1e31", "--method", "quadrature", "--out", "{tmp}/t.csv"], None, 3,
                  id="pmf-stable-quadrature-huge-t"),
+    # mu^beta x near 1e40 at the window's nodes: the tilt integrals would need
+    # 1e22 panels, refused before the count is cast, not an "array is too big"
+    pytest.param(["pmf", "--spec", INV_TEMPERED_SPEC, "--lambda", "1", "--t", "1e40",
+                  "--out", "{tmp}/t.csv"], None, 3, id="pmf-inverse-tempered-huge-t"),
 ])
 def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, config, code):
     (tmp_path / "file").write_text("")  # a regular file where a directory is needed

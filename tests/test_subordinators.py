@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.stats import norm
 from tcpp.errors import ConvergenceError, DivergenceError, DomainError, NoDensityError
 from tcpp.quadrules import gauss_panels, linear_panel_edges
 from tcpp.specfun import laplace_numeric
+from tcpp.subordinators import densities
 from tcpp.subordinators.densities import (
     _inverse_tempered_tilt,
     _tempered_partial_moments,
@@ -538,6 +540,29 @@ class TestInverseTempered:
             assert np.array_equal(inverse_tempered_density(x, t, 0.5, mu), closed)
             tilt_cdf = 1.0 - tempered_stable_cdf(t, x, 0.5, mu)
             assert np.max(np.abs(tilt_cdf - hitting_time_cdf_ig(x, t, *ig))) <= 1e-12
+
+    def test_a_point_past_the_panel_budget_is_refused_before_allocating(self):
+        # at mu^beta x = 1e12 the relative spread 1.5e-6 of D_mu(x) asks for
+        # 6.7e5 panels at the one point, once a 5.72 GiB request to numpy
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="panels at a point"):
+                inverse_tempered_density(1e12, 1e12, 0.3, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, peak
+
+    def test_a_point_over_several_passes_sums_as_in_one(self, monkeypatch):
+        # passes of 7 panels split most of these points (4 to 11 panels): each point's
+        # sums run on across passes, bit for bit as in one pass
+        t = np.repeat([1.0, 20.0, 100.0], 3)
+        x = 0.3 * t * np.tile([0.5, 1.0, 2.0], 3)
+        one = _tempered_partial_moments(x, t, 0.3, 1.0)
+        monkeypatch.setattr(densities, "_TILT_CHUNK", 7 * 12)
+        passes = _tempered_partial_moments(x, t, 0.3, 1.0)
+        for a, b in zip(passes, one):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("law, advice", [

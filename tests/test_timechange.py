@@ -1229,6 +1229,13 @@ class TestRefusals:
         table = pmf_table(1.0, 3.0, Stable(0.5))
         assert table.kmax == 2000 and table.tail_bound > 1e-3
 
+    @pytest.mark.parametrize("t", [1e12, 1e40])
+    def test_inverse_tempered_past_the_tilt_panel_budget(self, t):
+        # the relative spread of D_mu(x) at the far nodes asks for more than
+        # 2^16 panels at one point: refused before any array is sized by them
+        with pytest.raises(ConvergenceError, match="panels at a point"):
+            pmf_table(t, 1.0, InverseOf(TemperedStable(0.3, 1.0)))
+
     def test_normalization_defect_is_a_convergence_error(self, monkeypatch):
         import tcpp.timechange as timechange
 
@@ -1241,6 +1248,31 @@ class TestRefusals:
         monkeypatch.setattr(timechange, "_bessel_table", doubled)
         with pytest.raises(ConvergenceError, match="bessel route.*normalization defect"):
             pmf_table(1.0, 1.0, InverseGaussian(1.0, 1.0), kmax=6, method="bessel")
+
+
+class TestTinyTime:
+    """At t far below the float range of t^2 every inverse clock is served:
+    kmax 0, and P(N >= 1) = 1 - E e^(-lam E(t)) is lam E E(t) to first order."""
+
+    T = 1e-200
+
+    @pytest.mark.parametrize("spec, mean", [
+        # the IG hitting time starts as the running maximum of delta B: sqrt(2t/pi)/delta
+        (InverseOf(InverseGaussian(1.0, 1.0)), math.sqrt(2.0 * T / math.pi)),
+        (InverseOf(TemperedStable(0.5, 1.0)), T ** 0.5 / math.gamma(1.5)),
+        # E E(t) = t^beta / Gamma(1 + beta) to first order in t
+        (InverseOf(TemperedStable(0.3, 1.0)), T ** 0.3 / math.gamma(1.3)),
+        (InverseOf(Stable(0.3)), T ** 0.3 / math.gamma(1.3)),
+        (InverseOf(Composition((Stable(0.5), Stable(0.5)))), T ** 0.25 / math.gamma(1.25)),
+    ], ids=["ig", "tempered0.5", "tempered0.3", "stable0.3", "stable0.5-stable0.5"])
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    def test_tail_is_lambda_times_the_mean(self, spec, mean, lam):
+        # the middle settling probe once took sqrt(t_lo t_hi), 0 below 1.5e-154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = pmf_table(self.T, lam, spec)
+        assert table.method == "quadrature" and table.kmax == 0
+        assert table.tail_bound == pytest.approx(lam * mean, rel=1e-6)
 
 
 class TestMixedPoissonIdentity:

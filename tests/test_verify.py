@@ -267,6 +267,28 @@ class TestCheckEquation:
         got2 = _shift_at_zero(2, np.arange(5), lam)
         assert np.allclose(got2, [lam ** 2, -2 * lam ** 2, lam ** 2, 0.0, 0.0])
 
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.0, 0.25)])
+    def test_prop42_is_prop22_at_the_ig_twin(self, lam, mu):
+        # tempered(1/2, mu) is IG(1/sqrt 2, sqrt(2 mu)): both Laplace exponents
+        # are sqrt(s + mu) - sqrt(mu), so the inverse-tempered count equation
+        # is the IG-hitting one at those parameters, on the same count table
+        from tcpp.subordinators.densities import tempered_half_as_ig
+        from tcpp.subordinators.spec import InverseGaussian, InverseOf, TemperedStable
+        from tcpp.verify.registry import REGISTRY, _pmf_tables
+
+        delta, gamma = tempered_half_as_ig(mu)
+        grid = REGISTRY["prop4.2(2)"].default_grid
+        a = check_equation("prop4.2(2)", params={"lam": lam, "mu": mu})
+        b = check_equation("prop2.2", params={"lam": lam, "delta": delta, "gamma": gamma},
+                           grid=grid)
+        assert a.passed and len(a.levels) == len(b.levels) == 4
+        for u, v in zip(a.levels, b.levels):
+            assert u.max_residual == pytest.approx(v.max_residual, rel=1e-11, abs=0)
+            assert u.l2_residual == pytest.approx(v.l2_residual, rel=1e-11, abs=0)
+        ks = (0, 1, 2, 3)
+        assert np.array_equal(_pmf_tables(InverseOf(TemperedStable(0.5, mu)), lam, grid, ks),
+                              _pmf_tables(InverseOf(InverseGaussian(delta, gamma)), lam, grid, ks))
+
     def test_rmk41_mu_to_zero_matches_prop31_structure(self):
         # as mu -> 0 the tempered operator collapses onto the iterated-stable
         # DDE; the residual structure must line up within 1e-3
