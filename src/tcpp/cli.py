@@ -39,8 +39,9 @@ from .errors import (
 from .subordinators.sampling import rng_stream, sample_path
 from .subordinators.spec import SubordinatorSpec, spec_from_json
 from .timechange import (
+    ROUTES,
     PmfTable,
-    auto_method,
+    _auto,
     ig_moment_table,
     moments_ig,
     pmf_monte_carlo,
@@ -88,7 +89,7 @@ def _write_table(table: PmfTable, out: str):
 
 def cmd_pmf(args) -> int:
     spec = _load_spec(args.spec)
-    method = auto_method(spec) if args.method == "auto" else args.method
+    method = _auto(spec) if args.method == "auto" else args.method
     if method == "mc":
         table = pmf_monte_carlo(args.t, args.lam, spec, args.count, args.seed, kmax=args.kmax)
     else:
@@ -244,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="subordinator spec JSON (inline or file path)")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--method", choices=["auto", "bessel", "pgf", "quadrature", "mc"],
-                   default="auto", help="auto: bessel (IG), pgf (Levy), quadrature/mc (inverse)")
+    p.add_argument("--method", choices=["auto", *ROUTES], default="auto",
+                   help=f"auto: the first of {', '.join(ROUTES)} that serves the clock")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--count", type=int, default=100000, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=seed)

@@ -22,8 +22,12 @@ class GridTooCoarseError(ValueError):
 
 
 class NoDensityError(ValueError):
-    """The process specification has no evaluator for the requested route:
-    a density for quadrature, or a Laplace exponent for the PGF inversion."""
+    """A whole route is refused: the requested pmf route does not serve the
+    clock, or the clock has no evaluator for the requested quantity (a
+    density past the stable engine's index, a Laplace exponent for an
+    inverse clock).  A pmf route's refusal lists, from the route table
+    (`tcpp.timechange.ROUTES`), every route that serves the clock; the
+    evaluators' refusals name no route."""
 
 
 class UnknownEquationError(ValueError):

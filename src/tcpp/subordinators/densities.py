@@ -281,11 +281,6 @@ def _float_if_scalar(a):
 
 # -- inverse stable ------------------------------------------------------------
 
-# past the stable engine's index an inverse clock has Monte Carlo alone: the
-# PGF route takes no inverse clock
-_INVERSE_ROUTES = "mc"
-
-
 def inverse_stable_density(x, t, beta: float):
     """Density m(x,t) of the inverse stable subordinator E(t).
 
@@ -294,7 +289,7 @@ def inverse_stable_density(x, t, beta: float):
     """
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     _positive("inverse_stable_density", x, t)
-    _check_beta(beta, _INVERSE_ROUTES)
+    _check_beta(beta)
     with np.errstate(over="ignore"):  # overflowing powers of x take the log sum
         factors = (t / beta, _unit_pdf(t * x ** (-1.0 / beta), beta), x ** (-1.0 - 1.0 / beta))
     # the product is t f(t, x) / (beta x): f taken at t, with time x
@@ -325,7 +320,6 @@ def inverse_tempered_density(x, t, beta: float, mu: float):
     module docstring.  Broadcasts over x and t.
     """
     _positive("inverse_tempered_density", x, t)
-    _check_beta(beta, _INVERSE_ROUTES)
     if beta == 0.5:
         return hitting_time_density_ig(x, t, *tempered_half_as_ig(mu))
     return _inverse_tempered_tilt(x, t, beta, mu)
@@ -351,7 +345,6 @@ def inverse_tempered_cdf(x, t, beta: float, mu: float):
     Broadcasts over x and t; a float for scalar arguments.
     """
     _positive("inverse_tempered_cdf", x, t)
-    _check_beta(beta, _INVERSE_ROUTES)
     if beta != 0.5:
         return 1.0 - tempered_stable_cdf(t, x, beta, mu)
     cdf = hitting_time_cdf_ig(x, t, *tempered_half_as_ig(mu))

@@ -111,7 +111,9 @@ class Clock:
     """
 
     def mixing_law(self):
-        """The object owning this clock's density and frozen rule, or None."""
+        """The object owning this clock's density and frozen rule, or None
+        where no density serves the clock; the quadrature route serves
+        exactly the clocks with one (`tcpp.timechange.ROUTES`)."""
         return self
 
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
@@ -164,9 +166,7 @@ class SubordinatorSpec(Clock):
 
     def phi(self, s):
         """Laplace exponent at complex s, Re s > 0 (principal branches), vectorized."""
-        route = "quadrature" if self.mixing_law() is not None else "mc"
-        raise NoDensityError(f"{self.label()} is not a Levy clock: it has no Laplace "
-                             f"exponent (use the {route} method)")
+        raise NoDensityError(f"{self.label()} is not a Levy clock: it has no Laplace exponent")
 
     def path(self, rng, t_grid, paths: int):
         """`paths` trajectories on t_grid from independent increments."""
@@ -236,6 +236,10 @@ class Stable(SubordinatorSpec):
     def mean_rate(self):
         return math.inf
 
+    def mixing_law(self):
+        # past the stable engine's index (`stable._BETA_MAX`) no density serves
+        return None if self.beta > _BETA_MAX else self
+
     def phi(self, s):
         return np.asarray(s, dtype=complex) ** self.beta
 
@@ -289,6 +293,8 @@ class TemperedStable(SubordinatorSpec):
     def phi(self, s):
         b, mu = self.beta, self.mu
         return (np.asarray(s, dtype=complex) + mu) ** b - mu ** b
+
+    mixing_law = Stable.mixing_law
 
     def density(self, x, t):
         return tempered_stable_density(x, t, self.beta, self.mu)
@@ -382,7 +388,7 @@ class Composition(SubordinatorSpec):
     def mixing_law(self):
         # stable laws compose to the stable law of the product index
         eff = flatten_stable_composition(self)
-        return None if eff is None else Stable(eff)
+        return None if eff is None else Stable(eff).mixing_law()
 
     def increment(self, rng, dt):
         return self._outer(rng, self.parts[-1].increment(rng, np.asarray(dt, dtype=float)))
@@ -399,8 +405,9 @@ class Composition(SubordinatorSpec):
         return v
 
     def hitting(self):
-        stable = self.mixing_law()
-        return _InverseComposition(self) if stable is None else stable.hitting()
+        # the product-index stable law's route, with or without a density
+        eff = flatten_stable_composition(self)
+        return _InverseComposition(self) if eff is None else Stable(eff).hitting()
 
 
 @dataclass(frozen=True)
@@ -447,6 +454,11 @@ class _Hitting(Clock):
 
     base: SubordinatorSpec
 
+    def mixing_law(self):
+        # a density where the base has one: not past the stable engine's index,
+        # nor for a composition that is not stable
+        return None if self.base.mixing_law() is None else self
+
     def draw(self, rng, t, n):
         return self.path(rng, np.array([t]), n)[:, 0]
 
@@ -458,9 +470,6 @@ class _InverseComposition(_Hitting):
     creep over t; hence E(t) = ...E_1(E_0(t)).  The outermost part's route
     runs on the grid, each next one on the previous matrix, row by row."""
 
-    def mixing_law(self):
-        return None
-
     def path(self, rng, t_grid, paths):
         levels = t_grid
         for part in self.base.parts:
@@ -471,11 +480,6 @@ class _InverseComposition(_Hitting):
 class _InverseStable(_Hitting):
     """Inverse stable clock: density and single-t draws by scaling, exact
     paths (a Brownian running maximum at index 1/2, else first passages)."""
-
-    def mixing_law(self):
-        # past the stable engine's index (`stable._BETA_MAX`) no density serves
-        # the clock, and `auto_method` takes Monte Carlo
-        return None if self.base.beta > _BETA_MAX else self
 
     def density(self, x, t):
         return inverse_stable_density(x, t, self.base.beta)
@@ -529,8 +533,6 @@ class _HittingIG(_Hitting):
 class _InverseTempered(_Hitting):
     """Inverse tempered clock of index != 1/2: tilted-stable density, and
     exact paths by stable passages accepted with their Esscher weight."""
-
-    mixing_law = _InverseStable.mixing_law
 
     def density(self, x, t):
         return inverse_tempered_density(x, t, self.base.beta, self.base.mu)

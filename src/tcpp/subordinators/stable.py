@@ -63,23 +63,24 @@ _DECAY = 48.0  # exp(-48) ~ 1.4e-21 relative truncation of the theta integral
 _TABLE_EFF = 2000.0
 _TABLE_PANELS = 8
 _TABLE_NODES = 32
+# points per Clenshaw sum of the table (`StableUnit._left`)
+_CLENSHAW_BLOCK = 1024
 # Every frozen rule's node window, and the tilt integrals of the tempered law,
 # leave out at most e^-TAIL_LOG of their mass (tcpp.subordinators.spec).
 TAIL_LOG = 45.0
 _TINY = np.finfo(float).tiny
 
 
-def _check_beta(beta: float, routes: str = "pgf or mc") -> float:
-    """beta as a float, refused outside (0, 1) and past the engine's index,
-    where the refusal names the pmf routes that still serve the law."""
+def _check_beta(beta: float) -> float:
+    """beta as a float, refused outside (0, 1) and past the engine's index.
+    The pmf routes that serve such a law are `tcpp.timechange.ROUTES`'s to
+    name: a clock states it by having no mixing law."""
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise DomainError("stable index beta must be in (0, 1)")
     if beta > _BETA_MAX:  # a valid law this engine cannot evaluate
-        raise NoDensityError(
-            f"density engine supports beta <= {_BETA_MAX}; the law is nearly "
-            f"degenerate beyond that (use the {routes} method instead)"
-        )
+        raise NoDensityError(f"density engine supports beta <= {_BETA_MAX}; the law is "
+                             f"nearly degenerate beyond that")
     return beta
 
 
@@ -258,7 +259,11 @@ class StableUnit:
             width, coef = self._table(want_pdf)
             s = (z[on] - self._z_lo) / width
             panel = np.minimum(s.astype(int), _TABLE_PANELS - 1)
-            h = chebval(2.0 * (s - panel) - 1.0, coef[:, panel], tensor=False)  # Clenshaw
+            u, n = 2.0 * (s - panel) - 1.0, _CLENSHAW_BLOCK
+            # Clenshaw on each point's panel coefficients, gathered n points at
+            # a time: one gather over every point costs more a point as it grows
+            h = np.concatenate([chebval(u[i:i + n], coef[:, panel[i:i + n]], tensor=False)
+                                for i in range(0, u.size, n)])
             out[on] = h + self._log_scale(x[on], want_pdf)
         return out if log else np.exp(out)
 

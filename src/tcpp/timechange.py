@@ -5,7 +5,9 @@ function E u^{N(X(t))} = exp(-t phi_X(lam (1 - u))); `pmf_table` inverts it
 by one FFT on the circle |u| = r (Abate & Whitt 1992), except an IG clock
 with gamma > 0, whose count law has a closed Bessel form (`_ig_count_logs`).
 Inverse clocks take the quadrature route below, which also serves as the
-independent oracle.  `auto_method` picks the route.
+independent oracle.  The routes are one table, `ROUTES`: each states which
+clocks it serves, "auto" takes the first that serves, and a route's refusal
+names every one that does.
 
 The mixture identity P(N(X(t)) = k) = int p_k(x) dens_X(x, t) dx is evaluated
 against frozen composite Gauss-Legendre rules.  A rule's nodes are built once
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -54,7 +57,7 @@ __all__ = [
     "poisson_pmf",
     "pmf_bessel_ig",
     "pmf_quadrature",
-    "auto_method",
+    "ROUTES",
     "pmf_table",
     "pmf_monte_carlo",
     "fractional_poisson_pmf",
@@ -364,9 +367,8 @@ def mixture_rule(
     # the probes are one column
     probe_ts = np.unique([t_lo, min(t_hi, max(t_lo, math.sqrt(t_lo) * math.sqrt(t_hi))), t_hi])
     probe_ks = np.unique(np.array([0, kmax // 2, kmax]))
-    law = spec.mixing_law()
-    if law is None:
-        raise NoDensityError(f"spec {spec.label()} has no density evaluator; use pmf_monte_carlo")
+    if (law := spec.mixing_law()) is None:
+        raise _refusal(spec, "the quadrature route does not serve")
     cut = _poisson_cut(kmax, lam)
     n_panels = 32
     prev = None
@@ -498,16 +500,6 @@ def _first_below(tails):
     return int(below[0]) if below.size else None
 
 
-def auto_method(spec: SubordinatorSpec) -> str:
-    """The route "auto" takes, for `pmf_table` and `tcpp pmf` alike: "bessel"
-    for an IG clock with gamma > 0, "pgf" for every other Levy clock,
-    "quadrature" for an inverse clock with a density, and "mc" (Monte Carlo,
-    `pmf_monte_carlo`) for one without."""
-    if not isinstance(spec, InverseOf):
-        return "pgf" if spec.bessel_params() is None else "bessel"
-    return "quadrature" if spec.mixing_law() is not None else "mc"
-
-
 def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = None,
               method: str = "auto") -> PmfTable:
     """PmfTable for k = 0..kmax with an honest tail bound.
@@ -515,9 +507,10 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     method "pgf" inverts the generating function of a Levy clock (see
     `_pgf_values`); "bessel" sums the closed form of an IG clock with
     gamma > 0 (`_ig_count_logs`); "quadrature" sums the Poisson mixture
-    against a frozen rule settled to 1e-10; "auto" takes the route
-    `auto_method` names, and refuses with NoDensityError an inverse clock
-    with no density, which only `pmf_monte_carlo` serves.  Without kmax,
+    against a frozen rule settled to 1e-10; "auto" takes the first route in
+    `ROUTES` that serves the clock.  A route that does not serve it is
+    refused with NoDensityError, and so is "mc", which `pmf_monte_carlo`
+    runs, as it needs a count and a seed.  Without kmax,
     all four routes, Monte Carlo too, return the smallest K <= 2000 whose
     tail bound P(N > K) is below 1e-10, read off the tail column of the
     table they compute, or K = 2000 when none is; for Monte Carlo that is
@@ -527,13 +520,10 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     tail bound there is >= 2e-10 (`_pgf_search`).  The request is served by
     `table_cache`, with "auto" resolved first.
     """
-    t, lam, kmax = _request("pmf_table", t, lam, kmax)
-    if method == "auto":
-        method = auto_method(spec)
-        if method == "mc":
-            raise NoDensityError(f"spec {spec.label()} has no density evaluator; "
-                                 f"use pmf_monte_carlo")
-    if method not in ("pgf", "bessel", "quadrature"):
+    method = _auto(spec) if method == "auto" else method
+    if method == "mc":
+        raise _refusal(spec, "pmf_table draws no Monte Carlo table for")
+    if method not in ROUTES:
         raise DomainError(f"unknown pmf method '{method}'")
     return table_cache(method, t, lam, spec, kmax)
 
@@ -545,7 +535,6 @@ def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
     The draws are a function of the request and its seed, so `table_cache`
     serves it like any other table.
     """
-    t, lam, kmax = _request("pmf_monte_carlo", t, lam, kmax)
     if count < 1000:
         raise DomainError("pmf_monte_carlo needs count >= 1000")
     return table_cache("mc", t, lam, spec, kmax, int(count), int(seed))
@@ -563,31 +552,35 @@ def _request(name: str, t, lam, kmax):
 @lru_cache(maxsize=64)
 def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
                 kmax: int | None, *args) -> PmfTable:
-    """The table of one normalized request, made once per process.
+    """The table of one request, made once per process.
 
-    The key is the route ("pgf", "bessel", "quadrature" or "mc"), float t and
-    lambda, the spec and kmax (None or int), then count and seed for Monte
-    Carlo.  An entry holds the immutable table alone,
-    never the clock draws behind it; a raised error is not kept.
+    The key is the route's name in `ROUTES`, t, lambda, the spec and kmax
+    (None or a count), then count and seed for Monte Carlo.  Equal numbers
+    make one key, so t = 1 and t = 1.0 share a table.  A request is checked
+    and normalized (`_request`) when it misses, and a raised error is not
+    kept, so an invalid request never hits.  An entry holds the immutable
+    table alone, never the clock draws behind it.
     `table_cache.cache_clear()` empties the cache.
 
-    A table is refused with ConvergenceError, naming its route, when its
-    values and tail bound miss 1 by more than 1e-3, and when kmax was not
-    given and K reached the 2000 cap with a tail bound above 1e-3 for a
-    clock whose count has a finite mean (`_finite_mean`): such a table holds
-    next to none of the law's mass.  A clock of infinite or unstated mean
-    keeps its honest tail there.
+    A route that does not serve the spec is refused with NoDensityError
+    (`_refusal`).  A table is refused with ConvergenceError, naming its
+    route, when its values and tail bound miss 1 by more than 1e-3, and when
+    kmax was not given and K reached the 2000 cap with a tail bound above
+    1e-3 for a clock whose count has a finite mean (`_finite_mean`): such a
+    table holds next to none of the law's mass.  A clock of infinite or
+    unstated mean keeps its honest tail there.
     """
-    fields = {"quadrature": _quadrature_table, "pgf": _pgf_table, "bessel": _bessel_table,
-              "mc": _mc_table}[route](t, lam, spec, kmax, *args)
+    t, lam, kmax = _request("pmf_monte_carlo" if args else "pmf_table", t, lam, kmax)
+    if not ROUTES[route].serves(spec):
+        raise _refusal(spec, f"the {route} route does not serve")
+    fields = ROUTES[route].table(t, lam, spec, kmax, *args)
     tail = fields["tail_bound"]
+    where = f"the {route} route for {spec.label()} at lambda={lam}, t={t}"
     defect = abs(float(np.sum(fields["values"])) + tail - 1.0)
     if not defect <= 1e-3:  # NaN as well
-        raise ConvergenceError(f"the {route} route for {spec.label()} at lambda={lam}, t={t} "
-                               f"gave a table with normalization defect {defect:.2e}")
+        raise ConvergenceError(f"{where} gave a table with normalization defect {defect:.2e}")
     if kmax is None and fields["kmax"] == _KMAX_CAP and tail > 1e-3 and _finite_mean(spec):
-        raise ConvergenceError(f"the {route} route for {spec.label()} at lambda={lam}, t={t} "
-                               f"reached the kmax cap of {_KMAX_CAP} with tail bound "
+        raise ConvergenceError(f"{where} reached the kmax cap of {_KMAX_CAP} with tail bound "
                                f"{tail:.3g}; give a larger --kmax")
     return PmfTable(spec=spec, lam=lam, t=t, **fields)
 
@@ -624,12 +617,8 @@ def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None
     """Closed-form IG table fields from one pass of `_ig_count_logs`; without
     kmax the terms stop at the first k whose tail 1 - sum_{j <= k} p_j is
     below _TAIL_TARGET, or at the 2000 cap."""
-    params = spec.bessel_params()
-    if params is None:
-        raise NoDensityError(f"Bessel closed form needs an IG spec with gamma > 0, not "
-                             f"{spec.label()}; use method 'pgf'")
     ps, mass = [], 0.0
-    terms = _ig_count_logs(t, lam, *params)
+    terms = _ig_count_logs(t, lam, *spec.bessel_params())
     for logp in itertools.islice(terms, (_KMAX_CAP if kmax is None else kmax) + 1):
         ps.append(math.exp(logp))
         mass += ps[-1]
@@ -760,18 +749,51 @@ def _mc_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
             "stderr": np.sqrt(values * (1.0 - values) / count), "seed": seed, "method": "mc"}
 
 
+# One pmf route: `serves(spec)`, whether it computes the law of N(X(t)) on
+# that clock, and `table(t, lam, spec, kmax, *args)`, its table fields
+Route = namedtuple("Route", "serves table")
+
+# Every pmf route, in the order "auto" tries them; their names are
+# `--method`'s.  Each predicate reads what the clock states: a closed Bessel
+# form, a Laplace exponent (every clock but an inverse one) or a mixing law.
+ROUTES = {
+    "bessel": Route(lambda spec: spec.bessel_params() is not None, _bessel_table),
+    "pgf": Route(lambda spec: not isinstance(spec, InverseOf), _pgf_table),
+    "quadrature": Route(lambda spec: spec.mixing_law() is not None, _quadrature_table),
+    "mc": Route(lambda spec: True, _mc_table),
+}
+
+
+def _serving(spec: SubordinatorSpec):
+    """The names of the routes that serve spec, in `ROUTES` order, one at a
+    time: "auto" takes the first, and only a refusal lists them all."""
+    return (name for name, route in ROUTES.items() if route.serves(spec))
+
+
+@lru_cache(maxsize=64)
+def _auto(spec: SubordinatorSpec) -> str:
+    """The route "auto" takes: the first that serves spec.  Cached, so that a
+    table served from `table_cache` pays one lookup for its route."""
+    return next(_serving(spec))
+
+
+def _refusal(spec: SubordinatorSpec, why: str) -> NoDensityError:
+    """The refusal of a whole route: why, then every route that serves spec."""
+    return NoDensityError(f"{why} {spec.label()}; methods that serve it: "
+                          f"{', '.join(_serving(spec))} (mc: pmf_monte_carlo)")
+
+
 def fractional_poisson_pmf(k: int, t: float, lam: float, beta: float) -> float:
     """P(N(E(t)) = k) for the inverse-stable clock of index beta.
 
-    For beta > 0.95, past the stable density engine, the transform in t,
+    Stable(beta) refuses an index outside (0, 1).  Past the stable density
+    engine's index, where the clock has no mixing law, the transform in t,
     s^(beta-1) lam^k / (lam + s^beta)^(k+1), is inverted by fixed Talbot
     (`_talbot`) at 24 and 32 nodes; the 32-node value is returned when the
     two agree to 1e-9, and ConvergenceError is raised when they do not.
     """
-    if not 0 < beta < 1:
-        raise DomainError("fractional order must satisfy 0 < beta < 1")
-    if beta <= 0.95:
-        return pmf_quadrature(k, t, lam, InverseOf(Stable(beta)))
+    if (spec := InverseOf(Stable(beta))).mixing_law() is not None:
+        return pmf_quadrature(k, t, lam, spec)
     if k < 0 or t <= 0 or lam <= 0:
         raise DomainError("fractional_poisson_pmf requires k >= 0, t > 0 and lambda > 0")
 

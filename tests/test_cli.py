@@ -12,8 +12,8 @@ import tcpp.timechange
 from tcpp.cli import main
 from tcpp.errors import NoDensityError
 from tcpp.subordinators.spec import InverseGaussian, TemperedStable
-from tcpp.timechange import (PmfTable, auto_method, fractional_poisson_pmf,
-                             pmf_monte_carlo, pmf_table)
+from tcpp.timechange import (ROUTES, PmfTable, fractional_poisson_pmf, pmf_monte_carlo,
+                             pmf_table)
 
 
 IG_SPEC = '{"type":"ig","delta":1,"gamma":1}'
@@ -150,7 +150,8 @@ class TestPmfCommand:
         got = PmfTable.from_dict(json.loads(out.read_text()))
         want = (pmf_monte_carlo(1.0, 1.0, got.spec, 2000, 3) if got.method == "mc"
                 else pmf_table(1.0, 1.0, got.spec, method="auto"))
-        assert got.method == want.method == auto_method(got.spec)
+        first = next(name for name, route in ROUTES.items() if route.serves(got.spec))
+        assert got.method == want.method == first
         assert got.values.tobytes() == want.values.tobytes()
         if want.method == "mc":  # only pmf_monte_carlo serves a clock with no density
             with pytest.raises(NoDensityError):
@@ -166,9 +167,9 @@ class TestPmfCommand:
     ], ids=["inverse-tempered-normalization", "ig-past-the-cap"])
     def test_refused_table_is_capability_error(self, tmp_path, capsys, monkeypatch,
                                                spec, lam, t, message):
-        monkeypatch.setattr(tcpp.timechange, "_quadrature_table", lambda *args: {
-            "kmax": 0, "values": np.array([0.5]), "tail_bound": 0.0, "method": "quadrature",
-            "route": {}})
+        monkeypatch.setitem(ROUTES, "quadrature", ROUTES["quadrature"]._replace(
+            table=lambda *args: {"kmax": 0, "values": np.array([0.5]), "tail_bound": 0.0,
+                                 "method": "quadrature", "route": {}}))
         out = tmp_path / "t.csv"
         rc = main(["pmf", "--spec", spec, "--lambda", lam, "--t", t, "--out", str(out)])
         assert rc == 3 and not out.exists()
@@ -213,8 +214,9 @@ class TestPmfCommand:
         rc = main(["pmf", "--spec", '{"type":"inverse","base":{"type":"stable","beta":0.5}}',
                    "--lambda", "1", "--t", "1", "--method", "pgf",
                    "--out", str(tmp_path / "t.csv")])
-        assert rc == 3
-        assert "Laplace exponent" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert rc == 3 and "pgf route does not serve" in err
+        assert "methods that serve it: quadrature, mc (mc: pmf_monte_carlo)" in err
 
     def test_quadrature_still_forced(self, tmp_path):
         out = tmp_path / "t.json"
@@ -530,6 +532,55 @@ def test_memory_exhaustion_is_capability_error(tmp_path, capsys, monkeypatch, pa
     assert rc == 3
     assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
     assert list(tmp_path.iterdir()) == []
+
+
+_IG11 = {"type": "ig", "delta": 1, "gamma": 1}
+_CLOCKS = {
+    "ig(1,1)": _IG11,
+    "ig(1,0)": {"type": "ig", "delta": 1, "gamma": 0},
+    "stable(0.5)": {"type": "stable", "beta": 0.5},
+    "stable(0.97)": {"type": "stable", "beta": 0.97},
+    "tempered(0.3,1)": {"type": "tempered", "beta": 0.3, "mu": 1},
+    "tempered(0.97,1)": {"type": "tempered", "beta": 0.97, "mu": 1},
+    "ig*tempered(0.4,1)": {"type": "compose",
+                           "parts": [_IG11, {"type": "tempered", "beta": 0.4, "mu": 1}]},
+    "stable(0.98)*stable(0.99)": {"type": "compose", "parts": [{"type": "stable", "beta": 0.98},
+                                                                {"type": "stable", "beta": 0.99}]},
+}
+_CLOCKS.update({f"inverse-{name}": {"type": "inverse", "base": clock}
+                for name, clock in list(_CLOCKS.items())})
+_METHODS = ["auto", "bessel", "pgf", "quadrature", "mc"]
+
+
+def test_method_choices_are_auto_and_the_route_names():
+    assert list(ROUTES) == _METHODS[1:]
+    with pytest.raises(SystemExit):
+        main(["pmf", "--spec", IG_SPEC, "--lambda", "1", "--t", "1", "--method", "fft",
+              "--out", "t.csv"])
+
+
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("clock", _CLOCKS.values(), ids=_CLOCKS.keys())
+def test_every_method_serves_or_names_routes_that_do(tmp_path, capsys, clock, method):
+    # a method either serves the clock, or is refused (exit 3, no traceback)
+    # with advice whose every named method serves the same request
+    def run(m):
+        capsys.readouterr()
+        rc = main(["pmf", "--spec", json.dumps(clock), "--lambda", "1", "--t", "1",
+                   "--method", m, "--count", "1000", "--seed", "1",
+                   "--out", str(tmp_path / f"{m}.json")])
+        return rc, capsys.readouterr().err
+
+    rc, err = run(method)
+    if rc == 0:
+        return
+    assert rc == 3 and err.startswith("error: ") and "Traceback" not in err
+    advice = re.search(r"methods that serve it: ([a-z, ]+) \(mc: pmf_monte_carlo\)\n$", err)
+    assert advice, err
+    named = advice.group(1).split(", ")
+    assert method not in named and set(named) <= set(_METHODS)
+    for m in named:
+        assert run(m) == (0, ""), m
 
 
 def test_long_inline_spec_is_not_taken_for_a_path(tmp_path):

@@ -1162,7 +1162,7 @@ class TestTableCache:
         import tcpp.timechange as timechange
 
         calls = []
-        real = timechange._bessel_table
+        real = timechange.ROUTES["bessel"].table
 
         def flaky(*args):
             calls.append(args)
@@ -1170,7 +1170,8 @@ class TestTableCache:
                 raise ConvergenceError("first call fails")
             return real(*args)
 
-        monkeypatch.setattr(timechange, "_bessel_table", flaky)
+        monkeypatch.setitem(timechange.ROUTES, "bessel",
+                            timechange.ROUTES["bessel"]._replace(table=flaky))
         with pytest.raises(ConvergenceError):
             pmf_table(1.0, 1.0, self.IG, method="bessel")
         assert table_cache.cache_info().currsize == 0
@@ -1229,6 +1230,18 @@ class TestRefusals:
         table = pmf_table(1.0, 3.0, Stable(0.5))
         assert table.kmax == 2000 and table.tail_bound > 1e-3
 
+    @pytest.mark.parametrize("spec, method, served", [
+        (InverseGaussian(1.0, 1.0), "mc", "bessel, pgf, quadrature, mc"),
+        (InverseOf(Stable(0.97)), "mc", "mc"),
+        (InverseOf(Stable(0.97)), "auto", "mc"),
+    ], ids=["ig-mc", "inverse-stable0.97-mc", "inverse-stable0.97-auto"])
+    def test_monte_carlo_is_refused_naming_pmf_monte_carlo(self, spec, method, served):
+        # pmf_table takes no count or seed: Monte Carlo is pmf_monte_carlo's
+        with pytest.raises(NoDensityError, match="pmf_table draws no Monte Carlo table") as err:
+            pmf_table(1.0, 1.0, spec, method=method)
+        assert str(err.value).endswith(f"methods that serve it: {served} (mc: pmf_monte_carlo)")
+        assert table_cache.cache_info().currsize == 0
+
     @pytest.mark.parametrize("t", [1e12, 1e40])
     def test_inverse_tempered_past_the_tilt_panel_budget(self, t):
         # the relative spread of D_mu(x) at the far nodes asks for more than
@@ -1239,13 +1252,14 @@ class TestRefusals:
     def test_normalization_defect_is_a_convergence_error(self, monkeypatch):
         import tcpp.timechange as timechange
 
-        real = timechange._bessel_table
+        real = timechange.ROUTES["bessel"].table
 
         def doubled(*args):
             fields = real(*args)
             return dict(fields, values=2.0 * fields["values"])
 
-        monkeypatch.setattr(timechange, "_bessel_table", doubled)
+        monkeypatch.setitem(timechange.ROUTES, "bessel",
+                            timechange.ROUTES["bessel"]._replace(table=doubled))
         with pytest.raises(ConvergenceError, match="bessel route.*normalization defect"):
             pmf_table(1.0, 1.0, InverseGaussian(1.0, 1.0), kmax=6, method="bessel")
 
