@@ -7,14 +7,18 @@ Every entry is one equation of the form
 on a table T of pmfs (one row per count k; the shift takes row k to k - 1)
 or of densities (one row per space point x).  The time operator is either a
 set of central differences or a Caputo derivative of order beta in (0, 1);
-the source S is an x-side reference derivative, or the boundary and
-time-origin sources of the equation.  A runner builds T and S once on the
-finest grid from a frozen quadrature rule or a closed form and returns the
-coefficients; one driver subsamples them to every dyadic level, so each
-level sees the same smooth function and the finite differences converge at
-their design order.  The outcome is graded pass when the residual falls
-with an estimated convergence order inside the entry's band, or when it is
-floor-limited below the noise floor.
+the source S is the x-side of a PDE (closed where the density's derivatives
+are, else a five-point reference derivative), or the boundary and time-origin
+sources of the equation.  Where the paper states one equation as a case of
+another, the runner is the general one's: prop3.1(n) is rmk4.1 at mu = 0,
+m = 2^n; frac-dde is prop3.2 at n = 0; deblassie is prop4.1 at mu = 0;
+et-pde is inv-tempered-pde at mu = 0; prop4.2 is prop2.2 at its IG twin.
+A runner builds T and S once on the finest grid from a frozen quadrature rule
+or a closed form and returns the coefficients; one driver subsamples them to
+every dyadic level, so each level sees the same smooth function and the
+finite differences converge at their design order.  The outcome is graded
+pass when the residual falls with an estimated convergence order inside the
+entry's band, or when it is floor-limited below the noise floor.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from ..specfun import caputo_derivative, TimeSeries, gamma_fn
 from ..subordinators.densities import (
     hitting_time_density_ig,
     ig_density,
-    inverse_stable_density,
-    inverse_tempered_density,
     stable_moment,
     tempered_half_as_ig,
     tempered_stable_density,
@@ -52,22 +54,34 @@ _DX_STEP = 8e-3  # _dx_ref's relative step: its stencil reaches x - _DX_STEP for
 # -- small helpers ---------------------------------------------------------------
 
 
-def _dx_ref(fn, x: np.ndarray, order: int):
-    """High-accuracy x-derivative of a smooth vectorized evaluator.
+def _dx_ref(fn, x: np.ndarray):
+    """High-accuracy d/dx of a smooth vectorized evaluator.
 
-    Five-point O(h^4) stencils at the step h = 8e-3 max(x, 1/2); this side of each PDE is
+    Five-point O(h^4) stencil at the step h = 8e-3 max(x, 1/2); this side of each PDE is
     treated as a reference while the time derivative carries the refinement.
     """
     h = _DX_STEP * np.maximum(x, 0.5)
-    if order == 1:
-        vals = [fn(x + k * h) for k in (-2, -1, 1, 2)]
-        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * h)
-    if order == 2:
-        vals = [fn(x + k * h) for k in (-2, -1, 0, 1, 2)]
-        return (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (
-            12.0 * h * h
-        )
-    raise DomainError("x-reference derivative supports orders 1 and 2")
+    vals = [fn(x + k * h) for k in (-2, -1, 1, 2)]
+    return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * h)
+
+
+def _tempered_time(m: int, mu: float):
+    """Time coefficients {j: (-1)^j C(m,j) mu^(1 - j/m)} of the index-1/m tempered equations.
+
+    They come from (phi + mu^(1/m))^m = s + mu for phi = (s + mu)^(1/m) - mu^(1/m); at
+    mu = 0 every coefficient but the m-th is 0.
+    """
+    return {j: (-1.0) ** j * comb(m, j, exact=True) * mu ** (1.0 - j / m) for j in range(1, m + 1)}
+
+
+def _ig_hitting_source(x, t, d: float, g: float):
+    """d_x^2 h - 2 d g d_x h = 2 d^2 d_t h for the IG(d, g) hitting density h, in closed form.
+
+    With z = (g t - d x)/sqrt(t) it is -(2 d^3 / t^(3/2)) phi(z) (1 + d x z / sqrt(t)).
+    """
+    st = np.sqrt(t)
+    z = (g * t - d * x) / st
+    return -math.sqrt(2 / math.pi) * d ** 3 * np.exp(-z * z / 2) * (1 + d * x * z / st) / t ** 1.5
 
 
 def _shift_at_zero(j: int, ks: np.ndarray, lam: float):
@@ -204,9 +218,8 @@ def _eq_ig_density_pde(params, grid, xs):
 
 
 def _eq_prop31(params, grid, ks):
-    lam, n = params["lam"], int(params["n"])
-    P = _pmf_tables(Stable(0.5 ** n), lam, grid, tuple(ks), tol=1e-12)
-    return _Problem(P, {2 ** n: 1.0}, {1: lam})
+    # rmk4.1 at mu = 0, m = 2^n: the n-times iterated 1/2-stable clock is stable(1/2^n)
+    return _eq_rmk41({"lam": params["lam"], "mu": 0.0, "m": 2 ** int(params["n"])}, grid, ks)
 
 
 def _eq_deblassie(params, grid, xs):
@@ -224,15 +237,12 @@ def _eq_thm31(params, grid, ks):
 
 
 def _eq_cor31(params, grid, ks):
-    p = dict(params)
-    p["m"] = 2 ** int(params["n"])
-    return _eq_thm31(p, grid, ks)
+    return _eq_thm31({**params, "m": 2 ** int(params["n"])}, grid, ks)
 
 
 def _eq_frac_dde(params, grid, ks):
-    lam, beta = params["lam"], params["beta"]
-    Q = _pmf_tables(InverseOf(Stable(beta)), lam, grid, tuple(ks), origin=True)
-    return _Problem(Q, beta, {1: -lam})
+    # prop3.2 at n = 0: no iteration, so no origin sources
+    return _eq_prop32({**params, "n": 0}, grid, ks)
 
 
 def _eq_prop32(params, grid, ks):
@@ -248,58 +258,46 @@ def _eq_prop32(params, grid, ks):
         alt = lam ** two_n * shift_power(T, two_n - 1, axis=0) + S
         return {"alternative_shift_exponent_max_residual": float(np.max(np.abs(lhs - alt)))}
 
-    return _Problem(Q, beta, {two_n: lam ** two_n}, S, extras=alternative)
+    return _Problem(Q, beta, {two_n: (-lam) ** two_n}, S, extras=alternative if n else None)
 
 
 def _eq_et_pde(params, grid, xs):
-    beta = 0.5
+    # inv-tempered-pde at mu = 0, the inverse 1/2-stable density, with its boundary
+    # system m(0+, t) = t^(-1/2)/Gamma(1/2), d/dx m(0, t) = 2 d g m(0, t) = 0, m(inf, t) = 0
     t = _fine_times(grid)
-    M = inverse_stable_density(xs[:, None], t[None, :], beta)
-    Mxx = _dx_ref(lambda xv: inverse_stable_density(xv, t[None, :], beta), xs[:, None], 2)
-    return _Problem(M, {1: 1.0}, {}, Mxx, extras=lambda *_: _et_pde_boundaries(t, beta))
-
-
-def _et_pde_boundaries(times, beta):
-    """Boundary system of the index-1/2 PDE at a few probe times."""
-    t = times[:: max(1, times.size // 4)]
-    eps = 1e-5
-    m1, m2 = inverse_stable_density(np.array([[eps], [2 * eps]]), t, beta)
-    m0 = 2.0 * m1 - m2  # linear extrapolation to x = 0
-    target = t ** (-beta) / gamma_fn(1.0 - beta)
-    return {
-        "boundary_value_max_error": float(np.max(np.abs(m0 - target))),
-        "boundary_derivative_max_abs": float(np.max(np.abs((m2 - m1) / eps))),
-        "far_field_max": float(np.max(inverse_stable_density(40.0 * np.sqrt(t), t, beta))),
+    t = t[:: max(1, t.size // 4)]
+    d, g = tempered_half_as_ig(0.0)
+    m0 = hitting_time_density_ig(0.0, t, d, g)
+    extras = {
+        "boundary_value_max_error": float(np.max(np.abs(m0 - t ** -0.5 / gamma_fn(0.5)))),
+        "boundary_derivative_max_abs": float(np.max(np.abs(2.0 * d * g * m0))),
+        "far_field_max": float(np.max(hitting_time_density_ig(40.0 * np.sqrt(t), t, d, g))),
     }
+    return replace(_eq_inv_tempered_pde({"mu": 0.0}, grid, xs), extras=lambda *_: extras)
 
 
 def _eq_prop41(params, grid, xs):
     mu, m_ord = params["mu"], int(params["m"])
-    beta = 1.0 / m_ord
     t = _fine_times(grid)[None, :]
-    F = tempered_stable_density(xs[:, None], t, beta, mu)
-    dFdx = _dx_ref(lambda xv: tempered_stable_density(xv, t, beta, mu), xs[:, None], 1)
-    time = {j: (-1.0) ** j * comb(m_ord, j, exact=True) * mu ** (1.0 - j / m_ord)
-            for j in range(1, m_ord + 1)}
-    return _Problem(F, time, {}, dFdx)
+    F = tempered_stable_density(xs[:, None], t, 1.0 / m_ord, mu)
+    dFdx = _dx_ref(lambda xv: tempered_stable_density(xv, t, 1.0 / m_ord, mu), xs[:, None])
+    return _Problem(F, _tempered_time(m_ord, mu), {}, dFdx)
 
 
 def _eq_rmk41(params, grid, ks):
-    lam, mu = params["lam"], params["mu"]
-    R = _pmf_tables(TemperedStable(0.5, mu), lam, grid, tuple(ks))
-    return _Problem(R, {1: -2.0 * math.sqrt(mu), 2: 1.0}, {1: lam})
+    lam, mu, m_ord = params["lam"], params["mu"], int(params["m"])
+    clock = TemperedStable(1.0 / m_ord, mu) if mu else Stable(1.0 / m_ord)
+    R = _pmf_tables(clock, lam, grid, tuple(ks), tol=1e-12)
+    return _Problem(R, _tempered_time(m_ord, mu), {1: lam})
 
 
 def _eq_inv_tempered_pde(params, grid, xs):
-    mu = params["mu"]
-    t = _fine_times(grid)
-
-    def dens(xv):
-        return inverse_tempered_density(xv, t[None, :], 0.5, mu)
-
-    M = dens(xs[:, None])
-    S = _dx_ref(dens, xs[:, None], 2) - 2.0 * math.sqrt(mu) * _dx_ref(dens, xs[:, None], 1)
-    return _Problem(M, {1: 1.0}, {}, S)
+    # the clock is IG(d, g), d = 1/sqrt 2, g = sqrt(2 mu), whose hitting density h solves
+    # 2 d^2 d/dt h = d_x^2 h - 2 d g d_x h; that x-side is closed (_ig_hitting_source)
+    d, g = tempered_half_as_ig(params["mu"])
+    x, t = xs[:, None], _fine_times(grid)[None, :]
+    return _Problem(hitting_time_density_ig(x, t, d, g), {1: 2.0 * d * d}, {},
+                    _ig_hitting_source(x, t, d, g))
 
 
 def _eq_prop42(params, grid, ks):
@@ -432,7 +430,7 @@ _register(EquationDef(
     "et-pde(2)", _eq_et_pde,
     {"m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
-    band=(1.6, 2.4), default_range=(0.3, 0.6, 1.0, 1.8), x_min=_DX_STEP,
+    band=(1.6, 2.4), default_range=(0.3, 0.6, 1.0, 1.8), x_min=0.0,
 ))
 _register(EquationDef(
     "prop3.2", _eq_prop32,
@@ -462,7 +460,7 @@ _register(EquationDef(
     "inv-tempered-pde(2)", _eq_inv_tempered_pde,
     {"mu": (1.0, _POS), "m": (2, _ints(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
-    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.5), x_min=_DX_STEP,
+    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.5), x_min=0.0,
 ))
 _register(EquationDef(
     "prop4.2(2)", _eq_prop42,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -26,6 +27,13 @@ class GridSpec:
     refinement_levels: int = 4
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            count = name in ("points", "refinement_levels")  # 17.0 is taken as 17
+            if isinstance(v, bool) or not (isinstance(v, Real) and np.isfinite(v)) or (
+                    count and v != int(v)):
+                raise DomainError(f"grid {name} must be a finite "
+                                  f"{'integer' if count else 'number'}, got {v!r}")
+            object.__setattr__(self, name, int(v) if count else v)
         if not 0 < self.t_min < self.t_max:
             raise DomainError("need 0 < t_min < t_max")
         if self.points < 8:

@@ -363,7 +363,10 @@ class TestVerifyCommand:
         {"equation_id": "prop2.1", "k_range": [0, 2]},  # a gap: the shifts need 0..K
         {"equation_id": "ig-density-pde", "k_range": [0.5, -1.0]},
         {"equation_id": "prop2.1", "extra": 1},  # unknown key: not silently ignored
-        {"equation_id": "et-pde(2)", "k_range": [0.005, 0.3]},  # x-reference stencil at x < 0
+        {"equation_id": "prop4.1(2)", "k_range": [0.005, 0.3]},  # x-reference stencil at x < 0
+        {"equation_id": "prop2.1", "grid": {"t_min": 0.5, "t_max": 2.0, "points": 17.5}},
+        {"equation_id": "prop2.1", "grid": {"t_min": 0.5, "t_max": 2.0, "refinement_levels": 2.5}},
+        {"equation_id": "prop2.1", "grid": {"t_min": True, "t_max": 2.0}},
     ])
     def test_bad_request_no_partial_run(self, tmp_path, req):
         cfg = tmp_path / "cfg.json"

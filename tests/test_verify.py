@@ -151,6 +151,15 @@ class TestGridSpec:
             GridSpec(0.5, 2.0, points=4)
         with pytest.raises(DomainError):
             GridSpec(0.5, 2.0, refinement_levels=9)
+        for bad in ({"points": 17.5}, {"refinement_levels": 2.5}, {"t_min": True},
+                    {"t_max": math.inf}, {"t_min": "0.5"}):
+            with pytest.raises(DomainError):
+                GridSpec(**{"t_min": 0.5, "t_max": 2.0, **bad})
+
+    def test_integral_float_is_the_integer(self):
+        g = GridSpec(0.5, 2.0, points=17.0, refinement_levels=4.0)
+        assert (g.points, g.refinement_levels) == (17, 4) and isinstance(g.points, int)
+        assert g == GridSpec(0.5, 2.0) and hash(g) == hash(GridSpec(0.5, 2.0))
 
 
 class TestCheckEquation:
@@ -202,7 +211,7 @@ class TestCheckEquation:
     @pytest.mark.parametrize("eq_id, k_range", [
         ("prop2.1", "ab"), ("prop2.1", [-1, 0]), ("prop2.1", [1, 2, 3]), ("prop2.1", []),
         ("prop2.1", [True]), ("prop2.1", [0.0, 1.0]), ("ig-density-pde", [0.4, math.inf]),
-        ("ig-density-pde", [0.0]), ("et-pde(2)", [0.005, 0.3]),
+        ("ig-density-pde", [0.0]), ("deblassie(1/2)", [0.005, 0.3]),
     ])
     def test_bad_k_range_rejected(self, eq_id, k_range):
         with pytest.raises(DomainError):
@@ -229,9 +238,41 @@ class TestCheckEquation:
     def test_et_pde_boundary_system(self):
         rep = check_equation("et-pde(2)")
         assert rep.passed
-        assert rep.extras["boundary_value_max_error"] <= 1e-6
-        assert rep.extras["boundary_derivative_max_abs"] <= 1e-3
+        assert rep.extras["boundary_value_max_error"] <= 1e-12
+        assert rep.extras["boundary_derivative_max_abs"] == 0.0
         assert rep.extras["far_field_max"] <= 1e-12
+
+    @pytest.mark.parametrize("eq_id", ["et-pde(2)", "inv-tempered-pde(2)"])
+    def test_closed_x_side_reaches_the_boundary(self, eq_id):
+        # no stencil reaches x - 0.008, so any x > 0 is in the domain
+        rep = check_equation(eq_id, k_range=[0.005, 0.3])
+        assert rep.passed and not rep.floor_limited
+
+    @pytest.mark.parametrize("delta, gamma", [
+        (1 / math.sqrt(2), 0.0), (1 / math.sqrt(2), math.sqrt(2)), (1.0, 1.0),
+    ])
+    def test_ig_hitting_source_against_mpmath(self, delta, gamma):
+        # the closed source is d_x^2 h - 2 d g d_x h, and 2 d^2 d_t h, of the
+        # IG(d, g) hitting density h, each differentiated at 30 digits
+        from mpmath import mp, workdps
+
+        from tcpp.verify.registry import _ig_hitting_source
+
+        def h(x, t):
+            d, g, st = mp.mpf(delta), mp.mpf(gamma), mp.sqrt(t)
+            return (2 * d / st) * mp.npdf((g * t - d * x) / st) - 2 * d * g * mp.exp(
+                2 * d * g * x) * mp.ncdf(-(g * t + d * x) / st)
+
+        xs, ts = np.array([1e-6, 0.3, 1.5, 4.0]), np.array([0.5, 1.0, 2.0])
+        got = _ig_hitting_source(xs[:, None], ts[None, :], delta, gamma)
+        with workdps(30):
+            for i, x in enumerate(xs):
+                for j, t in enumerate(ts):
+                    x_side = (mp.diff(lambda u: h(u, t), x, 2)
+                              - 2 * delta * gamma * mp.diff(lambda u: h(u, t), x))
+                    t_side = 2 * mp.mpf(delta) ** 2 * mp.diff(lambda s: h(x, s), t)
+                    for want in (x_side, t_side):
+                        assert abs(got[i, j] - float(want)) <= 1e-14 * max(1.0, abs(float(want)))
 
     def test_prop32_rejects_alternative_exponent(self):
         # the statement's (1-shift)^(2^n) fits; the proof's final-line
@@ -315,12 +356,12 @@ DEFAULT_CAMPAIGN = [
     ("cor3.1(2)", False, 3.235082330867848, 6.841646860156203e-08),
     ("frac-dde(1/2)", False, 1.5021786019736312, 7.543826727884895e-05),
     ("frac-dde(1/4)", False, 1.2296948408226382, 0.00014631061695802305),
-    ("et-pde(2)", False, 1.784550092584627, 0.0001798752265580461),
+    ("et-pde(2)", False, 1.7845502101734847, 0.0001798751816313171),
     ("prop3.2", False, 1.2433939835716963, 0.00025224899508047294),
     ("prop4.1(2)", False, 1.9965067667664327, 0.00024442579086336735),
     ("prop4.1(3)", False, 1.9992546673700806, 7.346198830138206e-05),
     ("rmk4.1(2)", False, 1.9783282298180664, 7.1443215039490582e-06),
-    ("inv-tempered-pde(2)", False, 1.748184326678066, 0.0005046199160323728),
+    ("inv-tempered-pde(2)", False, 1.7481866164768545, 0.00050461739377802295),
     ("prop4.2(2)", False, 1.8398009735943082, 6.297588886489125e-05),
 ]
 
