@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -31,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    POSITIVE,
     ConvergenceError,
     DomainError,
     NoDensityError,
@@ -113,8 +113,8 @@ def _parse_t_grid(text: str) -> np.ndarray:
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
     t_grid = _parse_t_grid(args.t_grid)
-    if args.lam is not None and not 0 < args.lam < math.inf:
-        raise DomainError("simulate needs a finite --lambda > 0")
+    if args.lam is not None:
+        POSITIVE.check("--lambda", args.lam)
     values = sample_path(spec, t_grid, args.paths, args.seed)
     if args.lam is not None:
         if not args.lam * np.max(values) <= _POISSON_MAX:

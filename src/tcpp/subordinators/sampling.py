@@ -74,7 +74,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import POSITIVE, UNIT_INTERVAL, DomainError, integers
 from .stable import log_zolotarev_a
 
 __all__ = ["SampleBatch", "rng_stream", "sample", "sample_path"]
@@ -482,12 +482,6 @@ def _sample_stable_passages(rng, levels, beta, n, mu=0.0):
 # -- public sampling surface ----------------------------------------------------
 
 
-def _check_rtol(rtol):
-    # accepted and unused: every route is exact; NaN fails the comparison too
-    if not 0.0 < rtol < 1.0:
-        raise DomainError(f"rtol must satisfy 0 < rtol < 1, got {rtol}")
-
-
 def sample(
     spec,
     t: float,
@@ -498,17 +492,13 @@ def sample(
 ) -> SampleBatch:
     """Draw `count` values of the process at time t; reproducible per seed.
 
-    rtol is accepted and unused: every route is exact.  It must still satisfy
-    0 < rtol < 1.
+    rtol is accepted and unused: every route is exact.  It must still lie
+    in (0, 1).  t, count and rtol pass the shared rule (`errors.Domain`).
     """
-    if not 0 < t < math.inf:  # refuses NaN as well
-        raise DomainError("sample requires finite t > 0")
-    if count < 1:
-        raise DomainError("sample requires count >= 1")
-    _check_rtol(rtol)
-    rng = rng_stream(seed, stream)
-    values = spec.draw(rng, float(t), int(count))
-    return SampleBatch(spec=spec, t=float(t), seed=int(seed), values=values)
+    t, count = POSITIVE.check("t", t), integers(1).check("count", count)
+    UNIT_INTERVAL.check("rtol", rtol)
+    values = spec.draw(rng_stream(seed, stream), t, count)
+    return SampleBatch(spec=spec, t=t, seed=int(seed), values=values)
 
 
 def sample_path(
@@ -533,7 +523,6 @@ def sample_path(
     if t_grid.ndim != 1 or t_grid.size < 1 or not (
             t_grid[0] > 0 and np.all(np.diff(t_grid) > 0) and t_grid[-1] < math.inf):
         raise DomainError("t_grid must be finite, positive and strictly increasing")
-    if paths < 1:
-        raise DomainError("paths must be >= 1")
-    _check_rtol(rtol)
+    paths = integers(1).check("paths", paths)
+    UNIT_INTERVAL.check("rtol", rtol)
     return spec.path(rng_stream(seed, stream), t_grid, paths)

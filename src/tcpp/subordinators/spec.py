@@ -18,6 +18,11 @@ The JSON schema is the CLI's process-description contract:
     {"type": "tempered", "beta": 0.5, "mu": 1.0}
     {"type": "compose",  "parts": [spec, ...]}      # outermost part first
     {"type": "inverse",  "base": spec}
+
+Each class declares its `kind` (the `type` above) and the domain of each
+numeric field: delta > 0, gamma >= 0, beta in (0, 1), mu > 0.  A spec holds
+exactly its type's fields, and each number is a finite JSON number, not a
+bool or a string, inside its field's domain (`errors.Domain`).
 """
 
 from __future__ import annotations
@@ -25,11 +30,18 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import ConvergenceError, DomainError, NoDensityError
+from ..errors import (
+    NONNEGATIVE,
+    POSITIVE,
+    UNIT_INTERVAL,
+    ConvergenceError,
+    DomainError,
+    NoDensityError,
+)
 from ..quadrules import gauss_panels, linear_panel_edges, log_panel_edges
 from .densities import (
     hitting_time_density_ig,
@@ -144,10 +156,24 @@ class Clock:
 
 @dataclass(frozen=True)
 class SubordinatorSpec(Clock):
-    """Base class; use the concrete variants below."""
+    """Base class of the process classes.  Each declares its wire `kind` and
+    the `domains` of its numeric fields; `__post_init__` checks those fields
+    by the shared rule (`errors.Domain`) and stores them as floats, and
+    `to_dict` writes the kind and every field, a clock as its object and a
+    tuple of clocks as a list."""
+
+    kind = None
+    domains = {}
+
+    def __post_init__(self):
+        for name, domain in self.domains.items():
+            object.__setattr__(self, name, domain.check(f"{self.kind} {name}", getattr(self, name)))
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        def wire(v):  # a clock as its object, a tuple of clocks as a list
+            return v.to_dict() if isinstance(v, SubordinatorSpec) else (
+                [p.to_dict() for p in v] if isinstance(v, tuple) else v)
+        return {"type": self.kind, **{f.name: wire(getattr(self, f.name)) for f in fields(self)}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -178,15 +204,8 @@ class SubordinatorSpec(Clock):
 class InverseGaussian(SubordinatorSpec):
     delta: float
     gamma: float
-
-    def __post_init__(self):
-        if not 0 < self.delta < math.inf:  # refuses NaN as well
-            raise DomainError("IG requires finite delta > 0")
-        if not 0 <= self.gamma < math.inf:
-            raise DomainError("IG requires finite gamma >= 0")
-
-    def to_dict(self):
-        return {"type": "ig", "delta": self.delta, "gamma": self.gamma}
+    kind = "ig"
+    domains = {"delta": POSITIVE, "gamma": NONNEGATIVE}
 
     def bessel_params(self):
         return (self.delta, self.gamma) if self.gamma > 0 else None
@@ -225,13 +244,8 @@ class InverseGaussian(SubordinatorSpec):
 @dataclass(frozen=True)
 class Stable(SubordinatorSpec):
     beta: float
-
-    def __post_init__(self):
-        if not 0 < self.beta < 1:
-            raise DomainError("stable index must satisfy 0 < beta < 1")
-
-    def to_dict(self):
-        return {"type": "stable", "beta": self.beta}
+    kind = "stable"
+    domains = {"beta": UNIT_INTERVAL}
 
     def mean_rate(self):
         return math.inf
@@ -277,15 +291,8 @@ class Stable(SubordinatorSpec):
 class TemperedStable(SubordinatorSpec):
     beta: float
     mu: float
-
-    def __post_init__(self):
-        if not 0 < self.beta < 1:
-            raise DomainError("tempered stable index must satisfy 0 < beta < 1")
-        if not 0 < self.mu < math.inf:
-            raise DomainError("tempered stable requires finite mu > 0")
-
-    def to_dict(self):
-        return {"type": "tempered", "beta": self.beta, "mu": self.mu}
+    kind = "tempered"
+    domains = {"beta": UNIT_INTERVAL, "mu": POSITIVE}
 
     def mean_rate(self):
         return self.beta * self.mu ** (self.beta - 1.0)
@@ -359,19 +366,15 @@ class Composition(SubordinatorSpec):
     """parts[0](parts[1](... parts[-1](t))) -- function-composition order."""
 
     parts: tuple
+    kind = "compose"
 
     def __post_init__(self):
-        if not self.parts:
-            raise DomainError("composition needs at least one part")
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for p in self.parts:
-            if isinstance(p, (Composition, InverseOf)):
-                raise DomainError("composition parts must be plain subordinators")
-            if not isinstance(p, SubordinatorSpec):
-                raise DomainError("composition parts must be SubordinatorSpec")
-
-    def to_dict(self):
-        return {"type": "compose", "parts": [p.to_dict() for p in self.parts]}
+        parts = self.parts
+        if not (isinstance(parts, (tuple, list)) and parts and all(
+                isinstance(p, SubordinatorSpec) and not isinstance(p, (Composition, InverseOf))
+                for p in parts)):
+            raise DomainError(f"compose takes a nonempty list of Levy clocks, got {parts!r}")
+        object.__setattr__(self, "parts", tuple(parts))
 
     def mean_rate(self):
         # E A(B(t)) = E B(t) * rate_A: the chain rule on the composed exponents
@@ -413,15 +416,11 @@ class Composition(SubordinatorSpec):
 @dataclass(frozen=True)
 class InverseOf(SubordinatorSpec):
     base: SubordinatorSpec
+    kind = "inverse"
 
     def __post_init__(self):
-        if isinstance(self.base, InverseOf):
-            raise DomainError("inverse of an inverse is not supported")
-        if not isinstance(self.base, SubordinatorSpec):
-            raise DomainError("inverse needs a SubordinatorSpec base")
-
-    def to_dict(self):
-        return {"type": "inverse", "base": self.base.to_dict()}
+        if not isinstance(self.base, SubordinatorSpec) or isinstance(self.base, InverseOf):
+            raise DomainError(f"inverse base must be a clock, not an inverse, got {self.base!r}")
 
     def mixing_law(self):
         return self.base.hitting().mixing_law()
@@ -549,27 +548,27 @@ class _InverseTempered(_Hitting):
         return _sample_stable_passages(rng, t_grid, self.base.beta, paths, self.base.mu)
 
 
+_KINDS = {cls.kind: cls
+          for cls in (InverseGaussian, Stable, TemperedStable, Composition, InverseOf)}
+
+
 def spec_from_dict(d: dict) -> SubordinatorSpec:
-    if not isinstance(d, dict) or "type" not in d:
-        raise DomainError("spec object must be a dict with a 'type' field")
-    kind = d["type"]
-    try:
-        if kind == "ig":
-            return InverseGaussian(float(d["delta"]), float(d["gamma"]))
-        if kind == "stable":
-            return Stable(float(d["beta"]))
-        if kind == "tempered":
-            return TemperedStable(float(d["beta"]), float(d["mu"]))
-        if kind == "compose":
-            return Composition(tuple(spec_from_dict(p) for p in d["parts"]))
-        if kind == "inverse":
-            return InverseOf(spec_from_dict(d["base"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DomainError):  # a part's own error, already worded
-            raise
-        raise DomainError(f"spec of type '{kind}' has a missing or malformed field: "
-                          f"{exc!r}") from exc
-    raise DomainError(f"unknown spec type '{kind}'")
+    """The clock a JSON object describes.  Its `type` names the class in
+    `_KINDS`, and it holds exactly that class's fields.  A field's object is
+    read as a clock and its list as a list of clocks; every other value goes
+    to the class's own check."""
+    kind = d.get("type") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise DomainError(f"a spec is an object whose type is one of {', '.join(_KINDS)}, "
+                          f"got {d!r}")
+    names = [f.name for f in fields(_KINDS[kind])]
+    if set(d) != {"type", *names}:
+        raise DomainError(f"spec type {kind!r} takes exactly the fields {names}, got {d!r}")
+
+    def read(v):  # an object as a clock, a list as a tuple of clocks
+        return spec_from_dict(v) if isinstance(v, dict) else (
+            tuple(map(spec_from_dict, v)) if isinstance(v, list) else v)
+    return _KINDS[kind](*(read(d[name]) for name in names))
 
 
 def spec_from_json(text: str) -> SubordinatorSpec:

@@ -39,7 +39,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import ConvergenceError, DomainError, NoDensityError
+from .errors import FINITE, POSITIVE, ConvergenceError, DomainError, NoDensityError, integers
 from .subordinators.densities import ig_exponent
 from .subordinators.sampling import _DRAW_BLOCK, rng_stream, sample
 from .subordinators.spec import (
@@ -457,13 +457,13 @@ class PmfTable:
             route = {"tol": float(old_tol)} if method == "quadrature" and old_tol else {}
         return cls(
             spec=spec_from_dict(d["spec"]),
-            lam=float(d["lambda"]),
-            t=float(d["t"]),
-            kmax=int(d["kmax"]),
+            lam=POSITIVE.check("lambda", d["lambda"]),
+            t=POSITIVE.check("t", d["t"]),
+            kmax=_KMAX.check("kmax", d["kmax"]),
             values=np.asarray(d["values"], dtype=float),
-            tail_bound=float(d["tail_bound"]),
+            tail_bound=FINITE.check("tail_bound", d["tail_bound"]),
             stderr=None if d.get("stderr") is None else np.asarray(d["stderr"], dtype=float),
-            seed=d.get("seed"),
+            seed=None if d.get("seed") is None else integers().check("seed", d["seed"]),
             method=method,
             route=route,
         )
@@ -484,14 +484,13 @@ class PmfTable:
 
 def pmf_quadrature(k: int, t: float, lam: float, spec: SubordinatorSpec) -> float:
     """P(N(X(t)) = k): entry k of the quadrature table with kmax = k."""
-    if k < 0:
-        raise DomainError("count index k must be >= 0")
     return float(pmf_table(t, lam, spec, kmax=k, method="quadrature").values[k])
 
 
 _TAIL_TARGET = 1e-10
 _KMAX_START = 64
 _KMAX_CAP = 2000
+_KMAX = integers(0, 2 ** 20)  # a requested kmax: 2^20 counts bound a table's memory
 
 
 def _first_below(tails):
@@ -510,7 +509,8 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     against a frozen rule settled to 1e-10; "auto" takes the first route in
     `ROUTES` that serves the clock.  A route that does not serve it is
     refused with NoDensityError, and so is "mc", which `pmf_monte_carlo`
-    runs, as it needs a count and a seed.  Without kmax,
+    runs, as it needs a count and a seed.  A given kmax is an integer in
+    [0, 2^20], refused with DomainError before any route runs.  Without kmax,
     all four routes, Monte Carlo too, return the smallest K <= 2000 whose
     tail bound P(N > K) is below 1e-10, read off the tail column of the
     table they compute, or K = 2000 when none is; for Monte Carlo that is
@@ -540,15 +540,6 @@ def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
     return table_cache("mc", t, lam, spec, kmax, int(count), int(seed))
 
 
-def _request(name: str, t, lam, kmax):
-    """(float t, float lambda, kmax as None or int) of a valid table request."""
-    if not (0 < t < math.inf and 0 < lam < math.inf):  # refuses NaN as well
-        raise DomainError(f"{name} requires finite t > 0 and lambda > 0")
-    if kmax is not None and kmax < 0:
-        raise DomainError("kmax must be >= 0")
-    return float(t), float(lam), None if kmax is None else int(kmax)
-
-
 @lru_cache(maxsize=64)
 def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
                 kmax: int | None, *args) -> PmfTable:
@@ -556,10 +547,11 @@ def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
 
     The key is the route's name in `ROUTES`, t, lambda, the spec and kmax
     (None or a count), then count and seed for Monte Carlo.  Equal numbers
-    make one key, so t = 1 and t = 1.0 share a table.  A request is checked
-    and normalized (`_request`) when it misses, and a raised error is not
-    kept, so an invalid request never hits.  An entry holds the immutable
-    table alone, never the clock draws behind it.
+    make one key, so t = 1 and t = 1.0 share a table.  When a request
+    misses, its t, lambda and kmax pass the shared rule (`errors.Domain`:
+    t, lambda > 0 and kmax an integer in [0, 2^20]) and are normalized; a
+    raised error is not kept.  An entry holds the immutable table alone,
+    never the clock draws behind it.
     `table_cache.cache_clear()` empties the cache.
 
     A route that does not serve the spec is refused with NoDensityError
@@ -570,7 +562,8 @@ def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
     table holds next to none of the law's mass.  A clock of infinite or
     unstated mean keeps its honest tail there.
     """
-    t, lam, kmax = _request("pmf_monte_carlo" if args else "pmf_table", t, lam, kmax)
+    t, lam = POSITIVE.check("t", t), POSITIVE.check("lambda", lam)
+    kmax = None if kmax is None else _KMAX.check("kmax", kmax)
     if not ROUTES[route].serves(spec):
         raise _refusal(spec, f"the {route} route does not serve")
     fields = ROUTES[route].table(t, lam, spec, kmax, *args)

@@ -19,6 +19,11 @@ every dyadic level, so each level sees the same smooth function and the
 finite differences converge at their design order.  The outcome is graded
 pass when the residual falls with an estimated convergence order inside the
 entry's band, or when it is floor-limited below the noise floor.
+
+Each entry names the domain of each param (`errors.Domain`), and a request's
+params, grid fields (`GridSpec`) and space points x > 0 pass that one rule
+before any runner starts.  The five-point x-reference steps 8e-3 x, so it
+serves every x > 0.
 """
 
 from __future__ import annotations
@@ -26,12 +31,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 from scipy.special import comb
 
-from ..errors import DomainError, UnknownEquationError
+from ..errors import (
+    NONNEGATIVE,
+    POSITIVE,
+    UNIT_INTERVAL,
+    Domain,
+    DomainError,
+    UnknownEquationError,
+    integers,
+)
 from ..specfun import caputo_derivative, TimeSeries, gamma_fn
 from ..subordinators.densities import (
     hitting_time_density_ig,
@@ -48,7 +61,6 @@ from .report import GridSpec, LevelResidual, ResidualReport
 __all__ = ["check_equation", "equation_params", "registry_ids", "REGISTRY"]
 
 _FLOOR = 1e-9
-_DX_STEP = 8e-3  # _dx_ref's relative step: its stencil reaches x - _DX_STEP for x < 1/2
 
 
 # -- small helpers ---------------------------------------------------------------
@@ -57,10 +69,11 @@ _DX_STEP = 8e-3  # _dx_ref's relative step: its stencil reaches x - _DX_STEP for
 def _dx_ref(fn, x: np.ndarray):
     """High-accuracy d/dx of a smooth vectorized evaluator.
 
-    Five-point O(h^4) stencil at the step h = 8e-3 max(x, 1/2); this side of each PDE is
-    treated as a reference while the time derivative carries the refinement.
+    Five-point O(h^4) stencil at the step h = 8e-3 x, so it reaches no further than
+    0.984 x and takes every x > 0; this side of each PDE is treated as a reference
+    while the time derivative carries the refinement.
     """
-    h = _DX_STEP * np.maximum(x, 0.5)
+    h = 8e-3 * x
     vals = [fn(x + k * h) for k in (-2, -1, 1, 2)]
     return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * h)
 
@@ -320,26 +333,18 @@ def _eq_prop42(params, grid, ks):
 class EquationDef:
     equation_id: str
     runner: object
-    params: dict  # name -> (default, (domain description, predicate))
+    params: dict  # name -> (default, errors.Domain)
     default_grid: GridSpec
     band: tuple
     default_range: tuple  # counts k or space points x
-    x_min: float | None = None  # None: counts k; else space points x > x_min
+    on_x: bool = False  # space points x > 0, not counts k
 
 
 def _std_ks(n=4):
     return tuple(range(n))
 
 
-_POS = ("> 0", lambda v: v > 0)
-_NONNEG = (">= 0", lambda v: v >= 0)
-_INDEX = ("in (0, 1)", lambda v: 0 < v < 1)
-_DEBLASSIE = ("1/2 or 1/3", lambda v: min(abs(v - 0.5), abs(v - 1.0 / 3.0)) < 1e-12)
-
-
-def _ints(lo, hi=math.inf):
-    return (f"an integer in [{lo}, {hi}]", lambda v: v == int(v) and lo <= v <= hi)
-
+_DEBLASSIE = Domain("1/2 or 1/3", lambda v: min(abs(v - 0.5), abs(v - 1.0 / 3.0)) < 1e-12)
 
 REGISTRY: dict[str, EquationDef] = {}
 
@@ -350,31 +355,31 @@ def _register(eq):
 
 _register(EquationDef(
     "prop2.1", _eq_prop21,
-    {"lam": (1.0, _POS), "delta": (1.0, _POS), "gamma": (1.0, _POS)},
+    {"lam": (1.0, POSITIVE), "delta": (1.0, POSITIVE), "gamma": (1.0, POSITIVE)},
     GridSpec(0.5, 2.0, points=13, refinement_levels=4),
     band=(3.0, 5.0), default_range=_std_ks(5),
 ))
 _register(EquationDef(
     "prop2.2", _eq_prop22,
-    {"lam": (1.0, _POS), "delta": (1.0, _POS), "gamma": (1.0, _NONNEG)},
+    {"lam": (1.0, POSITIVE), "delta": (1.0, POSITIVE), "gamma": (1.0, NONNEGATIVE)},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(0.8, 2.3), default_range=_std_ks(4),
 ))
 _register(EquationDef(
     "ig-density-pde", _eq_ig_density_pde,
-    {"delta": (1.0, _POS), "gamma": (1.0, _NONNEG)},
+    {"delta": (1.0, POSITIVE), "gamma": (1.0, NONNEGATIVE)},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
-    band=(1.6, 2.4), default_range=(0.4, 0.8, 1.5, 2.5), x_min=0.0,
+    band=(1.6, 2.4), default_range=(0.4, 0.8, 1.5, 2.5), on_x=True,
 ))
 _register(EquationDef(
     "prop3.1(1)", _eq_prop31,
-    {"lam": (1.0, _POS), "n": (1, _ints(1, 2))},
+    {"lam": (1.0, POSITIVE), "n": (1, integers(1, 2))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=_std_ks(4),
 ))
 _register(EquationDef(
     "prop3.1(2)", _eq_prop31,
-    {"lam": (1.0, _POS), "n": (2, _ints(1, 2))},
+    {"lam": (1.0, POSITIVE), "n": (2, integers(1, 2))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
     band=(1.5, 2.5), default_range=_std_ks(4),
 ))
@@ -382,89 +387,89 @@ _register(EquationDef(
     "deblassie(1/2)", _eq_deblassie,
     {"beta": (0.5, _DEBLASSIE)},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
-    band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), x_min=_DX_STEP,
+    band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), on_x=True,
 ))
 _register(EquationDef(
     "deblassie(1/3)", _eq_deblassie,
     {"beta": (1.0 / 3.0, _DEBLASSIE)},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
-    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), x_min=_DX_STEP,
+    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), on_x=True,
 ))
 _register(EquationDef(
     "thm3.1(2)", _eq_thm31,
-    {"lam": (1.0, _POS), "m": (2, _ints(2))},
+    {"lam": (1.0, POSITIVE), "m": (2, integers(2))},
     GridSpec(0.25, 4.0, points=31, refinement_levels=5),
     band=(2.5, 4.6), default_range=_std_ks(4),
 ))
 _register(EquationDef(
     "thm3.1(3)", _eq_thm31,
-    {"lam": (1.0, _POS), "m": (3, _ints(2))},
+    {"lam": (1.0, POSITIVE), "m": (3, integers(2))},
     GridSpec(0.25, 4.0, points=31, refinement_levels=5),
     band=(2.5, 4.6), default_range=_std_ks(4),
 ))
 _register(EquationDef(
     "cor3.1(1)", _eq_cor31,
-    {"lam": (1.0, _POS), "n": (1, _ints(1))},
+    {"lam": (1.0, POSITIVE), "n": (1, integers(1))},
     GridSpec(0.25, 4.0, points=31, refinement_levels=5),
     band=(2.5, 4.6), default_range=_std_ks(4),
 ))
 _register(EquationDef(
     "cor3.1(2)", _eq_cor31,
-    {"lam": (1.0, _POS), "n": (2, _ints(1))},
+    {"lam": (1.0, POSITIVE), "n": (2, integers(1))},
     GridSpec(0.5, 4.0, points=29, refinement_levels=4),
     band=(2.5, 4.6), default_range=_std_ks(4),
 ))
 _register(EquationDef(
     "frac-dde(1/2)", _eq_frac_dde,
-    {"lam": (1.0, _POS), "beta": (0.5, _INDEX)},
+    {"lam": (1.0, POSITIVE), "beta": (0.5, UNIT_INTERVAL)},
     GridSpec(0.5, 2.0, points=64, refinement_levels=4),
     band=(1.35, 1.85), default_range=_std_ks(3),
 ))
 _register(EquationDef(
     "frac-dde(1/4)", _eq_frac_dde,
-    {"lam": (1.0, _POS), "beta": (0.25, _INDEX)},
+    {"lam": (1.0, POSITIVE), "beta": (0.25, UNIT_INTERVAL)},
     GridSpec(0.5, 2.0, points=64, refinement_levels=4),
     band=(1.0, 1.8), default_range=_std_ks(3),
 ))
 _register(EquationDef(
     "et-pde(2)", _eq_et_pde,
-    {"m": (2, _ints(2, 2))},
+    {"m": (2, integers(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
-    band=(1.6, 2.4), default_range=(0.3, 0.6, 1.0, 1.8), x_min=0.0,
+    band=(1.6, 2.4), default_range=(0.3, 0.6, 1.0, 1.8), on_x=True,
 ))
 _register(EquationDef(
     "prop3.2", _eq_prop32,
-    {"lam": (1.0, _POS), "n": (1, _ints(1)), "beta": (0.5, _INDEX)},
+    {"lam": (1.0, POSITIVE), "n": (1, integers(1)), "beta": (0.5, UNIT_INTERVAL)},
     GridSpec(0.5, 2.0, points=64, refinement_levels=4),
     band=(0.9, 1.8), default_range=_std_ks(3),
 ))
 _register(EquationDef(
     "prop4.1(2)", _eq_prop41,
-    {"mu": (1.0, _POS), "m": (2, _ints(2, 4))},
+    {"mu": (1.0, POSITIVE), "m": (2, integers(2, 4))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
-    band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), x_min=_DX_STEP,
+    band=(1.6, 2.4), default_range=(0.5, 1.0, 2.0, 4.0), on_x=True,
 ))
 _register(EquationDef(
     "prop4.1(3)", _eq_prop41,
-    {"mu": (1.0, _POS), "m": (3, _ints(2, 4))},
+    {"mu": (1.0, POSITIVE), "m": (3, integers(2, 4))},
     GridSpec(0.5, 2.5, points=17, refinement_levels=4),
-    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), x_min=_DX_STEP,
+    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.6, 3.2), on_x=True,
 ))
 _register(EquationDef(
     "rmk4.1(2)", _eq_rmk41,
-    {"lam": (1.0, _POS), "mu": (1.0, _POS), "m": (2, _ints(2, 2))},
+    {"lam": (1.0, POSITIVE), "mu": (1.0, POSITIVE), "m": (2, integers(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(1.6, 2.4), default_range=_std_ks(4),
 ))
 _register(EquationDef(
     "inv-tempered-pde(2)", _eq_inv_tempered_pde,
-    {"mu": (1.0, _POS), "m": (2, _ints(2, 2))},
+    {"mu": (1.0, POSITIVE), "m": (2, integers(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
-    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.5), x_min=0.0,
+    band=(1.5, 2.5), default_range=(0.4, 0.8, 1.5), on_x=True,
 ))
 _register(EquationDef(
     "prop4.2(2)", _eq_prop42,
-    {"lam": (1.0, _POS), "mu": (1.0, _POS), "m": (2, _ints(2, 2))},
+    {"lam": (1.0, POSITIVE), "mu": (1.0, POSITIVE), "m": (2, integers(2, 2))},
     GridSpec(0.5, 2.0, points=17, refinement_levels=4),
     band=(0.8, 2.3), default_range=_std_ks(4),
 ))
@@ -475,41 +480,35 @@ def registry_ids():
 
 
 def equation_params(equation_id: str, params: dict | None = None) -> dict:
-    """The entry's default params updated by `params`, every key known and in its domain."""
+    """The entry's default params updated by `params`, every key known and each value
+    passed through its domain (`errors.Domain`): a float, or an int for an integer."""
     if not isinstance(equation_id, str) or equation_id not in REGISTRY:
         raise UnknownEquationError(f"unknown equation '{equation_id}'; known: {sorted(REGISTRY)}")
     eq = REGISTRY[equation_id]
     params = {} if params is None else params
     if not isinstance(params, dict) or set(params) - set(eq.params):
         raise DomainError(f"{equation_id} takes params {sorted(eq.params)}, got {params!r}")
-    p = {key: params.get(key, default) for key, (default, _) in eq.params.items()}
-    for key, (_, (what, ok)) in eq.params.items():
-        v = p[key]
-        if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and ok(v)):
-            raise DomainError(f"{equation_id}: param {key} = {v!r} must be {what}")
-    return p
+    return {key: domain.check(f"{equation_id}: param {key}", params.get(key, default))
+            for key, (default, domain) in eq.params.items()}
 
 
 def equation_points(equation_id: str, k_range=None) -> np.ndarray:
-    """The entry's counts k, or its space points x for an x-range entry.
+    """The entry's counts k, or its space points x for an entry on x.
 
     `k_range` (default `default_range`) must be the counts 0, 1, ..., K in
     order, because the shift operators read row i - 1 as count k - 1; or,
-    for an x-range entry, a nonempty list of finite numbers > the entry's
-    `x_min` (0, or 0.008 where the x-reference stencil reaches x - 0.008).
+    for an entry on x, a nonempty list of points x that each pass the shared
+    rule for x > 0 (`errors.POSITIVE`).
     """
-    x_min = REGISTRY[equation_id].x_min
-    pts = REGISTRY[equation_id].default_range if k_range is None else k_range
-    ok = isinstance(pts, (list, tuple, np.ndarray)) and len(pts) > 0 and all(
-        not isinstance(v, bool) and (
-            isinstance(v, Real) and math.isfinite(v) and v > x_min if x_min is not None
-            else isinstance(v, Integral) and v == i)
-        for i, v in enumerate(pts))
-    if not ok:
-        what = (f"a nonempty list of finite numbers > {x_min:g}" if x_min is not None
-                else "the counts [0, 1, ..., K]")
+    eq = REGISTRY[equation_id]
+    pts = eq.default_range if k_range is None else k_range
+    if not isinstance(pts, (list, tuple, np.ndarray)) or len(pts) == 0 or not eq.on_x and not all(
+            isinstance(v, Integral) and not isinstance(v, bool) and v == i
+            for i, v in enumerate(pts)):
+        what = "a nonempty list of x > 0" if eq.on_x else "the counts [0, 1, ..., K]"
         raise DomainError(f"{equation_id}: k_range must be {what}, got {pts!r}")
-    return np.asarray(pts, dtype=int if x_min is None else float)
+    return (np.array([POSITIVE.check(f"{equation_id}: x", v) for v in pts]) if eq.on_x
+            else np.asarray(pts, dtype=int))
 
 
 def check_equation(equation_id: str, params: dict | None = None,

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import POSITIVE, DomainError, integers
 
 
 @dataclass(frozen=True)
@@ -27,19 +26,12 @@ class GridSpec:
     refinement_levels: int = 4
 
     def __post_init__(self):
-        for name, v in vars(self).items():
-            count = name in ("points", "refinement_levels")  # 17.0 is taken as 17
-            if isinstance(v, bool) or not (isinstance(v, Real) and np.isfinite(v)) or (
-                    count and v != int(v)):
-                raise DomainError(f"grid {name} must be a finite "
-                                  f"{'integer' if count else 'number'}, got {v!r}")
-            object.__setattr__(self, name, int(v) if count else v)
-        if not 0 < self.t_min < self.t_max:
+        domains = {"t_min": POSITIVE, "t_max": POSITIVE, "points": integers(8),
+                   "refinement_levels": integers(2, 6)}  # 17.0 is taken as 17
+        for name, domain in domains.items():
+            object.__setattr__(self, name, domain.check(f"grid {name}", getattr(self, name)))
+        if not self.t_min < self.t_max:
             raise DomainError("need 0 < t_min < t_max")
-        if self.points < 8:
-            raise DomainError("points must be >= 8")
-        if not 2 <= self.refinement_levels <= 6:
-            raise DomainError("refinement_levels must be in [2, 6]")
 
     def level_times(self, level: int) -> np.ndarray:
         n = (self.points - 1) * 2 ** level + 1

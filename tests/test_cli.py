@@ -363,7 +363,7 @@ class TestVerifyCommand:
         {"equation_id": "prop2.1", "k_range": [0, 2]},  # a gap: the shifts need 0..K
         {"equation_id": "ig-density-pde", "k_range": [0.5, -1.0]},
         {"equation_id": "prop2.1", "extra": 1},  # unknown key: not silently ignored
-        {"equation_id": "prop4.1(2)", "k_range": [0.005, 0.3]},  # x-reference stencil at x < 0
+        {"equation_id": "prop4.1(2)", "k_range": [0.0, 0.3]},  # x must be > 0
         {"equation_id": "prop2.1", "grid": {"t_min": 0.5, "t_max": 2.0, "points": 17.5}},
         {"equation_id": "prop2.1", "grid": {"t_min": 0.5, "t_max": 2.0, "refinement_levels": 2.5}},
         {"equation_id": "prop2.1", "grid": {"t_min": True, "t_max": 2.0}},
@@ -455,8 +455,20 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
                  None, 2, id="simulate-t-grid-malformed"),
     pytest.param(_PMF + ['{"type":"ig","delta":"x","gamma":1}', "--out", "{tmp}/t.csv"], None, 2,
                  id="spec-field-not-a-number"),
+    # a spec holds exactly its type's fields, each a JSON number in its domain
+    pytest.param(_PMF + ['{"type":"stable","beta":0.5,"mu":1}', "--out", "{tmp}/t.csv"], None, 2,
+                 id="spec-field-of-another-type"),
+    pytest.param(_PMF + ['{"type":"ig","delta":true,"gamma":1}', "--out", "{tmp}/t.csv"], None, 2,
+                 id="spec-field-a-bool"),
+    pytest.param(_PMF + ['{"type":"ig","delta":"1","gamma":1}', "--out", "{tmp}/t.csv"], None, 2,
+                 id="spec-field-a-string"),
+    pytest.param(_PMF + ['{"type":["ig"]}', "--out", "{tmp}/t.csv"], None, 2,
+                 id="spec-type-not-a-string"),
     pytest.param(_PMF + ['{"type":"compose","parts":5}', "--out", "{tmp}/t.csv"], None, 2,
                  id="spec-parts-not-a-list"),
+    # a kmax past 2^20 counts is refused before any table is built
+    pytest.param(_PMF + [IG_SPEC, "--kmax", "1048577", "--out", "{tmp}/t.csv"], None, 2,
+                 id="pmf-kmax-past-the-cap"),
     pytest.param(_PMF + ["{tmp}/missing.json", "--out", "{tmp}/t.csv"], None, 2,
                  id="spec-file-missing"),
     pytest.param(_MOMENTS + ["--lambda", "nan", "--out", "{tmp}/m.json"], None, 2,

@@ -41,6 +41,7 @@ from tcpp.subordinators.spec import (
     TAIL_LOG,
     TemperedStable,
     flatten_stable_composition,
+    spec_from_dict,
     spec_from_json,
 )
 from tcpp.subordinators.stable import stable_unit
@@ -51,6 +52,36 @@ class TestSpecTypes:
         spec = InverseOf(Composition((Stable(0.5), TemperedStable(0.25, 2.0))))
         again = spec_from_json(spec.to_json())
         assert again == spec
+
+    @pytest.mark.parametrize("text, label", [
+        ('{"type":"ig","delta":1,"gamma":1}', '{"type":"ig","delta":1.0,"gamma":1.0}'),
+        ('{"type":"ig","delta":2,"gamma":0}', '{"type":"ig","delta":2.0,"gamma":0.0}'),
+        ('{"type":"stable","beta":0.5}', '{"type":"stable","beta":0.5}'),
+        ('{"type":"tempered","beta":0.3,"mu":1}', '{"type":"tempered","beta":0.3,"mu":1.0}'),
+        ('{"type":"compose","parts":[{"type":"ig","delta":1,"gamma":1},'
+         '{"type":"tempered","beta":0.4,"mu":1}]}',
+         '{"type":"compose","parts":[{"type":"ig","delta":1.0,"gamma":1.0},'
+         '{"type":"tempered","beta":0.4,"mu":1.0}]}'),
+        ('{"type":"inverse","base":{"type":"stable","beta":0.7}}',
+         '{"type":"inverse","base":{"type":"stable","beta":0.7}}'),
+    ], ids=["ig", "ig-gamma-0", "stable", "tempered", "compose", "inverse"])
+    def test_label_of_a_spec_read_from_json(self, text, label):
+        # every number is stored as a float, and the wire form writes the
+        # type's fields in their declared order
+        spec = spec_from_json(text)
+        assert spec.label() == label
+        assert spec_from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("d", [
+        {"type": "stable", "beta": 0.5, "mu": 1}, {"type": "ig", "delta": 1},
+        {"type": "ig", "delta": True, "gamma": 1}, {"type": "ig", "delta": "1", "gamma": 1},
+        {"type": "ig", "delta": 10 ** 400, "gamma": 1}, {"type": ["ig"]}, {"type": "levy"},
+        {"type": "compose", "parts": 5}, {"type": "compose", "parts": [5]},
+        {"type": "inverse", "base": [{"type": "stable", "beta": 0.5}]}, ["ig"],
+    ])
+    def test_malformed_spec_refused(self, d):
+        with pytest.raises(DomainError):
+            spec_from_dict(d)
 
     def test_wire_format(self):
         d = json.loads(InverseGaussian(1.0, 0.5).to_json())

@@ -1080,6 +1080,19 @@ class TestPmfTableSerialization:
         d.update(method="mc", stderr=[0.0] * 13, seed=3)
         assert PmfTable.from_dict(d).route == {}
 
+    @pytest.mark.parametrize("field, value", [
+        ("kmax", 3.7), ("kmax", -1), ("kmax", "12"), ("lambda", "1"), ("lambda", 0.0),
+        ("t", True), ("t", None), ("tail_bound", "0"), ("seed", 1.5), ("seed", False),
+    ])
+    def test_from_dict_refuses_what_the_rule_refuses(self, field, value):
+        # t, lambda, tail_bound, kmax and seed are read by the shared rule, not coerced
+        table = pmf_monte_carlo(1.0, 1.0, InverseGaussian(1.0, 1.0), 2000, seed=3, kmax=3)
+        d = json.loads(table.to_json())
+        assert PmfTable.from_dict(dict(d)).kmax == 3
+        d[field] = value
+        with pytest.raises(DomainError):
+            PmfTable.from_dict(d)
+
     @pytest.mark.parametrize("values,tail", [([math.nan, 0.5], 0.5), ([0.5, 0.5], math.nan),
                                              ([math.inf, 0.0], 0.0), ([0.5, 0.5], math.inf)],
                              ids=["nan-value", "nan-tail", "inf-value", "inf-tail"])
@@ -1191,6 +1204,19 @@ class TestRefusals:
         with pytest.raises(DomainError):
             pmf_monte_carlo(t, lam, InverseGaussian(1.0, 1.0), 2000, seed=1)
         assert table_cache.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("t,lam,kmax", [(True, 1.0, None), (1.0, "1", None), (1.0, 1.0, 3.7),
+                                            (1.0, 1.0, False), (1.0, 1.0, 2 ** 20 + 1)])
+    def test_request_passes_the_shared_rule(self, t, lam, kmax):
+        # a bool or a string is no number, kmax is an integer, and 2^20 counts
+        # bound a table before any route runs
+        for method in ("bessel", "pgf", "quadrature"):
+            with pytest.raises(DomainError):
+                pmf_table(t, lam, InverseGaussian(1.0, 1.0), kmax=kmax, method=method)
+        with pytest.raises(DomainError):
+            pmf_monte_carlo(t, lam, InverseGaussian(1.0, 1.0), 2000, seed=1, kmax=kmax)
+        assert table_cache.cache_info().currsize == 0
+        assert pmf_table(1, 1, InverseGaussian(1.0, 1.0), kmax=3.0).kmax == 3
 
     @pytest.mark.parametrize("call", [
         lambda: sample(InverseGaussian(1.0, 1.0), math.nan, 3, seed=1),
