@@ -15,13 +15,7 @@ from .errors import (
     PoleError,
     UnknownEquationError,
 )
-from .specfun import (
-    TimeSeries,
-    caputo_derivative,
-    gamma_fn,
-    laplace_numeric,
-    mittag_leffler,
-)
+from .specfun import TimeSeries, caputo_derivative, gamma_fn
 from .subordinators.densities import (
     hitting_time_cdf_ig,
     hitting_time_density_ig,

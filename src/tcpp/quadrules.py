@@ -4,6 +4,12 @@ Composite Gauss-Legendre rules with frozen nodes are used wherever a whole
 family of integrals (one per grid time or per count index) must share a single
 discretization, so that the quadrature error varies smoothly with the family
 parameter instead of behaving like noise under finite differencing.
+
+Each n-point rule is built the way `scipy.special.roots_legendre` builds it,
+bit for bit: the eigenvalues of the Golub-Welsch Jacobi matrix, one Newton
+step on P_n, and log-normalized weights 1/(P_{n-1} P_n') made symmetric and
+summing to 2.  The eigenvalues come from `numpy.linalg.eigvalsh`, where scipy
+calls `scipy.linalg.eigvals_banded`, so no process imports `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import eval_legendre
 
 from .errors import ConvergenceError
 
@@ -21,7 +27,19 @@ from .errors import ConvergenceError
 def gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n
     and returned read-only."""
-    xi, wi = roots_legendre(n)
+    k = np.arange(1.0, n)
+    # eigvalsh reads the lower triangle: the Jacobi matrix's subdiagonal is enough
+    xi = np.linalg.eigvalsh(np.diag(k * np.sqrt(1.0 / (4 * k * k - 1)), -1))
+    dp = (-n * xi * eval_legendre(n, xi) + n * eval_legendre(n - 1, xi)) / (1 - xi ** 2)
+    xi -= eval_legendre(n, xi) / dp
+    p = eval_legendre(n - 1, xi)
+    for v in (p, dp):  # scale both factors to keep their product in range
+        log_v = np.log(np.abs(v))
+        v /= np.exp((log_v.max() + log_v.min()) / 2.0)
+    wi = 1.0 / (p * dp)
+    xi = (xi - xi[::-1]) / 2
+    wi = (wi + wi[::-1]) / 2
+    wi *= 2.0 / wi.sum()
     xi.flags.writeable = False
     wi.flags.writeable = False
     return xi, wi

@@ -491,6 +491,17 @@ _TAIL_TARGET = 1e-10
 _KMAX_START = 64
 _KMAX_CAP = 2000
 _KMAX = integers(0, 2 ** 20)  # a requested kmax: 2^20 counts bound a table's memory
+_MC_COUNT = integers(1000)
+
+
+def _request(t, lam, kmax):
+    """t, lambda and kmax through the shared rule (`errors.Domain`: t, lambda
+    > 0 and kmax None or an integer in [0, 2^20]), normalized to float, float
+    and int.  Both table entry points run it before `table_cache` looks up
+    the key: `lru_cache` keys compare by value, so a request it would refuse
+    (t = True) must never reach a warm entry (t = 1)."""
+    return (POSITIVE.check("t", t), POSITIVE.check("lambda", lam),
+            None if kmax is None else _KMAX.check("kmax", kmax))
 
 
 def _first_below(tails):
@@ -520,6 +531,7 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     tail bound there is >= 2e-10 (`_pgf_search`).  The request is served by
     `table_cache`, with "auto" resolved first.
     """
+    t, lam, kmax = _request(t, lam, kmax)
     method = _auto(spec) if method == "auto" else method
     if method == "mc":
         raise _refusal(spec, "pmf_table draws no Monte Carlo table for")
@@ -532,12 +544,13 @@ def pmf_monte_carlo(t: float, lam: float, spec: SubordinatorSpec, count: int,
                     seed: int, kmax: int | None = None) -> PmfTable:
     """Empirical pmf from `count` sampled clock values and Poisson draws.
 
-    The draws are a function of the request and its seed, so `table_cache`
-    serves it like any other table.
+    count is an integer >= 1000 and seed an integer, both refused with
+    DomainError otherwise (a bool too).  The draws are a function of the
+    request and its seed, so `table_cache` serves it like any other table.
     """
-    if count < 1000:
-        raise DomainError("pmf_monte_carlo needs count >= 1000")
-    return table_cache("mc", t, lam, spec, kmax, int(count), int(seed))
+    t, lam, kmax = _request(t, lam, kmax)
+    count, seed = _MC_COUNT.check("count", count), integers().check("seed", seed)
+    return table_cache("mc", t, lam, spec, kmax, count, seed)
 
 
 @lru_cache(maxsize=64)
@@ -546,12 +559,11 @@ def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
     """The table of one request, made once per process.
 
     The key is the route's name in `ROUTES`, t, lambda, the spec and kmax
-    (None or a count), then count and seed for Monte Carlo.  Equal numbers
-    make one key, so t = 1 and t = 1.0 share a table.  When a request
-    misses, its t, lambda and kmax pass the shared rule (`errors.Domain`:
-    t, lambda > 0 and kmax an integer in [0, 2^20]) and are normalized; a
-    raised error is not kept.  An entry holds the immutable table alone,
-    never the clock draws behind it.
+    (None or a count), then count and seed for Monte Carlo, all checked and
+    normalized by `pmf_table` or `pmf_monte_carlo` (`_request`) before the
+    lookup.  Equal numbers make one key, so t = 1 and t = 1.0 share a
+    table.  A raised error is not kept.  An entry holds the immutable table
+    alone, never the clock draws behind it.
     `table_cache.cache_clear()` empties the cache.
 
     A route that does not serve the spec is refused with NoDensityError
@@ -562,8 +574,6 @@ def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
     table holds next to none of the law's mass.  A clock of infinite or
     unstated mean keeps its honest tail there.
     """
-    t, lam = POSITIVE.check("t", t), POSITIVE.check("lambda", lam)
-    kmax = None if kmax is None else _KMAX.check("kmax", kmax)
     if not ROUTES[route].serves(spec):
         raise _refusal(spec, f"the {route} route does not serve")
     fields = ROUTES[route].table(t, lam, spec, kmax, *args)

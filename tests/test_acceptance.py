@@ -12,7 +12,7 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import chi2
 
-from tcpp.specfun import laplace_numeric, mittag_leffler
+from oracles.transforms import laplace_numeric, mittag_leffler
 from tcpp.subordinators.densities import (
     hitting_time_density_ig,
     ig_density,

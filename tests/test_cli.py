@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -613,3 +617,55 @@ def test_spec_from_a_file(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["pmf", "--spec", str(spec), "--lambda", "1", "--t", "1", "--out", str(out)]) == 0
     assert out.exists()
+
+
+# every command in a fresh process, then the scipy subpackages it loaded
+_IMPORT_CUT = """
+import json, sys
+import tcpp, tcpp.cli
+from tcpp.quadrules import gauss_legendre
+
+tmp = sys.argv[1]
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+
+
+def heavy():
+    return sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in HEAVY)
+
+
+IG = '{"type":"ig","delta":1,"gamma":1}'
+runs = {
+    "verify": ["verify", "--config", tmp + "/cfg.json", "--out-dir", tmp + "/v"],
+    "pmf-quadrature": ["pmf", "--spec", '{"type":"inverse","base":{"type":"stable","beta":0.7}}',
+                       "--lambda", "1", "--t", "1", "--kmax", "8", "--method", "quadrature",
+                       "--out", tmp + "/q.csv"],
+    "pmf-mc": ["pmf", "--spec", IG, "--lambda", "1", "--t", "1", "--method", "mc",
+               "--count", "1000", "--seed", "1", "--out", tmp + "/m.csv"],
+    "simulate": ["simulate", "--spec", IG, "--t-grid", "0.5:2:4", "--paths", "4",
+                 "--out", tmp + "/s.csv"],
+    "moments": ["moments", "--lambda", "1", "--delta", "1", "--gamma", "1", "--t", "1"],
+}
+out = {"import": heavy()}
+for name, argv in runs.items():
+    out[name] = [tcpp.cli.main(argv), heavy()]
+out["rules"] = gauss_legendre.cache_info().currsize
+print(json.dumps(out), file=sys.stderr)
+"""
+
+
+def test_no_command_loads_scipy_past_special(tmp_path):
+    # QUADPACK is an oracle of the tests, and the Gauss-Legendre rules take
+    # their eigenvalues from numpy: no process of the package imports
+    # scipy.integrate, scipy.optimize, scipy.sparse or scipy.linalg
+    (tmp_path / "cfg.json").write_text(
+        '[{"equation_id": "prop2.1"}, {"equation_id": "deblassie(1/2)"}]')
+    src = str(Path(tcpp.timechange.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_CUT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stderr.strip().splitlines()[-1])
+    assert got.pop("import") == []
+    assert got.pop("rules") > 0  # Gauss-Legendre rules were built on the way
+    assert got == {name: [0, []] for name in
+                   ("verify", "pmf-quadrature", "pmf-mc", "simulate", "moments")}

@@ -170,7 +170,7 @@ class TestTransformOracles:
             assert abs(m - math.exp(-spec.phi(s).real)) <= 4.0 * se
 
     def test_inverse_stable_mittag_leffler(self):
-        from tcpp.specfun import mittag_leffler
+        from oracles.transforms import mittag_leffler
 
         vals = sample(InverseOf(Stable(0.5)), 1.0, 200_000, seed=13).values
         m, se = _emp_lt(vals, 1.0)

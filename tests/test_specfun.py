@@ -4,16 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, roots_legendre
 
+from oracles.transforms import laplace_numeric, mittag_leffler
 from tcpp.errors import DomainError, GridTooCoarseError, PoleError
-from tcpp.specfun import (
-    TimeSeries,
-    caputo_derivative,
-    gamma_fn,
-    laplace_numeric,
-    mittag_leffler,
-)
+from tcpp.quadrules import gauss_legendre
+from tcpp.specfun import TimeSeries, caputo_derivative, gamma_fn
 
 
 class TestGamma:
@@ -38,6 +34,16 @@ class TestGamma:
                 gamma_fn(x)
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [12, 16, 96])
+    def test_rule_is_scipys_bit_for_bit(self, n):
+        # the orders in use; every frozen rule and table rests on these bits
+        x, w = gauss_legendre(n)
+        ref_x, ref_w = roots_legendre(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert not x.flags.writeable and not w.flags.writeable
+
+
 class TestMittagLeffler:
     def test_at_zero(self):
         for beta in (0.1, 0.5, 0.9, 1.0):
@@ -56,7 +62,7 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("beta", [0.25, 0.4, 0.75])
     def test_series_integral_agreement(self, beta):
-        from tcpp.specfun import _ml_cm_integral, _ml_series
+        from oracles.transforms import _ml_cm_integral, _ml_series
 
         z = -0.8 * min(5.0, 14.0 ** beta)
         series, ok = _ml_series(beta, z, 1e-10)

@@ -11,9 +11,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from oracles.transforms import laplace_numeric
 from tcpp.errors import ConvergenceError, DivergenceError, DomainError, NoDensityError
 from tcpp.quadrules import gauss_panels, linear_panel_edges
-from tcpp.specfun import laplace_numeric
 from tcpp.subordinators import densities
 from tcpp.subordinators.densities import (
     _inverse_tempered_tilt,

@@ -11,8 +11,8 @@ import pytest
 from scipy.special import erfc, gammaln
 
 import tcpp.timechange as timechange
+from oracles.transforms import mittag_leffler
 from tcpp.errors import ConvergenceError, DomainError, NoDensityError
-from tcpp.specfun import mittag_leffler
 from tcpp.subordinators.densities import ig_density
 from tcpp.subordinators.sampling import rng_stream, sample, sample_path
 from tcpp.subordinators.spec import (
@@ -1217,6 +1217,32 @@ class TestRefusals:
             pmf_monte_carlo(t, lam, InverseGaussian(1.0, 1.0), 2000, seed=1, kmax=kmax)
         assert table_cache.cache_info().currsize == 0
         assert pmf_table(1, 1, InverseGaussian(1.0, 1.0), kmax=3.0).kmax == 3
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bool_request_is_refused_warm_or_cold(self, warm):
+        # True == 1 as a cache key: the request is checked before the lookup
+        ig = InverseGaussian(1.0, 1.0)
+        if warm:
+            pmf_table(1, 1, ig)
+            pmf_monte_carlo(1, 1, ig, 2000, seed=1)
+        with pytest.raises(DomainError, match="t = True"):
+            pmf_table(True, 1, ig)
+        with pytest.raises(DomainError, match="t = True"):
+            pmf_monte_carlo(True, 1, ig, 2000, seed=1)
+        assert table_cache.cache_info().currsize == (2 if warm else 0)
+
+    def test_monte_carlo_count_and_seed_are_checked_not_coerced(self):
+        ig = InverseGaussian(1.0, 1.0)
+        with pytest.raises(DomainError, match="count = 1000.5"):
+            pmf_monte_carlo(1.0, 1.0, ig, 1000.5, seed=1)
+        with pytest.raises(DomainError, match="seed = True"):
+            pmf_monte_carlo(1.0, 1.0, ig, 1000, seed=True)
+        assert table_cache.cache_info().currsize == 0
+        table = pmf_monte_carlo(1.0, 1.0, ig, 1000.0, seed=1)
+        assert table is pmf_monte_carlo(1.0, 1.0, ig, 1000, seed=1)
+        assert table.seed == 1 and type(table.seed) is int
+        drawn = table.values * 1000  # 1000 draws: each cell a whole number of them
+        assert np.allclose(drawn, np.rint(drawn), rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("call", [
         lambda: sample(InverseGaussian(1.0, 1.0), math.nan, 3, seed=1),
