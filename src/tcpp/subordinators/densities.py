@@ -52,10 +52,10 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import erfcx, ndtr
 
 from ..errors import ConvergenceError, DivergenceError, DomainError
 from ..quadrules import gauss_legendre, gauss_panels, linear_panel_edges
+from ..specfun import erfcx, ndtr
 from .stable import _TINY, _check_beta, stable_unit
 
 __all__ = [

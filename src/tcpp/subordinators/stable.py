@@ -52,10 +52,10 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
-from scipy.special import erfc, gammaln
 
 from ..errors import ConvergenceError, DomainError, NoDensityError
 from ..quadrules import gauss_legendre
+from ..specfun import erfc
 
 _BETA_MAX = 0.95
 _DECAY = 48.0  # exp(-48) ~ 1.4e-21 relative truncation of the theta integral
@@ -69,6 +69,8 @@ _CLENSHAW_BLOCK = 1024
 # leave out at most e^-TAIL_LOG of their mass (tcpp.subordinators.spec).
 TAIL_LOG = 45.0
 _TINY = np.finfo(float).tiny
+# log n! for the right-tail series' n = 1..500, the same for every index
+_SERIES_LOG_N_FACTORIAL = [math.lgamma(n + 1.0) for n in range(1, 501)]
 
 
 def _check_beta(beta: float) -> float:
@@ -275,18 +277,21 @@ class StableUnit:
         Terms with log c_n <= -120 are dropped (the first two are always
         kept).  The powers x^(-n b - s0) only fall with n for x >= 1, so on
         the series' range x >= x_series >= 1 each dropped term is below
-        e^-120 relative to the leading one.
+        e^-120 relative to the leading one.  log c_n = log Gamma(n b + s0) -
+        log n! falls strictly with n (its slope b psi(n b + s0) - psi(n + 1)
+        is negative for b < 1), so the kept terms are the n = 1..500 before
+        the first dropped one, and only those are formed.
         """
         b = self.beta
-        n = np.arange(1, 501, dtype=float)
-        if order_shift == 1:
-            log_c = gammaln(n * b + 1.0) - gammaln(n + 1.0)
-        else:
-            log_c = gammaln(n * b) - gammaln(n + 1.0)
+        log_c = []
+        for n, log_n_factorial in enumerate(_SERIES_LOG_N_FACTORIAL, start=1):
+            c = math.lgamma(n * b + order_shift) - log_n_factorial
+            if c <= -120.0 and n > 2:
+                break
+            log_c.append(c)
+        n = np.arange(1.0, len(log_c) + 1)
         sgn = np.where(n % 2 == 1, 1.0, -1.0) * np.sin(np.pi * n * b)
-        keep = log_c > -120.0
-        keep[:2] = True
-        return log_c[keep], -(n[keep] * b + order_shift), sgn[keep]
+        return np.array(log_c), -(n * b + order_shift), sgn
 
     def _tail_series(self, x, order_shift: int):
         """sum_n (-1)^(n+1) Gamma(n b + s0)/n! sin(pi n b) x^(-n b - s0) / pi.

@@ -37,9 +37,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import FINITE, POSITIVE, ConvergenceError, DomainError, NoDensityError, integers
+from .specfun import log_gamma, poisson_sf
 from .subordinators.densities import ig_exponent
 from .subordinators.sampling import _DRAW_BLOCK, rng_stream, sample
 from .subordinators.spec import (
@@ -225,7 +225,7 @@ def _poisson_terms(kb, mb, out=None):
         out = np.empty(np.broadcast_shapes(np.shape(kb), np.shape(mb)))
     np.multiply(kb, np.log(mb), out=out)
     out -= mb
-    out -= gammaln(kb + 1.0)
+    out -= log_gamma(kb + 1.0)
     return np.exp(out, out=out)
 
 
@@ -344,7 +344,7 @@ class MixtureRule:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty(ts.size)
         for cols, x, wd in self._blocks(ts):
-            q = gammainc(kmax + 1.0, self.lam * x)  # P(Poi(lam x) > kmax)
+            q = poisson_sf(kmax, self.lam * x)  # P(Poi(lam x) > kmax)
             out[cols] = np.sum(q * wd, axis=-1) + [self.law.survivor(self, float(t))
                                                   for t in ts[cols]]
         return out
@@ -365,8 +365,10 @@ def mixture_rule(
     # the geometric middle from the two roots, which neither underflow at tiny
     # t nor overflow at any span; clamped, it is t_lo when t_lo == t_hi, and
     # the probes are one column
-    probe_ts = np.unique([t_lo, min(t_hi, max(t_lo, math.sqrt(t_lo) * math.sqrt(t_hi))), t_hi])
-    probe_ks = np.unique(np.array([0, kmax // 2, kmax]))
+    # the probes as sorted unique Python values: np.unique would import numpy.ma
+    probe_ts = np.array(sorted({t_lo, min(t_hi, max(t_lo, math.sqrt(t_lo) * math.sqrt(t_hi))),
+                                t_hi}))
+    probe_ks = np.array(sorted({0, kmax // 2, kmax}))
     if (law := spec.mixing_law()) is None:
         raise _refusal(spec, "the quadrature route does not serve")
     cut = _poisson_cut(kmax, lam)

@@ -6,10 +6,10 @@ extrapolation, and convergence-order estimation from residual sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from ..errors import DomainError, GridTooCoarseError
 
@@ -27,7 +27,7 @@ def shift_power(values, j: int, axis: int = 0):
     v = np.moveaxis(v, axis, 0)
     out = np.zeros_like(v)
     for i in range(j + 1):
-        coeff = (-1.0) ** i * comb(j, i, exact=True)
+        coeff = (-1.0) ** i * math.comb(j, i)
         if i == 0:
             out += coeff * v
         else:

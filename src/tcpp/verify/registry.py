@@ -34,7 +34,6 @@ from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-from scipy.special import comb
 
 from ..errors import (
     NONNEGATIVE,
@@ -84,7 +83,7 @@ def _tempered_time(m: int, mu: float):
     They come from (phi + mu^(1/m))^m = s + mu for phi = (s + mu)^(1/m) - mu^(1/m); at
     mu = 0 every coefficient but the m-th is 0.
     """
-    return {j: (-1.0) ** j * comb(m, j, exact=True) * mu ** (1.0 - j / m) for j in range(1, m + 1)}
+    return {j: (-1.0) ** j * math.comb(m, j) * mu ** (1.0 - j / m) for j in range(1, m + 1)}
 
 
 def _ig_hitting_source(x, t, d: float, g: float):

@@ -619,18 +619,17 @@ def test_spec_from_a_file(tmp_path):
     assert out.exists()
 
 
-# every command in a fresh process, then the scipy subpackages it loaded
+# every command in a fresh process, with the numpy and scipy modules it loaded
 _IMPORT_CUT = """
 import json, sys
 import tcpp, tcpp.cli
 from tcpp.quadrules import gauss_legendre
 
 tmp = sys.argv[1]
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 
-def heavy():
-    return sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in HEAVY)
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.")}
 
 
 IG = '{"type":"ig","delta":1,"gamma":1}'
@@ -639,33 +638,57 @@ runs = {
     "pmf-quadrature": ["pmf", "--spec", '{"type":"inverse","base":{"type":"stable","beta":0.7}}',
                        "--lambda", "1", "--t", "1", "--kmax", "8", "--method", "quadrature",
                        "--out", tmp + "/q.csv"],
+    "moments": ["moments", "--lambda", "1", "--delta", "1", "--gamma", "1", "--t", "1"],
     "pmf-mc": ["pmf", "--spec", IG, "--lambda", "1", "--t", "1", "--method", "mc",
                "--count", "1000", "--seed", "1", "--out", tmp + "/m.csv"],
     "simulate": ["simulate", "--spec", IG, "--t-grid", "0.5:2:4", "--paths", "4",
                  "--out", tmp + "/s.csv"],
-    "moments": ["moments", "--lambda", "1", "--delta", "1", "--gamma", "1", "--t", "1"],
 }
-out = {"import": heavy()}
+before = loaded()
+out = {"import": sorted(m for m in before if m.split(".")[0] == "scipy")}
 for name, argv in runs.items():
-    out[name] = [tcpp.cli.main(argv), heavy()]
+    code = tcpp.cli.main(argv)
+    now = loaded()
+    out[name] = [code, sorted(now - before)]
+    before = now
 out["rules"] = gauss_legendre.cache_info().currsize
 print(json.dumps(out), file=sys.stderr)
 """
 
 
-def test_no_command_loads_scipy_past_special(tmp_path):
-    # QUADPACK is an oracle of the tests, and the Gauss-Legendre rules take
-    # their eigenvalues from numpy: no process of the package imports
-    # scipy.integrate, scipy.optimize, scipy.sparse or scipy.linalg
-    (tmp_path / "cfg.json").write_text(
-        '[{"equation_id": "prop2.1"}, {"equation_id": "deblassie(1/2)"}]')
+@pytest.fixture(scope="module")
+def command_imports(tmp_path_factory):
+    """{command: [exit code, numpy and scipy modules it added]} from one fresh
+    process that imports tcpp and tcpp.cli and runs every command in turn
+    (verify on the benchmark's reduced two-row campaign)."""
+    tmp = tmp_path_factory.mktemp("imports")
+    (tmp / "cfg.json").write_text('[{"equation_id": "prop2.1"}, {"equation_id": "deblassie(1/2)"}]')
     src = str(Path(tcpp.timechange.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", _IMPORT_CUT, str(tmp_path)], env=env,
+    done = subprocess.run([sys.executable, "-c", _IMPORT_CUT, str(tmp)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    got = json.loads(done.stderr.strip().splitlines()[-1])
+    return json.loads(done.stderr.strip().splitlines()[-1])
+
+
+def test_no_command_loads_scipy(command_imports):
+    # numpy is the one runtime dependency: scipy and mpmath are oracles of
+    # the tests, and no process of the package imports any scipy module
+    got = dict(command_imports)
     assert got.pop("import") == []
     assert got.pop("rules") > 0  # Gauss-Legendre rules were built on the way
-    assert got == {name: [0, []] for name in
-                   ("verify", "pmf-quadrature", "pmf-mc", "simulate", "moments")}
+    assert set(got) == {"verify", "pmf-quadrature", "moments", "pmf-mc", "simulate"}
+    for name, (code, added) in got.items():
+        assert code == 0, name
+        assert not [m for m in added if m.split(".")[0] == "scipy"], name
+
+
+def test_requests_load_no_numpy_module_past_sampling(command_imports):
+    # a lazy numpy import inside a request is paid by that request (np.unique
+    # imports numpy.ma, 24 ms of CPU): verify, a quadrature pmf and moments
+    # add none, and the samplers add numpy.random alone
+    for name in ("verify", "pmf-quadrature", "moments"):
+        assert command_imports[name] == [0, []], name
+    for name in ("pmf-mc", "simulate"):
+        code, added = command_imports[name]
+        assert code == 0 and all(m.startswith("numpy.random") for m in added), name

@@ -1,12 +1,15 @@
 """Special-function oracles: closed identities and dual-route agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special as sc
 from scipy.special import erfc, roots_legendre
 
 from oracles.transforms import laplace_numeric, mittag_leffler
+from tcpp import _erfcx_coef, specfun
 from tcpp.errors import DomainError, GridTooCoarseError, PoleError
 from tcpp.quadrules import gauss_legendre
 from tcpp.specfun import TimeSeries, caputo_derivative, gamma_fn
@@ -42,6 +45,126 @@ class TestGaussLegendre:
         ref_x, ref_w = roots_legendre(n)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         assert not x.flags.writeable and not w.flags.writeable
+
+    def test_every_even_order_is_scipys_bit_for_bit(self):
+        for n in range(2, 199, 2):
+            x, w = gauss_legendre(n)
+            ref_x, ref_w = roots_legendre(n)
+            assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), n
+
+    def test_odd_orders_differ_only_by_scipys_series_at_zero(self):
+        # scipy evaluates P_n by a power series at |x| < 1e-5, the middle node
+        # of an odd rule: the nodes keep its bits, and the weights, through
+        # that node's and their sum's rounding, stay within 4e-15 relative
+        for n in range(3, 200, 2):
+            x, w = gauss_legendre(n)
+            ref_x, ref_w = roots_legendre(n)
+            assert np.array_equal(x, ref_x), n
+            assert np.max(np.abs(w - ref_w) / ref_w) <= 4e-15, n
+
+
+def _mp(f, x, dps=40):
+    """f at each point of x, at dps digits, as floats."""
+    from mpmath import mpf, workdps
+
+    with workdps(dps):
+        return np.array([float(f(mpf(float(v)))) for v in np.ravel(x)])
+
+
+class TestLogGamma:
+    def test_against_mpmath_and_scipy(self):
+        from mpmath import loggamma
+
+        x = np.concatenate([np.geomspace(1e-3, 1e4, 1500), np.linspace(0.5, 6.0, 2000),
+                            np.arange(1.0, 2003.0)])
+        want = _mp(loggamma, x, 30)
+        got = specfun.log_gamma(x)
+        # math.lgamma's Lanczos sum is 1.3e-15 off on 2 < x < 4.5, scipy 4.4e-16
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.max(np.abs(got - want) / scale) <= 2e-15
+        assert np.max(np.abs(got - sc.gammaln(x)) / scale) <= 2e-15
+
+    def test_shapes(self):
+        assert isinstance(specfun.log_gamma(5.0), float) and specfun.log_gamma(5.0) == math.lgamma(5.0)
+        assert specfun.log_gamma(np.ones((3, 1, 2))).shape == (3, 1, 2)
+
+
+class TestErrorFunctions:
+    def test_erfcx_against_mpmath_and_scipy(self):
+        from mpmath import erfc as mp_erfc, exp
+
+        rng = np.random.default_rng(2)
+        x = np.concatenate([[0.0, 50.0, np.nextafter(50.0, 0.0), 5e7, 1e8],
+                            np.linspace(0.0, 60.0, 3000), np.geomspace(1e-10, 1e8, 2000),
+                            rng.uniform(0.0, 50.0, 1000)])
+        want = _mp(lambda v: exp(v * v) * mp_erfc(v), x)
+        got = specfun.erfcx(x)
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+        assert np.max(np.abs(got - sc.erfcx(x)) / want) <= 2e-15
+        assert specfun.erfcx(0.0) == 1.0 and specfun.erfcx(np.inf) == 0.0
+        assert np.isnan(specfun.erfcx(np.nan)) and isinstance(specfun.erfcx(1.0), float)
+        assert specfun.erfcx(np.zeros((2, 0))).shape == (2, 0)
+
+    def test_erfc_against_mpmath_and_scipy(self):
+        from mpmath import erfc as mp_erfc
+
+        x = np.concatenate([np.linspace(-6.0, 27.0, 4000), np.geomspace(1e-12, 26.0, 1000)])
+        want = _mp(mp_erfc, x)
+        got = specfun.erfc(x)
+        normal = want > 1e-300
+        assert np.max(np.abs(got - want)[normal] / want[normal]) <= 2e-15
+        # scipy's erfc is 5.7e-14 off where it is small
+        assert np.max(np.abs(got - sc.erfc(x))[normal] / want[normal]) <= 1e-13
+        assert specfun.erfc(0.0) == 1.0 and specfun.erfc(np.inf) == 0.0
+        assert specfun.erfc(-np.inf) == 2.0
+
+    def test_ndtr_against_mpmath_and_scipy(self):
+        from mpmath import ncdf
+
+        z = np.concatenate([np.linspace(-37.0, 8.0, 4000), [0.0, -1e-300, 1e-300]])
+        want = _mp(ncdf, z)
+        got = specfun.ndtr(z)
+        # erfcx(|z|/sqrt 2) e^{-z^2/2}: the square is split exactly from z,
+        # where Phi(z) = erfc(-z/sqrt 2)/2 takes the rounding of z/sqrt 2 into
+        # the exponential (scipy: 2.1e-13 here)
+        assert np.max(np.abs(got - want) / want) <= 3e-15
+        assert np.max(np.abs(got - sc.ndtr(z)) / want) <= 3e-13
+        assert specfun.ndtr(0.0) == 0.5 and specfun.ndtr(np.inf) == 1.0
+
+    def test_erfcx_coefficients_regenerate(self):
+        from oracles.make_erfcx import FIRST, coefficients
+
+        assert _erfcx_coef.FIRST == FIRST
+        assert [list(row) for row in _erfcx_coef.COEF] == coefficients()
+
+
+class TestPoissonTail:
+    @pytest.mark.parametrize("k,tol", [(0, 1e-13), (1, 1e-13), (5, 1e-13), (20, 1e-13),
+                                       (64, 1e-13), (300, 5e-12), (2000, 5e-12)])
+    def test_against_mpmath_and_scipy(self, k, tol):
+        from mpmath import gammainc
+
+        m = np.concatenate([np.geomspace(1e-4, 3 * k + 60, 400),
+                            [0.0, k + 1.0, np.nextafter(k + 1.0, 0.0), k + 1.000001]])
+        want = _mp(lambda v: gammainc(k + 1, 0, v, regularized=True), m)
+        got = specfun.poisson_sf(k, m)
+        ref = sc.gammainc(k + 1.0, m)
+        assert got[-4] == 0.0 and ref[-4] == 0.0
+        normal = want > 1e-300
+        assert np.max(np.abs(got - want)[normal] / want[normal]) <= tol
+        assert np.max(np.abs(got - ref)[normal] / want[normal]) <= 2 * tol
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_shapes(self):
+        m = np.linspace(0.1, 30.0, 12).reshape(3, 4)
+        assert specfun.poisson_sf(7, m).shape == (3, 4)
+        assert isinstance(specfun.poisson_sf(7, 3.0), float)
+        assert specfun.poisson_sf(7, np.array([])).shape == (0,)
+        # every head 0: no Horner pass, no 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert specfun.poisson_sf(0, 0.0) == 0.0
+            assert specfun.poisson_sf(500, np.zeros(2)).tolist() == [0.0, 0.0]
 
 
 class TestMittagLeffler:

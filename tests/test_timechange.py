@@ -13,6 +13,7 @@ from scipy.special import erfc, gammaln
 import tcpp.timechange as timechange
 from oracles.transforms import mittag_leffler
 from tcpp.errors import ConvergenceError, DomainError, NoDensityError
+from tcpp.specfun import log_gamma
 from tcpp.subordinators.densities import ig_density
 from tcpp.subordinators.sampling import rng_stream, sample, sample_path
 from tcpp.subordinators.spec import (
@@ -415,7 +416,7 @@ def _dense_pmf_matrix(rule, ts, ks):
 
 def _poisson_terms_reference(kb, mb):
     """`_poisson_terms` as one expression, before it was formed in place."""
-    return np.exp(kb * np.log(mb) - mb - gammaln(kb + 1.0))
+    return np.exp(kb * np.log(mb) - mb - log_gamma(kb + 1.0))
 
 
 def _poisson_mix_reference(ks, x, lam, wd):

@@ -356,13 +356,13 @@ DEFAULT_CAMPAIGN = [
     ("prop2.2", False, 1.835916283839684, 4.044259849361742e-05),
     ("ig-density-pde", False, 1.9820886306533299, 0.0007486504984965947),
     ("prop3.1(1)", False, 1.9334195766607989, 2.1165384598731407e-05),
-    ("prop3.1(2)", False, 1.8777129585043737, 3.2703892163143955e-05),
+    ("prop3.1(2)", False, 1.8776883101941242, 3.2705754808182164e-05),
     ("deblassie(1/2)", False, 1.9986539820740792, 9.383983871380508e-05),
     ("deblassie(1/3)", False, 1.8282697087299002, 1.9772509743876121e-04),
     ("thm3.1(2)", False, 3.0437113473636597, 1.6728078072736352e-07),
     ("thm3.1(3)", False, 2.9958209843974277, 1.5704977723851599e-07),
     ("cor3.1(1)", False, 3.0437113473636597, 1.6728078072736352e-07),
-    ("cor3.1(2)", False, 3.235082330867848, 6.841646860156203e-08),
+    ("cor3.1(2)", False, 3.2350822989723316, 6.841647370858794e-08),
     ("frac-dde(1/2)", False, 1.5021786019736312, 7.543826727884895e-05),
     ("frac-dde(1/4)", False, 1.2296948408226382, 0.00014631061695802305),
     ("et-pde(2)", False, 1.7845502101734847, 0.0001798751816313171),
