@@ -12,10 +12,9 @@ from .errors import (
     DomainError,
     GridTooCoarseError,
     NoDensityError,
-    PoleError,
     UnknownEquationError,
 )
-from .specfun import TimeSeries, caputo_derivative, gamma_fn
+from .specfun import caputo_derivative
 from .subordinators.densities import (
     hitting_time_cdf_ig,
     hitting_time_density_ig,
@@ -50,7 +49,6 @@ from .timechange import (
     pmf_monte_carlo,
     pmf_quadrature,
     pmf_table,
-    poisson_pmf,
     waiting_time_lt,
     waiting_time_survival,
 )

@@ -11,10 +11,6 @@ class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at a pole (e.g. gamma at 0, -1, -2, ...)."""
-
-
 class DivergenceError(DomainError):
     """The requested quantity diverges for these parameters."""
 

@@ -21,19 +21,21 @@ Three evaluation regimes, in x:
 * x_lo <= x < x_series, where xi a0 <= 2000: a table of that integral.  The
   log h(z) of the scaled integral is smooth in z = log x; its piecewise
   Chebyshev series (8 equal panels of 32 first-kind nodes, Trefethen,
-  Approximation Theory and Approximation Practice, 2013) is built once per
-  beta and per kind (pdf, cdf) from `_integral` at the nodes, on first use,
-  and read by Clenshaw's recurrence.  It reproduces `_integral` to a few
-  1e-12 relative for beta in [0.05, 0.95].  Below x_lo the pdf and cdf are
-  below e^-1200, so 0.0, and only `log_pdf` integrates there;
+  Approximation Theory and Approximation Practice, 2013) is built per beta
+  and per kind (pdf, cdf) from `_integral` at the nodes, panel by panel as a
+  query first lands in each, and read by Clenshaw's recurrence.  It
+  reproduces `_integral` to a few 1e-12 relative for beta in [0.05, 0.95].
+  Below x_lo the pdf and cdf are below e^-1200, so 0.0, and only `log_pdf`
+  integrates there;
 * right tail (x >= x_series >= 1): the convergent inverse-power series whose
   leading term is the classical  beta/(Gamma(1-beta) x^(1+beta))  asymptotic,
   with its coefficients computed once per beta and trimmed to the terms
   above e^-120 (about 40 to 400 of them, by beta).
 
-The series/integral switch point is picked per beta by requiring the two
-routes to agree, then cached with the rest of the per-beta engine
-(`stable_unit`).
+The series takes over from the integral at x_series = 1.  Each beta's engine
+checks that the two routes agree there and at the next point, 60^(1/35), and
+refuses the index (ConvergenceError) where they do not: every beta below
+about 0.0064.  The engine is cached per beta (`stable_unit`).
 
 `log_pdf_at_log` gives the log density at x = e^z from z itself: where x >=
 x_series, the series summed relative to its largest term, finite where the
@@ -63,6 +65,10 @@ _DECAY = 48.0  # exp(-48) ~ 1.4e-21 relative truncation of the theta integral
 _TABLE_EFF = 2000.0
 _TABLE_PANELS = 8
 _TABLE_NODES = 32
+# a panel's nodes in u on [-1, 1], and the map from its values to its
+# Chebyshev coefficients (before the halving of the first)
+_TABLE_U = chebpts1(_TABLE_NODES)
+_TABLE_FIT = chebvander(_TABLE_U, _TABLE_NODES - 1).T
 # points per Clenshaw sum of the table (`StableUnit._left`)
 _CLENSHAW_BLOCK = 1024
 # Every frozen rule's node window, and the tilt integrals of the tempered law,
@@ -114,11 +120,16 @@ class StableUnit:
         if np.any(np.diff(self._log_a_probe) <= 0):
             raise ConvergenceError("A(theta) not monotone; cannot bracket")
         self._series = {shift: self._series_terms(shift) for shift in (0, 1)}
-        self.x_series = self._calibrate_series_switch()
+        self.x_series = 1.0
+        self._check_series_switch()
         # log x_lo, where xi a0 = _TABLE_EFF; formed in logs, as x_lo itself
         # underflows for beta below about 0.0102
         self._z_lo = (math.log(self.a0) - math.log(_TABLE_EFF)) / self.ratio
-        self._tables = {}  # want_pdf -> `_table`
+        self._width = (math.log(self.x_series) - self._z_lo) / _TABLE_PANELS
+        # want_pdf -> (built panels, node values, coefficients); `_coef`
+        # replaces a tuple whole and never writes into one
+        empty = (np.zeros(_TABLE_PANELS, bool), np.zeros((_TABLE_PANELS, _TABLE_NODES)), None)
+        self._tables = {True: empty, False: empty}
 
     # -- Zolotarev kernel ---------------------------------------------------
 
@@ -176,7 +187,8 @@ class StableUnit:
         return theta
 
     def _xi(self, x):
-        with np.errstate(over="ignore"):  # xi a0 >= 1e299: e^(-xi a0) is 0 either way
+        # xi a0 >= 1e299, x = 0 included: e^(-xi a0) is 0 either way
+        with np.errstate(over="ignore", divide="ignore"):
             return np.minimum(x ** (-self.ratio), 1e300)
 
     def _log_raw(self, x, want_pdf: bool):
@@ -226,25 +238,30 @@ class StableUnit:
 
     # -- Chebyshev table of the integral --------------------------------------
 
-    def _table(self, want_pdf: bool):
-        """(panel width, coefficients) of the piecewise Chebyshev series of
-        h(z) = `_log_raw`(e^z) on [z_lo, log x_series); built on first use.
+    def _coef(self, want_pdf: bool, panels):
+        """Coefficients of the piecewise Chebyshev series of h(z) =
+        `_log_raw`(e^z) on [z_lo, log x_series), one column a panel, with
+        every panel in `panels` built.
 
         _TABLE_PANELS equal panels in z of _TABLE_NODES first-kind Chebyshev
         nodes each, where `_integral`'s own sum is taken: h is smooth in z,
-        and the series reproduces it to a few 1e-12 relative.
+        and the series reproduces it to a few 1e-12 relative.  A panel's
+        nodes are evaluated when a query first lands in it; the coefficients
+        are one product over all panels, an unbuilt one a zero column, so a
+        built column has the bits of a whole table's.
         """
-        table = self._tables.get(want_pdf)
-        if table is None:
-            width = (math.log(self.x_series) - self._z_lo) / _TABLE_PANELS
-            u = chebpts1(_TABLE_NODES)
-            z = self._z_lo + width * (np.arange(_TABLE_PANELS)[:, None] + 0.5 * (u + 1.0))
-            h = self._log_raw(np.exp(z).ravel(), want_pdf).reshape(z.shape)
-            coef = chebvander(u, _TABLE_NODES - 1).T @ h.T * (2.0 / _TABLE_NODES)
+        built, h, coef = self._tables[want_pdf]
+        need = np.bincount(panels, minlength=_TABLE_PANELS).astype(bool) & ~built
+        if need.any():
+            z = self._z_lo + self._width * (np.flatnonzero(need)[:, None] + 0.5 * (_TABLE_U + 1.0))
+            h = h.copy()
+            h[need] = self._log_raw(np.exp(z).ravel(), want_pdf).reshape(z.shape)
+            coef = _TABLE_FIT @ h.T * (2.0 / _TABLE_NODES)
             coef[0] *= 0.5
-            # a thread that loses the race to build drops its identical copy
-            table = self._tables.setdefault(want_pdf, (width, coef))
-        return table
+            # a thread racing another may drop the other's new panels, which
+            # the next query that lands in them builds again
+            self._tables[want_pdf] = built | need, h, coef
+        return coef
 
     def _left(self, x, want_pdf: bool, log: bool = False):
         """pdf or cdf left of x_series, or the log pdf: the table from x_lo on.
@@ -258,9 +275,9 @@ class StableUnit:
         if log and not on.all():
             out[~on] = self._integral(x[~on], want_pdf, log=True)
         if on.any():
-            width, coef = self._table(want_pdf)
-            s = (z[on] - self._z_lo) / width
+            s = (z[on] - self._z_lo) / self._width
             panel = np.minimum(s.astype(int), _TABLE_PANELS - 1)
+            coef = self._coef(want_pdf, panel)
             u, n = 2.0 * (s - panel) - 1.0, _CLENSHAW_BLOCK
             # Clenshaw on each point's panel coefficients, gathered n points at
             # a time: one gather over every point costs more a point as it grows
@@ -307,23 +324,17 @@ class StableUnit:
         max_term = np.max(t, axis=1) / math.pi
         return total, max_term
 
-    def _calibrate_series_switch(self) -> float:
-        candidates = np.geomspace(1.0, 60.0, 36)
-        series, max_term = self._tail_series(candidates, 1)
-        integral = self._integral(candidates, True)
-        good = (
-            (np.abs(series - integral) <= 1e-9 * np.maximum(np.abs(integral), 1e-280))
-            & (max_term <= 1e10 * np.maximum(np.abs(series), 1e-300))
-        )
-        # series accuracy only improves with x, while the integral eventually
-        # degrades (integrand concentrates at theta = pi); hand over at the
-        # first point where two consecutive candidates agree
-        for i in range(good.size - 1):
-            if good[i] and good[i + 1]:
-                return float(candidates[i])
-        raise ConvergenceError(
-            f"could not stitch tail series to integral for beta={self.beta}"
-        )
+    def _check_series_switch(self):
+        """The right-tail series takes over at x_series = 1: refused unless
+        series and integral agree to 1e-9 at x = 1 and at 60^(1/35), with no
+        term past 1e10 times the sum.  The series only improves with x, and
+        the integral holds there for every index from about 0.0064 up."""
+        x = np.array([1.0, 60.0 ** (1.0 / 35.0)])
+        series, max_term = self._tail_series(x, 1)
+        integral = self._integral(x, True)
+        if not np.all((np.abs(series - integral) <= 1e-9 * np.maximum(np.abs(integral), 1e-280))
+                      & (max_term <= 1e10 * np.maximum(np.abs(series), 1e-300))):
+            raise ConvergenceError(f"could not stitch tail series to integral for beta={self.beta}")
 
     # -- public surface -------------------------------------------------------
 
@@ -403,5 +414,5 @@ class StableUnit:
 
 @lru_cache(maxsize=32)
 def stable_unit(beta: float) -> StableUnit:
-    """Cached per-beta engine (construction calibrates the series switch)."""
+    """Cached per-beta engine (construction checks the series switch)."""
     return StableUnit(float(beta))

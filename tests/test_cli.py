@@ -239,6 +239,27 @@ class TestPmfCommand:
         d = json.loads(out.read_text())
         assert abs(sum(d["values"]) + d["tail_bound"] - 1.0) <= 1e-12
 
+    def test_inverse_stable_at_the_smallest_index_writes_no_warning(self, tmp_path):
+        # at beta below about 0.0102 the table's first nodes underflow to
+        # x = 0, where x^(-beta/(1-beta)) divides by zero; the engine clamps
+        # it, and the command prints nothing to stderr
+        out = tmp_path / "t.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(tcpp.timechange.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "tcpp.cli", "pmf", "--spec",
+             '{"type":"inverse","base":{"type":"stable","beta":0.0064}}',
+             "--lambda", "1", "--t", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
+        assert out.exists()
+
+    def test_inverse_stable_below_the_smallest_index_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = main(["pmf", "--spec", '{"type":"inverse","base":{"type":"stable","beta":0.0063}}',
+                   "--lambda", "1", "--t", "1", "--out", str(out)])
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: could not stitch")
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TCPP_SEED", "99")
         a = tmp_path / "a.csv"

@@ -1,11 +1,15 @@
 """The stable engine (tcpp.subordinators.stable) against independent routes."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 
+from tcpp.errors import ConvergenceError
 from tcpp.specfun import log_gamma
 from tcpp.subordinators.stable import StableUnit, stable_unit
 
@@ -140,6 +144,115 @@ class TestChebyshevTable:
             monkeypatch.setattr(su, "_log_raw", None)  # no integral below x_lo
             assert np.all(su.pdf(x) == 0.0) and np.all(su.cdf(x) == 0.0)
             assert np.all(su.sf(x) == 1.0)
+
+
+def _whole_table(su, want_pdf):
+    """The table's coefficients built at once: every panel's 8 x 32 nodes in
+    one `_log_raw` call and one coefficient product."""
+    u = chebpts1(32)
+    width = (math.log(su.x_series) - su._z_lo) / 8
+    z = su._z_lo + width * (np.arange(8)[:, None] + 0.5 * (u + 1.0))
+    h = su._log_raw(np.exp(z).ravel(), want_pdf).reshape(z.shape)
+    coef = chebvander(u, 31).T @ h.T * (2.0 / 32)
+    coef[0] *= 0.5
+    return coef
+
+
+class TestLazyTable:
+    """Each panel of the table is built when a query first lands in it."""
+
+    @pytest.mark.parametrize("beta", [0.0064, 0.05, 0.25, 1 / 3, 0.7, 0.95],
+                             ids=lambda b: f"{b:.4f}")
+    def test_panel_by_panel_is_the_whole_build(self, beta):
+        # panels built one at a time in a random order; below beta = 0.0102
+        # the first panels' x underflow to 0, so the panels are asked for
+        # directly rather than by queries
+        su = StableUnit(beta)
+        for want_pdf in (True, False):
+            whole = _whole_table(su, want_pdf)
+            built = []
+            for p in np.random.default_rng(11).permutation(8):
+                su._coef(want_pdf, np.array([p, p]))
+                built.append(p)
+                coef = su._tables[want_pdf][2]
+                assert np.array_equal(coef[:, built], whole[:, built])
+                assert not coef[:, np.setdiff1d(np.arange(8), built)].any()
+            assert np.array_equal(coef, whole)
+
+    def test_a_query_in_one_panel_evaluates_its_nodes_only(self, monkeypatch):
+        # x_series = 1, so the panels are [z_lo + p w, z_lo + (p + 1) w), w = -z_lo/8
+        su = StableUnit(0.3)
+        sizes = []
+        real = su._log_raw
+
+        def counted(x, want_pdf):
+            sizes.append(x.size)
+            return real(x, want_pdf)
+
+        monkeypatch.setattr(su, "_log_raw", counted)
+        width = -su._z_lo / 8
+        x = np.exp(su._z_lo + width * np.linspace(5.1, 5.9, 50))
+        su.pdf(x)
+        assert sizes == [32]
+        su.pdf(x[::-1])  # built panels are read, not evaluated again
+        assert sizes == [32]
+        su.pdf(np.exp(su._z_lo + width * np.array([3.5, 5.5, 6.5])))
+        assert sizes == [32, 64]
+
+
+    def test_threads_building_panels_at_once_read_the_whole_build(self):
+        # a thread may drop another's new panels when both store at once; each
+        # still reads the coefficients it built, and a dropped panel is built
+        # again by the next query that lands in it
+        su = StableUnit(0.3)
+        whole = _whole_table(su, True)
+        width = -su._z_lo / 8
+        x = [np.exp(su._z_lo + width * np.array([p + 0.3, p + 0.6])) for p in range(8)]
+        want = [StableUnit(0.3)._left(v, True) for v in x]
+        got = [None] * 8
+
+        def read(p):
+            got[p] = su._left(x[p], True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(p,)) for p in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(su._coef(True, np.arange(8)), whole)
+
+
+class TestSeriesSwitch:
+    """The series takes over at x = 1 for every index the engine serves."""
+
+    def test_switch_is_one_from_0_0064_up(self):
+        for beta in np.concatenate([np.linspace(0.0064, 0.02, 40), np.linspace(0.02, 0.95, 60)]):
+            assert StableUnit(float(beta)).x_series == 1.0
+
+    @pytest.mark.parametrize("beta", [0.0063, 0.005])
+    def test_smaller_indices_are_refused(self, beta):
+        with pytest.raises(ConvergenceError, match="could not stitch"):
+            StableUnit(beta)
+
+    @pytest.mark.parametrize("beta,x_hi", [(0.01, 60.0), (0.05, 60.0), (0.3, 60.0),
+                                           (0.5, 60.0), (0.7, 2.0), (0.95, 2.0)])
+    def test_series_and_integral_agree_past_the_switch(self, beta, x_hi):
+        # the property the switch rests on: the series holds from x = 1 on,
+        # where the integral holds too.  Past x = 2 at beta 0.7 and 0.95 the
+        # integral, whose integrand crowds theta = pi, is what drifts
+        # (3.7e-9 at x = 60 for 0.7, 1.8e-5 at x = 3.2 for 0.95)
+        su = StableUnit(beta)
+        x = np.geomspace(1.0, x_hi, 8)
+        series = su._tail_series(x, 1)[0]
+        integral = su._integral(x, True)
+        assert np.all(np.abs(series - integral) <= 1e-9 * integral)
 
 
 class TestPanelSplit:

@@ -11,6 +11,7 @@ import pytest
 from scipy.special import erfc, gammaln
 
 import tcpp.timechange as timechange
+from oracles.poisson import poisson_pmf
 from oracles.transforms import mittag_leffler
 from tcpp.errors import ConvergenceError, DomainError, NoDensityError
 from tcpp.specfun import log_gamma
@@ -38,7 +39,6 @@ from tcpp.timechange import (
     pmf_monte_carlo,
     pmf_quadrature,
     pmf_table,
-    poisson_pmf,
     table_cache,
     waiting_time_lt,
     waiting_time_survival,

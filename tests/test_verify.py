@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles.poisson import poisson_pmf
 from tcpp.cli import main
 from tcpp.errors import DomainError, GridTooCoarseError, UnknownEquationError
-from tcpp.timechange import poisson_pmf
 from tcpp.verify.operators import central_difference, estimate_order, shift_power
-from tcpp.verify.registry import check_equation, registry_ids
+from tcpp.subordinators.densities import tempered_stable_density
+from tcpp.verify.registry import _dx_ref, check_equation, registry_ids
 from tcpp.verify.report import GridSpec, LevelResidual, ResidualReport
 
 
@@ -89,6 +90,22 @@ class TestFdDerivative:
         t = np.linspace(1.0, 2.0, 5)
         with pytest.raises(GridTooCoarseError):
             central_difference(t, t[1] - t[0], 4, richardson=True)
+
+    @pytest.mark.parametrize("beta,mu", [(0.5, 1.0), (1 / 3, 1.0), (0.5, 0.0), (1 / 3, 0.0)])
+    def test_x_reference_stencil_in_one_call(self, beta, mu):
+        # the x-side reference of prop4.1 and deblassie: its four stencil
+        # points go to the density stacked in one call, with the bits of one
+        # call a point
+        x = np.geomspace(0.01, 0.3, 17)[:, None]
+        t = np.linspace(0.5, 1.5, 33)[None, :]
+
+        def density(xv):
+            return tempered_stable_density(xv, t, beta, mu)
+
+        h = 8e-3 * x
+        vals = [density(x + k * h) for k in (-2, -1, 1, 2)]
+        want = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * h)
+        assert np.array_equal(_dx_ref(density, x), want)
 
 
 class TestConvergenceOrder:
