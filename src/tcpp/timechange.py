@@ -236,8 +236,9 @@ def _ig_count_logs(t, lam: float, delta: float, gamma: float):
 # -- frozen mixture rules -----------------------------------------------------------
 
 
-# the probe pmfs of a table's frozen rule settle to this (a registry check
-# asks `mixture_rule` for its own)
+# a table's frozen rule settles to this: its pmf at every count agrees with
+# the rule of half its panels to within it (a registry check asks
+# `mixture_rule` for its own)
 _RULE_TOL = 1e-10
 
 
@@ -322,7 +323,14 @@ def mixture_rule(
     kmax: int,
     tol: float = _RULE_TOL,
 ) -> MixtureRule:
-    """Adaptive construction: double panel count until probe pmfs settle."""
+    """The frozen rule for counts 0..kmax at times in [t_lo, t_hi].
+
+    The window's 12-point panels double from 8, up to 2048, and the first
+    rule whose pmf at every count 0..kmax agrees with the previous rule's to
+    `tol` at the probe times t_lo, sqrt(t_lo t_hi) and t_hi is returned, the
+    finer of the pair.  Every count is probed, so a rule cannot settle on
+    probes that all read about 0 while the mass sits between them.
+    """
     if not 0 < t_lo <= t_hi:
         raise DomainError("need 0 < t_lo <= t_hi")
     # the geometric middle from the two roots, which neither underflow at tiny
@@ -331,11 +339,11 @@ def mixture_rule(
     # the probes as sorted unique Python values: np.unique would import numpy.ma
     probe_ts = np.array(sorted({t_lo, min(t_hi, max(t_lo, math.sqrt(t_lo) * math.sqrt(t_hi))),
                                 t_hi}))
-    probe_ks = np.array(sorted({0, kmax // 2, kmax}))
+    probe_ks = np.arange(kmax + 1)
     if (law := spec.mixing_law()) is None:
         raise _refusal(spec, "the quadrature route does not serve")
     cut = _poisson_cut(kmax, lam)
-    n_panels = 32
+    n_panels = 8
     prev = None
     while n_panels <= 2048:
         rule = MixtureRule(lam, law, *law.rule_nodes(t_lo, t_hi, cut, n_panels))

@@ -244,6 +244,48 @@ class TestBesselPmf:
             pmf_bessel_ig(k, t, lam, delta, 1.0)
 
 
+def _doubling_kmax(kmax):
+    """The K of the quadrature table's doubling (64, 128, ..., 2000) whose
+    rule made a table of automatic kmax."""
+    k = timechange._KMAX_START
+    while k < kmax:
+        k = min(2 * k, timechange._KMAX_CAP)
+    return k
+
+
+# (clock, lambda, t, kmax, tol) of the settle test: every clock kind with a
+# mixing law at two of the (lambda, t) in {0.5, 20} x {1e-3, 1, 100} that
+# serve it, automatic kmax and the table's tol; then a given kmax whose mass
+# (near k = 45 000) lies far from the counts 0, K/2 and K, and two window
+# rules at their callers' tol
+_SETTLE_CELLS = [
+    pytest.param(spec, lam, t, None, None, id=f"{name}-lam{lam:g}-t{t:g}")
+    for name, spec, cells in [
+        ("invIG(1,0)", InverseOf(InverseGaussian(1.0, 0.0)), [(20.0, 1.0), (20.0, 100.0)]),
+        ("invIG(1,1)", InverseOf(InverseGaussian(1.0, 1.0)), [(0.5, 100.0), (20.0, 1.0)]),
+        ("invIG(1,30)", InverseOf(InverseGaussian(1.0, 30.0)), [(0.5, 100.0), (20.0, 1.0)]),
+        ("invS(0.3)", InverseOf(Stable(0.3)), [(20.0, 1.0), (20.0, 100.0)]),
+        ("invS(0.5)", InverseOf(Stable(0.5)), [(0.5, 1e-3), (20.0, 100.0)]),
+        ("invS(0.9)", InverseOf(Stable(0.9)), [(0.5, 100.0), (20.0, 1.0)]),
+        ("invT(0.3,1)", InverseOf(TemperedStable(0.3, 1.0)), [(0.5, 100.0), (20.0, 1.0)]),
+        ("invT(0.7,2)", InverseOf(TemperedStable(0.7, 2.0)), [(0.5, 100.0), (20.0, 1e-3)]),
+        ("S(0.3)", Stable(0.3), [(0.5, 1e-3), (20.0, 100.0)]),
+        ("S(0.7)", Stable(0.7), [(0.5, 1e-3), (20.0, 1.0)]),
+        ("T(0.3,1)", TemperedStable(0.3, 1.0), [(0.5, 1.0), (20.0, 100.0)]),
+        ("T(0.5,50)", TemperedStable(0.5, 50.0), [(0.5, 1e-3), (20.0, 100.0)]),
+        ("IG(1,1)", InverseGaussian(1.0, 1.0), [(0.5, 100.0), (20.0, 1e-3)]),
+        ("IG(1,0)", InverseGaussian(1.0, 0.0), [(0.5, 1e-3), (20.0, 1.0)]),
+        ("S(1/2)oS(1/2)", Composition((Stable(0.5), Stable(0.5))), [(0.5, 1e-3), (0.5, 100.0)]),
+    ]
+    for lam, t in cells
+] + [
+    pytest.param(InverseOf(InverseGaussian(1.0, 30.0)), 5.0, 300.0, 80000, None,
+                 id="invIG(1,30)-lam5-t300-kmax80000"),
+    *(pytest.param(InverseOf(InverseGaussian(1.0, 1.0)), 1.0, (0.5, 2.0), 5, tol,
+                   id=f"invIG(1,1)-window-tol{tol:g}") for tol in (1e-11, 1e-12)),
+]
+
+
 class TestQuadraturePmf:
     def test_small_t_degenerates(self):
         assert pmf_quadrature(0, 1e-3, 1.0, InverseGaussian(1.0, 1.0)) == pytest.approx(
@@ -392,13 +434,22 @@ class TestQuadraturePmf:
         assert abs(table.normalization_defect) <= 1e-10 and table.kmax >= max(want["k"])
         assert np.max(np.abs(table.values[want["k"]] - want["values"])) <= 1e-12
 
-    @pytest.mark.parametrize("tol", [1e-11, 1e-12])
-    def test_hitting_rule_settles_below_1e_10(self, tol):
-        rule = mixture_rule(InverseOf(InverseGaussian(1.0, 1.0)), 1.0, 0.5, 2.0, 5, tol)
-        n_fine = 4 * rule.nodes.size // 12
-        fine = MixtureRule(1.0, rule.law,
-                           *rule.law.rule_nodes(0.5, 2.0, _poisson_cut(5, 1.0), n_fine))
-        ts, ks = np.linspace(0.5, 2.0, 7), np.arange(6)
+    @pytest.mark.parametrize("spec,lam,t,kmax,tol", _SETTLE_CELLS)
+    def test_hitting_rule_settles_below_1e_10(self, spec, lam, t, kmax, tol):
+        # the rule of 4x the panels agrees at every count: a table's own rule
+        # at the table's tol, or a window rule at the tol its caller asks for
+        if tol is None:
+            table = pmf_table(t, lam, spec, kmax=kmax, method="quadrature")
+            kmax = _doubling_kmax(table.kmax) if kmax is None else kmax
+            tol, ts = table.route["tol"], np.array([t])
+            rule = mixture_rule(spec, lam, t, t, kmax)
+            assert rule.nodes.size == table.route["nodes"]
+        else:
+            ts = np.linspace(*t, 7)
+            rule = mixture_rule(spec, lam, *t, kmax, tol)
+        fine = MixtureRule(lam, rule.law, *rule.law.rule_nodes(
+            ts[0], ts[-1], _poisson_cut(kmax, lam), 4 * rule.nodes.size // 12))
+        ks = np.arange(kmax + 1)
         assert np.max(np.abs(rule.pmf_matrix(ts, ks) - fine.pmf_matrix(ts, ks))) <= tol
 
 
@@ -634,8 +685,8 @@ class TestDensityMemo:
     probe, pmf_matrix and tail_mass share the (x, wd) of one weighted() call."""
 
     @pytest.mark.parametrize("name,spec,points", [
-        ("inverse_tempered_density", InverseOf(TemperedStable(0.3, 1.0)), 1152),
-        ("hitting_time_density_ig", InverseOf(InverseGaussian(1.0, 1.0)), 1152),
+        ("inverse_tempered_density", InverseOf(TemperedStable(0.3, 1.0)), 288),
+        ("hitting_time_density_ig", InverseOf(InverseGaussian(1.0, 1.0)), 288),
     ], ids=["inverse-tempered0.3", "hitting-ig"])
     def test_one_density_pass_per_table(self, monkeypatch, name, spec, points):
         import tcpp.subordinators.spec as spec_module

@@ -372,21 +372,21 @@ DEFAULT_CAMPAIGN = [
     ("prop2.1", False, 3.8789312677641883, 3.017643912528456e-09),
     ("prop2.2", False, 1.835916283839684, 4.044259849361742e-05),
     ("ig-density-pde", False, 1.9820886306533299, 0.0007486504984965947),
-    ("prop3.1(1)", False, 1.9334195766607989, 2.1165384598731407e-05),
+    ("prop3.1(1)", False, 1.9334195721664016, 2.1165384825827527e-05),
     ("prop3.1(2)", False, 1.8776883101941242, 3.2705754808182164e-05),
     ("deblassie(1/2)", False, 1.9986539820740792, 9.383983871380508e-05),
     ("deblassie(1/3)", False, 1.8282697087299002, 1.9772509743876121e-04),
-    ("thm3.1(2)", False, 3.0437113473636597, 1.6728078072736352e-07),
-    ("thm3.1(3)", False, 2.9958209843974277, 1.5704977723851599e-07),
-    ("cor3.1(1)", False, 3.0437113473636597, 1.6728078072736352e-07),
-    ("cor3.1(2)", False, 3.2350822989723316, 6.841647370858794e-08),
+    ("thm3.1(2)", False, 3.04371137467008, 1.672807641295293e-07),
+    ("thm3.1(3)", False, 2.9958209749921907, 1.570497819014527e-07),
+    ("cor3.1(1)", False, 3.04371137467008, 1.672807641295293e-07),
+    ("cor3.1(2)", False, 3.235082337615777, 6.841646767175025e-08),
     ("frac-dde(1/2)", False, 1.5021786019736312, 7.543826727884895e-05),
     ("frac-dde(1/4)", False, 1.2296948408226382, 0.00014631061695802305),
     ("et-pde(2)", False, 1.7845502101734847, 0.0001798751816313171),
     ("prop3.2", False, 1.2433939835716963, 0.00025224899508047294),
     ("prop4.1(2)", False, 1.9965067667664327, 0.00024442579086336735),
     ("prop4.1(3)", False, 1.9991577596893892, 7.3477589909831664e-05),
-    ("rmk4.1(2)", False, 1.9783282298180664, 7.1443215039490582e-06),
+    ("rmk4.1(2)", False, 1.9783282927336885, 7.144320486318634e-06),
     ("inv-tempered-pde(2)", False, 1.7481866164768545, 0.00050461739377802295),
     ("prop4.2(2)", False, 1.8398009735943082, 6.297588886489125e-05),
 ]
