@@ -196,16 +196,18 @@ def _poisson_terms(kb, mb, out=None):
 
 
 def pmf_bessel_ig(k: int, t, lam: float, delta: float, gamma: float):
-    """P(N(G(t)) = k) in closed Bessel form (requires gamma > 0): term k of
-    `_ig_count_logs`."""
-    if not gamma > 0:
-        raise DomainError("Bessel-form pmf needs gamma > 0 (use pmf_quadrature for gamma = 0)")
-    if k < 0:
-        raise DomainError("count index k must be >= 0")
-    scalar = np.isscalar(t) or np.ndim(t) == 0
+    """P(N(G(t)) = k) in closed Bessel form: term k of `_ig_count_logs`.
+
+    k is an integer >= 0, lambda, delta and gamma finite and > 0 (pmf_table
+    serves gamma = 0), each refused with DomainError otherwise (a bool too),
+    and so is t, a number or an array, unless every time is finite and > 0.
+    """
+    k, lam = _COUNT.check("k", k), POSITIVE.check("lambda", lam)
+    delta, gamma = POSITIVE.check("delta", delta), POSITIVE.check("gamma", gamma)
+    scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not (np.all(t > 0) and lam > 0 and delta > 0):  # refuses NaN as well
-        raise DomainError("pmf_bessel_ig requires t, lambda and delta > 0")
+    if not np.all((t > 0) & (t < math.inf)):  # refuses NaN as well
+        raise DomainError("pmf_bessel_ig requires every t to be a finite number > 0")
     out = np.exp(next(itertools.islice(_ig_count_logs(t, lam, delta, gamma), k, None)))
     return float(out[0]) if scalar else out
 
@@ -254,10 +256,12 @@ class MixtureRule:
 
     It keeps the Poisson rate `lam`, the clock `law` that built the nodes
     (spec.mixing_law()), the `nodes`, `weights`, t-free density factor
-    `dens` and window right end `x_hi` that `law.rule_nodes` returned, and
-    the memo `_last`.  The request it was built for is `mixture_rule`'s
-    cache key.  `law` turns the nodes into (x, weight * density) at each t,
-    and supplies the survivor mass beyond `x_hi`, in the nodes' variable.
+    `dens` and window right end `x_hi` that `law.rule_nodes` returned, the
+    memo `_last`, and `probe`: the read-only pmf[k, t] at the probe counts
+    and times on which `mixture_rule` settled it (None on a rule it did not
+    return).  The request it was built for is `mixture_rule`'s cache key.
+    `law` turns the nodes into (x, weight * density) at each t, and supplies
+    the survivor mass beyond `x_hi`, in the nodes' variable.
     """
 
     lam: float
@@ -269,6 +273,7 @@ class MixtureRule:
     # (t, (x, wd)) of the last one-column weighted() call, kept as one tuple so
     # a reader on another thread never sees t paired with another t's result
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    probe: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # _poisson_mix slices by value the nodes that weighted() scales by t > 0
@@ -278,8 +283,8 @@ class MixtureRule:
         """(columns, x, wd) for each block of _T_BLOCK consecutive times.
 
         A one-column call at the t of the previous one reuses its (x, wd):
-        a table's last settling probe, `pmf_matrix` and `tail_mass` make one
-        density pass between them.
+        a table's last settling probe and `tail_mass` make one density pass
+        between them.
         """
         if ts.size == 1:
             last = self._last
@@ -328,8 +333,10 @@ def mixture_rule(
     The window's 12-point panels double from 8, up to 2048, and the first
     rule whose pmf at every count 0..kmax agrees with the previous rule's to
     `tol` at the probe times t_lo, sqrt(t_lo t_hi) and t_hi is returned, the
-    finer of the pair.  Every count is probed, so a rule cannot settle on
-    probes that all read about 0 while the mass sits between them.
+    finer of the pair, with that pmf as its `probe`.  Every count is probed,
+    so a rule cannot settle on probes that all read about 0 while the mass
+    sits between them.  When t_lo == t_hi the probe is the one-column table
+    pmf_matrix([t], range(kmax + 1)), bit for bit.
     """
     if not 0 < t_lo <= t_hi:
         raise DomainError("need 0 < t_lo <= t_hi")
@@ -349,6 +356,8 @@ def mixture_rule(
         rule = MixtureRule(lam, law, *law.rule_nodes(t_lo, t_hi, cut, n_panels))
         vals = rule.pmf_matrix(probe_ts, probe_ks)
         if prev is not None and np.max(np.abs(vals - prev)) < tol:
+            vals.flags.writeable = False
+            rule.probe = vals
             return rule
         prev = vals
         n_panels *= 2
@@ -461,10 +470,11 @@ def pmf_quadrature(k: int, t: float, lam: float, spec: SubordinatorSpec) -> floa
 
 
 _TAIL_TARGET = 1e-10
-_KMAX_START = 64
+_KMAX_START = 63  # the automatic search's first K: K + 1 doubles from 64
 _KMAX_CAP = 2000
 _KMAX = integers(0, 2 ** 20)  # a requested kmax: 2^20 counts bound a table's memory
 _MC_COUNT = integers(1000)
+_COUNT = integers(0)  # a count index k
 
 
 def _request(t, lam, kmax):
@@ -498,11 +508,11 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     all four routes, Monte Carlo too, return the smallest K <= 2000 whose
     tail bound P(N > K) is below 1e-10, read off the tail column of the
     table they compute, or K = 2000 when none is; for Monte Carlo that is
-    the largest count drawn (`_mc_table`).  Quadrature doubles K from 64;
-    the PGF route doubles its FFT from 256 points, except that a clock of
-    infinite mean first runs the 8004-point cap pass and keeps it when every
-    tail bound there is >= 2e-10 (`_pgf_search`).  The request is served by
-    `table_cache`, with "auto" resolved first.
+    the largest count drawn (`_mc_table`).  Quadrature and PGF share one
+    search (`_search`): their table for counts 0..K, with K + 1 doubling
+    from 64 to the cap, except that a clock of infinite mean first makes the
+    K = 2000 table and keeps it when every tail bound there is >= 2e-10.
+    The request is served by `table_cache`, with "auto" resolved first.
     """
     t, lam, kmax = _request(t, lam, kmax)
     method = _auto(spec) if method == "auto" else method
@@ -567,26 +577,54 @@ def _finite_mean(spec: SubordinatorSpec) -> bool:
     return isinstance(spec, InverseOf) or (rate is not None and rate < math.inf)
 
 
-def _quadrature_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
-    """Quadrature-route table fields: K doubles from 64 against frozen rules."""
-    ts = np.array([t])
-    k_rule = _KMAX_START if kmax is None else kmax
+def _search(table_at, t: float, lam: float, spec: SubordinatorSpec, kmax: int | None):
+    """(kmax, table_at(K)) for a route whose table_at(K) gives (values 0..K,
+    the tail column P(N > k) for k <= K, route info).
+
+    A given kmax makes one table, at K = kmax.  Otherwise K + 1 doubles from
+    64 (K = 63, 127, ..., 1023, then the 2000 cap), and kmax is the first k
+    whose tail is below 1e-10 (`_first_below`), or 2000 when none is by the
+    cap.  An infinite-mean clock (stable, IG(delta, 0), any composition with
+    such a part) rarely has that tail before K = 2000, so its cap table comes
+    first, and is kept when every tail there is >= 2e-10: a smaller table
+    reads the same p_k up to its route's error (the PGF route's 1e-13
+    aliasing and ~1e-14 rounding a value, a frozen rule's 1e-10 settle), so
+    it could not have found a tail below 1e-10 either, and the table is the
+    one the doubling would end on.  Otherwise the doubling runs, reusing the
+    cap table if it gets there.  When `_cap_tail_bound` already puts
+    P(N > 2000) below 2e-10 (tiny t), the cap table could not be kept, and
+    the doubling runs without it.
+    """
+    if kmax is not None:
+        return kmax, table_at(kmax)
+    tables = {}
+    if spec.mean_rate() == math.inf and _cap_tail_bound(t, lam, spec) >= 2.0 * _TAIL_TARGET:
+        tables[_KMAX_CAP] = table_at(_KMAX_CAP)
+        if np.all(tables[_KMAX_CAP][1] >= 2.0 * _TAIL_TARGET):
+            return _KMAX_CAP, tables[_KMAX_CAP]
+    K = _KMAX_START
     while True:
-        rule = mixture_rule(spec, lam, t, t, k_rule)
-        values = np.clip(rule.pmf_matrix(ts, np.arange(k_rule + 1))[:, 0], 0.0, 1.0)
-        tail = float(rule.tail_mass(ts, k_rule)[0])
-        if kmax is not None:
-            break
+        table = tables[K] if K in tables else table_at(K)
+        kmax = _first_below(table[1])
+        if kmax is not None or K == _KMAX_CAP:
+            return (_KMAX_CAP if kmax is None else kmax), table
+        K = min(2 * K + 1, _KMAX_CAP)
+
+
+def _quadrature_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
+    """Quadrature-route table fields at the K `_search` settles on, from the
+    frozen rule for counts 0..K at t: the rule's last settle probe is the
+    table, and `tail_mass` adds the mass past K."""
+    def table_at(K):
+        rule = mixture_rule(spec, lam, t, t, K)
+        values = np.clip(rule.probe[:, 0], 0.0, 1.0)
         # P(N > k) = P(N > K) + sum_{k < j <= K} p_j
-        tails = tail + np.append(np.cumsum(values[:0:-1])[::-1], 0.0)
-        kmax = _first_below(tails)
-        if kmax is not None or k_rule == _KMAX_CAP:
-            kmax = k_rule if kmax is None else kmax
-            values, tail = values[:kmax + 1], float(tails[kmax])
-            break
-        k_rule = min(2 * k_rule, _KMAX_CAP)
-    return {"kmax": kmax, "values": values, "tail_bound": tail, "method": "quadrature",
-            "route": {"nodes": int(rule.nodes.size), "tol": _RULE_TOL}}
+        tails = rule.tail_mass(np.array([t]), K)[0] + np.append(np.cumsum(values[:0:-1])[::-1], 0.0)
+        return values, tails, {"nodes": int(rule.nodes.size), "tol": _RULE_TOL}
+
+    kmax, (values, tails, route) = _search(table_at, t, lam, spec, kmax)
+    return {"kmax": kmax, "values": values[:kmax + 1], "tail_bound": float(tails[kmax]),
+            "method": "quadrature", "route": route}
 
 
 def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
@@ -634,41 +672,6 @@ def _pgf_values(t: float, lam: float, spec: SubordinatorSpec, n: int):
     return np.fft.hfft(g, n)[: n // 4] / scale, r
 
 
-def _pgf_tails(raw):
-    """Tail bounds P(N > k) <= 1 - sum_{j <= k} p_j + aliasing, k < raw.size."""
-    return 1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS
-
-
-def _pgf_search(t: float, lam: float, spec: SubordinatorSpec):
-    """(n, raw, r, kmax) with auto kmax: the smallest K whose tail bound is
-    below 1e-10, read off passes of n = 256, 512, ... points up to the
-    4 (2000 + 1) cap, and K = 2000 when none is.
-
-    An infinite-mean clock (stable, IG(delta, 0), any composition with such
-    a part) rarely has that tail before K = 2000, so it runs the cap pass
-    first and keeps it when every tail bound there is >= 2e-10.  A smaller
-    pass reads the same p_k up to its 1e-13 aliasing and ~1e-14 rounding
-    per value, so it could not have found a tail below 1e-10 either: the
-    table is the one the doubling would end on.  Otherwise the doubling runs
-    as for any other clock, reusing the cap pass if it gets there.  When
-    `_cap_tail_bound` already puts P(N > 2000) below 2e-10 (tiny t), the cap
-    pass could not be kept, and the doubling runs without it.
-    """
-    n_cap = 4 * (_KMAX_CAP + 1)
-    capped = None
-    if spec.mean_rate() == math.inf and _cap_tail_bound(t, lam, spec) >= 2.0 * _TAIL_TARGET:
-        capped = _pgf_values(t, lam, spec, n_cap)
-        if np.all(_pgf_tails(capped[0]) >= 2.0 * _TAIL_TARGET):
-            return (n_cap, *capped, _KMAX_CAP)
-    n = 256
-    while True:
-        raw, r = capped if n == n_cap and capped is not None else _pgf_values(t, lam, spec, n)
-        kmax = _first_below(_pgf_tails(raw))
-        if kmax is not None or n == n_cap:
-            return n, raw, r, _KMAX_CAP if kmax is None else kmax
-        n = min(2 * n, n_cap)
-
-
 def _cap_tail_bound(t: float, lam: float, spec: SubordinatorSpec) -> float:
     """P(N > 2000) <= (1 - G(u)) / (1 - u^2001) at u = 1 - 1/2001, G(u) =
     exp(-t phi(lam (1 - u))) the generating function: for any u in (0, 1),
@@ -678,13 +681,17 @@ def _cap_tail_bound(t: float, lam: float, spec: SubordinatorSpec) -> float:
 
 
 def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
-    """PGF-route table fields: one pass of 4 (kmax + 1) >= 256 points when kmax is
-    given, else the pass `_pgf_search` settles on."""
-    if kmax is None:
-        n, raw, r, kmax = _pgf_search(t, lam, spec)
-    else:
-        n = max(256, 4 * (kmax + 1))
+    """PGF-route table fields from one pass of n = 4 (K + 1) >= 256 points at
+    the K `_search` settles on; the tail column is 1 - sum_{j <= k} p_j plus
+    the aliasing bound."""
+    def table_at(K):
+        n = max(256, 4 * (K + 1))
         raw, r = _pgf_values(t, lam, spec, n)
+        raw = raw[:K + 1]
+        tails = 1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS
+        return raw, tails, {"radius": r, "nodes": n, "aliasing_bound": _PGF_ALIAS}
+
+    kmax, (raw, _, route) = _search(table_at, t, lam, spec, kmax)
     raw = raw[: kmax + 1]
     if not np.all(np.isfinite(raw)) or np.min(raw) < -1e-12:
         raise ConvergenceError(f"PGF inversion for {spec.label()} gave a value "
@@ -692,7 +699,7 @@ def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -
     values = np.clip(raw, 0.0, 1.0)
     return {"kmax": kmax, "values": values,
             "tail_bound": max(0.0, 1.0 - float(np.sum(values))) + _PGF_ALIAS, "method": "pgf",
-            "route": {"radius": r, "nodes": n, "aliasing_bound": _PGF_ALIAS}}
+            "route": route}
 
 
 def _mc_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
@@ -767,11 +774,12 @@ def fractional_poisson_pmf(k: int, t: float, lam: float, beta: float) -> float:
     s^(beta-1) lam^k / (lam + s^beta)^(k+1), is inverted by fixed Talbot
     (`_talbot`) at 24 and 32 nodes; the 32-node value is returned when the
     two agree to 1e-9, and ConvergenceError is raised when they do not.
+    k is an integer >= 0, and t and lambda finite numbers > 0, on both
+    routes: each is refused with DomainError otherwise (a bool too).
     """
+    k, t, lam = _COUNT.check("k", k), POSITIVE.check("t", t), POSITIVE.check("lambda", lam)
     if (spec := InverseOf(Stable(beta))).mixing_law() is not None:
         return pmf_quadrature(k, t, lam, spec)
-    if k < 0 or t <= 0 or lam <= 0:
-        raise DomainError("fractional_poisson_pmf requires k >= 0, t > 0 and lambda > 0")
 
     def transform(s):
         sb = s ** beta
@@ -833,8 +841,8 @@ def moments_ig(t: float, lam: float, delta: float, gamma: float):
     mean + lam^2 Var G(t) = mean (1 + lam / gamma^2), as Var G(t) = delta t /
     gamma^3.  No difference of large terms is formed, so neither overflows to
     inf - inf."""
-    if not all(0 < v < math.inf for v in (t, lam, delta, gamma)):  # refuses NaN as well
-        raise DomainError("moments_ig requires finite t, lambda, delta and gamma > 0")
+    t, lam = POSITIVE.check("t", t), POSITIVE.check("lambda", lam)
+    delta, gamma = POSITIVE.check("delta", delta), POSITIVE.check("gamma", gamma)
     mean = lam * delta * t / gamma
     return mean, mean * (1.0 + lam / gamma / gamma)
 
@@ -847,7 +855,11 @@ def waiting_time_survival(x: float, lam: float, delta: float, gamma: float) -> f
 
 
 def waiting_time_lt(s: float, lam: float, delta: float, gamma: float) -> float:
-    """E exp(-s J) = lam / (lam + phi(s)), phi the IG exponent (`ig_exponent`)."""
-    if s <= 0:
-        raise DomainError("waiting_time_lt requires s > 0")
-    return float(lam / (lam + ig_exponent(s, delta, gamma)))
+    """E exp(-s J) = lam / (lam + phi(s)), phi the IG exponent (`ig_exponent`).
+
+    s and lambda are finite numbers > 0, and delta and gamma the fields of
+    an IG clock (`InverseGaussian`): each is refused with DomainError
+    otherwise."""
+    ig = InverseGaussian(delta, gamma)
+    s, lam = POSITIVE.check("s", s), POSITIVE.check("lambda", lam)
+    return float(lam / (lam + ig_exponent(s, ig.delta, ig.gamma)))

@@ -245,11 +245,11 @@ class TestBesselPmf:
 
 
 def _doubling_kmax(kmax):
-    """The K of the quadrature table's doubling (64, 128, ..., 2000) whose
-    rule made a table of automatic kmax."""
+    """The K of the quadrature table's doubling (63, 127, ..., 1023, 2000)
+    whose rule made a table of automatic kmax."""
     k = timechange._KMAX_START
     while k < kmax:
-        k = min(2 * k, timechange._KMAX_CAP)
+        k = min(2 * k + 1, timechange._KMAX_CAP)
     return k
 
 
@@ -393,6 +393,85 @@ class TestQuadraturePmf:
         fixed = pmf_table(t, lam, spec, kmax=table.kmax, method="quadrature")
         assert np.max(np.abs(table.values - fixed.values)) <= 1e-10
         assert abs(table.tail_bound - fixed.tail_bound) <= 1e-10
+
+    @staticmethod
+    def _doubling(t, lam, spec):
+        """Oracle for auto kmax: uncached rules at K = 63, 127, ..., 1023, 2000,
+        each table its own pmf_matrix pass, stopping at the first whose tail
+        column falls below 1e-10."""
+        k_rule, ts = 63, np.array([t])
+        while True:
+            rule = mixture_rule.__wrapped__(spec, lam, t, t, k_rule)
+            values = np.clip(rule.pmf_matrix(ts, np.arange(k_rule + 1))[:, 0], 0.0, 1.0)
+            tails = rule.tail_mass(ts, k_rule)[0] + np.append(np.cumsum(values[:0:-1])[::-1], 0.0)
+            below = np.flatnonzero(tails < 1e-10)
+            if below.size or k_rule == 2000:
+                kmax = int(below[0]) if below.size else 2000
+                route = {"nodes": int(rule.nodes.size), "tol": 1e-10}
+                return values[:kmax + 1], kmax, float(tails[kmax]), route
+            k_rule = min(2 * k_rule + 1, 2000)
+
+    @pytest.mark.parametrize("spec", [
+        Stable(0.3), Stable(0.7), InverseGaussian(1.0, 0.0),
+        Composition((Stable(0.5), Stable(0.5)))], ids=["stable0.3", "stable0.7", "ig-gamma0",
+                                                        "stable0.5^2"])
+    def test_infinite_mean_one_rule_matches_doubling(self, monkeypatch, spec):
+        # the PGF route's cap-first search, on frozen rules: stable(0.7) at
+        # t = 1e-8 starts the doubling (lambda 0.5) or falls back to it from
+        # the cap (lambda 20), as do stable(0.7) at t = 3e-8, lambda 2 (kmax
+        # 1446) and IG(1, 0) at t = 1e-9, lambda 20 (kmax 1272); every cell
+        # at t >= 1e-3 keeps the cap rule alone
+        assert spec.mean_rate() == math.inf
+        calls, rule = [], timechange.mixture_rule
+
+        def counted(spec, lam, t_lo, t_hi, kmax, *args):
+            calls.append(kmax)
+            return rule(spec, lam, t_lo, t_hi, kmax, *args)
+
+        monkeypatch.setattr(timechange, "mixture_rule", counted)
+        for t, lam in [(1e-9, 20.0), (1e-8, 0.5), (1e-8, 20.0), (3e-8, 2.0), (1e-3, 0.5),
+                       (1e-3, 20.0), (1.0, 0.5), (1.0, 20.0)]:
+            values, kmax, tail, route = self._doubling(t, lam, spec)
+            calls.clear()
+            table_cache.cache_clear()
+            table = pmf_table(t, lam, spec, method="quadrature")
+            assert table.values.tobytes() == values.tobytes()
+            assert (table.kmax, table.tail_bound, table.route) == (kmax, tail, route)
+            # the cap rule comes first unless the tail bound rules it out;
+            # a doubling after it reuses it at 2000
+            first = 2000 if timechange._cap_tail_bound(t, lam, spec) >= 2e-10 else 63
+            assert calls[0] == first and 2000 not in calls[1:]
+            if t >= 1e-3:  # the tail stays high: the cap rule is the table
+                assert calls == [2000]
+
+    @pytest.mark.parametrize("spec,lam,t,kmax", [
+        (InverseOf(InverseGaussian(1.0, 1.0)), 1.3, 0.9, 12),
+        (InverseOf(TemperedStable(0.3, 1.0)), 1.3, 2.1, None),
+        (Stable(0.7), 20.0, 1.0, None),
+        (TemperedStable(0.5, 50.0), 0.5, 100.0, None),
+    ], ids=["hitting-ig-kmax12", "inverse-tempered0.3", "stable0.7-cap", "tempered0.5-doubling"])
+    def test_one_column_table_is_the_settle_probe(self, monkeypatch, spec, lam, t, kmax):
+        # each pmf_matrix call is a settle level of a rule not yet returned:
+        # the table is the returned rule's last probe, not one more pass
+        probed, pmf_matrix = [], MixtureRule.pmf_matrix
+
+        def counted(self, ts, ks):
+            probed.append(self)
+            return pmf_matrix(self, ts, ks)
+
+        monkeypatch.setattr(MixtureRule, "pmf_matrix", counted)
+        mixture_rule.cache_clear()
+        table_cache.cache_clear()
+        table = pmf_table(t, lam, spec, kmax=kmax, method="quadrature")
+        assert len({id(r) for r in probed}) == len(probed)
+        k_rule = _doubling_kmax(table.kmax) if kmax is None else kmax
+        rule = mixture_rule(spec, lam, t, t, k_rule)
+        assert rule is probed[-1] and not rule.probe.flags.writeable
+        if kmax is not None:  # one rule: 96, 192, ... nodes, one pass each
+            assert len(probed) == int(math.log2(rule.nodes.size // 96)) + 1
+        want = rule.pmf_matrix([t], np.arange(k_rule + 1))
+        assert rule.probe.tobytes() == want.tobytes()
+        assert table.values.tobytes() == np.clip(want[:table.kmax + 1, 0], 0.0, 1.0).tobytes()
 
     def test_one_probe_column_when_window_is_one_time(self, monkeypatch):
         import tcpp.subordinators.spec as spec_module
@@ -682,7 +761,8 @@ class TestBlockedColumns:
 
 class TestDensityMemo:
     """A one-column table makes one density pass: the settled rule's last
-    probe, pmf_matrix and tail_mass share the (x, wd) of one weighted() call."""
+    probe is the table, and tail_mass shares its (x, wd) of one weighted()
+    call."""
 
     @pytest.mark.parametrize("name,spec,points", [
         ("inverse_tempered_density", InverseOf(TemperedStable(0.3, 1.0)), 288),
@@ -711,7 +791,7 @@ class TestDensityMemo:
             mixture_rule.cache_clear()
             table_cache.cache_clear()
             want = pmf_table(1.0, 1.0, spec, method="quadrature")
-        assert sum(counted) == points + 2 * want.route["nodes"]
+        assert sum(counted) == points + want.route["nodes"]
         counted.clear()
         mixture_rule.cache_clear()
         table_cache.cache_clear()
@@ -1317,6 +1397,36 @@ class TestRefusals:
             "quadrature-lambda-nan", "bessel-t-nan", "bessel-lambda-nan", "bessel-gamma-nan",
             "ig-spec-delta-nan", "tempered-spec-mu-nan"])
     def test_nan_is_refused_not_propagated(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: fractional_poisson_pmf(1.5, 1.0, 1.0, 0.97),
+        lambda: fractional_poisson_pmf(1.5, 1.0, 1.0, 0.5),
+        lambda: fractional_poisson_pmf(True, 1.0, 1.0, 0.97),
+        lambda: fractional_poisson_pmf(-1, 1.0, 1.0, 0.97),
+        lambda: fractional_poisson_pmf(0, math.nan, 1.0, 0.97),
+        lambda: fractional_poisson_pmf(0, 1.0, math.inf, 0.97),
+        lambda: pmf_bessel_ig(1.5, 1.0, 1.0, 1.0, 1.0),
+        lambda: pmf_bessel_ig(True, 1.0, 1.0, 1.0, 1.0),
+        lambda: pmf_bessel_ig(1, 1.0, 1.0, 1.0, math.inf),
+        lambda: pmf_bessel_ig(1, math.inf, 1.0, 1.0, 1.0),
+        lambda: pmf_bessel_ig(1, [1.0, math.inf], 1.0, 1.0, 1.0),
+        lambda: pmf_bessel_ig(1, 1.0, 1.0, math.inf, 1.0),
+        lambda: waiting_time_lt(math.nan, 1.0, 1.0, 1.0),
+        lambda: waiting_time_lt(True, 1.0, 1.0, 1.0),
+        lambda: waiting_time_lt(1.0, -1.0, 1.0, 1.0),
+        lambda: waiting_time_lt(1.0, 1.0, 0.0, 1.0),
+        lambda: waiting_time_lt(1.0, 1.0, 1.0, -1.0),
+        lambda: moments_ig(True, 1.0, 1.0, 1.0),
+    ], ids=["fractional-k-1.5-talbot", "fractional-k-1.5-quadrature", "fractional-k-bool",
+            "fractional-k-negative", "fractional-t-nan", "fractional-lambda-inf",
+            "bessel-k-1.5", "bessel-k-bool", "bessel-gamma-inf", "bessel-t-inf",
+            "bessel-t-array-inf", "bessel-delta-inf", "lt-s-nan", "lt-s-bool",
+            "lt-lambda-negative", "lt-delta-zero", "lt-gamma-negative", "moments-t-bool"])
+    def test_bad_input_is_a_domain_error(self, call):
+        # the shared rule (`errors.Domain`): k an integer >= 0, t, lambda,
+        # delta, s and the Bessel gamma finite and > 0, no bool for any
         with pytest.raises(DomainError):
             call()
 
