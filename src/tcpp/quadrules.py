@@ -5,16 +5,9 @@ family of integrals (one per grid time or per count index) must share a single
 discretization, so that the quadrature error varies smoothly with the family
 parameter instead of behaving like noise under finite differencing.
 
-Each n-point rule is built the way `scipy.special.roots_legendre` builds it:
-the eigenvalues of the Golub-Welsch Jacobi matrix, one Newton step on P_n,
-and log-normalized weights 1/(P_{n-1} P_n') made symmetric and summing to 2.
-The eigenvalues come from `numpy.linalg.eigvalsh`, where scipy calls
-`scipy.linalg.eigvals_banded`, and P_{n-1}, P_n from `_legendre`, scipy's own
-recurrence for `eval_legendre` at integer order written in numpy, so the
-package needs no scipy.  Every even n up to 198 (the rules in use have 12, 16
-and 96 points) gives scipy's rule bit for bit.  An odd n's middle node is 0,
-where scipy sums a power series in x instead (|x| < 1e-5); there the weight
-is within 4e-15 relative of scipy's.
+Each n-point rule is numpy's (`numpy.polynomial.legendre.leggauss`).  The
+orders in use are 12, on every frozen mixture rule's panels, and 96, on the
+stable engine's Zolotarev integral (`StableUnit`).
 """
 
 from __future__ import annotations
@@ -23,6 +16,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError
 
@@ -31,42 +25,13 @@ from .errors import ConvergenceError
 def gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n
     and returned read-only."""
-    k = np.arange(1.0, n)
-    # eigvalsh reads the lower triangle: the Jacobi matrix's subdiagonal is enough
-    xi = np.linalg.eigvalsh(np.diag(k * np.sqrt(1.0 / (4 * k * k - 1)), -1))
-    p_prev, p_n = _legendre(n, xi)
-    dp = (-n * xi * p_n + n * p_prev) / (1 - xi ** 2)
-    xi -= p_n / dp
-    p = _legendre(n, xi)[0]
-    for v in (p, dp):  # scale both factors to keep their product in range
-        log_v = np.log(np.abs(v))
-        v /= np.exp((log_v.max() + log_v.min()) / 2.0)
-    wi = 1.0 / (p * dp)
-    xi = (xi - xi[::-1]) / 2
-    wi = (wi + wi[::-1]) / 2
-    wi *= 2.0 / wi.sum()
+    xi, wi = leggauss(n)
     xi.flags.writeable = False
     wi.flags.writeable = False
     return xi, wi
 
 
-def _legendre(n: int, x):
-    """P_{n-1}(x) and P_n(x) for n >= 1 by scipy's `eval_legendre` recurrence
-    for integer order, operation for operation: d <- ((2k+1)/(k+1))(x-1)p +
-    (k/(k+1))d, p <- p + d from d = x - 1, p = P_1 = x."""
-    k = np.arange(1.0, n)
-    # each row ((2k+1)/(k+1))(x-1) with the bits of scipy's scalar products
-    scaled_xm1 = np.multiply.outer((2 * k + 1) / (k + 1), x - 1.0)
-    prev, p, d = np.ones_like(x), x.copy(), x - 1.0  # fresh arrays: callers scale them
-    term = np.empty_like(x)
-    for row, c in zip(scaled_xm1, (k / (k + 1)).tolist()):
-        d *= c
-        d += np.multiply(row, p, out=term)
-        prev, p = p, d + p
-    return prev, p
-
-
-def gauss_panels(edges: np.ndarray, nodes_per_panel: int = 16):
+def gauss_panels(edges: np.ndarray, nodes_per_panel: int = 12):
     """Composite Gauss-Legendre rule on the panels defined by ``edges``.
 
     Returns (x, w) with x strictly inside each panel.  Raises

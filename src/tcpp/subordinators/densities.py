@@ -305,7 +305,7 @@ def inverse_stable_cdf(x, t: float, beta: float):
     x = float(x)
     _positive("inverse_stable_cdf", x, t)
     v_hi = x * t ** (-beta)
-    nodes, w = gauss_panels(linear_panel_edges(0.0, v_hi, 48), 12)
+    nodes, w = gauss_panels(linear_panel_edges(0.0, v_hi, 48))
     return float(np.sum(w * inverse_stable_density(nodes, 1.0, beta)))
 
 

@@ -9,7 +9,8 @@ window) and its increment sampler.  `Composition` and
 `InverseOf` are combinators: a composition of stable laws answers as one
 stable law with the product of the indices, any other composition chains its
 parts' increments (and its inverse chains its parts' inverses), and an
-inverse asks its base for a hitting route (`hitting()`).
+inverse asks its base for a hitting route (`hitting()`; a clock that states
+none has a route with no density, whose draws raise NoDensityError).
 
 The JSON schema is the CLI's process-description contract:
 
@@ -134,7 +135,7 @@ class Clock:
         spaced from 0 when it has none; x_hi is the window's right end."""
         lo, hi = self.window(t_lo, t_hi, cut)
         nodes, weights = gauss_panels(linear_panel_edges(0.0, hi, n_panels) if lo is None
-                                      else log_panel_edges(lo, hi, n_panels), 12)
+                                      else log_panel_edges(lo, hi, n_panels))
         return nodes, weights, self.rule_density(nodes), hi
 
     def rule_density(self, nodes):
@@ -198,6 +199,11 @@ class SubordinatorSpec(Clock):
         """`paths` trajectories on t_grid from independent increments."""
         dts = np.diff(t_grid, prepend=0.0)
         return np.cumsum(self.increment(rng, np.broadcast_to(dts, (paths, dts.size))), axis=1)
+
+    def hitting(self):
+        """The hitting route of this clock's inverse; a clock that states
+        none gets one with no density, whose draws are refused."""
+        return _NoHitting(self)
 
 
 @dataclass(frozen=True)
@@ -460,6 +466,18 @@ class _Hitting(Clock):
 
     def draw(self, rng, t, n):
         return self.path(rng, np.array([t]), n)[:, 0]
+
+
+class _NoHitting(_Hitting):
+    """The hitting route of a clock that states none (`hitting`): the
+    quadrature route does not serve it, and its draws and paths raise
+    NoDensityError."""
+
+    def mixing_law(self):
+        return None
+
+    def path(self, rng, t_grid, paths):
+        raise NoDensityError(f"no hitting route samples the inverse of {self.base.label()}")
 
 
 class _InverseComposition(_Hitting):

@@ -80,7 +80,7 @@ class ResidualReport:
             "floor_limited": bool(self.floor_limited),
             "band": list(self.band),
             "scale": self.scale,
-            "extras": _jsonable(self.extras),
+            "extras": self.extras,
         }
 
     def to_json(self) -> str:
@@ -107,14 +107,3 @@ class ErrorReport:
             "traceback": self.traceback,
         }, indent=2)
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    return obj

@@ -1,12 +1,15 @@
 """Special-function oracles: closed identities and dual-route agreement."""
 
+import json
 import math
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sc
-from scipy.special import erfc, roots_legendre
+from scipy.special import erfc
 
 from oracles.transforms import laplace_numeric, mittag_leffler
 from tcpp import _erfcx_coef, specfun
@@ -16,29 +19,20 @@ from tcpp.specfun import caputo_derivative
 
 
 class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [12, 16, 96])
-    def test_rule_is_scipys_bit_for_bit(self, n):
-        # the orders in use; every frozen rule and table rests on these bits
-        x, w = gauss_legendre(n)
-        ref_x, ref_w = roots_legendre(n)
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
-        assert not x.flags.writeable and not w.flags.writeable
-
-    def test_every_even_order_is_scipys_bit_for_bit(self):
-        for n in range(2, 199, 2):
-            x, w = gauss_legendre(n)
-            ref_x, ref_w = roots_legendre(n)
-            assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), n
-
-    def test_odd_orders_differ_only_by_scipys_series_at_zero(self):
-        # scipy evaluates P_n by a power series at |x| < 1e-5, the middle node
-        # of an odd rule: the nodes keep its bits, and the weights, through
-        # that node's and their sum's rounding, stay within 4e-15 relative
-        for n in range(3, 200, 2):
-            x, w = gauss_legendre(n)
-            ref_x, ref_w = roots_legendre(n)
-            assert np.array_equal(x, ref_x), n
-            assert np.max(np.abs(w - ref_w) / ref_w) <= 4e-15, n
+    def test_rules_in_use_against_the_50_digit_oracle(self):
+        # the orders in use; written by tests/oracles/make_gauss_legendre.py
+        oracle = json.loads((Path(__file__).parent / "oracles" / "gauss_legendre.json").read_text())
+        for n, rule in oracle["rules"].items():
+            x, w = gauss_legendre(int(n))
+            ref_x = np.array([float(v) for v in rule["nodes"]])
+            ref_w = np.array([float(v) for v in rule["weights"]])
+            assert np.max(np.abs(x - ref_x)) <= 2e-16, n
+            assert np.max(np.abs(w - ref_w)) <= 4e-15, n
+            # the exact sum of the float weights, with no rounding of its own
+            assert abs(sum(map(Fraction, w.tolist())) - 2) <= 4e-16, n
+            assert not x.flags.writeable and not w.flags.writeable
+            again = gauss_legendre(int(n))
+            assert again[0] is x and again[1] is w
 
 
 def _mp(f, x, dps=40):

@@ -13,7 +13,7 @@ from scipy.special import erfc, gammaln
 import tcpp.timechange as timechange
 from oracles.poisson import poisson_pmf
 from oracles.transforms import mittag_leffler
-from tcpp.errors import ConvergenceError, DomainError, NoDensityError
+from tcpp.errors import POSITIVE, ConvergenceError, DomainError, NoDensityError
 from tcpp.specfun import log_gamma
 from tcpp.subordinators.densities import ig_density
 from tcpp.subordinators.sampling import rng_stream, sample, sample_path
@@ -1501,6 +1501,62 @@ class TestTinyTime:
             table = pmf_table(self.T, lam, spec)
         assert table.method == "quadrature" and table.kmax == 0
         assert table.tail_bound == pytest.approx(lam * mean, rel=1e-6)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Drift(SubordinatorSpec):
+    """A Levy clock that states only its exponent and increments, X(t) = c t,
+    and so no hitting route of its own."""
+
+    c: float
+    kind = "drift"
+    domains = {"c": POSITIVE}
+
+    def phi(self, s):
+        return self.c * np.asarray(s)
+
+    def increment(self, rng, dt):
+        return self.c * np.asarray(dt, dtype=float)
+
+
+class TestClockWithoutHittingRoute:
+    """The inverse of a clock with no `hitting()` is refused with
+    NoDensityError, never an AttributeError; the clock itself is served."""
+
+    INV = InverseOf(_Drift(2.0))
+
+    def test_pmf_table_refuses_and_names_mc(self):
+        with pytest.raises(NoDensityError, match="methods that serve it: mc"):
+            pmf_table(1.0, 1.0, self.INV)
+        with pytest.raises(NoDensityError, match="quadrature route does not serve"):
+            pmf_table(1.0, 1.0, self.INV, method="quadrature")
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: pmf_monte_carlo(1.0, 1.0, spec, 1000, seed=1),
+        lambda spec: sample(spec, 1.0, 3, seed=1),
+        lambda spec: sample_path(spec, [0.5, 1.0], 2, seed=1),
+    ], ids=["pmf_monte_carlo", "sample", "sample_path"])
+    def test_draws_are_refused(self, call):
+        with pytest.raises(NoDensityError, match="no hitting route"):
+            call(self.INV)
+
+    def test_cli_pmf_exits_3(self, monkeypatch, tmp_path, capsys):
+        from tcpp.cli import main
+        from tcpp.subordinators import spec as spec_module
+
+        monkeypatch.setitem(spec_module._KINDS, "drift", _Drift)
+        out = tmp_path / "p.csv"
+        rc = main(["pmf", "--spec", '{"type":"inverse","base":{"type":"drift","c":2}}',
+                   "--lambda", "1", "--t", "1", "--count", "1000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("error: ") and not out.exists()
+
+    def test_the_clock_itself_is_served_by_pgf(self):
+        # N(2t) is Poisson with mean 2 lam t
+        table = pmf_table(1.5, 1.0, _Drift(2.0))
+        assert table.method == "pgf"
+        want = np.array([poisson_pmf(k, 3.0, 1.0) for k in range(table.kmax + 1)])
+        assert np.max(np.abs(table.values - want)) <= 1e-12
 
 
 class TestMixedPoissonIdentity:
