@@ -6,14 +6,38 @@ Subcommands:
     verify    run a verification campaign, one residual report per request
     moments   closed-form IG time-change moments plus a pmf cross-check
 
-Exit codes: 0 success, 2 input error (a malformed or out-of-domain argument,
-spec or campaign config, or an output path that cannot be written), 3
-capability error (method not available for the spec, its route did not
-converge, or the request needs more memory than the machine gives), 4
-verification failure (a check failed, or raised: its report then has status
-"error").  The commands raise; `main` alone maps each error to its exit code,
-through `_EXIT_CODES`.  The TCPP_SEED environment variable provides a seed
-when --seed is absent.
+Exit codes: 0 success, 2 input error, 3 capability error, 4 verification
+failure.  The commands raise; `main` alone maps each error to its exit code,
+through `_EXIT_CODES`.
+
+- 2: a malformed or out-of-domain argument: a spec, `--t-grid` or campaign
+  config that cannot be read or parsed, or whose fields have the wrong type;
+  a `--t`, `--lambda` or `--t-grid` time that is NaN, infinite or not
+  positive; a `--kmax` outside [0, 2^20], which bounds a table's memory; a
+  `simulate --lambda` whose product with the largest clock value is past
+  numpy's Poisson sampler (`_POISSON_MAX`); an `--out` or `--out-dir` that
+  cannot be written.
+- 3: the method does not serve the spec (the error lists the methods that
+  do, `tcpp.timechange.ROUTES`); its route did not converge, as for a
+  quadrature node window narrower than float spacing (IG(1, 1e200)), an
+  inverse tempered clock whose tilt integrals would take more than 2^16
+  panels at one point, a `moments` table whose second-moment tail cannot be
+  bounded, or a table whose values and tail bound miss 1 by more than 1e-3;
+  a table without `--kmax` refused at the kmax cap (`table_cache`); or a
+  request that needs more memory than the machine gives (a Monte Carlo
+  sample numpy cannot allocate).
+- 4: a check failed, or raised: its report then has status "error", its
+  summary.csv row reads `error`, and the campaign goes on.
+
+A command that exits 2 or 3 writes nothing.  `verify` checks every request of
+a campaign config before any check runs (`_load_campaign`): a request is an
+object with keys among equation_id, params, grid and k_range, names a
+registered equation, and passes that equation's param domains, its points
+(`equation_points`) and `GridSpec`.  The checks run one after another.
+
+Every command is deterministic given its full flag set; the TCPP_SEED
+environment variable provides a seed when --seed is absent.  CSV output uses
+`.` decimals and 17 significant digits.
 """
 
 from __future__ import annotations

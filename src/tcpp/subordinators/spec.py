@@ -129,6 +129,11 @@ class Clock:
         exactly the clocks with one (`tcpp.timechange.ROUTES`)."""
         return self
 
+    def can_draw(self):
+        """Whether this clock's values can be drawn; the Monte Carlo route
+        serves exactly the clocks that can (`tcpp.timechange.ROUTES`)."""
+        return True
+
     def rule_nodes(self, t_lo, t_hi, cut, n_panels):
         """(nodes, weights, dens, x_hi): 12 Gauss points on each of n_panels
         panels over the window, log-spaced from its left end, or evenly
@@ -188,7 +193,9 @@ class SubordinatorSpec(Clock):
 
     def mean_rate(self):
         """E X(t) / t = phi'(0+), math.inf when the mean is infinite; None when
-        the clock does not say, which `pmf_table` treats as possibly finite."""
+        the clock does not say.  `pmf_table` searches K for such a clock by
+        doubling, as for a finite mean, but keeps a table that reaches the
+        kmax cap with its tail, as for an infinite one (`_finite_mean`)."""
         return None
 
     def phi(self, s):
@@ -431,6 +438,9 @@ class InverseOf(SubordinatorSpec):
     def mixing_law(self):
         return self.base.hitting().mixing_law()
 
+    def can_draw(self):
+        return self.base.hitting().can_draw()
+
     def draw(self, rng, t, n):
         return self.base.hitting().draw(rng, t, n)
 
@@ -469,12 +479,15 @@ class _Hitting(Clock):
 
 
 class _NoHitting(_Hitting):
-    """The hitting route of a clock that states none (`hitting`): the
-    quadrature route does not serve it, and its draws and paths raise
-    NoDensityError."""
+    """The hitting route of a clock that states none (`hitting`): neither
+    the quadrature nor the Monte Carlo route serves it, and its draws and
+    paths raise NoDensityError."""
 
     def mixing_law(self):
         return None
+
+    def can_draw(self):
+        return False
 
     def path(self, rng, t_grid, paths):
         raise NoDensityError(f"no hitting route samples the inverse of {self.base.label()}")

@@ -7,7 +7,17 @@ with gamma > 0, whose count law has a closed Bessel form (`_ig_count_logs`).
 Inverse clocks take the quadrature route below, which also serves as the
 independent oracle.  The routes are one table, `ROUTES`: each states which
 clocks it serves, "auto" takes the first that serves, and a route's refusal
-names every one that does.
+names every one that does.  So "auto" takes bessel for IG with gamma > 0,
+pgf for every other Levy clock, quadrature for an inverse clock with a
+density, and mc for one without (an inverse stable or tempered clock of
+index above 0.95, the inverse of a composition that is not stable).
+
+Without a kmax every route returns the smallest K <= 2000 whose tail bound
+P(N > K) is below 1e-10 (`pmf_table`), and a table records its route's
+diagnostics under `route`.  An inverse clock with a density is served at any
+t > 0: at t = 1e-200 its table has K = 0 and a tail of lambda E E(t) to first
+order (lambda t^beta / Gamma(1 + beta) for an inverse stable or tempered
+clock, lambda sqrt(2t/pi) / delta for the IG hitting time).
 
 The mixture identity P(N(X(t)) = k) = int p_k(x) dens_X(x, t) dx is evaluated
 against frozen composite Gauss-Legendre rules.  A rule's nodes are built once
@@ -586,23 +596,27 @@ def _search(table_at, t: float, lam: float, spec: SubordinatorSpec, kmax: int | 
     whose tail is below 1e-10 (`_first_below`), or 2000 when none is by the
     cap.  An infinite-mean clock (stable, IG(delta, 0), any composition with
     such a part) rarely has that tail before K = 2000, so its cap table comes
-    first, and is kept when every tail there is >= 2e-10: a smaller table
-    reads the same p_k up to its route's error (the PGF route's 1e-13
-    aliasing and ~1e-14 rounding a value, a frozen rule's 1e-10 settle), so
-    it could not have found a tail below 1e-10 either, and the table is the
-    one the doubling would end on.  Otherwise the doubling runs, reusing the
-    cap table if it gets there.  When `_cap_tail_bound` already puts
-    P(N > 2000) below 2e-10 (tiny t), the cap table could not be kept, and
-    the doubling runs without it.
+    first.  A smaller table reads the same p_k up to its route's error (the
+    PGF route's 1e-13 aliasing and ~1e-14 rounding a value, a frozen rule's
+    1e-10 settle), so it cannot read a tail below 1e-10 at a count where the
+    cap table reads >= 2e-10.  So the cap table is kept when every tail there
+    is >= 2e-10, and is the table the doubling would end on; otherwise the
+    doubling starts at the first K at or above the first count whose cap
+    tail is below 2e-10, as no smaller K could qualify, and reuses the cap
+    table if it gets there.  When `_cap_tail_bound` already puts P(N > 2000)
+    below 2e-10 (tiny t), the cap table could not be kept, and the doubling
+    runs from K = 63 without it.
     """
     if kmax is not None:
         return kmax, table_at(kmax)
-    tables = {}
+    tables, K = {}, _KMAX_START
     if spec.mean_rate() == math.inf and _cap_tail_bound(t, lam, spec) >= 2.0 * _TAIL_TARGET:
         tables[_KMAX_CAP] = table_at(_KMAX_CAP)
-        if np.all(tables[_KMAX_CAP][1] >= 2.0 * _TAIL_TARGET):
+        below = np.flatnonzero(tables[_KMAX_CAP][1] < 2.0 * _TAIL_TARGET)
+        if not below.size:
             return _KMAX_CAP, tables[_KMAX_CAP]
-    K = _KMAX_START
+        while K < below[0]:
+            K = min(2 * K + 1, _KMAX_CAP)
     while True:
         table = tables[K] if K in tables else table_at(K)
         kmax = _first_below(table[1])
@@ -738,12 +752,13 @@ Route = namedtuple("Route", "serves table")
 
 # Every pmf route, in the order "auto" tries them; their names are
 # `--method`'s.  Each predicate reads what the clock states: a closed Bessel
-# form, a Laplace exponent (every clock but an inverse one) or a mixing law.
+# form, a Laplace exponent (every clock but an inverse one), a mixing law or
+# whether it draws.
 ROUTES = {
     "bessel": Route(lambda spec: spec.bessel_params() is not None, _bessel_table),
     "pgf": Route(lambda spec: not isinstance(spec, InverseOf), _pgf_table),
     "quadrature": Route(lambda spec: spec.mixing_law() is not None, _quadrature_table),
-    "mc": Route(lambda spec: True, _mc_table),
+    "mc": Route(lambda spec: spec.can_draw(), _mc_table),
 }
 
 
@@ -755,15 +770,21 @@ def _serving(spec: SubordinatorSpec):
 
 @lru_cache(maxsize=64)
 def _auto(spec: SubordinatorSpec) -> str:
-    """The route "auto" takes: the first that serves spec.  Cached, so that a
-    table served from `table_cache` pays one lookup for its route."""
-    return next(_serving(spec))
+    """The route "auto" takes: the first that serves spec, NoDensityError
+    when none does.  Cached, so that a table served from `table_cache` pays
+    one lookup for its route."""
+    if (name := next(_serving(spec), None)) is None:
+        raise _refusal(spec, "no pmf route serves")
+    return name
 
 
 def _refusal(spec: SubordinatorSpec, why: str) -> NoDensityError:
-    """The refusal of a whole route: why, then every route that serves spec."""
+    """The refusal of a whole route: why, then every route that serves spec,
+    and where to run `mc` when it is one of them."""
+    names = list(_serving(spec))
+    hint = " (mc: pmf_monte_carlo)" if "mc" in names else ""
     return NoDensityError(f"{why} {spec.label()}; methods that serve it: "
-                          f"{', '.join(_serving(spec))} (mc: pmf_monte_carlo)")
+                          f"{', '.join(names) or 'none'}{hint}")
 
 
 def fractional_poisson_pmf(k: int, t: float, lam: float, beta: float) -> float:

@@ -17,8 +17,52 @@ A runner builds T and S once on the finest grid from a frozen quadrature rule
 or a closed form and returns the coefficients; one driver subsamples them to
 every dyadic level, so each level sees the same smooth function and the
 finite differences converge at their design order.  The outcome is graded
-pass when the residual falls with an estimated convergence order inside the
-entry's band, or when it is floor-limited below the noise floor.
+pass when the residual falls monotonically with an estimated convergence
+order inside the entry's band, or when it is floor-limited below the noise
+floor max(1e-9, 1e-12 scale); either needs at least 3 dyadic levels
+(`estimate_order`).
+
+The entries, each as T; its time operator sum_j a_j d^j/dt^j ("R": O(h^4)
+by Richardson extrapolation); its shifts sum_i c_i (1 - B)^i, B the shift;
+and S.  Below, p_k(0) = [k = 0], p'_k(0) = (-lam, lam, 0, ...), O_m is the
+origin source sum_{j<m} (-lam)^j [(1 - B)^j p(0)]_k u_j t^(-beta (m-j)/m) /
+Gamma(j/m) with beta = 1 and u_j = 1 unless stated (`_origin_sources`), and
+"x-ref" the five-point x-derivative:
+
+    prop2.1        IG-clock pmf; d_t^2 - 2 delta gamma d_t (R); 2 delta^2 lam (1 - B); 0
+    prop2.2        IG hitting-time pmf; d_t; [lam^2 (1 - B)^2 - 2 delta gamma lam (1 - B)]
+                   / (2 delta^2); p'_k(0) h(0, t) / (2 delta^2)
+    ig-density-pde IG density g(x, t); d_t^2 - 2 delta gamma d_t; none; 2 delta^2 d_x g (exact)
+    prop3.1(n)     pmf of the n-times iterated 1/2-stable clock, n = 1, 2, which is
+                   rmk4.1(2^n) at mu = 0; d_t^(2^n); lam (1 - B); 0
+    deblassie(1/m) 1/m-stable density, m = 2, 3, which is prop4.1(m) at mu = 0;
+                   (-1)^m d_t^m; none; d_x f (x-ref)
+    thm3.1(m)      inverse 1/m-stable pmf, m = 2, 3; d_t (R); (-lam)^m (1 - B)^m; O_m
+    cor3.1(n)      thm3.1 at m = 2^n, n = 1, 2
+    frac-dde(beta) fractional Poisson pmf, beta = 1/2, 1/4, which is prop3.2 at n = 0;
+                   Caputo d_t^beta; -lam (1 - B); 0
+    et-pde(2)      inverse 1/2-stable density m, which is inv-tempered-pde(2) at mu = 0;
+                   d_t; none; d_x^2 m (exact).  The boundary system m(0+, t) =
+                   t^(-1/2) / Gamma(1/2), d_x m(0, t) = 0, m(inf, t) = 0, read off
+                   the closed density at x = 0, goes to the report's extras
+    prop3.2        inverse stable pmf of overall index beta / 2^n; Caputo d_t^beta;
+                   (-lam)^(2^n) (1 - B)^(2^n); O_(2^n) with this beta and u_j =
+                   E[D(1)^(beta (2^n - j) / 2^n)].  The extras hold the residual
+                   with shift exponent 2^n - 1
+    prop4.1(m)     tempered 1/m-stable density, m = 2, 3;
+                   sum_{j=1}^m (-1)^j C(m, j) mu^(1 - j/m) d_t^j; none; d_x f (x-ref)
+    rmk4.1(2)      tempered 1/2-stable pmf (the runner takes any m, with the time
+                   operator of prop4.1(m)); d_t^2 - 2 sqrt(mu) d_t; lam (1 - B); 0
+    inv-tempered-pde(2)  inverse tempered 1/2-stable density, the hitting density
+                   h of IG(delta, gamma) at delta = 1/sqrt 2, gamma = sqrt(2 mu);
+                   2 delta^2 d_t (2 delta^2 = 1); none; d_x^2 h - 2 sqrt(mu) d_x h
+                   (exact, `_ig_hitting_source`)
+    prop4.2(2)     inverse tempered 1/2-stable pmf, which is prop2.2 at delta = 1/sqrt 2,
+                   gamma = sqrt(2 mu), the IG law that tempered(1/2, mu) equals; d_t;
+                   lam^2 (1 - B)^2 - 2 sqrt(mu) lam (1 - B); p'_k(0) m(0, t), which the
+                   paper's (2 sqrt(mu) p_k(0) + p'_k(0)) m(0, t) - p_k(0) d_x m(0, t)
+                   is, as d_x m(0, t) = 2 sqrt(mu) m(0, t).  The extras hold m(0, t_max)
+                   and that slope
 
 Each entry names the domain of each param (`errors.Domain`), and a request's
 params, grid fields (`GridSpec`) and space points x > 0 pass that one rule

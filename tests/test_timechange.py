@@ -420,7 +420,8 @@ class TestQuadraturePmf:
         # t = 1e-8 starts the doubling (lambda 0.5) or falls back to it from
         # the cap (lambda 20), as do stable(0.7) at t = 3e-8, lambda 2 (kmax
         # 1446) and IG(1, 0) at t = 1e-9, lambda 20 (kmax 1272); every cell
-        # at t >= 1e-3 keeps the cap rule alone
+        # at t >= 1e-3 keeps the cap rule alone.  A fallback asks for no K
+        # below the first count whose cap tail is below 2e-10
         assert spec.mean_rate() == math.inf
         calls, rule = [], timechange.mixture_rule
 
@@ -441,7 +442,15 @@ class TestQuadraturePmf:
             # a doubling after it reuses it at 2000
             first = 2000 if timechange._cap_tail_bound(t, lam, spec) >= 2e-10 else 63
             assert calls[0] == first and 2000 not in calls[1:]
+            if first == 2000 and calls[1:]:
+                cap = rule(spec, lam, t, t, 2000)
+                values = np.clip(cap.probe[:, 0], 0.0, 1.0)
+                tails = cap.tail_mass(np.array([t]), 2000)[0] + np.append(
+                    np.cumsum(values[:0:-1])[::-1], 0.0)
+                assert min(calls[1:]) >= np.flatnonzero(tails < 2e-10)[0]
             if t >= 1e-3:  # the tail stays high: the cap rule is the table
+                assert calls == [2000]
+            if (spec, t, lam) == (Stable(0.7), 1e-8, 20.0):  # no K below 2000 can qualify
                 assert calls == [2000]
 
     @pytest.mark.parametrize("spec,lam,t,kmax", [
@@ -1525,19 +1534,20 @@ class TestClockWithoutHittingRoute:
 
     INV = InverseOf(_Drift(2.0))
 
-    def test_pmf_table_refuses_and_names_mc(self):
-        with pytest.raises(NoDensityError, match="methods that serve it: mc"):
+    def test_pmf_table_refuses_and_names_no_route(self):
+        with pytest.raises(NoDensityError, match=r"no pmf route serves .*methods that serve "
+                                                 r"it: none$"):
             pmf_table(1.0, 1.0, self.INV)
         with pytest.raises(NoDensityError, match="quadrature route does not serve"):
             pmf_table(1.0, 1.0, self.INV, method="quadrature")
 
-    @pytest.mark.parametrize("call", [
-        lambda spec: pmf_monte_carlo(1.0, 1.0, spec, 1000, seed=1),
-        lambda spec: sample(spec, 1.0, 3, seed=1),
-        lambda spec: sample_path(spec, [0.5, 1.0], 2, seed=1),
+    @pytest.mark.parametrize("call,refusal", [
+        (lambda spec: pmf_monte_carlo(1.0, 1.0, spec, 1000, seed=1), "mc route does not serve"),
+        (lambda spec: sample(spec, 1.0, 3, seed=1), "no hitting route"),
+        (lambda spec: sample_path(spec, [0.5, 1.0], 2, seed=1), "no hitting route"),
     ], ids=["pmf_monte_carlo", "sample", "sample_path"])
-    def test_draws_are_refused(self, call):
-        with pytest.raises(NoDensityError, match="no hitting route"):
+    def test_draws_are_refused(self, call, refusal):
+        with pytest.raises(NoDensityError, match=refusal):
             call(self.INV)
 
     def test_cli_pmf_exits_3(self, monkeypatch, tmp_path, capsys):
@@ -1550,6 +1560,17 @@ class TestClockWithoutHittingRoute:
                    "--lambda", "1", "--t", "1", "--count", "1000", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3 and err.startswith("error: ") and not out.exists()
+        # no route serves, so the refusal names none, nor pmf_monte_carlo
+        assert err.rstrip().endswith("methods that serve it: none")
+
+    def test_unstated_mean_keeps_its_tail_at_the_cap(self):
+        # mean count 4000, far past the cap: an unstated mean is not refused
+        # there, as a finite one is
+        assert _Drift(2.0).mean_rate() is None
+        table = pmf_table(2000.0, 1.0, _Drift(2.0))
+        assert table.kmax == 2000 and table.tail_bound > 0.5
+        with pytest.raises(ConvergenceError, match="kmax cap"):
+            pmf_table(4000.0, 1.0, InverseGaussian(1.0, 1.0))
 
     def test_the_clock_itself_is_served_by_pgf(self):
         # N(2t) is Poisson with mean 2 lam t
