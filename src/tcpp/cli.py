@@ -36,7 +36,8 @@ registered equation, and passes that equation's param domains, its points
 (`equation_points`) and `GridSpec`.  The checks run one after another.
 
 Every command is deterministic given its full flag set; the TCPP_SEED
-environment variable provides a seed when --seed is absent.  CSV output uses
+environment variable provides a seed when --seed is absent.  A flag is taken
+only as spelled in full: a prefix such as `--lam` exits 2.  CSV output uses
 `.` decimals and 17 significant digits.
 """
 
@@ -258,14 +259,15 @@ def cmd_moments(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tcpp",
+        prog="tcpp", allow_abbrev=False,
         description="Time-changed Poisson processes: pmf tables, path simulation, "
                     "and numerical certification of the governing equations.",
     )
+    # a flag is taken only as spelled in full; subparsers do not inherit this
     sub = parser.add_subparsers(dest="command", required=True)
     seed = os.environ.get("TCPP_SEED", "0")  # a string default goes through type=int too
 
-    p = sub.add_parser("pmf", help="pmf table of N(X(t))")
+    p = sub.add_parser("pmf", allow_abbrev=False, help="pmf table of N(X(t))")
     p.add_argument("--spec", required=True, help="subordinator spec JSON (inline or file path)")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output file (.csv or .json)")
     p.set_defaults(fn=cmd_pmf)
 
-    p = sub.add_parser("simulate", help="sample paths on a time grid")
+    p = sub.add_parser("simulate", allow_abbrev=False, help="sample paths on a time grid")
     p.add_argument("--spec", required=True)
     p.add_argument("--t-grid", dest="t_grid", required=True,
                    help="'start:stop:num' or comma-separated times")
@@ -288,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run a residual-verification campaign")
+    p = sub.add_parser("verify", allow_abbrev=False, help="run a residual-verification campaign")
     p.add_argument("--config", default=None,
                    help="campaign JSON (default: every registered equation)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("moments", help="closed-form IG time-change moments")
+    p = sub.add_parser("moments", allow_abbrev=False, help="closed-form IG time-change moments")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)

@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConvergenceError, DivergenceError, DomainError
+from ..errors import NONNEGATIVE, POSITIVE, ConvergenceError, DivergenceError, DomainError
 from ..quadrules import gauss_legendre, gauss_panels, linear_panel_edges
 from ..specfun import erfcx, ndtr
 from .stable import _TINY, _check_beta, stable_unit
@@ -78,10 +78,26 @@ __all__ = [
 ]
 
 
-def _positive(name, *vals):
-    for v in vals:
-        if not np.all(np.asarray(v) > 0):  # refuses NaN as well
-            raise DomainError(f"{name} requires strictly positive arguments")
+def _checked(name, x, t, x_ok=lambda x: x > 0):
+    """x and t as float arrays, refused with DomainError unless x_ok holds
+    every x (x > 0 by default: +inf passes, NaN does not) and every t passes
+    the shared rule, finite and > 0 (`errors.POSITIVE`): an interval holds
+    every value when it holds the least and the greatest, and NaN reaches both."""
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    if not np.all(ok := x_ok(x)):
+        raise DomainError(f"{name} is not defined at x = {float(np.extract(~ok, x)[0])!r}")
+    for v in (t.min(), t.max()) if t.size else ():
+        POSITIVE.check(f"{name} t", float(v))
+    return x, t
+
+
+def _at_inf(x, limit: float, evaluate):
+    """evaluate(x) with `limit` (0 for a density, 1 for a cdf) where x is
+    +inf, which evaluate never sees: its arithmetic would meet inf / inf."""
+    far = np.asarray(x) == math.inf
+    if not np.any(far):
+        return evaluate(x)
+    return _float_if_scalar(np.where(far, limit, evaluate(np.where(far, 1.0, x))))
 
 
 # -- inverse Gaussian ---------------------------------------------------------
@@ -109,32 +125,37 @@ def ig_density(x, t, delta: float, gamma: float):
     The exponent -(delta t - gamma x)^2 / (2x) is one square, so it holds no
     difference of large terms at large gamma.  Broadcasts over both x and t.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    _positive("ig_density", x, t, delta)
-    if not gamma >= 0:
-        raise DomainError("ig_density requires gamma >= 0")
-    dt = delta * t
-    log_g = (
-        -0.5 * math.log(2.0 * math.pi)
-        + np.log(dt)
-        - 1.5 * np.log(x)
-        - (dt - gamma * x) ** 2 / (2.0 * x)
-    )
-    return np.exp(log_g)
+    x, t = _checked("ig_density", x, t)
+    dt = POSITIVE.check("ig_density delta", delta) * t
+    gamma = NONNEGATIVE.check("ig_density gamma", gamma)
+
+    def density(x):
+        log_g = (
+            -0.5 * math.log(2.0 * math.pi)
+            + np.log(dt)
+            - 1.5 * np.log(x)
+            - (dt - gamma * x) ** 2 / (2.0 * x)
+        )
+        return np.exp(log_g)
+    return _at_inf(x, 0.0, density)
 
 
 def ig_cdf(u, t: float, delta: float, gamma: float):
     """P(G(t) <= u): the hitting-time parts (`_hitting_ig_parts`) with process
     time t and level u, Phi(z1) + e^{2 delta gamma t} Phi(z2); 0 for u <= 0."""
-    u = np.asarray(u, dtype=float)
-    _positive("ig_cdf", t, delta)
-    out = np.zeros_like(u, dtype=float)
-    pos = u > 0
-    if np.any(pos):
-        z1, _, _, tail = _hitting_ig_parts("ig_cdf", t, u[pos], delta, gamma)
-        out[pos] = ndtr(z1) + tail
-    return np.clip(out, 0.0, 1.0)
+    # t, delta and gamma are checked here: the parts take t as their x, and
+    # are not formed when no u is > 0
+    u, t = _checked("ig_cdf", u, t, lambda u: ~np.isnan(u))
+    POSITIVE.check("ig_cdf delta", delta), NONNEGATIVE.check("ig_cdf gamma", gamma)
+
+    def cdf(u):
+        out = np.zeros_like(u, dtype=float)
+        pos = u > 0
+        if np.any(pos):
+            z1, _, _, tail = _hitting_ig_parts("ig_cdf", t, u[pos], delta, gamma)
+            out[pos] = ndtr(z1) + tail
+        return np.clip(out, 0.0, 1.0)
+    return _at_inf(u, 1.0, cdf)
 
 
 # -- stable and tempered stable ----------------------------------------------
@@ -168,8 +189,7 @@ def stable_density(x, t, beta: float):
 
     Broadcasts over x and t.
     """
-    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-    _positive("stable_density", x, t)
+    x, t = _checked("stable_density", x, t)
     with np.errstate(over="ignore"):  # an overflowing scale or u takes the log sum
         scale = t ** (-1.0 / beta)
         factors = (scale, _unit_pdf(x * scale, beta))
@@ -183,10 +203,9 @@ def _unit_pdf(u, beta: float):
 
 
 def stable_cdf(x, t: float, beta: float):
-    x = np.asarray(x, dtype=float)
-    _positive("stable_cdf", x, t)
+    x, t = _checked("stable_cdf", x, t)
     with np.errstate(over="ignore"):  # at tiny t, x t^(-1/beta) is inf and the cdf 1
-        return stable_unit(beta).cdf(x * np.asarray(t, dtype=float) ** (-1.0 / beta))
+        return stable_unit(beta).cdf(x * t ** (-1.0 / beta))
 
 
 def tempered_stable_density(x, t, beta: float, mu: float):
@@ -194,10 +213,8 @@ def tempered_stable_density(x, t, beta: float, mu: float):
 
     Broadcasts over x and t.
     """
-    x = np.asarray(x, dtype=float)
-    _positive("tempered_stable_density", x, t)
-    if not mu >= 0:
-        raise DomainError("tempered_stable_density requires mu >= 0")
+    x, t = _checked("tempered_stable_density", x, t)
+    mu = NONNEGATIVE.check("tempered_stable_density mu", mu)
     if mu == 0.0:
         return stable_density(x, t, beta)
     log_tilt = -mu * x + mu ** beta * t
@@ -208,10 +225,10 @@ def tempered_stable_density(x, t, beta: float, mu: float):
 
 def tempered_stable_cdf(x, t, beta: float, mu: float):
     """P(D_mu(t) <= x); broadcasts over x and t, a float for scalar arguments."""
-    _positive("tempered_stable_cdf", x, t)
-    if not mu >= 0:
-        raise DomainError("tempered_stable_cdf requires mu >= 0")
-    return _float_if_scalar(np.clip(_tempered_partial_moments(x, t, beta, mu)[0], 0.0, 1.0))
+    x, t = _checked("tempered_stable_cdf", x, t)
+    mu = NONNEGATIVE.check("tempered_stable_cdf mu", mu)
+    return _at_inf(x, 1.0, lambda x: _float_if_scalar(
+        np.clip(_tempered_partial_moments(x, t, beta, mu)[0], 0.0, 1.0)))
 
 
 # the most unit-density points evaluated in one pass (bounds the working
@@ -289,8 +306,7 @@ def inverse_stable_density(x, t, beta: float):
     m(x,t) = (t/beta) f(t x^(-1/beta), 1) x^(-1-1/beta); approaches
     t^(-beta)/Gamma(1-beta) as x -> 0+.  Broadcasts over x and t.
     """
-    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-    _positive("inverse_stable_density", x, t)
+    x, t = _checked("inverse_stable_density", x, t)
     _check_beta(beta)
     with np.errstate(over="ignore"):  # overflowing powers of x take the log sum
         factors = (t / beta, _unit_pdf(t * x ** (-1.0 / beta), beta), x ** (-1.0 - 1.0 / beta))
@@ -304,8 +320,9 @@ def inverse_stable_cdf(x, t: float, beta: float):
     Uses the substitution u = t^beta v, under which m(u,t) du = m(v,1) dv,
     integrated on 48 panels of 12 Gauss points.
     """
-    x = float(x)
-    _positive("inverse_stable_cdf", x, t)
+    x, t = map(float, _checked("inverse_stable_cdf", x, t))
+    if x == math.inf:
+        return 1.0
     v_hi = x * t ** (-beta)
     nodes, w = gauss_panels(linear_panel_edges(0.0, v_hi, 48))
     return float(np.sum(w * inverse_stable_density(nodes, 1.0, beta)))
@@ -321,10 +338,11 @@ def inverse_tempered_density(x, t, beta: float, mu: float):
     hitting_time_density_ig; other indices take the tilt identity of the
     module docstring.  Broadcasts over x and t.
     """
-    _positive("inverse_tempered_density", x, t)
+    x, t = _checked("inverse_tempered_density", x, t)
+    mu = NONNEGATIVE.check("inverse_tempered_density mu", mu)
     if beta == 0.5:
         return hitting_time_density_ig(x, t, *tempered_half_as_ig(mu))
-    return _inverse_tempered_tilt(x, t, beta, mu)
+    return _at_inf(x, 0.0, lambda x: _inverse_tempered_tilt(x, t, beta, mu))
 
 
 def tempered_half_as_ig(mu: float):
@@ -346,9 +364,10 @@ def inverse_tempered_cdf(x, t, beta: float, mu: float):
 
     Broadcasts over x and t; a float for scalar arguments.
     """
-    _positive("inverse_tempered_cdf", x, t)
+    x, t = _checked("inverse_tempered_cdf", x, t)
+    mu = NONNEGATIVE.check("inverse_tempered_cdf mu", mu)
     if beta != 0.5:
-        return 1.0 - tempered_stable_cdf(t, x, beta, mu)
+        return _at_inf(x, 1.0, lambda x: 1.0 - tempered_stable_cdf(t, x, beta, mu))
     cdf = hitting_time_cdf_ig(x, t, *tempered_half_as_ig(mu))
     return _float_if_scalar(cdf.reshape(np.broadcast(x, t).shape))
 
@@ -365,11 +384,10 @@ def _hitting_ig_parts(name, x, t, delta: float, gamma: float):
     with the Mills ratio R(a) = Phi(-a)/phi(a) = sqrt(pi/2) erfcx(a/sqrt 2),
     so no large exponential is ever formed.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = np.asarray(t, dtype=float)
-    _positive(name, t, delta)
-    if not (np.all(x >= 0) and gamma >= 0):
-        raise DomainError(f"{name} requires x >= 0 and gamma >= 0")
+    x, t = _checked(name, x, t, lambda x: x >= 0)
+    x = np.atleast_1d(x)
+    delta = POSITIVE.check(f"{name} delta", delta)
+    gamma = NONNEGATIVE.check(f"{name} gamma", gamma)
     st = np.sqrt(t)
     z1 = (gamma * t - delta * x) / st
     phi = np.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)

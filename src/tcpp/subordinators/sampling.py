@@ -1,9 +1,11 @@
 """Exact samplers for every time-change process.
 
 RNG discipline: every sampler draws from a PCG64 generator seeded by
-SeedSequence([seed, stream]) (`rng_stream`).  Batches are reproducible for a
-given (spec, t, seed, stream, count) regardless of what else ran before, and
-SeedSequence's hashing keeps the streams of one seed independent.  Every
+SeedSequence([seed, stream]) (`rng_stream`).  `sample` and `sample_path`
+draw the clock from stream 0; the Monte Carlo counts (`tcpp.timechange`,
+`tcpp simulate --lambda`) come from stream 1, and SeedSequence's hashing
+keeps the two independent.  Batches are reproducible for a given (spec, t,
+seed, count) regardless of what else ran before.  Every
 seeded value changed once, with the same law, when PCG64 replaced Philox.
 
 Single-t draws are made 2^14 values at a time (`_in_blocks`), so a sampler's
@@ -487,17 +489,17 @@ def sample(
     t: float,
     count: int,
     seed: int,
-    stream: int = 0,
     rtol: float = 1e-4,
 ) -> SampleBatch:
-    """Draw `count` values of the process at time t; reproducible per seed.
+    """Draw `count` values of the process at time t from stream 0 of the
+    seed (`rng_stream`).
 
     rtol is accepted and unused: every route is exact.  It must still lie
     in (0, 1).  t, count and rtol pass the shared rule (`errors.Domain`).
     """
     t, count = POSITIVE.check("t", t), integers(1).check("count", count)
     UNIT_INTERVAL.check("rtol", rtol)
-    values = spec.draw(rng_stream(seed, stream), t, count)
+    values = spec.draw(rng_stream(seed, 0), t, count)
     return SampleBatch(spec=spec, t=t, seed=int(seed), values=values)
 
 
@@ -506,10 +508,10 @@ def sample_path(
     t_grid,
     paths: int,
     seed: int,
-    stream: int = 0,
     rtol: float = 1e-4,
 ) -> np.ndarray:
-    """Sample `paths` trajectories on the grid; rows are nondecreasing.
+    """Sample `paths` trajectories on the grid from stream 0 of the seed
+    (`rng_stream`); rows are nondecreasing.
 
     Plain subordinators and compositions accumulate independent increments;
     inverse processes take their base's hitting route: a Brownian running
@@ -525,4 +527,4 @@ def sample_path(
         raise DomainError("t_grid must be finite, positive and strictly increasing")
     paths = integers(1).check("paths", paths)
     UNIT_INTERVAL.check("rtol", rtol)
-    return spec.path(rng_stream(seed, stream), t_grid, paths)
+    return spec.path(rng_stream(seed, 0), t_grid, paths)

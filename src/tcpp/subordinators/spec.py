@@ -2,10 +2,13 @@
 
 Each process class owns everything tcpp does with its clock: its Laplace
 exponent phi(s), with E e^{-s X(t)} = e^{-t phi(s)}, its mean rate phi'(0+),
-its density, the pieces of a frozen quadrature rule for the Poisson mixture
-(the node window and t-free density factor that `Clock.rule_nodes` lays
-nodes on, the per-t (x, weight * density) and the survivor mass beyond the
-window) and its increment sampler.  `Composition` and
+the pieces of a frozen quadrature rule for the Poisson mixture (the node
+window that `Clock.rule_nodes` lays nodes on, the per-t (x, weight *
+density) and the survivor mass beyond the window) and its increment
+sampler.  A rule's density comes from one of two statements (`Clock`): the
+IG clock and the IG and inverse-tempered hitting routes state a density
+m(x, t); the stable and tempered clocks and the inverse-stable route state
+a t-free density factor on scaled nodes instead.  `Composition` and
 `InverseOf` are combinators: a composition of stable laws answers as one
 stable law with the product of the indices, any other composition chains its
 parts' increments (and its inverse chains its parts' inverses), and an
@@ -51,9 +54,7 @@ from .densities import (
     ig_exponent,
     inverse_stable_density,
     inverse_tempered_density,
-    stable_density,
     tempered_half_as_ig,
-    tempered_stable_density,
 )
 from .sampling import (
     _DRAW_BLOCK,
@@ -119,8 +120,10 @@ class Clock:
     `rule_nodes(t_lo, t_hi, cut, n_panels)` returned, and asks the clock that
     built it for `weighted(rule, t)` and `survivor(rule, t)`.  A clock states
     its node window, `window(t_lo, t_hi, cut)` -> (lo, hi) with lo None for a
-    window from 0, and, where it has one, its t-free density factor,
-    `rule_density(nodes)`.
+    window from 0, and either its density, `density(x, t)`, which the default
+    `weighted` reads (IG, the IG and inverse-tempered hitting routes), or a
+    t-free density factor, `rule_density(nodes)`, with its own `weighted`
+    that maps the nodes to x at each t (stable, tempered, inverse stable).
     """
 
     def mixing_law(self):
@@ -270,9 +273,6 @@ class Stable(SubordinatorSpec):
     def phi(self, s):
         return np.asarray(s, dtype=complex) ** self.beta
 
-    def density(self, x, t):
-        return stable_density(x, t, self.beta)
-
     def window(self, t_lo, t_hi, cut):
         # nodes in y = x t^(-1/b): the window and the density factor are t-free.
         # D(t) has no exponential moment, so no Chernoff end on the right: the
@@ -315,9 +315,6 @@ class TemperedStable(SubordinatorSpec):
         return (np.asarray(s, dtype=complex) + mu) ** b - mu ** b
 
     mixing_law = Stable.mixing_law
-
-    def density(self, x, t):
-        return tempered_stable_density(x, t, self.beta, self.mu)
 
     def window(self, t_lo, t_hi, cut):
         # nodes in y = x t^(-1/b), as for the stable clock.  The weights
@@ -510,9 +507,6 @@ class _InverseComposition(_Hitting):
 class _InverseStable(_Hitting):
     """Inverse stable clock: density and single-t draws by scaling, exact
     paths (a Brownian running maximum at index 1/2, else first passages)."""
-
-    def density(self, x, t):
-        return inverse_stable_density(x, t, self.base.beta)
 
     def window(self, t_lo, t_hi, cut):
         # nodes in v = x t^(-b); P(E(1) > v) = P(D(v) < 1) <= exp(-a0 v^(1/(1-b)))

@@ -341,7 +341,7 @@ class StableUnit:
     @staticmethod
     def _valid(x, name: str):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x <= 0):
+        if not np.all(x > 0):  # refuses NaN as well; +inf passes
             raise DomainError(f"stable {name} requires x > 0")
         return x
 

@@ -79,10 +79,14 @@ __all__ = [
 _LOG_CUT = 50.0
 _K_BLOCK = 128
 _T_BLOCK = 16
-# Past this many terms a block's union band leaves the cache.  Only many-column
-# tables with many counts get there: a `verify` request with a large k_range
-# (registry `_pmf_tables`).  Stable(0.7) at lam 20, kmax 2000 on 37 columns:
-# 0.09-0.13 s CPU per column band and 0.095-0.13 s on the union (2 cores;
+# Past this many terms a block's union band leaves the cache, and the block is
+# summed column by column.  One-column tables of many counts on wide bands get
+# there as well as many-column ones: over the test suite, 739 of the blocks
+# that did were single-column and 209 multi-column (a `verify` request with a
+# large k_range, registry `_pmf_tables`), while the default `tcpp verify`
+# took it in none of its 210 `_poisson_mix` calls and a pmf-mix benchmark
+# round (seed 1) in none of its 18.  Stable(0.7) at lam 20, kmax 2000 on 37
+# columns: 0.09-0.13 s CPU per column band and 0.095-0.13 s on the union (2 cores;
 # 0.20-0.22 s on the union with direct rows), so the union's wider buffer buys
 # nothing past this size.
 _UNION_CELLS = 1 << 16
@@ -442,11 +446,6 @@ class PmfTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PmfTable":
-        method = d.get("method", "quadrature")
-        route = d.get("route")
-        if route is None:  # the older form kept only the quadrature tolerance
-            old_tol = d.get("tolerances", {}).get("quadrature_abs")
-            route = {"tol": float(old_tol)} if method == "quadrature" and old_tol else {}
         return cls(
             spec=spec_from_dict(d["spec"]),
             lam=POSITIVE.check("lambda", d["lambda"]),
@@ -456,8 +455,8 @@ class PmfTable:
             tail_bound=FINITE.check("tail_bound", d["tail_bound"]),
             stderr=None if d.get("stderr") is None else np.asarray(d["stderr"], dtype=float),
             seed=None if d.get("seed") is None else integers().check("seed", d["seed"]),
-            method=method,
-            route=route,
+            method=d["method"],
+            route=d["route"],
         )
 
     def to_json(self) -> str:
@@ -556,7 +555,8 @@ def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
     normalized by `pmf_table` or `pmf_monte_carlo` (`_request`) before the
     lookup.  Equal numbers make one key, so t = 1 and t = 1.0 share a
     table.  A raised error is not kept.  An entry holds the immutable table
-    alone, never the clock draws behind it.
+    alone, never the clock draws behind it.  The table's `method` is the
+    route's name.
     `table_cache.cache_clear()` empties the cache.
 
     A route that does not serve the spec is refused with NoDensityError
@@ -578,7 +578,7 @@ def table_cache(route: str, t: float, lam: float, spec: SubordinatorSpec,
     if kmax is None and fields["kmax"] == _KMAX_CAP and tail > 1e-3 and _finite_mean(spec):
         raise ConvergenceError(f"{where} reached the kmax cap of {_KMAX_CAP} with tail bound "
                                f"{tail:.3g}; give a larger --kmax")
-    return PmfTable(spec=spec, lam=lam, t=t, **fields)
+    return PmfTable(spec=spec, lam=lam, t=t, method=route, **fields)
 
 
 def _finite_mean(spec: SubordinatorSpec) -> bool:
@@ -638,7 +638,7 @@ def _quadrature_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | 
 
     kmax, (values, tails, route) = _search(table_at, t, lam, spec, kmax)
     return {"kmax": kmax, "values": values[:kmax + 1], "tail_bound": float(tails[kmax]),
-            "method": "quadrature", "route": route}
+            "route": route}
 
 
 def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
@@ -654,7 +654,7 @@ def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None
             break
     values = np.array(ps)
     return {"kmax": values.size - 1, "values": values,
-            "tail_bound": max(0.0, 1.0 - float(values.sum())), "method": "bessel"}
+            "tail_bound": max(0.0, 1.0 - float(values.sum()))}
 
 
 _PGF_DIGITS = 13
@@ -712,23 +712,23 @@ def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -
                                f"{np.min(raw):.3g} below -1e-12")
     values = np.clip(raw, 0.0, 1.0)
     return {"kmax": kmax, "values": values,
-            "tail_bound": max(0.0, 1.0 - float(np.sum(values))) + _PGF_ALIAS, "method": "pgf",
-            "route": route}
+            "tail_bound": max(0.0, 1.0 - float(np.sum(values))) + _PGF_ALIAS, "route": route}
 
 
 def _mc_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
               count: int, seed: int) -> dict:
     """Monte Carlo table fields from `count` clock draws and Poisson draws.
 
-    The clock values, drawn by `sample` on stream 0, become the Poisson means
-    in place.  The counts are drawn from stream 1, _DRAW_BLOCK at a time,
-    into one histogram of 0..top and a last bin for every count above top,
-    top = kmax, or the 2000 cap without kmax.  Without kmax, kmax follows
-    `pmf_table`'s rule for every route: the tail bound P(N > k) is the share
-    of draws above k, which for any count below 1e10 first falls below 1e-10
-    at the largest count drawn, so kmax is that count, or 2000 if larger.
+    The clock values, drawn by `sample` (stream 0 of the seed), become the
+    Poisson means in place.  The counts are drawn from stream 1 of the seed,
+    _DRAW_BLOCK at a time, into one histogram of 0..top and a last bin for
+    every count above top, top = kmax, or the 2000 cap without kmax.
+    Without kmax, kmax follows `pmf_table`'s rule for every route: the tail
+    bound P(N > k) is the share of draws above k, which for any count below
+    1e10 first falls below 1e-10 at the largest count drawn, so kmax is that
+    count, or 2000 if larger.
     """
-    means = sample(spec, t, count, seed, stream=0).values
+    means = sample(spec, t, count, seed).values
     # heavy-tailed clocks produce astronomically large means in a few draws;
     # those land in the tail bin regardless, so cap the Poisson argument
     np.multiply(means, lam, out=means)
@@ -743,11 +743,12 @@ def _mc_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
         kmax = min(int(np.flatnonzero(hist)[-1]), _KMAX_CAP)
     values = hist[: kmax + 1] / count
     return {"kmax": kmax, "values": values, "tail_bound": float(hist[kmax + 1:].sum() / count),
-            "stderr": np.sqrt(values * (1.0 - values) / count), "seed": seed, "method": "mc"}
+            "stderr": np.sqrt(values * (1.0 - values) / count), "seed": seed}
 
 
 # One pmf route: `serves(spec)`, whether it computes the law of N(X(t)) on
-# that clock, and `table(t, lam, spec, kmax, *args)`, its table fields
+# that clock, and `table(t, lam, spec, kmax, *args)`, its table fields but
+# the method, which `table_cache` writes
 Route = namedtuple("Route", "serves table")
 
 # Every pmf route, in the order "auto" tries them; their names are

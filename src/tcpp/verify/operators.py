@@ -16,15 +16,14 @@ from ..errors import DomainError, GridTooCoarseError
 __all__ = ["shift_power", "central_difference", "estimate_order"]
 
 
-def shift_power(values, j: int, axis: int = 0):
-    """(1 - shift)^j across the count index: sum_i (-1)^i C(j,i) v_{k-i}.
+def shift_power(values, j: int):
+    """(1 - shift)^j across the count index, axis 0: sum_i (-1)^i C(j,i) v_{k-i}.
 
     Entries with k < 0 are zero by convention.
     """
     if j < 0:
         raise DomainError("shift power j must be >= 0")
     v = np.asarray(values, dtype=float)
-    v = np.moveaxis(v, axis, 0)
     out = np.zeros_like(v)
     for i in range(j + 1):
         coeff = (-1.0) ** i * math.comb(j, i)
@@ -32,7 +31,7 @@ def shift_power(values, j: int, axis: int = 0):
             out += coeff * v
         else:
             out[i:] += coeff * v[:-i]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 _STENCILS = {

@@ -221,7 +221,7 @@ def _levels(grid: GridSpec, ks, pb: _Problem):
         stride = 2 ** (L - 1 - lev)
         sl = slice(stride - 1 if caputo else 0, None, stride)
         tl, T = t_fine[sl], pb.T[:, sl]
-        rhs = sum(c * shift_power(T, i, axis=0) for i, c in pb.shifts.items())
+        rhs = sum(c * shift_power(T, i) for i, c in pb.shifts.items())
         if pb.S is not None:
             rhs = rhs + pb.S[:, sl]
         if caputo:
@@ -311,7 +311,7 @@ def _eq_prop32(params, grid, ks):
                         u=lambda j: stable_moment(beta, beta * (two_n - j) / two_n))
 
     def alternative(lhs, T, S):
-        alt = lam ** two_n * shift_power(T, two_n - 1, axis=0) + S
+        alt = lam ** two_n * shift_power(T, two_n - 1) + S
         return {"alternative_shift_exponent_max_residual": float(np.max(np.abs(lhs - alt)))}
 
     return _Problem(Q, beta, {two_n: (-lam) ** two_n}, S, extras=alternative if n else None)

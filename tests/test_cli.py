@@ -592,6 +592,21 @@ _CLOCKS.update({f"inverse-{name}": {"type": "inverse", "base": clock}
 _METHODS = ["auto", "bessel", "pgf", "quadrature", "mc"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--spec", IG_SPEC, "--lam", "1", "--t", "1", "--out", "{tmp}/t.csv"],
+    ["simulate", "--spec", IG_SPEC, "--t-grid", "0.5,1", "--pa", "2", "--out", "{tmp}/s.csv"],
+    ["verify", "--out", "{tmp}/v", "--config", "{tmp}/cfg.json"],
+    ["moments", "--lambda", "1", "--del", "1", "--gamma", "1", "--t", "1", "--out", "{tmp}/m"],
+], ids=["pmf", "simulate", "verify", "moments"])
+def test_flag_prefixes_are_refused(tmp_path, argv):
+    # each subcommand takes a flag only as spelled in full: --lam is not --lambda
+    (tmp_path / "cfg.json").write_text('[{"equation_id": "prop2.1"}]')
+    with pytest.raises(SystemExit) as exit_:
+        main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert exit_.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_method_choices_are_auto_and_the_route_names():
     assert list(ROUTES) == _METHODS[1:]
     with pytest.raises(SystemExit):

@@ -285,6 +285,16 @@ class TestStableDensity:
             warnings.simplefilter("error")
             assert float(stable_cdf(1.0, 1e-40, beta)[0]) == 1.0
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5])
+    def test_unit_law_refuses_nan_and_keeps_inf(self, beta):
+        # NaN is not x > 0; +inf is, with density 0, cdf 1 and survivor 0
+        su = stable_unit(beta)
+        for evaluate in (su.pdf, su.log_pdf, su.cdf, su.sf):
+            with pytest.raises(DomainError, match="x > 0"):
+                evaluate(np.array([1.0, math.nan]))
+        at_inf = [float(f(math.inf)[0]) for f in (su.pdf, su.cdf, su.sf)]
+        assert at_inf == [0.0, 1.0, 0.0]
+
     @staticmethod
     def _lead(x, t, beta):
         # the leading right-tail term beta t x^(-1-beta) / Gamma(1-beta)
@@ -609,6 +619,40 @@ def test_past_the_engine_the_density_refusal_names_no_route(law):
     with pytest.raises(NoDensityError, match="density engine supports beta <= 0.95") as err:
         law()
     assert not re.search(r"\b(bessel|pgf|quadrature|mc|method)\b", str(err.value))
+
+
+_EVALUATORS = [
+    (ig_density, (1.0, 1.0), 0.0),
+    (ig_cdf, (1.0, 1.0), 1.0),
+    (stable_density, (0.7,), 0.0),
+    (stable_cdf, (0.7,), 1.0),
+    (tempered_stable_density, (0.7, 1.0), 0.0),
+    (tempered_stable_cdf, (0.7, 1.0), 1.0),
+    (inverse_stable_density, (0.7,), 0.0),
+    (inverse_stable_cdf, (0.7,), 1.0),
+    (inverse_tempered_density, (0.7, 1.0), 0.0),
+    (inverse_tempered_cdf, (0.7, 1.0), 1.0),
+    (hitting_time_density_ig, (1.0, 1.0), 0.0),
+    (hitting_time_cdf_ig, (1.0, 1.0), 1.0),
+]
+
+
+@pytest.mark.parametrize("evaluate, params, limit", _EVALUATORS,
+                         ids=[case[0].__name__ for case in _EVALUATORS])
+def test_non_finite_arguments(evaluate, params, limit):
+    # x = +inf gives the limit, 0 for a density and 1 for a cdf; a NaN x, a
+    # non-finite t and a non-finite parameter are refused; nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(np.squeeze(evaluate(math.inf, 1.0, *params))) == limit
+        with pytest.raises(DomainError):
+            evaluate(math.nan, 1.0, *params)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="t = "):
+                evaluate(1.0, bad, *params)
+            for i in range(len(params)):
+                with pytest.raises(DomainError):
+                    evaluate(1.0, 1.0, *params[:i], bad, *params[i + 1:])
 
 
 class TestDensitiesBroadcastInTime:

@@ -1210,17 +1210,6 @@ class TestPmfTableSerialization:
         assert "tolerances" not in d
         assert PmfTable.from_dict(json.loads(table.to_json())).route == d["route"]
 
-    def test_loads_older_json(self):
-        # the form written before route diagnostics: one quadrature tolerance
-        d = pmf_table(1.0, 1.0, TemperedStable(0.5, 1.0), kmax=12,
-                      method="quadrature").to_dict()
-        del d["route"]
-        d["tolerances"] = {"quadrature_abs": 1e-10}
-        table = PmfTable.from_dict(d)
-        assert table.method == "quadrature" and table.route == {"tol": 1e-10}
-        d.update(method="mc", stderr=[0.0] * 13, seed=3)
-        assert PmfTable.from_dict(d).route == {}
-
     @pytest.mark.parametrize("field, value", [
         ("kmax", 3.7), ("kmax", -1), ("kmax", "12"), ("lambda", "1"), ("lambda", 0.0),
         ("t", True), ("t", None), ("tail_bound", "0"), ("seed", 1.5), ("seed", False),

@@ -41,7 +41,7 @@ class TestShiftPower:
 
     def test_2d_axis(self):
         v = np.arange(12, dtype=float).reshape(4, 3)
-        out = shift_power(v, 1, axis=0)
+        out = shift_power(v, 1)
         assert np.allclose(out[1:], v[1:] - v[:-1])
         assert np.allclose(out[0], v[0])
 
