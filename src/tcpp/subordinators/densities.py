@@ -140,21 +140,18 @@ def ig_density(x, t, delta: float, gamma: float):
     return _at_inf(x, 0.0, density)
 
 
-def ig_cdf(u, t: float, delta: float, gamma: float):
+def ig_cdf(u, t, delta: float, gamma: float):
     """P(G(t) <= u): the hitting-time parts (`_hitting_ig_parts`) with process
-    time t and level u, Phi(z1) + e^{2 delta gamma t} Phi(z2); 0 for u <= 0."""
-    # t, delta and gamma are checked here: the parts take t as their x, and
-    # are not formed when no u is > 0
+    time t and level u, Phi(z1) + e^{2 delta gamma t} Phi(z2); 0 for u <= 0.
+    Broadcasts over u and t."""
     u, t = _checked("ig_cdf", u, t, lambda u: ~np.isnan(u))
-    POSITIVE.check("ig_cdf delta", delta), NONNEGATIVE.check("ig_cdf gamma", gamma)
 
     def cdf(u):
-        out = np.zeros_like(u, dtype=float)
+        # the parts, which check delta and gamma, at level 1 where u <= 0
         pos = u > 0
-        if np.any(pos):
-            z1, _, _, tail = _hitting_ig_parts("ig_cdf", t, u[pos], delta, gamma)
-            out[pos] = ndtr(z1) + tail
-        return np.clip(out, 0.0, 1.0)
+        z1, _, _, tail = _hitting_ig_parts("ig_cdf", t, np.where(pos, u, 1.0), delta, gamma)
+        return np.clip(np.where(pos, ndtr(z1) + tail, 0.0).reshape(np.broadcast(u, t).shape),
+                       0.0, 1.0)
     return _at_inf(u, 1.0, cdf)
 
 
@@ -314,18 +311,21 @@ def inverse_stable_density(x, t, beta: float):
     return _product_or_log_sum(factors, t, x, beta, np.log(t / beta) - np.log(x))
 
 
-def inverse_stable_cdf(x, t: float, beta: float):
+def inverse_stable_cdf(x, t, beta: float):
     """P(E(t) <= x) by quadrature of m(.,t) (independent of the duality route).
 
     Uses the substitution u = t^beta v, under which m(u,t) du = m(v,1) dv,
-    integrated on 48 panels of 12 Gauss points.
+    integrated over [0, x t^(-beta)] on 48 panels of 12 Gauss points.
+    Broadcasts over x and t, one point's rule at a time, so the working
+    arrays do not grow with the points; a float for scalar arguments.
     """
-    x, t = map(float, _checked("inverse_stable_cdf", x, t))
-    if x == math.inf:
-        return 1.0
-    v_hi = x * t ** (-beta)
-    nodes, w = gauss_panels(linear_panel_edges(0.0, v_hi, 48))
-    return float(np.sum(w * inverse_stable_density(nodes, 1.0, beta)))
+    x, t = _checked("inverse_stable_cdf", x, t)
+
+    def cdf(v_hi):
+        nodes, w = gauss_panels(linear_panel_edges(0.0, v_hi, 48))
+        return np.sum(w * inverse_stable_density(nodes, 1.0, beta))
+    return _at_inf(x, 1.0, lambda x: _float_if_scalar(
+        np.vectorize(cdf, otypes=[float])(x * t ** (-beta))))
 
 
 # -- tempered stable hitting time ----------------------------------------------

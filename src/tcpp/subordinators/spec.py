@@ -103,6 +103,23 @@ def _chernoff_scale(a: float, target: float) -> float:
     return w ** q
 
 
+def _power(s, b: float):
+    """s^b for a complex array s (0-d too), on the principal branch.
+
+    Formed as |s|^b (cos b theta + i sin b theta), theta = arctan2(Im s, Re s)
+    in [-pi, pi] taken once, the branch numpy's `s ** b` takes.  That power
+    goes through a complex log and exp: on the 4 003 points of the PGF cap
+    contour it costs about four times as much, and it rounds a little more
+    (up to 7.1e-16 from 40-digit mpmath, relative, against 4.3e-16 here, on
+    the tests' contours).  At b = 1/2 it is np.sqrt(s), the bits `s ** 0.5`
+    gives.
+    """
+    if b == 0.5:
+        return np.sqrt(s)
+    bt = b * np.arctan2(s.imag, s.real)
+    return np.abs(s) ** b * (np.cos(bt) + 1j * np.sin(bt))
+
+
 def _unit_scale(t: float, beta: float) -> float:
     """t^(1/beta), with D(t) = t^(1/beta) D(1); ConvergenceError where it
     underflows or overflows, as a rule's t-free window would not map back onto x."""
@@ -271,7 +288,8 @@ class Stable(SubordinatorSpec):
         return None if self.beta > _BETA_MAX else self
 
     def phi(self, s):
-        return np.asarray(s, dtype=complex) ** self.beta
+        """s^beta on the principal branch (`_power`), vectorized."""
+        return _power(np.asarray(s, dtype=complex), self.beta)
 
     def window(self, t_lo, t_hi, cut):
         # nodes in y = x t^(-1/b): the window and the density factor are t-free.
@@ -311,8 +329,10 @@ class TemperedStable(SubordinatorSpec):
         return self.beta * self.mu ** (self.beta - 1.0)
 
     def phi(self, s):
+        """(s + mu)^beta - mu^beta, the power on the principal branch
+        (`_power`), vectorized."""
         b, mu = self.beta, self.mu
-        return (np.asarray(s, dtype=complex) + mu) ** b - mu ** b
+        return _power(np.asarray(s, dtype=complex) + mu, b) - mu ** b
 
     mixing_law = Stable.mixing_law
 

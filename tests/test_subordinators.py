@@ -40,6 +40,7 @@ from tcpp.subordinators.spec import (
     Stable,
     TAIL_LOG,
     TemperedStable,
+    _power,
     flatten_stable_composition,
     spec_from_dict,
     spec_from_json,
@@ -178,6 +179,55 @@ class TestLaplaceExponent:
     def test_inverse_clock_has_no_exponent(self):
         with pytest.raises(NoDensityError):
             InverseOf(Stable(0.5)).phi(1.0)
+
+
+class TestPower:
+    """`_power(s, b)`, the principal s^b behind the stable and tempered exponents."""
+
+    B_GRID = [0.1, 0.3, 0.7, 0.9]
+
+    @staticmethod
+    def _assert_near_mpmath(s, b):
+        # 40-digit s^b at the exact double s and b, relative to |s^b|
+        from mpmath import mp, mpc, mpf, power
+
+        with mp.workdps(40):
+            want = np.array([complex(power(mpc(z.real, z.imag), mpf(b))) for z in s])
+        err = np.abs(_power(s, b) - want) / np.abs(want)
+        assert np.max(err) <= 1e-15, (b, np.max(err))
+
+    @pytest.mark.parametrize("n", [256, 8004])
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 20.0])
+    def test_pgf_contour_against_mpmath(self, n, lam):
+        from tcpp.timechange import _pgf_contour
+
+        s = lam * (1.0 - _pgf_contour(n)[1])
+        for b in self.B_GRID:
+            self._assert_near_mpmath(s, b)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+    def test_left_half_plane_against_mpmath(self, t):
+        # the fixed Talbot contour (`timechange._talbot`, 32 nodes) runs into
+        # Re s < 0 off the negative real axis
+        theta = np.arange(1, 32) * math.pi / 32
+        s = 64.0 / (5.0 * t) * theta * (1.0 / np.tan(theta) + 1j)
+        s = s[s.real < 0.0]
+        assert s.size >= 10
+        for b in self.B_GRID:
+            self._assert_near_mpmath(np.concatenate([s, s.conj()]), b)
+
+    def test_half_is_the_square_root_bit_for_bit(self):
+        from tcpp.timechange import _pgf_contour
+
+        s = np.concatenate([0.5 * (1.0 - _pgf_contour(8004)[1]), [-1.0 + 1e-300j, 3.0 - 4.0j]])
+        assert _power(s, 0.5).tobytes() == np.sqrt(s).tobytes() == (s ** 0.5).tobytes()
+
+    @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("z", [0.3, 2.5 - 1.0j, -1.0 + 2.0j])
+    def test_zero_dimensional_input_is_one_element(self, b, z):
+        got = _power(np.asarray(z, dtype=complex), b)
+        assert np.ndim(got) == 0
+        assert complex(got) == _power(np.array([z], dtype=complex), b)[0]
 
 
 class TestIGDensity:
@@ -653,6 +703,34 @@ def test_non_finite_arguments(evaluate, params, limit):
             for i in range(len(params)):
                 with pytest.raises(DomainError):
                     evaluate(1.0, 1.0, *params[:i], bad, *params[i + 1:])
+
+
+@pytest.mark.parametrize("cdf", [
+    lambda x, t: ig_cdf(x, t, 1.0, 1.0),
+    lambda x, t: inverse_stable_cdf(x, t, 0.5),
+    lambda x, t: inverse_stable_cdf(x, t, 0.7),
+], ids=["ig", "inverse-stable0.5", "inverse-stable0.7"])
+def test_cdfs_broadcast_over_x_and_t(cdf):
+    # every shape mix gives the elementwise scalar calls; +inf gives 1 and a
+    # NaN anywhere in x is refused
+    x = np.array([0.5, 1.0, 2.0, math.inf])
+    t = np.array([0.5, 1.0, 3.0, 8.0])
+    want = np.array([[float(cdf(float(xi), float(tj))) for tj in t] for xi in x])
+    assert want[-1].tolist() == [1.0] * 4 and np.all(want[:-1] < 1.0)
+    np.testing.assert_array_equal(cdf(x[:, None], t), want)
+    np.testing.assert_array_equal(cdf(x, t), np.diag(want))
+    np.testing.assert_array_equal(cdf(x, 1.0), want[:, 1])
+    np.testing.assert_array_equal(cdf(1.0, t), want[1])
+    np.testing.assert_array_equal(cdf(math.inf, t), np.ones(4))
+    with pytest.raises(DomainError):
+        cdf(np.array([1.0, math.nan]), t[:2])
+
+
+def test_ig_cdf_is_zero_at_levels_up_to_zero_for_any_t():
+    u = np.array([-math.inf, -1.0, 0.0, 1.0])
+    got = ig_cdf(u[:, None], np.array([0.5, 2.0]), 1.0, 1.0)
+    assert got.shape == (4, 2) and np.all(got[:3] == 0.0) and np.all(got[3] > 0.0)
+    assert np.all(ig_cdf(-1.0, np.array([0.5, 2.0]), 1.0, 1.0) == 0.0)
 
 
 class TestDensitiesBroadcastInTime:
