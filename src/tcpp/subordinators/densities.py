@@ -1,7 +1,22 @@
 """Density and distribution evaluators for every time-change process.
 
-All evaluators are pure, vectorized over their space argument, and return
-plain nonnegative floats/arrays.  Laplace-transform conventions:
+Every public evaluator f(x, t, *params) keeps one contract, stated once in
+`_evaluator`:
+
+- x and t broadcast against each other; a call with scalar x and t returns
+  a float, any other the broadcast shape;
+- t and each parameter pass the shared rule (`errors.Domain`: t and the IG
+  delta > 0, gamma and mu >= 0, beta in (0, 1)), even where no x reaches
+  the formula; a NaN x is refused;
+- the value is 0 at x < 0, and at x = +inf 0 for a density and 1 for a cdf;
+- at x = 0 every cdf is 0, and the IG, stable and tempered densities take
+  their limit 0; the IG hitting density, and the tempered hitting density at
+  beta = 1/2 (the same law), take h(0+, t); the inverse stable density takes
+  t^(-beta)/Gamma(1-beta).  The tempered hitting density at beta != 1/2 is
+  refused there: its value is the tempered Levy tail nu_mu(t, inf), which
+  has no closed form here.
+
+Laplace-transform conventions:
 
     IG(delta, gamma):            E e^{-s G(t)} = exp(-delta t (sqrt(gamma^2+2s) - gamma))
     stable(beta):                E e^{-s D(t)} = exp(-t s^beta)
@@ -51,14 +66,16 @@ the pmf tables on this density to 50-digit mpmath values within 1e-12
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 
 import numpy as np
 
-from ..errors import NONNEGATIVE, POSITIVE, ConvergenceError, DivergenceError, DomainError
+from ..errors import (NONNEGATIVE, POSITIVE, UNIT_INTERVAL, ConvergenceError, DivergenceError,
+                      DomainError)
 from ..quadrules import gauss_legendre, gauss_panels, linear_panel_edges
 from ..specfun import erfcx, ndtr
-from .stable import _TINY, _check_beta, stable_unit
+from .stable import _TINY, stable_unit
 
 __all__ = [
     "ig_exponent",
@@ -78,26 +95,46 @@ __all__ = [
 ]
 
 
-def _checked(name, x, t, x_ok=lambda x: x > 0):
-    """x and t as float arrays, refused with DomainError unless x_ok holds
-    every x (x > 0 by default: +inf passes, NaN does not) and every t passes
-    the shared rule, finite and > 0 (`errors.POSITIVE`): an interval holds
-    every value when it holds the least and the greatest, and NaN reaches both."""
-    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-    if not np.all(ok := x_ok(x)):
-        raise DomainError(f"{name} is not defined at x = {float(np.extract(~ok, x)[0])!r}")
-    for v in (t.min(), t.max()) if t.size else ():
-        POSITIVE.check(f"{name} t", float(v))
-    return x, t
+def _evaluator(at_inf: float, at_zero=lambda t, *params: 0.0, **domains):
+    """The contract of the module docstring, around body(x, t, *params).
 
+    `domains` holds each parameter's rule, by name.  at_inf is the value at
+    x = +inf, and at_zero(t, *params) the value at x = 0; at_zero is None
+    where the body takes x = 0 itself.  The body gets the checked
+    parameters, and x and t as float arrays: as given where every x is
+    inside (finite, and > 0, or >= 0 where the body takes x = 0), else the
+    points inside, flattened, the others taking their values here.  The
+    least and the greatest x tell the two cases apart in two passes (NaN
+    reaches both), as the least and the greatest t check t."""
 
-def _at_inf(x, limit: float, evaluate):
-    """evaluate(x) with `limit` (0 for a density, 1 for a cdf) where x is
-    +inf, which evaluate never sees: its arithmetic would meet inf / inf."""
-    far = np.asarray(x) == math.inf
-    if not np.any(far):
-        return evaluate(x)
-    return _float_if_scalar(np.where(far, limit, evaluate(np.where(far, 1.0, x))))
+    def wrap(body):
+        name, signature = body.__name__, inspect.signature(body)
+        checks = [(f"{name} {p}", domains[p]) for p in list(signature.parameters)[2:]]
+
+        @functools.wraps(body)
+        def evaluate(*args, **kwargs):
+            if kwargs or len(args) != len(checks) + 2:
+                args = signature.bind(*args, **kwargs).args
+            x, t = np.asarray(args[0], dtype=float), np.asarray(args[1], dtype=float)
+            params = [domain.check(label, v) for (label, domain), v in zip(checks, args[2:])]
+            for v in (t.min(), t.max()) if t.size else ():
+                POSITIVE.check(f"{name} t", float(v))
+            lo, hi = (x.min(), x.max()) if x.size else (1.0, 1.0)
+            if (lo > 0.0 or lo == 0.0 and at_zero is None) and hi < math.inf:
+                out = body(x, t, *params)
+            elif lo != lo:
+                raise DomainError(f"{name} is not defined at x = nan")
+            else:
+                x, t = np.broadcast_arrays(x, t)
+                out = np.where(x == math.inf, at_inf, 0.0)
+                if at_zero is not None and np.any(zero := x == 0.0):
+                    out[zero] = at_zero(t[zero], *params)
+                inside = (x < math.inf) & (x >= 0.0 if at_zero is None else x > 0.0)
+                if np.any(inside):
+                    out[inside] = body(x[inside], t[inside], *params)
+            return out if x.ndim or t.ndim else float(np.reshape(out, ()))
+        return evaluate
+    return wrap
 
 
 # -- inverse Gaussian ---------------------------------------------------------
@@ -119,40 +156,24 @@ def ig_exponent(s, delta: float, gamma: float):
     return 2.0 * delta * s / (c + gamma)
 
 
+@_evaluator(0.0, delta=POSITIVE, gamma=NONNEGATIVE)
 def ig_density(x, t, delta: float, gamma: float):
     """Density g(x,t) of the IG subordinator G(t) ~ IG(delta t, gamma).
 
     The exponent -(delta t - gamma x)^2 / (2x) is one square, so it holds no
-    difference of large terms at large gamma.  Broadcasts over both x and t.
+    difference of large terms at large gamma.
     """
-    x, t = _checked("ig_density", x, t)
-    dt = POSITIVE.check("ig_density delta", delta) * t
-    gamma = NONNEGATIVE.check("ig_density gamma", gamma)
-
-    def density(x):
-        log_g = (
-            -0.5 * math.log(2.0 * math.pi)
-            + np.log(dt)
-            - 1.5 * np.log(x)
-            - (dt - gamma * x) ** 2 / (2.0 * x)
-        )
-        return np.exp(log_g)
-    return _at_inf(x, 0.0, density)
+    dt = delta * t
+    return np.exp(-0.5 * math.log(2.0 * math.pi) + np.log(dt) - 1.5 * np.log(x)
+                  - (dt - gamma * x) ** 2 / (2.0 * x))
 
 
+@_evaluator(1.0, delta=POSITIVE, gamma=NONNEGATIVE)
 def ig_cdf(u, t, delta: float, gamma: float):
     """P(G(t) <= u): the hitting-time parts (`_hitting_ig_parts`) with process
-    time t and level u, Phi(z1) + e^{2 delta gamma t} Phi(z2); 0 for u <= 0.
-    Broadcasts over u and t."""
-    u, t = _checked("ig_cdf", u, t, lambda u: ~np.isnan(u))
-
-    def cdf(u):
-        # the parts, which check delta and gamma, at level 1 where u <= 0
-        pos = u > 0
-        z1, _, _, tail = _hitting_ig_parts("ig_cdf", t, np.where(pos, u, 1.0), delta, gamma)
-        return np.clip(np.where(pos, ndtr(z1) + tail, 0.0).reshape(np.broadcast(u, t).shape),
-                       0.0, 1.0)
-    return _at_inf(u, 1.0, cdf)
+    time t and level u, Phi(z1) + e^{2 delta gamma t} Phi(z2)."""
+    z1, _, _, tail = _hitting_ig_parts(t, u, delta, gamma)
+    return np.clip(ndtr(z1) + tail, 0.0, 1.0)
 
 
 # -- stable and tempered stable ----------------------------------------------
@@ -164,7 +185,7 @@ def _product_or_log_sum(factors, x, t, beta: float, log_factor=0.0):
     floats; elsewhere one exponential of log_factor + log f(x,t), with D(1)'s
     log density taken at log u = log x - log(t)/beta."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = functools.reduce(np.multiply, factors)
+        out = np.asarray(functools.reduce(np.multiply, factors))
     normal = [(v >= _TINY) & (v < math.inf) for v in (*factors, out)]
     lost = ~functools.reduce(np.logical_and, normal)
     if np.any(lost):
@@ -180,13 +201,10 @@ def _product_or_log_sum(factors, x, t, beta: float, log_factor=0.0):
     return out
 
 
+@_evaluator(0.0, beta=UNIT_INTERVAL)
 def stable_density(x, t, beta: float):
     """Density f(x,t) = t^(-1/beta) f1(x t^(-1/beta)) of the beta-stable
-    subordinator, LT exp(-t s^beta).
-
-    Broadcasts over x and t.
-    """
-    x, t = _checked("stable_density", x, t)
+    subordinator, LT exp(-t s^beta)."""
     with np.errstate(over="ignore"):  # an overflowing scale or u takes the log sum
         scale = t ** (-1.0 / beta)
         factors = (scale, _unit_pdf(x * scale, beta))
@@ -199,19 +217,16 @@ def _unit_pdf(u, beta: float):
     return np.where(u > 0.0, stable_unit(beta).pdf(np.where(u > 0.0, u, 1.0)), 0.0)
 
 
-def stable_cdf(x, t: float, beta: float):
-    x, t = _checked("stable_cdf", x, t)
+@_evaluator(1.0, beta=UNIT_INTERVAL)
+def stable_cdf(x, t, beta: float):
+    """P(D(t) <= x) = P(D(1) <= x t^(-1/beta)) of the beta-stable subordinator."""
     with np.errstate(over="ignore"):  # at tiny t, x t^(-1/beta) is inf and the cdf 1
         return stable_unit(beta).cdf(x * t ** (-1.0 / beta))
 
 
+@_evaluator(0.0, beta=UNIT_INTERVAL, mu=NONNEGATIVE)
 def tempered_stable_density(x, t, beta: float, mu: float):
-    """Density f_mu(x,t) = exp(-mu x + mu^beta t) f(x,t) of the tempered law.
-
-    Broadcasts over x and t.
-    """
-    x, t = _checked("tempered_stable_density", x, t)
-    mu = NONNEGATIVE.check("tempered_stable_density mu", mu)
+    """Density f_mu(x,t) = exp(-mu x + mu^beta t) f(x,t) of the tempered law."""
     if mu == 0.0:
         return stable_density(x, t, beta)
     log_tilt = -mu * x + mu ** beta * t
@@ -220,12 +235,10 @@ def tempered_stable_density(x, t, beta: float, mu: float):
     return _product_or_log_sum(factors, x, t, beta, log_tilt)
 
 
+@_evaluator(1.0, beta=UNIT_INTERVAL, mu=NONNEGATIVE)
 def tempered_stable_cdf(x, t, beta: float, mu: float):
-    """P(D_mu(t) <= x); broadcasts over x and t, a float for scalar arguments."""
-    x, t = _checked("tempered_stable_cdf", x, t)
-    mu = NONNEGATIVE.check("tempered_stable_cdf mu", mu)
-    return _at_inf(x, 1.0, lambda x: _float_if_scalar(
-        np.clip(_tempered_partial_moments(x, t, beta, mu)[0], 0.0, 1.0)))
+    """P(D_mu(t) <= x), from the tilt integrals (`_tempered_partial_moments`)."""
+    return np.clip(_tempered_partial_moments(x, t, beta, mu)[0], 0.0, 1.0)
 
 
 # the most unit-density points evaluated in one pass (bounds the working
@@ -244,6 +257,8 @@ def _tempered_partial_moments(x, t, beta: float, mu: float):
     (module docstring).  The upper limit is formed in logs, and refused with
     ConvergenceError past e^709, where t^(-1/beta) overflows: there D(1)'s
     survivor, about (x t^(-1/beta))^(-beta), need not be below rounding.
+    The refusal names the time t and the level x: the hitting-time
+    evaluators pass their own x as this t, and their t as this x.
     Each point gets its own 12-point Gauss panels, evenly spaced in log u and
     at most w wide, where w is the smallest of 1, the log-width scale
     (1-beta)/beta of f1's peak and twice the relative spread
@@ -261,7 +276,10 @@ def _tempered_partial_moments(x, t, beta: float, mu: float):
     lift = mu ** beta * tt
     v_lo, v_hi = np.log(su.left_end(lift)), np.log(x.ravel()) - np.log(tt) / beta
     if np.any(v_hi > 709.0):  # u = e^v_hi would be past the largest float
-        raise ConvergenceError(f"x t^(-1/beta) is past float range at index {beta:g}")
+        k = np.argmax(v_hi)
+        raise ConvergenceError(f"the tempered stable law at time {tt[k]:g} and level "
+                               f"{x.flat[k]:g}: level time^(-1/beta) is past float range at "
+                               f"index {beta:g}")
     span = np.maximum(v_hi - v_lo, 0.0)
     spread = np.sqrt((1.0 - beta) / np.maximum(beta * lift, 1e-300))
     width = np.minimum(min(1.0, (1.0 - beta) / beta), 2.0 * spread)
@@ -291,58 +309,54 @@ def _tempered_partial_moments(x, t, beta: float, mu: float):
     return p0.reshape(x.shape), p1.reshape(x.shape)
 
 
-def _float_if_scalar(a):
-    return float(a) if np.ndim(a) == 0 else a
-
-
 # -- inverse stable ------------------------------------------------------------
 
+
+@_evaluator(0.0, at_zero=lambda t, beta: t ** -beta / math.gamma(1.0 - beta),
+            beta=UNIT_INTERVAL)
 def inverse_stable_density(x, t, beta: float):
     """Density m(x,t) of the inverse stable subordinator E(t).
 
     m(x,t) = (t/beta) f(t x^(-1/beta), 1) x^(-1-1/beta); approaches
-    t^(-beta)/Gamma(1-beta) as x -> 0+.  Broadcasts over x and t.
+    t^(-beta)/Gamma(1-beta) as x -> 0+, its value at x = 0.
     """
-    x, t = _checked("inverse_stable_density", x, t)
-    _check_beta(beta)
     with np.errstate(over="ignore"):  # overflowing powers of x take the log sum
         factors = (t / beta, _unit_pdf(t * x ** (-1.0 / beta), beta), x ** (-1.0 - 1.0 / beta))
     # the product is t f(t, x) / (beta x): f taken at t, with time x
     return _product_or_log_sum(factors, t, x, beta, np.log(t / beta) - np.log(x))
 
 
+@_evaluator(1.0, beta=UNIT_INTERVAL)
 def inverse_stable_cdf(x, t, beta: float):
     """P(E(t) <= x) by quadrature of m(.,t) (independent of the duality route).
 
     Uses the substitution u = t^beta v, under which m(u,t) du = m(v,1) dv,
-    integrated over [0, x t^(-beta)] on 48 panels of 12 Gauss points.
-    Broadcasts over x and t, one point's rule at a time, so the working
-    arrays do not grow with the points; a float for scalar arguments.
+    integrated over [0, x t^(-beta)] on 48 panels of 12 Gauss points, one
+    point's rule at a time, so the working arrays do not grow with the points.
     """
-    x, t = _checked("inverse_stable_cdf", x, t)
-
     def cdf(v_hi):
         nodes, w = gauss_panels(linear_panel_edges(0.0, v_hi, 48))
         return np.sum(w * inverse_stable_density(nodes, 1.0, beta))
-    return _at_inf(x, 1.0, lambda x: _float_if_scalar(
-        np.vectorize(cdf, otypes=[float])(x * t ** (-beta))))
+    return np.vectorize(cdf, otypes=[float])(x * t ** (-beta))
 
 
 # -- tempered stable hitting time ----------------------------------------------
 
 
+@_evaluator(0.0, at_zero=None, beta=UNIT_INTERVAL, mu=NONNEGATIVE)
 def inverse_tempered_density(x, t, beta: float, mu: float):
     """Density m_mu(x,t) of the hitting time of the tempered subordinator.
 
     At beta = 1/2 the clock is IG(1/sqrt(2), sqrt(2 mu)) and m_mu is the closed
     hitting_time_density_ig; other indices take the tilt identity of the
-    module docstring.  Broadcasts over x and t.
+    module docstring.
     """
-    x, t = _checked("inverse_tempered_density", x, t)
-    mu = NONNEGATIVE.check("inverse_tempered_density mu", mu)
     if beta == 0.5:
         return hitting_time_density_ig(x, t, *tempered_half_as_ig(mu))
-    return _at_inf(x, 0.0, lambda x: _inverse_tempered_tilt(x, t, beta, mu))
+    if np.any(x == 0.0):
+        raise DomainError(f"inverse_tempered_density at x = 0 is the tempered Levy tail "
+                          f"nu_mu(t, inf), which has no closed form at index {beta:g}")
+    return _inverse_tempered_tilt(x, t, beta, mu)
 
 
 def tempered_half_as_ig(mu: float):
@@ -353,29 +367,23 @@ def tempered_half_as_ig(mu: float):
 
 def _inverse_tempered_tilt(x, t, beta: float, mu: float):
     """m_mu(x,t) by the tilt identity of the module docstring, for any index."""
-    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     p0, p1 = _tempered_partial_moments(t, x, beta, mu)
     at_t = t * tempered_stable_density(t, x, beta, mu)
     return np.maximum((at_t + mu * p1) / (beta * x) - mu ** beta * p0, 0.0)
 
 
+@_evaluator(1.0, beta=UNIT_INTERVAL, mu=NONNEGATIVE)
 def inverse_tempered_cdf(x, t, beta: float, mu: float):
-    """P(E_mu(t) <= x) = P(D_mu(x) >= t); the closed IG form at beta = 1/2.
-
-    Broadcasts over x and t; a float for scalar arguments.
-    """
-    x, t = _checked("inverse_tempered_cdf", x, t)
-    mu = NONNEGATIVE.check("inverse_tempered_cdf mu", mu)
-    if beta != 0.5:
-        return _at_inf(x, 1.0, lambda x: 1.0 - tempered_stable_cdf(t, x, beta, mu))
-    cdf = hitting_time_cdf_ig(x, t, *tempered_half_as_ig(mu))
-    return _float_if_scalar(cdf.reshape(np.broadcast(x, t).shape))
+    """P(E_mu(t) <= x) = P(D_mu(x) >= t); the closed IG form at beta = 1/2."""
+    if beta == 0.5:
+        return hitting_time_cdf_ig(x, t, *tempered_half_as_ig(mu))
+    return 1.0 - tempered_stable_cdf(t, x, beta, mu)
 
 
 # -- IG hitting time -----------------------------------------------------------
 
 
-def _hitting_ig_parts(name, x, t, delta: float, gamma: float):
+def _hitting_ig_parts(x, t, delta: float, gamma: float):
     """z1, phi(z1), sqrt(t) and e^{2 delta gamma x} Phi(z2), for x >= 0.
 
     P(G(x) <= t) = Phi(z1) + e^{2 delta gamma x} Phi(z2), with
@@ -384,10 +392,6 @@ def _hitting_ig_parts(name, x, t, delta: float, gamma: float):
     with the Mills ratio R(a) = Phi(-a)/phi(a) = sqrt(pi/2) erfcx(a/sqrt 2),
     so no large exponential is ever formed.
     """
-    x, t = _checked(name, x, t, lambda x: x >= 0)
-    x = np.atleast_1d(x)
-    delta = POSITIVE.check(f"{name} delta", delta)
-    gamma = NONNEGATIVE.check(f"{name} gamma", gamma)
     st = np.sqrt(t)
     z1 = (gamma * t - delta * x) / st
     phi = np.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)
@@ -396,23 +400,25 @@ def _hitting_ig_parts(name, x, t, delta: float, gamma: float):
     return z1, phi, st, tail
 
 
+@_evaluator(0.0, at_zero=None, delta=POSITIVE, gamma=NONNEGATIVE)
 def hitting_time_density_ig(x, t, delta: float, gamma: float):
     """Density h(x,t) of H(t) = inf{s : G(s) > t}, in closed form.
 
     h(x,t) = -d/dx P(G(x) <= t)
            = (2 delta/sqrt(t)) phi(z1) - 2 delta gamma e^{2 delta gamma x} Phi(z2),
     the second term taken through the Mills ratio (see _hitting_ig_parts).
-    Broadcasts over x and t; at x = 0 it returns the boundary value h(0+, t),
-    and d/dx h(0,t) = 2 delta gamma h(0,t).  The hitting time of the tempered
-    1/2-stable clock is the case delta = 1/sqrt(2), gamma = sqrt(2 mu).
+    At x = 0 it is the boundary value h(0+, t), and d/dx h(0,t) =
+    2 delta gamma h(0,t).  The hitting time of the tempered 1/2-stable clock
+    is the case delta = 1/sqrt(2), gamma = sqrt(2 mu).
     """
-    _, phi, st, tail = _hitting_ig_parts("hitting_time_density_ig", x, t, delta, gamma)
+    _, phi, st, tail = _hitting_ig_parts(x, t, delta, gamma)
     return np.maximum(2.0 * delta * (phi / st - gamma * tail), 0.0)
 
 
+@_evaluator(1.0, delta=POSITIVE, gamma=NONNEGATIVE)
 def hitting_time_cdf_ig(x, t, delta: float, gamma: float):
     """P(H(t) <= x) = P(G(x) >= t) = Phi(-z1) - e^{2 delta gamma x} Phi(z2)."""
-    z1, _, _, tail = _hitting_ig_parts("hitting_time_cdf_ig", x, t, delta, gamma)
+    z1, _, _, tail = _hitting_ig_parts(x, t, delta, gamma)
     return np.clip(ndtr(-z1) - tail, 0.0, 1.0)
 
 
@@ -425,11 +431,7 @@ def stable_moment(beta: float, p: float) -> float:
     Raises DivergenceError at p >= beta, where the x^-(1+beta) tail is not
     integrable against x^p.
     """
-    beta, p = float(beta), float(p)
-    if not 0.0 < beta < 1.0:
-        raise DomainError("stable index beta must be in (0, 1)")
-    if not p > 0:
-        raise DomainError("moment order must be positive")
+    beta, p = UNIT_INTERVAL.check("stable_moment beta", beta), POSITIVE.check("stable_moment p", p)
     if p >= beta:
         raise DivergenceError(
             f"E[D(1)^p] diverges for p >= beta (p={p}, beta={beta}); "

@@ -264,7 +264,7 @@ class InverseGaussian(SubordinatorSpec):
         return x_lo, max(min(cut, root), min(root, 2.0 * x_lo))
 
     def survivor(self, rule, t):
-        return float(1.0 - ig_cdf(np.array([rule.x_hi]), t, self.delta, self.gamma)[0])
+        return 1.0 - ig_cdf(rule.x_hi, t, self.delta, self.gamma)
 
     def increment(self, rng, dt):
         """One increment of the Levy subordinator over per-element steps dt."""

@@ -273,8 +273,6 @@ class TestIGDensity:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ig_density(np.array([-1.0]), 1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
             ig_density(np.array([1.0]), 0.0, 1.0, 1.0)
 
 
@@ -333,7 +331,7 @@ class TestStableDensity:
         # t^(-1/beta) overflows at t = 1e-40: x t^(-1/beta) is inf, and the cdf 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert float(stable_cdf(1.0, 1e-40, beta)[0]) == 1.0
+            assert stable_cdf(1.0, 1e-40, beta) == 1.0
 
     @pytest.mark.parametrize("beta", [0.3, 0.5])
     def test_unit_law_refuses_nan_and_keeps_inf(self, beta):
@@ -360,8 +358,8 @@ class TestStableDensity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = stable_density(x, t, beta)
-            one = float(stable_density(1.0, t, beta)[0])
-            tempered = float(tempered_stable_density(1.0, t, beta, 1.0)[0])
+            one = stable_density(1.0, t, beta)
+            tempered = tempered_stable_density(1.0, t, beta, 1.0)
         assert np.allclose(got, self._lead(x, t, beta), rtol=1e-12, atol=0.0)
         assert one == pytest.approx(float(self._lead(1.0, t, beta)), rel=1e-12, abs=0.0)
         assert tempered == pytest.approx(math.exp(t - 1.0) * one, rel=1e-12, abs=0.0)
@@ -374,7 +372,7 @@ class TestStableDensity:
             got = stable_density(1.0, np.array([1e-40, 1.0]), 0.1)
             grid = stable_density(np.array([[0.5], [1.0]]), np.array([1e-40, 1.0, 1e-300]), 0.1)
         assert got[0] == pytest.approx(float(self._lead(1.0, 1e-40, 0.1)), rel=1e-12, abs=0.0)
-        assert got[1] == float(stable_density(1.0, 1.0, 0.1)[0]) > 0.0
+        assert got[1] == stable_density(1.0, 1.0, 0.1) > 0.0
         assert grid.shape == (2, 3)
         lead = self._lead(np.array([[0.5], [1.0]]), np.array([1e-40, 1e-300]), 0.1)
         assert np.allclose(grid[:, [0, 2]], lead, rtol=1e-12, atol=0.0)
@@ -388,10 +386,10 @@ class TestStableDensity:
         # and the rounding of log u is amplified about 500 times
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = float(stable_density(1e10, 1e-30, 0.1)[0])
-            small = float(stable_density(1.0, 1e-20, 0.05)[0])
-            at_inf = [stable_density(np.inf, t, 0.1)[0] for t in (1.0, 1e-30, 1e-40)]
-            tempered_at_inf = tempered_stable_density(np.inf, 1e-30, 0.1, 1.0)[0]
+            got = stable_density(1e10, 1e-30, 0.1)
+            small = stable_density(1.0, 1e-20, 0.05)
+            at_inf = [stable_density(np.inf, t, 0.1) for t in (1.0, 1e-30, 1e-40)]
+            tempered_at_inf = tempered_stable_density(np.inf, 1e-30, 0.1, 1.0)
             subnormal = stable_density(np.array([5e-324, 1.0]), 1e-160, 0.5)
         assert got == pytest.approx(9.357787209e-43, rel=1e-9)
         assert got == pytest.approx(float(self._lead(1e10, 1e-30, 0.1)), rel=1e-12, abs=0.0)
@@ -405,9 +403,9 @@ class TestStableDensity:
         # 1e300, round D(1)'s argument to 0: the density there is 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [float(stable_density(1.0, 1e300, 0.1)[0]),
-                   float(inverse_stable_density(1e300, 1.0, 0.1)[0]),
-                   float(inverse_stable_density(1e40, 1.0, 0.1)[0])]
+            got = [stable_density(1.0, 1e300, 0.1),
+                   inverse_stable_density(1e300, 1.0, 0.1),
+                   inverse_stable_density(1e40, 1.0, 0.1)]
         assert got == [0.0, 0.0, 0.0]
 
     def test_right_tail_at_tiny_t(self):
@@ -441,7 +439,7 @@ class TestStableDensity:
                 assert np.allclose(got, 1.0 / math.gamma(1.0 - beta), rtol=0.0, atol=1e-12)
             # at index 0.3 the tilt identity's cdf is an independent route
             x, h = 0.9 * 0.3 * 1e3, 1e-3  # 0.9 times the mean
-            tempered = float(tempered_stable_density(x, 1e3, 0.3, 1.0)[0])
+            tempered = tempered_stable_density(x, 1e3, 0.3, 1.0)
             slope = (tempered_stable_cdf(x + h, 1e3, 0.3, 1.0)
                      - tempered_stable_cdf(x - h, 1e3, 0.3, 1.0)) / (2.0 * h)
         assert tempered == pytest.approx(slope, rel=1e-7)
@@ -494,6 +492,13 @@ class TestTemperedStable:
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="float range"):
                 tempered_stable_cdf(1.0, 1e-40, 0.1, 1.0)
+
+    @pytest.mark.parametrize("evaluate", [inverse_tempered_cdf, inverse_tempered_density])
+    def test_hitting_time_refusal_names_the_time_and_level(self, evaluate):
+        # P(E_mu(1) <= 1e-300) = 1 - P(D_mu(1e-300) <= 1): the tempered law at
+        # time 1e-300 and level 1, where 1 (1e-300)^(-1/beta) is past the floats
+        with pytest.raises(ConvergenceError, match=r"at time 1e-300 and level 1: .*float range"):
+            evaluate(1e-300, 1.0, 0.3, 1.0)
 
 
 class TestInverseStable:
@@ -671,45 +676,99 @@ def test_past_the_engine_the_density_refusal_names_no_route(law):
     assert not re.search(r"\b(bessel|pgf|quadrature|mc|method)\b", str(err.value))
 
 
+def _hitting_ig_at_zero(delta, gamma):
+    """h(0+, t) = (2 delta/sqrt t) phi(gamma sqrt t) - 2 delta gamma Phi(-gamma sqrt t)."""
+    def h0(t):
+        st = np.sqrt(t)
+        return 2.0 * delta * (norm.pdf(gamma * st) / st - gamma * norm.cdf(-gamma * st))
+    return h0
+
+
+def _zero(t):
+    return 0.0
+
+
+# each public evaluator, its parameters, its value at x = +inf, and its value
+# at x = 0 as a function of t, or the error it raises there
 _EVALUATORS = [
-    (ig_density, (1.0, 1.0), 0.0),
-    (ig_cdf, (1.0, 1.0), 1.0),
-    (stable_density, (0.7,), 0.0),
-    (stable_cdf, (0.7,), 1.0),
-    (tempered_stable_density, (0.7, 1.0), 0.0),
-    (tempered_stable_cdf, (0.7, 1.0), 1.0),
-    (inverse_stable_density, (0.7,), 0.0),
-    (inverse_stable_cdf, (0.7,), 1.0),
-    (inverse_tempered_density, (0.7, 1.0), 0.0),
-    (inverse_tempered_cdf, (0.7, 1.0), 1.0),
-    (hitting_time_density_ig, (1.0, 1.0), 0.0),
-    (hitting_time_cdf_ig, (1.0, 1.0), 1.0),
+    (ig_density, (1.0, 1.0), 0.0, _zero),
+    (ig_cdf, (1.0, 1.0), 1.0, _zero),
+    (stable_density, (0.7,), 0.0, _zero),
+    (stable_cdf, (0.7,), 1.0, _zero),
+    (tempered_stable_density, (0.7, 1.0), 0.0, _zero),
+    (tempered_stable_cdf, (0.7, 1.0), 1.0, _zero),
+    (inverse_stable_density, (0.7,), 0.0, lambda t: t ** -0.7 / math.gamma(0.3)),
+    (inverse_stable_cdf, (0.7,), 1.0, _zero),
+    (inverse_tempered_density, (0.7, 1.0), 0.0, DomainError),
+    (inverse_tempered_density, (0.5, 1.0), 0.0, _hitting_ig_at_zero(*tempered_half_as_ig(1.0))),
+    (inverse_tempered_cdf, (0.7, 1.0), 1.0, _zero),
+    (hitting_time_density_ig, (1.0, 1.0), 0.0, _hitting_ig_at_zero(1.0, 1.0)),
+    (hitting_time_cdf_ig, (1.0, 1.0), 1.0, _zero),
 ]
+_EVALUATOR_IDS = [f.__name__ + ("(1/2)" if p[0] == 0.5 else "") for f, p, *_ in _EVALUATORS]
 
 
-@pytest.mark.parametrize("evaluate, params, limit", _EVALUATORS,
-                         ids=[case[0].__name__ for case in _EVALUATORS])
-def test_non_finite_arguments(evaluate, params, limit):
-    # x = +inf gives the limit, 0 for a density and 1 for a cdf; a NaN x, a
-    # non-finite t and a non-finite parameter are refused; nothing warns
+@pytest.mark.parametrize("evaluate, params, limit, at_zero", _EVALUATORS, ids=_EVALUATOR_IDS)
+def test_non_finite_arguments(evaluate, params, limit, at_zero):
+    # x = +inf gives the limit, 0 for a density and 1 for a cdf, and x = -inf
+    # gives 0; a NaN x, a bad t and a bad parameter are refused, the parameter
+    # also where no x reaches the formula; nothing warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert float(np.squeeze(evaluate(math.inf, 1.0, *params))) == limit
+        assert evaluate(math.inf, 1.0, *params) == limit
+        assert evaluate(-math.inf, 1.0, *params) == 0.0
         with pytest.raises(DomainError):
             evaluate(math.nan, 1.0, *params)
-        for bad in (math.inf, math.nan):
+        for bad in (math.inf, math.nan, -1.0):
             with pytest.raises(DomainError, match="t = "):
                 evaluate(1.0, bad, *params)
             for i in range(len(params)):
-                with pytest.raises(DomainError):
-                    evaluate(1.0, 1.0, *params[:i], bad, *params[i + 1:])
+                for x in (1.0, -1.0, 0.0, math.inf, np.array([-1.0, 0.0, math.inf])):
+                    with pytest.raises(DomainError):
+                        evaluate(x, 1.0, *params[:i], bad, *params[i + 1:])
+
+
+@pytest.mark.parametrize("evaluate, params, limit, at_zero", _EVALUATORS, ids=_EVALUATOR_IDS)
+def test_one_contract_at_and_below_zero(evaluate, params, limit, at_zero):
+    # at x in {-inf, -1, 0, 1, +inf} and three times: 0 below x = 0, the
+    # x = 0 value of the module docstring, the limit at +inf; a float for a
+    # scalar call and the broadcast shape for any other, each point the
+    # scalar call's value; nothing warns
+    x, t = np.array([-math.inf, -1.0, 0.0, 1.0, math.inf]), np.array([0.5, 1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(at_zero, type):  # the documented refusal at x = 0
+            for x0, t0 in ((0.0, t), (x, 1.0), (x[:, None], t)):
+                with pytest.raises(at_zero, match="x = 0"):
+                    evaluate(x0, t0, *params)
+            x = x[x != 0.0]
+        grid = evaluate(x[:, None], t, *params)
+        scalars = [[evaluate(float(xi), float(tj), *params) for tj in t] for xi in x]
+        by_x = evaluate(x, 1.0, *params)
+        by_t = [evaluate(float(xi), t, *params) for xi in x]
+    assert all(type(v) is float for row in scalars for v in row)
+    assert isinstance(grid, np.ndarray) and grid.shape == (x.size, t.size)
+    np.testing.assert_array_equal(grid, scalars)
+    assert by_x.shape == x.shape and all(row.shape == t.shape for row in by_t)
+    np.testing.assert_array_equal(by_x, grid[:, 1])
+    np.testing.assert_array_equal(by_t, grid)
+    assert np.all(grid[x < 0.0] == 0.0) and np.all(grid[x == math.inf] == limit)
+    assert np.all((grid[x == 1.0] > 0.0) & (grid[x == 1.0] < 1.0))
+    if not isinstance(at_zero, type):
+        np.testing.assert_allclose(grid[x == 0.0][0], at_zero(t), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("cdf", [
     lambda x, t: ig_cdf(x, t, 1.0, 1.0),
+    lambda x, t: stable_cdf(x, t, 0.7),
+    lambda x, t: tempered_stable_cdf(x, t, 0.3, 1.0),
     lambda x, t: inverse_stable_cdf(x, t, 0.5),
     lambda x, t: inverse_stable_cdf(x, t, 0.7),
-], ids=["ig", "inverse-stable0.5", "inverse-stable0.7"])
+    lambda x, t: inverse_tempered_cdf(x, t, 0.3, 1.0),
+    lambda x, t: inverse_tempered_cdf(x, t, 0.5, 1.0),
+    lambda x, t: hitting_time_cdf_ig(x, t, 1.0, 1.0),
+], ids=["ig", "stable0.7", "tempered0.3", "inverse-stable0.5", "inverse-stable0.7",
+        "inverse-tempered0.3", "inverse-tempered0.5", "ig-hitting"])
 def test_cdfs_broadcast_over_x_and_t(cdf):
     # every shape mix gives the elementwise scalar calls; +inf gives 1 and a
     # NaN anywhere in x is refused
@@ -724,13 +783,6 @@ def test_cdfs_broadcast_over_x_and_t(cdf):
     np.testing.assert_array_equal(cdf(math.inf, t), np.ones(4))
     with pytest.raises(DomainError):
         cdf(np.array([1.0, math.nan]), t[:2])
-
-
-def test_ig_cdf_is_zero_at_levels_up_to_zero_for_any_t():
-    u = np.array([-math.inf, -1.0, 0.0, 1.0])
-    got = ig_cdf(u[:, None], np.array([0.5, 2.0]), 1.0, 1.0)
-    assert got.shape == (4, 2) and np.all(got[:3] == 0.0) and np.all(got[3] > 0.0)
-    assert np.all(ig_cdf(-1.0, np.array([0.5, 2.0]), 1.0, 1.0) == 0.0)
 
 
 class TestDensitiesBroadcastInTime:
@@ -931,7 +983,7 @@ def _mass_outside(clock, t):
         # = P(H(x_hi) < t); the cut is wide enough not to cap x_hi
         d, g = clock.delta, clock.gamma
         nodes, _, _, x_hi = clock.rule_nodes(t, t, 1e9, 2048)
-        return [ig_cdf(nodes[:1], t, d, g)[0], hitting_time_cdf_ig(t, x_hi, d, g)[0]]
+        return [ig_cdf(nodes[:1], t, d, g)[0], hitting_time_cdf_ig(t, x_hi, d, g)]
     # tempered, nodes in y = x t^(-1/b): P(D_mu(t) < x) at the first node and
     # P(D_mu(t) > x) at the window end, by quadrature of the density
     b, mu = clock.beta, clock.mu
