@@ -5,21 +5,17 @@ SeedSequence([seed, stream]) (`rng_stream`).  `sample` and `sample_path`
 draw the clock from stream 0; the Monte Carlo counts (`tcpp.timechange`,
 `tcpp simulate --lambda`) come from stream 1, and SeedSequence's hashing
 keeps the two independent.  Batches are reproducible for a given (spec, t,
-seed, count) regardless of what else ran before.  Every
-seeded value changed once, with the same law, when PCG64 replaced Philox.
+seed, count) regardless of what else ran before.
 
 Single-t draws are made 2^14 values at a time (`_in_blocks`), so a sampler's
 temporaries stay cache-sized and are reused rather than faulted in afresh.
-A batch of at most 2^14 values is one block, drawn as before blocking; a
-larger batch draws its blocks in order from the one stream, so its values
-(and the Monte Carlo tables built on them) changed once, with the same law,
-when blocking came in.  First-passage paths (inverse stable and tempered
-clocks of index other than 1/2, inverses of compositions) draw a whole batch
-at once, one passage per live path a round: each round costs numpy's call
-overhead whatever its size, so blocks would multiply it.  The variates of a
-passage that do not depend on its gap come from pools drawn in bulk
-(`_Pool`), so a round is a slice and a few products; their values changed
-once, with the same law, when the pools came in.
+A batch of at most 2^14 values is one block; a larger batch draws its
+blocks in order from the one stream.  First-passage paths (inverse stable
+and tempered clocks of index other than 1/2, inverses of compositions) draw
+a whole batch at once, one passage per live path a round: each round costs
+numpy's call overhead whatever its size, so blocks would multiply it.  The
+variates of a passage that do not depend on its gap come from pools drawn
+in bulk (`_Pool`), so a round is a slice and a few products.
 
 Sampler routes (each process class in tcpp.subordinators.spec picks its own):
 

@@ -82,7 +82,8 @@ class OrderEstimate:
 
 
 def estimate_order(hs, residuals, floor: float = 1e-9) -> OrderEstimate:
-    """Least-squares slope of log residual vs log step.
+    """Least-squares slope of log residual vs log step, the steps running
+    from coarse to fine; monotone when the residuals fall with every step.
 
     Levels whose residual sits below `floor` are treated as noise-dominated
     and excluded; if fewer than 3 informative levels remain, the sequence is
@@ -100,8 +101,6 @@ def estimate_order(hs, residuals, floor: float = 1e-9) -> OrderEstimate:
         return OrderEstimate(None, limited, limited, int(np.count_nonzero(usable)))
     hu, ru = hs[usable], res[usable]
     slope = np.polyfit(np.log(hu), np.log(ru), 1)[0]
-    monotone = bool(np.all(np.diff(ru) < 0)) if hu[0] > hu[-1] else bool(
-        np.all(np.diff(ru) > 0)
-    )
+    monotone = bool(np.all(np.diff(ru) < 0))
     return OrderEstimate(float(slope), False, monotone, int(ru.size))
 

@@ -491,6 +491,8 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
                  id="spec-type-not-a-string"),
     pytest.param(_PMF + ['{"type":"compose","parts":5}', "--out", "{tmp}/t.csv"], None, 2,
                  id="spec-parts-not-a-list"),
+    # refused as "spec is not valid JSON"
+    pytest.param(_PMF + ['{"type": ig', "--out", "{tmp}/t.csv"], None, 2, id="spec-not-json"),
     # a kmax past 2^20 counts is refused before any table is built
     pytest.param(_PMF + [IG_SPEC, "--kmax", "1048577", "--out", "{tmp}/t.csv"], None, 2,
                  id="pmf-kmax-past-the-cap"),
@@ -505,6 +507,11 @@ _VERIFY = ["verify", "--out-dir", "{tmp}/out", "--config", "{tmp}/cfg.json"]
     # than float spacing: refused, not a traceback
     pytest.param(["moments", "--lambda", "1", "--delta", "1", "--gamma", "1e200", "--t", "1",
                   "--out", "{tmp}/m.json"], None, 3, id="moments-gamma-1e200"),
+    # at gamma = 1e20 the rounding of delta t - gamma x at the nodes puts noise
+    # of about 1e-6 in the density, and no rule settles: "mixture rule did not
+    # converge", until the density is taken from the offset gamma x/(delta t) - 1
+    pytest.param(["moments", "--lambda", "1", "--delta", "1", "--gamma", "1e20", "--t", "1",
+                  "--out", "{tmp}/m.json"], None, 3, id="moments-gamma-1e20"),
     pytest.param(_PMF + [IG_SPEC, "--out", "{tmp}/file/t.csv"], None, 2, id="pmf-out-unwritable"),
     pytest.param(_SIM + ["--out", "{tmp}/file/s.csv"], None, 2, id="simulate-out-unwritable"),
     pytest.param(_MOMENTS + ["--lambda", "1", "--out", "{tmp}/file/m.json"], None, 2,

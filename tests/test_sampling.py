@@ -1,4 +1,5 @@
-"""Samplers: reproducibility, transform oracles, KS conformance, duality."""
+"""Samplers: reproducibility, transform oracles, paths, duality.  The KS
+test of each clock's single-t draws is a column of tests/test_conformance.py."""
 
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from scipy.special import betainc, erf, ndtri
 from scipy.stats import ks_2samp
 
+from test_conformance import KS_CRIT_1E3, ks_stat_bound
 from tcpp.errors import DomainError
 from tcpp.quadrules import gauss_panels, log_panel_edges
 from tcpp.subordinators.densities import (
@@ -49,9 +51,6 @@ from tcpp.subordinators.spec import (
 from tcpp.subordinators.stable import log_zolotarev_a, stable_unit
 from tcpp.timechange import _talbot, pmf_monte_carlo, pmf_table, table_cache
 
-# 0.1% two-sided KS critical value: sqrt(-ln(alpha/2)/2) / sqrt(n)
-KS_CRIT_1E3 = math.sqrt(-math.log(0.0005) / 2.0)
-
 
 def _ks_stat(values, cdf):
     v = np.sort(values)
@@ -60,18 +59,6 @@ def _ks_stat(values, cdf):
     up = np.max(np.arange(1, n + 1) / n - f)
     dn = np.max(f - np.arange(0, n) / n)
     return max(up, dn)
-
-
-def _ks_stat_bound(values, cdf, points=1000):
-    """An upper bound on _ks_stat from the cdf at `points` order statistics,
-    for cdfs that cost about a millisecond a point: between two of them F
-    and the empirical cdf are nondecreasing, so each gap can hide no more
-    than its own rise in both."""
-    v = np.sort(values)
-    n = v.size
-    j = np.unique(np.linspace(0, n - 1, points).astype(np.intp))
-    f = cdf(v[j])
-    return max(np.max((j[1:] + 1) / n - f[:-1]), np.max(f[1:] - j[:-1] / n))
 
 
 def _ks_2samp_ok(a, b):
@@ -191,47 +178,6 @@ class TestTransformOracles:
             assert abs(m - want) <= 4.0 * se
 
 
-class TestKolmogorovSmirnov:
-    N = 10_000
-
-    def test_ig(self):
-        vals = sample(InverseGaussian(1.0, 1.0), 1.0, self.N, seed=101).values
-        stat = _ks_stat(vals, lambda v: ig_cdf(v, 1.0, 1.0, 1.0))
-        assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
-
-    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.7])
-    def test_stable(self, beta):
-        vals = sample(Stable(beta), 1.3, self.N, seed=103).values
-        stat = _ks_stat(vals, lambda v: stable_cdf(v, 1.3, beta))
-        assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
-
-    def test_tempered(self):
-        vals = sample(TemperedStable(0.5, 1.0), 1.0, self.N, seed=105).values
-        stat = _ks_stat(
-            vals, lambda v: np.array([tempered_stable_cdf(x, 1.0, 0.5, 1.0) for x in v])
-        )
-        assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
-
-    def test_inverse_stable(self):
-        # E(t) for beta = 1/2 is |N(0, 2t)|: CDF erf(x / (2 sqrt(t)))
-        vals = sample(InverseOf(Stable(0.5)), 1.0, self.N, seed=107).values
-        stat = _ks_stat(vals, lambda v: erf(v / 2.0))
-        assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
-
-    def test_ig_hitting(self):
-        vals = sample(InverseOf(InverseGaussian(1.0, 1.0)), 1.0, self.N, seed=109).values
-        stat = _ks_stat(vals, lambda v: hitting_time_cdf_ig(v, 1.0, 1.0, 1.0))
-        assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
-
-    def test_inverse_tempered_half(self):
-        # tempered(1/2, 1) is IG(1/sqrt 2, sqrt 2): its hitting time is drawn exactly
-        vals = sample(InverseOf(TemperedStable(0.5, 1.0)), 1.0, self.N, seed=111).values
-        stat = _ks_stat(
-            vals, lambda v: np.array([inverse_tempered_cdf(x, 1.0, 0.5, 1.0) for x in v])
-        )
-        assert stat < KS_CRIT_1E3 / math.sqrt(self.N)
-
-
 class TestSmallIGSteps:
     """The IG two-root draw where gamma delta dt << Z^2: its smaller root is
     formed without a difference that cancels."""
@@ -342,7 +288,7 @@ class TestExactPaths:
                 sf = stable_unit(base.beta).sf
                 stat = _ks_stat(paths[:, j], lambda v: sf(t * v ** (-1.0 / base.beta)))
             elif isinstance(base, TemperedStable) and t <= 5.0:
-                stat = _ks_stat_bound(
+                stat = ks_stat_bound(
                     paths[:, j], lambda v: inverse_tempered_cdf(v, t, base.beta, base.mu))
             else:
                 _assert_hitting_moments(paths[:, j], base, t)
@@ -493,7 +439,7 @@ class TestInverseStablePassages:
         paths = sample_path(InverseOf(Stable(beta)), levels, n, seed=131)
         assert pools[0].fills > 1
         for j, t in enumerate(levels):
-            stat = _ks_stat_bound(paths[:, j], np.vectorize(
+            stat = ks_stat_bound(paths[:, j], np.vectorize(
                 lambda x: inverse_stable_cdf(x, t, beta) if x > 0 else 0.0), 200)
             assert stat < KS_CRIT_1E3 / math.sqrt(n), (t, stat)
 
@@ -509,7 +455,7 @@ class TestTiltedPassages:
         # inverse_tempered_cdf is exact up to t = 5
         n = 20_000
         vals = sample(InverseOf(TemperedStable(beta, mu)), t, n, seed=113).values
-        stat = _ks_stat_bound(vals, lambda v: inverse_tempered_cdf(v, t, beta, mu), 2000)
+        stat = ks_stat_bound(vals, lambda v: inverse_tempered_cdf(v, t, beta, mu), 2000)
         assert stat < KS_CRIT_1E3 / math.sqrt(n)
 
     def test_paths_that_refill_their_pools_keep_the_law(self, pools):
@@ -519,7 +465,7 @@ class TestTiltedPassages:
         paths = sample_path(InverseOf(TemperedStable(beta, mu)), levels, n, seed=137)
         assert pools[0].fills > 1 and pools[1].fills > 1
         for j, t in enumerate(levels):
-            stat = _ks_stat_bound(paths[:, j],
+            stat = ks_stat_bound(paths[:, j],
                                   lambda v: inverse_tempered_cdf(v, t, beta, mu), 200)
             assert stat < KS_CRIT_1E3 / math.sqrt(n), (t, stat)
 
@@ -670,7 +616,7 @@ class TestTemperedSampler:
         vals = sample(TemperedStable(beta, mu), t, n, seed=47).values
         se = math.sqrt(t * beta * (1.0 - beta) * mu ** (beta - 2.0) / n)
         assert abs(vals.mean() - t * beta * mu ** (beta - 1.0)) <= 4.0 * se
-        stat = _ks_stat_bound(vals, lambda v: tempered_stable_cdf(v, t, beta, mu))
+        stat = ks_stat_bound(vals, lambda v: tempered_stable_cdf(v, t, beta, mu))
         assert stat < KS_CRIT_1E3 / math.sqrt(n)
 
     @pytest.mark.parametrize("t, lam", [(0.5, 0.5), (2.0, 1.0)])

@@ -1,5 +1,6 @@
 """Density evaluators: closed forms, transform identities, duality."""
 
+import inspect
 import json
 import math
 import re
@@ -11,9 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from oracles.transforms import laplace_numeric
 from tcpp.errors import ConvergenceError, DivergenceError, DomainError, NoDensityError
-from tcpp.quadrules import gauss_panels, linear_panel_edges
 from tcpp.subordinators import densities
 from tcpp.subordinators.densities import (
     _inverse_tempered_tilt,
@@ -151,14 +150,11 @@ class TestLaplaceExponent:
                              - Composition((tem, ig)).phi(s))) > 1e-2
 
     @pytest.mark.parametrize("spec,rate", [
-        (InverseGaussian(2.0, 0.5), 4.0),
-        (TemperedStable(0.3, 2.0), 0.3 * 2.0 ** -0.7),
         (Composition((InverseGaussian(1.0, 1.0), TemperedStable(0.4, 1.0))), 0.4),
-        (InverseGaussian(1.0, 0.0), math.inf),
-        (Stable(0.9), math.inf),
         (Composition((TemperedStable(0.4, 1.0), Stable(0.5))), math.inf),
-    ], ids=["ig", "tempered", "ig-tempered", "ig-gamma0", "stable", "tempered-stable"])
+    ], ids=["ig-tempered", "tempered-stable"])
     def test_mean_rate_is_phi_slope_at_zero(self, spec, rate):
+        # the rate of a single clock is a column of tests/test_conformance.py
         assert spec.mean_rate() == pytest.approx(rate, rel=1e-15)
         h = 1e-7
         slope, coarse = spec.phi(h).real / h, spec.phi(100.0 * h).real / (100.0 * h)
@@ -235,21 +231,6 @@ class TestIGDensity:
         assert ig_density(np.array([1e-8]), 1.0, 1.0, 1.0)[0] == 0.0
         assert ig_density(np.array([1e8]), 1.0, 1.0, 1.0)[0] == 0.0
 
-    def test_normalization(self):
-        val = quad(lambda x: float(ig_density(x, 1.0, 1.0, 1.0)), 0, np.inf, limit=300)[0]
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_laplace_oracle(self):
-        lt = laplace_numeric(lambda x: float(ig_density(x, 1.0, 1.0, 1.0)), 1.0)
-        assert lt == pytest.approx(math.exp(1 - math.sqrt(3)), abs=1e-9)
-
-    def test_cdf_matches_quadrature(self):
-        for u in (0.3, 1.0, 3.0):
-            direct = quad(lambda x: float(ig_density(x, 1.0, 1.0, 1.0)), 0, u)[0]
-            assert float(ig_cdf(np.array([u]), 1.0, 1.0, 1.0)[0]) == pytest.approx(
-                direct, abs=1e-10
-            )
-
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1e3, 1e6, 1e8])
     @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
     def test_against_mpmath_at_large_gamma(self, gamma, t):
@@ -283,22 +264,6 @@ class TestStableDensity:
         closed = t / (2 * math.sqrt(math.pi)) * x ** -1.5 * np.exp(-t * t / (4 * x))
         assert np.max(np.abs(stable_density(x, t, 0.5) - closed)) < 1e-12
 
-    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.7])
-    def test_laplace_exponent(self, beta):
-        for s in (0.5, 1.0, 2.0):
-            lt = laplace_numeric(
-                lambda x: float(stable_density(np.array([x]), 1.0, beta)[0]), s
-            )
-            assert lt == pytest.approx(math.exp(-(s ** beta)), abs=1e-8)
-
-    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.7])
-    def test_normalization(self, beta):
-        val = quad(
-            lambda x: float(stable_density(np.array([x]), 1.0, beta)[0]),
-            0, np.inf, limit=400,
-        )[0]
-        assert val == pytest.approx(1.0, abs=1e-7)
-
     def test_large_x_asymptotic(self):
         # leading term beta/(Gamma(1-beta) x^(1+beta)); the relative gap is the
         # second series term ~ c x^(-beta), about 5% at x=50 for beta=0.7
@@ -314,17 +279,6 @@ class TestStableDensity:
         f = float(stable_density(np.array([0.01]), 1.0, 0.5)[0])
         closed = 0.5 / math.sqrt(math.pi) * 0.01 ** -1.5 * math.exp(-25.0)
         assert f == pytest.approx(closed, rel=1e-10)
-
-    def test_cdf_consistency(self):
-        for beta in (0.25, 0.7):
-            for x in (0.5, 2.0, 20.0):
-                direct = quad(
-                    lambda u: float(stable_density(np.array([u]), 1.0, beta)[0]),
-                    0, x, limit=400,
-                )[0]
-                assert float(stable_cdf(np.array([x]), 1.0, beta)[0]) == pytest.approx(
-                    direct, abs=1e-8
-                )
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.7])
     def test_cdf_at_tiny_t_is_one(self, beta):
@@ -471,21 +425,6 @@ class TestTemperedStable:
             tempered_stable_density(x, 1.3, 0.5, 0.0), stable_density(x, 1.3, 0.5)
         )
 
-    def test_normalization(self):
-        val = quad(
-            lambda x: float(tempered_stable_density(np.array([x]), 1.0, 0.5, 1.0)[0]),
-            0, np.inf, limit=300,
-        )[0]
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_laplace_eq_4_4(self):
-        # LT = exp(-t((s+mu)^beta - mu^beta)); s=2, beta=1/2, mu=1 -> e^{-(sqrt3-1)}
-        lt = laplace_numeric(
-            lambda x: float(tempered_stable_density(np.array([x]), 1.0, 0.5, 1.0)[0]),
-            2.0,
-        )
-        assert lt == pytest.approx(math.exp(-(math.sqrt(3.0) - 1.0)), abs=1e-9)
-
     def test_cdf_at_tiny_t_is_refused(self):
         # x t^(-1/beta) = 1e400 is past float range: refused, with no warning
         with warnings.catch_warnings():
@@ -515,25 +454,6 @@ class TestInverseStable:
         val = float(inverse_stable_density(np.array([1e-9]), 2.0, 0.25)[0])
         assert val == pytest.approx(2.0 ** -0.25 / math.gamma(0.75), rel=1e-8)
 
-    @pytest.mark.parametrize("beta", [0.25, 0.5])
-    def test_laplace_in_time(self, beta):
-        # int_0^inf e^{-st} m(x,t) dt = s^(beta-1) exp(-x s^beta)
-        for s in (0.5, 1.0, 2.0):
-            lt = laplace_numeric(
-                lambda t: float(inverse_stable_density(np.array([1.0]), t, beta)[0]), s
-            )
-            assert lt == pytest.approx(
-                s ** (beta - 1.0) * math.exp(-(s ** beta)), abs=1e-8
-            )
-
-    @pytest.mark.parametrize("beta", [0.25, 0.5])
-    def test_duality_lattice(self, beta):
-        for x in np.linspace(0.4, 2.0, 5):
-            for t in np.linspace(0.4, 2.0, 5):
-                lhs = inverse_stable_cdf(float(x), float(t), beta)
-                rhs = 1.0 - float(stable_cdf(np.array([t]), float(x), beta)[0])
-                assert abs(lhs - rhs) <= 1e-5
-
 
 def _tempered_levy_tail(t, beta, mu):
     """nu_mu(t, inf) by direct quadrature of the Levy density c e^{-mu u} u^{-beta-1},
@@ -562,13 +482,6 @@ def _mpmath_inverse_tempered(x, t, beta, mu, want):
 
 
 class TestInverseTempered:
-    def test_normalization(self):
-        val = quad(
-            lambda x: float(inverse_tempered_density(np.array([x]), 1.3, 0.5, 1.0)[0]),
-            1e-9, 60, limit=400,
-        )[0]
-        assert val == pytest.approx(1.0, abs=1e-6)
-
     def test_mu_to_zero_reduction(self):
         x = np.array([0.3, 0.8, 2.0])
         a = inverse_tempered_density(x, 1.3, 0.5, 1e-12)
@@ -588,11 +501,6 @@ class TestInverseTempered:
             for mu, t in ((1.0, 0.25), (1.0, 1.3), (4.0, 1.0)):
                 val = float(inverse_tempered_density(np.array([1e-9]), t, beta, mu)[0])
                 assert val == pytest.approx(_tempered_levy_tail(t, beta, mu), rel=1e-6)
-
-    def test_duality(self):
-        lhs = inverse_tempered_cdf(1.0, 1.0, 0.5, 1.0)
-        rhs = 1.0 - tempered_stable_cdf(1.0, 1.0, 0.5, 1.0)
-        assert abs(lhs - rhs) <= 1e-6
 
     @pytest.mark.parametrize("beta", [0.3, 0.7])
     @pytest.mark.parametrize("mu", [1.0, 4.0])
@@ -617,13 +525,6 @@ class TestInverseTempered:
                    inverse_tempered_cdf(p["x"], *args))
             for g, w in zip(got, (p["density"], p["cdf"])):
                 assert abs(g - w) <= (1e-15 if p["beta"] == 0.7 else 1e-10 * w), (p, g)
-
-    def test_density_integrates_to_cdf(self):
-        for t in (0.5, 2.0):
-            for x in (0.1, 0.6, 1.5):
-                nodes, w = gauss_panels(linear_panel_edges(0.0, x, 8), 12)
-                integral = float(np.sum(w * inverse_tempered_density(nodes, t, 0.7, 1.0)))
-                assert integral == pytest.approx(inverse_tempered_cdf(x, t, 0.7, 1.0), abs=1e-12)
 
     @pytest.mark.parametrize("mu", [0.25, 1.0, 3.0])
     def test_quadrature_route_matches_closed_form_at_half(self, mu):
@@ -733,8 +634,10 @@ def test_one_contract_at_and_below_zero(evaluate, params, limit, at_zero):
     # at x in {-inf, -1, 0, 1, +inf} and three times: 0 below x = 0, the
     # x = 0 value of the module docstring, the limit at +inf; a float for a
     # scalar call and the broadcast shape for any other, each point the
-    # scalar call's value; nothing warns
+    # scalar call's value; a call by keyword the positional call's bits, and
+    # one short of a parameter a TypeError; nothing warns
     x, t = np.array([-math.inf, -1.0, 0.0, 1.0, math.inf]), np.array([0.5, 1.0, 2.0])
+    names = list(inspect.signature(evaluate).parameters)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if isinstance(at_zero, type):  # the documented refusal at x = 0
@@ -746,6 +649,11 @@ def test_one_contract_at_and_below_zero(evaluate, params, limit, at_zero):
         scalars = [[evaluate(float(xi), float(tj), *params) for tj in t] for xi in x]
         by_x = evaluate(x, 1.0, *params)
         by_t = [evaluate(float(xi), t, *params) for xi in x]
+        by_keyword = evaluate(**dict(zip(names, (x[:, None], t, *params))))
+        with pytest.raises(TypeError):
+            evaluate(1.0, 1.0, *params[:-1])
+    assert by_keyword.shape == grid.shape and by_keyword.dtype == grid.dtype
+    assert by_keyword.tobytes() == grid.tobytes()
     assert all(type(v) is float for row in scalars for v in row)
     assert isinstance(grid, np.ndarray) and grid.shape == (x.size, t.size)
     np.testing.assert_array_equal(grid, scalars)
@@ -826,13 +734,6 @@ class TestHittingTimeIG:
         want = self._analytic(x, t, delta, gamma)
         assert np.max(np.abs(got - want)) < 1e-6
 
-    def test_normalization(self):
-        val = quad(
-            lambda u: float(hitting_time_density_ig(np.array([u]), 1.0, 1.0, 1.0)[0]),
-            1e-9, 40, limit=400,
-        )[0]
-        assert val == pytest.approx(1.0, abs=1e-5)
-
     def test_gamma_zero_is_inverse_half_stable(self):
         x = np.array([0.1, 0.6, 1.4])
         got = hitting_time_density_ig(x, 1.3, 1 / math.sqrt(2), 0.0)
@@ -902,13 +803,6 @@ class TestHittingTimeIG:
                 want = mp.ncdf(z1) + mp.exp(2 * gamma * dt) * mp.ncdf(z2)
                 assert float(abs(g - want) / want) <= 1e-12
 
-    def test_cdf_duality(self):
-        # P(H(t) <= x) = P(G(x) >= t)
-        got = float(hitting_time_cdf_ig(np.array([1.2]), 1.0, 1.0, 1.0)[0])
-        want = 1.0 - float(ig_cdf(np.array([1.0]), 1.2, 1.0, 1.0)[0])
-        assert got == pytest.approx(want, abs=1e-14)
-
-
 class TestStableMoment:
     @pytest.mark.parametrize("beta", [0.25, 0.5, 0.7])
     def test_gamma_formula(self, beta):
@@ -946,87 +840,10 @@ class TestStableMoment:
         assert abs(stable_moment(0.5, 0.25) - mc) <= 3.0 * se
 
 
-def _window_end(spec, t, cut=0.0, n_panels=32):
-    """x_hi of the frozen rule that spec's mixing law builds at the single time t,
-    in the variable of its nodes."""
-    return spec.mixing_law().rule_nodes(t, t, cut, n_panels)[3]
-
-
-def _first_node(clock, t):
-    """The first node, a hair past the window's left end, of a rule on many
-    panels; the cut is wide enough not to cap the window."""
-    return clock.rule_nodes(t, t, 1e9, 2048)[0][0]
-
-
-def _mass_outside(clock, t):
-    """The mass each window end leaves out, from a CDF that does not use the rule."""
-    if isinstance(clock, InverseOf) and isinstance(clock.base, Stable):
-        # nodes in v = x t^(-b): P(E(t) > x) = P(D(1) < t x^(-1/b)) = P(D(1) < v^(-1/b))
-        b = clock.base.beta
-        return [stable_unit(b).cdf(_window_end(clock, t) ** (-1.0 / b))[0]]
-    if isinstance(clock, Stable):
-        # nodes in y = x t^(-1/b); the right end is the Poisson cut, with a survivor
-        return [stable_unit(clock.beta).cdf(_first_node(clock, t))[0]]
-    if isinstance(clock, InverseOf) and isinstance(clock.base, InverseGaussian):
-        # P(H(t) > x) = P(G(x) < t)
-        d, g = clock.base.delta, clock.base.gamma
-        return [ig_cdf(np.array([t]), _window_end(clock, t), d, g)[0]]
-    if isinstance(clock, InverseOf):
-        # P(E_mu(t) > x) = P(D_mu(x) < t) = 1 - inverse_tempered_cdf, read
-        # without the complement, which would round e^-45 away
-        b, mu = clock.base.beta, clock.base.mu
-        x = _window_end(clock, t)
-        assert 1.0 - inverse_tempered_cdf(x, t, b, mu) <= 1e-15
-        return [tempered_stable_cdf(t, x, b, mu)]
-    if isinstance(clock, InverseGaussian):
-        # P(G(t) < x) at the first node, a hair past x_lo, and P(G(t) > x_hi)
-        # = P(H(x_hi) < t); the cut is wide enough not to cap x_hi
-        d, g = clock.delta, clock.gamma
-        nodes, _, _, x_hi = clock.rule_nodes(t, t, 1e9, 2048)
-        return [ig_cdf(nodes[:1], t, d, g)[0], hitting_time_cdf_ig(t, x_hi, d, g)]
-    # tempered, nodes in y = x t^(-1/b): P(D_mu(t) < x) at the first node and
-    # P(D_mu(t) > x) at the window end, by quadrature of the density
-    b, mu = clock.beta, clock.mu
-
-    def density(y):
-        return float(tempered_stable_density(np.array([y]), t, b, mu)[0])
-
-    x_lo, x_hi = (t ** (1.0 / b) * y for y in (_first_node(clock, t), _window_end(clock, t)))
-    return [quad(density, 0.0, x_lo, epsabs=0.0, limit=200)[0],
-            quad(density, x_hi, x_hi + 300.0 / mu, epsabs=0.0, limit=200)[0]]
-
-
 class TestNodeWindows:
-    """Each frozen rule's node window leaves out at most e^-TAIL_LOG of its
-    clock's mass (the Chernoff bound), and not a great deal less."""
-
-    @pytest.mark.parametrize("clock", [
-        pytest.param(InverseOf(Stable(0.3)), id="inverse-stable(0.3)"),
-        pytest.param(InverseOf(Stable(0.5)), id="inverse-stable(0.5)"),
-        pytest.param(InverseOf(Stable(0.7)), id="inverse-stable(0.7)"),
-        pytest.param(InverseOf(InverseGaussian(1.0, 1.0)), id="ig-hitting(1,1)"),
-        pytest.param(InverseOf(InverseGaussian(0.5, 100.0)), id="ig-hitting(0.5,100)"),
-        pytest.param(InverseOf(InverseGaussian(2.0, 0.0)), id="ig-hitting(2,0)"),
-        pytest.param(InverseOf(TemperedStable(0.5, 2.0)), id="inverse-tempered(0.5,2)"),
-        pytest.param(InverseOf(TemperedStable(0.3, 1.0)), id="inverse-tempered(0.3,1)"),
-        pytest.param(InverseOf(TemperedStable(0.7, 0.5)), id="inverse-tempered(0.7,0.5)"),
-        pytest.param(InverseOf(TemperedStable(0.3, 400.0)), id="inverse-tempered(0.3,400)"),
-        pytest.param(Stable(0.1), id="stable(0.1)"),
-        pytest.param(Stable(0.3), id="stable(0.3)"),
-        pytest.param(Stable(0.5), id="stable(0.5)"),
-        pytest.param(Stable(0.7), id="stable(0.7)"),
-        pytest.param(InverseGaussian(1.0, 1.0), id="ig(1,1)"),
-        pytest.param(InverseGaussian(0.5, 100.0), id="ig(0.5,100)"),
-        pytest.param(InverseGaussian(1.0, 1e6), id="ig(1,1e6)"),
-        pytest.param(TemperedStable(0.3, 1.0), id="tempered(0.3,1)"),
-        pytest.param(TemperedStable(0.7, 0.5), id="tempered(0.7,0.5)"),
-        pytest.param(TemperedStable(0.3, 400.0), id="tempered(0.3,400)"),
-        pytest.param(TemperedStable(0.1, 1.0), id="tempered(0.1,1)"),
-    ])
-    @pytest.mark.parametrize("t", [0.1, 1.0, 20.0])
-    def test_window_leaves_out_at_most_the_tail_bound(self, clock, t):
-        for mass in _mass_outside(clock, t):
-            assert math.exp(-TAIL_LOG - 12.0) < mass <= math.exp(-TAIL_LOG)
+    """The tilt integrals' Chernoff lower limit, and a window past the floats;
+    the mass each clock's window leaves out is a column of
+    tests/test_conformance.py."""
 
     @pytest.mark.parametrize("beta, mu", [(0.3, 1.0), (0.7, 0.5), (0.3, 400.0), (0.1, 1.0)])
     @pytest.mark.parametrize("t", [0.1, 1.0, 20.0])
