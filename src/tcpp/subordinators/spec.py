@@ -211,6 +211,12 @@ class SubordinatorSpec(Clock):
         """(delta, gamma) when the count law has the closed Bessel form, else None."""
         return None
 
+    def stable_index(self):
+        """The index of the stable law this clock is, or None: beta for a
+        stable clock, the product of the parts' indices for a composition of
+        stable clocks (`Composition`)."""
+        return None
+
     def mean_rate(self):
         """E X(t) / t = phi'(0+), math.inf when the mean is infinite; None when
         the clock does not say.  `pmf_table` searches K for such a clock by
@@ -279,6 +285,9 @@ class Stable(SubordinatorSpec):
     beta: float
     kind = "stable"
     domains = {"beta": UNIT_INTERVAL}
+
+    def stable_index(self):
+        return self.beta
 
     def mean_rate(self):
         return math.inf
@@ -418,9 +427,14 @@ class Composition(SubordinatorSpec):
             s = part.phi(s)
         return s
 
+    def stable_index(self):
+        # stable laws with unit exponent coefficients compose to the stable
+        # law of the product index
+        indices = [part.stable_index() for part in self.parts]
+        return None if None in indices else math.prod(indices)
+
     def mixing_law(self):
-        # stable laws compose to the stable law of the product index
-        eff = flatten_stable_composition(self)
+        eff = self.stable_index()
         return None if eff is None else Stable(eff).mixing_law()
 
     def increment(self, rng, dt):
@@ -439,7 +453,7 @@ class Composition(SubordinatorSpec):
 
     def hitting(self):
         # the product-index stable law's route, with or without a density
-        eff = flatten_stable_composition(self)
+        eff = self.stable_index()
         return _InverseComposition(self) if eff is None else Stable(eff).hitting()
 
 
@@ -623,17 +637,6 @@ def spec_from_json(text: str) -> SubordinatorSpec:
         raise DomainError(f"spec is not valid JSON: {exc}") from exc
 
 
-def flatten_stable_composition(spec: SubordinatorSpec):
-    """Effective stable index if the spec is a (composition of) stable law(s).
-
-    Composing stable subordinators with unit Laplace-exponent coefficients
-    multiplies the indices; returns None when the spec is not of that shape.
-    """
-    if isinstance(spec, Stable):
-        return spec.beta
-    if isinstance(spec, Composition) and all(isinstance(p, Stable) for p in spec.parts):
-        out = 1.0
-        for p in spec.parts:
-            out *= p.beta
-        return out
-    return None
+# `spec.stable_index()` under the name the benchmark's tracer
+# (`perfbench/tracing.py`) reads to tell exact inverse draws from walks
+flatten_stable_composition = lambda spec: spec.stable_index()  # noqa: E731

@@ -4,6 +4,8 @@ A Levy clock X (every clock but an inverse one) has the closed generating
 function E u^{N(X(t))} = exp(-t phi_X(lam (1 - u))); `pmf_table` inverts it
 by one FFT on the circle |u| = r (Abate & Whitt 1992), except an IG clock
 with gamma > 0, whose count law has a closed Bessel form (`_ig_count_logs`).
+That FFT, and the fixed Talbot inversion in t behind `fractional_poisson_pmf`,
+are the two kernels of `tcpp.transforms`.
 Inverse clocks take the quadrature route below, which also serves as the
 independent oracle.  The routes are one table, `ROUTES`: each states which
 clocks it serves, "auto" takes the first that serves, and a route's refusal
@@ -61,6 +63,7 @@ from .subordinators.spec import (
     SubordinatorSpec,
     spec_from_dict,
 )
+from .transforms import ALIAS, coefficients, invert
 
 __all__ = [
     "PmfTable",
@@ -507,7 +510,7 @@ def pmf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None = N
     """PmfTable for k = 0..kmax with an honest tail bound.
 
     method "pgf" inverts the generating function of a Levy clock (see
-    `_pgf_values`); "bessel" sums the closed form of an IG clock with
+    `_pgf_table`); "bessel" sums the closed form of an IG clock with
     gamma > 0 (`_ig_count_logs`); "quadrature" sums the Poisson mixture
     against a frozen rule settled to 1e-10; "auto" takes the first route in
     `ROUTES` that serves the clock.  A route that does not serve it is
@@ -659,39 +662,6 @@ def _bessel_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None
             "tail_bound": max(0.0, 1.0 - float(values.sum()))}
 
 
-_PGF_DIGITS = 13
-_PGF_ALIAS = 10.0 ** -_PGF_DIGITS / (1.0 - 10.0 ** -_PGF_DIGITS)  # r^N / (1 - r^N)
-
-
-@lru_cache(maxsize=16)
-def _pgf_contour(n: int):
-    """(r, u, scale) of the n-point circle: r = 10^(-d/n), the half circle
-    u_j = r e^{2 pi i j/n}, j <= n/2, and scale_k = n r^k for k < n/4."""
-    r = 10.0 ** (-_PGF_DIGITS / n)
-    u = r * np.exp(2j * math.pi * np.arange(n // 2 + 1) / n)
-    scale = n * r ** np.arange(n // 4)
-    u.flags.writeable = scale.flags.writeable = False
-    return r, u, scale
-
-
-def _pgf_values(t: float, lam: float, spec: SubordinatorSpec, n: int):
-    """(raw p_k for k < n/4, radius r) from n points of G(u) = E u^{N(X(t))}.
-
-    On u_j = r e^{2 pi i j/n}, r = 10^(-d/n), FFT(G)[k] / (n r^k) is p_k plus
-    the aliased sum_{m >= 1} p_{k+mn} r^{mn} <= r^n / (1 - r^n) = 10^-d.  G is
-    Hermitian in j, so half the circle gives the real transform.  Rounding
-    is amplified by r^-k <= 10^(d/4): the far values carry absolute noise
-    near 1e-14, enough for mass but not for k^2-weighted sums.  On the
-    4 003 points of the kmax-2000 cap table (n = 8 004) a pass takes about
-    0.28 ms of CPU for a stable(0.7) clock (2 cores): phi 0.11 ms (one
-    modulus, argument, power, cos and sin, `spec._power`), the exponential
-    0.07 ms and hfft 0.10 ms; the contour, built once per n, 0.11 ms.
-    """
-    r, u, scale = _pgf_contour(n)
-    g = np.exp(-t * spec.phi(lam * (1.0 - u)))
-    return np.fft.hfft(g, n)[: n // 4] / scale, r
-
-
 def _cap_tail_bound(t: float, lam: float, spec: SubordinatorSpec) -> float:
     """P(N > 2000) <= (1 - G(u)) / (1 - u^2001) at u = 1 - 1/2001, G(u) =
     exp(-t phi(lam (1 - u))) the generating function: for any u in (0, 1),
@@ -702,14 +672,20 @@ def _cap_tail_bound(t: float, lam: float, spec: SubordinatorSpec) -> float:
 
 def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -> dict:
     """PGF-route table fields from one pass of n = 4 (K + 1) >= 256 points at
-    the K `_search` settles on; the tail column is 1 - sum_{j <= k} p_j plus
-    the aliasing bound."""
+    the K `_search` settles on: the raw p_k for k <= K are the `coefficients`
+    (`tcpp.transforms`) of G(u) = exp(-t phi(lam (1 - u))), each within the
+    aliasing bound ALIAS = 1e-13 plus rounding near 1e-14, and the tail
+    column is 1 - sum_{j <= k} p_j plus that bound.  On the 4 003 points of
+    the kmax-2000 cap table (n = 8 004) a pass takes about 0.28 ms of CPU for
+    a stable(0.7) clock (2 cores): phi 0.11 ms (one modulus, argument, power,
+    cos and sin, `spec._power`), the exponential 0.07 ms and hfft 0.10 ms;
+    the contour, built once per n, 0.11 ms."""
     def table_at(K):
         n = max(256, 4 * (K + 1))
-        raw, r = _pgf_values(t, lam, spec, n)
+        raw, r = coefficients(lambda u: np.exp(-t * spec.phi(lam * (1.0 - u))), n)
         raw = raw[:K + 1]
-        tails = 1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS
-        return raw, tails, {"radius": r, "nodes": n, "aliasing_bound": _PGF_ALIAS}
+        tails = 1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + ALIAS
+        return raw, tails, {"radius": r, "nodes": n, "aliasing_bound": ALIAS}
 
     kmax, (raw, _, route) = _search(table_at, t, lam, spec, kmax)
     raw = raw[: kmax + 1]
@@ -718,7 +694,7 @@ def _pgf_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None) -
                                f"{np.min(raw):.3g} below -1e-12")
     values = np.clip(raw, 0.0, 1.0)
     return {"kmax": kmax, "values": values,
-            "tail_bound": max(0.0, 1.0 - float(np.sum(values))) + _PGF_ALIAS, "route": route}
+            "tail_bound": max(0.0, 1.0 - float(np.sum(values))) + ALIAS, "route": route}
 
 
 def _mc_table(t: float, lam: float, spec: SubordinatorSpec, kmax: int | None,
@@ -799,11 +775,14 @@ def fractional_poisson_pmf(k: int, t: float, lam: float, beta: float) -> float:
 
     Stable(beta) refuses an index outside (0, 1).  Past the stable density
     engine's index, where the clock has no mixing law, the transform in t,
-    s^(beta-1) lam^k / (lam + s^beta)^(k+1), is inverted by fixed Talbot
-    (`_talbot`) at 24 and 32 nodes; the 32-node value is returned when the
-    two agree to 1e-9, and ConvergenceError is raised when they do not.
-    k is an integer >= 0, and t and lambda finite numbers > 0, on both
-    routes: each is refused with DomainError otherwise (a bool too).
+    s^(beta-1) lam^k / (lam + s^beta)^(k+1), is inverted by `invert`
+    (`tcpp.transforms`, fixed Talbot); its 32-node value, clipped to [0, 1],
+    is returned when it lies within 1e-9 of the 24-node value, and
+    ConvergenceError is raised when it does not.  The clip only moves a
+    value toward the truth: unclipped, k = 0 read up to 1 + 9.4e-10 at
+    t = 1e-300, and counts far past the mean down to -3.7e-16.  k is an
+    integer >= 0, and t and lambda finite numbers > 0, on both routes: each
+    is refused with DomainError otherwise (a bool too).
     """
     k, t, lam = _COUNT.check("k", k), POSITIVE.check("t", t), POSITIVE.check("lambda", lam)
     if (spec := InverseOf(Stable(beta))).mixing_law() is not None:
@@ -813,25 +792,11 @@ def fractional_poisson_pmf(k: int, t: float, lam: float, beta: float) -> float:
         sb = s ** beta
         return s ** (beta - 1.0) * (lam / (lam + sb)) ** k / (lam + sb)
 
-    coarse, fine = (_talbot(transform, t, m) for m in (24, 32))
-    if not abs(fine - coarse) <= 1e-9:
-        raise ConvergenceError(f"Talbot inversion of the fractional Poisson pmf at k={k}, "
-                               f"t={t}, lambda={lam}, beta={beta} did not settle: 24 nodes "
-                               f"give {coarse:.3g}, 32 give {fine:.3g}")
-    return fine
-
-
-def _talbot(transform, t: float, m: int) -> float:
-    """f(t) from its Laplace transform F by the fixed Talbot contour of Abate
-    and Valko (2004): s(theta) = r theta (cot theta + i), r = 2m/(5t), on the
-    m points theta_j = j pi/m (the j = 0 point taken at its limit s = r)."""
-    theta = np.arange(1, m) * math.pi / m
-    cot = 1.0 / np.tan(theta)
-    r = 2.0 * m / (5.0 * t)
-    s = r * theta * (cot + 1j)
-    sigma = theta + (theta * cot - 1.0) * cot
-    ends = 0.5 * math.exp(r * t) * transform(complex(r)).real
-    return r / m * (ends + float(np.sum((np.exp(t * s) * transform(s) * (1.0 + 1j * sigma)).real)))
+    value, gap = invert(transform, t)
+    if not gap <= 1e-9:
+        raise ConvergenceError(f"Talbot inversion of the fractional Poisson pmf at k={k}, t={t}, "
+                               f"lambda={lam}, beta={beta} did not settle: gap {gap:.3g} > 1e-9")
+    return min(max(value, 0.0), 1.0)
 
 
 # -- moments and waiting times -----------------------------------------------------

@@ -26,10 +26,8 @@ from tcpp.subordinators.spec import (
     TemperedStable,
 )
 from tcpp.timechange import (
-    _PGF_ALIAS,
     MixtureRule,
     PmfTable,
-    _pgf_values,
     _poisson_cut,
     fractional_poisson_pmf,
     ig_moment_table,
@@ -43,6 +41,7 @@ from tcpp.timechange import (
     waiting_time_lt,
     waiting_time_survival,
 )
+from tcpp.transforms import ALIAS, coefficients
 
 
 def _mpmath_inverse_pmf(k, t, lam, beta, mu):
@@ -873,18 +872,23 @@ class TestPgfRoute:
         Composition((InverseGaussian(1.0, 1.0), Stable(0.9)))]
 
     @staticmethod
-    def _doubling(t, lam, spec):
+    def _pass(t, lam, spec, n):
+        """(raw p_k for k < n/4, radius) of one n-point pass of the PGF route."""
+        return coefficients(lambda u: np.exp(-t * spec.phi(lam * (1.0 - u))), n)
+
+    @classmethod
+    def _doubling(cls, t, lam, spec):
         """Oracle for auto kmax: passes of n = 256, 512, ... points up to
         8004, stopping at the first whose tail column falls below 1e-10."""
         n = 256
         while True:
-            raw, r = _pgf_values(t, lam, spec, n)
-            below = np.flatnonzero(1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + _PGF_ALIAS < 1e-10)
+            raw, r = cls._pass(t, lam, spec, n)
+            below = np.flatnonzero(1.0 - np.cumsum(np.clip(raw, 0.0, 1.0)) + ALIAS < 1e-10)
             if below.size or n == 8004:
                 kmax = int(below[0]) if below.size else 2000
                 values = np.clip(raw[: kmax + 1], 0.0, 1.0)
-                tail = max(0.0, 1.0 - float(np.sum(values))) + _PGF_ALIAS
-                route = {"radius": r, "nodes": n, "aliasing_bound": _PGF_ALIAS}
+                tail = max(0.0, 1.0 - float(np.sum(values))) + ALIAS
+                route = {"radius": r, "nodes": n, "aliasing_bound": ALIAS}
                 return values, kmax, tail, route
             n = min(2 * n, 8004)
 
@@ -894,11 +898,11 @@ class TestPgfRoute:
 
         calls = []
 
-        def counted(t, lam, spec, n):
+        def counted(G, n):
             calls.append(n)
-            return _pgf_values(t, lam, spec, n)
+            return coefficients(G, n)
 
-        monkeypatch.setattr(timechange, "_pgf_values", counted)
+        monkeypatch.setattr(timechange, "coefficients", counted)
         return calls
 
     @pytest.mark.parametrize("spec", ONE_PASS, ids=[
@@ -941,7 +945,7 @@ class TestPgfRoute:
         # P(N > 2000) = 1 - sum of the cap pass's 2001 values, up to its 1e-13 aliasing
         for t in (1e-8, 1e-5, 1e-3, 1.0):
             for lam in (0.5, 20.0):
-                raw, _ = _pgf_values(t, lam, spec, 8004)
+                raw, _ = self._pass(t, lam, spec, 8004)
                 past = 1.0 - float(np.sum(raw[:2001]))
                 assert past <= timechange._cap_tail_bound(t, lam, spec) + 1e-12
 
@@ -1082,6 +1086,15 @@ class TestFractionalPoisson:
             for k in (0, 1, 2, 5, 20):
                 want = _mpmath_inverse_pmf(k, t, lam, beta, 0.0)
                 assert abs(fractional_poisson_pmf(k, t, lam, beta) - want) <= 1e-10
+
+    @pytest.mark.parametrize("k,t,lam,beta,want", [
+        (0, 1e-300, 1.0, 0.97, 1.0), (0, 1e-300, 20.0, 0.977, 1.0), (0, 1e-30, 3.0, 0.975, 1.0),
+        (60, 10.0, 1.0, 0.951, 0.0), (100, 5.0, 3.0, 0.96, 0.0), (100, 1.0, 20.0, 0.951, 0.0)])
+    def test_near_one_is_a_probability(self, k, t, lam, beta, want):
+        # the settled 32-node values read 1 + 6.6e-10, 1 + 9.4e-10, 1 + 7.6e-11,
+        # -4.5e-25, -2.1e-23 and -3.7e-16; the law is 1 - O(t^beta) at k = 0
+        # and far below 1e-16 at these counts, so the clip reads the truth
+        assert fractional_poisson_pmf(k, t, lam, beta) == want
 
     def test_near_one_raises_when_node_counts_disagree(self):
         # at k = 100, t = 10, lambda = 5 the 24- and 32-node contours give
