@@ -36,20 +36,23 @@ def gauss_panels(edges: np.ndarray, nodes_per_panel: int = 12):
 
     Returns (x, w) with x strictly inside each panel.  Raises
     ConvergenceError when x does not ascend in floating point: the panels
-    are narrower than float spacing.
+    are narrower than float spacing.  A 2-D ``edges`` holds one rule's edges
+    a row, and x and w then hold one rule a row.
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("edges must be a 1-d array of at least two points")
+    if edges.ndim not in (1, 2) or edges.shape[-1] < 2:
+        raise ValueError("edges must be a 1-d or 2-d array of at least two points a row")
     xi, wi = gauss_legendre(nodes_per_panel)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    x = (0.5 * (b - a) * xi[None, :] + 0.5 * (b + a)).ravel()
+    a = edges[..., :-1, None]
+    b = edges[..., 1:, None]
+    shape = edges.shape[:-1] + (-1,)
+    x = (0.5 * (b - a) * xi + 0.5 * (b + a)).reshape(shape)
     if not np.all(np.diff(x) > 0):
-        raise ConvergenceError(f"{edges.size - 1} panels on [{edges[0]:.17g}, {edges[-1]:.17g}] "
+        row = edges if edges.ndim == 1 else edges[~np.all(np.diff(x) > 0, axis=1)][0]
+        raise ConvergenceError(f"{row.size - 1} panels on [{row[0]:.17g}, {row[-1]:.17g}] "
                                "are narrower than float spacing")
-    w = 0.5 * (b - a) * wi[None, :]
-    return x, w.ravel()
+    w = 0.5 * (b - a) * wi
+    return x, w.reshape(shape)
 
 
 def linear_panel_edges(a: float, b: float, n_panels: int) -> np.ndarray:

@@ -73,7 +73,7 @@ import numpy as np
 
 from ..errors import (NONNEGATIVE, POSITIVE, UNIT_INTERVAL, ConvergenceError, DivergenceError,
                       DomainError)
-from ..quadrules import gauss_legendre, gauss_panels, linear_panel_edges
+from ..quadrules import gauss_legendre, gauss_panels
 from ..specfun import erfcx, ndtr
 from .stable import _TINY, stable_unit
 
@@ -326,18 +326,29 @@ def inverse_stable_density(x, t, beta: float):
     return _product_or_log_sum(factors, t, x, beta, np.log(t / beta) - np.log(x))
 
 
+# points a pass of `inverse_stable_cdf`: 32 rules of 576 nodes
+_CDF_CHUNK = 32
+
+
 @_evaluator(1.0, beta=UNIT_INTERVAL)
 def inverse_stable_cdf(x, t, beta: float):
     """P(E(t) <= x) by quadrature of m(.,t) (independent of the duality route).
 
     Uses the substitution u = t^beta v, under which m(u,t) du = m(v,1) dv,
-    integrated over [0, x t^(-beta)] on 48 panels of 12 Gauss points, one
-    point's rule at a time, so the working arrays do not grow with the points.
+    integrated over [0, x t^(-beta)] on 48 panels of 12 Gauss points.  The
+    rules of _CDF_CHUNK points are laid out as the rows of one node array
+    and take one density call, so the working arrays do not grow with the
+    points; each row is its point's own rule, summed as one.
     """
-    def cdf(v_hi):
-        nodes, w = gauss_panels(linear_panel_edges(0.0, v_hi, 48))
-        return np.sum(w * inverse_stable_density(nodes, 1.0, beta))
-    return np.vectorize(cdf, otypes=[float])(x * t ** (-beta))
+    v_hi = x * t ** (-beta)
+    flat = v_hi.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, _CDF_CHUNK):
+        stop = flat[lo:lo + _CDF_CHUNK]
+        # one row of 48 equal panels' edges per point
+        nodes, w = gauss_panels(np.linspace(0.0, stop, 49, axis=-1))
+        out[lo:lo + stop.size] = np.sum(w * inverse_stable_density(nodes, 1.0, beta), axis=-1)
+    return out.reshape(v_hi.shape)
 
 
 # -- tempered stable hitting time ----------------------------------------------

@@ -27,21 +27,25 @@ Sampler routes (each process class in tcpp.subordinators.spec picks its own):
   angle and a unit exponential; at beta = 1/2, which is IG(1/sqrt 2, 0), the
   IG sampler.
 * tempered(beta,mu): exponential-tilting rejection against the stable
-  sampler, acceptance exp(-mu X).  A tabulated floor of Zolotarev's A on
-  256 angle bins rejects most proposals before their sines, with the draws
-  of the plain loop bit for bit (`_tilted_round`); a value with
-  mu^beta t > 2 is the sum of ceil(mu^beta t / 2) iid pieces, each accepted
-  with probability >= e^-2, so every draw costs O(mu^beta t) proposals and
-  none is refused.  Two drivers share the round: per-element steps
-  (increments, paths, the outer parts of compositions) give each pending
-  element one proposal a round (`_sample_tilted`), while the draws at one t
-  propose iid rounds sized to the shortfall and keep the accepted values in
-  order (`_sample_tilted_iid`), exact because all proposals share one law.
-  Those are the two acceptance loops of every rejection sampler here:
-  `_until_accepted` (also the stable steps conditioned below a gap) and
-  `_first_accepted` (also the passage angles of `_passage_log_a`); a sampler
-  states only its proposal.  At beta = 1/2, which is IG(1/sqrt 2,
-  sqrt(2 mu)), the IG sampler.
+  sampler, acceptance exp(-mu X); a value with mu^beta t > 2 is the sum of
+  ceil(mu^beta t / 2) iid pieces, each of mu^beta t <= 2, so every draw
+  costs O(mu^beta t) proposals and none is refused.  Two drivers draw the
+  pieces.  Per-element steps (increments, paths, the outer parts of
+  compositions) give each pending element one plain tilting proposal a
+  round (`_sample_tilted`); a tabulated floor of Zolotarev's A on 256 angle
+  bins rejects most of them before their sines, with the draws of the plain
+  loop bit for bit (`_tilted_round`).  The draws at one t share one scale,
+  so they propose from a piecewise-constant envelope of the acceptance on
+  Kanter's plane of theta = pi U and V = e^-W, 64 x 32 cells each bounded
+  at its corner of least theta and largest W (`_tilt_envelope`): a cell is
+  picked in proportion to its bound, a point drawn uniformly in it, and the
+  point accepted at its acceptance over the bound.  That is exact, and it
+  accepts 0.83-0.86 of its proposals at mu^beta t = 2 where plain tilting
+  accepts e^-2 (`_sample_tilted_iid`).  Those are the two acceptance loops
+  of every rejection sampler here: `_until_accepted` (also the stable steps
+  conditioned below a gap) and `_first_accepted` (also the passage angles
+  of `_passage_log_a`); a sampler states only its proposal.  At beta = 1/2,
+  which is IG(1/sqrt 2, sqrt(2 mu)), the IG sampler.
 * composition:       feed sampled values as the time argument of the next
   part (outermost part listed first); a single-t draw takes the innermost
   part's own single-t sampler.
@@ -241,18 +245,93 @@ def _sample_tilted(rng, t, beta, mu):
     return _until_accepted(t.size, lambda idx: _tilted_round(rng, idx.size, t_pow[idx], beta, mu))
 
 
-def _sample_tilted_iid(rng, t, beta, mu, n):
-    """n iid tilted draws at one t with mu^beta t <= 2 (acceptance >= e^-2).
+# the envelope of `_sample_tilted_iid`: U = theta/pi in 64 bins (every fourth
+# floor bin), V = e^-W in 32, and a guide table of 2^15 entries over the cells
+_ENV_U, _ENV_V, _ENV_GUIDE = _SQUEEZE_BINS // 4, 32, 2 ** 15
 
-    All proposals share one scale, so the accepted proposals of the stream
-    are iid draws of the target law (`_first_accepted` at the exact
-    acceptance p = exp(-mu^beta t)).  Rounds are capped at _DRAW_BLOCK, so no
-    request outgrows a block.
+
+@lru_cache(maxsize=16)
+def _tilt_envelope(t, beta, mu):
+    """Cell bounds on the acceptance exp(-mu s (A(theta)/W)^c) of a tilted
+    draw at t, s = t^(1/beta), c = (1 - beta)/beta, over the unit square of
+    U = theta/pi and V = e^-W, both uniform under the stable proposal.
+
+    The acceptance falls with theta and rises with W, so its supremum on a
+    cell is at the cell's smallest U and smallest V (largest W): there the
+    bound takes the floor of log A on the U bin (`_log_a_floor`) and
+    W = -log(j/32) on V bin j; on bin 0, where W is unbounded, it is 1.  The
+    additive 1e-12 absorbs the rounding of the exponentials.
+
+    Returns the bounds M (cells row-major in (U bin, V bin)), their running
+    sums divided by the total, the guide table (entry g is the cell holding
+    the key g / 2^15, in 16 bits, which gather faster than 64) and the
+    acceptance of a proposal, e^(-mu^beta t) 2048 / sum(M).  About 0.1 MB.
     """
+    c = (1.0 - beta) / beta
     # numpy's power, as `_sample_stable` takes it: Python's can differ by an ulp
     scale = np.asarray(t, dtype=float) ** (1.0 / beta)
-    return _first_accepted(n, math.exp(-mu ** beta * t), lambda k: _tilted_round(
-        rng, k, np.broadcast_to(scale, k), beta, mu)[1], _DRAW_BLOCK)
+    log_w = np.log(-np.log(np.arange(1, _ENV_V) / _ENV_V))
+    floor = _log_a_floor(beta)[::_SQUEEZE_BINS // _ENV_U]
+    bound = np.ones((_ENV_U, _ENV_V))
+    # capping the exponent at -700 only raises the bound
+    bound[:, 1:] = np.exp(np.maximum(-mu * (scale * np.exp(c * (floor[:, None] - log_w))), -700.0))
+    bound = bound.ravel() + 1e-12
+    cum = np.cumsum(bound)
+    p = math.exp(-mu ** beta * t) * bound.size / cum[-1]
+    cum /= cum[-1]
+    guide = np.searchsorted(cum, np.arange(_ENV_GUIDE) / _ENV_GUIDE, side="right").astype(np.int16)
+    for a in (bound, cum, guide):
+        a.flags.writeable = False
+    return bound, cum, guide, p
+
+
+def _sample_tilted_iid(rng, t, beta, mu, n):
+    """n iid tilted draws at one t with mu^beta t <= 2, from the cell
+    envelope of `_tilt_envelope`.
+
+    A proposal picks a cell in proportion to its bound M by a uniform key
+    (the guide table's cell, checked against the running sums; the keys it
+    misses, 1-6%, by bisection), draws U and V uniformly on the cell,
+    and is accepted when a uniform times M is at most exp(-mu x), x the
+    stable value s (A(pi U) / -log V)^c: the uniforms are drawn in that
+    order, k of each a round.  M bounds the acceptance on its cell, so the
+    accepted (U, V) have the density of the tilted law on the square and
+    the draws are exact; they are iid because all proposals share one
+    envelope (`_first_accepted`).  A proposal is accepted with probability
+    0.83-0.86 at mu^beta t = 2, 0.93-0.94 at 1 and 0.96 at 0.5 (beta 0.3,
+    0.4 and 0.7), where plain tilting accepts e^-mu^beta t.  Rounds are
+    capped at _DRAW_BLOCK, so no request outgrows a block.
+    """
+    bound, cum, guide, p = _tilt_envelope(t, beta, mu)
+    scale = np.asarray(t, dtype=float) ** (1.0 / beta)
+    c = (1.0 - beta) / beta
+
+    def propose(k):
+        key = rng.random(k)
+        cell = guide[(key * _ENV_GUIDE).astype(np.intp)]
+        miss = np.flatnonzero(key >= cum[cell])
+        cell[miss] = np.searchsorted(cum, key[miss], side="right")
+        # in place, with the roundings of theta = (i + u) pi / 64, of
+        # log W = log(-log((j + v) / 32)) and of x = s exp(c (log A - log W))
+        theta = rng.random(k)
+        theta += cell // _ENV_V
+        theta *= math.pi / _ENV_U
+        np.clip(theta, 1e-12, math.pi - 1e-12, out=theta)
+        log_w = rng.random(k)
+        log_w += cell % _ENV_V
+        log_w /= _ENV_V
+        np.log(log_w, out=log_w)
+        np.negative(log_w, out=log_w)
+        np.log(log_w, out=log_w)
+        x = log_zolotarev_a(theta, beta)
+        x -= log_w
+        x *= c
+        np.exp(x, out=x)
+        x *= scale
+        accept = rng.random(k)
+        accept *= bound[cell]
+        return x[accept <= np.exp(-mu * x)]
+    return _first_accepted(n, p, propose, _DRAW_BLOCK)
 
 
 def _sample_tempered(rng, t, beta, mu):

@@ -385,7 +385,9 @@ class TemperedStable(SubordinatorSpec):
         """n values at t.  Each is the sum of m = ceil(mu^b t / 2) iid pieces
         at t/m, as in `increment`; the pieces come from the iid driver
         `_sample_tilted_iid`, at most _DRAW_BLOCK a block (one value's m
-        where m is larger)."""
+        where m is larger).  That driver proposes from a cell envelope of the
+        tilting acceptance built once for (t/m, b, mu): exact, and accepting
+        over 0.82 of its proposals where plain tilting accepts e^-(mu^b t/m)."""
         b, mu = self.beta, self.mu
         if _half_ig(b, mu) is not None:
             return super().draw(rng, t, n)

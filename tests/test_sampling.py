@@ -26,6 +26,8 @@ from tcpp.subordinators.densities import (
 )
 from tcpp.subordinators.sampling import (
     _DRAW_BLOCK,
+    _ENV_U,
+    _ENV_V,
     _SQUEEZE_BINS,
     _log_a_floor,
     _sample_ig,
@@ -34,6 +36,7 @@ from tcpp.subordinators.sampling import (
     _sample_stable_passages,
     _sample_tempered,
     _sample_tilted_iid,
+    _tilt_envelope,
     rng_stream,
     sample,
     sample_path,
@@ -557,14 +560,29 @@ class _SizeRecorder:
         return self.rng.standard_exponential(size)
 
 
+def _tilted_value(u, v, t, beta):
+    """The stable value s (A(pi u) / -log v)^c at the point (u, v) of the
+    envelope's square, formed as the iid driver forms it."""
+    theta = np.clip(math.pi * u, 1e-12, math.pi - 1e-12)
+    with np.errstate(divide="ignore"):  # v = 0 and v = 1 are the square's edges
+        log_w = np.log(-np.log(v))
+    return np.asarray(t, dtype=float) ** (1.0 / beta) * np.exp(
+        (1.0 - beta) / beta * (log_zolotarev_a(theta, beta) - log_w))
+
+
 def _iid_reference(rng, t, beta, mu, n):
-    """The iid driver without its squeeze, in the same round sizes: every
-    proposal pays its sines."""
-    p, out = math.exp(-mu ** beta * t), []
+    """The iid driver with every cell picked by bisection of the envelope's
+    running sums, in the same round sizes: the guide table may change the
+    time a draw takes, never the draw."""
+    bound, cum, _, p = _tilt_envelope(t, beta, mu)
+    out = []
     while (got := sum(x.size for x in out)) < n:
         k = min(_DRAW_BLOCK, math.ceil((n - got) / p * 1.02) + 32)
-        x = _sample_stable(rng, t, beta, k)
-        out.append(x[rng.random(k) <= np.exp(-mu * x)][:n - got])
+        cell = np.searchsorted(cum, rng.random(k), side="right")
+        u = (cell // _ENV_V + rng.random(k)) / _ENV_U
+        v = (cell % _ENV_V + rng.random(k)) / _ENV_V
+        x = _tilted_value(u, v, t, beta)
+        out.append(x[rng.random(k) * bound[cell] <= np.exp(-mu * x)][:n - got])
     return np.concatenate(out)
 
 
@@ -593,12 +611,12 @@ class TestTemperedSampler:
     @pytest.mark.parametrize("beta", SQUEEZE_BETAS)
     @pytest.mark.parametrize("mu", [0.5, 2.0, 20.0])
     def test_iid_squeeze_keeps_the_stream(self, beta, mu):
-        # acceptance e^-2 fills rounds at the block cap; e^-0.3 takes the
-        # sized shortfall rounds
+        # a first round at the block cap, then one sized to the shortfall;
+        # mu^beta t = 2 has the envelope's loosest cells
         for scale in (2.0, 0.3):
             t = scale / mu ** beta
-            got = _sample_tilted_iid(rng_stream(19, 0), t, beta, mu, 5000)
-            want = _iid_reference(rng_stream(19, 0), t, beta, mu, 5000)
+            got = _sample_tilted_iid(rng_stream(19, 0), t, beta, mu, 20_000)
+            want = _iid_reference(rng_stream(19, 0), t, beta, mu, 20_000)
             assert np.array_equal(got, want)
 
     def test_iid_rounds_stay_within_a_block(self):
@@ -652,6 +670,44 @@ class TestTemperedSampler:
         theta = np.clip(math.pi * u, 1e-12, math.pi - 1e-12)
         floor = _log_a_floor(beta)[(u * _SQUEEZE_BINS).astype(np.intp)]
         assert np.all(log_zolotarev_a(theta, beta) >= floor)
+
+    @pytest.mark.parametrize("beta", SQUEEZE_BETAS)
+    @pytest.mark.parametrize("lam", [1e-6, 0.5, 1.0, 2.0])
+    def test_envelope_bounds_the_acceptance(self, beta, lam):
+        # each cell's corners and one ulp inside each, then uniform points of
+        # the square: the acceptance never exceeds its cell's bound
+        mu = 2.0
+        t = lam / mu ** beta
+        bound, _, _, p = _tilt_envelope(t, beta, mu)
+        i, j = np.divmod(np.arange(bound.size), _ENV_V)
+        sides = []
+        for lo, n_bins in ((i, _ENV_U), (j, _ENV_V)):
+            a, b = lo / n_bins, (lo + 1) / n_bins
+            sides.append((a, np.nextafter(a, 1.0), np.nextafter(b, 0.0), b))
+        u = np.concatenate([a for a in sides[0] for _ in sides[1]])
+        v = np.concatenate([b for _ in sides[0] for b in sides[1]])
+        cell = np.tile(np.arange(bound.size), 16)
+        pts = np.random.default_rng(3).random((2, 100_000))
+        u = np.concatenate([u, pts[0]])
+        v = np.concatenate([v, pts[1]])
+        cell = np.concatenate([cell, (pts[0] * _ENV_U).astype(np.intp) * _ENV_V
+                               + (pts[1] * _ENV_V).astype(np.intp)])
+        assert np.all(np.exp(-mu * _tilted_value(u, v, t, beta)) <= bound[cell])
+        # the acceptance of a proposal, e^-lam over the mean bound
+        assert p == pytest.approx(math.exp(-lam) * bound.size / bound.sum(), rel=1e-12)
+        if lam == 2.0:
+            assert p >= 0.8
+
+    def test_tiny_scales_are_served(self):
+        # t^(1/beta) underflows to 0 at t = 1e-300, and every value is 0; at
+        # mu^beta t = 1e-12 the tilt moves the law by about 1e-12, so the
+        # draws pass the stable law's KS test
+        assert np.all(sample(TemperedStable(0.4, 1.0), 1e-300, 1000, seed=5).values == 0.0)
+        n, t = 20_000, 1e-12
+        vals = sample(TemperedStable(0.4, 1.0), t, n, seed=5).values
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+        stat = ks_stat_bound(vals, lambda v: stable_cdf(v, t, 0.4))
+        assert stat < KS_CRIT_1E3 / math.sqrt(n)
 
     @pytest.mark.parametrize("beta, mu, t, n", [
         (0.3, 400.0, 1.0, 20_000),

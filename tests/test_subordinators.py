@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from tcpp.errors import ConvergenceError, DivergenceError, DomainError, NoDensityError
+from tcpp.quadrules import gauss_panels, linear_panel_edges
 from tcpp.subordinators import densities
 from tcpp.subordinators.densities import (
     _inverse_tempered_tilt,
@@ -455,6 +456,21 @@ class TestInverseStable:
         assert val == pytest.approx(1.0 / math.sqrt(4 * math.pi), rel=1e-10)
         val = float(inverse_stable_density(np.array([1e-9]), 2.0, 0.25)[0])
         assert val == pytest.approx(2.0 ** -0.25 / math.gamma(0.75), rel=1e-8)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.95])
+    def test_cdf_in_chunks_is_the_per_point_rule(self, beta):
+        # each point's own 48-panel rule, built and summed alone, is what the
+        # chunked pass returns bit for bit: 130 points span several chunks
+        x = np.geomspace(1e-6, 50.0, 130)
+        for t in (1e-3, 1.0, 7.0):
+            want = [np.sum(w * inverse_stable_density(nodes, 1.0, beta)) for nodes, w in
+                    (gauss_panels(linear_panel_edges(0.0, v, 48))
+                     for v in x * np.asarray(t, dtype=float) ** -beta)]
+            assert inverse_stable_cdf(x, t, beta).tobytes() == np.array(want).tobytes()
+        # a point whose panels are narrower than float spacing refuses its
+        # chunk, naming its own rule, as it refused alone
+        with pytest.raises(ConvergenceError, match=r"48 panels on \[0, 9\.99\d+e-321\]"):
+            inverse_stable_cdf(np.array([1.0, 1e-320, 2.0]), 1.0, beta)
 
 
 def _tempered_levy_tail(t, beta, mu):
